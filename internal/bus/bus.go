@@ -149,8 +149,9 @@ func (b *Bus) Devices() []string {
 // FIFOSource is a device-side byte producer a DMA channel can drain
 // (e.g. the I2S controller's receive FIFO).
 type FIFOSource interface {
-	// PopBytes removes up to n bytes from the FIFO.
-	PopBytes(n int) []byte
+	// PopInto moves up to len(dst) bytes from the FIFO into dst and
+	// returns the count.
+	PopInto(dst []byte) int
 	// BytesAvailable reports how many bytes can currently be popped.
 	BytesAvailable() int
 }
@@ -181,13 +182,23 @@ func NewDMA(clock *tz.Clock, cost tz.CostModel, mem *memory.PhysMem) *DMA {
 	return &DMA{clock: clock, cost: cost, mem: mem}
 }
 
+// bouncePool recycles the engine's bounce buffers across transfers and
+// devices. A bounce buffer carries bytes from the device FIFO to RAM
+// within one transfer and is never read outside it.
+var bouncePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // FromDevice drains up to n bytes from src into RAM at dst on behalf of
 // world w. It returns the number of bytes actually transferred.
 func (d *DMA) FromDevice(w tz.World, src FIFOSource, dst uint64, n int) (int, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	data := src.PopBytes(n)
+	h := bouncePool.Get().(*[]byte)
+	defer bouncePool.Put(h)
+	if cap(*h) < n {
+		*h = make([]byte, n)
+	}
+	data := (*h)[:src.PopInto((*h)[:n])]
 	if len(data) == 0 {
 		return 0, nil
 	}

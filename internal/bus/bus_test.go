@@ -130,13 +130,10 @@ func TestBusDevices(t *testing.T) {
 // sliceFIFO implements FIFOSource over a byte slice.
 type sliceFIFO struct{ data []byte }
 
-func (s *sliceFIFO) PopBytes(n int) []byte {
-	if n > len(s.data) {
-		n = len(s.data)
-	}
-	out := s.data[:n]
+func (s *sliceFIFO) PopInto(dst []byte) int {
+	n := copy(dst, s.data)
 	s.data = s.data[n:]
-	return out
+	return n
 }
 
 func (s *sliceFIFO) BytesAvailable() int { return len(s.data) }

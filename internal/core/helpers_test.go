@@ -34,9 +34,10 @@ func TestUtteranceAudioVariesAcrossIndexButDeterministic(t *testing.T) {
 	u := sensitive.Utterance{Words: []string{"play", "music"}}
 	// utteranceAudio returns scratch-backed PCM valid until the next
 	// call; retain copies to compare renditions.
-	a := sys.utteranceAudio(0, u).Clone()
-	b := sys.utteranceAudio(1, u).Clone()
-	c := sys.utteranceAudio(0, u)
+	sc := new(sessionScratch)
+	a := sys.utteranceAudio(sc, 0, u).Clone()
+	b := sys.utteranceAudio(sc, 1, u).Clone()
+	c := sys.utteranceAudio(sc, 0, u)
 	if len(a.Samples) != len(b.Samples) {
 		t.Fatal("lengths differ")
 	}

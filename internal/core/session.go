@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/attest"
 	"repro/internal/audio"
@@ -195,9 +196,28 @@ func (r *SessionResult) FalseBlockRate() float64 {
 	return float64(blocked) / float64(benign)
 }
 
+// sessionScratch is one session's normal-world capture scratch: the
+// synthesized utterance and the baseline app's read, capture, decode and
+// payload buffers. A session leases a set from sessionScratchPool and
+// returns it on every exit, so a fleet that builds, runs and drops one
+// System per device reuses a handful of sets instead of growing one per
+// device. Each buffer is rewritten before it is read within an
+// utterance, and the microphone and the uplink copy what they consume.
+type sessionScratch struct {
+	synth    []float64
+	read     []byte
+	captured []byte
+	samples  []int32
+	payload  []byte
+}
+
+var sessionScratchPool = sync.Pool{New: func() any { return new(sessionScratch) }}
+
 // RunSession synthesizes and processes each utterance end to end and
 // returns the aggregated result.
 func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, error) {
+	sc := sessionScratchPool.Get().(*sessionScratch)
+	defer sessionScratchPool.Put(sc)
 	res := &SessionResult{Mode: s.cfg.Mode, Latency: metrics.NewRecorder()}
 	startCycles := s.Clock.Now()
 	s.Monitor.ResetStats()
@@ -216,7 +236,7 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 			_ = s.Kernel.Close(fd)
 		}()
 		runOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-			return s.runBaselineUtterance(fd, i, u)
+			return s.runBaselineUtterance(sc, fd, i, u)
 		}
 	case ModeHybridHE:
 		// Hybrid shares the TEEC session but each utterance takes the
@@ -231,7 +251,7 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 			_ = ctx.FinalizeContext()
 		}()
 		runOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-			return s.runHybridUtterance(sess, i, u)
+			return s.runHybridUtterance(sc, sess, i, u)
 		}
 	default:
 		// Secure modes share one TEEC session across the run.
@@ -244,7 +264,7 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 			_ = ctx.FinalizeContext()
 		}()
 		runOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-			return s.runSecureUtterance(sess, i, u)
+			return s.runSecureUtterance(sc, sess, i, u)
 		}
 	}
 
@@ -360,22 +380,24 @@ func (s *System) emitUtteranceSpans(start tz.Cycles, rec ProcessedUtterance, bat
 
 // runBaselineUtterance: mic -> untrusted driver -> user app -> raw audio
 // to the cloud, which transcribes server-side.
-func (s *System) runBaselineUtterance(fd int, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
+func (s *System) runBaselineUtterance(sc *sessionScratch, fd int, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
 	out := UtteranceOutcome{Truth: u}
 	start := s.Clock.Now()
 
-	pcm := s.utteranceAudio(i, u)
+	pcm := s.utteranceAudio(sc, i, u)
 	wantBytes := len(pcm.Samples) * 2
-	s.Mic.Load(pcm)
+	if err := s.Mic.Load(pcm); err != nil {
+		return out, fmt.Errorf("core mic: %w", err)
+	}
 
-	if cap(s.baseCaptured) < wantBytes {
-		s.baseCaptured = make([]byte, 0, wantBytes)
+	if cap(sc.captured) < wantBytes {
+		sc.captured = make([]byte, 0, wantBytes)
 	}
-	captured := s.baseCaptured[:0]
-	if cap(s.baseRead) < s.cfg.BufBytes {
-		s.baseRead = make([]byte, s.cfg.BufBytes)
+	captured := sc.captured[:0]
+	if cap(sc.read) < s.cfg.BufBytes {
+		sc.read = make([]byte, s.cfg.BufBytes)
 	}
-	buf := s.baseRead[:s.cfg.BufBytes]
+	buf := sc.read[:s.cfg.BufBytes]
 	idle := 0
 	for len(captured) < wantBytes {
 		if _, err := s.Mic.PumpBytes(min(wantBytes-len(captured)+4096, 8192)); err != nil {
@@ -402,16 +424,16 @@ func (s *System) runBaselineUtterance(fd int, i int, u sensitive.Utterance) (Utt
 	// path decoded to float64 and re-quantized through EncodePCM16; the
 	// round trip is exact for 16-bit samples, so the payload is built
 	// from the decoded samples directly, into reusable scratch.
-	s.baseCaptured = captured
-	samples, err := i2s.DecodeFramesInto(s.baseSamples, captured, i2s.DefaultFormat())
+	sc.captured = captured
+	samples, err := i2s.DecodeFramesInto(sc.samples, captured, i2s.DefaultFormat())
 	if err != nil {
 		return out, fmt.Errorf("baseline decode: %w", err)
 	}
-	s.baseSamples = samples
-	if cap(s.basePayload) < len(samples)*2 {
-		s.basePayload = make([]byte, len(samples)*2)
+	sc.samples = samples
+	if cap(sc.payload) < len(samples)*2 {
+		sc.payload = make([]byte, len(samples)*2)
 	}
-	payload := s.basePayload[:len(samples)*2]
+	payload := sc.payload[:len(samples)*2]
 	for j, v := range samples {
 		u := uint16(int16(v))
 		payload[2*j] = byte(u)
@@ -456,13 +478,15 @@ func (s *System) runBaselineUtterance(fd int, i int, u sensitive.Utterance) (Utt
 
 // runSecureUtterance: mic -> secure driver -> PTA -> TA (ASR [+filter])
 // -> sealed relay -> supplicant -> cloud.
-func (s *System) runSecureUtterance(sess *teec.Session, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
+func (s *System) runSecureUtterance(sc *sessionScratch, sess *teec.Session, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
 	out := UtteranceOutcome{Truth: u}
 	start := s.Clock.Now()
 
-	pcm := s.utteranceAudio(i, u)
+	pcm := s.utteranceAudio(sc, i, u)
 	wantBytes := len(pcm.Samples) * 2
-	s.Mic.Load(pcm)
+	if err := s.Mic.Load(pcm); err != nil {
+		return out, fmt.Errorf("core mic: %w", err)
+	}
 	// Stream the whole utterance onto the bus (the big controller FIFO
 	// stands in for real-time pacing; see NewSystem).
 	for {
@@ -508,19 +532,10 @@ func (s *System) runSecureUtterance(sess *teec.Session, i int, u sensitive.Utter
 // secret key and runs the non-linear tail, policy filter and sealed
 // relay exactly as secure-filter does. The provider observes ciphertext
 // bytes only — never a cleartext feature.
-func (s *System) hybridProcessGroup(sess *teec.Session, lo int, group []sensitive.Utterance) error {
-	lens := make([]byte, 0, 4*len(group))
-	for i, u := range group {
-		pcm := s.utteranceAudio(lo+i, u)
-		s.Mic.Load(pcm)
-		var word [4]byte
-		binary.LittleEndian.PutUint32(word[:], uint32(len(pcm.Samples)*2))
-		lens = append(lens, word[:]...)
-	}
-	for {
-		if _, err := s.Mic.PumpBytes(8192); err != nil {
-			break
-		}
+func (s *System) hybridProcessGroup(sc *sessionScratch, sess *teec.Session, lo int, group []sensitive.Utterance) error {
+	lens, err := s.queueGroup(sc, lo, group)
+	if err != nil {
+		return err
 	}
 	p := &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}}
 	if err := sess.InvokeCommand(CmdTranscribeBatch, p); err != nil {
@@ -569,11 +584,11 @@ func (s *System) hybridProcessGroup(sess *teec.Session, lo int, group []sensitiv
 
 // runHybridUtterance is the per-utterance RunSession arm of the hybrid
 // split: one-element group through hybridProcessGroup.
-func (s *System) runHybridUtterance(sess *teec.Session, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
+func (s *System) runHybridUtterance(sc *sessionScratch, sess *teec.Session, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
 	out := UtteranceOutcome{Truth: u}
 	start := s.Clock.Now()
 	before := len(s.VoiceTA.Processed())
-	if err := s.hybridProcessGroup(sess, i, []sensitive.Utterance{u}); err != nil {
+	if err := s.hybridProcessGroup(sc, sess, i, []sensitive.Utterance{u}); err != nil {
 		return out, err
 	}
 	records := s.VoiceTA.Processed()
@@ -611,6 +626,8 @@ func (s *System) RunSessionBatched(utterances []sensitive.Utterance, batch int) 
 	if batch > MaxBatch {
 		batch = MaxBatch
 	}
+	sc := sessionScratchPool.Get().(*sessionScratch)
+	defer sessionScratchPool.Put(sc)
 	res := &SessionResult{Mode: s.cfg.Mode, Latency: metrics.NewRecorder()}
 	startCycles := s.Clock.Now()
 	s.Monitor.ResetStats()
@@ -634,24 +651,13 @@ func (s *System) RunSessionBatched(utterances []sensitive.Utterance, batch int) 
 			// The hybrid split stages transcripts and routes the group
 			// through the HE round trip; two invocations per group instead
 			// of one, but still one capture queueing.
-			if err := s.hybridProcessGroup(sess, lo, group); err != nil {
+			if err := s.hybridProcessGroup(sc, sess, lo, group); err != nil {
 				return nil, fmt.Errorf("batch at %d: %w", lo, err)
 			}
 		} else {
-			// Queue the whole group onto the bus; the mic appends signals,
-			// so the FIFO holds the utterances back to back.
-			lens := make([]byte, 0, 4*len(group))
-			for i, u := range group {
-				pcm := s.utteranceAudio(lo+i, u)
-				s.Mic.Load(pcm)
-				var word [4]byte
-				binary.LittleEndian.PutUint32(word[:], uint32(len(pcm.Samples)*2))
-				lens = append(lens, word[:]...)
-			}
-			for {
-				if _, err := s.Mic.PumpBytes(8192); err != nil {
-					break
-				}
+			lens, err := s.queueGroup(sc, lo, group)
+			if err != nil {
+				return nil, fmt.Errorf("batch at %d: %w", lo, err)
 			}
 			p := &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}}
 			if err := sess.InvokeCommand(CmdProcessBatch, p); err != nil {
@@ -700,15 +706,37 @@ func (s *System) RunSessionBatched(utterances []sensitive.Utterance, batch int) 
 	return res, nil
 }
 
+// queueGroup synthesizes the utterances of a group (the first is
+// utterance lo of the session), loads them into the microphone and
+// streams them onto the bus back to back (the big controller FIFO stands
+// in for real-time pacing; see NewSystem). It returns the TA's length
+// table: each utterance's wire byte count, little-endian uint32.
+func (s *System) queueGroup(sc *sessionScratch, lo int, group []sensitive.Utterance) ([]byte, error) {
+	lens := make([]byte, 0, 4*len(group))
+	for i, u := range group {
+		pcm := s.utteranceAudio(sc, lo+i, u)
+		if err := s.Mic.Load(pcm); err != nil {
+			return nil, fmt.Errorf("core mic: %w", err)
+		}
+		lens = binary.LittleEndian.AppendUint32(lens, uint32(len(pcm.Samples)*2))
+	}
+	for {
+		if _, err := s.Mic.PumpBytes(8192); err != nil {
+			break
+		}
+	}
+	return lens, nil
+}
+
 // utteranceAudio renders utterance i with a per-utterance voice seed so
-// renditions vary across the session. The returned PCM aliases the
-// system's synthesis scratch: it is valid until the next utteranceAudio
-// call (the microphone copies on Load).
-func (s *System) utteranceAudio(i int, u sensitive.Utterance) audio.PCM {
+// renditions vary across the session. The returned PCM aliases sc's
+// synthesis buffer: it is valid until the next utteranceAudio call (the
+// microphone copies on Load).
+func (s *System) utteranceAudio(sc *sessionScratch, i int, u sensitive.Utterance) audio.PCM {
 	v := s.Voice
 	v.Seed = s.cfg.Seed*1_000_003 + uint64(i)*97 + 13
-	pcm := v.SynthesizeInto(s.synthBuf, u.Words)
-	s.synthBuf = pcm.Samples[:0]
+	pcm := v.SynthesizeInto(sc.synth, u.Words)
+	sc.synth = pcm.Samples[:0]
 	return pcm
 }
 

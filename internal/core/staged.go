@@ -111,22 +111,14 @@ func (st *StagedSession) CaptureGroup() (*PendingGroup, error) {
 	group := st.utterances[st.lo:hi]
 	groupStart := s.Clock.Now()
 
-	// Queue the whole group onto the bus; the mic appends signals, so
-	// the FIFO holds the utterances back to back.
-	lens := make([]byte, 0, 4*len(group))
-	for i, u := range group {
-		pcm := s.utteranceAudio(st.lo+i, u)
-		s.Mic.Load(pcm)
-		var word [4]byte
-		binary.LittleEndian.PutUint32(word[:], uint32(len(pcm.Samples)*2))
-		lens = append(lens, word[:]...)
+	// The scratch lease covers the capture only, so a group parked on
+	// the shared classifier holds no capture scratch.
+	sc := sessionScratchPool.Get().(*sessionScratch)
+	lens, err := s.queueGroup(sc, st.lo, group)
+	sessionScratchPool.Put(sc)
+	if err != nil {
+		return nil, fmt.Errorf("staged capture at %d: %w", st.lo, err)
 	}
-	for {
-		if _, err := s.Mic.PumpBytes(8192); err != nil {
-			break
-		}
-	}
-
 	p := &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}}
 	if err := st.sess.InvokeCommand(CmdTranscribeBatch, p); err != nil {
 		return nil, fmt.Errorf("staged capture at %d: %w", st.lo, err)

@@ -421,7 +421,8 @@ func (c *Ciphertext) Size(p Params) int {
 // reproducible, Expansion× the plaintext size, and never contains the
 // raw feature bytes.
 func (c *Ciphertext) Marshal(p Params) []byte {
-	buf := make([]byte, 0, c.Size(p))
+	size := c.Size(p)
+	buf := make([]byte, 0, size)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[:4], ciphertextMagic)
 	buf = append(buf, hdr[:4]...)
@@ -439,12 +440,13 @@ func (c *Ciphertext) Marshal(p Params) []byte {
 	}
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(c.data)))
 	buf = append(buf, hdr[:4]...)
-	block := make([]byte, 4*p.Expansion)
+	off := len(buf)
+	buf = buf[:size]
 	for i, v := range c.data {
-		ks := keystream(c.keyID, uint64(i), p.Expansion)
-		binary.LittleEndian.PutUint32(block[:4], math.Float32bits(v)^binary.LittleEndian.Uint32(ks[:4]))
-		copy(block[4:], ks[4:])
-		buf = append(buf, block...)
+		block := buf[off : off+4*p.Expansion]
+		keystreamInto(block, c.keyID, uint64(i))
+		binary.LittleEndian.PutUint32(block, math.Float32bits(v)^binary.LittleEndian.Uint32(block))
+		off += len(block)
 	}
 	return buf
 }
@@ -483,26 +485,35 @@ func (e *Evaluator) Unmarshal(b []byte) (*Ciphertext, error) {
 	}
 	data := make([]float32, slots)
 	for i := range data {
-		ks := keystream(keyID, uint64(i), e.Params.Expansion)
-		bits := binary.LittleEndian.Uint32(b[off:]) ^ binary.LittleEndian.Uint32(ks[:4])
+		bits := binary.LittleEndian.Uint32(b[off:]) ^ firstMaskWord(keyID, uint64(i))
 		data[i] = math.Float32frombits(bits)
 		off += 4 * e.Params.Expansion
 	}
 	return &Ciphertext{keyID: keyID, shape: shape, level: level, noise: noise, data: data}, nil
 }
 
-// keystream derives one slot's Expansion×4-byte mask block from the
-// key ID and slot index via splitmix64.
-func keystream(keyID, slot uint64, expansion int) []byte {
-	out := make([]byte, 4*expansion)
-	x := splitmix64(keyID ^ (slot+1)*0x9e3779b97f4a7c15)
-	for i := 0; i < len(out); i += 8 {
+// keystreamInto fills one slot's mask block (Expansion×4 bytes) from the
+// key ID and slot index via splitmix64, eight little-endian bytes per
+// step; a block that ends mid-word takes that word's leading bytes.
+func keystreamInto(block []byte, keyID, slot uint64) {
+	x := keystreamSeed(keyID, slot)
+	for i := 0; i < len(block); i += 8 {
 		x = splitmix64(x)
 		var w [8]byte
 		binary.LittleEndian.PutUint64(w[:], x)
-		copy(out[i:], w[:])
+		copy(block[i:], w[:])
 	}
-	return out
+}
+
+// firstMaskWord is the first 32-bit word of a slot's mask block, the
+// only one that covers plaintext bits (Expansion ≥ 2, so the block's
+// first eight bytes always come from one splitmix64 step).
+func firstMaskWord(keyID, slot uint64) uint32 {
+	return uint32(splitmix64(keystreamSeed(keyID, slot)))
+}
+
+func keystreamSeed(keyID, slot uint64) uint64 {
+	return splitmix64(keyID ^ (slot+1)*0x9e3779b97f4a7c15)
 }
 
 // splitmix64 is the standard 64-bit mixer (public-domain constants).

@@ -2,8 +2,10 @@ package he
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -265,5 +267,50 @@ func TestCostCharging(t *testing.T) {
 	}
 	if want := want + 4*cost.HEDecryptPerSlot; clk.Now() != want {
 		t.Fatalf("decrypt charged to %d, want %d", clk.Now(), want)
+	}
+}
+
+// TestMarshalGolden pins the wire bytes of Marshal for fixed ciphertexts,
+// including an odd expansion factor whose mask block ends mid-word.
+func TestMarshalGolden(t *testing.T) {
+	for _, tc := range []struct {
+		expansion int
+		want      string
+	}{
+		{32, "dd78405f0f64249f7fb4459a367f9ddf940a2c77d079985a9ca8611ef6762b66"},
+		{3, "b2cfee800b5f3925c6495d625916cbd5b380eca79e005006d3fbd37f76f24a4c"},
+	} {
+		p := DefaultParams()
+		p.Expansion = tc.expansion
+		kp, err := KeyGen(p, 4242)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := testEvaluator(t, p)
+		data := make([]float32, 12)
+		for i := range data {
+			data[i] = float32(i)*0.37 - 1
+		}
+		ct, err := ev.Encrypt(kp.Public, data, []int{4, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := ct.Marshal(p)
+		if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != tc.want {
+			t.Errorf("expansion %d: Marshal sha256 = %s, want %s", tc.expansion, got, tc.want)
+		}
+		back, err := ev.Unmarshal(wire)
+		if err != nil {
+			t.Fatalf("expansion %d: Unmarshal: %v", tc.expansion, err)
+		}
+		got, _, err := ev.Decrypt(kp.Secret, back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			if got[i] != data[i] {
+				t.Fatalf("expansion %d: slot %d = %v, want %v", tc.expansion, i, got[i], data[i])
+			}
+		}
 	}
 }

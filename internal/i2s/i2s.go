@@ -170,17 +170,37 @@ func DecodeFramesInto(dst []int32, wire []byte, f Format) ([]int32, error) {
 // demand up to the configured capacity, so a controller configured with
 // a generous FIFO (the simulator uses 1 MiB to stand in for real-time
 // pacing) only pays for the bytes actually buffered.
+//
+// An empty FIFO holds no ring: the first push leases one from ringPool
+// and the pop that drains the FIFO returns it. A fleet builds a fresh
+// controller per device, so recycled rings spare every device after the
+// first the 256 B → 1 MiB doubling chain. Only bytes pushed during the
+// current lease are ever read back (start and n bound every read).
 type fifo struct {
 	buf      []byte
+	hold     *[]byte // ring holder, recycled with buf so Put never boxes
 	start    int
 	n        int
 	capacity int
 }
 
+// ringPool recycles FIFO rings across controllers.
+var ringPool sync.Pool
+
 func newFIFO(capacity int) *fifo { return &fifo{capacity: capacity} }
 
-// grow re-linearizes the ring into a larger backing slice.
+// grow re-linearizes the ring into a larger backing slice. An empty FIFO
+// first tries a recycled ring.
 func (q *fifo) grow(need int) {
+	if q.buf == nil {
+		if h, ok := ringPool.Get().(*[]byte); ok {
+			if len(*h) >= need && len(*h) <= q.capacity {
+				q.buf, q.hold, q.start = *h, h, 0
+				return
+			}
+			ringPool.Put(h)
+		}
+	}
 	size := len(q.buf) * 2
 	if size == 0 {
 		size = 256
@@ -205,6 +225,18 @@ func (q *fifo) grow(need int) {
 	q.start = 0
 }
 
+// release returns the ring to ringPool and empties the FIFO.
+func (q *fifo) release() {
+	if q.buf != nil {
+		if q.hold == nil {
+			q.hold = new([]byte)
+		}
+		*q.hold = q.buf
+		ringPool.Put(q.hold)
+	}
+	q.buf, q.hold, q.start, q.n = nil, nil, 0, 0
+}
+
 // push appends b, returning the number of bytes that did NOT fit (overrun).
 func (q *fifo) push(b []byte) int {
 	space := q.capacity - q.n
@@ -225,20 +257,21 @@ func (q *fifo) push(b []byte) int {
 	return len(b) - take
 }
 
-// pop removes up to n bytes.
-func (q *fifo) pop(n int) []byte {
-	if n > q.n {
-		n = q.n
-	}
-	out := make([]byte, n)
+// popInto moves up to len(dst) bytes into dst and returns the count. The
+// pop that drains the FIFO releases its ring.
+func (q *fifo) popInto(dst []byte) int {
+	n := min(len(dst), q.n)
 	if n == 0 {
-		return out
+		return 0
 	}
-	first := copy(out, q.buf[q.start:])
-	copy(out[first:], q.buf[:n-first])
+	first := copy(dst[:n], q.buf[q.start:])
+	copy(dst[first:n], q.buf[:n-first])
 	q.start = (q.start + n) % len(q.buf)
 	q.n -= n
-	return out
+	if q.n == 0 {
+		q.release()
+	}
+	return n
 }
 
 func (q *fifo) len() int { return q.n }
@@ -285,7 +318,7 @@ type ControllerStats struct {
 //
 // Data path: a transmitter (the microphone) pushes wire bytes with
 // PushWire; bytes land in the RX FIFO; the driver drains them either via
-// DMA (PopBytes) or programmed I/O (RegFIFOData reads). When the FIFO
+// DMA (PopInto) or programmed I/O (RegFIFOData reads). When the FIFO
 // level crosses the watermark and IRQs are enabled, the IRQ callback fires.
 type Controller struct {
 	name string
@@ -377,9 +410,10 @@ func (c *Controller) ReadReg(off uint32) (uint32, error) {
 		}
 		return s, nil
 	case RegFIFOData:
-		b := c.rx.pop(4)
+		var b [4]byte
+		n := c.rx.popInto(b[:])
 		var v uint32
-		for i, x := range b {
+		for i, x := range b[:n] {
 			v |= uint32(x) << (24 - 8*uint(i))
 		}
 		return v, nil
@@ -463,11 +497,21 @@ func (c *Controller) PushWire(wire []byte) error {
 	return nil
 }
 
-// PopBytes implements bus.FIFOSource for DMA drains.
+// PopInto implements bus.FIFOSource for DMA drains: it moves up to
+// len(dst) bytes from the RX FIFO into dst and returns the count.
+func (c *Controller) PopInto(dst []byte) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rx.popInto(dst)
+}
+
+// PopBytes removes up to n bytes from the RX FIFO into a new slice.
 func (c *Controller) PopBytes(n int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rx.pop(n)
+	out := make([]byte, min(n, c.rx.len()))
+	c.rx.popInto(out)
+	return out
 }
 
 // BytesAvailable implements bus.FIFOSource.
@@ -489,6 +533,6 @@ func (c *Controller) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ctrl = 0
-	c.rx = newFIFO(c.rx.cap())
+	c.rx.release()
 	c.stats = ControllerStats{}
 }

@@ -1,6 +1,7 @@
 package i2s
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -125,18 +126,24 @@ func TestDecodeShortFrame(t *testing.T) {
 	}
 }
 
+// pop removes up to n bytes from q into a new slice.
+func pop(q *fifo, n int) []byte {
+	out := make([]byte, n)
+	return out[:q.popInto(out)]
+}
+
 func TestFIFOPushPop(t *testing.T) {
 	q := newFIFO(8)
 	if over := q.push([]byte{1, 2, 3}); over != 0 {
 		t.Errorf("push overran %d", over)
 	}
-	if got := q.pop(2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := pop(q, 2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("pop = %v", got)
 	}
 	if over := q.push([]byte{4, 5, 6, 7, 8, 9, 10}); over != 0 {
 		t.Errorf("wrap push overran %d", over)
 	}
-	got := q.pop(10)
+	got := pop(q, 10)
 	want := []byte{3, 4, 5, 6, 7, 8, 9, 10}
 	if len(got) != len(want) {
 		t.Fatalf("pop = %v, want %v", got, want)
@@ -172,7 +179,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 				return false
 			}
 			if len(expect) > 16 {
-				got := q.pop(16)
+				got := pop(q, 16)
 				for i := range got {
 					if got[i] != expect[i] {
 						return false
@@ -181,7 +188,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 				expect = expect[len(got):]
 			}
 		}
-		got := q.pop(q.len())
+		got := pop(q, q.len())
 		if len(got) != len(expect) {
 			return false
 		}
@@ -360,5 +367,81 @@ func TestSetFormat(t *testing.T) {
 	}
 	if err := c.SetFormat(Format{44100, 20, 2}); err == nil {
 		t.Error("invalid SetFormat accepted")
+	}
+}
+
+// A ring recycled from a drained controller must never leak its old
+// bytes: a new controller reads back exactly what it was sent, through
+// both the DMA drain and the programmed-I/O data register.
+func TestRecycledRingIsolation(t *testing.T) {
+	const size = 4096
+	pattern := func(seed byte) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = seed + byte(i*7)
+		}
+		return b
+	}
+	a, b := pattern(0x11), pattern(0xa0)
+
+	first := NewController("i2s0", 1<<20)
+	_ = first.WriteReg(RegCtrl, CtrlRXEnable)
+	if err := first.PushWire(a); err != nil {
+		t.Fatalf("PushWire A: %v", err)
+	}
+	if got := first.PopBytes(size); !bytes.Equal(got, a) {
+		t.Fatal("controller A read back the wrong bytes")
+	}
+
+	// DMA drain: PopBytes and PopInto, in odd-sized chunks.
+	second := NewController("i2s0", 1<<20)
+	_ = second.WriteReg(RegCtrl, CtrlRXEnable)
+	if err := second.PushWire(b[:size/2]); err != nil {
+		t.Fatalf("PushWire B: %v", err)
+	}
+	got := second.PopBytes(100)
+	chunk := make([]byte, 333)
+	for second.BytesAvailable() > 0 {
+		got = append(got, chunk[:second.PopInto(chunk)]...)
+	}
+	if !bytes.Equal(got, b[:size/2]) {
+		t.Fatal("PopBytes/PopInto returned bytes other than pattern B")
+	}
+	if n := second.PopInto(chunk); n != 0 {
+		t.Fatalf("PopInto on a drained FIFO moved %d bytes", n)
+	}
+
+	// Programmed I/O: RegFIFOData pops 4 bytes MSB first.
+	third := NewController("i2s0", 1<<20)
+	_ = third.WriteReg(RegCtrl, CtrlRXEnable)
+	if err := third.PushWire(b[size/2:]); err != nil {
+		t.Fatalf("PushWire B: %v", err)
+	}
+	var words []byte
+	for third.BytesAvailable() > 0 {
+		v, err := third.ReadReg(RegFIFOData)
+		if err != nil {
+			t.Fatalf("fifo data read: %v", err)
+		}
+		words = append(words, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	}
+	if !bytes.Equal(words, b[size/2:]) {
+		t.Fatal("RegFIFOData returned bytes other than pattern B")
+	}
+	if v, _ := third.ReadReg(RegFIFOData); v != 0 {
+		t.Fatalf("RegFIFOData on a drained FIFO = %#x, want 0", v)
+	}
+
+	// Reset hands a non-empty ring back; the next controller still sees
+	// only its own bytes.
+	fourth := NewController("i2s0", 1<<20)
+	_ = fourth.WriteReg(RegCtrl, CtrlRXEnable)
+	_ = fourth.PushWire(a)
+	fourth.Reset()
+	fifth := NewController("i2s0", 1<<20)
+	_ = fifth.WriteReg(RegCtrl, CtrlRXEnable)
+	_ = fifth.PushWire(b[:8])
+	if got := fifth.PopBytes(size); !bytes.Equal(got, b[:8]) {
+		t.Fatalf("after Reset recycling, read %x, want %x", got, b[:8])
 	}
 }

@@ -19,6 +19,9 @@ import (
 var (
 	// ErrNoSignal is returned when pumping a microphone with nothing loaded.
 	ErrNoSignal = errors.New("peripheral: no signal loaded")
+	// ErrRateMismatch is returned when loading a signal whose sample rate
+	// differs from the unplayed remainder already queued.
+	ErrRateMismatch = errors.New("peripheral: sample rate differs from queued signal")
 	// ErrBadImage is returned for invalid image dimensions.
 	ErrBadImage = errors.New("peripheral: invalid image")
 )
@@ -33,14 +36,25 @@ type Microphone struct {
 	mu     sync.Mutex
 	format i2s.Format
 	signal audio.PCM
+	hold   *[]float64 // signal buffer holder, recycled with the buffer
 	pos    int
 	pushed uint64
-
-	// Pump scratch (guarded by mu): quantized samples and their wire
-	// encoding are recycled across PumpBytes calls.
-	sampleBuf []int32
-	wireBuf   []byte
 }
+
+// signalPool recycles microphone signal buffers across microphones. A
+// buffer is leased by the Load that queues into an empty microphone and
+// returned by the pump whose push drains it; only samples loaded during
+// the current lease are ever read.
+var signalPool sync.Pool
+
+// pumpScratch is one PumpBytes call's quantized samples and their wire
+// encoding, pooled across calls and microphones.
+type pumpScratch struct {
+	samples []int32
+	wire    []byte
+}
+
+var pumpPool = sync.Pool{New: func() any { return new(pumpScratch) }}
 
 // NewMicrophone wires a microphone to the controller with the format.
 func NewMicrophone(ctrl *i2s.Controller, f i2s.Format) (*Microphone, error) {
@@ -56,27 +70,44 @@ func NewMicrophone(ctrl *i2s.Controller, f i2s.Format) (*Microphone, error) {
 // Load queues a PCM signal behind any remaining samples. The samples are
 // copied into the microphone's own buffer (compacted in place), so the
 // caller may reuse p's backing slice immediately and repeated loads do
-// not re-clone the queued remainder.
-func (m *Microphone) Load(p audio.PCM) {
+// not re-clone the queued remainder. A signal whose rate differs from a
+// non-empty queued remainder is refused with ErrRateMismatch and the
+// queue is left unchanged.
+func (m *Microphone) Load(p audio.PCM) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.pos >= len(m.signal.Samples) {
+		if m.hold == nil {
+			if h, ok := signalPool.Get().(*[]float64); ok {
+				m.hold, m.signal.Samples = h, *h
+			}
+		}
 		m.signal.Rate = p.Rate
 		m.signal.Samples = append(m.signal.Samples[:0], p.Samples...)
 		m.pos = 0
-		return
+		return nil
+	}
+	if m.signal.Rate != 0 && p.Rate != m.signal.Rate {
+		return fmt.Errorf("%w: %d Hz behind %d Hz", ErrRateMismatch, p.Rate, m.signal.Rate)
 	}
 	// Compact the unplayed remainder to the front, then append — same
 	// result as cloning remainder+new, without the quadratic re-copy.
 	rem := copy(m.signal.Samples, m.signal.Samples[m.pos:])
-	m.signal.Samples = m.signal.Samples[:rem]
-	if m.signal.Rate == 0 {
-		m.signal.Rate = p.Rate
-	}
-	if p.Rate == m.signal.Rate {
-		m.signal.Samples = append(m.signal.Samples, p.Samples...)
-	}
+	m.signal.Samples = append(m.signal.Samples[:rem], p.Samples...)
+	m.signal.Rate = p.Rate
 	m.pos = 0
+	return nil
+}
+
+// releaseSignal returns the drained signal buffer to signalPool.
+// Requires m.mu.
+func (m *Microphone) releaseSignal() {
+	if m.hold == nil {
+		m.hold = new([]float64)
+	}
+	*m.hold = m.signal.Samples[:0]
+	signalPool.Put(m.hold)
+	m.hold, m.signal.Samples, m.pos = nil, nil, 0
 }
 
 // Remaining returns the number of unplayed samples.
@@ -108,15 +139,14 @@ func (m *Microphone) PumpBytes(n int) (int, error) {
 	chunk := m.signal.Samples[m.pos : m.pos+wantSamples]
 	m.pos += wantSamples
 	f := m.format
-	// Quantize under the lock (chunk aliases the signal buffer, which a
-	// concurrent Load may compact in place), detaching the scratch while
-	// it is in flight — a rare concurrent pump simply allocates fresh.
-	sampleBuf, wireBuf := m.sampleBuf, m.wireBuf
-	m.sampleBuf, m.wireBuf = nil, nil
-	if cap(sampleBuf) < len(chunk) {
-		sampleBuf = make([]int32, len(chunk))
+	// Quantize under the lock: chunk aliases the signal buffer, which a
+	// concurrent Load may compact in place.
+	sc := pumpPool.Get().(*pumpScratch)
+	defer pumpPool.Put(sc)
+	if cap(sc.samples) < len(chunk) {
+		sc.samples = make([]int32, len(chunk))
 	}
-	samples := sampleBuf[:len(chunk)]
+	samples := sc.samples[:len(chunk)]
 	for i, s := range chunk {
 		v := math.Round(s * 32768)
 		if v > 32767 {
@@ -128,28 +158,30 @@ func (m *Microphone) PumpBytes(n int) (int, error) {
 	}
 	m.mu.Unlock()
 
-	wire, err := i2s.EncodeFramesInto(wireBuf, samples, f)
+	wire, err := i2s.EncodeFramesInto(sc.wire, samples, f)
 	if err != nil {
 		m.mu.Lock()
 		m.pos -= wantSamples
 		m.mu.Unlock()
 		return 0, err
 	}
+	sc.wire = wire
 	// PushWire runs outside m.mu: the controller copies the bytes into
 	// its FIFO and may invoke the IRQ callback synchronously, which must
 	// be free to call back into the microphone.
 	pushErr := m.ctrl.PushWire(wire)
 	m.mu.Lock()
-	m.sampleBuf, m.wireBuf = samples[:0], wire[:0]
+	defer m.mu.Unlock()
 	if pushErr != nil {
 		// The receiver rejected the data (e.g. RX disabled); rewind so the
 		// signal is not silently consumed.
 		m.pos -= wantSamples
-		m.mu.Unlock()
 		return 0, pushErr
 	}
 	m.pushed += uint64(len(wire))
-	m.mu.Unlock()
+	if m.pos >= len(m.signal.Samples) {
+		m.releaseSignal()
+	}
 	return len(wire), nil
 }
 

@@ -1,7 +1,9 @@
 package peripheral
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -81,6 +83,51 @@ func TestMicrophoneLoadQueues(t *testing.T) {
 	if got := mic.Remaining(); got != want {
 		t.Errorf("Remaining = %d, want %d", got, want)
 	}
+}
+
+// A signal at another rate than the queued remainder used to be dropped
+// silently; it is now refused and the queue is left as it was.
+func TestMicrophoneLoadRateMismatch(t *testing.T) {
+	mic, ctrl := newMicFixture(t)
+	a := audio.Sine(16000, 100, 0.3, 10*time.Millisecond)
+	if err := mic.Load(a); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if _, err := mic.PumpBytes(64); err != nil {
+		t.Fatalf("PumpBytes: %v", err)
+	}
+	before := mic.Remaining()
+	if err := mic.Load(audio.Sine(8000, 100, 0.3, 10*time.Millisecond)); !errors.Is(err, ErrRateMismatch) {
+		t.Fatalf("Load at 8 kHz behind 16 kHz = %v, want ErrRateMismatch", err)
+	}
+	if got := mic.Remaining(); got != before {
+		t.Fatalf("Remaining = %d after refused load, want %d", got, before)
+	}
+	for {
+		if _, err := mic.PumpBytes(256); err != nil {
+			break
+		}
+	}
+	wire := ctrl.PopBytes(ctrl.BytesAvailable())
+	want, err := i2s.EncodeFrames(quantize(a.Samples), i2s.DefaultFormat())
+	if err != nil {
+		t.Fatalf("EncodeFrames: %v", err)
+	}
+	if !bytes.Equal(wire, want) {
+		t.Fatalf("bus carried %d bytes, want exactly signal A's %d", len(wire), len(want))
+	}
+	// A drained microphone takes any rate.
+	if err := mic.Load(audio.Sine(8000, 100, 0.3, 10*time.Millisecond)); err != nil {
+		t.Fatalf("Load at 8 kHz into a drained microphone: %v", err)
+	}
+}
+
+func quantize(s []float64) []int32 {
+	out := make([]int32, len(s))
+	for i, v := range s {
+		out[i] = int32(math.Max(-32768, math.Min(32767, math.Round(v*32768))))
+	}
+	return out
 }
 
 func TestMicrophoneEmpty(t *testing.T) {
