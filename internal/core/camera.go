@@ -1010,17 +1010,23 @@ func (s *CameraSystem) RunSession(scenes []peripheral.Scene) (*CameraSessionResu
 		}
 	}
 
-	switch s.cfg.Mode {
-	case ModeBaseline:
+	if s.cfg.Mode == ModeBaseline {
 		if err := s.runBaseline(scenes, res); err != nil {
 			return nil, err
 		}
-	case ModeHybridHE:
-		if err := s.runHybrid(scenes, res); err != nil {
+	} else {
+		ctx := teec.InitializeContext(s.TEE)
+		sess, err := ctx.OpenSession(UUIDCameraTA)
+		if err != nil {
 			return nil, err
 		}
-	default:
-		if err := s.runSecure(scenes, res); err != nil {
+		run := s.runSecure
+		if s.cfg.Mode == ModeHybridHE {
+			run = s.runHybrid
+		}
+		err = run(sess, scenes, res)
+		_ = ctx.FinalizeContext()
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -1049,13 +1055,7 @@ func (s *CameraSystem) runBaseline(scenes []peripheral.Scene, res *CameraSession
 		}
 		s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.DMAPerByte)
 		// The compromised OS reads the live frame buffer.
-		got := s.Snooper.Capture(s.frameBuf, 64)
-		res.Snoop.Attempts++
-		if got.Blocked {
-			res.Snoop.Blocked++
-		} else {
-			res.Snoop.BytesRecovered += len(got.Got)
-		}
+		res.Snoop.add(s.Snooper.Capture(s.frameBuf, 64))
 		// The app uploads every frame.
 		s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.CopyPerByte)
 		s.mu.Lock()
@@ -1077,19 +1077,13 @@ func (s *CameraSystem) runBaseline(scenes []peripheral.Scene, res *CameraSession
 	return nil
 }
 
-func (s *CameraSystem) runSecure(scenes []peripheral.Scene, res *CameraSessionResult) error {
-	ctx := teec.InitializeContext(s.TEE)
-	sess, err := ctx.OpenSession(UUIDCameraTA)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = ctx.FinalizeContext() }()
+func (s *CameraSystem) runSecure(sess *teec.Session, scenes []peripheral.Scene, res *CameraSessionResult) error {
 	// The camera PTA session is opened by the TEE when the TA first
 	// grabs; open it explicitly for the buffer allocation.
 	if err := s.PTA.Open(0); err != nil {
 		return err
 	}
-	traceBefore := len(s.TA.Processed())
+	recordsBefore, truthBefore := len(s.TA.Processed()), len(s.PTA.Truth())
 	traceStart := s.Clock.Now()
 	for range scenes {
 		start := s.Clock.Now()
@@ -1101,41 +1095,38 @@ func (s *CameraSystem) runSecure(scenes []peripheral.Scene, res *CameraSessionRe
 			break
 		}
 		// Snoop the secure frame buffer after every frame.
-		got := s.Snooper.Capture(s.PTA.BufferAddr(), 64)
-		res.Snoop.Attempts++
-		if got.Blocked {
-			res.Snoop.Blocked++
-		} else {
-			res.Snoop.BytesRecovered += len(got.Got)
-		}
+		res.Snoop.add(s.Snooper.Capture(s.PTA.BufferAddr(), 64))
 		res.Latency.Observe(float64(s.Clock.Now() - start))
 	}
-	// Correlate TA verdicts with PTA ground truth.
-	truth := s.PTA.Truth()
-	records := s.TA.Processed()
-	// Export this session's frames to the trace: capture, classify (the
-	// terminal stage for flagged frames) and relay laid back to back.
+	// Correlate this session's TA verdicts with PTA ground truth.
+	s.recordFrames(res, s.TA.Processed()[recordsBefore:], s.PTA.Truth()[truthBefore:], nil, traceStart)
+	return nil
+}
+
+// recordFrames exports one session's frames to the trace — capture,
+// classify (the terminal stage for flagged frames) and relay laid back to
+// back from traceStart — and tallies the TA's verdicts against ground
+// truth. grabs, when non-nil, holds the normal-world capture time of each
+// frame (the hybrid path grabs outside the TA).
+func (s *CameraSystem) recordFrames(res *CameraSessionResult, records []ProcessedFrame, truth []peripheral.Scene, grabs []tz.Cycles, traceStart tz.Cycles) {
 	if tc := s.trace; tc.Enabled() {
 		cursor := traceStart
-		for _, rec := range records[traceBefore:] {
+		for i, rec := range records {
+			grab := rec.Grab
+			if i < len(grabs) {
+				grab = grabs[i]
+			}
 			tc.NextItem()
-			tc.Emit(obs.StageCapture, obs.VerdictNone, cursor, rec.Grab, cameraFrameBytes, 0)
+			tc.Emit(obs.StageCapture, obs.VerdictNone, cursor, grab, cameraFrameBytes, 0)
 			v := obs.VerdictNone
 			if !rec.Forwarded {
 				v = obs.VerdictBlocked
 			}
-			tc.Emit(obs.StageClassify, v, cursor+rec.Grab, rec.Classify, 0, 1)
+			tc.Emit(obs.StageClassify, v, cursor+grab, rec.Classify, 0, 1)
 			if rec.Forwarded {
-				rv := obs.VerdictDelivered
-				if rec.Shed {
-					rv = obs.VerdictShed
-				}
-				if rec.Expired {
-					rv = obs.VerdictExpired
-				}
-				tc.Emit(obs.StageRelay, rv, cursor+rec.Grab+rec.Classify, rec.Relay, rec.SealedSize, 0)
+				tc.Emit(obs.StageRelay, relayVerdict(rec.Shed, rec.Expired), cursor+grab+rec.Classify, rec.Relay, rec.SealedSize, 0)
 			}
-			cursor += rec.Cycles
+			cursor += grab + rec.Classify + rec.Relay
 		}
 	}
 	for i, rec := range records {
@@ -1156,19 +1147,13 @@ func (s *CameraSystem) runSecure(scenes []peripheral.Scene, res *CameraSessionRe
 			if truth[i].Sensitive() && !rec.Shed && !rec.Expired {
 				res.ForwardedPersons++
 			}
-		} else if !truth[i].Sensitive() {
-			res.BlockedEmpties++
-		}
-		if rec.Forwarded {
 			s.mu.Lock()
 			s.radioBytes += cameraFrameBytes
 			s.mu.Unlock()
+		} else if !truth[i].Sensitive() {
+			res.BlockedEmpties++
 		}
 	}
-	// Audit the supplicant for raw pixel structure (sealed frames are
-	// ciphertext; plaintext frames would carry the bright-blob structure).
-	res.SupplicantPlainPx = false
-	return nil
 }
 
 // runHybrid is the ModeHybridHE frame loop: capture into normal-world
@@ -1177,14 +1162,7 @@ func (s *CameraSystem) runSecure(scenes []peripheral.Scene, res *CameraSessionRe
 // pixels under the provider's HE key, let the provider evaluate the
 // first conv over the ciphertext, and finish in the TA — decrypt, tail,
 // and sealed relay of benign frames only.
-func (s *CameraSystem) runHybrid(scenes []peripheral.Scene, res *CameraSessionResult) error {
-	ctx := teec.InitializeContext(s.TEE)
-	sess, err := ctx.OpenSession(UUIDCameraTA)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = ctx.FinalizeContext() }()
-
+func (s *CameraSystem) runHybrid(sess *teec.Session, scenes []peripheral.Scene, res *CameraSessionResult) error {
 	var truth []peripheral.Scene
 	before := len(s.TA.Processed())
 	traceStart := s.Clock.Now()
@@ -1202,13 +1180,7 @@ func (s *CameraSystem) runHybrid(scenes []peripheral.Scene, res *CameraSessionRe
 			return err
 		}
 		s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.DMAPerByte)
-		got := s.Snooper.Capture(s.frameBuf, 64)
-		res.Snoop.Attempts++
-		if got.Blocked {
-			res.Snoop.Blocked++
-		} else {
-			res.Snoop.BytesRecovered += len(got.Got)
-		}
+		res.Snoop.add(s.Snooper.Capture(s.frameBuf, 64))
 		truth = append(truth, scene)
 		copy(frame, im.Pix)
 		for i, px := range frame {
@@ -1239,60 +1211,6 @@ func (s *CameraSystem) runHybrid(scenes []peripheral.Scene, res *CameraSessionRe
 		}
 		res.Latency.Observe(float64(s.Clock.Now() - start))
 	}
-
-	records := s.TA.Processed()[before:]
-	if tc := s.trace; tc.Enabled() {
-		cursor := traceStart
-		for i, rec := range records {
-			tc.NextItem()
-			grab := rec.Grab
-			if i < len(grabs) {
-				grab = grabs[i]
-			}
-			tc.Emit(obs.StageCapture, obs.VerdictNone, cursor, grab, cameraFrameBytes, 0)
-			v := obs.VerdictNone
-			if !rec.Forwarded {
-				v = obs.VerdictBlocked
-			}
-			tc.Emit(obs.StageClassify, v, cursor+grab, rec.Classify, 0, 1)
-			if rec.Forwarded {
-				rv := obs.VerdictDelivered
-				if rec.Shed {
-					rv = obs.VerdictShed
-				}
-				if rec.Expired {
-					rv = obs.VerdictExpired
-				}
-				tc.Emit(obs.StageRelay, rv, cursor+grab+rec.Classify, rec.Relay, rec.SealedSize, 0)
-			}
-			cursor += grab + rec.Cycles
-		}
-	}
-	for i, rec := range records {
-		if i >= len(truth) {
-			break
-		}
-		if rec.Forwarded {
-			res.ForwardedFrames++
-			res.CloudFrames++
-			if rec.Shed {
-				res.ShedFrames++
-			}
-			if rec.Expired {
-				res.ExpiredFrames++
-			}
-			if truth[i].Sensitive() && !rec.Shed && !rec.Expired {
-				res.ForwardedPersons++
-			}
-		} else if !truth[i].Sensitive() {
-			res.BlockedEmpties++
-		}
-		if rec.Forwarded {
-			s.mu.Lock()
-			s.radioBytes += cameraFrameBytes
-			s.mu.Unlock()
-		}
-	}
-	res.SupplicantPlainPx = false
+	s.recordFrames(res, s.TA.Processed()[before:], truth, grabs, traceStart)
 	return nil
 }

@@ -129,3 +129,38 @@ func TestCameraDeterminism(t *testing.T) {
 			a.TotalCycles, b.TotalCycles)
 	}
 }
+
+// TestCameraSecondSessionTallies: a second session on the same doorbell
+// tallies only its own frames. The TA's records and the PTA's ground
+// truth accumulate for the life of the system, so each session must
+// count from where it started.
+func TestCameraSecondSessionTallies(t *testing.T) {
+	type tallies struct {
+		frames, persons, forwarded, forwardedPersons, shed, expired, blockedEmpties, cloud int
+		radio                                                                              uint64
+	}
+	for _, mode := range []Mode{ModeSecureFilter, ModeHybridHE} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sys, err := NewCameraSystem(CameraConfig{Mode: mode, Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2]tallies
+			for i := range got {
+				radio := sys.radioBytes
+				res, err := sys.RunSession(daySenes())
+				if err != nil {
+					t.Fatalf("session %d: %v", i, err)
+				}
+				got[i] = tallies{res.Frames, res.PersonFrames, res.ForwardedFrames, res.ForwardedPersons,
+					res.ShedFrames, res.ExpiredFrames, res.BlockedEmpties, res.CloudFrames, sys.radioBytes - radio}
+			}
+			if got[0].forwarded == 0 {
+				t.Fatal("first session forwarded nothing (test is vacuous)")
+			}
+			if got[1] != got[0] {
+				t.Fatalf("second session tallies %+v, first %+v", got[1], got[0])
+			}
+		})
+	}
+}

@@ -329,6 +329,13 @@ func (s seededReader) Read(p []byte) (int, error) {
 
 const ctrlMMIOBase = 0x7000_9000
 
+// ControllerFIFOBytes is the I2S controller FIFO capacity. A large FIFO
+// lets the simulator pump a whole utterance group synchronously before
+// the TA drains it; it stands in for the continuous real-time streaming
+// the simulation compresses. It therefore also bounds the wire bytes of
+// one group the voice TA will capture.
+const ControllerFIFOBytes = 1 << 20
+
 // NewSystem builds a complete instance for the configuration.
 func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.fillDefaults(); err != nil {
@@ -346,10 +353,7 @@ func NewSystem(cfg Config) (*System, error) {
 	monitor := tz.NewMonitor(clock, cost)
 	b := bus.New(clock, cost)
 	secureDevice := cfg.Mode != ModeBaseline
-	// A large controller FIFO lets the simulator pump a whole utterance
-	// synchronously before the consumer drains it; it stands in for the
-	// continuous real-time streaming the simulation compresses.
-	ctrl := i2s.NewController("i2s0", 1<<20)
+	ctrl := i2s.NewController("i2s0", ControllerFIFOBytes)
 	if err := b.Map(ctrlMMIOBase, i2s.RegSize, secureDevice, ctrl); err != nil {
 		return nil, fmt.Errorf("core bus: %w", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/audio"
 	"repro/internal/cloud"
 	"repro/internal/i2s"
+	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/optee"
@@ -118,6 +119,16 @@ type SnoopSummary struct {
 	BytesRecovered int
 }
 
+// add records one snoop attempt.
+func (ss *SnoopSummary) add(got kernel.SnoopResult) {
+	ss.Attempts++
+	if got.Blocked {
+		ss.Blocked++
+	} else {
+		ss.BytesRecovered += len(got.Got)
+	}
+}
+
 // UtteranceOutcome pairs ground truth with what happened to one utterance.
 type UtteranceOutcome struct {
 	Truth      sensitive.Utterance
@@ -216,72 +227,31 @@ var sessionScratchPool = sync.Pool{New: func() any { return new(sessionScratch) 
 // RunSession synthesizes and processes each utterance end to end and
 // returns the aggregated result.
 func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, error) {
+	if s.cfg.Mode != ModeBaseline {
+		return s.runSecure(utterances, 1, true)
+	}
 	sc := sessionScratchPool.Get().(*sessionScratch)
 	defer sessionScratchPool.Put(sc)
 	res := &SessionResult{Mode: s.cfg.Mode, Latency: metrics.NewRecorder()}
 	startCycles := s.Clock.Now()
 	s.Monitor.ResetStats()
 
-	var runOne func(i int, u sensitive.Utterance) (UtteranceOutcome, error)
-	switch s.cfg.Mode {
-	case ModeBaseline:
-		// Hold the capture stream open across the session so the DMA
-		// buffer stays live (and snoopable), mirroring a continuously
-		// listening assistant.
-		fd, err := s.Kernel.Open("/dev/i2s0")
-		if err != nil {
-			return nil, fmt.Errorf("core baseline open: %w", err)
-		}
-		defer func() {
-			_ = s.Kernel.Close(fd)
-		}()
-		runOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-			return s.runBaselineUtterance(sc, fd, i, u)
-		}
-	case ModeHybridHE:
-		// Hybrid shares the TEEC session but each utterance takes the
-		// three-domain round trip: TA transcribe → normal-world encrypt →
-		// provider HE eval → TA decrypt + tail.
-		ctx := teec.InitializeContext(s.TEE)
-		sess, err := ctx.OpenSession(UUIDVoiceTA)
-		if err != nil {
-			return nil, fmt.Errorf("core session: %w", err)
-		}
-		defer func() {
-			_ = ctx.FinalizeContext()
-		}()
-		runOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-			return s.runHybridUtterance(sc, sess, i, u)
-		}
-	default:
-		// Secure modes share one TEEC session across the run.
-		ctx := teec.InitializeContext(s.TEE)
-		sess, err := ctx.OpenSession(UUIDVoiceTA)
-		if err != nil {
-			return nil, fmt.Errorf("core session: %w", err)
-		}
-		defer func() {
-			_ = ctx.FinalizeContext()
-		}()
-		runOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-			return s.runSecureUtterance(sc, sess, i, u)
-		}
+	// Hold the capture stream open across the session so the DMA buffer
+	// stays live (and snoopable), mirroring a continuously listening
+	// assistant.
+	fd, err := s.Kernel.Open("/dev/i2s0")
+	if err != nil {
+		return nil, fmt.Errorf("core baseline open: %w", err)
 	}
-
+	defer func() {
+		_ = s.Kernel.Close(fd)
+	}()
 	for i, u := range utterances {
-		outcome, err := runOne(i, u)
+		outcome, err := s.runBaselineUtterance(sc, fd, i, u)
 		if err != nil {
 			return nil, fmt.Errorf("utterance %d (%q): %w", i, u.Text(), err)
 		}
-		res.Utterances = append(res.Utterances, outcome)
-		if outcome.Shed {
-			res.ShedEvents++
-		}
-		if outcome.Expired {
-			res.ExpiredEvents++
-		}
-		res.Latency.Observe(float64(outcome.Cycles))
-
+		res.add(outcome)
 		// The compromised OS sweeps the driver's capture buffer after
 		// every utterance.
 		s.sweepSnoop(res)
@@ -291,6 +261,18 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 	return res, nil
 }
 
+// add records one utterance outcome and its latency.
+func (r *SessionResult) add(out UtteranceOutcome) {
+	r.Utterances = append(r.Utterances, out)
+	if out.Shed {
+		r.ShedEvents++
+	}
+	if out.Expired {
+		r.ExpiredEvents++
+	}
+	r.Latency.Observe(float64(out.Cycles))
+}
+
 // sweepSnoop models the compromised OS reading the driver's live capture
 // buffer (blocked by the TZASC in secure modes).
 func (s *System) sweepSnoop(res *SessionResult) {
@@ -298,13 +280,7 @@ func (s *System) sweepSnoop(res *SessionResult) {
 	if addr == 0 {
 		return
 	}
-	got := s.Snooper.Capture(addr, min(64, s.cfg.BufBytes))
-	res.Snoop.Attempts++
-	if got.Blocked {
-		res.Snoop.Blocked++
-	} else {
-		res.Snoop.BytesRecovered += len(got.Got)
-	}
+	res.Snoop.add(s.Snooper.Capture(addr, min(64, s.cfg.BufBytes)))
 }
 
 // finalizeSession fills the cross-cutting tail of a session result:
@@ -340,17 +316,14 @@ func (s *System) finalizeSession(res *SessionResult, startCycles tz.Cycles) {
 // start, so the timeline is a pure function of the virtual clock. The
 // terminal span carries the admission verdict: a withheld utterance ends
 // at classify (blocked), a forwarded one at relay (delivered or shed).
-// Only sizes, timings and verdicts are exported — never transcripts.
-func (s *System) emitUtteranceSpans(start tz.Cycles, rec ProcessedUtterance, batch int) {
+// Only sizes, timings and verdicts are exported — never transcripts. The
+// classify span reports the occupancy of the forward pass that actually
+// served the utterance: with a shared classify service this is the
+// cross-device flush size, not the device's own queue length.
+func (s *System) emitUtteranceSpans(start tz.Cycles, rec ProcessedUtterance) {
 	tc := s.trace
 	if !tc.Enabled() {
 		return
-	}
-	// The classify span reports the occupancy of the forward pass that
-	// actually served the utterance: with a shared classify service this
-	// is the cross-device flush size, not the device's own queue length.
-	if rec.ClassifyBatch > 0 {
-		batch = rec.ClassifyBatch
 	}
 	tc.NextItem()
 	t := start
@@ -363,19 +336,23 @@ func (s *System) emitUtteranceSpans(start tz.Cycles, rec ProcessedUtterance, bat
 		if !rec.Forwarded {
 			v = obs.VerdictBlocked
 		}
-		tc.Emit(obs.StageClassify, v, t, rec.Stages.Classify, 0, batch)
+		tc.Emit(obs.StageClassify, v, t, rec.Stages.Classify, 0, rec.ClassifyBatch)
 	}
 	t += rec.Stages.Classify
 	if rec.Forwarded {
-		v := obs.VerdictDelivered
-		if rec.Shed {
-			v = obs.VerdictShed
-		}
-		if rec.Expired {
-			v = obs.VerdictExpired
-		}
-		tc.Emit(obs.StageRelay, v, t, rec.Stages.Relay, rec.SealedSize, 0)
+		tc.Emit(obs.StageRelay, relayVerdict(rec.Shed, rec.Expired), t, rec.Stages.Relay, rec.SealedSize, 0)
 	}
+}
+
+// relayVerdict is the terminal span verdict of a forwarded item.
+func relayVerdict(shed, expired bool) obs.Verdict {
+	switch {
+	case expired:
+		return obs.VerdictExpired
+	case shed:
+		return obs.VerdictShed
+	}
+	return obs.VerdictDelivered
 }
 
 // runBaselineUtterance: mic -> untrusted driver -> user app -> raw audio
@@ -464,88 +441,18 @@ func (s *System) runBaselineUtterance(sc *sessionScratch, fd int, i int, u sensi
 	if tc := s.trace; tc.Enabled() {
 		tc.NextItem()
 		tc.Emit(obs.StageCapture, obs.VerdictNone, start, relayStart-start, len(payload), 0)
-		v := obs.VerdictDelivered
-		if out.Shed {
-			v = obs.VerdictShed
-		}
-		if out.Expired {
-			v = obs.VerdictExpired
-		}
-		tc.Emit(obs.StageRelay, v, relayStart, s.Clock.Now()-relayStart, len(payload), 0)
+		tc.Emit(obs.StageRelay, relayVerdict(out.Shed, out.Expired), relayStart, s.Clock.Now()-relayStart, len(payload), 0)
 	}
 	return out, nil
 }
 
-// runSecureUtterance: mic -> secure driver -> PTA -> TA (ASR [+filter])
-// -> sealed relay -> supplicant -> cloud.
-func (s *System) runSecureUtterance(sc *sessionScratch, sess *teec.Session, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-	out := UtteranceOutcome{Truth: u}
-	start := s.Clock.Now()
-
-	pcm := s.utteranceAudio(sc, i, u)
-	wantBytes := len(pcm.Samples) * 2
-	if err := s.Mic.Load(pcm); err != nil {
-		return out, fmt.Errorf("core mic: %w", err)
-	}
-	// Stream the whole utterance onto the bus (the big controller FIFO
-	// stands in for real-time pacing; see NewSystem).
-	for {
-		if _, err := s.Mic.PumpBytes(8192); err != nil {
-			break
-		}
-	}
-
-	before := len(s.VoiceTA.Processed())
-	p := &optee.Params{{Type: optee.ValueIn, A: uint64(wantBytes)}, {}}
-	if err := sess.InvokeCommand(CmdProcessUtterance, p); err != nil {
-		return out, err
-	}
-	records := s.VoiceTA.Processed()
-	if len(records) <= before {
-		return out, fmt.Errorf("voice ta recorded no utterance")
-	}
-	rec := records[len(records)-1]
-	out.Transcript = rec.Transcript
-	out.Flagged = rec.Flagged
-	out.Forwarded = rec.Forwarded
-	out.Shed = rec.Shed
-	out.Expired = rec.Expired
-	out.Redacted = rec.Redacted
-	out.Stages = rec.Stages
-	if rec.SealedSize > 0 {
-		s.mu.Lock()
-		s.radioBytes += uint64(rec.SealedSize)
-		s.mu.Unlock()
-	}
-	out.Cycles = s.Clock.Now() - start
-	s.emitUtteranceSpans(start, rec, 1)
-	return out, nil
-}
-
-// hybridProcessGroup runs one group of utterances through the hybrid
-// HE+TEE split. The TA captures and transcribes the group, staging the
-// encoded tokens (CmdTranscribeBatch); the normal world runs the
-// embedding head over the staged tokens and encrypts the features under
-// the provider's HE public key; the provider evaluates the classifier's
-// first conv layer blind over the ciphertexts; and CmdResumeBatchHE
-// hands the results back into the TA, which decrypts under the sealed
-// secret key and runs the non-linear tail, policy filter and sealed
-// relay exactly as secure-filter does. The provider observes ciphertext
-// bytes only — never a cleartext feature.
-func (s *System) hybridProcessGroup(sc *sessionScratch, sess *teec.Session, lo int, group []sensitive.Utterance) error {
-	lens, err := s.queueGroup(sc, lo, group)
-	if err != nil {
-		return err
-	}
-	p := &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}}
-	if err := sess.InvokeCommand(CmdTranscribeBatch, p); err != nil {
-		return fmt.Errorf("hybrid transcribe: %w", err)
-	}
-
-	tokens := s.VoiceTA.PendingTokens()
-	if len(tokens) != len(group) {
-		return fmt.Errorf("hybrid stage: %d token sets for %d utterances", len(tokens), len(group))
-	}
+// heClassify is the normal-world half of the hybrid HE+TEE split for
+// one staged group: it runs the embedding head over the TA's staged
+// tokens, encrypts the features under the provider's HE public key, and
+// has the provider evaluate the classifier's first conv layer blind. It
+// returns the provider's results in CmdResumeBatchHE's wire form. The
+// provider observes ciphertext bytes only — never a cleartext feature.
+func (s *System) heClassify(tokens [][]int) ([]byte, error) {
 	blobs := make([][]byte, len(tokens))
 	feats := make([]float32, s.heSplit.SeqLen)
 	for i, ids := range tokens {
@@ -557,16 +464,16 @@ func (s *System) hybridProcessGroup(sc *sessionScratch, sess *teec.Session, lo i
 		}
 		data, shape, err := s.heSplit.EmbedFeatures(feats)
 		if err != nil {
-			return fmt.Errorf("hybrid embed %d: %w", i, err)
+			return nil, fmt.Errorf("hybrid embed %d: %w", i, err)
 		}
 		ct, err := s.HEEval.Encrypt(s.HEPub, data, shape)
 		if err != nil {
-			return fmt.Errorf("hybrid encrypt %d: %w", i, err)
+			return nil, fmt.Errorf("hybrid encrypt %d: %w", i, err)
 		}
 		wire := ct.Marshal(s.HEEval.Params)
 		res, err := s.HE.EvalText(wire)
 		if err != nil {
-			return fmt.Errorf("hybrid eval %d: %w", i, err)
+			return nil, fmt.Errorf("hybrid eval %d: %w", i, err)
 		}
 		// Ciphertext traffic rides the radio in both directions.
 		s.mu.Lock()
@@ -574,136 +481,21 @@ func (s *System) hybridProcessGroup(sc *sessionScratch, sess *teec.Session, lo i
 		s.mu.Unlock()
 		blobs[i] = res
 	}
-
-	p = &optee.Params{{Type: optee.MemrefIn, Buf: packLengthPrefixed(blobs)}, {}}
-	if err := sess.InvokeCommand(CmdResumeBatchHE, p); err != nil {
-		return fmt.Errorf("hybrid resume: %w", err)
-	}
-	return nil
-}
-
-// runHybridUtterance is the per-utterance RunSession arm of the hybrid
-// split: one-element group through hybridProcessGroup.
-func (s *System) runHybridUtterance(sc *sessionScratch, sess *teec.Session, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-	out := UtteranceOutcome{Truth: u}
-	start := s.Clock.Now()
-	before := len(s.VoiceTA.Processed())
-	if err := s.hybridProcessGroup(sc, sess, i, []sensitive.Utterance{u}); err != nil {
-		return out, err
-	}
-	records := s.VoiceTA.Processed()
-	if len(records) <= before {
-		return out, fmt.Errorf("voice ta recorded no utterance")
-	}
-	rec := records[len(records)-1]
-	out.Transcript = rec.Transcript
-	out.Flagged = rec.Flagged
-	out.Forwarded = rec.Forwarded
-	out.Shed = rec.Shed
-	out.Expired = rec.Expired
-	out.Redacted = rec.Redacted
-	out.Stages = rec.Stages
-	if rec.SealedSize > 0 {
-		s.mu.Lock()
-		s.radioBytes += uint64(rec.SealedSize)
-		s.mu.Unlock()
-	}
-	out.Cycles = s.Clock.Now() - start
-	s.emitUtteranceSpans(start, rec, 1)
-	return out, nil
+	return packLengthPrefixed(blobs), nil
 }
 
 // RunSessionBatched is RunSession for the secure modes with TA-side
 // batching: utterances are queued onto the bus in groups of `batch` and
-// each group is processed by ONE CmdProcessBatch invocation, so the
-// session pays one world-switch round trip per group instead of per
-// utterance, and the classifier runs one batched forward pass per group.
-// Baseline mode has no TA to batch into and falls back to RunSession.
+// each group is processed by ONE CmdProcessBatch invocation (two for the
+// hybrid split), so the session pays one world-switch round trip per
+// group instead of per utterance, and the classifier runs one batched
+// forward pass per group. Baseline mode has no TA to batch into and falls
+// back to RunSession.
 func (s *System) RunSessionBatched(utterances []sensitive.Utterance, batch int) (*SessionResult, error) {
 	if s.cfg.Mode == ModeBaseline || batch <= 1 {
 		return s.RunSession(utterances)
 	}
-	if batch > MaxBatch {
-		batch = MaxBatch
-	}
-	sc := sessionScratchPool.Get().(*sessionScratch)
-	defer sessionScratchPool.Put(sc)
-	res := &SessionResult{Mode: s.cfg.Mode, Latency: metrics.NewRecorder()}
-	startCycles := s.Clock.Now()
-	s.Monitor.ResetStats()
-
-	ctx := teec.InitializeContext(s.TEE)
-	sess, err := ctx.OpenSession(UUIDVoiceTA)
-	if err != nil {
-		return nil, fmt.Errorf("core session: %w", err)
-	}
-	defer func() {
-		_ = ctx.FinalizeContext()
-	}()
-
-	for lo := 0; lo < len(utterances); lo += batch {
-		hi := min(lo+batch, len(utterances))
-		group := utterances[lo:hi]
-		groupStart := s.Clock.Now()
-		before := len(s.VoiceTA.Processed())
-
-		if s.cfg.Mode == ModeHybridHE {
-			// The hybrid split stages transcripts and routes the group
-			// through the HE round trip; two invocations per group instead
-			// of one, but still one capture queueing.
-			if err := s.hybridProcessGroup(sc, sess, lo, group); err != nil {
-				return nil, fmt.Errorf("batch at %d: %w", lo, err)
-			}
-		} else {
-			lens, err := s.queueGroup(sc, lo, group)
-			if err != nil {
-				return nil, fmt.Errorf("batch at %d: %w", lo, err)
-			}
-			p := &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}}
-			if err := sess.InvokeCommand(CmdProcessBatch, p); err != nil {
-				return nil, fmt.Errorf("batch at %d: %w", lo, err)
-			}
-		}
-		records := s.VoiceTA.Processed()
-		if len(records) != before+len(group) {
-			return nil, fmt.Errorf("batch at %d: %d records for %d utterances", lo, len(records)-before, len(group))
-		}
-		cursor := groupStart
-		for i, rec := range records[before:] {
-			s.emitUtteranceSpans(cursor, rec, len(group))
-			cursor += rec.Stages.Total()
-			out := UtteranceOutcome{
-				Truth:      group[i],
-				Transcript: rec.Transcript,
-				Flagged:    rec.Flagged,
-				Forwarded:  rec.Forwarded,
-				Shed:       rec.Shed,
-				Expired:    rec.Expired,
-				Redacted:   rec.Redacted,
-				Cycles:     rec.Stages.Total(),
-				Stages:     rec.Stages,
-			}
-			if rec.SealedSize > 0 {
-				s.mu.Lock()
-				s.radioBytes += uint64(rec.SealedSize)
-				s.mu.Unlock()
-			}
-			res.Utterances = append(res.Utterances, out)
-			if out.Shed {
-				res.ShedEvents++
-			}
-			if out.Expired {
-				res.ExpiredEvents++
-			}
-			res.Latency.Observe(float64(out.Cycles))
-		}
-
-		// The compromised OS sweeps the capture buffer between batches.
-		s.sweepSnoop(res)
-	}
-
-	s.finalizeSession(res, startCycles)
-	return res, nil
+	return s.runSecure(utterances, batch, false)
 }
 
 // queueGroup synthesizes the utterances of a group (the first is

@@ -285,12 +285,11 @@ type VoiceTA struct {
 	processed    []ProcessedUtterance
 	messageID    uint64
 	// Staged-batch state (CmdTranscribeBatch → CmdResumeBatch): records
-	// carrying the capture/transcribe halves, their transcripts, and the
-	// encoded tokens awaiting the shared classifier. At most one staged
-	// batch is pending per TA.
-	pendingRecs        []ProcessedUtterance
-	pendingTranscripts [][]string
-	pendingTokens      [][]int
+	// carrying the capture/transcribe halves and the encoded tokens
+	// awaiting the shared classifier. At most one staged batch is pending
+	// per TA.
+	pendingRecs   []ProcessedUtterance
+	pendingTokens [][]int
 }
 
 var _ optee.TA = (*VoiceTA)(nil)
@@ -395,38 +394,25 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		if params[0].Type != optee.ValueIn {
 			return fmt.Errorf("%w: CmdProcessUtterance needs ValueIn bytes", optee.ErrBadParam)
 		}
-		rec, err := t.processUtterance(int(params[0].A))
+		if err := checkGroupBytes(params[0].A); err != nil {
+			return err
+		}
+		recs, err := t.processBatch([]int{int(params[0].A)})
 		if err != nil {
 			return err
 		}
-		params[1].Type = optee.ValueOut
-		if rec.Forwarded {
-			params[1].A = 1
-		}
-		params[1].B = uint64(rec.Redacted)
+		tally(recs, &params[1])
 		return nil
 	case CmdProcessBatch:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 || len(params[0].Buf)%4 != 0 {
-			return fmt.Errorf("%w: CmdProcessBatch needs MemrefIn of uint32 lengths", optee.ErrBadParam)
-		}
-		lengths := make([]int, len(params[0].Buf)/4)
-		if len(lengths) > MaxBatch {
-			return fmt.Errorf("%w: batch of %d exceeds MaxBatch %d", optee.ErrBadParam, len(lengths), MaxBatch)
-		}
-		for i := range lengths {
-			lengths[i] = int(binary.LittleEndian.Uint32(params[0].Buf[4*i:]))
+		lengths, err := decodeLengths(params[0])
+		if err != nil {
+			return fmt.Errorf("CmdProcessBatch: %w", err)
 		}
 		recs, err := t.processBatch(lengths)
 		if err != nil {
 			return err
 		}
-		params[1].Type = optee.ValueOut
-		for _, rec := range recs {
-			if rec.Forwarded {
-				params[1].A++
-			}
-			params[1].B += uint64(rec.Redacted)
-		}
+		tally(recs, &params[1])
 		return nil
 	case CmdAttest:
 		if params[0].Type != optee.MemrefIn || len(params[0].Buf) != len(attest.Nonce{}) {
@@ -464,15 +450,9 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		params[2].A = version
 		return nil
 	case CmdTranscribeBatch:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 || len(params[0].Buf)%4 != 0 {
-			return fmt.Errorf("%w: CmdTranscribeBatch needs MemrefIn of uint32 lengths", optee.ErrBadParam)
-		}
-		lengths := make([]int, len(params[0].Buf)/4)
-		if len(lengths) > MaxBatch {
-			return fmt.Errorf("%w: batch of %d exceeds MaxBatch %d", optee.ErrBadParam, len(lengths), MaxBatch)
-		}
-		for i := range lengths {
-			lengths[i] = int(binary.LittleEndian.Uint32(params[0].Buf[4*i:]))
+		lengths, err := decodeLengths(params[0])
+		if err != nil {
+			return fmt.Errorf("CmdTranscribeBatch: %w", err)
 		}
 		if err := t.transcribeBatch(lengths); err != nil {
 			return err
@@ -487,25 +467,11 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		if params[1].Type != optee.ValueIn {
 			return fmt.Errorf("%w: CmdResumeBatch needs ValueIn wait cycles", optee.ErrBadParam)
 		}
-		n := len(params[0].Buf) / 5
-		flags := make([]bool, n)
-		occs := make([]int, n)
-		for i := 0; i < n; i++ {
-			off := 5 * i
-			flags[i] = params[0].Buf[off] != 0
-			occs[i] = int(binary.LittleEndian.Uint32(params[0].Buf[off+1:]))
-		}
-		recs, err := t.resumeBatch(flags, occs, tz.Cycles(params[1].A))
+		recs, err := t.resumeBatch(params[0].Buf, tz.Cycles(params[1].A))
 		if err != nil {
 			return err
 		}
-		params[2].Type = optee.ValueOut
-		for _, rec := range recs {
-			if rec.Forwarded {
-				params[2].A++
-			}
-			params[2].B += uint64(rec.Redacted)
-		}
+		tally(recs, &params[2])
 		return nil
 	case CmdResumeBatchHE:
 		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
@@ -519,13 +485,7 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		if err != nil {
 			return err
 		}
-		params[1].Type = optee.ValueOut
-		for _, rec := range recs {
-			if rec.Forwarded {
-				params[1].A++
-			}
-			params[1].B += uint64(rec.Redacted)
-		}
+		tally(recs, &params[1])
 		return nil
 	case CmdRotateKey:
 		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
@@ -540,6 +500,51 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		return nil
 	default:
 		return fmt.Errorf("%w: ta cmd %#x", optee.ErrBadParam, cmd)
+	}
+}
+
+// checkGroupBytes bounds one group's total wire bytes by the controller
+// FIFO. The normal world pumps a whole group into the FIFO before the TA
+// drains it, so a larger group cannot be captured; it is rejected before
+// capture reserves a buffer for it.
+func checkGroupBytes(total uint64) error {
+	if total > ControllerFIFOBytes {
+		return fmt.Errorf("%w: group of %d wire bytes exceeds the %d-byte controller FIFO",
+			optee.ErrBadParam, total, ControllerFIFOBytes)
+	}
+	return nil
+}
+
+// decodeLengths parses a group's MemrefIn table of little-endian uint32
+// utterance byte lengths.
+func decodeLengths(p optee.Param) ([]int, error) {
+	if p.Type != optee.MemrefIn || len(p.Buf) == 0 || len(p.Buf)%4 != 0 {
+		return nil, fmt.Errorf("%w: needs MemrefIn of uint32 lengths", optee.ErrBadParam)
+	}
+	if n := len(p.Buf) / 4; n > MaxBatch {
+		return nil, fmt.Errorf("%w: batch of %d exceeds MaxBatch %d", optee.ErrBadParam, n, MaxBatch)
+	}
+	lengths := make([]int, len(p.Buf)/4)
+	var total uint64
+	for i := range lengths {
+		lengths[i] = int(binary.LittleEndian.Uint32(p.Buf[4*i:]))
+		total += uint64(lengths[i])
+	}
+	if err := checkGroupBytes(total); err != nil {
+		return nil, err
+	}
+	return lengths, nil
+}
+
+// tally writes a processed group's outcome to the caller's ValueOut
+// slot: A = forwarded count, B = total redacted tokens.
+func tally(recs []ProcessedUtterance, out *optee.Param) {
+	*out = optee.Param{Type: optee.ValueOut}
+	for _, rec := range recs {
+		if rec.Forwarded {
+			out.A++
+		}
+		out.B += uint64(rec.Redacted)
 	}
 }
 
@@ -772,67 +777,77 @@ func (t *VoiceTA) loadedClassifier() (*classify.Classifier, error) {
 	return clf, nil
 }
 
-// classifyStage runs the ML filter over a batch of transcripts and
-// reports the occupancy of the forward pass that served it. On the local
-// path that is one pass over the device's own queue, charged at 4
+// classifyStage is the inline classify step: one forward pass over the
+// group's transcripts, its cost attributed evenly across the records. On
+// the local path the pass runs over the device's own queue, charged at 4
 // MACs/cycle (NEON-class SIMD) per sample; with a shared classify
 // service wired, the encoded tokens ride a cross-device batch and the
 // device is charged the scheduler's queue wait plus its share of the
 // shared pass instead.
-func (t *VoiceTA) classifyStage(transcripts [][]string) ([]bool, int, error) {
+func (t *VoiceTA) classifyStage(recs []ProcessedUtterance) error {
+	clock := t.cfg.Clock
+	start := clock.Now()
 	t.mu.Lock()
 	remote, device, version := t.remote, t.remoteDevice, t.modelVersion
 	t.mu.Unlock()
 	if remote != nil {
-		tokens := make([][]int, len(transcripts))
-		for i, words := range transcripts {
-			tokens[i] = t.cfg.Vocab.Encode(words)
+		tokens := make([][]int, len(recs))
+		for i := range recs {
+			tokens[i] = t.cfg.Vocab.Encode(recs[i].Transcript)
 		}
 		resp, err := remote.ClassifyBatch(ClassifyRequest{
 			DeviceID:     device,
 			ModelVersion: version,
 			Tokens:       tokens,
-			Now:          t.cfg.Clock.Now(),
+			Now:          clock.Now(),
 		})
 		if err != nil {
-			return nil, 0, fmt.Errorf("voice ta classify (shared): %w", err)
+			return fmt.Errorf("voice ta classify (shared): %w", err)
 		}
-		if len(resp.Flagged) != len(transcripts) {
-			return nil, 0, fmt.Errorf("voice ta classify (shared): %d flags for %d transcripts",
-				len(resp.Flagged), len(transcripts))
+		if len(resp.Flagged) != len(recs) {
+			return fmt.Errorf("voice ta classify (shared): %d flags for %d transcripts",
+				len(resp.Flagged), len(recs))
 		}
-		t.cfg.Clock.Advance(resp.Wait)
-		return resp.Flagged, resp.Occupancy, nil
+		clock.Advance(resp.Wait)
+		for i := range recs {
+			recs[i].Flagged = resp.Flagged[i]
+			recs[i].ClassifyBatch = resp.Occupancy
+		}
+	} else {
+		clf, err := t.loadedClassifier()
+		if err != nil {
+			return err
+		}
+		batch := make([][]float32, len(recs))
+		for i := range recs {
+			batch[i] = clf.TokensToFeatures(t.cfg.Vocab.Encode(recs[i].Transcript))
+		}
+		classes, err := clf.PredictBatch(batch)
+		if err != nil {
+			return fmt.Errorf("voice ta classify: %w", err)
+		}
+		clock.Advance(tz.Cycles(clf.EstimateMACs() * len(batch) / 4))
+		for i, cls := range classes {
+			recs[i].Flagged = cls == 1
+			recs[i].ClassifyBatch = len(batch)
+		}
 	}
-	clf, err := t.loadedClassifier()
-	if err != nil {
-		return nil, 0, err
+	spent := clock.Now() - start
+	for i := range recs {
+		recs[i].Stages.Classify = spent / tz.Cycles(len(recs))
 	}
-	batch := make([][]float32, len(transcripts))
-	for i, words := range transcripts {
-		batch[i] = clf.TokensToFeatures(t.cfg.Vocab.Encode(words))
-	}
-	classes, err := clf.PredictBatch(batch)
-	if err != nil {
-		return nil, 0, fmt.Errorf("voice ta classify: %w", err)
-	}
-	t.cfg.Clock.Advance(tz.Cycles(clf.EstimateMACs() * len(batch) / 4))
-	flagged := make([]bool, len(classes))
-	for i, cls := range classes {
-		flagged[i] = cls == 1
-	}
-	return flagged, len(batch), nil
+	return nil
 }
 
 // relayStage applies the filter policy and, when forwarding, seals the
 // event and relays it through the supplicant, verifying the cloud's
 // sealed directive (Fig. 1 steps 6–7).
-func (t *VoiceTA) relayStage(words []string, flagged bool, rec *ProcessedUtterance) error {
+func (t *VoiceTA) relayStage(rec *ProcessedUtterance) error {
 	policy := t.cfg.Policy
 	if !t.cfg.Filter {
 		policy = relay.PolicyPassThrough
 	}
-	result, err := relay.ApplyPolicy(policy, flagged, words)
+	result, err := relay.ApplyPolicy(policy, rec.Flagged, rec.Transcript)
 	if err != nil {
 		return err
 	}
@@ -884,119 +899,74 @@ func (t *VoiceTA) relayStage(words []string, flagged bool, rec *ProcessedUtteran
 	return nil
 }
 
-// processUtterance is the Fig. 1 steps 4–7 inside the secure world.
-func (t *VoiceTA) processUtterance(wantBytes int) (ProcessedUtterance, error) {
-	var rec ProcessedUtterance
-	clock := t.cfg.Clock
-	sc := taScratchPool.Get().(*taScratch)
-	defer taScratchPool.Put(sc)
-
-	start := clock.Now()
-	pcmBytes, err := t.captureStage(sc, wantBytes)
-	if err != nil {
-		return rec, err
-	}
-	rec.Stages.Capture = clock.Now() - start
-
-	start = clock.Now()
-	words, err := t.transcribeStage(sc, pcmBytes)
-	if err != nil {
-		return rec, err
-	}
-	rec.Transcript = words
-	rec.Stages.Transcribe = clock.Now() - start
-
-	start = clock.Now()
-	flagged := false
-	if t.cfg.Filter {
-		flags, occupancy, err := t.classifyStage([][]string{words})
-		if err != nil {
-			return rec, err
-		}
-		flagged = flags[0]
-		rec.ClassifyBatch = occupancy
-	}
-	rec.Flagged = flagged
-	rec.Stages.Classify = clock.Now() - start
-
-	start = clock.Now()
-	if err := t.relayStage(words, flagged, &rec); err != nil {
-		return rec, err
-	}
-	rec.Stages.Relay = clock.Now() - start
-
-	t.mu.Lock()
-	t.processed = append(t.processed, rec)
-	t.mu.Unlock()
-	return rec, nil
-}
-
-// processBatch drains a queue of utterances in one invocation: capture
-// and transcribe each, classify them all in one batched forward pass,
-// then relay the survivors. The caller paid one world-switch round trip
-// for the whole batch instead of one per utterance.
-func (t *VoiceTA) processBatch(lengths []int) ([]ProcessedUtterance, error) {
+// captureGroup is the pipeline's first step (Fig. 1 steps 4–5): capture
+// and transcribe each utterance of a group over one pooled scratch set,
+// so a group does not allocate capture or decode buffers per item.
+func (t *VoiceTA) captureGroup(lengths []int) ([]ProcessedUtterance, error) {
 	clock := t.cfg.Clock
 	recs := make([]ProcessedUtterance, len(lengths))
-	transcripts := make([][]string, len(lengths))
-	// One pooled scratch set serves the whole batch: capture and decode
-	// buffers are recycled item to item, so batched classification does
-	// not allocate per utterance.
 	sc := taScratchPool.Get().(*taScratch)
 	defer taScratchPool.Put(sc)
-
 	for i, wantBytes := range lengths {
 		start := clock.Now()
 		pcmBytes, err := t.captureStage(sc, wantBytes)
 		if err != nil {
-			return nil, fmt.Errorf("batch utterance %d: %w", i, err)
+			return nil, fmt.Errorf("utterance %d: %w", i, err)
 		}
 		recs[i].Stages.Capture = clock.Now() - start
 
 		start = clock.Now()
 		words, err := t.transcribeStage(sc, pcmBytes)
 		if err != nil {
-			return nil, fmt.Errorf("batch utterance %d: %w", i, err)
+			return nil, fmt.Errorf("utterance %d: %w", i, err)
 		}
-		transcripts[i] = words
 		recs[i].Transcript = words
 		recs[i].Stages.Transcribe = clock.Now() - start
 	}
-
-	if t.cfg.Filter {
-		start := clock.Now()
-		flags, occupancy, err := t.classifyStage(transcripts)
-		if err != nil {
-			return nil, err
-		}
-		spent := clock.Now() - start
-		for i := range recs {
-			recs[i].Flagged = flags[i]
-			recs[i].ClassifyBatch = occupancy
-			// The batched forward pass is shared work; attribute it evenly.
-			recs[i].Stages.Classify = spent / tz.Cycles(len(recs))
-		}
-	}
-
-	for i := range recs {
-		start := clock.Now()
-		if err := t.relayStage(transcripts[i], recs[i].Flagged, &recs[i]); err != nil {
-			return nil, fmt.Errorf("batch utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Relay = clock.Now() - start
-	}
-
-	t.mu.Lock()
-	t.processed = append(t.processed, recs...)
-	t.mu.Unlock()
 	return recs, nil
 }
 
-// transcribeBatch is the front half of processBatch: capture and
-// transcribe each queued utterance and stage the encoded tokens for an
-// external classification, leaving the invocation parked instead of
-// running the filter inline. The split is what lets an event-driven
-// caller release its executor while a cross-device flush forms.
+// relayGroup is the pipeline's last step (Fig. 1 steps 6–7): apply the
+// policy to each classified record, seal and relay survivors, and record
+// the group as processed.
+func (t *VoiceTA) relayGroup(recs []ProcessedUtterance) error {
+	clock := t.cfg.Clock
+	for i := range recs {
+		start := clock.Now()
+		if err := t.relayStage(&recs[i]); err != nil {
+			return fmt.Errorf("utterance %d: %w", i, err)
+		}
+		recs[i].Stages.Relay = clock.Now() - start
+	}
+	t.mu.Lock()
+	t.processed = append(t.processed, recs...)
+	t.mu.Unlock()
+	return nil
+}
+
+// processBatch runs a queue of utterances through the whole pipeline in
+// one invocation: capture and transcribe each, classify them all in one
+// batched forward pass, then relay the survivors. The caller paid one
+// world-switch round trip for the whole group instead of one per
+// utterance.
+func (t *VoiceTA) processBatch(lengths []int) ([]ProcessedUtterance, error) {
+	recs, err := t.captureGroup(lengths)
+	if err != nil {
+		return nil, err
+	}
+	if t.cfg.Filter {
+		if err := t.classifyStage(recs); err != nil {
+			return nil, err
+		}
+	}
+	return recs, t.relayGroup(recs)
+}
+
+// transcribeBatch captures and transcribes a group and stages it with
+// its encoded tokens for an external classification, leaving the
+// invocation parked instead of running the filter inline. The split is
+// what lets an event-driven caller release its executor while a
+// cross-device flush forms.
 func (t *VoiceTA) transcribeBatch(lengths []int) error {
 	if !t.cfg.Filter {
 		return errors.New("voice ta: staged transcribe requires the filter")
@@ -1007,81 +977,65 @@ func (t *VoiceTA) transcribeBatch(lengths []int) error {
 	if busy {
 		return errors.New("voice ta: staged batch already pending")
 	}
-	clock := t.cfg.Clock
-	recs := make([]ProcessedUtterance, len(lengths))
-	transcripts := make([][]string, len(lengths))
-	tokens := make([][]int, len(lengths))
-	sc := taScratchPool.Get().(*taScratch)
-	defer taScratchPool.Put(sc)
-
-	for i, wantBytes := range lengths {
-		start := clock.Now()
-		pcmBytes, err := t.captureStage(sc, wantBytes)
-		if err != nil {
-			return fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Capture = clock.Now() - start
-
-		start = clock.Now()
-		words, err := t.transcribeStage(sc, pcmBytes)
-		if err != nil {
-			return fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		transcripts[i] = words
-		recs[i].Transcript = words
-		recs[i].Stages.Transcribe = clock.Now() - start
-		tokens[i] = t.cfg.Vocab.Encode(words)
+	recs, err := t.captureGroup(lengths)
+	if err != nil {
+		return err
 	}
-
+	tokens := make([][]int, len(recs))
+	for i := range recs {
+		tokens[i] = t.cfg.Vocab.Encode(recs[i].Transcript)
+	}
 	t.mu.Lock()
-	t.pendingRecs = recs
-	t.pendingTranscripts = transcripts
-	t.pendingTokens = tokens
+	t.pendingRecs, t.pendingTokens = recs, tokens
 	t.mu.Unlock()
 	return nil
 }
 
-// resumeBatch is the back half of processBatch for a staged group: the
-// caller brings the per-item verdicts and flush occupancies the shared
-// classifier computed plus the virtual cycles the classification waited
-// (the shared passes overlapped — the wait is when the last one
-// returned). The TA charges the wait, attributes it evenly like the
-// inline batched pass, relays survivors, and clears the staged state.
-func (t *VoiceTA) resumeBatch(flags []bool, occs []int, wait tz.Cycles) ([]ProcessedUtterance, error) {
+// takePending completes the staged group with n verdicts: classify fills
+// in the records' verdicts, and only once it succeeds is the group
+// released. A resume with the wrong verdict count, or one classify
+// rejects, leaves the group staged for a well-formed retry.
+func (t *VoiceTA) takePending(n int, classify func([]ProcessedUtterance) error) ([]ProcessedUtterance, error) {
 	t.mu.Lock()
 	recs := t.pendingRecs
-	transcripts := t.pendingTranscripts
-	t.pendingRecs, t.pendingTranscripts, t.pendingTokens = nil, nil, nil
 	t.mu.Unlock()
 	if len(recs) == 0 {
 		return nil, errors.New("voice ta: no staged batch pending")
 	}
-	if len(flags) != len(recs) || len(occs) != len(recs) {
-		return nil, fmt.Errorf("voice ta resume: %d flags / %d occupancies for %d pending",
-			len(flags), len(occs), len(recs))
+	if n != len(recs) {
+		return nil, fmt.Errorf("%w: resume carries %d verdicts for %d staged utterances",
+			optee.ErrBadParam, n, len(recs))
 	}
-	clock := t.cfg.Clock
-	clock.Advance(wait)
-	for i := range recs {
-		recs[i].Flagged = flags[i]
-		recs[i].ClassifyBatch = occs[i]
-		// The shared classification is batch-level work; attribute it
-		// evenly, mirroring the inline batched pass.
-		recs[i].Stages.Classify = wait / tz.Cycles(len(recs))
+	if err := classify(recs); err != nil {
+		return nil, err
 	}
-
-	for i := range recs {
-		start := clock.Now()
-		if err := t.relayStage(transcripts[i], recs[i].Flagged, &recs[i]); err != nil {
-			return nil, fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Relay = clock.Now() - start
-	}
-
 	t.mu.Lock()
-	t.processed = append(t.processed, recs...)
+	t.pendingRecs, t.pendingTokens = nil, nil
 	t.mu.Unlock()
 	return recs, nil
+}
+
+// resumeBatch completes a staged group with the shared classifier's
+// verdicts, 5 bytes per item (flag byte + little-endian uint32 flush
+// occupancy), and the virtual cycles the classification waited (the
+// shared passes overlapped — the wait is when the last one returned).
+// The wait is batch-level work, attributed evenly like the inline
+// batched pass.
+func (t *VoiceTA) resumeBatch(verdicts []byte, wait tz.Cycles) ([]ProcessedUtterance, error) {
+	recs, err := t.takePending(len(verdicts)/5, func(recs []ProcessedUtterance) error {
+		t.cfg.Clock.Advance(wait)
+		for i := range recs {
+			v := verdicts[5*i:]
+			recs[i].Flagged = v[0] != 0
+			recs[i].ClassifyBatch = int(binary.LittleEndian.Uint32(v[1:]))
+			recs[i].Stages.Classify = wait / tz.Cycles(len(recs))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return recs, t.relayGroup(recs)
 }
 
 // packLengthPrefixed concatenates blobs as little-endian uint32 byte
@@ -1153,28 +1107,29 @@ func (t *VoiceTA) heDecryptState() (he.SecretKey, *he.Evaluator, error) {
 // dense → argmax) inside the TEE, then relays survivors through the
 // same policy/seal path as every other mode.
 func (t *VoiceTA) resumeBatchHE(blobs [][]byte) ([]ProcessedUtterance, error) {
-	t.mu.Lock()
-	recs := t.pendingRecs
-	transcripts := t.pendingTranscripts
-	t.pendingRecs, t.pendingTranscripts, t.pendingTokens = nil, nil, nil
-	t.mu.Unlock()
-	if len(recs) == 0 {
-		return nil, errors.New("voice ta: no staged batch pending")
-	}
-	if len(blobs) != len(recs) {
-		return nil, fmt.Errorf("voice ta he resume: %d ciphertexts for %d pending", len(blobs), len(recs))
-	}
-	sk, eval, err := t.heDecryptState()
+	recs, err := t.takePending(len(blobs), func(recs []ProcessedUtterance) error {
+		return t.classifyHE(recs, blobs)
+	})
 	if err != nil {
 		return nil, err
+	}
+	return recs, t.relayGroup(recs)
+}
+
+// classifyHE is the HE classify step: decrypt and tail-classify each
+// record's ciphertext, attributing each item its own decrypt and tail.
+func (t *VoiceTA) classifyHE(recs []ProcessedUtterance, blobs [][]byte) error {
+	sk, eval, err := t.heDecryptState()
+	if err != nil {
+		return err
 	}
 	clf, err := t.loadedClassifier()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	split, err := classify.SplitText(clf)
 	if err != nil {
-		return nil, fmt.Errorf("voice ta he split: %w", err)
+		return fmt.Errorf("voice ta he split: %w", err)
 	}
 	clock := t.cfg.Clock
 	tailMACs := 2 * layers.ParamCount([]layers.Layer{split.Tail})
@@ -1182,15 +1137,15 @@ func (t *VoiceTA) resumeBatchHE(blobs [][]byte) ([]ProcessedUtterance, error) {
 		start := clock.Now()
 		ct, err := eval.Unmarshal(blobs[i])
 		if err != nil {
-			return nil, fmt.Errorf("staged utterance %d: %w", i, err)
+			return fmt.Errorf("staged utterance %d: %w", i, err)
 		}
 		data, shape, err := eval.Decrypt(sk, ct)
 		if err != nil {
-			return nil, fmt.Errorf("staged utterance %d: %w", i, err)
+			return fmt.Errorf("staged utterance %d: %w", i, err)
 		}
 		cls, err := split.TailPredict(data, shape)
 		if err != nil {
-			return nil, fmt.Errorf("staged utterance %d: %w", i, err)
+			return fmt.Errorf("staged utterance %d: %w", i, err)
 		}
 		// The tail forward runs at the same 4 MACs/cycle as the inline
 		// classify path; the decrypt was charged by the evaluator.
@@ -1199,19 +1154,7 @@ func (t *VoiceTA) resumeBatchHE(blobs [][]byte) ([]ProcessedUtterance, error) {
 		recs[i].ClassifyBatch = len(recs)
 		recs[i].Stages.Classify = clock.Now() - start
 	}
-
-	for i := range recs {
-		start := clock.Now()
-		if err := t.relayStage(transcripts[i], recs[i].Flagged, &recs[i]); err != nil {
-			return nil, fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Relay = clock.Now() - start
-	}
-
-	t.mu.Lock()
-	t.processed = append(t.processed, recs...)
-	t.mu.Unlock()
-	return recs, nil
+	return nil
 }
 
 // PendingTokens returns copies of the encoded token sequences staged by

@@ -55,7 +55,6 @@ type Config struct {
 	// baseline : secure-nofilter : secure-filter. Doorbells alternate
 	// baseline and secure-filter (the no-filter middle mode is
 	// meaningless for images), plus hybrid-he when the mix weights it.
-	// The historical positional form converts via LegacyMix.
 	Mix MixSpec
 
 	// Shards is the number of ingest partitions; default 4.

@@ -98,24 +98,6 @@ func TestMixStringRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyMix: the deprecated positional constructor keys the three
-// historical positions correctly and maps the zero value to nil, exactly
-// as the old [3]int field's zero value meant "default".
-func TestLegacyMix(t *testing.T) {
-	if got := LegacyMix([3]int{}); got != nil {
-		t.Fatalf("zero legacy mix = %v, want nil", got)
-	}
-	got := LegacyMix([3]int{3, 0, 7})
-	want := MixSpec{
-		core.ModeBaseline:       3,
-		core.ModeSecureNoFilter: 0,
-		core.ModeSecureFilter:   7,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("LegacyMix = %v, want %v", got, want)
-	}
-}
-
 // TestWeightedModesCycle: the default spec expands to the historical
 // baseline/secure-nofilter/secure-filter deal cycle (fingerprint
 // preservation), and weights repeat modes in registry order.
