@@ -428,7 +428,7 @@ func BenchmarkFleetScheduled(b *testing.B) {
 }
 
 // BenchmarkFleetAsync is the event-driven engine's scale probe: 10⁴ and
-// 10⁵ devices through the async pipeline with the shared scheduler, one
+// 10⁵ devices through the parking pipeline with the shared scheduler, one
 // utterance per speaker so every classified item reaches the scheduler as
 // a true single-item enqueue and all occupancy is cross-device. The
 // honest memory story is peak-live-pipelines (the most device pipelines
@@ -452,7 +452,6 @@ func BenchmarkFleetAsync(b *testing.B) {
 					Frames:     1,
 					Seed:       1,
 					Sched:      &fleet.SchedSpec{},
-					Async:      &fleet.AsyncSpec{},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -460,8 +459,8 @@ func BenchmarkFleetAsync(b *testing.B) {
 				if res.LostFrames() != 0 {
 					b.Fatalf("lost %d frames", res.LostFrames())
 				}
-				if res.Async == nil || res.Async.PeakLive == 0 {
-					b.Fatal("async engine reported no live pipelines")
+				if res.Async.PeakLive == 0 {
+					b.Fatal("engine reported no live pipelines")
 				}
 				if res.Async.PeakLive > devices/10 {
 					b.Fatalf("peak live pipelines %d at %d devices — goroutine-per-device economics",

@@ -38,7 +38,7 @@ func run(args []string) error {
 	devices := fs.Int("devices", 1000, "population size")
 	shards := fs.Int("shards", 8, "ingest shards")
 	shardWorkers := fs.Int("shard-workers", 4, "workers per shard")
-	deviceWorkers := fs.Int("workers", 0, "concurrent device pipelines (0 = GOMAXPROCS)")
+	deviceWorkers := fs.Int("workers", 0, "executor pool size driving device tasks (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 4, "TA utterance batch size for secure speakers")
 	utterances := fs.Int("utterances", 4, "utterances per speaker")
 	frames := fs.Int("frames", 6, "frames per doorbell")
@@ -68,17 +68,12 @@ func run(args []string) error {
 	faultSeed := fs.Uint64("fault-seed", 0, "with -faults, chaos plan seed (0 = derived from -seed)")
 	schedOn := fs.Bool("sched", false, "coalesce secure-speaker classification across devices through the shared TEE batch scheduler")
 	schedAge := fs.Uint64("sched-age", 0, "with -sched, flush deadline in virtual cycles for a partially filled batch (0 = library default)")
-	asyncOn := fs.Bool("async", false, "drive devices through the event-driven pipeline (bounded executor pool + task table instead of one goroutine per device)")
-	asyncExecutors := fs.Int("async-executors", 0, "with -async, executor pool size (0 = GOMAXPROCS)")
 	traceOn := fs.Bool("trace", false, "enable frame telemetry (virtual-time spans, flight recorders) and print the trace dump")
 	traceSample := fs.Int("trace-sample", 64, "with -trace, trace 1 in N devices (1 = every device)")
 	jsonPath := fs.String("json", "", "write a JSON snapshot to this path")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *asyncOn && *deviceWorkers != 0 {
-		return fmt.Errorf("-workers has no effect with -async (the executor pool drives devices); use -async-executors")
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -131,9 +126,6 @@ func run(args []string) error {
 	}
 	if *schedOn {
 		cfg.Sched = &fleet.SchedSpec{MaxAge: tz.Cycles(*schedAge)}
-	}
-	if *asyncOn {
-		cfg.Async = &fleet.AsyncSpec{Executors: *asyncExecutors}
 	}
 	if *traceOn {
 		cfg.Trace = &fleet.TraceSpec{SampleEvery: *traceSample}
@@ -201,10 +193,9 @@ func run(args []string) error {
 	}
 	fmt.Printf("admission: policy %s, %d shed, %d priority-lane frames\n",
 		res.PolicyName, res.ShedFrames(), res.PriorityFrames())
-	if ar := res.Async; ar != nil {
-		fmt.Printf("async engine: %d executors drove %d steps (%d groups parked), peak %d live pipelines\n",
-			ar.Executors, ar.Steps, ar.Parks, ar.PeakLive)
-	}
+	ar := res.Async
+	fmt.Printf("engine: %d executors drove %d steps (%d parked), peak %d live pipelines\n",
+		ar.Executors, ar.Steps, ar.Parks, ar.PeakLive)
 	if sr := res.Sched; sr != nil {
 		fmt.Printf("scheduler: %d items in %d batches (occupancy mean %.2f, steady %.2f, max %d), "+
 			"flushes %s, %d pressure-cut\n",
@@ -364,8 +355,8 @@ type snapshot struct {
 	// Scheduler fields (omitted outside -sched runs).
 	Sched *schedJS `json:"sched,omitempty"`
 
-	// Async-engine fields (omitted outside -async runs).
-	Async *asyncJS `json:"async,omitempty"`
+	// Engine fields (every run).
+	Async asyncJS `json:"async"`
 
 	// Telemetry fields (omitted outside -trace runs). ItemsPerSecTraced
 	// duplicates items_per_sec so the tracing-overhead trajectory is
@@ -495,10 +486,11 @@ type schedJS struct {
 	PressureFlushes     uint64            `json:"pressure_flushes"`
 }
 
-// asyncJS summarizes an -async run's event-driven engine: the executor
-// pool size, executor dispatches, classify groups parked on the shared
-// scheduler, and the peak count of concurrently live device pipelines —
-// the honest memory figure for large populations.
+// asyncJS summarizes the fleet engine: the executor pool size, executor
+// dispatches, waits parked (classify groups on the shared scheduler and
+// devices on the rollout verdict), and the peak count of concurrently
+// live device pipelines — the honest memory figure for large
+// populations.
 type asyncJS struct {
 	Executors int    `json:"executors"`
 	Steps     uint64 `json:"steps"`
@@ -715,13 +707,11 @@ func writeSnapshot(path string, res *fleet.Result) error {
 			PressureFlushes:     sr.PressureFlushes,
 		}
 	}
-	if ar := res.Async; ar != nil {
-		snap.Async = &asyncJS{
-			Executors: ar.Executors,
-			Steps:     ar.Steps,
-			Parks:     ar.Parks,
-			PeakLive:  ar.PeakLive,
-		}
+	snap.Async = asyncJS{
+		Executors: res.Async.Executors,
+		Steps:     res.Async.Steps,
+		Parks:     res.Async.Parks,
+		PeakLive:  res.Async.PeakLive,
 	}
 	if f := res.Faults; f != nil {
 		snap.Faults = &faultJS{

@@ -259,27 +259,15 @@ func TestMixFlagUnknownMode(t *testing.T) {
 	}
 }
 
-// TestSnapshotSmokeAsync drives the event-driven pipeline through the CLI
-// (-async composes with -sched, churn and key rotation, but not -rollout,
-// so it gets its own smoke) and round-trips the snapshot's async block.
-// TestAsyncWorkersFlagRejected: -workers sizes the goroutine-per-device
-// pool, which -async replaces with the executor table, so the combination
-// is refused up front instead of silently ignoring one flag.
-func TestAsyncWorkersFlagRejected(t *testing.T) {
-	err := run([]string{"-devices", "4", "-async", "-workers", "8"})
-	if err == nil {
-		t.Fatal("-async with -workers was accepted (the flag has no effect there)")
-	}
-	if !strings.Contains(err.Error(), "-async-executors") {
-		t.Fatalf("rejection does not point at -async-executors: %v", err)
-	}
-}
-
+// TestSnapshotSmokeAsync drives the engine through the CLI on a single
+// executor with the shared scheduler, a staged rollout, churn and key
+// rotation — the rollout composing with the scheduler on the one engine
+// — and round-trips the snapshot's async block.
 func TestSnapshotSmokeAsync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.json")
 	err := run([]string{
-		"-devices", "12", "-shards", "2", "-utterances", "2", "-frames", "2",
-		"-sched", "-async", "-churn", "0.3", "-rotate", "0.25", "-json", path,
+		"-devices", "12", "-shards", "2", "-utterances", "2", "-frames", "2", "-workers", "1",
+		"-sched", "-rollout", "-canary", "0.25", "-churn", "0.3", "-rotate", "0.25", "-json", path,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,11 +286,11 @@ func TestSnapshotSmokeAsync(t *testing.T) {
 		t.Fatalf("lost %d frames", snap.LostFrames)
 	}
 	a := snap.Async
-	if a == nil || a.Executors == 0 || a.Steps == 0 || a.PeakLive == 0 {
+	if a.Executors != 1 || a.Steps == 0 || a.PeakLive == 0 {
 		t.Fatalf("async block missing or inert: %+v", a)
 	}
 	if a.Parks == 0 {
-		t.Fatal("async+sched run parked no classify groups")
+		t.Fatal("scheduled run parked no classify groups")
 	}
 	sc := snap.Sched
 	if sc == nil || sc.Items == 0 {
@@ -311,10 +299,13 @@ func TestSnapshotSmokeAsync(t *testing.T) {
 	if sc.MeanOccupancySteady < sc.MeanOccupancy {
 		t.Fatalf("steady occupancy %v below raw %v", sc.MeanOccupancySteady, sc.MeanOccupancy)
 	}
+	if snap.Rollout == nil || !snap.Rollout.Converged {
+		t.Fatalf("rollout block missing or not converged under -sched: %+v", snap.Rollout)
+	}
 	if snap.Lifecycle == nil || snap.Lifecycle.Rotated == 0 {
-		t.Fatalf("lifecycle block missing or empty under -async: %+v", snap.Lifecycle)
+		t.Fatalf("lifecycle block missing or empty: %+v", snap.Lifecycle)
 	}
 	if snap.Churn == nil || snap.Churn.Joined == 0 {
-		t.Fatalf("churn block missing or empty under -async: %+v", snap.Churn)
+		t.Fatalf("churn block missing or empty: %+v", snap.Churn)
 	}
 }

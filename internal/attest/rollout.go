@@ -123,14 +123,13 @@ func UnmarshalManifestToken(b []byte) (ManifestToken, error) {
 // canary quota: the first `canary` devices to ask for a target are
 // granted the new version, everyone else keeps the base until every
 // canary device has reported success, at which point the rollout opens
-// to the full fleet (AwaitFull unblocks). Grant order is admission
+// to the full fleet (OnSettled waiters fire). Grant order is admission
 // order, which makes the canary cohort the earliest-served devices.
 // The caller decides who participates in staging: the fleet routes only
 // classifier-exercising (secure-filter) devices through Target, so a
 // canary success always means the new model actually ran.
 type Rollout struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	packs       map[uint64]Pack
 	base        uint64
@@ -141,13 +140,14 @@ type Rollout struct {
 	full        bool
 	aborted     bool
 	abortReason string
+	waiters     []func(full bool)
 }
 
 // NewRollout creates the service with the fleet's base (already
 // provisioned at build time) pack; with nothing published it hands the
 // base pack to everyone.
 func NewRollout(base Pack) *Rollout {
-	r := &Rollout{
+	return &Rollout{
 		packs:   map[uint64]Pack{base.Version: base},
 		base:    base.Version,
 		latest:  base.Version,
@@ -155,16 +155,14 @@ func NewRollout(base Pack) *Rollout {
 		granted: make(map[string]uint64),
 		succOK:  make(map[string]bool),
 	}
-	r.cond = sync.NewCond(&r.mu)
-	return r
 }
 
 // Publish stages pack p behind a canary quota (floored at 1). A quota
 // of 0 or less opens the rollout to the full fleet immediately.
 func (r *Rollout) Publish(p Pack, canary int) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if p.Version <= r.latest {
+		r.mu.Unlock()
 		return fmt.Errorf("%w: version %d not newer than %d", ErrBadPack, p.Version, r.latest)
 	}
 	r.packs[p.Version] = p
@@ -173,9 +171,7 @@ func (r *Rollout) Publish(p Pack, canary int) error {
 	r.full = canary <= 0
 	r.granted = make(map[string]uint64)
 	r.succOK = make(map[string]bool)
-	if r.full {
-		r.cond.Broadcast()
-	}
+	r.settle()
 	return nil
 }
 
@@ -211,18 +207,11 @@ func (r *Rollout) Target(deviceID string) Pack {
 // rollout opens to the full fleet.
 func (r *Rollout) ReportSuccess(deviceID string) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return
+	if _, ok := r.granted[deviceID]; ok && !r.full {
+		r.succOK[deviceID] = true
+		r.full = len(r.succOK) >= r.canary
 	}
-	if _, ok := r.granted[deviceID]; !ok {
-		return
-	}
-	r.succOK[deviceID] = true
-	if len(r.succOK) >= r.canary {
-		r.full = true
-		r.cond.Broadcast()
-	}
+	r.settle()
 }
 
 // Full reports whether the rollout is open to the whole fleet.
@@ -232,28 +221,47 @@ func (r *Rollout) Full() bool {
 	return r.full
 }
 
-// AwaitFull blocks until the rollout opens to the full fleet (returning
-// true) or is aborted (false). Devices that finished their workload on
-// the base pack wait here for the canary verdict before converging.
-func (r *Rollout) AwaitFull() bool {
+// OnSettled registers a one-shot notification for the canary verdict:
+// fn runs once, with true when the rollout opens to the full fleet or
+// false when it is aborted first. If the rollout has already settled,
+// fn runs at once on the caller's goroutine. The fleet parks devices
+// that finished their workload on the base pack on it before they
+// converge, and holds later admissions on it; fn always runs off the
+// rollout lock, so it may call back into the rollout.
+func (r *Rollout) OnSettled(fn func(full bool)) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for !r.full && !r.aborted {
-		r.cond.Wait()
+	if !r.full && !r.aborted {
+		r.waiters = append(r.waiters, fn)
+		r.mu.Unlock()
+		return
 	}
-	return r.full
+	full := r.full
+	r.mu.Unlock()
+	fn(full)
 }
 
-// Abort wakes all waiters without opening the rollout (a canary device
-// failed, or the run is shutting down). The reason is recorded so every
-// device held on the base pack can be attributed to it — an aborted
-// rollout must leave a structured trail, not a silently stale fleet.
-// The first reason wins; Abort after the rollout opened is a no-op for
-// waiters (AwaitFull already returned true) but still records the
-// reason.
+// settle fires the registered waiters if the rollout has settled, and
+// releases r.mu, which the caller holds.
+func (r *Rollout) settle() {
+	var waiters []func(bool)
+	if r.full || r.aborted {
+		waiters, r.waiters = r.waiters, nil
+	}
+	full := r.full
+	r.mu.Unlock()
+	for _, fn := range waiters {
+		fn(full)
+	}
+}
+
+// Abort settles the rollout without opening it (a canary device failed,
+// or the run is shutting down). The reason is recorded so every device
+// held on the base pack can be attributed to it — an aborted rollout
+// must leave a structured trail, not a silently stale fleet. The first
+// reason wins; Abort after the rollout opened notifies nobody (every
+// waiter already heard true) but still records the reason.
 func (r *Rollout) Abort(reason string) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if reason == "" {
 		reason = "aborted"
 	}
@@ -261,7 +269,7 @@ func (r *Rollout) Abort(reason string) {
 		r.aborted = true
 		r.abortReason = reason
 	}
-	r.cond.Broadcast()
+	r.settle()
 }
 
 // Aborted reports whether the rollout was aborted, and why.

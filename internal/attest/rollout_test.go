@@ -2,6 +2,8 @@ package attest
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -117,11 +119,17 @@ func TestRolloutStaging(t *testing.T) {
 	if got := r.Target("late-joiner"); got.Version != 2 {
 		t.Fatalf("late joiner got v%d, want v2", got.Version)
 	}
-	if !r.AwaitFull() {
-		t.Fatal("AwaitFull returned false on a full rollout")
+	var settled []bool
+	r.OnSettled(func(full bool) { settled = append(settled, full) })
+	if len(settled) != 1 || !settled[0] {
+		t.Fatalf("OnSettled on a full rollout fired %v, want [true] at once", settled)
 	}
 }
 
+// TestRolloutAwaitAndAbort: an OnSettled waiter parks until the canary
+// verdict and fires exactly once — with true when the last canary
+// reports, with false when the rollout is aborted first — and a later
+// settle event never fires it again.
 func TestRolloutAwaitAndAbort(t *testing.T) {
 	r := NewRollout(Pack{Version: 1})
 	if err := r.Publish(Pack{Version: 2}, 1); err != nil {
@@ -130,27 +138,46 @@ func TestRolloutAwaitAndAbort(t *testing.T) {
 	_ = r.Target("canary")
 	_ = r.Target("waiter")
 
-	var wg sync.WaitGroup
-	results := make([]bool, 2)
-	wg.Add(1)
-	go func() { defer wg.Done(); results[0] = r.AwaitFull() }()
+	var mu sync.Mutex
+	var got []string
+	note := func(name string) func(bool) {
+		return func(full bool) {
+			mu.Lock()
+			got = append(got, fmt.Sprintf("%s:%v", name, full))
+			mu.Unlock()
+		}
+	}
+	r.OnSettled(note("w1"))
+	r.OnSettled(note("w2"))
+	if len(got) != 0 {
+		t.Fatalf("waiters fired before the verdict: %v", got)
+	}
+	r.ReportSuccess("waiter") // not a canary: no verdict
+	if len(got) != 0 {
+		t.Fatalf("waiters fired on a non-canary report: %v", got)
+	}
 	r.ReportSuccess("canary")
-	wg.Wait()
-	if !results[0] {
-		t.Fatal("waiter woke without full rollout")
+	if want := []string{"w1:true", "w2:true"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("open fired %v, want %v", got, want)
+	}
+	r.Abort("late")
+	r.ReportSuccess("canary")
+	if len(got) != 2 {
+		t.Fatalf("a settled waiter fired again: %v", got)
 	}
 
-	// Abort wakes waiters without opening the rollout.
+	// Abort settles waiters without opening the rollout, and a waiter
+	// registered afterwards hears the verdict at once.
+	got = nil
 	r2 := NewRollout(Pack{Version: 1})
 	if err := r2.Publish(Pack{Version: 2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	wg.Add(1)
-	go func() { defer wg.Done(); results[1] = r2.AwaitFull() }()
+	r2.OnSettled(note("w1"))
 	r2.Abort("canary failed")
-	wg.Wait()
-	if results[1] {
-		t.Fatal("aborted waiter reported full rollout")
+	r2.OnSettled(note("late"))
+	if want := []string{"w1:false", "late:false"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("abort fired %v, want %v", got, want)
 	}
 	if aborted, reason := r2.Aborted(); !aborted || reason != "canary failed" {
 		t.Fatalf("abort record = %v %q, want true %q", aborted, reason, "canary failed")
@@ -159,5 +186,18 @@ func TestRolloutAwaitAndAbort(t *testing.T) {
 	r2.Abort("second opinion")
 	if _, reason := r2.Aborted(); reason != "canary failed" {
 		t.Fatalf("abort reason overwritten: %q", reason)
+	}
+
+	// A waiter may call back into the rollout: it runs off the lock.
+	r3 := NewRollout(Pack{Version: 1})
+	if err := r3.Publish(Pack{Version: 2}, 1); err != nil {
+		t.Fatal(err)
+	}
+	_ = r3.Target("canary")
+	var target uint64
+	r3.OnSettled(func(bool) { target = r3.Target("waiter").Version })
+	r3.ReportSuccess("canary")
+	if target != 2 {
+		t.Fatalf("re-entrant waiter saw target v%d, want v2", target)
 	}
 }

@@ -314,7 +314,7 @@ func (t *CameraTA) attestReport(nonce attest.Nonce) (attest.Report, error) {
 	attestor, version := t.attestor, t.modelVersion
 	t.mu.Unlock()
 	if attestor == nil {
-		return attest.Report{}, errors.New("camera ta: attestation not provisioned")
+		return attest.Report{}, fmt.Errorf("%w: camera ta attestation not provisioned", optee.ErrBadState)
 	}
 	t.clock.Advance(2000) // HMAC evidence; see VoiceTA.attestReport
 	return attestor.Attest(nonce, attest.Measurement{Code: CameraTADigest, ModelVersion: version}), nil
@@ -335,16 +335,16 @@ func (t *CameraTA) KeyEpoch() uint64 {
 func (t *CameraTA) rotateKey(tokenBytes []byte) (uint64, error) {
 	tok, err := attest.UnmarshalRotationToken(tokenBytes)
 	if err != nil {
-		return 0, fmt.Errorf("camera ta rotate: %w", err)
+		return 0, fmt.Errorf("%w: camera ta rotate: %w", optee.ErrBadParam, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.attestor == nil {
-		return 0, errors.New("camera ta: attestation not provisioned")
+		return 0, fmt.Errorf("%w: camera ta attestation not provisioned", optee.ErrBadState)
 	}
 	next, err := t.attestor.Rotated(tok)
 	if err != nil {
-		return 0, fmt.Errorf("camera ta rotate: %w", err)
+		return 0, fmt.Errorf("%w: camera ta rotate: %w", optee.ErrBadParam, err)
 	}
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], next.Epoch())
@@ -362,22 +362,22 @@ func (t *CameraTA) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
 	attestor := t.attestor
 	t.mu.Unlock()
 	if attestor == nil {
-		return 0, errors.New("camera ta: attestation not provisioned")
+		return 0, fmt.Errorf("%w: camera ta attestation not provisioned", optee.ErrBadState)
 	}
 	pack, err := attest.DecodePack(packBytes)
 	if err != nil {
-		return 0, fmt.Errorf("camera ta update: %w", err)
+		return 0, fmt.Errorf("%w: camera ta update: %w", optee.ErrBadParam, err)
 	}
 	tok, err := attest.UnmarshalManifestToken(tokenBytes)
 	if err != nil {
-		return 0, fmt.Errorf("camera ta update: %w", err)
+		return 0, fmt.Errorf("%w: camera ta update: %w", optee.ErrBadParam, err)
 	}
 	if err := attestor.VerifyManifest(tok, pack); err != nil {
-		return 0, fmt.Errorf("camera ta update: %w", err)
+		return 0, fmt.Errorf("%w: camera ta update: %w", optee.ErrBadParam, err)
 	}
 	clf, err := t.buildClassifier(pack.ModelSeed, pack.Image)
 	if err != nil {
-		return 0, fmt.Errorf("camera ta update: %w", err)
+		return 0, fmt.Errorf("%w: camera ta update: %w", optee.ErrBadParam, err)
 	}
 	// Version check and install form one critical section; see
 	// VoiceTA.updateModel for the downgrade-race rationale.
@@ -387,8 +387,8 @@ func (t *CameraTA) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
 		return t.modelVersion, nil // idempotent re-delivery
 	}
 	if pack.Version < t.modelVersion {
-		return 0, fmt.Errorf("camera ta update: %w: pack v%d older than installed v%d",
-			attest.ErrBadPack, pack.Version, t.modelVersion)
+		return 0, fmt.Errorf("%w: camera ta update: %w: pack v%d older than installed v%d",
+			optee.ErrBadParam, attest.ErrBadPack, pack.Version, t.modelVersion)
 	}
 	t.storage.Put(cameraPackObjectID(pack.Version), packBytes)
 	t.storage.Put(cameraWeightsID, pack.Image)
@@ -634,7 +634,7 @@ func (t *CameraTA) finishFrameHE(ctBlob, frame []byte) (ProcessedFrame, error) {
 	hybrid, params := t.hybrid, t.heParams
 	t.mu.Unlock()
 	if !hybrid {
-		return rec, errors.New("camera ta: HE handoff outside hybrid mode")
+		return rec, fmt.Errorf("%w: camera ta HE handoff outside hybrid mode", optee.ErrBadState)
 	}
 	start := t.clock.Now()
 	skBlob, err := t.storage.Get(cameraHESecretKeyID)
@@ -659,15 +659,15 @@ func (t *CameraTA) finishFrameHE(ctBlob, frame []byte) (ProcessedFrame, error) {
 	}
 	ct, err := eval.Unmarshal(ctBlob)
 	if err != nil {
-		return rec, fmt.Errorf("camera ta he: %w", err)
+		return rec, fmt.Errorf("%w: camera ta he: %w", optee.ErrBadParam, err)
 	}
 	data, shape, err := eval.Decrypt(sk, ct)
 	if err != nil {
-		return rec, fmt.Errorf("camera ta he: %w", err)
+		return rec, fmt.Errorf("%w: camera ta he: %w", optee.ErrBadParam, err)
 	}
 	cls, err := split.TailPredict(data, shape)
 	if err != nil {
-		return rec, fmt.Errorf("camera ta he tail: %w", err)
+		return rec, fmt.Errorf("%w: camera ta he tail: %w", optee.ErrBadParam, err)
 	}
 	// The tail forward runs at the inline path's 4 MACs/cycle; the
 	// decrypt was charged by the evaluator.

@@ -151,10 +151,11 @@ type Config struct {
 	ModelVersion  uint64
 
 	// SharedClassify marks a secure-filter device whose classify stage is
-	// served by a shared cross-device scheduler (wired afterwards via
-	// SetClassifyService): the per-device classifier build and weight
-	// sealing are skipped, since the device never runs a forward pass
-	// itself. The caller must wire the service before the session runs.
+	// served by a shared cross-device scheduler: the per-device classifier
+	// build and weight sealing are skipped, since the device never runs a
+	// forward pass itself. Such a device runs its session in stages
+	// (BeginStagedSession), feeding the scheduler's verdicts back through
+	// ResumeGroup.
 	SharedClassify bool
 }
 
@@ -629,6 +630,8 @@ func (s *System) buildSecure() error {
 		Seed:         s.cfg.ModelSeed,
 		Attestor:     attestor,
 		ModelVersion: s.cfg.ModelVersion,
+
+		sharedClassify: s.cfg.SharedClassify,
 	})
 	if err != nil {
 		return fmt.Errorf("core voice ta: %w", err)

@@ -207,14 +207,6 @@ func NewDevice(spec DeviceSpec) (*Device, error) {
 	}
 }
 
-// SetClassifyService wires the shared cross-device classify service into
-// a secure speaker (no-op for doorbells and baseline devices).
-func (d *Device) SetClassifyService(svc ClassifyService) {
-	if d.Speaker != nil {
-		d.Speaker.SetClassifyService(svc)
-	}
-}
-
 func (d *Device) initSoftAttestor() {
 	if d.Spec.AttestKeySeed != 0 && d.Spec.Mode == ModeBaseline {
 		d.softAttestor = attest.NewAttestor(d.Spec.DeviceID, attest.KeyFromSeed(d.Spec.AttestKeySeed))

@@ -318,7 +318,7 @@ func (s *System) finalizeSession(res *SessionResult, startCycles tz.Cycles) {
 // at classify (blocked), a forwarded one at relay (delivered or shed).
 // Only sizes, timings and verdicts are exported — never transcripts. The
 // classify span reports the occupancy of the forward pass that actually
-// served the utterance: with a shared classify service this is the
+// served the utterance: with a shared scheduler this is the
 // cross-device flush size, not the device's own queue length.
 func (s *System) emitUtteranceSpans(start tz.Cycles, rec ProcessedUtterance) {
 	tc := s.trace

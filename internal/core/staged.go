@@ -19,8 +19,8 @@ var ErrNoStagedMode = errors.New("core: staged sessions require secure-filter mo
 // PendingGroup is one captured-and-transcribed utterance group parked
 // between CaptureGroup and ResumeGroup: the encoded token sequences
 // awaiting the shared classifier, plus the submit-time metadata a
-// scheduler request needs. Tokens are vocabulary-clamped IDs — the same
-// material classifyStage ships to a shared classify service.
+// scheduler request needs. Tokens are vocabulary-clamped IDs, never
+// transcript words.
 type PendingGroup struct {
 	Tokens  [][]int
 	Version uint64
@@ -150,10 +150,10 @@ func (st *StagedSession) runGroup(sc *sessionScratch) error {
 // every utterance has been queued.
 func (st *StagedSession) queueNext(sc *sessionScratch) (*PendingGroup, []byte, error) {
 	if st.finished {
-		return nil, nil, errors.New("core staged session: already finished")
+		return nil, nil, fmt.Errorf("%w: core staged session already finished", optee.ErrBadState)
 	}
 	if st.pending {
-		return nil, nil, errors.New("core staged session: previous group not resumed")
+		return nil, nil, fmt.Errorf("%w: core staged session's previous group not resumed", optee.ErrBadState)
 	}
 	if st.lo >= len(st.utterances) {
 		return nil, nil, nil
@@ -239,10 +239,10 @@ func (st *StagedSession) ResumeGroup(pg *PendingGroup, flags []bool, occs []int,
 // does the group's bookkeeping from the records it produced.
 func (st *StagedSession) invoke(pg *PendingGroup, cmd uint32, p *optee.Params) error {
 	if st.finished {
-		return errors.New("core staged session: already finished")
+		return fmt.Errorf("%w: core staged session already finished", optee.ErrBadState)
 	}
 	if !st.pending {
-		return errors.New("core staged session: no group pending")
+		return fmt.Errorf("%w: core staged session has no group pending", optee.ErrBadState)
 	}
 	s := st.s
 	before := len(s.VoiceTA.Processed())
@@ -296,10 +296,10 @@ func (st *StagedSession) complete(pg *PendingGroup, records []ProcessedUtterance
 // session is unusable afterwards.
 func (st *StagedSession) Finish() (*SessionResult, error) {
 	if st.finished {
-		return nil, errors.New("core staged session: already finished")
+		return nil, fmt.Errorf("%w: core staged session already finished", optee.ErrBadState)
 	}
 	if st.pending {
-		return nil, errors.New("core staged session: group still pending")
+		return nil, fmt.Errorf("%w: core staged session's group still pending", optee.ErrBadState)
 	}
 	if st.lo < len(st.utterances) {
 		return nil, fmt.Errorf("core staged session: %d of %d utterances captured",

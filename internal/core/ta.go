@@ -235,8 +235,8 @@ type ProcessedUtterance struct {
 	SealedSize int
 	// ClassifyBatch is the occupancy of the forward pass that classified
 	// this utterance: the device's own queue length on the local path, or
-	// the cross-device flush size when a shared classify service is
-	// wired (0 when the filter did not run).
+	// the cross-device flush size when a shared scheduler classified it
+	// (0 when the filter did not run).
 	ClassifyBatch int
 }
 
@@ -266,6 +266,10 @@ type VoiceTAConfig struct {
 	// is the leveled-HE parameter set the fleet's key pair uses.
 	Hybrid   bool
 	HEParams he.Params
+	// sharedClassify marks a TA whose classify stage runs in a shared
+	// cross-device scheduler (Config.SharedClassify): verdicts arrive
+	// through CmdResumeBatch, and no per-device classifier is built.
+	sharedClassify bool
 }
 
 // VoiceTA is the trusted application of Fig. 1: it pulls audio from the
@@ -277,8 +281,6 @@ type VoiceTA struct {
 
 	mu           sync.Mutex
 	classifier   *classify.Classifier // nil until first classify (unsealed from storage) or updateModel
-	remote       ClassifyService      // non-nil: classify via the shared cross-device scheduler
-	remoteDevice string               // device id submitted with shared-classify requests
 	opens        int                  // open-session refcount; capture runs while > 0
 	modelVersion uint64
 	modelSeed    uint64
@@ -626,15 +628,12 @@ func (t *VoiceTA) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
 	if err := t.cfg.Attestor.VerifyManifest(tok, pack); err != nil {
 		return 0, fmt.Errorf("voice ta update: %w", err)
 	}
-	// With a shared classify service wired, the device never runs the
-	// pack's weights itself — the scheduler's per-version classifier
-	// does — so the per-device rebuild is skipped. The pack is still
-	// verified, sealed, and version-advanced below.
-	t.mu.Lock()
-	shared := t.remote != nil
-	t.mu.Unlock()
+	// With a shared classify stage the device never runs the pack's
+	// weights itself — the scheduler's per-version classifier does — so
+	// the per-device rebuild is skipped. The pack is still verified,
+	// sealed, and version-advanced below.
 	var clf *classify.Classifier
-	if t.cfg.Filter && !shared {
+	if t.cfg.Filter && !t.cfg.sharedClassify {
 		if clf, err = t.buildClassifier(pack.ModelSeed, pack.Text); err != nil {
 			return 0, fmt.Errorf("voice ta update: %w", err)
 		}
@@ -778,62 +777,26 @@ func (t *VoiceTA) loadedClassifier() (*classify.Classifier, error) {
 }
 
 // classifyStage is the inline classify step: one forward pass over the
-// group's transcripts, its cost attributed evenly across the records. On
-// the local path the pass runs over the device's own queue, charged at 4
-// MACs/cycle (NEON-class SIMD) per sample; with a shared classify
-// service wired, the encoded tokens ride a cross-device batch and the
-// device is charged the scheduler's queue wait plus its share of the
-// shared pass instead.
+// device's own queue, charged at 4 MACs/cycle (NEON-class SIMD) per
+// sample and attributed evenly across the records.
 func (t *VoiceTA) classifyStage(recs []ProcessedUtterance) error {
-	clock := t.cfg.Clock
-	start := clock.Now()
-	t.mu.Lock()
-	remote, device, version := t.remote, t.remoteDevice, t.modelVersion
-	t.mu.Unlock()
-	if remote != nil {
-		tokens := make([][]int, len(recs))
-		for i := range recs {
-			tokens[i] = t.cfg.Vocab.Encode(recs[i].Transcript)
-		}
-		resp, err := remote.ClassifyBatch(ClassifyRequest{
-			DeviceID:     device,
-			ModelVersion: version,
-			Tokens:       tokens,
-			Now:          clock.Now(),
-		})
-		if err != nil {
-			return fmt.Errorf("voice ta classify (shared): %w", err)
-		}
-		if len(resp.Flagged) != len(recs) {
-			return fmt.Errorf("voice ta classify (shared): %d flags for %d transcripts",
-				len(resp.Flagged), len(recs))
-		}
-		clock.Advance(resp.Wait)
-		for i := range recs {
-			recs[i].Flagged = resp.Flagged[i]
-			recs[i].ClassifyBatch = resp.Occupancy
-		}
-	} else {
-		clf, err := t.loadedClassifier()
-		if err != nil {
-			return err
-		}
-		batch := make([][]float32, len(recs))
-		for i := range recs {
-			batch[i] = clf.TokensToFeatures(t.cfg.Vocab.Encode(recs[i].Transcript))
-		}
-		classes, err := clf.PredictBatch(batch)
-		if err != nil {
-			return fmt.Errorf("voice ta classify: %w", err)
-		}
-		clock.Advance(tz.Cycles(clf.EstimateMACs() * len(batch) / 4))
-		for i, cls := range classes {
-			recs[i].Flagged = cls == 1
-			recs[i].ClassifyBatch = len(batch)
-		}
+	clf, err := t.loadedClassifier()
+	if err != nil {
+		return err
 	}
-	spent := clock.Now() - start
+	batch := make([][]float32, len(recs))
 	for i := range recs {
+		batch[i] = clf.TokensToFeatures(t.cfg.Vocab.Encode(recs[i].Transcript))
+	}
+	classes, err := clf.PredictBatch(batch)
+	if err != nil {
+		return fmt.Errorf("voice ta classify: %w", err)
+	}
+	spent := tz.Cycles(clf.EstimateMACs() * len(batch) / 4)
+	t.cfg.Clock.Advance(spent)
+	for i, cls := range classes {
+		recs[i].Flagged = cls == 1
+		recs[i].ClassifyBatch = len(batch)
 		recs[i].Stages.Classify = spent / tz.Cycles(len(recs))
 	}
 	return nil
@@ -975,7 +938,7 @@ func (t *VoiceTA) transcribeBatch(lengths []int) error {
 	busy := len(t.pendingRecs) > 0
 	t.mu.Unlock()
 	if busy {
-		return errors.New("voice ta: staged batch already pending")
+		return fmt.Errorf("%w: voice ta staged batch already pending", optee.ErrBadState)
 	}
 	recs, err := t.captureGroup(lengths)
 	if err != nil {
@@ -1000,7 +963,7 @@ func (t *VoiceTA) takePending(n int, classify func([]ProcessedUtterance) error) 
 	recs := t.pendingRecs
 	t.mu.Unlock()
 	if len(recs) == 0 {
-		return nil, errors.New("voice ta: no staged batch pending")
+		return nil, fmt.Errorf("%w: voice ta has no staged batch pending", optee.ErrBadState)
 	}
 	if n != len(recs) {
 		return nil, fmt.Errorf("%w: resume carries %d verdicts for %d staged utterances",
@@ -1159,9 +1122,9 @@ func (t *VoiceTA) classifyHE(recs []ProcessedUtterance, blobs [][]byte) error {
 
 // PendingTokens returns copies of the encoded token sequences staged by
 // CmdTranscribeBatch and awaiting classification (empty when nothing is
-// pending). Token IDs are exactly what classifyStage submits to a shared
-// classify service — vocabulary-clamped in the TA, never transcript
-// words — so handing them to the scheduler keeps the trust boundary.
+// pending). Token IDs are vocabulary-clamped in the TA, never transcript
+// words, so handing them to the shared scheduler keeps the trust
+// boundary.
 func (t *VoiceTA) PendingTokens() [][]int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -8,10 +8,13 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/attest"
 	"repro/internal/optee"
+	"repro/internal/peripheral"
 	"repro/internal/sensitive"
 	"repro/internal/teec"
 )
@@ -147,6 +150,69 @@ func TestMalformedResumeKeepsGroupStaged(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderStagedCallsBadState: a hostile normal world calling the
+// staged commands out of order gets a typed ErrBadState, and a group that
+// was staged survives the rejected calls and then resumes normally. The
+// StagedSession driver refuses the same misuse with the same error.
+func TestOutOfOrderStagedCallsBadState(t *testing.T) {
+	utts, err := sensitive.Generate(sensitive.GenConfig{N: 4, SensitiveFraction: 0.5, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(Config{Mode: ModeSecureFilter, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts := func(n int) *optee.Params {
+		return &optee.Params{{Type: optee.MemrefIn, Buf: make([]byte, 5*n)}, {Type: optee.ValueIn}}
+	}
+	if err := sys.VoiceTA.Invoke(0, CmdResumeBatch, verdicts(2)); !errors.Is(err, optee.ErrBadState) {
+		t.Fatalf("resume with nothing staged: err = %v, want ErrBadState", err)
+	}
+
+	st, err := sys.beginSession(utts, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Abort()
+	pg, err := st.CaptureGroup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged := sys.VoiceTA.PendingTokens()
+	// Queue the next group's audio, then try to stage it over the first.
+	lens, err := sys.queueGroup(new(sessionScratch), 2, utts[2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sys.VoiceTA.Invoke(0, CmdTranscribeBatch, &optee.Params{{Type: optee.MemrefIn, Buf: lens}})
+	if !errors.Is(err, optee.ErrBadState) {
+		t.Fatalf("transcribe over a staged group: err = %v, want ErrBadState", err)
+	}
+	if got := sys.VoiceTA.PendingTokens(); !reflect.DeepEqual(got, staged) {
+		t.Fatalf("rejected transcribe changed the staged group: %v, want %v", got, staged)
+	}
+	if _, err := st.CaptureGroup(); !errors.Is(err, optee.ErrBadState) {
+		t.Fatalf("capture before resume: err = %v, want ErrBadState", err)
+	}
+	if _, err := st.Finish(); !errors.Is(err, optee.ErrBadState) {
+		t.Fatalf("finish with a group pending: err = %v, want ErrBadState", err)
+	}
+
+	if err := st.ResumeGroup(pg, make([]bool, 2), []int{2, 2}, 0); err != nil {
+		t.Fatalf("resume after rejected calls: %v", err)
+	}
+	if err := sys.VoiceTA.Invoke(0, CmdResumeBatch, verdicts(2)); !errors.Is(err, optee.ErrBadState) {
+		t.Fatalf("second resume: err = %v, want ErrBadState", err)
+	}
+	if err := st.ResumeGroup(pg, make([]bool, 2), []int{2, 2}, 0); !errors.Is(err, optee.ErrBadState) {
+		t.Fatalf("second session resume: err = %v, want ErrBadState", err)
+	}
+	if n := len(sys.VoiceTA.Processed()); n != 2 {
+		t.Fatalf("%d TA records after one resumed group, want 2", n)
+	}
+}
+
 // FuzzVoiceTAInvoke drives a short sequence of commands from a hostile
 // normal world into the voice TA of a secure-filter or hybrid-he system
 // whose FIFO already holds two utterances. Each op is encoded as
@@ -219,6 +285,150 @@ func FuzzVoiceTAInvoke(f *testing.F) {
 					t.Fatalf("rejected resume (%v) changed the staged group: %v -> %v", err, before, after)
 				}
 			}
+		}
+	})
+}
+
+// cameraTAState is the camera TA state a rejected command must leave
+// untouched.
+func cameraTAState(sys *CameraSystem) string {
+	ta := sys.TA
+	ta.mu.Lock()
+	mid := ta.messageID
+	ta.mu.Unlock()
+	return fmt.Sprintf("processed=%d version=%d epoch=%d msg=%d grabbed=%d",
+		len(ta.Processed()), ta.ModelVersion(), ta.KeyEpoch(), mid, len(sys.PTA.Truth()))
+}
+
+// cameraParamsWellShaped reports whether p has the slot types and buffer
+// lengths cmd's documented layout requires; a call that fails it must be
+// rejected with ErrBadParam.
+func cameraParamsWellShaped(cmd uint32, p *optee.Params) bool {
+	in := func(i int) bool { return p[i].Type == optee.MemrefIn && len(p[i].Buf) > 0 }
+	switch cmd {
+	case CmdProcessFrame:
+		return true
+	case CmdCameraFinishHE:
+		return in(0) && in(1) && len(p[1].Buf) == cameraFrameBytes
+	case CmdCameraAttest:
+		return in(0) && len(p[0].Buf) == len(attest.Nonce{}) && p[1].Type == optee.MemrefOut && p[1].Buf != nil
+	case CmdCameraUpdateModel:
+		return in(0) && in(1)
+	case CmdCameraRotateKey:
+		return in(0)
+	}
+	return false
+}
+
+// newFuzzCamera builds an attested camera whose sensor holds a person
+// frame then an empty one, with the capture PTA and a TA session open.
+func newFuzzCamera(t testing.TB, mode Mode) (*CameraSystem, *teec.Session) {
+	t.Helper()
+	sys, err := NewCameraSystem(CameraConfig{Mode: mode, Seed: 11, DeviceID: "cam-0", AttestKeySeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Camera.Queue(peripheral.ScenePerson, peripheral.SceneEmpty)
+	if err := sys.PTA.Open(0); err != nil {
+		t.Fatal(err)
+	}
+	ctx := teec.InitializeContext(sys.TEE)
+	sess, err := ctx.OpenSession(UUIDCameraTA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ctx.FinalizeContext() })
+	return sys, sess
+}
+
+// FuzzCameraTAInvoke drives a short sequence of commands from a hostile
+// normal world into a live camera TA (secure-filter, or hybrid-he with
+// the HE handoff armed). Each op is encoded as [cmd][slot-0 type]
+// [slot-1 type][A: 8 bytes LE][len0: 2 bytes LE][len1: 2 bytes LE]
+// [len0 bytes][len1 bytes]; slot 2 carries A as a ValueIn. Contract: no
+// call panics; a rejected call returns an error wrapping ErrBadParam (the
+// input) or ErrBadState (the TA's state) — ErrBadParam whenever the slot
+// types or buffer lengths break the command's layout — and changes no TA
+// state; and a well-formed CmdProcessFrame afterwards gives the verdict a
+// fresh TA gives for the same frame.
+func FuzzCameraTAInvoke(f *testing.F) {
+	// Reference verdicts: a fresh TA processing both queued frames.
+	ref, refSess := newFuzzCamera(f, ModeSecureFilter)
+	var verdicts []uint64
+	for i := 0; i < 3; i++ {
+		p := &optee.Params{}
+		if err := refSess.InvokeCommand(CmdProcessFrame, p); err != nil {
+			f.Fatal(err)
+		}
+		verdicts = append(verdicts, p[0].A)
+	}
+	_ = ref
+
+	op := func(cmd uint32, t0, t1 optee.ParamType, a uint64, b0, b1 []byte) []byte {
+		out := []byte{byte(cmd), byte(t0), byte(t1)}
+		out = binary.LittleEndian.AppendUint64(out, a)
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(b0)))
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(b1)))
+		return append(append(out, b0...), b1...)
+	}
+	frame := make([]byte, cameraFrameBytes)
+	f.Add(false, op(CmdProcessFrame, optee.ParamNone, optee.ParamNone, 0, nil, nil))
+	f.Add(false, op(CmdProcessFrame, optee.MemrefIn, optee.MemrefOut, 1, []byte{1}, []byte{2}))
+	f.Add(false, op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1, 2, 3}, frame))
+	f.Add(true, op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1, 2, 3}, frame))
+	f.Add(true, op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1}, frame[:7]))
+	f.Add(false, op(CmdCameraAttest, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 8)))
+	f.Add(false, op(CmdCameraAttest, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 512)))
+	f.Add(false, op(CmdCameraUpdateModel, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2}).Encode(), []byte{9}))
+	f.Add(false, op(CmdCameraUpdateModel, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2, Image: []byte{1}}).Encode(),
+		attest.ManifestToken{DeviceID: "cam-0", Version: 2}.Marshal()))
+	f.Add(false, op(CmdCameraRotateKey, optee.MemrefIn, optee.ParamNone, 0, []byte{1, 2}, nil))
+	f.Add(true, op(0x99, optee.ValueIn, optee.ValueOut, 3, nil, nil))
+
+	f.Fuzz(func(t *testing.T, hybrid bool, ops []byte) {
+		mode := ModeSecureFilter
+		if hybrid {
+			mode = ModeHybridHE
+		}
+		sys, sess := newFuzzCamera(t, mode)
+		for n := 0; len(ops) >= 15 && n < 4; n++ {
+			cmd := uint32(ops[0])
+			t0, t1 := optee.ParamType(ops[1]%7), optee.ParamType(ops[2]%7)
+			a := binary.LittleEndian.Uint64(ops[3:])
+			n0 := min(int(binary.LittleEndian.Uint16(ops[11:])), len(ops)-15)
+			n1 := min(int(binary.LittleEndian.Uint16(ops[13:])), len(ops)-15-n0)
+			b0, b1 := ops[15:15+n0], ops[15+n0:15+n0+n1]
+			ops = ops[15+n0+n1:]
+			p := optee.Params{{Type: t0, A: a}, {Type: t1, A: a}, {Type: optee.ValueIn, A: a}}
+			if t0.IsMemref() {
+				p[0].Buf = b0
+			}
+			if t1.IsMemref() {
+				p[1].Buf = b1
+			}
+			shaped := cameraParamsWellShaped(cmd, &p)
+			before := cameraTAState(sys)
+			err := sess.InvokeCommand(cmd, &p)
+			if err == nil {
+				continue
+			}
+			if !errors.Is(err, optee.ErrBadParam) && !errors.Is(err, optee.ErrBadState) {
+				t.Fatalf("cmd %#x rejected with an untyped error: %v", cmd, err)
+			}
+			if !shaped && !errors.Is(err, optee.ErrBadParam) {
+				t.Fatalf("cmd %#x with a malformed layout: err = %v, want ErrBadParam", cmd, err)
+			}
+			if after := cameraTAState(sys); after != before {
+				t.Fatalf("rejected cmd %#x (%v) changed TA state: %s -> %s", cmd, err, before, after)
+			}
+		}
+		grabbed := len(sys.PTA.Truth())
+		p := &optee.Params{}
+		if err := sess.InvokeCommand(CmdProcessFrame, p); err != nil {
+			t.Fatalf("well-formed CmdProcessFrame after the sequence: %v", err)
+		}
+		if want := verdicts[min(grabbed, len(verdicts)-1)]; p[0].A != want {
+			t.Fatalf("frame %d verdict %d, a fresh TA gives %d", grabbed, p[0].A, want)
 		}
 	})
 }

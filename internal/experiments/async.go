@@ -13,8 +13,8 @@ type E17Result struct {
 	Joined  int
 	Left    int
 	Rotated int
-	// Equivalence leg: every device of the async run compared bit-for-bit
-	// against the synchronous scheduled run of the same seed.
+	// Equivalence leg: every device of the scheduled run compared
+	// bit-for-bit against the unscheduled run of the same seed.
 	Compared       int
 	AuditIdentical bool
 	// Executor-pool accounting: the memory claim is PeakLive — the
@@ -24,27 +24,25 @@ type E17Result struct {
 	Steps     uint64
 	Parks     uint64
 	PeakLive  int
-	// Occupancy legs: the same scheduler, fed by blocking producers and
-	// then by parked continuations. The async number is the one that must
-	// show cross-device coalescing.
-	SyncOccupancy  float64
-	AsyncOccupancy float64
-	LostFrames     int
-	ItemsPerSec    float64
+	// Occupancy is the scheduler's steady-state flush occupancy. It must
+	// exceed DeviceBatch, the most one device's own queue can put in a
+	// forward pass: parked single-item enqueues coalesce across devices.
+	Occupancy   float64
+	DeviceBatch int
+	LostFrames  int
+	ItemsPerSec float64
 }
 
 // E17AsyncPipeline is the event-driven pipeline experiment. The same
-// elastic fleet — churn plus mid-run key rotations, with secure-filter
-// speakers classifying through the shared scheduler — runs twice: once
-// with the goroutine-per-device worker pool (a submitting speaker blocks
-// in Classify until its flush fires) and once under the bounded executor
-// pool, where a speaker reaching its classify stage parks an encoded
-// group and a continuation instead of a goroutine. The claims under
-// test: every device's audit counters are bit-identical between the two
-// runs (the engine moves where waiting happens, never what is computed),
-// zero frames are lost, groups actually park, peak live pipelines stay
-// far below the population, and scheduler occupancy does not regress —
-// parked continuations are what let flushes coalesce across devices.
+// elastic fleet — churn plus mid-run key rotations — runs twice on the
+// bounded executor pool: once classifying per device, and once with
+// secure-filter speakers parking an encoded group on the shared
+// scheduler instead of holding an executor. The claims under test: every
+// device's audit counters are bit-identical between the two runs (the
+// engine moves where waiting happens, never what is computed), zero
+// frames are lost, groups actually park, peak live pipelines stay far
+// below the population, and flushes coalesce across devices — steady
+// occupancy above the per-device batch.
 func E17AsyncPipeline(seed uint64) (*metrics.Table, E17Result, error) {
 	base := fleet.Config{
 		Devices:    48,
@@ -55,25 +53,19 @@ func E17AsyncPipeline(seed uint64) (*metrics.Table, E17Result, error) {
 		FreqHz:     FreqHz,
 		Churn:      &fleet.ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25},
 		Lifecycle:  &fleet.LifecycleSpec{RotateFraction: 0.25},
-		Sched:      &fleet.SchedSpec{},
 	}
-	sync, err := fleet.Run(base)
+	plain, err := fleet.Run(base)
 	if err != nil {
-		return nil, E17Result{}, fmt.Errorf("synchronous fleet: %w", err)
+		return nil, E17Result{}, fmt.Errorf("unscheduled fleet: %w", err)
 	}
-	if sync.Sched == nil {
-		return nil, E17Result{}, fmt.Errorf("synchronous fleet returned no scheduler report")
-	}
-	asyncCfg := base
-	asyncCfg.Churn = &fleet.ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25}
-	asyncCfg.Sched = &fleet.SchedSpec{}
-	asyncCfg.Async = &fleet.AsyncSpec{}
-	res, err := fleet.Run(asyncCfg)
+	scheduled := base
+	scheduled.Sched = &fleet.SchedSpec{}
+	res, err := fleet.Run(scheduled)
 	if err != nil {
-		return nil, E17Result{}, fmt.Errorf("async fleet: %w", err)
+		return nil, E17Result{}, fmt.Errorf("scheduled fleet: %w", err)
 	}
-	if res.Async == nil || res.Sched == nil {
-		return nil, E17Result{}, fmt.Errorf("async fleet returned no engine/scheduler report")
+	if res.Sched == nil {
+		return nil, E17Result{}, fmt.Errorf("scheduled fleet returned no scheduler report")
 	}
 
 	out := E17Result{
@@ -86,17 +78,17 @@ func E17AsyncPipeline(seed uint64) (*metrics.Table, E17Result, error) {
 		Steps:          res.Async.Steps,
 		Parks:          res.Async.Parks,
 		PeakLive:       res.Async.PeakLive,
-		SyncOccupancy:  sync.Sched.MeanOccupancySteady,
-		AsyncOccupancy: res.Sched.MeanOccupancySteady,
+		Occupancy:      res.Sched.MeanOccupancySteady,
+		DeviceBatch:    res.EffectiveBatch,
 		LostFrames:     res.LostFrames(),
 		ItemsPerSec:    res.Throughput(),
 	}
-	if len(res.DeviceResults) != len(sync.DeviceResults) {
+	if len(res.DeviceResults) != len(plain.DeviceResults) {
 		return nil, out, fmt.Errorf("population diverged: %d vs %d devices",
-			len(res.DeviceResults), len(sync.DeviceResults))
+			len(res.DeviceResults), len(plain.DeviceResults))
 	}
-	for i := range sync.DeviceResults {
-		if e12Fingerprint(res.DeviceResults[i]) != e12Fingerprint(sync.DeviceResults[i]) {
+	for i := range plain.DeviceResults {
+		if e12Fingerprint(res.DeviceResults[i]) != e12Fingerprint(plain.DeviceResults[i]) {
 			out.AuditIdentical = false
 			continue
 		}
@@ -105,17 +97,17 @@ func E17AsyncPipeline(seed uint64) (*metrics.Table, E17Result, error) {
 
 	tbl := metrics.NewTable("E17: event-driven pipeline (48 devices, churn + rotation, shared scheduler)",
 		"devices", "joined/left/rotated", "identical", "executors", "steps", "parks",
-		"peak live", "occupancy sync/async", "lost frames", "items/s(wall)")
+		"peak live", "occupancy/device batch", "lost frames", "items/s(wall)")
 	tbl.AddRow(out.Devices,
 		fmt.Sprintf("%d/%d/%d", out.Joined, out.Left, out.Rotated),
 		fmt.Sprintf("%v (%d compared)", out.AuditIdentical, out.Compared),
 		out.Executors, out.Steps, out.Parks, out.PeakLive,
-		fmt.Sprintf("%.2f/%.2f", out.SyncOccupancy, out.AsyncOccupancy),
+		fmt.Sprintf("%.2f/%d", out.Occupancy, out.DeviceBatch),
 		out.LostFrames, out.ItemsPerSec)
 
 	switch {
 	case !out.AuditIdentical:
-		return tbl, out, fmt.Errorf("async: a device's audit diverged from the synchronous run")
+		return tbl, out, fmt.Errorf("async: a device's audit diverged from the unscheduled run")
 	case out.LostFrames != 0:
 		return tbl, out, fmt.Errorf("async: lost %d frames, want 0", out.LostFrames)
 	case out.Steps == 0 || out.Parks == 0:
@@ -123,9 +115,9 @@ func E17AsyncPipeline(seed uint64) (*metrics.Table, E17Result, error) {
 	case out.PeakLive == 0 || out.PeakLive > out.Devices:
 		return tbl, out, fmt.Errorf("async: implausible peak of %d live pipelines (population %d)",
 			out.PeakLive, out.Devices)
-	case out.AsyncOccupancy < out.SyncOccupancy:
-		return tbl, out, fmt.Errorf("async: occupancy regressed (%.2f vs sync %.2f)",
-			out.AsyncOccupancy, out.SyncOccupancy)
+	case out.Occupancy <= float64(out.DeviceBatch):
+		return tbl, out, fmt.Errorf("async: steady occupancy %.2f does not exceed the per-device batch %d",
+			out.Occupancy, out.DeviceBatch)
 	case out.Joined == 0 || out.Left == 0 || out.Rotated == 0:
 		return tbl, out, fmt.Errorf("async: churn/rotation did not fire (joined %d, left %d, rotated %d)",
 			out.Joined, out.Left, out.Rotated)

@@ -781,7 +781,6 @@ func E16BatchScheduler(seed uint64) (*metrics.Table, E16Result, error) {
 		return nil, E16Result{}, fmt.Errorf("per-device fleet: %w", err)
 	}
 	scheduled := base
-	scheduled.Churn = &fleet.ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25}
 	scheduled.Sched = &fleet.SchedSpec{}
 	res, err := fleet.Run(scheduled)
 	if err != nil {

@@ -1,26 +1,39 @@
 package fleet
 
-// Event-driven device pipeline: instead of one goroutine per device that
-// runs capture → transcribe → classify → uplink synchronously (parking in
-// sched.Classify while a shared flush forms), device state lives in a
-// task table and a bounded executor pool drives it. A scheduled
-// secure-filter speaker's run is sliced at the classify stage
-// (core.StagedSession): the executor captures and transcribes a group,
-// submits each encoded utterance as its own single-item asynchronous
-// scheduler enqueue, and releases the executor; the last completion
-// callback re-enqueues the task and a (possibly different) executor
-// resumes the group — charging the wait, relaying survivors — and
-// captures the next one. Every other device class runs its whole
-// pipeline as one executor step.
+// The fleet engine: device state lives in a task table and a bounded
+// executor pool (Config.DeviceWorkers) drives it. Most devices run their
+// whole pipeline as one executor step. A device that must wait parks its
+// task instead of holding an executor, and the task goes back on the
+// ready queue when the wait ends. There are two waits:
 //
-// Two properties fall out. Scale: a 10⁴–10⁵-device population costs
-// Executors goroutines plus the scheduler's workers, not one goroutine
-// per device, and at most ~Executors + a flush worth of device pipelines
-// are constructed at once. Coalescing: submissions are true concurrent
-// single-item enqueues, so scheduler occupancy comes from cross-device
-// batching rather than one device's whole queue entering as a multi-item
-// request. Audits stay bit-identical to the synchronous path — the
-// engine moves only where waiting happens, never what is computed.
+//   - A scheduled secure-filter speaker's run is sliced at the classify
+//     stage (core.StagedSession): the executor captures and transcribes
+//     a group, submits each encoded utterance as its own single-item
+//     scheduler enqueue, and parks; the last completion callback
+//     re-enqueues the task and a (possibly different) executor resumes
+//     the group — charging the wait, relaying survivors — and captures
+//     the next one.
+//   - A secure-filter device still on the base pack when its workload
+//     ends (the rollout's stable cohort) reports its rollout outcome and
+//     parks on the rollout's one-shot verdict notification; resumed, it
+//     converges (or records its rollback) and finishes. A canary never
+//     waits behind a parked device for an executor, so the rollout
+//     composes with any pool size, the scheduler included.
+//
+// Admission itself waits once: under a staged rollout it pauses at the
+// verdict point, after the canary and stable cohorts, until the verdict
+// is in (attestState.stage). Every later device provisions on the
+// verdict, so which pack a device classifies on is a function of the
+// plan, and the stable cohort bounds the pipelines parked on it.
+//
+// Two properties fall out. Scale: a 10⁴–10⁵-device population costs the
+// pool's goroutines plus the scheduler's workers, not one goroutine per
+// device, and at most ~pool size + a flush worth of device pipelines are
+// constructed at once. Coalescing: classify submissions are true
+// concurrent single-item enqueues, so scheduler occupancy comes from
+// cross-device batching rather than one device's whole queue entering as
+// a multi-item request. The engine moves only where waiting happens,
+// never what is computed.
 
 import (
 	"fmt"
@@ -32,31 +45,24 @@ import (
 	"repro/internal/tz"
 )
 
-// AsyncSpec enables the event-driven device pipeline. Nil keeps the
-// goroutine-per-device worker pool.
+// AsyncSpec is retained for source compatibility; the fleet always runs
+// the event-driven engine, sized by Config.DeviceWorkers.
+//
+// Deprecated: Config.Async is ignored.
 type AsyncSpec struct {
-	// Executors bounds the pool driving device tasks; default GOMAXPROCS.
+	// Executors is ignored; see Config.DeviceWorkers.
 	Executors int
 }
 
-func (a *AsyncSpec) fillDefaults() error {
-	if a.Executors < 0 {
-		return fmt.Errorf("%w: %d async executors", ErrBadConfig, a.Executors)
-	}
-	if a.Executors == 0 {
-		a.Executors = runtime.GOMAXPROCS(0)
-	}
-	return nil
-}
-
-// AsyncReport summarizes the event-driven engine's execution.
+// AsyncReport summarizes the engine's execution.
 type AsyncReport struct {
 	// Executors is the pool size that drove the run.
 	Executors int
 	// Steps counts executor dispatches (task admissions + resumptions).
 	Steps uint64
-	// Parks counts utterance groups parked awaiting a shared classify
-	// flush. Zero when no scheduler is wired.
+	// Parks counts waits: utterance groups parked awaiting a shared
+	// classify flush, plus devices parked awaiting the rollout verdict.
+	// Zero on a run with neither a scheduler nor a staged rollout.
 	Parks uint64
 	// PeakLive is the most device pipelines concurrently constructed —
 	// the honest memory figure for large populations (it stays near
@@ -65,12 +71,16 @@ type AsyncReport struct {
 }
 
 // devTask is one device's table entry: its pipeline context plus the
-// staged-session state a parked classify group needs to resume.
+// state a parked task needs to resume.
 type devTask struct {
 	idx int
 	dc  *devCtx
 	st  *core.StagedSession
 	pg  *core.PendingGroup
+	// res is the finished workload's result while the task waits for
+	// the rollout verdict; full is the verdict once delivered.
+	res  *core.DeviceResult
+	full bool
 
 	// Per-parked-group completion state, guarded by the engine mutex:
 	// the j-th submission's callback fills slot j; remaining counts
@@ -89,26 +99,33 @@ type asyncEngine struct {
 	order []int
 	execs int
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	ready    []*devTask
-	next     int // admission cursor into order
-	active   int // tasks admitted and not yet finished
-	peak     int
-	steps    uint64
-	parks    uint64
-	firstErr error
+	mu     sync.Mutex
+	cond   *sync.Cond
+	ready  []*devTask
+	next   int // admission cursor into order
+	active int // tasks admitted and not yet finished
+	// Admission at or past verdictAt waits for verdict: the staged
+	// rollout's canary verdict is in (always true without a rollout).
+	verdictAt int
+	verdict   bool
+	peak      int
+	steps     uint64
+	parks     uint64
+	firstErr  error
 }
 
 func newAsyncEngine(r *runner, specs []core.DeviceSpec, order []int) *asyncEngine {
-	e := &asyncEngine{r: r, specs: specs, order: order, execs: r.cfg.Async.Executors}
-	if e.execs > len(order) && len(order) > 0 {
-		e.execs = len(order)
-	}
-	if e.execs < 1 {
-		e.execs = 1
-	}
+	e := &asyncEngine{r: r, specs: specs, order: order, execs: max(1, min(r.cfg.DeviceWorkers, len(order))), verdict: true}
 	e.cond = sync.NewCond(&e.mu)
+	if st := r.st; st != nil && st.rollout != nil {
+		e.verdictAt, e.verdict = st.stage(specs, order), false
+		st.rollout.OnSettled(func(bool) {
+			e.mu.Lock()
+			e.verdict = true
+			e.cond.Broadcast()
+			e.mu.Unlock()
+		})
+	}
 	return e
 }
 
@@ -137,11 +154,10 @@ func (e *asyncEngine) run() error {
 }
 
 // nextTask returns the next runnable task — a resumed parked task first,
-// else a fresh admission — or nil when the run is over. With only parked
-// tasks outstanding it drives the scheduler's idle rule (NotifyIdle)
-// before sleeping: the executors collectively assert nothing new can
-// arrive, which is the event-driven analogue of every producer being
-// blocked.
+// else a fresh admission (held at the verdict point until the rollout
+// verdict) — or nil when the run is over. With nothing runnable it drives
+// the scheduler's idle rule (NotifyIdle) before sleeping: the executors
+// collectively assert nothing new can arrive.
 func (e *asyncEngine) nextTask() *devTask {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -152,7 +168,7 @@ func (e *asyncEngine) nextTask() *devTask {
 			e.steps++
 			return t
 		}
-		if e.firstErr == nil && e.next < len(e.order) {
+		if e.canAdmit() {
 			idx := e.order[e.next]
 			e.next++
 			e.active++
@@ -175,7 +191,7 @@ func (e *asyncEngine) nextTask() *devTask {
 			cut := e.r.sched.scheduler.NotifyIdle()
 			pending := e.r.sched.scheduler.Pending() > 0
 			e.mu.Lock()
-			if len(e.ready) > 0 || e.active == 0 || cut {
+			if len(e.ready) > 0 || e.canAdmit() || e.active == 0 || cut {
 				continue
 			}
 			if pending {
@@ -193,50 +209,73 @@ func (e *asyncEngine) nextTask() *devTask {
 				continue
 			}
 			// Pending was zero: every outstanding entry rides an in-flight
-			// flush, so some task is guaranteed to drain and broadcast.
+			// flush, or a task or the admission waits for the rollout
+			// verdict, which a running canary will deliver; either wakes us.
 		}
 		e.cond.Wait()
 	}
 }
 
-// step advances one task: admission (setup, then either a full
-// synchronous run or the first staged capture) or resumption (feed the
-// shared classifier's verdicts back, capture the next group).
+// canAdmit reports whether a fresh task may be admitted. Called with the
+// engine mutex held.
+func (e *asyncEngine) canAdmit() bool {
+	return e.firstErr == nil && e.next < len(e.order) && (e.verdict || e.next < e.verdictAt)
+}
+
+// step advances one task: admission (setup, then either a full pipeline
+// run or the first staged capture), a classify resumption (feed the
+// shared classifier's verdicts back, capture the next group), or a
+// rollout resumption (converge on the verdict, finish).
 func (e *asyncEngine) step(t *devTask) {
-	if t.dc == nil {
-		spec := e.specs[t.idx]
-		dc, err := e.r.setupOne(spec, t.idx)
+	switch {
+	case t.dc == nil:
+		e.admit(t)
+	case t.res != nil:
+		err := e.r.st.converge(t.dc.d, t.dc.id, t.dc.tenant, t.full)
 		if err != nil {
-			e.finish(t, err)
-			return
+			err = fmt.Errorf("device %d converge: %w", t.idx, err)
+		} else {
+			err = e.r.finishOne(t.dc, t.res)
 		}
-		t.dc = dc
-		// Parkable work is exactly the shared-classify population:
-		// everything else has no external stage to park on and runs its
-		// whole pipeline as one executor step (still table-driven — no
-		// goroutine outlives the step).
-		if !dc.spec.SharedClassify || dc.d.Speaker == nil {
-			res, err := dc.d.Run(dc.w)
-			if err != nil {
-				e.finish(t, fmt.Errorf("device %d: %w", t.idx, err))
-				return
-			}
-			e.finish(t, e.r.finishOne(dc, res))
-			return
-		}
-		st, err := dc.d.Speaker.BeginStagedSession(dc.w.Utterances, dc.spec.Batch)
+		e.finish(t, err)
+	default:
+		e.resume(t)
+	}
+}
+
+// admit sets a device up and starts its pipeline. Parkable classify work
+// is exactly the shared-classify population: everything else has no
+// external stage to park on and runs its whole pipeline in this step
+// (still table-driven — no goroutine outlives the step).
+func (e *asyncEngine) admit(t *devTask) {
+	dc, err := e.r.setupOne(e.specs[t.idx], t.idx)
+	if err != nil {
+		e.finish(t, err)
+		return
+	}
+	t.dc = dc
+	if !dc.spec.SharedClassify {
+		res, err := dc.d.Run(dc.w)
 		if err != nil {
 			e.finish(t, fmt.Errorf("device %d: %w", t.idx, err))
 			return
 		}
-		t.st = st
-		e.captureOrFinish(t)
+		e.settle(t, res)
 		return
 	}
-	// Resumption: the parked group's verdicts are in. The group's shared
-	// passes overlapped in virtual time — the classification is done when
-	// the last one returns, so the group waits the max, mirroring the
-	// single multi-item request of the synchronous path.
+	st, err := dc.d.Speaker.BeginStagedSession(dc.w.Utterances, dc.spec.Batch)
+	if err != nil {
+		e.finish(t, fmt.Errorf("device %d: %w", t.idx, err))
+		return
+	}
+	t.st = st
+	e.captureOrFinish(t)
+}
+
+// resume completes a parked group: its verdicts are in. The group's
+// shared passes overlapped in virtual time — the classification is done
+// when the last one returns, so the group waits the max.
+func (e *asyncEngine) resume(t *devTask) {
 	if t.failed != nil {
 		t.st.Abort()
 		e.finish(t, fmt.Errorf("device %d classify: %w", t.idx, t.failed))
@@ -244,9 +283,7 @@ func (e *asyncEngine) step(t *devTask) {
 	}
 	var wait tz.Cycles
 	for _, w := range t.waits {
-		if w > wait {
-			wait = w
-		}
+		wait = max(wait, w)
 	}
 	if err := t.st.ResumeGroup(t.pg, t.flags, t.occs, wait); err != nil {
 		t.st.Abort()
@@ -258,7 +295,7 @@ func (e *asyncEngine) step(t *devTask) {
 
 // captureOrFinish captures the task's next utterance group and parks it
 // on the scheduler, or — when the workload is exhausted — finalizes the
-// session and runs the device's finish flow.
+// session and settles the device.
 func (e *asyncEngine) captureOrFinish(t *devTask) {
 	pg, err := t.st.CaptureGroup()
 	if err != nil {
@@ -272,7 +309,7 @@ func (e *asyncEngine) captureOrFinish(t *devTask) {
 			e.finish(t, fmt.Errorf("device %d: %w", t.idx, err))
 			return
 		}
-		e.finish(t, e.r.finishOne(t.dc, &core.DeviceResult{Spec: t.dc.spec, Session: res}))
+		e.settle(t, &core.DeviceResult{Spec: t.dc.spec, Session: res})
 		return
 	}
 	n := len(pg.Tokens)
@@ -281,13 +318,10 @@ func (e *asyncEngine) captureOrFinish(t *devTask) {
 	t.occs = make([]int, n)
 	t.waits = make([]tz.Cycles, n)
 	t.failed = nil
-	e.mu.Lock()
 	// n callbacks plus the submitter hold: the task re-enqueues only
 	// when the count drains, so an early callback cannot race the
 	// executor still submitting the rest of the group.
-	t.remaining = n + 1
-	e.parks++
-	e.mu.Unlock()
+	e.park(t, n+1)
 	for j := 0; j < n; j++ {
 		j := j
 		err := e.r.sched.scheduler.SubmitAsync(sched.Request{
@@ -322,6 +356,36 @@ func (e *asyncEngine) captureOrFinish(t *devTask) {
 	e.mu.Unlock()
 }
 
+// settle runs the front of a device's finish flow once its workload is
+// done. A device that must wait for the rollout verdict parks on it;
+// any other finishes now.
+func (e *asyncEngine) settle(t *devTask, res *core.DeviceResult) {
+	wait, err := e.r.reportOne(t.dc)
+	if err != nil || !wait {
+		if err == nil {
+			err = e.r.finishOne(t.dc, res)
+		}
+		e.finish(t, err)
+		return
+	}
+	t.res = res
+	e.park(t, 1)
+	e.r.st.rollout.OnSettled(func(full bool) {
+		e.mu.Lock()
+		t.full = full
+		e.release(t, 1)
+		e.mu.Unlock()
+	})
+}
+
+// park counts a wait and arms the task's completion holds.
+func (e *asyncEngine) park(t *devTask, holds int) {
+	e.mu.Lock()
+	t.remaining = holds
+	e.parks++
+	e.mu.Unlock()
+}
+
 // release drops k completion holds from a parked task and re-enqueues it
 // when the count drains. Called with the engine mutex held. It broadcasts
 // on every call, not only when a task drains: a flush completion that
@@ -336,11 +400,17 @@ func (e *asyncEngine) release(t *devTask, k int) {
 	e.cond.Broadcast()
 }
 
-// finish retires a task: settle its accounting, record the first error,
-// and wake executors re-checking the termination condition.
+// finish retires a task: settle its accounting, abort a staged rollout
+// on error (waking every device parked on its verdict), record the first
+// error, and wake executors re-checking the termination condition.
 func (e *asyncEngine) finish(t *devTask, err error) {
 	if t.dc != nil {
 		t.dc.close(e.r)
+	}
+	if st := e.r.st; err != nil && st != nil && st.rollout != nil {
+		reason := fmt.Sprintf("device failure: %v", err)
+		e.r.tracer.Anomaly("rollout-abort", reason)
+		st.rollout.Abort(reason)
 	}
 	e.mu.Lock()
 	if err != nil && e.firstErr == nil {

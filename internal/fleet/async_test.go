@@ -1,8 +1,10 @@
 package fleet
 
 import (
-	"errors"
-	"math/rand"
+	"encoding/json"
+	"flag"
+	"os"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -12,119 +14,106 @@ import (
 	"repro/internal/tz"
 )
 
-// TestAsyncPipelineEquivalence is the event-driven tentpole's correctness
-// pin: across 8 randomized configurations (population size, executor pool
-// size, device batch, scheduler batch and deadline, churn, key rotation),
-// the async engine's per-device audit fingerprints are bit-identical to
-// the goroutine-per-device run of the same seed, with zero lost frames.
-// The engine may move where waiting happens — never what any device's
-// transcripts, verdicts or audit counters say.
-func TestAsyncPipelineEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 8; trial++ {
-		schedOn := trial%4 != 3 // 6 of 8 trials exercise the shared scheduler
-		schedBatch := 2 + rng.Intn(core.MaxBatch-1)
-		cfg := Config{
-			Devices:    12 + rng.Intn(17), // 12..28
-			Shards:     2 + rng.Intn(3),
-			Utterances: 2,
-			Frames:     2,
-			Seed:       uint64(2000 + trial),
-		}
-		if schedOn {
-			cfg.Batch = 1 + rng.Intn(schedBatch) // device queue must fit one flush
-		} else {
-			cfg.Batch = 1 + rng.Intn(core.MaxBatch)
-		}
-		if rng.Intn(2) == 1 {
-			cfg.Churn = &ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25}
-		}
-		if rng.Intn(2) == 1 {
-			cfg.Lifecycle = &LifecycleSpec{RotateFraction: 0.25}
-		}
-		maxAge := tz.Cycles(10_000 + rng.Intn(2_000_000))
-		if schedOn {
-			cfg.Sched = &SchedSpec{Batch: schedBatch, MaxAge: maxAge}
-		}
-		executors := 1 + rng.Intn(8)
-		t.Logf("trial %d: devices=%d shards=%d batch=%d sched=%v/%d maxAge=%d churn=%v rotate=%v executors=%d",
-			trial, cfg.Devices, cfg.Shards, cfg.Batch, schedOn, schedBatch, maxAge,
-			cfg.Churn != nil, cfg.Lifecycle != nil, executors)
+var updateFingerprints = flag.Bool("update", false, "rewrite testdata/fingerprints.json from the current run")
 
-		plain, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("trial %d sync: %v", trial, err)
-		}
-		acfg := cfg
-		acfg.Async = &AsyncSpec{Executors: executors}
-		async, err := Run(acfg)
-		if err != nil {
-			t.Fatalf("trial %d async: %v", trial, err)
-		}
+// runFingerprint is one run's committed fingerprint: what the fleet
+// ingested and leaked, and (unscheduled runs) its virtual latency.
+type runFingerprint struct {
+	TotalItems      int     `json:"total_items"`
+	CloudEvents     int     `json:"cloud_events"`
+	SensitiveTokens int     `json:"sensitive_tokens"`
+	LostFrames      int     `json:"lost_frames"`
+	P50             float64 `json:"p50_cycles"`
+	P99             float64 `json:"p99_cycles"`
+}
 
-		if async.LostFrames() != 0 {
-			t.Fatalf("trial %d: async run lost %d frames", trial, async.LostFrames())
+// fingerprintConfig is the table's fleet for one seed: a mixed
+// population, with churn and key rotation on even seeds.
+func fingerprintConfig(seed uint64, workers int) Config {
+	cfg := Config{Devices: 12, Shards: 2, Utterances: 2, Frames: 2, Seed: seed, DeviceWorkers: workers}
+	if seed%2 == 0 {
+		cfg.Churn = &ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25}
+		cfg.Lifecycle = &LifecycleSpec{RotateFraction: 0.25}
+	}
+	return cfg
+}
+
+// TestFleetFingerprints pins the engine against committed fingerprints:
+// seeds 1–8 × pool sizes {1, 2, 8}, each with and without the shared
+// scheduler, must reproduce testdata/fingerprints.json — total items,
+// cloud events, sensitive tokens and zero lost frames on every run, and
+// the virtual p50/p99 exactly on unscheduled runs (a scheduled run's
+// latency follows flush composition). The pool size and the scheduler
+// may move where waiting happens, never what any device computes.
+// Regenerate with `go test ./internal/fleet -run TestFleetFingerprints -update`.
+func TestFleetFingerprints(t *testing.T) {
+	const path = "testdata/fingerprints.json"
+	want := map[string]runFingerprint{}
+	raw, err := os.ReadFile(path)
+	if err != nil && !*updateFingerprints {
+		t.Fatal(err)
+	}
+	if err == nil {
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
 		}
-		if len(async.DeviceResults) != len(plain.DeviceResults) {
-			t.Fatalf("trial %d: population diverged: %d vs %d devices",
-				trial, len(async.DeviceResults), len(plain.DeviceResults))
-		}
-		for i := range plain.DeviceResults {
-			if got, want := fingerprint(async.DeviceResults[i]), fingerprint(plain.DeviceResults[i]); got != want {
-				t.Fatalf("trial %d device %d diverged under the async engine:\n async: %s\n  sync: %s",
-					trial, i, got, want)
+	}
+	got := map[string]runFingerprint{}
+	for seed := uint64(1); seed <= 8; seed++ {
+		key := strconv.FormatUint(seed, 10)
+		for _, workers := range []int{1, 2, 8} {
+			for _, scheduled := range []bool{false, true} {
+				cfg := fingerprintConfig(seed, workers)
+				if scheduled {
+					cfg.Sched = &SchedSpec{}
+				}
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("seed %d workers %d sched %v: %v", seed, workers, scheduled, err)
+				}
+				fp := runFingerprint{
+					TotalItems:      res.TotalItems,
+					CloudEvents:     res.Audit.Events,
+					SensitiveTokens: res.Audit.SensitiveTokens,
+					LostFrames:      res.LostFrames(),
+					P50:             res.Latency.Percentile(50),
+					P99:             res.Latency.Percentile(99),
+				}
+				if res.Async == nil || res.Async.Executors != min(workers, len(res.DeviceResults)) {
+					t.Fatalf("seed %d workers %d: engine report %+v", seed, workers, res.Async)
+				}
+				if scheduled != (res.Async.Parks > 0) {
+					t.Fatalf("seed %d workers %d sched %v: %d parks", seed, workers, scheduled, res.Async.Parks)
+				}
+				if scheduled {
+					w := want[key]
+					fp.P50, fp.P99 = w.P50, w.P99
+				} else if workers == 1 {
+					got[key] = fp
+				}
+				if *updateFingerprints {
+					continue
+				}
+				if fp != want[key] {
+					t.Fatalf("seed %d workers %d sched %v: fingerprint %+v, committed %+v",
+						seed, workers, scheduled, fp, want[key])
+				}
 			}
 		}
-		if cfg.Lifecycle != nil && async.Rotated != plain.Rotated {
-			t.Fatalf("trial %d: rotation diverged: async %d, sync %d", trial, async.Rotated, plain.Rotated)
+	}
+	if *updateFingerprints {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
 		}
-		arep := async.Async
-		if arep == nil {
-			t.Fatalf("trial %d: async run has no engine report", trial)
-		}
-		if arep.Steps < uint64(len(async.DeviceResults)) {
-			t.Fatalf("trial %d: %d executor steps for %d devices (every device is at least one step)",
-				trial, arep.Steps, len(async.DeviceResults))
-		}
-		if arep.PeakLive < 1 || arep.PeakLive > len(async.DeviceResults) {
-			t.Fatalf("trial %d: peak live pipelines %d outside [1, %d]",
-				trial, arep.PeakLive, len(async.DeviceResults))
-		}
-		if !schedOn {
-			if arep.Parks != 0 {
-				t.Fatalf("trial %d: %d groups parked with no scheduler wired", trial, arep.Parks)
-			}
-			continue
-		}
-		if arep.Parks == 0 {
-			t.Fatalf("trial %d: scheduled async run parked no classify groups", trial)
-		}
-		rep := async.Sched
-		if rep == nil {
-			t.Fatalf("trial %d: scheduled async run has no scheduler report", trial)
-		}
-		if rep.Items == 0 || rep.Batches == 0 {
-			t.Fatalf("trial %d: scheduler classified nothing: %+v", trial, rep)
-		}
-		if rep.MixedVersionFlushes != 0 {
-			t.Fatalf("trial %d: %d flushes mixed model versions", trial, rep.MixedVersionFlushes)
-		}
-		if rep.MaxOccupancy > schedBatch {
-			t.Fatalf("trial %d: flush of %d items exceeds scheduler batch %d",
-				trial, rep.MaxOccupancy, schedBatch)
-		}
-		var flushed uint64
-		for _, n := range rep.Flushes {
-			flushed += n
-		}
-		if flushed != rep.Batches {
-			t.Fatalf("trial %d: flush reasons account for %d batches, ran %d", trial, flushed, rep.Batches)
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
 // TestAsyncPipelineUnderChaosRace is the engine's -race suite: the
-// event-driven pipeline under a chaos plan (uplink drops, duplicates,
+// parking pipeline under a chaos plan (uplink drops, duplicates,
 // delays, expiry blackholes, a shard crash) with churn and a mid-run
 // ingest-tier rebalance, all flowing through the shared scheduler. The
 // conservation identity must hold exactly — every emitted frame is
@@ -132,14 +121,14 @@ func TestAsyncPipelineEquivalence(t *testing.T) {
 // rebalance reports must stay internally consistent.
 func TestAsyncPipelineUnderChaosRace(t *testing.T) {
 	res, err := Run(Config{
-		Devices:    48,
-		Shards:     3,
-		Utterances: 2,
-		Frames:     2,
-		Seed:       11,
-		Churn:      &ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25},
-		Sched:      &SchedSpec{Batch: 4, MaxAge: 200_000},
-		Async:      &AsyncSpec{Executors: 8},
+		Devices:       48,
+		Shards:        3,
+		Utterances:    2,
+		Frames:        2,
+		Seed:          11,
+		Churn:         &ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25},
+		Sched:         &SchedSpec{Batch: 4, MaxAge: 200_000},
+		DeviceWorkers: 8,
 		// Drain a shard the crash schedule does not target (crash targets
 		// rotate from shard-00; a drained target would skip the crash).
 		Rebalance: &RebalanceSpec{AtFraction: 0.5, AddShards: 1, DrainShard: 2},
@@ -199,26 +188,25 @@ func TestAsyncPipelineUnderChaosRace(t *testing.T) {
 	}
 }
 
-// TestAsyncSchedOccupancy is the tentpole's perf acceptance pin: at 1000
-// devices the async engine's true concurrent single-item enqueues must
-// coalesce across devices into fuller shared flushes than the PR-8
-// synchronous-producer baseline (4.0 items/flush at this scale — see
+// TestAsyncSchedOccupancy is the engine's perf acceptance pin: at 1000
+// devices its true concurrent single-item enqueues must coalesce across
+// devices into fuller shared flushes than the retired blocking-producer
+// path managed (4.0 items/flush at this scale — see
 // docs/PERFORMANCE.md), and the task table must stay far below one live
 // pipeline per device.
 func TestAsyncSchedOccupancy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-device run")
 	}
-	// The PR-8 synchronous baseline at 1000 devices: producers block in
-	// Classify, so on small hosts flushes mostly carry one device's whole
-	// 4-item queue.
+	// The blocking-producer baseline at 1000 devices: a producer blocked
+	// in its classify call submitted its whole 4-item queue at once, so on
+	// small hosts flushes mostly carried one device's queue.
 	const syncBaseline = 4.0
 	res, err := Run(Config{
 		Devices: 1000,
 		Shards:  8,
 		Seed:    1,
 		Sched:   &SchedSpec{}, // defaults: batch core.MaxBatch
-		Async:   &AsyncSpec{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +222,7 @@ func TestAsyncSchedOccupancy(t *testing.T) {
 		rep.MeanOccupancy, rep.MeanOccupancySteady, rep.MaxOccupancy,
 		rep.Batches, rep.DrainBatches, res.Async.Parks, res.Async.PeakLive)
 	if rep.MeanOccupancy <= syncBaseline {
-		t.Fatalf("async mean occupancy %.2f items/flush does not beat the %.1f synchronous baseline",
+		t.Fatalf("mean occupancy %.2f items/flush does not beat the %.1f blocking-producer baseline",
 			rep.MeanOccupancy, syncBaseline)
 	}
 	if rep.MeanOccupancySteady < rep.MeanOccupancy {
@@ -369,8 +357,8 @@ func TestAsyncEngineWakeOnPartialGroupFlush(t *testing.T) {
 // executor could probe NotifyIdle while that flush was still in flight,
 // find nothing to cut, and sleep with no wakeup ever coming: the leftover
 // entries sat below the batch size, the scheduler clock was frozen, and
-// run() hung forever. The async run must terminate and stay bit-identical
-// to the synchronous path.
+// run() hung forever. The scheduled run must terminate, and every
+// device's audit must match the unscheduled run.
 func TestAsyncPartialGroupCutLiveness(t *testing.T) {
 	for seed := uint64(0); seed < 24; seed++ {
 		// An all-secure-filter population whose admissions exhaust
@@ -387,15 +375,15 @@ func TestAsyncPartialGroupCutLiveness(t *testing.T) {
 			Utterances:       3, // one parked group of 3 per device
 			Frames:           1,
 			Batch:            3,
-			Sched:            &SchedSpec{Batch: 4, MaxAge: 1 << 40, Workers: 1},
+			DeviceWorkers:    2,
 			Seed:             7000 + seed,
 		}
 		plain, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("seed %d sync: %v", cfg.Seed, err)
+			t.Fatalf("seed %d unscheduled: %v", cfg.Seed, err)
 		}
 		acfg := cfg
-		acfg.Async = &AsyncSpec{Executors: 2}
+		acfg.Sched = &SchedSpec{Batch: 4, MaxAge: 1 << 40, Workers: 1}
 		type outcome struct {
 			res *Result
 			err error
@@ -409,14 +397,14 @@ func TestAsyncPartialGroupCutLiveness(t *testing.T) {
 		select {
 		case o := <-ch:
 			if o.err != nil {
-				t.Fatalf("seed %d async: %v", cfg.Seed, o.err)
+				t.Fatalf("seed %d scheduled: %v", cfg.Seed, o.err)
 			}
 			async = o.res
 		case <-time.After(60 * time.Second):
-			t.Fatalf("seed %d: async run deadlocked — executors slept through a partial-group flush completion", cfg.Seed)
+			t.Fatalf("seed %d: scheduled run deadlocked — executors slept through a partial-group flush completion", cfg.Seed)
 		}
 		if async.LostFrames() != 0 {
-			t.Fatalf("seed %d: async run lost %d frames", cfg.Seed, async.LostFrames())
+			t.Fatalf("seed %d: scheduled run lost %d frames", cfg.Seed, async.LostFrames())
 		}
 		if len(async.DeviceResults) != len(plain.DeviceResults) {
 			t.Fatalf("seed %d: population diverged: %d vs %d devices",
@@ -424,35 +412,100 @@ func TestAsyncPartialGroupCutLiveness(t *testing.T) {
 		}
 		for i := range plain.DeviceResults {
 			if got, want := fingerprint(async.DeviceResults[i]), fingerprint(plain.DeviceResults[i]); got != want {
-				t.Fatalf("seed %d device %d diverged:\n async: %s\n  sync: %s", cfg.Seed, i, got, want)
+				t.Fatalf("seed %d device %d diverged:\n sched: %s\n plain: %s", cfg.Seed, i, got, want)
 			}
 		}
 	}
 }
 
-// TestAsyncRolloutRejected: the async engine cannot compose with a staged
-// rollout (converge's full-population barrier would starve the bounded
-// executor pool), so the combination is ErrBadConfig up front — never a
-// deadlock. Bad executor counts are surfaced the same way.
-func TestAsyncRolloutRejected(t *testing.T) {
-	_, err := Run(Config{
-		Devices:    4,
-		Utterances: 1,
-		Seed:       3,
-		Rollout:    &RolloutSpec{CanaryFraction: 0.25},
-		Async:      &AsyncSpec{},
-	})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("rollout+async: got %v, want ErrBadConfig", err)
+// TestRolloutComposesWithSched runs a staged rollout on the shared
+// scheduler with churn on a single executor — the composition a blocking
+// wait for the canary verdict used to deadlock, since the non-canaries
+// waiting for the verdict held the executors the canaries needed. The
+// stable cohort now parks on the verdict, so the run must finish,
+// converge with zero lost frames, and match an unscheduled run on eight
+// executors device for device: the cohorts are fixed by admission order,
+// so the two packs (trained from different seeds) split the fleet the
+// same way whatever the pool size or interleaving.
+func TestRolloutComposesWithSched(t *testing.T) {
+	cfg := Config{
+		Devices:          24,
+		DoorbellFraction: -1,
+		Mix:              MixSpec{core.ModeSecureFilter: 2, core.ModeBaseline: 1},
+		Shards:           3,
+		Utterances:       3,
+		Seed:             11,
+		DeviceWorkers:    8,
+		Rollout:          &RolloutSpec{CanaryFraction: 0.25},
+		Churn:            &ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25},
 	}
-	_, err = Run(Config{
-		Devices:    4,
-		Utterances: 1,
-		Seed:       3,
-		Async:      &AsyncSpec{Executors: -1},
-	})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("negative executors: got %v, want ErrBadConfig", err)
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.DeviceWorkers = 1
+	cfg.Sched = &SchedSpec{Batch: 4, MaxAge: 200_000}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := Run(cfg)
+		ch <- outcome{res, err}
+	}()
+	var o outcome
+	select {
+	case o = <-ch:
+	case <-time.After(120 * time.Second):
+		t.Fatal("rollout + scheduler on one executor deadlocked")
+	}
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	res := o.res
+	if res.Rollout == nil || !res.Rollout.Converged || res.Rollout.MinVersion != res.Rollout.ToVersion {
+		t.Fatalf("rollout did not converge: %+v", res.Rollout)
+	}
+	if res.LostFrames() != 0 {
+		t.Fatalf("lost %d frames", res.LostFrames())
+	}
+	// Every scheduled speaker parks once per classify group; the rest of
+	// the parks are the stable cohort waiting for the canary verdict.
+	groups := uint64(0)
+	for _, r := range res.DeviceResults {
+		if r.Spec.Mode == core.ModeSecureFilter {
+			groups += uint64((len(r.Session.Utterances) + res.EffectiveBatch - 1) / res.EffectiveBatch)
+		}
+	}
+	if res.Async.Executors != 1 || res.Async.Parks <= groups {
+		t.Fatalf("engine report %+v with %d classify groups: want one executor and rollout parks", res.Async, groups)
+	}
+	// Both cohorts classified, each on its own queue.
+	if by := res.Sched.ItemsByVersion; by[res.Rollout.BaseVersion] == 0 || by[res.Rollout.ToVersion] == 0 {
+		t.Fatalf("a per-version queue saw no traffic: %v", by)
+	}
+	// Peak live pipelines are bounded by the plan, not the population:
+	// the executors' devices plus the stable cohort parked on the
+	// verdict, and under the scheduler the devices with an entry queued
+	// (under a batch per version queue) or riding a flush (a batch per
+	// scheduler worker).
+	stable := min(res.Rollout.Canary, maxStableCohort)
+	if bound := plain.Async.Executors + stable; plain.Async.PeakLive > bound {
+		t.Fatalf("unscheduled peak live %d, want <= %d executors + stable cohort", plain.Async.PeakLive, bound)
+	}
+	if bound := res.Async.Executors + stable + (2+sched.DefaultWorkers)*cfg.Sched.Batch; res.Async.PeakLive > bound {
+		t.Fatalf("scheduled peak live %d, want <= %d", res.Async.PeakLive, bound)
+	}
+	a, b := res.Audit, plain.Audit
+	if a.Events != b.Events || a.TokensSeen != b.TokensSeen || a.SensitiveTokens != b.SensitiveTokens || a.AudioBytes != b.AudioBytes {
+		t.Fatalf("audit %d/%d/%d/%d events/tokens/sensitive/audio, unscheduled run %d/%d/%d/%d",
+			a.Events, a.TokensSeen, a.SensitiveTokens, a.AudioBytes, b.Events, b.TokensSeen, b.SensitiveTokens, b.AudioBytes)
+	}
+	for i := range plain.DeviceResults {
+		if got, want := fingerprint(res.DeviceResults[i]), fingerprint(plain.DeviceResults[i]); got != want {
+			t.Fatalf("device %d diverged:\n sched: %s\n plain: %s", i, got, want)
+		}
 	}
 }
 

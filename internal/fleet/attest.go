@@ -9,9 +9,13 @@ package fleet
 // shard frontend without touching an endpoint. With Config.Rollout the
 // provider additionally publishes a version-2 model pack behind a canary
 // quota: the first cohort of secure devices updates (manifest-verified,
-// sealed, hot-swapped in the TA) before processing, the rest hold the
-// base pack until every canary device completes successfully, then the
-// rollout opens and the whole fleet converges on the new version.
+// sealed, hot-swapped in the TA) before processing, a stable cohort
+// processes on the base pack meanwhile (then parks on the rollout's
+// verdict, not holding an executor), and once every canary device has
+// completed successfully the rollout opens and the whole fleet converges
+// on the new version. Both cohorts are fixed by admission order (see
+// stage), so which pack each device classifies on never depends on
+// executor timing.
 
 import (
 	"fmt"
@@ -79,8 +83,10 @@ type attestState struct {
 	fed      *attest.Federation
 	rollout  *attest.Rollout
 	canary   int
-	base     attest.Pack
-	next     attest.Pack
+	// stable holds the device indexes of the stable cohort (see stage).
+	stable map[int]bool
+	base   attest.Pack
+	next   attest.Pack
 	// Pack digests are computed once per immutable pack, not once per
 	// device, and reused for every per-device manifest.
 	baseDigest attest.Digest
@@ -280,14 +286,53 @@ func (st *attestState) manifest(id, tenant string, pack attest.Pack) (attest.Man
 	return st.authority(tenant).ManifestForDigest(id, pack.Version, d)
 }
 
+// maxStableCohort caps the stable cohort. A handful of devices is enough
+// to exercise the held-then-converged path and the base-version
+// scheduler queue; the cap keeps the pipelines parked on the verdict
+// independent of the population size.
+const maxStableCohort = 8
+
+// stage fixes the rollout's cohorts from the admission order and returns
+// the verdict point: the admission position the engine pauses at until
+// the canary verdict. Counting staged (secure-filter) devices in order,
+// the first st.canary are the canaries, which ask for their target at
+// setup and are granted the new pack. The next min(st.canary,
+// maxStableCohort) form the stable cohort: they skip the target at setup,
+// process on the base pack they were built with, then park on the
+// verdict and converge. The verdict point follows the stable cohort, so
+// every later device provisions after the verdict, on the new pack if
+// the rollout opened or on the base pack (with a rollback record) if it
+// aborted. No other staged device asks for a target before the verdict,
+// so the canary grants, and with them every device's pack, are a
+// function of the plan, not of executor timing.
+func (st *attestState) stage(specs []core.DeviceSpec, order []int) (verdictAt int) {
+	if st.rollout.Full() {
+		return 0 // nothing staged
+	}
+	last := st.canary + min(st.canary, maxStableCohort)
+	st.stable = make(map[int]bool)
+	n := 0
+	for pos, idx := range order {
+		if specs[idx].Mode != core.ModeSecureFilter {
+			continue
+		}
+		if n++; n > st.canary {
+			st.stable[idx] = true
+		}
+		if n == last {
+			return pos + 1
+		}
+	}
+	return len(order)
+}
+
 // provision brings the device to its current rollout target. Devices
 // that exercise the classifier (secure-filter) go through the staged
-// cohort: canaries update before processing, the rest hold the base
-// pack until the canary verdict, and devices joining after the rollout
-// opened get the newest version immediately. Secure devices that never
-// run the classifier (nofilter speakers) sit outside the staging — the
-// new pack cannot misbehave on them, so they take it at once and the
-// canary verdict stays meaningful.
+// cohorts (see stage): canaries update before processing, and devices
+// provisioned after the verdict get the newest version immediately.
+// Secure devices that never run the classifier (nofilter speakers) sit
+// outside the staging — the new pack cannot misbehave on them, so they
+// take it at once and the canary verdict stays meaningful.
 func (st *attestState) provision(d *core.Device, id, tenant string) error {
 	if st.rollout == nil || d.Spec.Mode == core.ModeBaseline {
 		return nil
@@ -322,31 +367,31 @@ func (st *attestState) handshake(d *core.Device, id, tenant string) error {
 	return nil
 }
 
-// converge is the post-workload rollout step for staged (secure-filter)
-// devices: report the outcome (canary successes open the rollout), then
-// — if the device is still on the base pack — wait for the canary
-// verdict, update to the newest version and re-attest so the verifier
-// observes convergence. Only cohort members can be waiting here, and a
-// cohort slot is denied only once every slot is granted to a device
-// that started earlier, so the bounded worker pool cannot deadlock.
+// reportSuccess is the post-workload rollout step for staged
+// (secure-filter) devices: report the outcome (canary successes open the
+// rollout) and say whether the device, still on the base pack, must wait
+// for the canary verdict before it converges. A stable-cohort device
+// waits for the verdict, and a device provisioned after an abort hears it
+// at once; a waiting device parks without holding an executor, so the
+// canaries it waits for always get to run.
 //
 // A leaving device reports its outcome (its truncated workload did
 // complete on its granted version) but never waits for the verdict —
-// it is departing, and a blocked leaver could wedge the worker pool.
-func (st *attestState) converge(d *core.Device, id, tenant string, leaving bool) error {
+// it is departing.
+func (st *attestState) reportSuccess(d *core.Device, id string, leaving bool) (wait bool) {
 	if st.rollout == nil || d.Spec.Mode != core.ModeSecureFilter {
-		return nil
+		return false
 	}
 	st.rollout.ReportSuccess(id)
-	if d.ModelVersion() >= st.rollout.LatestVersion() {
-		return nil
-	}
-	if leaving {
-		return nil
-	}
-	if !st.rollout.AwaitFull() {
-		// Rollout aborted: the device keeps the base pack, and the abort
-		// leaves a structured trail instead of a silently stale fleet.
+	return !leaving && d.ModelVersion() < st.rollout.LatestVersion()
+}
+
+// converge runs once the canary verdict is in. On an opened rollout the
+// device updates to the newest version and re-attests so the verifier
+// observes convergence; on an aborted one it keeps the base pack, and
+// the abort leaves a structured trail instead of a silently stale fleet.
+func (st *attestState) converge(d *core.Device, id, tenant string, full bool) error {
+	if !full {
 		_, reason := st.rollout.Aborted()
 		st.recordRollback(id, d.ModelVersion(), st.rollout.LatestVersion(), reason)
 		return nil

@@ -68,11 +68,9 @@ type Config struct {
 	// default 64.
 	HashReplicas int
 
-	// DeviceWorkers bounds concurrently running device pipelines;
-	// default GOMAXPROCS. Ignored when Async is set: the event-driven
-	// engine's concurrency is bounded by Async.Executors instead (the
-	// periguard-fleet CLI rejects -workers combined with -async so the
-	// precedence cannot pass silently).
+	// DeviceWorkers sizes the executor pool that drives device tasks;
+	// default GOMAXPROCS. A device waiting on a shared classify flush or
+	// on the rollout verdict parks without holding an executor.
 	DeviceWorkers int
 	// Batch is the TA batch size for secure speakers (1 disables
 	// batching); default 4, capped at core.MaxBatch. When the cap
@@ -88,13 +86,10 @@ type Config struct {
 	// machinery only. Nil keeps the per-device path.
 	Sched *SchedSpec
 
-	// Async replaces the goroutine-per-device worker pool with the
-	// event-driven continuation engine: device state lives in a task
-	// table driven by a bounded executor pool, and scheduled secure-filter
-	// speakers park between transcription and the shared classify flush
-	// (capture → enqueue → batched classify → uplink as continuations)
-	// instead of blocking a goroutine per device. Audits are bit-identical
-	// to the synchronous path. Nil keeps the per-device worker pool.
+	// Async is ignored: every run uses the event-driven engine, sized by
+	// DeviceWorkers, and reports it in Result.Async.
+	//
+	// Deprecated: set DeviceWorkers instead.
 	Async *AsyncSpec
 
 	// Utterances per speaker (default 4) and Frames per doorbell
@@ -191,7 +186,24 @@ func (t *TraceSpec) fillDefaults() error {
 	return nil
 }
 
+// own points *p at a private copy of the caller's spec, so the defaults
+// filled into it never write through to a spec the caller may reuse
+// (for another seed, say).
+func own[T any](p **T) {
+	if *p != nil {
+		c := **p
+		*p = &c
+	}
+}
+
 func (c *Config) fillDefaults() error {
+	own(&c.Sched)
+	own(&c.Churn)
+	own(&c.Rebalance)
+	own(&c.Rollout)
+	own(&c.Lifecycle)
+	own(&c.Trace)
+	own(&c.Faults)
 	if c.Devices <= 0 {
 		c.Devices = 16
 	}
@@ -237,18 +249,6 @@ func (c *Config) fillDefaults() error {
 	if c.Sched != nil {
 		if err := c.Sched.fillDefaults(c.Batch); err != nil {
 			return err
-		}
-	}
-	if c.Async != nil {
-		if err := c.Async.fillDefaults(); err != nil {
-			return err
-		}
-		// Rollout convergence blocks in AwaitFull until the canary cohort
-		// reports; on a bounded executor pool the blocked non-canary tasks
-		// would occupy every executor and starve the canaries they wait
-		// for. The composition is rejected rather than allowed to deadlock.
-		if c.Rollout != nil {
-			return fmt.Errorf("%w: the async pipeline cannot compose with a staged rollout", ErrBadConfig)
 		}
 	}
 	if c.Utterances <= 0 {
@@ -360,6 +360,11 @@ func Plan(cfg Config) ([]core.DeviceSpec, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
+	return plan(cfg), nil
+}
+
+// plan is Plan over a config whose defaults are already filled.
+func plan(cfg Config) []core.DeviceSpec {
 	specs := make([]core.DeviceSpec, cfg.Devices)
 	doorbells := int(float64(cfg.Devices) * cfg.DoorbellFraction)
 	stride := cfg.Devices
@@ -383,7 +388,7 @@ func Plan(cfg Config) ([]core.DeviceSpec, error) {
 		}
 		specs[i] = spec
 	}
-	return specs, nil
+	return specs
 }
 
 // GroupKey identifies one (kind, mode) slice of the population.
@@ -474,8 +479,7 @@ type Result struct {
 	// Sched summarizes the cross-device scheduler's flush behavior (nil
 	// when the per-device classify path ran).
 	Sched *SchedReport
-	// Async summarizes the event-driven engine's execution (nil when the
-	// per-device worker pool ran).
+	// Async summarizes the engine's execution.
 	Async *AsyncReport
 
 	// Attested-run observability (zero values outside Attest mode).
@@ -619,21 +623,22 @@ func (r *Result) GroupKeys() []GroupKey {
 //
 // Device provisioning is lazy: the build phase trains only the shared
 // immutable model pack (ASR templates, text and image classifiers), and
-// each device pipeline is constructed by the worker that is about to
-// feed it its first workload item, then released as soon as its result
-// is recorded. A thousand-device fleet therefore holds device pipelines
-// for at most DeviceWorkers devices at a time instead of the whole
-// population, which keeps the working set (and the GC) fleet-size
+// each device pipeline is constructed by the executor that admits it
+// (see async.go), then released as soon as its result is recorded. A
+// thousand-device fleet therefore holds device pipelines for about
+// DeviceWorkers devices (plus the parked ones) at a time instead of the
+// whole population, which keeps the working set (and the GC) fleet-size
 // independent.
 //
-// In Attest mode each worker additionally runs the handshake before the
-// device's endpoint joins the ring (provision to the rollout target →
-// challenge → TA-signed report → verify), and after the workload the
-// rollout convergence step (canary success reporting, then update +
-// re-attest once the rollout opens). Default runs are bit-deterministic
-// per root seed; rollout runs keep every aggregate invariant (zero lost
-// frames, converged versions) but which devices serve as canaries
-// depends on worker scheduling.
+// In Attest mode each device additionally runs the handshake before its
+// endpoint joins the ring (provision to the rollout target → challenge →
+// TA-signed report → verify), and after the workload the rollout
+// convergence step (canary success reporting, then — parked until the
+// verdict — update + re-attest once the rollout opens). Default runs are
+// bit-deterministic per root seed, and so is the pack every device of a
+// staged rollout classifies on: the canary and stable cohorts are fixed
+// by admission order, and admission pauses after them until the canary
+// verdict (see attestState.stage).
 //
 // With Config.Churn the population is elastic: joiners arrive mid-run
 // and run the same full per-device flow against the verifier's *current*
@@ -644,15 +649,14 @@ func (r *Result) GroupKeys() []GroupKey {
 // mid-run (weighted shards added, a shard drained) under live traffic.
 // Churn and rebalance never change a non-churned device's results.
 func Run(cfg Config) (*Result, error) {
-	specs, err := Plan(cfg)
-	if err != nil {
+	requestedBatch := cfg.Batch
+	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	requestedBatch := cfg.Batch
-	_ = cfg.fillDefaults() // Plan validated; normalize our copy too
 	if requestedBatch <= 0 {
 		requestedBatch = cfg.Batch // defaulted, not clamped
 	}
+	specs := plan(cfg)
 
 	var joiners []core.DeviceSpec
 	if cfg.Churn != nil {
@@ -671,6 +675,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	var st *attestState
+	var err error
 	if cfg.Attest {
 		if st, err = newAttestState(cfg, all); err != nil {
 			return nil, err
@@ -701,7 +706,7 @@ func Run(cfg Config) (*Result, error) {
 		st.tracer = tracer
 		router.SetGate(st.gate())
 		if st.rollout != nil {
-			// Wake any waiter on early return.
+			// Settle the rollout on early return.
 			defer func() {
 				if !st.rollout.Full() {
 					tracer.Anomaly("rollout-abort", "run ended before the rollout opened")
@@ -753,29 +758,11 @@ func Run(cfg Config) (*Result, error) {
 		r.reb = newRebalancer(cfg, router, len(all))
 	}
 	runStart := time.Now()
-	var runErr error
-	var eng *asyncEngine
-	if cfg.Async != nil {
-		// Event-driven mode: device state is table entries driven by the
-		// bounded executor pool; scheduled speakers park between
-		// transcription and the shared flush. Rollout is gated off in
-		// fillDefaults, so no abort hook is needed here.
-		eng = newAsyncEngine(r, all, order)
-		runErr = eng.run()
-	} else {
-		runErr = eachDevice(order, cfg.DeviceWorkers, func(i int) error {
-			err := r.runOne(all[i], i)
-			if err != nil && st != nil && st.rollout != nil {
-				reason := fmt.Sprintf("device failure: %v", err)
-				tracer.Anomaly("rollout-abort", reason)
-				st.rollout.Abort(reason)
-			}
-			return err
-		})
-	}
+	eng := newAsyncEngine(r, all, order)
+	runErr := eng.run()
 	if sc != nil {
-		// Drain on both paths: an errored run must not strand scheduler
-		// workers (or entries another still-healthy device is waiting on).
+		// Drain on both outcomes: an errored run must not strand
+		// scheduler workers.
 		sc.scheduler.Drain()
 	}
 	if runErr != nil {
@@ -814,9 +801,7 @@ func Run(cfg Config) (*Result, error) {
 	res := aggregate(cfg, buildWall, runWall, r, router)
 	res.RequestedBatch = requestedBatch
 	res.EffectiveBatch = cfg.Batch
-	if eng != nil {
-		res.Async = eng.report()
-	}
+	res.Async = eng.report()
 	if sc != nil {
 		res.Sched = sc.report(cfg.Sched)
 		tracer.Flushes(res.Sched.Flushes)
@@ -839,7 +824,7 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runner carries the per-run shared state of the device workers.
+// runner carries the per-run shared state of the device tasks.
 type runner struct {
 	cfg     Config
 	st      *attestState
@@ -854,10 +839,8 @@ type runner struct {
 }
 
 // devCtx carries one device's constructed pipeline between the setup,
-// run and finish stages of the per-device flow. The synchronous path
-// composes the stages on one worker goroutine (runOne); the async engine
-// holds the context in its task table across classify parks instead of
-// on a stack frame.
+// run and finish stages of the per-device flow. The engine holds it in
+// its task table across parks instead of on a stack frame.
 type devCtx struct {
 	i        int
 	spec     core.DeviceSpec
@@ -887,39 +870,11 @@ func (dc *devCtx) close(r *runner) {
 	})
 }
 
-// runOne is the per-worker pipeline: workload → build → provision to the
-// rollout target → (lifecycle) rotation issued → attested handshake →
-// register → process → rotation redeemed + re-attested → rollout
-// convergence → (lifecycle) revocation + probes → (leavers) clean
-// release.
-func (r *runner) runOne(spec core.DeviceSpec, i int) error {
-	dc, err := r.setupOne(spec, i)
-	if err != nil {
-		return err
-	}
-	defer dc.close(r)
-	// A shared-classify device is a scheduler producer exactly for the
-	// span of its run — the only window it can submit in. Registering the
-	// worker goroutine instead would deadlock: a worker parked in
-	// converge (AwaitFull) blocks on a canary's completion, the canary
-	// blocks in Classify on a flush, and the flush's idle rule would wait
-	// for the parked worker to block in Classify — which it never will.
-	if dc.spec.SharedClassify {
-		r.sched.scheduler.AddProducer()
-	}
-	res, err := dc.d.Run(dc.w)
-	if dc.spec.SharedClassify {
-		r.sched.scheduler.ProducerDone()
-	}
-	if err != nil {
-		return fmt.Errorf("device %d: %w", i, err)
-	}
-	return r.finishOne(dc, res)
-}
-
 // setupOne is the front half of the per-device flow: derive the
-// workload, build the pipeline, provision/attest, register the endpoint
-// and wire the uplink. Everything up to — but not including — processing.
+// workload, build the pipeline, provision to the rollout target,
+// (lifecycle) issue a rotation, run the attested handshake, register the
+// endpoint and wire the uplink. Everything up to — but not including —
+// processing.
 func (r *runner) setupOne(spec core.DeviceSpec, i int) (*devCtx, error) {
 	w, err := workloadFor(r.cfg, spec, i)
 	if err != nil {
@@ -930,18 +885,15 @@ func (r *runner) setupOne(spec core.DeviceSpec, i int) (*devCtx, error) {
 		w = r.churn.truncateWorkload(w)
 	}
 	// Scheduled mode: secure-filter speakers skip the per-device
-	// classifier build and submit classify batches to the shared
+	// classifier build and submit their classify stage to the shared
 	// scheduler instead. This covers base population and joiners alike —
-	// both funnel through runOne.
+	// both funnel through setupOne.
 	if r.sched != nil && spec.Kind == core.DeviceSpeaker && spec.Mode == core.ModeSecureFilter {
 		spec.SharedClassify = true
 	}
 	d, err := core.NewDevice(spec)
 	if err != nil {
 		return nil, fmt.Errorf("device %d: %w", i, err)
-	}
-	if spec.SharedClassify {
-		d.SetClassifyService(r.sched)
 	}
 	id := spec.DeviceID
 	tenant := tenantFor(r.cfg, i)
@@ -968,8 +920,12 @@ func (r *runner) setupOne(spec core.DeviceSpec, i int) (*devCtx, error) {
 	rotating := r.lc != nil && r.lc.rotate[i] && ep != nil
 	var rotTok attest.RotationToken
 	if r.st != nil {
-		if err := r.st.provision(d, id, tenant); err != nil {
-			return nil, fmt.Errorf("device %d provision: %w", i, err)
+		// The stable cohort processes on the base pack it was built with
+		// and converges after the canary verdict (see attestState.stage).
+		if !r.st.stable[i] {
+			if err := r.st.provision(d, id, tenant); err != nil {
+				return nil, fmt.Errorf("device %d provision: %w", i, err)
+			}
 		}
 		if rotating {
 			// Rotation is issued *before* the handshake: the verifier
@@ -1014,29 +970,35 @@ func (r *runner) setupOne(spec core.DeviceSpec, i int) (*devCtx, error) {
 	return dc, nil
 }
 
-// finishOne is the back half of the per-device flow, run after the
-// workload: rotation redeemed + re-attested, rollout convergence,
-// revocation probes, leaver release, result recording.
+// reportOne starts the finish flow, run after the workload: the
+// rotation redeemed + re-attested, then the rollout outcome reported. It
+// returns true when the device must wait for the rollout verdict (and
+// converge on it) before finishOne.
+func (r *runner) reportOne(dc *devCtx) (wait bool, err error) {
+	if r.st == nil {
+		return false, nil
+	}
+	i, d, id, tenant := dc.i, dc.d, dc.id, dc.tenant
+	if dc.rotating && !dc.leaving {
+		// Redeem inside the TEE, then re-attest at the new epoch —
+		// closing the grace window — before any rollout convergence
+		// mints manifests for this device at the rotated epoch.
+		if _, err := d.RotateKey(dc.rotTok); err != nil {
+			return false, fmt.Errorf("device %d rotate redeem: %w", i, err)
+		}
+		if err := r.st.handshake(d, id, tenant); err != nil {
+			return false, fmt.Errorf("device %d re-attest: %w", i, err)
+		}
+		r.lc.noteRotated()
+	}
+	return r.st.reportSuccess(d, id, dc.leaving), nil
+}
+
+// finishOne is the back half of the per-device flow: revocation probes,
+// leaver release, result recording.
 func (r *runner) finishOne(dc *devCtx, res *core.DeviceResult) error {
 	defer dc.close(r)
-	i, d, id, tenant, leaving := dc.i, dc.d, dc.id, dc.tenant, dc.leaving
-	if r.st != nil {
-		if dc.rotating && !leaving {
-			// Redeem inside the TEE, then re-attest at the new epoch —
-			// closing the grace window — before any rollout convergence
-			// mints manifests for this device at the rotated epoch.
-			if _, err := d.RotateKey(dc.rotTok); err != nil {
-				return fmt.Errorf("device %d rotate redeem: %w", i, err)
-			}
-			if err := r.st.handshake(d, id, tenant); err != nil {
-				return fmt.Errorf("device %d re-attest: %w", i, err)
-			}
-			r.lc.noteRotated()
-		}
-		if err := r.st.converge(d, id, tenant, leaving); err != nil {
-			return fmt.Errorf("device %d converge: %w", i, err)
-		}
-	}
+	i, id, tenant, leaving := dc.i, dc.id, dc.tenant, dc.leaving
 	if r.lc != nil && r.lc.revoke[i] && dc.ep != nil && !leaving {
 		// The compromised-device drill: revoke the completed device while
 		// the rest of the fleet is still processing, then prove its
@@ -1064,47 +1026,6 @@ func (r *runner) finishOne(dc *devCtx, res *core.DeviceResult) error {
 		r.fd.noteDone()
 	}
 	return nil
-}
-
-// eachDevice runs fn over the device indices in arrival order on a
-// bounded worker pool, returning the first error.
-func eachDevice(order []int, workers int, fn func(i int) error) error {
-	if workers > len(order) {
-		workers = len(order)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, i := range order {
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
 }
 
 // workloadFor derives device i's labelled workload from the root seed.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -189,5 +190,37 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Devices: 4, Mix: MixSpec{core.ModeBaseline: -1, core.ModeSecureNoFilter: 1, core.ModeSecureFilter: 1}}); err == nil {
 		t.Fatal("accepted negative mix weight")
+	}
+}
+
+// TestSpecReuseAcrossSeeds is the regression for defaults written
+// through the caller's spec pointers: a ChurnSpec reused for a second
+// seed used to keep the first run's seed-derived arrival plan. Each run
+// now fills a private copy, so the reused spec plans exactly like a
+// fresh one and the caller's spec is left as written.
+func TestSpecReuseAcrossSeeds(t *testing.T) {
+	shared := &ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25}
+	cfg := Config{Devices: 24, Shards: 2, Utterances: 2, Frames: 2, Churn: shared}
+	run := func(seed uint64, churn *ChurnSpec) *Result {
+		t.Helper()
+		c := cfg
+		c.Seed, c.Churn = seed, churn
+		res, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run(1, shared)
+	reused := run(2, shared)
+	fresh := run(2, &ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25})
+	if *shared != (ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25}) {
+		t.Fatalf("run filled defaults into the caller's spec: %+v", *shared)
+	}
+	if !reflect.DeepEqual(reused.Leavers, fresh.Leavers) {
+		t.Fatalf("reused spec left %v, fresh spec %v", reused.Leavers, fresh.Leavers)
+	}
+	if reused.Audit.Events != fresh.Audit.Events {
+		t.Fatalf("reused spec ingested %d events, fresh spec %d", reused.Audit.Events, fresh.Audit.Events)
 	}
 }

@@ -105,9 +105,9 @@ type versionClassifier struct {
 	clf *classify.Classifier
 }
 
-// schedControl owns the run's scheduler: the executor's per-version
-// shared classifiers and the core.ClassifyService adapter devices submit
-// through.
+// schedControl owns the run's scheduler and the executor's per-version
+// shared classifiers. Devices submit to the scheduler from the fleet
+// engine (see asyncEngine.captureOrFinish).
 type schedControl struct {
 	scheduler *sched.Scheduler
 	vocab     *sensitive.Vocabulary
@@ -201,25 +201,6 @@ func (sc *schedControl) execute(version uint64, items [][]int) ([]bool, tz.Cycle
 		flagged[i] = cls == 1
 	}
 	return flagged, tz.Cycles(vc.clf.EstimateMACs() * len(items) / 4), nil
-}
-
-// ClassifyBatch implements core.ClassifyService: the adapter devices
-// submit their encoded tokens through.
-func (sc *schedControl) ClassifyBatch(req core.ClassifyRequest) (core.ClassifyResponse, error) {
-	resp, err := sc.scheduler.Classify(sched.Request{
-		DeviceID: req.DeviceID,
-		Version:  req.ModelVersion,
-		Items:    req.Tokens,
-		Now:      req.Now,
-	})
-	if err != nil {
-		return core.ClassifyResponse{}, err
-	}
-	return core.ClassifyResponse{
-		Flagged:   resp.Flagged,
-		Wait:      resp.Wait,
-		Occupancy: resp.Occupancy,
-	}, nil
 }
 
 // report drains the scheduler and snapshots its statistics.

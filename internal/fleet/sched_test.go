@@ -109,10 +109,8 @@ func TestSchedulerUnderChurnRace(t *testing.T) {
 		Shards:           3,
 		Utterances:       2,
 		Seed:             99,
-		// More concurrent device pipelines than canary slots: the first
-		// wave provisions together, so the stable cohort is guaranteed to
-		// classify at the base version while canaries run the target —
-		// both per-version queues see traffic in the same run.
+		// More executors than canary slots: canaries, the stable cohort
+		// and joiners all provision concurrently.
 		DeviceWorkers: 16,
 		Rollout:       &RolloutSpec{CanaryFraction: 0.25},
 		Churn:         &ChurnSpec{JoinFraction: 0.5, LeaveFraction: 0.2},
@@ -122,7 +120,6 @@ func TestSchedulerUnderChurnRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	scfg := cfg
-	scfg.Churn = &ChurnSpec{JoinFraction: 0.5, LeaveFraction: 0.2}
 	scfg.Sched = &SchedSpec{Batch: 4, MaxAge: 200_000}
 	scheduled, err := Run(scfg)
 	if err != nil {
@@ -152,25 +149,18 @@ func TestSchedulerUnderChurnRace(t *testing.T) {
 	if rep.MixedVersionFlushes != 0 {
 		t.Fatalf("%d flushes mixed model versions", rep.MixedVersionFlushes)
 	}
-	// Which devices classify at the base version is admission-order
-	// (wall-clock) dependent — on a single-CPU host every canary can
-	// finish before the stable cohort provisions, so both queues carrying
-	// traffic is not guaranteed here (the per-version separation itself
-	// is pinned deterministically by the sched package's unit suite).
-	// What IS deterministic: every queue is a provisioned pack version,
-	// and the rollout-target queue carried the canaries and every joiner
-	// provisioned after the rollout filled.
+	// The cohorts are fixed by admission order, so both queues carry
+	// traffic in every run: the stable cohort classifies at the base
+	// version while the canaries, and every device admitted after the
+	// verdict, classify at the target.
 	base, to := scheduled.Rollout.BaseVersion, scheduled.Rollout.ToVersion
-	for v, n := range rep.ItemsByVersion {
+	for v := range rep.ItemsByVersion {
 		if v != base && v != to {
 			t.Fatalf("items classified at unprovisioned version %d: %v", v, rep.ItemsByVersion)
 		}
-		if n == 0 {
-			t.Fatalf("version %d queue registered no items: %v", v, rep.ItemsByVersion)
-		}
 	}
-	if rep.ItemsByVersion[to] == 0 {
-		t.Fatalf("rollout-target queue saw no traffic (joiners misrouted?): %v", rep.ItemsByVersion)
+	if rep.ItemsByVersion[base] == 0 || rep.ItemsByVersion[to] == 0 {
+		t.Fatalf("a per-version queue saw no traffic: %v", rep.ItemsByVersion)
 	}
 	t.Logf("items by version: %v, flushes: %v", rep.ItemsByVersion, rep.Flushes)
 }
@@ -186,7 +176,7 @@ func TestSchedLoneDeviceCompletes(t *testing.T) {
 		Mix:              MixSpec{core.ModeSecureFilter: 1},
 		Utterances:       2,
 		Seed:             7,
-		DeviceWorkers:    8, // more workers than devices: idle workers must not stall the flush
+		DeviceWorkers:    8, // more executors than devices: idle executors must not stall the flush
 	}
 	plain, err := Run(cfg)
 	if err != nil {

@@ -31,6 +31,10 @@ var (
 	ErrNoRPCHandler = errors.New("optee: no RPC handler registered")
 	// ErrBadParam is returned for malformed parameter lists.
 	ErrBadParam = errors.New("optee: bad parameter")
+	// ErrBadState is returned for a well-formed command the TA cannot
+	// take in its current state (GlobalPlatform TEE_ERROR_BAD_STATE),
+	// e.g. a resume with no staged batch.
+	ErrBadState = errors.New("optee: bad state")
 	// ErrAccessDenied is returned when a normal-world client addresses a
 	// PTA directly; PTAs are reachable only from inside the secure world.
 	ErrAccessDenied = errors.New("optee: access denied")

@@ -92,7 +92,7 @@ type Config struct {
 const (
 	ReasonFull  = "full"  // queue reached the batch size
 	ReasonAge   = "age"   // oldest entry exceeded max age
-	ReasonIdle  = "idle"  // deadline timer fired with all producers blocked
+	ReasonIdle  = "idle"  // deadline timer fired with every submitter parked (NotifyIdle)
 	ReasonDrain = "drain" // end-of-run drain
 )
 
@@ -118,28 +118,13 @@ type Stats struct {
 	DrainItems   uint64
 }
 
-// entry is one queued request with its completion hook: a channel for
-// blocking Classify callers, or a callback for SubmitAsync continuations.
-// Exactly one of done/cb is set.
+// entry is one queued request with its completion callback.
 type entry struct {
 	req   Request
 	stamp tz.Cycles // scheduler clock at enqueue
 	resp  Response
 	err   error
-	done  chan struct{}
 	cb    func(Response, error)
-}
-
-// complete delivers the entry's outcome: wake the blocked producer or
-// run the continuation. Called off the scheduler lock, after the flush
-// job's inflight slot is released — so a continuation that re-submits
-// (or an idle probe racing it) always observes settled inflight state.
-func (e *entry) complete() {
-	if e.cb != nil {
-		e.cb(e.resp, e.err)
-		return
-	}
-	close(e.done)
 }
 
 // queue is the FIFO for one model version.
@@ -157,10 +142,11 @@ type flushJob struct {
 	flushClock tz.Cycles
 }
 
-// Scheduler coalesces classification requests across devices. Producers
-// (fleet device workers) register with AddProducer/ProducerDone and block
-// in Classify until their flush executes; a bounded worker pool runs the
-// shared forward passes.
+// Scheduler coalesces classification requests across devices. Submitters
+// enqueue with SubmitAsync and get a callback once their flush executes;
+// a bounded worker pool runs the shared forward passes. A queue flushes
+// when full, when its head passes the deadline, when the caller reports
+// that nothing new can arrive (NotifyIdle), or at Drain.
 type Scheduler struct {
 	cfg  Config
 	exec Executor
@@ -170,8 +156,6 @@ type Scheduler struct {
 	clock      tz.Cycles  // scheduler virtual clock: max over submit stamps
 	queues     map[uint64]*queue
 	jobs       []*flushJob
-	producers  int // registered, not yet done
-	blocked    int // producers currently waiting in Classify
 	inflight   int // flush jobs queued or executing
 	delivering int // executed flushes whose completions are being delivered
 	closed     bool
@@ -223,72 +207,11 @@ func New(cfg Config, exec Executor) (*Scheduler, error) {
 	return s, nil
 }
 
-// AddProducer registers a producer goroutine. The idle-flush rule fires
-// only when every registered producer is blocked in Classify, so
-// producers must deregister with ProducerDone when they exit.
-func (s *Scheduler) AddProducer() {
-	s.mu.Lock()
-	s.producers++
-	s.mu.Unlock()
-}
-
-// ProducerDone deregisters a producer and re-evaluates flush conditions:
-// the departing producer may have been the one the remaining queues were
-// waiting on.
-func (s *Scheduler) ProducerDone() {
-	s.mu.Lock()
-	s.producers--
-	s.maybeFlush()
-	s.mu.Unlock()
-}
-
-// Classify submits a device's pending utterances and blocks until the
-// flush carrying them has executed. A request never exceeds the flush
-// batch size (per-device batches are capped below it by the caller).
-func (s *Scheduler) Classify(req Request) (Response, error) {
-	if len(req.Items) == 0 {
-		return Response{}, nil
-	}
-	if len(req.Items) > s.cfg.Batch {
-		return Response{}, fmt.Errorf("%w: request of %d items exceeds batch %d",
-			ErrBadConfig, len(req.Items), s.cfg.Batch)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return Response{}, ErrClosed
-	}
-	if req.Now > s.clock {
-		s.clock = req.Now
-	}
-	e := &entry{req: req, stamp: s.clock, done: make(chan struct{})}
-	q := s.queues[req.Version]
-	if q == nil {
-		q = &queue{}
-		s.queues[req.Version] = q
-	}
-	q.entries = append(q.entries, e)
-	q.items += len(req.Items)
-	s.blocked++
-	s.maybeFlush()
-	s.mu.Unlock()
-
-	<-e.done
-
-	s.mu.Lock()
-	s.blocked--
-	s.mu.Unlock()
-	return e.resp, e.err
-}
-
 // SubmitAsync enqueues a request without blocking: cb fires exactly once
 // with the response once the flush carrying the request has executed.
 // Callbacks run on scheduler worker goroutines, never synchronously on
 // the submit path, and always after the flush's inflight slot has been
 // released — so a callback may safely re-submit or probe NotifyIdle.
-// Async submitters do not register as producers; the event-driven caller
-// drives idle cuts explicitly via NotifyIdle instead of the blocked-
-// producer rule.
 func (s *Scheduler) SubmitAsync(req Request, cb func(Response, error)) error {
 	if cb == nil {
 		return fmt.Errorf("%w: nil callback", ErrBadConfig)
@@ -321,9 +244,10 @@ func (s *Scheduler) SubmitAsync(req Request, cb func(Response, error)) error {
 	return nil
 }
 
-// NotifyIdle is the event-driven analogue of the blocked-producer idle
-// rule: the caller (an executor pool with no runnable work) asserts that
-// nothing new can arrive until a pending flush completes. If no flush is
+// NotifyIdle is the scheduler's idle rule, driven by the caller: an
+// executor pool with no runnable work asserts that nothing new can
+// arrive until a pending flush completes, which models the oldest
+// queue's deadline timer firing. If no flush is
 // in flight and entries are queued, the scheduler advances its clock to
 // the oldest queue's deadline and cuts it (reason "idle"), returning
 // true. Returns false when there was nothing to cut — closed, a flush
@@ -365,8 +289,8 @@ func (s *Scheduler) NotifyIdle() bool {
 }
 
 // Drain flushes every remaining queue and waits for all in-flight work,
-// then stops the worker pool. Call after all producers are done; further
-// Classify calls fail with ErrClosed.
+// then stops the worker pool. Call after all submitters are done; further
+// submissions fail with ErrClosed.
 func (s *Scheduler) Drain() {
 	s.mu.Lock()
 	for version, q := range s.queues {
@@ -453,40 +377,8 @@ func (s *Scheduler) maybeFlush() {
 				cutAny = true
 			}
 		}
-		if cutAny {
-			continue
-		}
-		// Idle rule: every registered producer is blocked waiting, no
-		// flush is in flight and no completions are pending delivery (a
-		// producer being woken right now is about to unblock and may
-		// resubmit), so nothing can arrive to fill a batch — model the
-		// oldest queue's deadline timer firing. This is what makes the
-		// scheduler deadlock-free under a bounded worker pool and bounds
-		// a lone device's wait at max age.
-		if s.blocked < s.producers || s.producers == 0 || s.inflight > 0 || s.delivering > 0 {
+		if !cutAny {
 			return
-		}
-		var oldestQ *queue
-		var oldestV uint64
-		for version, q := range s.queues {
-			if len(q.entries) == 0 {
-				continue
-			}
-			if oldestQ == nil || q.entries[0].stamp < oldestQ.entries[0].stamp ||
-				(q.entries[0].stamp == oldestQ.entries[0].stamp && version < oldestV) {
-				oldestQ, oldestV = q, version
-			}
-		}
-		if oldestQ == nil {
-			return
-		}
-		deadline := oldestQ.entries[0].stamp + maxAge
-		if deadline > s.clock {
-			s.clock = deadline
-		}
-		s.cut(oldestV, oldestQ, ReasonIdle, s.clock)
-		if pressured {
-			s.pressureCuts++
 		}
 	}
 }
@@ -555,22 +447,17 @@ func (s *Scheduler) worker() {
 		// pool could park forever waiting for a completion that already
 		// happened.
 		for _, e := range job.entries {
-			e.complete()
+			e.cb(e.resp, e.err)
 		}
 
 		s.mu.Lock()
 		s.delivering--
-		// Re-evaluate the idle rule the delivering count suppressed: if
-		// every producer is still blocked (nobody the completions woke
-		// resubmitted), the deferred idle cut fires now.
-		s.maybeFlush()
-		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
 }
 
-// execute runs the shared forward pass for one flush and distributes
-// flags, wait cycles, and occupancy back to the blocked producers.
+// execute runs the shared forward pass for one flush and fills each
+// entry's flags, wait cycles, and occupancy.
 func (s *Scheduler) execute(job *flushJob) {
 	items := make([][]int, 0, job.items)
 	for _, e := range job.entries {
@@ -631,6 +518,6 @@ func (s *Scheduler) execute(job *flushJob) {
 		}
 		off += n
 	}
-	// Completion delivery (waking blocked producers / firing async
-	// callbacks) is the worker's job, after it releases the inflight slot.
+	// Completion delivery is the worker's job, after it releases the
+	// inflight slot.
 }

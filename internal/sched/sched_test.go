@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -35,6 +36,60 @@ func (x *testExec) run(version uint64, items [][]int) ([]bool, tz.Cycles, error)
 
 func item(tok int) []int { return []int{tok} }
 
+// pool stands in for the fleet's executor pool: each of its live
+// submitters parks on its own submission, and once every live submitter
+// is parked the pool drives the scheduler's idle rule (NotifyIdle), as
+// the fleet engine's executors do when no task is runnable.
+type pool struct {
+	s            *Scheduler
+	mu           sync.Mutex
+	live, parked int
+}
+
+func newPool(s *Scheduler, live int) *pool { return &pool{s: s, live: live} }
+
+// done retires one submitter; the rest may now be all parked.
+func (p *pool) done() {
+	p.mu.Lock()
+	p.live--
+	p.mu.Unlock()
+}
+
+// classify submits req and parks until its callback fires, probing the
+// idle rule while every live submitter is parked.
+func (p *pool) classify(req Request) (Response, error) {
+	var resp Response
+	var err error
+	fired := make(chan struct{})
+	if err := p.s.SubmitAsync(req, func(r Response, e error) {
+		resp, err = r, e
+		close(fired)
+	}); err != nil {
+		return Response{}, err
+	}
+	p.mu.Lock()
+	p.parked++
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.parked--
+		p.mu.Unlock()
+	}()
+	for {
+		select {
+		case <-fired:
+			return resp, err
+		case <-time.After(20 * time.Microsecond):
+		}
+		p.mu.Lock()
+		idle := p.parked == p.live
+		p.mu.Unlock()
+		if idle {
+			p.s.NotifyIdle()
+		}
+	}
+}
+
 func TestBadConfig(t *testing.T) {
 	if _, err := New(Config{Batch: 4}, nil); err == nil {
 		t.Fatal("nil executor accepted")
@@ -48,14 +103,16 @@ func TestBadConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Drain()
-	s.AddProducer()
-	defer s.ProducerDone()
-	if _, err := s.Classify(Request{DeviceID: "d", Version: 1, Items: [][]int{item(1), item(2), item(3)}}); err == nil {
+	p := newPool(s, 1)
+	if _, err := p.classify(Request{DeviceID: "d", Version: 1, Items: [][]int{item(1), item(2), item(3)}}); err == nil {
 		t.Fatal("oversized request accepted")
+	}
+	if _, err := p.classify(Request{DeviceID: "d", Version: 1}); err == nil {
+		t.Fatal("empty request accepted")
 	}
 }
 
-// TestFlushOnFull: four producers fill the batch exactly; one full flush
+// TestFlushOnFull: four submitters fill the batch exactly; one full flush
 // serves all of them with correct per-item flags and occupancy.
 func TestFlushOnFull(t *testing.T) {
 	x := &testExec{}
@@ -64,17 +121,15 @@ func TestFlushOnFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 4
-	for i := 0; i < n; i++ {
-		s.AddProducer()
-	}
+	p := newPool(s, n)
 	var wg sync.WaitGroup
 	resps := make([]Response, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer s.ProducerDone()
-			r, err := s.Classify(Request{
+			defer p.done()
+			r, err := p.classify(Request{
 				DeviceID: fmt.Sprintf("d%d", i), Version: 1,
 				Items: [][]int{item(i)}, Now: 0,
 			})
@@ -117,12 +172,10 @@ func TestDeadlineStarvation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddProducer()
-	r, err := s.Classify(Request{DeviceID: "lone", Version: 1, Items: [][]int{item(3)}, Now: 1000})
+	r, err := newPool(s, 1).classify(Request{DeviceID: "lone", Version: 1, Items: [][]int{item(3)}, Now: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProducerDone()
 	s.Drain()
 	if !r.Flagged[0] {
 		t.Fatal("odd token not flagged")
@@ -145,15 +198,14 @@ func TestFlushOnAge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddProducer()
-	s.AddProducer()
+	p := newPool(s, 2)
 	var wg sync.WaitGroup
 	var early Response
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer s.ProducerDone()
-		r, err := s.Classify(Request{DeviceID: "early", Version: 1, Items: [][]int{item(1)}, Now: 0})
+		defer p.done()
+		r, err := p.classify(Request{DeviceID: "early", Version: 1, Items: [][]int{item(1)}, Now: 0})
 		if err != nil {
 			t.Error(err)
 			return
@@ -161,8 +213,8 @@ func TestFlushOnAge(t *testing.T) {
 		early = r
 	}()
 	waitPending(t, s, 1)
-	r, err := s.Classify(Request{DeviceID: "late", Version: 1, Items: [][]int{item(2)}, Now: maxAge})
-	s.ProducerDone()
+	r, err := p.classify(Request{DeviceID: "late", Version: 1, Items: [][]int{item(2)}, Now: maxAge})
+	p.done()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,17 +241,15 @@ func TestPerVersionQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	const perVersion = 4
-	for i := 0; i < 2*perVersion; i++ {
-		s.AddProducer()
-	}
+	p := newPool(s, 2*perVersion)
 	var wg sync.WaitGroup
 	for v := uint64(1); v <= 2; v++ {
 		for i := 0; i < perVersion; i++ {
 			wg.Add(1)
 			go func(v uint64, i int) {
 				defer wg.Done()
-				defer s.ProducerDone()
-				r, err := s.Classify(Request{
+				defer p.done()
+				r, err := p.classify(Request{
 					DeviceID: fmt.Sprintf("v%d-d%d", v, i), Version: v,
 					Items: [][]int{item(i)},
 				})
@@ -237,12 +287,10 @@ func TestPressureHalvesDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddProducer()
-	r, err := s.Classify(Request{DeviceID: "d", Version: 1, Items: [][]int{item(2)}})
+	r, err := newPool(s, 1).classify(Request{DeviceID: "d", Version: 1, Items: [][]int{item(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProducerDone()
 	s.Drain()
 	if want := maxAge/2 + 100; r.Wait != want {
 		t.Fatalf("wait %d, want halved deadline %d", r.Wait, want)
@@ -260,17 +308,16 @@ func TestDrainFlushesLeftovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two registered producers, only one submits: the idle rule cannot
-	// fire, so the entry sits queued until Drain.
-	s.AddProducer()
-	s.AddProducer()
+	// Two live submitters, only one submits: the idle rule cannot fire,
+	// so the entry sits queued until Drain.
+	p := newPool(s, 2)
 	var wg sync.WaitGroup
 	var r Response
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		var err error
-		r, err = s.Classify(Request{DeviceID: "d", Version: 1, Items: [][]int{item(5)}})
+		r, err = p.classify(Request{DeviceID: "d", Version: 1, Items: [][]int{item(5)}})
 		if err != nil {
 			t.Error(err)
 		}
@@ -285,12 +332,12 @@ func TestDrainFlushesLeftovers(t *testing.T) {
 	if st.Flushes[ReasonDrain] != 1 {
 		t.Fatalf("expected one drain flush: %+v", st.Flushes)
 	}
-	if _, err := s.Classify(Request{DeviceID: "d", Version: 1, Items: [][]int{item(1)}}); err == nil {
-		t.Fatal("Classify after Drain must fail")
+	if _, err := p.classify(Request{DeviceID: "d", Version: 1, Items: [][]int{item(1)}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submission after Drain: err = %v, want ErrClosed", err)
 	}
 }
 
-// TestSchedulerHammer drives many producers over mixed versions and
+// TestSchedulerHammer drives many submitters over mixed versions and
 // random item counts concurrently (meaningful under -race): every item's
 // flag must match the per-sample rule regardless of flush composition,
 // and no flush may mix versions.
@@ -302,22 +349,20 @@ func TestSchedulerHammer(t *testing.T) {
 	}
 	const producers = 16
 	const rounds = 25
-	for i := 0; i < producers; i++ {
-		s.AddProducer()
-	}
+	pl := newPool(s, producers)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			defer s.ProducerDone()
+			defer pl.done()
 			for r := 0; r < rounds; r++ {
 				n := 1 + (p+r)%3
 				items := make([][]int, n)
 				for i := range items {
 					items[i] = item(p*1000 + r*10 + i)
 				}
-				resp, err := s.Classify(Request{
+				resp, err := pl.classify(Request{
 					DeviceID: fmt.Sprintf("d%d", p),
 					Version:  uint64(1 + p%3),
 					Items:    items,
@@ -363,8 +408,7 @@ func TestSchedulerHammer(t *testing.T) {
 }
 
 // TestSubmitAsyncCoalesces: single-item asynchronous enqueues from one
-// logical caller coalesce into a full flush exactly like blocking
-// producers, the callbacks see the flush occupancy, and no callback runs
+// logical caller coalesce into a full flush, the callbacks see the flush occupancy, and no callback runs
 // on the submit path.
 func TestSubmitAsyncCoalesces(t *testing.T) {
 	x := &testExec{}
@@ -429,10 +473,9 @@ func TestSubmitAsyncCoalesces(t *testing.T) {
 	}
 }
 
-// TestNotifyIdleCutsStarvedQueue: with no flush in flight and no blocked
-// producers, NotifyIdle advances the virtual clock to the starved queue's
-// deadline and cuts it — the event-driven caller's replacement for the
-// blocked-producer idle rule.
+// TestNotifyIdleCutsStarvedQueue: with no flush in flight, NotifyIdle
+// advances the virtual clock to the starved queue's deadline and cuts it
+// — the scheduler's only idle rule, driven by the caller.
 func TestNotifyIdleCutsStarvedQueue(t *testing.T) {
 	x := &testExec{}
 	s, err := New(Config{Batch: 8, MaxAge: 50_000}, x.run)
