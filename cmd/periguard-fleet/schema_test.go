@@ -11,6 +11,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -307,5 +308,39 @@ func TestSnapshotSmokeAsync(t *testing.T) {
 	}
 	if snap.Churn == nil || snap.Churn.Joined == 0 {
 		t.Fatalf("churn block missing or empty: %+v", snap.Churn)
+	}
+}
+
+// TestHeadlineFingerprint pins the audit fingerprint of the full-scale
+// traced run, `periguard-fleet -devices 1000 -shards 8 -trace`: the cloud
+// events ingested, the sensitive tokens the provider saw, the lost frames,
+// the telemetry span count and the virtual latency percentiles. Every
+// count and latency is a function of the seed, so any change to them is a
+// behaviour change, never noise.
+func TestHeadlineFingerprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale 1000-device run")
+	}
+	path := filepath.Join(t.TempDir(), "snap.json")
+	if err := run([]string{"-devices", "1000", "-shards", "8", "-trace", "-json", path}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Telemetry == nil {
+		t.Fatal("traced run wrote no telemetry block")
+	}
+	got := fmt.Sprintf("cloud_events=%d sensitive_tokens=%d lost_frames=%d spans=%d p50=%.6f p99=%.6f",
+		snap.CloudEvents, snap.SensTokens, snap.LostFrames, snap.Telemetry.Spans,
+		snap.LatencyP50Vms, snap.LatencyP99Vms)
+	const want = "cloud_events=3088 sensitive_tokens=1205 lost_frames=0 spans=165 p50=0.292222 p99=2.366489"
+	if got != want {
+		t.Fatalf("headline fingerprint drifted:\n got %s\nwant %s", got, want)
 	}
 }

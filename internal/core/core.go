@@ -24,7 +24,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand/v2"
 	"strings"
 	"sync"
@@ -492,30 +491,26 @@ func (s *System) CloudEndpoint() cloud.Provider {
 // and noise level but speak different word lists must not share a model.
 var (
 	recognizerMu    sync.Mutex
-	recognizerCache = make(map[string]*asr.Model)
+	recognizerCache = make(map[recognizerKey]*asr.Model)
 )
 
-// vocabDigest fingerprints the ordered word list for cache keying.
-func vocabDigest(words []string) uint64 {
-	h := fnv.New64a()
-	for _, w := range words {
-		_, _ = h.Write([]byte(w))
-		_, _ = h.Write([]byte{0})
-	}
-	return h.Sum64()
+// recognizerKey is the training condition a template pack depends on.
+type recognizerKey struct {
+	rate  int
+	noise float64
+	vocab uint64 // sensitive.Vocabulary.Digest
 }
 
 func trainedModel(vocab *sensitive.Vocabulary, voice audio.Voice) (*asr.Model, error) {
 	trainVoice := voice
 	trainVoice.Seed = 1000 // pre-training voice differs from runtime seeds
-	words := vocab.Words()
-	key := fmt.Sprintf("%d/%g/%016x", trainVoice.Rate, trainVoice.NoiseAmp, vocabDigest(words))
+	key := recognizerKey{rate: trainVoice.Rate, noise: trainVoice.NoiseAmp, vocab: vocab.Digest()}
 	recognizerMu.Lock()
 	defer recognizerMu.Unlock()
 	if m, ok := recognizerCache[key]; ok {
 		return m, nil
 	}
-	m, err := asr.TrainModel(asr.DefaultConfig(trainVoice.Rate), words, trainVoice)
+	m, err := asr.TrainModel(asr.DefaultConfig(trainVoice.Rate), vocab.Words(), trainVoice)
 	if err != nil {
 		return nil, err
 	}

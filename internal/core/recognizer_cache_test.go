@@ -61,12 +61,13 @@ func TestTrainedModelKeyedByVocabulary(t *testing.T) {
 }
 
 func TestVocabDigestDistinguishesWordLists(t *testing.T) {
-	a := vocabDigest([]string{"ab", "c"})
-	b := vocabDigest([]string{"a", "bc"})
-	if a == b {
+	digest := func(words ...string) uint64 {
+		return sensitive.NewVocabularyFromWords(words).Digest()
+	}
+	if digest("ab", "c") == digest("a", "bc") {
 		t.Fatal("digest collides on shifted word boundaries")
 	}
-	if vocabDigest([]string{"x", "y"}) != vocabDigest([]string{"x", "y"}) {
+	if digest("x", "y") != digest("x", "y") {
 		t.Fatal("digest is not deterministic")
 	}
 }

@@ -540,8 +540,8 @@ func (s *System) auditSupplicant() int {
 	for _, payload := range s.Supplicant.Observed() {
 		// A hostile supplicant would scan forwarded bytes for words it
 		// knows. Count lexicon words appearing verbatim.
-		for _, w := range s.Vocab.Words() {
-			if sensitive.IsSensitiveWord(w) && containsWord(payload, w) {
+		for id := sensitive.UNK + 1; id < s.Vocab.Size(); id++ {
+			if w := s.Vocab.Word(id); sensitive.IsSensitiveWord(w) && containsWord(payload, w) {
 				count++
 			}
 		}

@@ -399,6 +399,9 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		if err := checkGroupBytes(params[0].A); err != nil {
 			return err
 		}
+		if err := checkUtteranceBytes(params[0].A); err != nil {
+			return err
+		}
 		recs, err := t.processBatch([]int{int(params[0].A)})
 		if err != nil {
 			return err
@@ -517,6 +520,17 @@ func checkGroupBytes(total uint64) error {
 	return nil
 }
 
+// checkUtteranceBytes rejects an utterance length that is not a whole
+// number of I2S wire frames. Capture would drain the FIFO and only then
+// fail to decode, so the length is checked before any byte is pulled.
+func checkUtteranceBytes(n uint64) error {
+	if frame := uint64(i2s.DefaultFormat().FrameBytes()); n%frame != 0 {
+		return fmt.Errorf("%w: utterance of %d wire bytes is not a whole number of %d-byte frames",
+			optee.ErrBadParam, n, frame)
+	}
+	return nil
+}
+
 // decodeLengths parses a group's MemrefIn table of little-endian uint32
 // utterance byte lengths.
 func decodeLengths(p optee.Param) ([]int, error) {
@@ -529,8 +543,12 @@ func decodeLengths(p optee.Param) ([]int, error) {
 	lengths := make([]int, len(p.Buf)/4)
 	var total uint64
 	for i := range lengths {
-		lengths[i] = int(binary.LittleEndian.Uint32(p.Buf[4*i:]))
-		total += uint64(lengths[i])
+		n := binary.LittleEndian.Uint32(p.Buf[4*i:])
+		if err := checkUtteranceBytes(uint64(n)); err != nil {
+			return nil, err
+		}
+		lengths[i] = int(n)
+		total += uint64(n)
 	}
 	if err := checkGroupBytes(total); err != nil {
 		return nil, err
@@ -560,7 +578,7 @@ func (t *VoiceTA) attestReport(nonce attest.Nonce) (attest.Report, error) {
 	m := attest.Measurement{Code: VoiceTADigest, ModelVersion: t.modelVersion}
 	t.mu.Unlock()
 	if attestor == nil {
-		return attest.Report{}, errors.New("voice ta: attestation not provisioned")
+		return attest.Report{}, fmt.Errorf("%w: voice ta attestation not provisioned", optee.ErrBadState)
 	}
 	// HMAC evidence over the measurement (~1k cycles of SHA-256 on a
 	// NEON-class core, rounded up for the report assembly).
@@ -588,16 +606,16 @@ func (t *VoiceTA) KeyEpoch() uint64 {
 func (t *VoiceTA) rotateKey(tokenBytes []byte) (uint64, error) {
 	tok, err := attest.UnmarshalRotationToken(tokenBytes)
 	if err != nil {
-		return 0, fmt.Errorf("voice ta rotate: %w", err)
+		return 0, fmt.Errorf("%w: voice ta rotate: %w", optee.ErrBadParam, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.cfg.Attestor == nil {
-		return 0, errors.New("voice ta: attestation not provisioned")
+		return 0, fmt.Errorf("%w: voice ta attestation not provisioned", optee.ErrBadState)
 	}
 	next, err := t.cfg.Attestor.Rotated(tok)
 	if err != nil {
-		return 0, fmt.Errorf("voice ta rotate: %w", err)
+		return 0, fmt.Errorf("%w: voice ta rotate: %w", optee.ErrBadParam, err)
 	}
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], next.Epoch())
@@ -615,18 +633,18 @@ func (t *VoiceTA) rotateKey(tokenBytes []byte) (uint64, error) {
 // at classify time, so no batch is dropped or torn mid-run.
 func (t *VoiceTA) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
 	if t.cfg.Attestor == nil {
-		return 0, errors.New("voice ta: attestation not provisioned")
+		return 0, fmt.Errorf("%w: voice ta attestation not provisioned", optee.ErrBadState)
 	}
 	pack, err := attest.DecodePack(packBytes)
 	if err != nil {
-		return 0, fmt.Errorf("voice ta update: %w", err)
+		return 0, fmt.Errorf("%w: voice ta update: %w", optee.ErrBadParam, err)
 	}
 	tok, err := attest.UnmarshalManifestToken(tokenBytes)
 	if err != nil {
-		return 0, fmt.Errorf("voice ta update: %w", err)
+		return 0, fmt.Errorf("%w: voice ta update: %w", optee.ErrBadParam, err)
 	}
 	if err := t.cfg.Attestor.VerifyManifest(tok, pack); err != nil {
-		return 0, fmt.Errorf("voice ta update: %w", err)
+		return 0, fmt.Errorf("%w: voice ta update: %w", optee.ErrBadParam, err)
 	}
 	// With a shared classify stage the device never runs the pack's
 	// weights itself — the scheduler's per-version classifier does — so
@@ -635,7 +653,7 @@ func (t *VoiceTA) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
 	var clf *classify.Classifier
 	if t.cfg.Filter && !t.cfg.sharedClassify {
 		if clf, err = t.buildClassifier(pack.ModelSeed, pack.Text); err != nil {
-			return 0, fmt.Errorf("voice ta update: %w", err)
+			return 0, fmt.Errorf("%w: voice ta update: %w", optee.ErrBadParam, err)
 		}
 	}
 	// Version check and install form one critical section, so two
@@ -647,8 +665,8 @@ func (t *VoiceTA) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
 		return t.modelVersion, nil // idempotent re-delivery
 	}
 	if pack.Version < t.modelVersion {
-		return 0, fmt.Errorf("voice ta update: %w: pack v%d older than installed v%d",
-			attest.ErrBadPack, pack.Version, t.modelVersion)
+		return 0, fmt.Errorf("%w: voice ta update: %w: pack v%d older than installed v%d",
+			optee.ErrBadParam, attest.ErrBadPack, pack.Version, t.modelVersion)
 	}
 	// Persist through sealed storage: the versioned pack for provenance,
 	// and the current-weights object the next unseal picks up.
@@ -705,7 +723,10 @@ func (t *VoiceTA) captureStage(sc *taScratch, wantBytes int) ([]byte, error) {
 		if n == 0 {
 			idle++
 			if idle > 1000 {
-				return nil, fmt.Errorf("voice ta: capture stalled at %d/%d bytes", len(pcmBytes), wantBytes)
+				// The normal world declared more audio than it pumped
+				// into the FIFO.
+				return nil, fmt.Errorf("%w: voice ta capture stalled at %d/%d bytes",
+					optee.ErrBadParam, len(pcmBytes), wantBytes)
 			}
 			continue
 		}
@@ -757,7 +778,7 @@ func (t *VoiceTA) loadedClassifier() (*classify.Classifier, error) {
 		return clf, nil
 	}
 	if !t.cfg.Filter {
-		return nil, errors.New("voice ta: classifier disabled (no-filter mode)")
+		return nil, fmt.Errorf("%w: voice ta classifier disabled (no-filter mode)", optee.ErrBadState)
 	}
 	blob, err := t.cfg.Storage.Get(weightsObjectID)
 	if err != nil {
@@ -932,7 +953,7 @@ func (t *VoiceTA) processBatch(lengths []int) ([]ProcessedUtterance, error) {
 // cross-device flush forms.
 func (t *VoiceTA) transcribeBatch(lengths []int) error {
 	if !t.cfg.Filter {
-		return errors.New("voice ta: staged transcribe requires the filter")
+		return fmt.Errorf("%w: voice ta staged transcribe requires the filter", optee.ErrBadState)
 	}
 	t.mu.Lock()
 	busy := len(t.pendingRecs) > 0
@@ -1046,7 +1067,7 @@ func splitLengthPrefixed(buf []byte) ([][]byte, error) {
 // object is the unit of sealed-storage traffic.
 func (t *VoiceTA) heDecryptState() (he.SecretKey, *he.Evaluator, error) {
 	if !t.cfg.Hybrid {
-		return he.SecretKey{}, nil, errors.New("voice ta: HE handoff outside hybrid mode")
+		return he.SecretKey{}, nil, fmt.Errorf("%w: voice ta HE handoff outside hybrid mode", optee.ErrBadState)
 	}
 	blob, err := t.cfg.Storage.Get(heSecretKeyID)
 	if err != nil {

@@ -217,8 +217,10 @@ func TestOutOfOrderStagedCallsBadState(t *testing.T) {
 // normal world into the voice TA of a secure-filter or hybrid-he system
 // whose FIFO already holds two utterances. Each op is encoded as
 // [cmd][slot-0 type][A: 8 bytes LE][len: 2 bytes LE][len bytes]; slot 1
-// carries A as a ValueIn (the resume wait). Contract: no panic, and a
-// rejected resume leaves the staged group unchanged.
+// carries A as a ValueIn (the resume wait). Contract: no panic; a
+// rejected call returns an error wrapping ErrBadParam (the input) or
+// ErrBadState (the TA's state), as FuzzCameraTAInvoke requires of the
+// camera TA; and a rejected resume leaves the staged group unchanged.
 func FuzzVoiceTAInvoke(f *testing.F) {
 	utts, err := sensitive.Generate(sensitive.GenConfig{N: 2, SensitiveFraction: 0.5, Seed: 12})
 	if err != nil {
@@ -255,6 +257,10 @@ func FuzzVoiceTAInvoke(f *testing.F) {
 	f.Add(true, cat(staged, op(CmdResumeBatchHE, optee.MemrefIn, 0, packLengthPrefixed([][]byte{{1}}))))
 	f.Add(true, cat(staged, op(CmdResumeBatch, optee.MemrefIn, 7, []byte{1, 2, 0, 0, 0, 0, 2, 0, 0, 0})))
 	f.Add(false, cat(op(CmdProcessBatch, optee.MemrefIn, 0, lens), op(0x99, optee.ValueIn, 0, nil)))
+	// An utterance length that splits a wire frame.
+	f.Add(false, op(CmdProcessUtterance, optee.ValueIn, 12337, nil))
+	// More audio declared than the FIFO holds: capture stalls.
+	f.Add(false, op(CmdProcessUtterance, optee.ValueIn, 274480, nil))
 
 	f.Fuzz(func(t *testing.T, hybrid bool, ops []byte) {
 		mode := ModeSecureFilter
@@ -280,6 +286,9 @@ func FuzzVoiceTAInvoke(f *testing.F) {
 			}
 			before := sys.VoiceTA.PendingTokens()
 			err := sess.InvokeCommand(cmd, &p)
+			if err != nil && !errors.Is(err, optee.ErrBadParam) && !errors.Is(err, optee.ErrBadState) {
+				t.Fatalf("cmd %#x rejected with an untyped error: %v", cmd, err)
+			}
 			if err != nil && (cmd == CmdResumeBatch || cmd == CmdResumeBatchHE) {
 				if after := sys.VoiceTA.PendingTokens(); !reflect.DeepEqual(after, before) {
 					t.Fatalf("rejected resume (%v) changed the staged group: %v -> %v", err, before, after)
@@ -431,4 +440,135 @@ func FuzzCameraTAInvoke(f *testing.F) {
 			t.Fatalf("frame %d verdict %d, a fresh TA gives %d", grabbed, p[0].A, want)
 		}
 	})
+}
+
+// TestVoiceTATypedErrors pins the typed error at every voice TA rejection
+// that used to return a bare cause: missing attestation, a mode that does
+// not run the requested stage, malformed lifecycle inputs, and group
+// lengths the FIFO cannot satisfy. Lifecycle rejections keep the attest
+// cause reachable through errors.Is, as the camera twin does.
+func TestVoiceTATypedErrors(t *testing.T) {
+	unattested, err := NewSystem(Config{Mode: ModeSecureFilter, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noFilter, err := NewSystem(Config{Mode: ModeSecureNoFilter, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newAttestRig(t, ModeSecureFilter)
+	pack, tok := r.packV2(t)
+	forgedManifest := tok
+	forgedManifest.MAC[0] ^= 0xff
+	stale := attest.Pack{Version: 0, ModelSeed: pack.ModelSeed, Text: pack.Text}
+	staleTok, err := r.verifier.Manifest("dev-under-test", stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rotating moves the verifier's key epoch, so every manifest above is
+	// minted first.
+	rotation, err := r.verifier.Rotate("dev-under-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgedRotation := rotation
+	forgedRotation.MAC[0] ^= 0xff
+	utts, err := sensitive.Generate(sensitive.GenConfig{N: 2, SensitiveFraction: 0.5, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Capture reads the FIFO through the driver PTA, so commands go through
+	// an open session, as the normal world sends them.
+	invoke := func(sys *System, cmd uint32, p optee.Params) error {
+		return openVoiceTA(t, sys).InvokeCommand(cmd, &p)
+	}
+	memref := func(b []byte) optee.Param { return optee.Param{Type: optee.MemrefIn, Buf: b} }
+	cases := []struct {
+		name  string
+		run   func() error
+		want  error
+		cause error // an attest cause the typed error must still wrap
+	}{
+		{"attest without attestor", func() error {
+			_, err := unattested.Attest(attest.Nonce{})
+			return err
+		}, optee.ErrBadState, nil},
+		{"rotate without attestor", func() error {
+			_, err := unattested.RotateKey(rotation)
+			return err
+		}, optee.ErrBadState, nil},
+		{"update without attestor", func() error {
+			return unattested.UpdateModel(pack, tok)
+		}, optee.ErrBadState, nil},
+		{"classifier in no-filter mode", func() error {
+			_, err := noFilter.VoiceTA.loadedClassifier()
+			return err
+		}, optee.ErrBadState, nil},
+		{"staged transcribe in no-filter mode", func() error {
+			return invoke(noFilter, CmdTranscribeBatch, optee.Params{memref(lengthTable(3200))})
+		}, optee.ErrBadState, nil},
+		{"HE handoff outside hybrid mode", func() error {
+			sys, err := NewSystem(Config{Mode: ModeSecureFilter, Seed: 5})
+			if err != nil {
+				return err
+			}
+			sess := openVoiceTA(t, sys)
+			lens, err := sys.queueGroup(new(sessionScratch), 0, utts)
+			if err != nil {
+				return err
+			}
+			p := optee.Params{memref(lens)}
+			if err := sess.InvokeCommand(CmdTranscribeBatch, &p); err != nil {
+				return err
+			}
+			p = optee.Params{memref(packLengthPrefixed([][]byte{{1}, {2}}))}
+			return sess.InvokeCommand(CmdResumeBatchHE, &p)
+		}, optee.ErrBadState, nil},
+		{"malformed rotation token", func() error {
+			return invoke(r.sys, CmdRotateKey, optee.Params{memref([]byte{1, 2, 3})})
+		}, optee.ErrBadParam, attest.ErrBadRotation},
+		{"forged rotation token", func() error {
+			_, err := r.sys.RotateKey(forgedRotation)
+			return err
+		}, optee.ErrBadParam, attest.ErrBadRotation},
+		{"malformed pack", func() error {
+			return invoke(r.sys, CmdUpdateModel, optee.Params{memref([]byte{9}), memref(tok.Marshal())})
+		}, optee.ErrBadParam, attest.ErrBadPack},
+		{"malformed manifest", func() error {
+			return invoke(r.sys, CmdUpdateModel, optee.Params{memref(pack.Encode()), memref([]byte{9})})
+		}, optee.ErrBadParam, attest.ErrBadManifest},
+		{"forged manifest", func() error {
+			return r.sys.UpdateModel(pack, forgedManifest)
+		}, optee.ErrBadParam, attest.ErrBadManifest},
+		{"pack older than installed", func() error {
+			return r.sys.UpdateModel(stale, staleTok)
+		}, optee.ErrBadParam, attest.ErrBadPack},
+		{"length splits a wire frame", func() error {
+			return invoke(unattested, CmdProcessUtterance, optee.Params{{Type: optee.ValueIn, A: 3201}})
+		}, optee.ErrBadParam, nil},
+		{"batch length splits a wire frame", func() error {
+			return invoke(unattested, CmdTranscribeBatch, optee.Params{memref(lengthTable(3200, 7))})
+		}, optee.ErrBadParam, nil},
+		{"more audio declared than queued", func() error {
+			return invoke(unattested, CmdProcessUtterance, optee.Params{{Type: optee.ValueIn, A: 3200}})
+		}, optee.ErrBadParam, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if tc.cause != nil && !errors.Is(err, tc.cause) {
+				t.Fatalf("err = %v, want it to wrap %v", err, tc.cause)
+			}
+		})
+	}
+	if got := r.sys.ModelVersion(); got != 1 {
+		t.Fatalf("rejected updates moved the model version to %d", got)
+	}
+	if got := r.sys.KeyEpoch(); got != 0 {
+		t.Fatalf("rejected rotations moved the key epoch to %d", got)
+	}
 }

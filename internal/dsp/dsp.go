@@ -235,40 +235,66 @@ func (c MFCCConfig) Validate() error {
 	return nil
 }
 
-// Extractor computes MFCC vectors from PCM frames. It precomputes the
-// window, the FFT plan, the flattened mel filterbank and the DCT cosine
-// table once, and owns scratch buffers sized for the configuration, so
-// Frame and Signal perform zero heap allocations in steady state.
+// Extractor computes MFCC vectors from PCM frames. It shares the
+// precomputed window, FFT plan, flattened mel filterbank and DCT cosine
+// table of its configuration, leases its per-frame working buffers from
+// the configuration's free list, and owns only the buffers its results
+// alias, so Frame and Signal perform zero heap allocations in steady
+// state.
 //
-// The scratch makes an Extractor single-goroutine state: share the
+// The result buffers make an Extractor single-goroutine state: share the
 // configuration, not the instance. Slices returned by Frame and Signal
-// alias the scratch and are only valid until the next Frame/Signal call;
+// alias them and are only valid until the next Frame/Signal call;
 // callers that retain vectors must copy them.
 type Extractor struct {
-	cfg    MFCCConfig
-	window []float64
-	fft    *FFTPlan
-	mel    *melPlan
-	dct    *dctPlan
+	cfg   MFCCConfig
+	plans *extractorPlans
 
-	// Per-instance scratch (steady-state zero-allocation hot path).
+	// Per-instance result storage: returned slices alias it.
+	out    []float64   // Frame result, NumCoeffs
+	feats  []float64   // flat per-signal MFCC storage (grown on demand)
+	frames [][]float64 // Signal result headers into feats
+}
+
+// frameScratch is the working set one frame passes through: the FFT
+// buffer, the one-sided power spectrum and the log mel energies. Nothing
+// in it outlives a frame, so extractors lease it per Frame/Signal call
+// instead of each owning one (a fleet builds an extractor per device).
+//
+// Lease rule: within a frame, every element of a leased buffer is written
+// before it is read. frameInto fills buf completely (windowed samples,
+// then zero padding), then ps completely from buf, then energies
+// completely from ps, so a lease never observes what an earlier frame or
+// another extractor left behind.
+type frameScratch struct {
 	buf      []complex128 // FFT working buffer, FFTSize
 	ps       []float64    // one-sided power spectrum, FFTSize/2+1
 	energies []float64    // log mel energies, NumFilters
-	out      []float64    // Frame result, NumCoeffs
-	feats    []float64    // flat per-signal MFCC storage (grown on demand)
-	frames   [][]float64  // Signal result headers into feats
 }
 
+// scratchFreeCap bounds each configuration's free list: room for every
+// goroutine extracting at once on a large host, while an idle list of
+// default-configuration scratch stays under 1 MiB.
+const scratchFreeCap = 64
+
 // extractorPlans bundles the immutable precomputed state for one MFCC
-// configuration: window, FFT plan, flattened filterbank and DCT table.
-// Plans carry no mutable state, so one set is shared by every extractor
-// with the same configuration (a fleet creates thousands).
+// configuration (window, FFT plan, flattened filterbank and DCT table)
+// with that configuration's free list of frame scratch. Plans carry no
+// mutable state, so one set is shared by every extractor with the same
+// configuration (a fleet creates thousands).
+//
+// The free list is a bounded buffered channel rather than a sync.Pool: a
+// sync.Pool may drop any item at any time (under -race it does so at
+// random), which would break the zero-allocation guarantee of Frame and
+// Signal.
 type extractorPlans struct {
 	window []float64
 	fft    *FFTPlan
 	mel    *melPlan
 	dct    *dctPlan
+
+	fftSize, filters int
+	free             chan *frameScratch
 }
 
 var planCache sync.Map // MFCCConfig -> *extractorPlans
@@ -286,13 +312,43 @@ func plansFor(cfg MFCCConfig) (*extractorPlans, error) {
 		return nil, err
 	}
 	plans := &extractorPlans{
-		window: Hann(cfg.FrameLen),
-		fft:    fft,
-		mel:    newMelPlan(banks),
-		dct:    newDCTPlan(cfg.NumFilters, cfg.NumCoeffs),
+		window:  Hann(cfg.FrameLen),
+		fft:     fft,
+		mel:     newMelPlan(banks),
+		dct:     newDCTPlan(cfg.NumFilters, cfg.NumCoeffs),
+		fftSize: cfg.FFTSize,
+		filters: cfg.NumFilters,
+		free:    make(chan *frameScratch, scratchFreeCap),
 	}
 	p, _ := planCache.LoadOrStore(cfg, plans)
 	return p.(*extractorPlans), nil
+}
+
+// lease takes a frame scratch off the free list, or allocates one when
+// the list is empty. Its contents are arbitrary (see the lease rule).
+func (p *extractorPlans) lease() *frameScratch {
+	select {
+	case s := <-p.free:
+		return s
+	default:
+		return p.newScratch()
+	}
+}
+
+func (p *extractorPlans) newScratch() *frameScratch {
+	return &frameScratch{
+		buf:      make([]complex128, p.fftSize),
+		ps:       make([]float64, p.fftSize/2+1),
+		energies: make([]float64, p.filters),
+	}
+}
+
+// release returns a leased scratch; a full list drops it for the GC.
+func (p *extractorPlans) release(s *frameScratch) {
+	select {
+	case p.free <- s:
+	default:
+	}
 }
 
 // NewExtractor builds an extractor for the configuration.
@@ -305,15 +361,9 @@ func NewExtractor(cfg MFCCConfig) (*Extractor, error) {
 		return nil, err
 	}
 	return &Extractor{
-		cfg:      cfg,
-		window:   plans.window,
-		fft:      plans.fft,
-		mel:      plans.mel,
-		dct:      plans.dct,
-		buf:      make([]complex128, cfg.FFTSize),
-		ps:       make([]float64, cfg.FFTSize/2+1),
-		energies: make([]float64, cfg.NumFilters),
-		out:      make([]float64, min(cfg.NumCoeffs, cfg.NumFilters)),
+		cfg:   cfg,
+		plans: plans,
+		out:   make([]float64, min(cfg.NumCoeffs, cfg.NumFilters)),
 	}, nil
 }
 
@@ -321,46 +371,47 @@ func NewExtractor(cfg MFCCConfig) (*Extractor, error) {
 func (e *Extractor) Config() MFCCConfig { return e.cfg }
 
 // Frame computes the MFCC vector of a single frame of FrameLen samples.
-// The returned slice aliases the extractor's scratch: it is valid until
+// The returned slice aliases the extractor's storage: it is valid until
 // the next Frame or Signal call.
 func (e *Extractor) Frame(frame []float64) ([]float64, error) {
-	if err := e.frameInto(e.out, frame); err != nil {
+	s := e.plans.lease()
+	defer e.plans.release(s)
+	if err := e.frameInto(s, e.out, frame); err != nil {
 		return nil, err
 	}
 	return e.out, nil
 }
 
 // frameInto runs window → FFT → power spectrum → mel filterbank → DCT
-// into dst without allocating.
-func (e *Extractor) frameInto(dst, frame []float64) error {
+// into dst through the leased scratch s, without allocating.
+func (e *Extractor) frameInto(s *frameScratch, dst, frame []float64) error {
+	p := e.plans
 	n := len(frame)
-	if len(e.window) < n {
-		n = len(e.window)
+	if len(p.window) < n {
+		n = len(p.window)
 	}
 	if n > e.cfg.FFTSize {
 		n = e.cfg.FFTSize
 	}
 	for i := 0; i < n; i++ {
-		e.buf[i] = complex(frame[i]*e.window[i], 0)
+		s.buf[i] = complex(frame[i]*p.window[i], 0)
 	}
-	for i := n; i < len(e.buf); i++ {
-		e.buf[i] = 0
-	}
-	if err := e.fft.Transform(e.buf); err != nil {
+	clear(s.buf[n:])
+	if err := p.fft.Transform(s.buf); err != nil {
 		return err
 	}
 	inv := float64(e.cfg.FFTSize)
-	for i := range e.ps {
-		re, im := real(e.buf[i]), imag(e.buf[i])
-		e.ps[i] = (re*re + im*im) / inv
+	for i := range s.ps {
+		re, im := real(s.buf[i]), imag(s.buf[i])
+		s.ps[i] = (re*re + im*im) / inv
 	}
-	e.mel.apply(e.ps, e.energies)
-	e.dct.apply(e.energies, dst)
+	p.mel.apply(s.ps, s.energies)
+	p.dct.apply(s.energies, dst)
 	return nil
 }
 
 // Signal computes MFCC vectors for every frame of the sample stream.
-// The returned vectors alias the extractor's scratch: they are valid
+// The returned vectors alias the extractor's storage: they are valid
 // until the next Frame or Signal call.
 func (e *Extractor) Signal(samples []float64) ([][]float64, error) {
 	if len(samples) < e.cfg.FrameLen {
@@ -374,10 +425,12 @@ func (e *Extractor) Signal(samples []float64) ([][]float64, error) {
 	}
 	e.feats = e.feats[:nFrames*nc]
 	e.frames = e.frames[:nFrames]
+	s := e.plans.lease()
+	defer e.plans.release(s)
 	for f := 0; f < nFrames; f++ {
 		i := f * e.cfg.Hop
 		dst := e.feats[f*nc : (f+1)*nc]
-		if err := e.frameInto(dst, samples[i:i+e.cfg.FrameLen]); err != nil {
+		if err := e.frameInto(s, dst, samples[i:i+e.cfg.FrameLen]); err != nil {
 			return nil, err
 		}
 		e.frames[f] = dst

@@ -35,14 +35,21 @@ type AccessChecker interface {
 
 var _ AccessChecker = (*tz.TZASC)(nil)
 
-// pageBits sizes the sparse backing pages (64 KiB).
-const pageBits = 16
+// pageBits sizes the sparse backing pages: 4 KiB, the ARMv8 translation
+// granule. Most devices touch only a few KiB of their modelled RAM, so a
+// small page keeps the materialized footprint close to what was written.
+const pageBits = 12
+
+// pageSize is the byte length of one backing page.
+const pageSize = 1 << pageBits
 
 // PhysMem is the flat physical memory of the platform. All loads and stores
 // pass through the access checker, so a normal-world caller cannot touch
 // secure-only regions. Backing storage is paged sparsely: untouched memory
 // reads as zero without ever being allocated, so building a platform is
-// cheap regardless of its modelled RAM size.
+// cheap regardless of its modelled RAM size. Pages are never pooled or
+// recycled: a page is a fresh zeroed allocation on its first write, so no
+// PhysMem can observe bytes another one wrote.
 type PhysMem struct {
 	checker AccessChecker
 	base    uint64
@@ -86,8 +93,8 @@ func (p *PhysMem) forEachPage(addr uint64, n int, fn func(page uint64, off, leng
 	remaining := n
 	for remaining > 0 {
 		page := rel >> pageBits
-		off := int(rel & ((1 << pageBits) - 1))
-		length := (1 << pageBits) - off
+		off := int(rel & (pageSize - 1))
+		length := pageSize - off
 		if length > remaining {
 			length = remaining
 		}
@@ -112,9 +119,7 @@ func (p *PhysMem) ReadAt(w tz.World, addr uint64, buf []byte) error {
 		if data, ok := p.pages[page]; ok {
 			copy(buf[pos:pos+length], data[off:])
 		} else {
-			for i := pos; i < pos+length; i++ {
-				buf[i] = 0
-			}
+			clear(buf[pos : pos+length])
 		}
 		pos += length
 	})
@@ -135,7 +140,7 @@ func (p *PhysMem) WriteAt(w tz.World, addr uint64, buf []byte) error {
 	p.forEachPage(addr, len(buf), func(page uint64, off, length int) {
 		data, ok := p.pages[page]
 		if !ok {
-			data = make([]byte, 1<<pageBits)
+			data = make([]byte, pageSize)
 			p.pages[page] = data
 		}
 		copy(data[off:], buf[pos:pos+length])
@@ -157,9 +162,7 @@ func (p *PhysMem) Zero(w tz.World, addr uint64, n int) error {
 	defer p.mu.Unlock()
 	p.forEachPage(addr, n, func(page uint64, off, length int) {
 		if data, ok := p.pages[page]; ok {
-			for i := off; i < off+length; i++ {
-				data[i] = 0
-			}
+			clear(data[off : off+length])
 		}
 	})
 	return nil

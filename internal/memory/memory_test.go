@@ -309,7 +309,7 @@ func TestPhysMemSparsePaging(t *testing.T) {
 		t.Errorf("read materialized %d pages", p.Mem.ResidentPages())
 	}
 	// A write materializes exactly the pages it spans.
-	if err := p.Mem.WriteAt(tz.WorldNormal, p.Layout.DRAMBase+(1<<16)-4, make([]byte, 8)); err != nil {
+	if err := p.Mem.WriteAt(tz.WorldNormal, p.Layout.DRAMBase+pageSize-4, make([]byte, 8)); err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	if got := p.Mem.ResidentPages(); got != 2 {
@@ -317,11 +317,44 @@ func TestPhysMemSparsePaging(t *testing.T) {
 	}
 }
 
+func TestPhysMemPageGranularity(t *testing.T) {
+	if pageSize != 4096 {
+		t.Fatalf("pageSize = %d, want the 4 KiB ARMv8 granule", pageSize)
+	}
+	p := testPlatform(t)
+	page := p.Layout.DRAMBase + 3*pageSize
+	// A read of a whole page, and of bytes on both sides of it, allocates
+	// nothing.
+	if err := p.Mem.ReadAt(tz.WorldNormal, page-1, make([]byte, pageSize+2)); err != nil {
+		t.Fatalf("ReadAt: %v", err)
+	}
+	if got := p.Mem.ResidentPages(); got != 0 {
+		t.Fatalf("read materialized %d pages", got)
+	}
+	// One byte materializes exactly one page; more writes inside the same
+	// page materialize nothing further.
+	for _, addr := range []uint64{page + 17, page, page + pageSize - 1} {
+		if err := p.Mem.WriteAt(tz.WorldNormal, addr, []byte{0xa5}); err != nil {
+			t.Fatalf("WriteAt(%#x): %v", addr, err)
+		}
+		if got := p.Mem.ResidentPages(); got != 1 {
+			t.Fatalf("after 1-byte write at %#x: %d resident pages, want 1", addr, got)
+		}
+	}
+	// The next byte starts the next page.
+	if err := p.Mem.WriteAt(tz.WorldNormal, page+pageSize, []byte{0x5a}); err != nil {
+		t.Fatalf("WriteAt: %v", err)
+	}
+	if got := p.Mem.ResidentPages(); got != 2 {
+		t.Errorf("write past the page end: %d resident pages, want 2", got)
+	}
+}
+
 func TestPhysMemCrossPageRoundTrip(t *testing.T) {
 	p := testPlatform(t)
 	// A write spanning three pages must read back intact.
-	addr := p.Layout.DRAMBase + (1 << 16) - 100
-	want := make([]byte, 3*200+1<<16)
+	addr := p.Layout.DRAMBase + pageSize - 100
+	want := make([]byte, 3*200+pageSize)
 	for i := range want {
 		want[i] = byte(i * 7)
 	}
@@ -336,18 +369,18 @@ func TestPhysMemCrossPageRoundTrip(t *testing.T) {
 		t.Fatal("cross-page round trip corrupted data")
 	}
 	// Zero a sub-range crossing the page boundary.
-	if err := p.Mem.Zero(tz.WorldNormal, addr+50, 1<<16); err != nil {
+	if err := p.Mem.Zero(tz.WorldNormal, addr+50, pageSize); err != nil {
 		t.Fatalf("Zero: %v", err)
 	}
 	if err := p.Mem.ReadAt(tz.WorldNormal, addr, got); err != nil {
 		t.Fatalf("ReadAt: %v", err)
 	}
-	for i := 50; i < 50+1<<16; i++ {
+	for i := 50; i < 50+pageSize; i++ {
 		if got[i] != 0 {
 			t.Fatalf("byte %d not zeroed", i)
 		}
 	}
-	if got[49] != want[49] || got[50+1<<16] != want[50+1<<16] {
+	if got[49] != want[49] || got[50+pageSize] != want[50+pageSize] {
 		t.Error("Zero clobbered neighbouring bytes")
 	}
 }

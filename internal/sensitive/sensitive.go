@@ -9,9 +9,11 @@ package sensitive
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand/v2"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // ErrEmptyCorpus is returned when generation parameters yield no data.
@@ -95,9 +97,14 @@ func (u Utterance) Label() int {
 func (u Utterance) Text() string { return strings.Join(u.Words, " ") }
 
 // Vocabulary maps words to token ids. Id 0 is PAD, id 1 is UNK.
+//
+// A Vocabulary is immutable once built: it has no mutators, so one
+// instance is safe for any number of concurrent readers and may be shared
+// across every device of a fleet.
 type Vocabulary struct {
 	byWord map[string]int
 	words  []string
+	digest uint64
 }
 
 // PAD and UNK are the reserved token ids.
@@ -106,33 +113,22 @@ const (
 	UNK = 1
 )
 
-// NewVocabulary builds the corpus vocabulary (deterministic order).
-func NewVocabulary() *Vocabulary {
-	set := make(map[string]bool)
+// corpusVocabulary is the one shared vocabulary of the built-in corpus,
+// built on first use.
+var corpusVocabulary = sync.OnceValue(func() *Vocabulary {
+	var words []string
 	for _, p := range benignPhrases {
-		for _, w := range p {
-			set[w] = true
-		}
+		words = append(words, p...)
 	}
 	for _, p := range sensitivePhrases {
-		for _, w := range p {
-			set[w] = true
-		}
+		words = append(words, p...)
 	}
-	words := make([]string, 0, len(set))
-	for w := range set {
-		words = append(words, w)
-	}
-	sort.Strings(words)
-	v := &Vocabulary{
-		byWord: make(map[string]int, len(words)+2),
-		words:  append([]string{"<pad>", "<unk>"}, words...),
-	}
-	for i, w := range v.words {
-		v.byWord[w] = i
-	}
-	return v
-}
+	return NewVocabularyFromWords(words)
+})
+
+// NewVocabulary returns the corpus vocabulary (deterministic order). Every
+// call returns the same shared, immutable instance.
+func NewVocabulary() *Vocabulary { return corpusVocabulary() }
 
 // NewVocabularyFromWords builds a vocabulary over an explicit word list
 // (deduplicated, lowercased order preserved via sorting) — used by
@@ -155,8 +151,21 @@ func NewVocabularyFromWords(words []string) *Vocabulary {
 	for i, w := range v.words {
 		v.byWord[w] = i
 	}
+	// Fingerprint the spoken words (FNV-1a, each word NUL-terminated so
+	// shifted word boundaries do not collide).
+	h := fnv.New64a()
+	for _, w := range uniq {
+		_, _ = h.Write([]byte(w))
+		_, _ = h.Write([]byte{0})
+	}
+	v.digest = h.Sum64()
 	return v
 }
+
+// Digest fingerprints the ordered word list Words returns. It is computed
+// once when the vocabulary is built, so it is a cheap cache key for
+// models trained on this vocabulary.
+func (v *Vocabulary) Digest() uint64 { return v.digest }
 
 // Size returns the vocabulary size including PAD and UNK.
 func (v *Vocabulary) Size() int { return len(v.words) }

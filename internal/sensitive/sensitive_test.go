@@ -2,6 +2,7 @@ package sensitive
 
 import (
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -107,6 +108,44 @@ func TestWordsExcludesReserved(t *testing.T) {
 	if len(v.Words()) != v.Size()-2 {
 		t.Errorf("Words() = %d, want %d", len(v.Words()), v.Size()-2)
 	}
+}
+
+func TestCorpusVocabularyShared(t *testing.T) {
+	a, b := NewVocabulary(), NewVocabulary()
+	if a != b {
+		t.Fatal("NewVocabulary built a second corpus vocabulary")
+	}
+	// Words hands out a copy: a caller scribbling on it cannot change the
+	// shared instance.
+	w := a.Words()
+	first := w[0]
+	w[0] = "tampered"
+	if got := b.Words()[0]; got != first {
+		t.Fatalf("Words() aliases the shared list: got %q, want %q", got, first)
+	}
+	// The digest is fixed at build time and follows the word list.
+	if a.Digest() != NewVocabularyFromWords(a.Words()).Digest() {
+		t.Error("corpus digest differs from a rebuild over the same words")
+	}
+	if a.Digest() == NewVocabularyFromWords([]string{"alpha"}).Digest() {
+		t.Error("different word lists share a digest")
+	}
+	// Concurrent readers of the shared instance (checked under -race).
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := NewVocabulary()
+			for id := 0; id < v.Size(); id++ {
+				if v.ID(v.Word(id)) != id {
+					t.Errorf("id %d does not round-trip", id)
+				}
+			}
+			_ = v.Words()
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSplit(t *testing.T) {
