@@ -9,7 +9,6 @@ package core
 // (§IV.4): there is no transcription stage.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -44,8 +43,8 @@ const (
 	// params[0].A returns 1 if forwarded.
 	CmdProcessFrame uint32 = 0x31
 	// CmdCameraAttest / CmdCameraUpdateModel / CmdCameraRotateKey: the
-	// camera twins of the voice TA's CmdAttest / CmdUpdateModel /
-	// CmdRotateKey, same parameter layouts.
+	// camera TA's lifecycle commands, with the parameter layouts of the
+	// voice TA's CmdAttest / CmdUpdateModel / CmdRotateKey.
 	CmdCameraAttest      uint32 = 0x32
 	CmdCameraUpdateModel uint32 = 0x33
 	CmdCameraRotateKey   uint32 = 0x34
@@ -58,25 +57,12 @@ const (
 
 	cameraFrameSide  = 24
 	cameraFrameBytes = cameraFrameSide * cameraFrameSide
-	// cameraWeightsID is the secure-storage object of the image model.
-	cameraWeightsID = "camera-ta/classifier-weights"
-	// cameraHESecretKeyID is the sealed HE secret key (ModeHybridHE); the
-	// camera twin of the voice TA's heSecretKeyID.
-	cameraHESecretKeyID = "camera-ta/he-secret-key"
-	// cameraKeyEpochID is the sealed key-epoch record; see the voice TA's
-	// keyEpochObjectID.
-	cameraKeyEpochID = "camera-ta/key-epoch"
 	// NameFrame is the relay event name for camera frames.
 	NameFrame = "Camera.Frame"
 )
 
 // CameraTADigest is the measured code identity of the camera TA.
-var CameraTADigest = attest.MeasureCode("periguard", UUIDCameraTA)
-
-// cameraPackObjectID is the secure-storage id of a provisioned pack.
-func cameraPackObjectID(version uint64) string {
-	return fmt.Sprintf("camera-ta/model-pack-v%d", version)
-}
+var CameraTADigest = cameraProfile.code
 
 // TrainImageClassifier pre-trains (memoized) the person-detection model.
 // The lock is held across training so concurrent fleet builders sharing a
@@ -191,6 +177,14 @@ func (p *CameraPTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) e
 		if params[0].Type != optee.MemrefOut || len(params[0].Buf) < cameraFrameBytes {
 			return fmt.Errorf("%w: CmdCameraGrab needs %d-byte MemrefOut", optee.ErrBadParam, cameraFrameBytes)
 		}
+		// The frame buffer is checked before the sensor is read, so a
+		// grab on a closed PTA consumes no frame.
+		p.mu.Lock()
+		addr := p.bufAddr
+		p.mu.Unlock()
+		if addr == 0 {
+			return fmt.Errorf("%w: camera pta not opened", optee.ErrBadState)
+		}
 		im, scene, ok := p.cam.Capture()
 		params[1].Type = optee.ValueOut
 		if !ok {
@@ -198,12 +192,8 @@ func (p *CameraPTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) e
 			return nil
 		}
 		p.mu.Lock()
-		addr := p.bufAddr
 		p.truth = append(p.truth, scene)
 		p.mu.Unlock()
-		if addr == 0 {
-			return fmt.Errorf("%w: camera pta not opened", optee.ErrBadSession)
-		}
 		// Sensor DMA into the (secure) frame buffer, then copy to the
 		// caller's buffer.
 		if err := p.mem.WriteAt(p.world, addr, im.Pix); err != nil {
@@ -241,26 +231,16 @@ type ProcessedFrame struct {
 }
 
 // CameraTA classifies frames in the TEE and relays only benign ones.
+// Attestation, key rotation, model update and the sealed classifier are
+// its embedded taLifecycle.
 type CameraTA struct {
-	tee     *optee.OS
-	storage *optee.Storage
+	taLifecycle
+	cfg     TAConfig
 	channel *relay.Channel
-	clock   *tz.Clock
-	cost    tz.CostModel
 
-	mu           sync.Mutex
-	classifier   *classify.Classifier
-	seed         uint64
-	attestor     *attest.Attestor
-	modelVersion uint64
-	processed    []ProcessedFrame
-	messageID    uint64
-
-	// Hybrid HE+TEE split (ModeHybridHE): hybrid gates CmdCameraFinishHE
-	// and heParams parameterizes the in-TA evaluator that decrypts the
-	// provider's handoff under the sealed secret key.
-	hybrid   bool
-	heParams he.Params
+	mu        sync.Mutex
+	processed []ProcessedFrame
+	messageID uint64
 
 	// Per-TA frame scratch: invocations are serialized per device, so
 	// the grab buffer and feature vector are reused across frames.
@@ -270,176 +250,25 @@ type CameraTA struct {
 
 var _ optee.TA = (*CameraTA)(nil)
 
-// NewCameraTA constructs the TA. attestor may be nil outside attested
-// fleets; modelVersion is the provisioned pack version the TA boots
-// with. A sealed key-epoch record left by an earlier instance's
-// CmdCameraRotateKey is restored, so a restart resumes signing at the
-// rotated epoch.
-func NewCameraTA(tee *optee.OS, storage *optee.Storage, id *relay.Identity, cloudPub []byte, clock *tz.Clock, cost tz.CostModel, seed uint64, attestor *attest.Attestor, modelVersion uint64) (*CameraTA, error) {
+// NewCameraTA constructs the TA, relaying under id to the cloud key
+// cloudPub. cfg.Hybrid arms the HE→TEE handoff (CmdCameraFinishHE) under
+// cfg.HEParams.
+func NewCameraTA(cfg TAConfig, id *relay.Identity, cloudPub []byte) (*CameraTA, error) {
 	ch, err := relay.NewChannel(id, cloudPub, true)
 	if err != nil {
 		return nil, fmt.Errorf("camera ta channel: %w", err)
 	}
-	return &CameraTA{
-		tee: tee, storage: storage, channel: ch, clock: clock, cost: cost,
-		seed: seed, attestor: restoreKeyEpoch(storage, cameraKeyEpochID, attestor),
-		modelVersion: modelVersion,
-	}, nil
+	t := &CameraTA{cfg: cfg, channel: ch}
+	t.initLifecycle(cameraProfile, cfg, t, true)
+	return t, nil
 }
 
 // UUID implements optee.TA.
 func (t *CameraTA) UUID() string { return UUIDCameraTA }
 
-// EnableHybridHE arms the HE→TEE handoff (ModeHybridHE): the TA will
-// accept CmdCameraFinishHE and decrypt provider results under the
-// sealed secret key using this parameter set.
-func (t *CameraTA) EnableHybridHE(p he.Params) {
-	t.mu.Lock()
-	t.hybrid = true
-	t.heParams = p
-	t.mu.Unlock()
-}
-
-// ModelVersion returns the version of the model pack the TA holds.
-func (t *CameraTA) ModelVersion() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.modelVersion
-}
-
-// attestReport signs the TA's current measurement over a challenge
-// nonce; the camera twin of VoiceTA.attestReport.
-func (t *CameraTA) attestReport(nonce attest.Nonce) (attest.Report, error) {
-	t.mu.Lock()
-	attestor, version := t.attestor, t.modelVersion
-	t.mu.Unlock()
-	if attestor == nil {
-		return attest.Report{}, fmt.Errorf("%w: camera ta attestation not provisioned", optee.ErrBadState)
-	}
-	t.clock.Advance(2000) // HMAC evidence; see VoiceTA.attestReport
-	return attestor.Attest(nonce, attest.Measurement{Code: CameraTADigest, ModelVersion: version}), nil
-}
-
-// KeyEpoch returns the key epoch the TA currently signs evidence under.
-func (t *CameraTA) KeyEpoch() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.attestor == nil {
-		return 0
-	}
-	return t.attestor.Epoch()
-}
-
-// rotateKey redeems a key-rotation token; the camera twin of
-// VoiceTA.rotateKey (same verify → seal epoch → swap-signer sequence).
-func (t *CameraTA) rotateKey(tokenBytes []byte) (uint64, error) {
-	tok, err := attest.UnmarshalRotationToken(tokenBytes)
-	if err != nil {
-		return 0, fmt.Errorf("%w: camera ta rotate: %w", optee.ErrBadParam, err)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.attestor == nil {
-		return 0, fmt.Errorf("%w: camera ta attestation not provisioned", optee.ErrBadState)
-	}
-	next, err := t.attestor.Rotated(tok)
-	if err != nil {
-		return 0, fmt.Errorf("%w: camera ta rotate: %w", optee.ErrBadParam, err)
-	}
-	var rec [8]byte
-	binary.LittleEndian.PutUint64(rec[:], next.Epoch())
-	t.storage.Put(cameraKeyEpochID, rec[:])
-	t.clock.Advance(4000) // MAC verify + key derivation; see VoiceTA.rotateKey
-	t.attestor = next
-	return next.Epoch(), nil
-}
-
-// updateModel authenticates a published pack against the per-device
-// manifest, persists it through sealed storage and hot-swaps the image
-// classifier; see VoiceTA.updateModel for the speaker-side twin.
-func (t *CameraTA) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
-	t.mu.Lock()
-	attestor := t.attestor
-	t.mu.Unlock()
-	if attestor == nil {
-		return 0, fmt.Errorf("%w: camera ta attestation not provisioned", optee.ErrBadState)
-	}
-	pack, err := attest.DecodePack(packBytes)
-	if err != nil {
-		return 0, fmt.Errorf("%w: camera ta update: %w", optee.ErrBadParam, err)
-	}
-	tok, err := attest.UnmarshalManifestToken(tokenBytes)
-	if err != nil {
-		return 0, fmt.Errorf("%w: camera ta update: %w", optee.ErrBadParam, err)
-	}
-	if err := attestor.VerifyManifest(tok, pack); err != nil {
-		return 0, fmt.Errorf("%w: camera ta update: %w", optee.ErrBadParam, err)
-	}
-	clf, err := t.buildClassifier(pack.ModelSeed, pack.Image)
-	if err != nil {
-		return 0, fmt.Errorf("%w: camera ta update: %w", optee.ErrBadParam, err)
-	}
-	// Version check and install form one critical section; see
-	// VoiceTA.updateModel for the downgrade-race rationale.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if pack.Version == t.modelVersion {
-		return t.modelVersion, nil // idempotent re-delivery
-	}
-	if pack.Version < t.modelVersion {
-		return 0, fmt.Errorf("%w: camera ta update: %w: pack v%d older than installed v%d",
-			optee.ErrBadParam, attest.ErrBadPack, pack.Version, t.modelVersion)
-	}
-	t.storage.Put(cameraPackObjectID(pack.Version), packBytes)
-	t.storage.Put(cameraWeightsID, pack.Image)
-	t.clock.Advance(tz.Cycles(len(packBytes)) * t.cost.CopyPerByte)
-	t.classifier = clf
-	t.seed = pack.ModelSeed
-	t.modelVersion = pack.Version
-	return pack.Version, nil
-}
-
-// buildClassifier reconstructs the image-classifier skeleton for a model
-// seed and restores the given serialized weights.
-func (t *CameraTA) buildClassifier(seed uint64, blob []byte) (*classify.Classifier, error) {
-	rng := NewRNG(seed, seed^SaltImage)
-	clf, err := classify.NewImage(rng, cameraFrameSide, cameraFrameSide)
-	if err != nil {
-		return nil, err
-	}
-	if err := clf.LoadWeights(blob); err != nil {
-		return nil, fmt.Errorf("camera ta weights: %w", err)
-	}
-	return clf, nil
-}
-
-// loadedClassifier returns the live image classifier, unsealing it from
-// secure storage on first use; an installed rollout pack takes
-// precedence (updateModel swaps the pointer directly). Mirrors
-// VoiceTA.loadedClassifier, so management sessions stay lightweight.
-func (t *CameraTA) loadedClassifier() (*classify.Classifier, error) {
-	t.mu.Lock()
-	clf := t.classifier
-	seed := t.seed
-	t.mu.Unlock()
-	if clf != nil {
-		return clf, nil
-	}
-	blob, err := t.storage.Get(cameraWeightsID)
-	if err != nil {
-		return nil, fmt.Errorf("camera ta weights: %w", err)
-	}
-	built, err := t.buildClassifier(seed, blob)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	if t.classifier == nil {
-		t.classifier = built
-	}
-	clf = t.classifier
-	t.mu.Unlock()
-	return clf, nil
+// newClassifier makes the image-classifier skeleton for a model seed.
+func (t *CameraTA) newClassifier(seed uint64) (*classify.Classifier, error) {
+	return classify.NewImage(NewRNG(seed, seed^SaltImage), cameraFrameSide, cameraFrameSide)
 }
 
 // Open implements optee.TA. The instance keeps its state (classifier,
@@ -482,59 +311,20 @@ func (t *CameraTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) er
 			params[2].A = 1
 		}
 		return nil
-	case CmdCameraAttest:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) != len(attest.Nonce{}) {
-			return fmt.Errorf("%w: CmdCameraAttest needs a %d-byte MemrefIn nonce", optee.ErrBadParam, len(attest.Nonce{}))
-		}
-		if params[1].Type != optee.MemrefOut || params[1].Buf == nil {
-			return fmt.Errorf("%w: CmdCameraAttest needs a MemrefOut report buffer", optee.ErrBadParam)
-		}
-		var nonce attest.Nonce
-		copy(nonce[:], params[0].Buf)
-		rep, err := t.attestReport(nonce)
-		if err != nil {
-			return err
-		}
-		blob := rep.Marshal()
-		if len(params[1].Buf) < len(blob) {
-			return fmt.Errorf("%w: report buffer %d < %d", optee.ErrBadParam, len(params[1].Buf), len(blob))
-		}
-		copy(params[1].Buf, blob)
-		params[2].Type = optee.ValueOut
-		params[2].A = uint64(len(blob))
-		return nil
-	case CmdCameraUpdateModel:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
-			return fmt.Errorf("%w: CmdCameraUpdateModel needs a MemrefIn pack", optee.ErrBadParam)
-		}
-		if params[1].Type != optee.MemrefIn || len(params[1].Buf) == 0 {
-			return fmt.Errorf("%w: CmdCameraUpdateModel needs a MemrefIn manifest", optee.ErrBadParam)
-		}
-		version, err := t.updateModel(params[0].Buf, params[1].Buf)
-		if err != nil {
-			return err
-		}
-		params[2].Type = optee.ValueOut
-		params[2].A = version
-		return nil
-	case CmdCameraRotateKey:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
-			return fmt.Errorf("%w: CmdCameraRotateKey needs a MemrefIn token", optee.ErrBadParam)
-		}
-		epoch, err := t.rotateKey(params[0].Buf)
-		if err != nil {
-			return err
-		}
-		params[1].Type = optee.ValueOut
-		params[1].A = epoch
-		return nil
 	default:
-		return fmt.Errorf("%w: camera ta cmd %#x", optee.ErrBadParam, cmd)
+		return t.invokeLifecycle(cmd, params)
 	}
 }
 
+// processFrame grabs the next frame through the PTA and classifies it
+// inline. The classifier is loaded before the grab, so a TA that cannot
+// classify leaves the frame on the sensor.
 func (t *CameraTA) processFrame() (ProcessedFrame, bool, error) {
 	var rec ProcessedFrame
+	clf, err := t.loadedClassifier()
+	if err != nil {
+		return rec, false, err
+	}
 	start := t.clock.Now()
 	if t.frameBuf == nil {
 		t.frameBuf = make([]byte, cameraFrameBytes)
@@ -542,7 +332,7 @@ func (t *CameraTA) processFrame() (ProcessedFrame, bool, error) {
 	}
 	buf := t.frameBuf
 	p := &optee.Params{{Type: optee.MemrefOut, Buf: buf}, {}}
-	if err := t.tee.InvokeSecure(UUIDCameraPTA, CmdCameraGrab, p); err != nil {
+	if err := t.cfg.TEE.InvokeSecure(UUIDCameraPTA, CmdCameraGrab, p); err != nil {
 		return rec, false, fmt.Errorf("camera ta grab: %w", err)
 	}
 	if p[1].A == 0 {
@@ -550,10 +340,6 @@ func (t *CameraTA) processFrame() (ProcessedFrame, bool, error) {
 	}
 	rec.Grab = t.clock.Now() - start
 	classifyStart := t.clock.Now()
-	clf, err := t.loadedClassifier()
-	if err != nil {
-		return rec, false, err
-	}
 	feats := t.frameFeat
 	for i, px := range buf {
 		feats[i] = float32(px) / 255
@@ -563,26 +349,35 @@ func (t *CameraTA) processFrame() (ProcessedFrame, bool, error) {
 		return rec, false, fmt.Errorf("camera ta classify: %w", err)
 	}
 	t.clock.Advance(tz.Cycles(clf.EstimateMACs() / 4))
-	rec.Flagged = cls == 1
+	if err := t.finishFrame(&rec, cls == 1, buf, start, classifyStart); err != nil {
+		return rec, false, err
+	}
+	return rec, true, nil
+}
+
+// finishFrame is the last step of both frame paths (CmdProcessFrame and
+// CmdCameraFinishHE): take the verdict, relay a benign frame sealed, time
+// the classify stage from classifyStart and the whole frame from start,
+// and record it.
+func (t *CameraTA) finishFrame(rec *ProcessedFrame, flagged bool, frame []byte, start, classifyStart tz.Cycles) error {
+	rec.Flagged = flagged
 	rec.Classify = t.clock.Now() - classifyStart
 	relayStart := t.clock.Now()
-
-	if !rec.Flagged {
-		if err := t.relayBenign(buf, &rec); err != nil {
-			return rec, false, err
+	if !flagged {
+		if err := t.relayBenign(frame, rec); err != nil {
+			return err
 		}
 	}
 	rec.Relay = t.clock.Now() - relayStart
 	rec.Cycles = t.clock.Now() - start
 	t.mu.Lock()
-	t.processed = append(t.processed, rec)
+	t.processed = append(t.processed, *rec)
 	t.mu.Unlock()
-	return rec, true, nil
+	return nil
 }
 
 // relayBenign seals a benign frame and sends it through the supplicant,
-// recording shed/expired admission outcomes; shared by the inline path
-// (CmdProcessFrame) and the hybrid handoff (CmdCameraFinishHE).
+// recording shed/expired admission outcomes.
 func (t *CameraTA) relayBenign(buf []byte, rec *ProcessedFrame) error {
 	t.mu.Lock()
 	t.messageID++
@@ -599,7 +394,7 @@ func (t *CameraTA) relayBenign(buf []byte, rec *ProcessedFrame) error {
 	}
 	sealed := t.channel.Seal(payload)
 	rec.SealedSize = len(sealed)
-	resp, err := t.tee.RPC(optee.RPCRequest{
+	resp, err := t.cfg.TEE.RPC(optee.RPCRequest{
 		Kind: optee.RPCNetSend, Target: CloudTarget, Payload: sealed,
 	})
 	switch {
@@ -630,24 +425,10 @@ func (t *CameraTA) relayBenign(buf []byte, rec *ProcessedFrame) error {
 // speaker filter.
 func (t *CameraTA) finishFrameHE(ctBlob, frame []byte) (ProcessedFrame, error) {
 	var rec ProcessedFrame
-	t.mu.Lock()
-	hybrid, params := t.hybrid, t.heParams
-	t.mu.Unlock()
-	if !hybrid {
-		return rec, fmt.Errorf("%w: camera ta HE handoff outside hybrid mode", optee.ErrBadState)
-	}
 	start := t.clock.Now()
-	skBlob, err := t.storage.Get(cameraHESecretKeyID)
+	sk, eval, err := t.heDecryptState()
 	if err != nil {
-		return rec, fmt.Errorf("camera ta he key: %w", err)
-	}
-	sk, err := he.ParseSecretKey(skBlob)
-	if err != nil {
-		return rec, fmt.Errorf("camera ta he key: %w", err)
-	}
-	eval, err := he.NewEvaluator(params, t.clock, t.cost)
-	if err != nil {
-		return rec, fmt.Errorf("camera ta he eval: %w", err)
+		return rec, err
 	}
 	clf, err := t.loadedClassifier()
 	if err != nil {
@@ -672,21 +453,7 @@ func (t *CameraTA) finishFrameHE(ctBlob, frame []byte) (ProcessedFrame, error) {
 	// The tail forward runs at the inline path's 4 MACs/cycle; the
 	// decrypt was charged by the evaluator.
 	t.clock.Advance(tz.Cycles(2 * layers.ParamCount([]layers.Layer{split.Tail}) / 4))
-	rec.Flagged = cls == 1
-	rec.Classify = t.clock.Now() - start
-
-	relayStart := t.clock.Now()
-	if !rec.Flagged {
-		if err := t.relayBenign(frame, &rec); err != nil {
-			return rec, err
-		}
-	}
-	rec.Relay = t.clock.Now() - relayStart
-	rec.Cycles = t.clock.Now() - start
-	t.mu.Lock()
-	t.processed = append(t.processed, rec)
-	t.mu.Unlock()
-	return rec, nil
+	return rec, t.finishFrame(&rec, cls == 1, frame, start, start)
 }
 
 // Processed returns the TA-side records.
@@ -733,9 +500,12 @@ type CameraSystem struct {
 	PTA        *CameraPTA
 	TA         *CameraTA
 	Cloud      *cloud.Service
+	// taClient manages the camera TA (attest, update, rotate); a zero
+	// client on a baseline doorbell.
+	taClient
 
 	// Hybrid HE+TEE split (ModeHybridHE only; nil/zero otherwise); see
-	// the speaker System's twin fields.
+	// the speaker System's fields of the same names.
 	HE      *cloud.HEService
 	HEPub   he.PublicKey
 	HEEval  *he.Evaluator
@@ -805,7 +575,7 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	storage.Put(cameraWeightsID, clf.SerializeWeights())
+	storage.Put(cameraProfile.weightsID, clf.SerializeWeights())
 
 	keyRand := NewSeedReader(cfg.Seed^0xcafe, cfg.Seed+3)
 	cloudID, err := relay.NewIdentity(keyRand)
@@ -828,11 +598,17 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 	if cfg.AttestKeySeed != 0 {
 		attestor = attest.NewAttestor(cfg.DeviceID, attest.KeyFromSeed(cfg.AttestKeySeed))
 	}
-	ta, err := NewCameraTA(sys.TEE, storage, taID, cloudID.PublicKey(), clock, cost, cfg.ModelSeed, attestor, cfg.ModelVersion)
+	heParams := he.DefaultParams()
+	ta, err := NewCameraTA(TAConfig{
+		TEE: sys.TEE, Storage: storage, Clock: clock, Cost: cost,
+		Seed: cfg.ModelSeed, Attestor: attestor, ModelVersion: cfg.ModelVersion,
+		Hybrid: cfg.Mode == ModeHybridHE, HEParams: heParams,
+	}, taID, cloudID.PublicKey())
 	if err != nil {
 		return nil, err
 	}
 	sys.TA = ta
+	sys.taClient = taClient{tee: sys.TEE, profile: cameraProfile, ta: &ta.taLifecycle}
 	sys.TEE.RegisterTA(ta)
 
 	if cfg.Mode == ModeHybridHE {
@@ -845,12 +621,11 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 		}
 		sys.frameBuf = addr
 
-		heParams := he.DefaultParams()
 		kp, err := he.KeyGen(heParams, cfg.ModelSeed)
 		if err != nil {
 			return nil, fmt.Errorf("camera he keygen: %w", err)
 		}
-		storage.Put(cameraHESecretKeyID, kp.Secret.Marshal())
+		storage.Put(cameraProfile.heKeyID, kp.Secret.Marshal())
 		sys.HEPub = kp.Public
 		if sys.HEEval, err = he.NewEvaluator(heParams, clock, cost); err != nil {
 			return nil, fmt.Errorf("camera he evaluator: %w", err)
@@ -870,7 +645,6 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 			K: split.Conv.K, Cin: split.Conv.Cin, Cout: split.Conv.Cout,
 			W: ps[0].Value.Data, B: ps[1].Value.Data,
 		})
-		ta.EnableHybridHE(heParams)
 	}
 	return sys, nil
 }
@@ -895,90 +669,6 @@ func (s *CameraSystem) CloudEndpoint() cloud.Provider {
 		return nil
 	}
 	return s.Cloud
-}
-
-// withTA runs fn over a short-lived management session to the camera
-// TA, paying the same session/SMC costs as the speaker twin.
-func (s *CameraSystem) withTA(fn func(sess *teec.Session) error) error {
-	if s.TA == nil {
-		return ErrNoTEE
-	}
-	ctx := teec.InitializeContext(s.TEE)
-	sess, err := ctx.OpenSession(UUIDCameraTA)
-	if err != nil {
-		return fmt.Errorf("camera management session: %w", err)
-	}
-	defer func() { _ = ctx.FinalizeContext() }()
-	return fn(sess)
-}
-
-// Attest asks the camera TA for attestation evidence; see System.Attest.
-func (s *CameraSystem) Attest(nonce attest.Nonce) (attest.Report, error) {
-	var rep attest.Report
-	err := s.withTA(func(sess *teec.Session) error {
-		buf := make([]byte, 512)
-		p := &optee.Params{
-			{Type: optee.MemrefIn, Buf: nonce[:]},
-			{Type: optee.MemrefOut, Buf: buf},
-			{},
-		}
-		if err := sess.InvokeCommand(CmdCameraAttest, p); err != nil {
-			return err
-		}
-		got, err := attest.UnmarshalReport(buf[:p[2].A])
-		if err != nil {
-			return err
-		}
-		rep = got
-		return nil
-	})
-	return rep, err
-}
-
-// UpdateModel delivers a published model pack to the camera TA; see
-// System.UpdateModel.
-func (s *CameraSystem) UpdateModel(pack attest.Pack, tok attest.ManifestToken) error {
-	return s.withTA(func(sess *teec.Session) error {
-		p := &optee.Params{
-			{Type: optee.MemrefIn, Buf: pack.Encode()},
-			{Type: optee.MemrefIn, Buf: tok.Marshal()},
-			{},
-		}
-		return sess.InvokeCommand(CmdCameraUpdateModel, p)
-	})
-}
-
-// RotateKey redeems a key-rotation token in the camera TA; see
-// System.RotateKey.
-func (s *CameraSystem) RotateKey(tok attest.RotationToken) (uint64, error) {
-	var epoch uint64
-	err := s.withTA(func(sess *teec.Session) error {
-		p := &optee.Params{{Type: optee.MemrefIn, Buf: tok.Marshal()}, {}}
-		if err := sess.InvokeCommand(CmdCameraRotateKey, p); err != nil {
-			return err
-		}
-		epoch = p[1].A
-		return nil
-	})
-	return epoch, err
-}
-
-// KeyEpoch returns the key epoch the doorbell signs evidence under
-// (0 for baseline doorbells, which have no TA).
-func (s *CameraSystem) KeyEpoch() uint64 {
-	if s.TA == nil {
-		return 0
-	}
-	return s.TA.KeyEpoch()
-}
-
-// ModelVersion returns the model-pack version the doorbell holds (0 for
-// baseline doorbells).
-func (s *CameraSystem) ModelVersion() uint64 {
-	if s.TA == nil {
-		return 0
-	}
-	return s.TA.ModelVersion()
 }
 
 // CameraSessionResult aggregates one camera run.

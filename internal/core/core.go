@@ -234,6 +234,9 @@ type System struct {
 	Storage    *optee.Storage
 	VoiceTA    *VoiceTA
 	DriverPTA  *DriverPTA
+	// taClient manages the voice TA (attest, update, rotate); a zero
+	// client in baseline mode.
+	taClient
 
 	// Cloud side.
 	CloudSealed *cloud.Service      // secure modes
@@ -543,7 +546,7 @@ func (s *System) buildSecure() error {
 		if err != nil {
 			return fmt.Errorf("core classifier: %w", err)
 		}
-		storage.Put(weightsObjectID, clf.SerializeWeights())
+		storage.Put(voiceProfile.weightsID, clf.SerializeWeights())
 	}
 
 	// Hybrid split: generate the HE keypair from the shared model seed
@@ -558,7 +561,7 @@ func (s *System) buildSecure() error {
 		if err != nil {
 			return fmt.Errorf("core he keygen: %w", err)
 		}
-		storage.Put(heSecretKeyID, kp.Secret.Marshal())
+		storage.Put(voiceProfile.heKeyID, kp.Secret.Marshal())
 		s.HEPub = kp.Public
 		if s.HEEval, err = he.NewEvaluator(heParams, s.Clock, s.Cost); err != nil {
 			return fmt.Errorf("core he evaluator: %w", err)
@@ -608,30 +611,32 @@ func (s *System) buildSecure() error {
 	}
 
 	ta, err := NewVoiceTA(VoiceTAConfig{
-		TEE:          s.TEE,
-		Storage:      storage,
-		Recognizer:   s.Recognizer,
-		Arch:         s.cfg.Arch,
-		VocabSize:    s.Vocab.Size(),
-		Vocab:        s.Vocab,
-		Policy:       s.cfg.Policy,
-		Filter:       s.cfg.Mode == ModeSecureFilter || s.cfg.Mode == ModeHybridHE,
-		Hybrid:       s.cfg.Mode == ModeHybridHE,
-		HEParams:     heParams,
-		Identity:     taID,
-		CloudPub:     cloudID.PublicKey(),
-		Clock:        s.Clock,
-		Cost:         s.Cost,
-		Seed:         s.cfg.ModelSeed,
-		Attestor:     attestor,
-		ModelVersion: s.cfg.ModelVersion,
-
+		TAConfig: TAConfig{
+			TEE:          s.TEE,
+			Storage:      storage,
+			Clock:        s.Clock,
+			Cost:         s.Cost,
+			Seed:         s.cfg.ModelSeed,
+			Attestor:     attestor,
+			ModelVersion: s.cfg.ModelVersion,
+			Hybrid:       s.cfg.Mode == ModeHybridHE,
+			HEParams:     heParams,
+		},
+		Identity:       taID,
+		CloudPub:       cloudID.PublicKey(),
+		Recognizer:     s.Recognizer,
+		Arch:           s.cfg.Arch,
+		VocabSize:      s.Vocab.Size(),
+		Vocab:          s.Vocab,
+		Policy:         s.cfg.Policy,
+		Filter:         s.cfg.Mode == ModeSecureFilter || s.cfg.Mode == ModeHybridHE,
 		sharedClassify: s.cfg.SharedClassify,
 	})
 	if err != nil {
 		return fmt.Errorf("core voice ta: %w", err)
 	}
 	s.VoiceTA = ta
+	s.taClient = taClient{tee: s.TEE, profile: voiceProfile, ta: &ta.taLifecycle}
 	s.TEE.RegisterTA(ta)
 	return nil
 }

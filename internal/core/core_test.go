@@ -291,7 +291,7 @@ func TestSealedWeightsLoadedFromSecureStorage(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	// The weights object exists and is sealed (not plaintext).
-	blob, ok := sys.Storage.SealedBytes(weightsObjectID)
+	blob, ok := sys.Storage.SealedBytes(voiceProfile.weightsID)
 	if !ok {
 		t.Fatal("classifier weights not in secure storage")
 	}
@@ -300,7 +300,7 @@ func TestSealedWeightsLoadedFromSecureStorage(t *testing.T) {
 	}
 	// Corrupt the sealed object: the TA must now fail when it unseals
 	// the weights (at first classify), so the session errors out.
-	if !sys.Storage.Tamper(weightsObjectID, len(blob)/2) {
+	if !sys.Storage.Tamper(voiceProfile.weightsID, len(blob)/2) {
 		t.Fatal("tamper failed")
 	}
 	_, err = sys.RunSession(testUtterances()[:1])

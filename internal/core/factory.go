@@ -157,13 +157,26 @@ type Device struct {
 	Speaker  *System
 	Doorbell *CameraSystem
 
-	// softAttestor signs for baseline devices, which have no TEE to
-	// attest from; see BaselineAgentDigest.
-	softAttestor *attest.Attestor
+	// deviceLifecycle serves the device's Attest, UpdateModel,
+	// ModelVersion, RotateKey and KeyEpoch: the TA's management client on
+	// a secure device, the software agent on a baseline one.
+	deviceLifecycle
+	agent softAgent
+}
+
+// deviceLifecycle is a device's attestation and model lifecycle as the
+// fleet drives it.
+type deviceLifecycle interface {
+	Attest(nonce attest.Nonce) (attest.Report, error)
+	UpdateModel(pack attest.Pack, tok attest.ManifestToken) error
+	ModelVersion() uint64
+	RotateKey(tok attest.RotationToken) (uint64, error)
+	KeyEpoch() uint64
 }
 
 // NewDevice builds the pipeline for the spec.
 func NewDevice(spec DeviceSpec) (*Device, error) {
+	d := &Device{Spec: spec}
 	switch spec.Kind {
 	case DeviceSpeaker:
 		sys, err := NewSystem(Config{
@@ -183,9 +196,7 @@ func NewDevice(spec DeviceSpec) (*Device, error) {
 		if err != nil {
 			return nil, fmt.Errorf("speaker: %w", err)
 		}
-		d := &Device{Spec: spec, Speaker: sys}
-		d.initSoftAttestor()
-		return d, nil
+		d.Speaker, d.deviceLifecycle = sys, &sys.taClient
 	case DeviceDoorbell:
 		sys, err := NewCameraSystem(CameraConfig{
 			Mode:          spec.Mode,
@@ -199,92 +210,62 @@ func NewDevice(spec DeviceSpec) (*Device, error) {
 		if err != nil {
 			return nil, fmt.Errorf("doorbell: %w", err)
 		}
-		d := &Device{Spec: spec, Doorbell: sys}
-		d.initSoftAttestor()
-		return d, nil
+		d.Doorbell, d.deviceLifecycle = sys, &sys.taClient
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadKind, int(spec.Kind))
 	}
-}
-
-func (d *Device) initSoftAttestor() {
-	if d.Spec.AttestKeySeed != 0 && d.Spec.Mode == ModeBaseline {
-		d.softAttestor = attest.NewAttestor(d.Spec.DeviceID, attest.KeyFromSeed(d.Spec.AttestKeySeed))
-	}
-}
-
-// Attest produces the device's attestation evidence for a verifier
-// challenge: secure devices sign inside their TA; baseline devices sign
-// with the software agent (BaselineAgentDigest, model version 0).
-func (d *Device) Attest(nonce attest.Nonce) (attest.Report, error) {
-	if d.Spec.Mode == ModeBaseline {
-		if d.softAttestor == nil {
-			return attest.Report{}, fmt.Errorf("device %s: attestation not provisioned", d.Spec.DeviceID)
+	if spec.Mode == ModeBaseline {
+		d.agent.deviceID = spec.DeviceID
+		if spec.AttestKeySeed != 0 {
+			d.agent.attestor = attest.NewAttestor(spec.DeviceID, attest.KeyFromSeed(spec.AttestKeySeed))
 		}
-		return d.softAttestor.Attest(nonce, attest.Measurement{Code: BaselineAgentDigest}), nil
+		d.deviceLifecycle = &d.agent
 	}
-	if d.Speaker != nil {
-		return d.Speaker.Attest(nonce)
-	}
-	return d.Doorbell.Attest(nonce)
+	return d, nil
 }
 
-// UpdateModel delivers a published model pack to the device; baseline
-// devices hold no on-device model and return nil.
-func (d *Device) UpdateModel(pack attest.Pack, tok attest.ManifestToken) error {
-	if d.Spec.Mode == ModeBaseline {
-		return nil
-	}
-	if d.Speaker != nil {
-		return d.Speaker.UpdateModel(pack, tok)
-	}
-	return d.Doorbell.UpdateModel(pack, tok)
+// softAgent is a baseline device's lifecycle. Baseline deployments have
+// no TEE, so the normal-world agent signs its evidence in software
+// (BaselineAgentDigest, model version 0) and holds no on-device model.
+type softAgent struct {
+	deviceID string
+	attestor *attest.Attestor // nil when attestation is not provisioned
 }
 
-// ModelVersion returns the model-pack version the device holds (0 for
-// baseline devices).
-func (d *Device) ModelVersion() uint64 {
-	if d.Speaker != nil {
-		return d.Speaker.ModelVersion()
+// Attest signs the agent's measurement over a verifier challenge.
+func (a *softAgent) Attest(nonce attest.Nonce) (attest.Report, error) {
+	if a.attestor == nil {
+		return attest.Report{}, fmt.Errorf("device %s: attestation not provisioned", a.deviceID)
 	}
-	return d.Doorbell.ModelVersion()
+	return a.attestor.Attest(nonce, attest.Measurement{Code: BaselineAgentDigest}), nil
 }
 
-// RotateKey redeems a verifier-issued key-rotation token: secure devices
-// verify and redeem it inside their TA (sealing the new epoch next to
-// their model weights); baseline devices rotate the software agent's
-// signer. Returns the key epoch the device signs under after the
-// rotation.
-func (d *Device) RotateKey(tok attest.RotationToken) (uint64, error) {
-	if d.Spec.Mode == ModeBaseline {
-		if d.softAttestor == nil {
-			return 0, fmt.Errorf("device %s: attestation not provisioned", d.Spec.DeviceID)
-		}
-		next, err := d.softAttestor.Rotated(tok)
-		if err != nil {
-			return 0, fmt.Errorf("device %s: %w", d.Spec.DeviceID, err)
-		}
-		d.softAttestor = next
-		return next.Epoch(), nil
+// UpdateModel is a no-op: a baseline device holds no on-device model.
+func (a *softAgent) UpdateModel(attest.Pack, attest.ManifestToken) error { return nil }
+
+// ModelVersion is 0: a baseline device holds no on-device model.
+func (a *softAgent) ModelVersion() uint64 { return 0 }
+
+// RotateKey redeems a key-rotation token by rotating the software
+// signer, returning the epoch it signs under afterwards.
+func (a *softAgent) RotateKey(tok attest.RotationToken) (uint64, error) {
+	if a.attestor == nil {
+		return 0, fmt.Errorf("device %s: attestation not provisioned", a.deviceID)
 	}
-	if d.Speaker != nil {
-		return d.Speaker.RotateKey(tok)
+	next, err := a.attestor.Rotated(tok)
+	if err != nil {
+		return 0, fmt.Errorf("device %s: %w", a.deviceID, err)
 	}
-	return d.Doorbell.RotateKey(tok)
+	a.attestor = next
+	return next.Epoch(), nil
 }
 
-// KeyEpoch returns the attestation key epoch the device signs under.
-func (d *Device) KeyEpoch() uint64 {
-	if d.Spec.Mode == ModeBaseline {
-		if d.softAttestor == nil {
-			return 0
-		}
-		return d.softAttestor.Epoch()
+// KeyEpoch returns the epoch the software signer signs under.
+func (a *softAgent) KeyEpoch() uint64 {
+	if a.attestor == nil {
+		return 0
 	}
-	if d.Speaker != nil {
-		return d.Speaker.KeyEpoch()
-	}
-	return d.Doorbell.KeyEpoch()
+	return a.attestor.Epoch()
 }
 
 // SetTrace installs the device's sampled telemetry trace context (nil

@@ -1,0 +1,499 @@
+package core
+
+// One TA lifecycle for both device TAs. Attestation, key rotation, model
+// update and sealed-weights unsealing are one component (taLifecycle)
+// that the voice and camera TAs embed, and one normal-world management
+// client (taClient) that the speaker and doorbell systems embed. The TAs
+// differ only in their taProfile — names, storage objects and command
+// IDs — and in whether they build a per-device classifier.
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sync"
+
+	"repro/internal/attest"
+	"repro/internal/he"
+	"repro/internal/ml/classify"
+	"repro/internal/optee"
+	"repro/internal/teec"
+	"repro/internal/tz"
+)
+
+// lifecycleCmds are a TA's command IDs for the three lifecycle commands;
+// the parameter layouts are CmdAttest's, CmdUpdateModel's and
+// CmdRotateKey's for every TA.
+type lifecycleCmds struct{ attest, update, rotate uint32 }
+
+// taProfile is what tells the device TAs' lifecycles apart.
+type taProfile struct {
+	name string // error prefix
+	uuid string
+	code attest.Digest // measured code identity
+	cmds lifecycleCmds
+	// Sealed-storage objects: the current classifier weights, the
+	// key-epoch record, the HE secret key (ModeHybridHE), and the prefix
+	// of a provisioned model pack's versioned object.
+	weightsID, keyEpochID, heKeyID, packPrefix string
+	// image marks a TA whose pack weights are Pack.Image (else Pack.Text).
+	image bool
+}
+
+func newTAProfile(name, prefix, uuid string, cmds lifecycleCmds, image bool) *taProfile {
+	return &taProfile{
+		name: name, uuid: uuid, code: attest.MeasureCode("periguard", uuid), cmds: cmds,
+		weightsID:  prefix + "/classifier-weights",
+		keyEpochID: prefix + "/key-epoch",
+		heKeyID:    prefix + "/he-secret-key",
+		packPrefix: prefix + "/model-pack-v",
+		image:      image,
+	}
+}
+
+var (
+	voiceProfile = newTAProfile("voice ta", "voice-ta", UUIDVoiceTA,
+		lifecycleCmds{CmdAttest, CmdUpdateModel, CmdRotateKey}, false)
+	cameraProfile = newTAProfile("camera ta", "camera-ta", UUIDCameraTA,
+		lifecycleCmds{CmdCameraAttest, CmdCameraUpdateModel, CmdCameraRotateKey}, true)
+)
+
+// packID is the secure-storage id of the provisioned pack of a version.
+func (p *taProfile) packID(version uint64) string {
+	return fmt.Sprintf("%s%d", p.packPrefix, version)
+}
+
+// TAConfig wires what every device TA takes: the TEE it runs in, its
+// sealed storage, the virtual clock and cost model, and the lifecycle's
+// boot state.
+type TAConfig struct {
+	TEE     *optee.OS
+	Storage *optee.Storage
+	Clock   *tz.Clock
+	Cost    tz.CostModel
+	// Seed is the provisioned model's seed.
+	Seed uint64
+	// Attestor signs measurement reports with the device's attestation
+	// key (nil outside attested fleets); ModelVersion is the provisioned
+	// model-pack version the TA boots with.
+	Attestor     *attest.Attestor
+	ModelVersion uint64
+	// Hybrid marks the HE+TEE split-inference deployment: the TA accepts
+	// the HE handoff, decrypting under the sealed secret key and running
+	// the classifier tail in the TEE. HEParams is the leveled-HE
+	// parameter set the fleet's key pair uses.
+	Hybrid   bool
+	HEParams he.Params
+}
+
+// classifierBuilder makes a TA's classifier skeleton for a model seed;
+// the lifecycle restores sealed or delivered weights into it.
+type classifierBuilder interface {
+	newClassifier(seed uint64) (*classify.Classifier, error)
+}
+
+// taLifecycle is the attestation, key-rotation, model-update and
+// sealed-weights core of a device TA. A TA embeds it by value, so the
+// lifecycle costs a device build no allocation.
+type taLifecycle struct {
+	profile *taProfile
+	storage *optee.Storage
+	clock   *tz.Clock
+	cost    tz.CostModel
+	// build makes the per-device classifier; nil for a TA that runs none
+	// (a no-filter speaker, or one whose classify stage is shared), whose
+	// loadedClassifier is ErrBadState and whose updates rebuild nothing.
+	build classifierBuilder
+	// sealWeights marks a TA whose updates seal the pack's weights as its
+	// current weights (every TA but a no-filter speaker).
+	sealWeights bool
+	hybrid      bool
+	heParams    he.Params
+
+	// mu guards the swappable state below; it is the lifecycle's own
+	// lock, separate from the embedding TA's.
+	mu           sync.Mutex
+	attestor     *attest.Attestor
+	classifier   *classify.Classifier // nil until first unseal or update
+	modelVersion uint64
+	modelSeed    uint64
+}
+
+// initLifecycle fills the lifecycle from the TA's config. A sealed
+// key-epoch record left by an earlier instance's rotation is restored,
+// so a TA restart resumes signing at the rotated epoch instead of
+// falling back to the provisioning key.
+func (l *taLifecycle) initLifecycle(p *taProfile, cfg TAConfig, build classifierBuilder, sealWeights bool) {
+	l.profile, l.storage, l.clock, l.cost = p, cfg.Storage, cfg.Clock, cfg.Cost
+	l.build, l.sealWeights = build, sealWeights
+	l.hybrid, l.heParams = cfg.Hybrid, cfg.HEParams
+	l.attestor = cfg.Attestor
+	if l.attestor != nil {
+		if blob, err := cfg.Storage.Get(p.keyEpochID); err == nil && len(blob) >= 8 {
+			l.attestor = l.attestor.AtEpoch(binary.LittleEndian.Uint64(blob))
+		}
+	}
+	l.modelVersion, l.modelSeed = cfg.ModelVersion, cfg.Seed
+}
+
+// unprovisioned is the rejection of a lifecycle command on a TA with no
+// attestation key.
+func (l *taLifecycle) unprovisioned() error {
+	return fmt.Errorf("%w: %s attestation not provisioned", optee.ErrBadState, l.profile.name)
+}
+
+// rejected wraps a content rejection in ErrBadParam, keeping the attest
+// cause reachable through errors.Is.
+func (l *taLifecycle) rejected(op string, err error) error {
+	return fmt.Errorf("%w: %s %s: %w", optee.ErrBadParam, l.profile.name, op, err)
+}
+
+// invokeLifecycle serves the three lifecycle commands under the TA's own
+// command IDs; any other command is rejected.
+func (l *taLifecycle) invokeLifecycle(cmd uint32, params *optee.Params) error {
+	name := l.profile.name
+	switch cmd {
+	case l.profile.cmds.attest:
+		if params[0].Type != optee.MemrefIn || len(params[0].Buf) != len(attest.Nonce{}) {
+			return fmt.Errorf("%w: %s attest needs a %d-byte MemrefIn nonce", optee.ErrBadParam, name, len(attest.Nonce{}))
+		}
+		if params[1].Type != optee.MemrefOut || params[1].Buf == nil {
+			return fmt.Errorf("%w: %s attest needs a MemrefOut report buffer", optee.ErrBadParam, name)
+		}
+		rep, err := l.attestReport(attest.Nonce(params[0].Buf))
+		if err != nil {
+			return err
+		}
+		blob := rep.Marshal()
+		if len(params[1].Buf) < len(blob) {
+			return fmt.Errorf("%w: report buffer %d < %d", optee.ErrBadParam, len(params[1].Buf), len(blob))
+		}
+		copy(params[1].Buf, blob)
+		params[2].Type = optee.ValueOut
+		params[2].A = uint64(len(blob))
+		return nil
+	case l.profile.cmds.update:
+		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
+			return fmt.Errorf("%w: %s update needs a MemrefIn pack", optee.ErrBadParam, name)
+		}
+		if params[1].Type != optee.MemrefIn || len(params[1].Buf) == 0 {
+			return fmt.Errorf("%w: %s update needs a MemrefIn manifest", optee.ErrBadParam, name)
+		}
+		version, err := l.updateModel(params[0].Buf, params[1].Buf)
+		if err != nil {
+			return err
+		}
+		params[2].Type = optee.ValueOut
+		params[2].A = version
+		return nil
+	case l.profile.cmds.rotate:
+		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
+			return fmt.Errorf("%w: %s rotate needs a MemrefIn token", optee.ErrBadParam, name)
+		}
+		epoch, err := l.rotateKey(params[0].Buf)
+		if err != nil {
+			return err
+		}
+		params[1].Type = optee.ValueOut
+		params[1].A = epoch
+		return nil
+	default:
+		return fmt.Errorf("%w: %s cmd %#x", optee.ErrBadParam, name, cmd)
+	}
+}
+
+// ModelVersion returns the version of the model pack the TA holds.
+func (l *taLifecycle) ModelVersion() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.modelVersion
+}
+
+// KeyEpoch returns the key epoch the TA currently signs evidence under.
+func (l *taLifecycle) KeyEpoch() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.attestor == nil {
+		return 0
+	}
+	return l.attestor.Epoch()
+}
+
+// attestReport signs the TA's current measurement — its code digest and
+// the model-pack version it holds — over the verifier's challenge. The
+// attestor is read under the lock: a concurrent rotation swaps it, and a
+// report must be signed entirely under one epoch key.
+func (l *taLifecycle) attestReport(nonce attest.Nonce) (attest.Report, error) {
+	l.mu.Lock()
+	attestor := l.attestor
+	m := attest.Measurement{Code: l.profile.code, ModelVersion: l.modelVersion}
+	l.mu.Unlock()
+	if attestor == nil {
+		return attest.Report{}, l.unprovisioned()
+	}
+	// HMAC evidence over the measurement (~1k cycles of SHA-256 on a
+	// NEON-class core, rounded up for the report assembly).
+	l.clock.Advance(2000)
+	return attestor.Attest(nonce, m), nil
+}
+
+// rotateKey redeems a key-rotation token: the token must verify under
+// the TA's current attestation key and advance the epoch by exactly one.
+// The epoch record is sealed to secure storage next to current-weights —
+// a TA restart resumes signing at the rotated epoch — and the signer is
+// swapped under the lock, so a concurrent attestReport signs either
+// wholly under the old epoch (honored by the verifier's grace window) or
+// wholly under the new one; in-flight work is never disturbed.
+func (l *taLifecycle) rotateKey(tokenBytes []byte) (uint64, error) {
+	tok, err := attest.UnmarshalRotationToken(tokenBytes)
+	if err != nil {
+		return 0, l.rejected("rotate", err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.attestor == nil {
+		return 0, l.unprovisioned()
+	}
+	next, err := l.attestor.Rotated(tok)
+	if err != nil {
+		return 0, l.rejected("rotate", err)
+	}
+	var rec [8]byte
+	binary.LittleEndian.PutUint64(rec[:], next.Epoch())
+	l.storage.Put(l.profile.keyEpochID, rec[:])
+	// MAC verification plus one HMAC key derivation; see attestReport.
+	l.clock.Advance(4000)
+	l.attestor = next
+	return next.Epoch(), nil
+}
+
+// updateModel is the online-rollout sink: it authenticates a published
+// model pack against the per-device manifest, persists it through sealed
+// storage, and hot-swaps the live classifier. Swapping happens under the
+// lock while in-flight work keeps the classifier pointer it read, so no
+// batch or frame is dropped or torn mid-run.
+func (l *taLifecycle) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
+	l.mu.Lock()
+	attestor := l.attestor
+	l.mu.Unlock()
+	if attestor == nil {
+		return 0, l.unprovisioned()
+	}
+	pack, err := attest.DecodePack(packBytes)
+	if err != nil {
+		return 0, l.rejected("update", err)
+	}
+	tok, err := attest.UnmarshalManifestToken(tokenBytes)
+	if err != nil {
+		return 0, l.rejected("update", err)
+	}
+	if err := attestor.VerifyManifest(tok, pack); err != nil {
+		return 0, l.rejected("update", err)
+	}
+	weights := pack.Text
+	if l.profile.image {
+		weights = pack.Image
+	}
+	// A TA with no per-device classifier rebuilds nothing; a shared
+	// classify stage runs the pack's weights in the scheduler instead.
+	// The pack is still verified, sealed and version-advanced below.
+	var clf *classify.Classifier
+	if l.build != nil {
+		if clf, err = l.buildClassifier(pack.ModelSeed, weights); err != nil {
+			return 0, l.rejected("update", err)
+		}
+	}
+	// Version check and install form one critical section, so two
+	// concurrent updates cannot interleave into a downgrade: the loser
+	// of the race re-checks against the winner's installed version.
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if pack.Version == l.modelVersion {
+		return l.modelVersion, nil // idempotent re-delivery
+	}
+	if pack.Version < l.modelVersion {
+		return 0, l.rejected("update", fmt.Errorf("%w: pack v%d older than installed v%d",
+			attest.ErrBadPack, pack.Version, l.modelVersion))
+	}
+	// Persist through sealed storage: the versioned pack for provenance,
+	// and the current-weights object the next unseal picks up.
+	l.storage.Put(l.profile.packID(pack.Version), packBytes)
+	if l.sealWeights {
+		l.storage.Put(l.profile.weightsID, weights)
+	}
+	if clf != nil {
+		l.classifier = clf
+	}
+	// Charge the copy+seal of the pack through the TEE.
+	l.clock.Advance(tz.Cycles(len(packBytes)) * l.cost.CopyPerByte)
+	l.modelVersion = pack.Version
+	l.modelSeed = pack.ModelSeed
+	return pack.Version, nil
+}
+
+// buildClassifier makes the classifier skeleton for a model seed and
+// restores the given serialized weights into it.
+func (l *taLifecycle) buildClassifier(seed uint64, blob []byte) (*classify.Classifier, error) {
+	clf, err := l.build.newClassifier(seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := clf.LoadWeights(blob); err != nil {
+		return nil, fmt.Errorf("%s weights: %w", l.profile.name, err)
+	}
+	return clf, nil
+}
+
+// loadedClassifier returns the live classifier, unsealing it from secure
+// storage on first use (an installed rollout pack takes precedence:
+// updateModel swaps the pointer directly). Deferring the unseal to first
+// use keeps management sessions lightweight.
+func (l *taLifecycle) loadedClassifier() (*classify.Classifier, error) {
+	if l.build == nil {
+		return nil, fmt.Errorf("%w: %s runs no per-device classifier", optee.ErrBadState, l.profile.name)
+	}
+	l.mu.Lock()
+	clf, seed := l.classifier, l.modelSeed
+	l.mu.Unlock()
+	if clf != nil {
+		return clf, nil
+	}
+	blob, err := l.storage.Get(l.profile.weightsID)
+	if err != nil {
+		return nil, fmt.Errorf("%s weights: %w", l.profile.name, err)
+	}
+	built, err := l.buildClassifier(seed, blob)
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.classifier == nil {
+		l.classifier = built
+	}
+	return l.classifier, nil
+}
+
+// heDecryptState unseals the HE secret key and builds the in-TA
+// evaluator for the HE→TEE handoff. Both are cheap value types, returned
+// by value so a handoff allocates neither; the seal read is the
+// expensive part and happens per handoff, mirroring how the weights
+// object is the unit of sealed-storage traffic.
+func (l *taLifecycle) heDecryptState() (he.SecretKey, he.Evaluator, error) {
+	name := l.profile.name
+	if !l.hybrid {
+		return he.SecretKey{}, he.Evaluator{}, fmt.Errorf("%w: %s HE handoff outside hybrid mode", optee.ErrBadState, name)
+	}
+	blob, err := l.storage.Get(l.profile.heKeyID)
+	if err != nil {
+		return he.SecretKey{}, he.Evaluator{}, fmt.Errorf("%s he key: %w", name, err)
+	}
+	sk, err := he.ParseSecretKey(blob)
+	if err != nil {
+		return he.SecretKey{}, he.Evaluator{}, fmt.Errorf("%s he key: %w", name, err)
+	}
+	eval, err := he.NewEvaluator(l.heParams, l.clock, l.cost)
+	if err != nil {
+		return he.SecretKey{}, he.Evaluator{}, fmt.Errorf("%s he eval: %w", name, err)
+	}
+	return sk, *eval, nil
+}
+
+// taClient is the normal-world management client of one device TA: it
+// attests, updates the model and rotates the key over short-lived
+// sessions under the TA's UUID and command IDs. A system with no TA
+// (baseline) holds a zero client, which refuses with ErrNoTEE and reads
+// version and epoch 0.
+type taClient struct {
+	tee     *optee.OS
+	profile *taProfile
+	ta      *taLifecycle
+}
+
+// withTA runs fn over a short-lived management session to the TA. The
+// TA keeps its state across sessions, so a management session opened
+// while a processing session is live shares the running instance (and a
+// speaker's capture stream keeps going).
+func (c *taClient) withTA(fn func(sess *teec.Session) error) error {
+	if c.ta == nil {
+		return ErrNoTEE
+	}
+	ctx := teec.InitializeContext(c.tee)
+	sess, err := ctx.OpenSession(c.profile.uuid)
+	if err != nil {
+		return fmt.Errorf("%s management session: %w", c.profile.name, err)
+	}
+	defer func() { _ = ctx.FinalizeContext() }()
+	return fn(sess)
+}
+
+// Attest asks the TA for attestation evidence over the verifier's
+// challenge nonce (fleet handshake, Fig. 1 extended: the provider admits
+// the device's traffic only after this report verifies).
+func (c *taClient) Attest(nonce attest.Nonce) (attest.Report, error) {
+	var rep attest.Report
+	err := c.withTA(func(sess *teec.Session) error {
+		buf := make([]byte, 512)
+		p := &optee.Params{
+			{Type: optee.MemrefIn, Buf: nonce[:]},
+			{Type: optee.MemrefOut, Buf: buf},
+			{},
+		}
+		if err := sess.InvokeCommand(c.profile.cmds.attest, p); err != nil {
+			return err
+		}
+		got, err := attest.UnmarshalReport(buf[:p[2].A])
+		if err != nil {
+			return err
+		}
+		rep = got
+		return nil
+	})
+	return rep, err
+}
+
+// UpdateModel delivers a published model pack and its per-device
+// manifest token to the TA, which authenticates, seals and hot-swaps it.
+func (c *taClient) UpdateModel(pack attest.Pack, tok attest.ManifestToken) error {
+	return c.withTA(func(sess *teec.Session) error {
+		p := &optee.Params{
+			{Type: optee.MemrefIn, Buf: pack.Encode()},
+			{Type: optee.MemrefIn, Buf: tok.Marshal()},
+			{},
+		}
+		return sess.InvokeCommand(c.profile.cmds.update, p)
+	})
+}
+
+// RotateKey redeems a verifier-issued key-rotation token in the TA,
+// which verifies it under the current attestation key, seals the new
+// epoch and swaps the evidence signer. Returns the new key epoch.
+func (c *taClient) RotateKey(tok attest.RotationToken) (uint64, error) {
+	var epoch uint64
+	err := c.withTA(func(sess *teec.Session) error {
+		p := &optee.Params{{Type: optee.MemrefIn, Buf: tok.Marshal()}, {}}
+		if err := sess.InvokeCommand(c.profile.cmds.rotate, p); err != nil {
+			return err
+		}
+		epoch = p[1].A
+		return nil
+	})
+	return epoch, err
+}
+
+// ModelVersion returns the model-pack version the device holds (0 for a
+// system with no TA, which holds no on-device model).
+func (c *taClient) ModelVersion() uint64 {
+	if c.ta == nil {
+		return 0
+	}
+	return c.ta.ModelVersion()
+}
+
+// KeyEpoch returns the attestation key epoch the device signs evidence
+// under (0 for a system with no TA).
+func (c *taClient) KeyEpoch() uint64 {
+	if c.ta == nil {
+		return 0
+	}
+	return c.ta.KeyEpoch()
+}

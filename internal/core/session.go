@@ -6,111 +6,19 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/attest"
 	"repro/internal/audio"
 	"repro/internal/cloud"
 	"repro/internal/i2s"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/optee"
 	"repro/internal/power"
 	"repro/internal/sensitive"
-	"repro/internal/teec"
 	"repro/internal/tz"
 )
 
 // ErrNoTEE is returned for TEE-only operations on baseline systems.
 var ErrNoTEE = errors.New("core: operation requires a secure-mode system")
-
-// withTA runs fn over a short-lived management session to the voice TA.
-// The TA instance refcounts sessions, so a management session opened
-// while a processing session is live shares the running instance (and
-// the capture stream keeps going).
-func (s *System) withTA(fn func(sess *teec.Session) error) error {
-	if s.cfg.Mode == ModeBaseline {
-		return ErrNoTEE
-	}
-	ctx := teec.InitializeContext(s.TEE)
-	sess, err := ctx.OpenSession(UUIDVoiceTA)
-	if err != nil {
-		return fmt.Errorf("core management session: %w", err)
-	}
-	defer func() { _ = ctx.FinalizeContext() }()
-	return fn(sess)
-}
-
-// Attest asks the TA for attestation evidence over the verifier's
-// challenge nonce (fleet handshake, Fig. 1 extended: the provider admits
-// the device's traffic only after this report verifies).
-func (s *System) Attest(nonce attest.Nonce) (attest.Report, error) {
-	var rep attest.Report
-	err := s.withTA(func(sess *teec.Session) error {
-		buf := make([]byte, 512)
-		p := &optee.Params{
-			{Type: optee.MemrefIn, Buf: nonce[:]},
-			{Type: optee.MemrefOut, Buf: buf},
-			{},
-		}
-		if err := sess.InvokeCommand(CmdAttest, p); err != nil {
-			return err
-		}
-		got, err := attest.UnmarshalReport(buf[:p[2].A])
-		if err != nil {
-			return err
-		}
-		rep = got
-		return nil
-	})
-	return rep, err
-}
-
-// UpdateModel delivers a published model pack and its per-device
-// manifest token to the TA, which authenticates, seals and hot-swaps it.
-func (s *System) UpdateModel(pack attest.Pack, tok attest.ManifestToken) error {
-	return s.withTA(func(sess *teec.Session) error {
-		p := &optee.Params{
-			{Type: optee.MemrefIn, Buf: pack.Encode()},
-			{Type: optee.MemrefIn, Buf: tok.Marshal()},
-			{},
-		}
-		return sess.InvokeCommand(CmdUpdateModel, p)
-	})
-}
-
-// ModelVersion returns the model-pack version the device holds (0 for
-// baseline systems, which hold no on-device model).
-func (s *System) ModelVersion() uint64 {
-	if s.cfg.Mode == ModeBaseline {
-		return 0
-	}
-	return s.VoiceTA.ModelVersion()
-}
-
-// RotateKey redeems a verifier-issued key-rotation token in the TA,
-// which verifies it under the current attestation key, seals the new
-// epoch and swaps the evidence signer. Returns the new key epoch.
-func (s *System) RotateKey(tok attest.RotationToken) (uint64, error) {
-	var epoch uint64
-	err := s.withTA(func(sess *teec.Session) error {
-		p := &optee.Params{{Type: optee.MemrefIn, Buf: tok.Marshal()}, {}}
-		if err := sess.InvokeCommand(CmdRotateKey, p); err != nil {
-			return err
-		}
-		epoch = p[1].A
-		return nil
-	})
-	return epoch, err
-}
-
-// KeyEpoch returns the attestation key epoch the device signs evidence
-// under (0 for baseline systems).
-func (s *System) KeyEpoch() uint64 {
-	if s.cfg.Mode == ModeBaseline {
-		return 0
-	}
-	return s.VoiceTA.KeyEpoch()
-}
 
 // SnoopSummary aggregates the compromised-OS adversary's results.
 type SnoopSummary struct {

@@ -7,11 +7,9 @@ import (
 	"sync"
 
 	"repro/internal/asr"
-	"repro/internal/attest"
 	"repro/internal/audio"
 	"repro/internal/cloud"
 	"repro/internal/driver"
-	"repro/internal/he"
 	"repro/internal/i2s"
 	"repro/internal/ml/classify"
 	"repro/internal/ml/layers"
@@ -21,28 +19,10 @@ import (
 	"repro/internal/tz"
 )
 
-// weightsObjectID is the secure-storage id of the sealed classifier.
-const weightsObjectID = "voice-ta/classifier-weights"
-
-// heSecretKeyID is the secure-storage id of the sealed HE secret key
-// (ModeHybridHE): provisioned like the model pack, unsealed only
-// inside the TA for the HE→TEE handoff decrypt.
-const heSecretKeyID = "voice-ta/he-secret-key"
-
-// packObjectID is the secure-storage id of a provisioned model pack.
-func packObjectID(version uint64) string {
-	return fmt.Sprintf("voice-ta/model-pack-v%d", version)
-}
-
-// keyEpochObjectID is the secure-storage id of the sealed key-epoch
-// record, kept next to the current-weights object so a TA restart
-// resumes signing at the rotated epoch.
-const keyEpochObjectID = "voice-ta/key-epoch"
-
 // VoiceTADigest is the measured code identity of the voice TA — what a
 // loader hashing the TA image would report, and what the fleet verifier
 // expects from secure speakers.
-var VoiceTADigest = attest.MeasureCode("periguard", UUIDVoiceTA)
+var VoiceTADigest = voiceProfile.code
 
 // DriverPTA is the pseudo trusted application bridging the TA and the
 // in-TEE sound driver (paper §II: a PTA "with OS-level privileges that
@@ -240,32 +220,18 @@ type ProcessedUtterance struct {
 	ClassifyBatch int
 }
 
-// VoiceTAConfig wires the TA's dependencies.
+// VoiceTAConfig wires the TA's dependencies: the lifecycle and relay
+// inputs every device TA takes, plus the speech pipeline's own.
 type VoiceTAConfig struct {
-	TEE        *optee.OS
-	Storage    *optee.Storage
+	TAConfig
+	Identity   *relay.Identity
+	CloudPub   []byte
 	Recognizer *asr.Session
 	Arch       classify.Arch
 	VocabSize  int
 	Vocab      *sensitive.Vocabulary
 	Policy     relay.Policy
 	Filter     bool // false = secure-nofilter mode
-	Identity   *relay.Identity
-	CloudPub   []byte
-	Clock      *tz.Clock
-	Cost       tz.CostModel
-	Seed       uint64
-	// Attestor signs measurement reports with the device's attestation
-	// key (nil outside attested fleets); ModelVersion is the provisioned
-	// model-pack version the TA boots with.
-	Attestor     *attest.Attestor
-	ModelVersion uint64
-	// Hybrid marks the HE+TEE split-inference deployment: the TA
-	// accepts CmdResumeBatchHE handoffs, decrypting under the sealed
-	// secret key and running the classifier tail in the TEE. HEParams
-	// is the leveled-HE parameter set the fleet's key pair uses.
-	Hybrid   bool
-	HEParams he.Params
 	// sharedClassify marks a TA whose classify stage runs in a shared
 	// cross-device scheduler (Config.SharedClassify): verdicts arrive
 	// through CmdResumeBatch, and no per-device classifier is built.
@@ -274,18 +240,17 @@ type VoiceTAConfig struct {
 
 // VoiceTA is the trusted application of Fig. 1: it pulls audio from the
 // PTA, transcribes it, applies the ML filter, and relays sanitized events
-// through the supplicant to the cloud.
+// through the supplicant to the cloud. Attestation, key rotation, model
+// update and the sealed classifier are its embedded taLifecycle.
 type VoiceTA struct {
+	taLifecycle
 	cfg     VoiceTAConfig
 	channel *relay.Channel
 
-	mu           sync.Mutex
-	classifier   *classify.Classifier // nil until first classify (unsealed from storage) or updateModel
-	opens        int                  // open-session refcount; capture runs while > 0
-	modelVersion uint64
-	modelSeed    uint64
-	processed    []ProcessedUtterance
-	messageID    uint64
+	mu        sync.Mutex
+	opens     int // open-session refcount; capture runs while > 0
+	processed []ProcessedUtterance
+	messageID uint64
 	// Staged-batch state (CmdTranscribeBatch → CmdResumeBatch): records
 	// carrying the capture/transcribe halves and the encoded tokens
 	// awaiting the shared classifier. At most one staged batch is pending
@@ -297,45 +262,24 @@ type VoiceTA struct {
 var _ optee.TA = (*VoiceTA)(nil)
 
 // NewVoiceTA constructs the TA (registered but not yet opened). A
-// sealed key-epoch record left by an earlier instance's CmdRotateKey is
-// restored here, so a TA restart resumes signing at the rotated epoch
-// instead of falling back to the provisioning key.
+// no-filter TA seals no weights and builds no classifier; a
+// shared-classify TA seals an update's weights but builds none.
 func NewVoiceTA(cfg VoiceTAConfig) (*VoiceTA, error) {
 	ch, err := relay.NewChannel(cfg.Identity, cfg.CloudPub, true)
 	if err != nil {
 		return nil, fmt.Errorf("voice ta channel: %w", err)
 	}
-	cfg.Attestor = restoreKeyEpoch(cfg.Storage, keyEpochObjectID, cfg.Attestor)
-	return &VoiceTA{
-		cfg:          cfg,
-		channel:      ch,
-		modelVersion: cfg.ModelVersion,
-		modelSeed:    cfg.Seed,
-	}, nil
-}
-
-// restoreKeyEpoch advances an attestor to the key epoch sealed in
-// secure storage (no record, or no attestor, leaves it untouched).
-func restoreKeyEpoch(storage *optee.Storage, objectID string, a *attest.Attestor) *attest.Attestor {
-	if a == nil || storage == nil {
-		return a
+	t := &VoiceTA{cfg: cfg, channel: ch}
+	var build classifierBuilder
+	if cfg.Filter && !cfg.sharedClassify {
+		build = t
 	}
-	blob, err := storage.Get(objectID)
-	if err != nil || len(blob) < 8 {
-		return a
-	}
-	return a.AtEpoch(binary.LittleEndian.Uint64(blob))
+	t.initLifecycle(voiceProfile, cfg.TAConfig, build, cfg.Filter)
+	return t, nil
 }
 
 // UUID implements optee.TA.
 func (t *VoiceTA) UUID() string { return UUIDVoiceTA }
-
-// ModelVersion returns the version of the model pack the TA holds.
-func (t *VoiceTA) ModelVersion() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.modelVersion
-}
 
 // Open implements optee.TA. The TA is a single multi-session instance:
 // the first session starts the capture stream through the PTA; further
@@ -362,18 +306,9 @@ func (t *VoiceTA) Open(sessionID uint32) error {
 	return nil
 }
 
-// buildClassifier reconstructs the classifier skeleton for a model seed
-// and restores the given serialized weights into it.
-func (t *VoiceTA) buildClassifier(seed uint64, blob []byte) (*classify.Classifier, error) {
-	rng := NewRNG(seed, seed^SaltClassifier)
-	clf, err := classify.NewText(t.cfg.Arch, rng, t.cfg.VocabSize, 12)
-	if err != nil {
-		return nil, err
-	}
-	if err := clf.LoadWeights(blob); err != nil {
-		return nil, fmt.Errorf("voice ta weights: %w", err)
-	}
-	return clf, nil
+// newClassifier makes the text-classifier skeleton for a model seed.
+func (t *VoiceTA) newClassifier(seed uint64) (*classify.Classifier, error) {
+	return classify.NewText(t.cfg.Arch, NewRNG(seed, seed^SaltClassifier), t.cfg.VocabSize, 12)
 }
 
 // Close implements optee.TA: the last session stops the capture stream.
@@ -419,41 +354,6 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		}
 		tally(recs, &params[1])
 		return nil
-	case CmdAttest:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) != len(attest.Nonce{}) {
-			return fmt.Errorf("%w: CmdAttest needs a %d-byte MemrefIn nonce", optee.ErrBadParam, len(attest.Nonce{}))
-		}
-		if params[1].Type != optee.MemrefOut || params[1].Buf == nil {
-			return fmt.Errorf("%w: CmdAttest needs a MemrefOut report buffer", optee.ErrBadParam)
-		}
-		var nonce attest.Nonce
-		copy(nonce[:], params[0].Buf)
-		rep, err := t.attestReport(nonce)
-		if err != nil {
-			return err
-		}
-		blob := rep.Marshal()
-		if len(params[1].Buf) < len(blob) {
-			return fmt.Errorf("%w: report buffer %d < %d", optee.ErrBadParam, len(params[1].Buf), len(blob))
-		}
-		copy(params[1].Buf, blob)
-		params[2].Type = optee.ValueOut
-		params[2].A = uint64(len(blob))
-		return nil
-	case CmdUpdateModel:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
-			return fmt.Errorf("%w: CmdUpdateModel needs a MemrefIn pack", optee.ErrBadParam)
-		}
-		if params[1].Type != optee.MemrefIn || len(params[1].Buf) == 0 {
-			return fmt.Errorf("%w: CmdUpdateModel needs a MemrefIn manifest", optee.ErrBadParam)
-		}
-		version, err := t.updateModel(params[0].Buf, params[1].Buf)
-		if err != nil {
-			return err
-		}
-		params[2].Type = optee.ValueOut
-		params[2].A = version
-		return nil
 	case CmdTranscribeBatch:
 		lengths, err := decodeLengths(params[0])
 		if err != nil {
@@ -492,19 +392,8 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		}
 		tally(recs, &params[1])
 		return nil
-	case CmdRotateKey:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
-			return fmt.Errorf("%w: CmdRotateKey needs a MemrefIn token", optee.ErrBadParam)
-		}
-		epoch, err := t.rotateKey(params[0].Buf)
-		if err != nil {
-			return err
-		}
-		params[1].Type = optee.ValueOut
-		params[1].A = epoch
-		return nil
 	default:
-		return fmt.Errorf("%w: ta cmd %#x", optee.ErrBadParam, cmd)
+		return t.invokeLifecycle(cmd, params)
 	}
 }
 
@@ -566,122 +455,6 @@ func tally(recs []ProcessedUtterance, out *optee.Param) {
 		}
 		out.B += uint64(rec.Redacted)
 	}
-}
-
-// attestReport signs the TA's current measurement — its code digest and
-// the model-pack version it holds — over the verifier's challenge. The
-// attestor pointer is read under the TA lock: a concurrent CmdRotateKey
-// swaps it, and a report must be signed entirely under one epoch key.
-func (t *VoiceTA) attestReport(nonce attest.Nonce) (attest.Report, error) {
-	t.mu.Lock()
-	attestor := t.cfg.Attestor
-	m := attest.Measurement{Code: VoiceTADigest, ModelVersion: t.modelVersion}
-	t.mu.Unlock()
-	if attestor == nil {
-		return attest.Report{}, fmt.Errorf("%w: voice ta attestation not provisioned", optee.ErrBadState)
-	}
-	// HMAC evidence over the measurement (~1k cycles of SHA-256 on a
-	// NEON-class core, rounded up for the report assembly).
-	t.cfg.Clock.Advance(2000)
-	return attestor.Attest(nonce, m), nil
-}
-
-// KeyEpoch returns the key epoch the TA currently signs evidence under.
-func (t *VoiceTA) KeyEpoch() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cfg.Attestor == nil {
-		return 0
-	}
-	return t.cfg.Attestor.Epoch()
-}
-
-// rotateKey redeems a key-rotation token: the token must verify under
-// the TA's current attestation key and advance the epoch by exactly one.
-// The epoch record is sealed to secure storage next to current-weights —
-// a TA restart resumes signing at the rotated epoch — and the signer is
-// swapped under the TA lock, so a concurrent attestReport signs either
-// wholly under the old epoch (honored by the verifier's grace window) or
-// wholly under the new one; in-flight work is never disturbed.
-func (t *VoiceTA) rotateKey(tokenBytes []byte) (uint64, error) {
-	tok, err := attest.UnmarshalRotationToken(tokenBytes)
-	if err != nil {
-		return 0, fmt.Errorf("%w: voice ta rotate: %w", optee.ErrBadParam, err)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cfg.Attestor == nil {
-		return 0, fmt.Errorf("%w: voice ta attestation not provisioned", optee.ErrBadState)
-	}
-	next, err := t.cfg.Attestor.Rotated(tok)
-	if err != nil {
-		return 0, fmt.Errorf("%w: voice ta rotate: %w", optee.ErrBadParam, err)
-	}
-	var rec [8]byte
-	binary.LittleEndian.PutUint64(rec[:], next.Epoch())
-	t.cfg.Storage.Put(keyEpochObjectID, rec[:])
-	// MAC verification plus one HMAC key derivation; see attestReport.
-	t.cfg.Clock.Advance(4000)
-	t.cfg.Attestor = next
-	return next.Epoch(), nil
-}
-
-// updateModel is the online-rollout sink: it authenticates a published
-// model pack against the per-device manifest, persists it through sealed
-// storage, and hot-swaps the live classifier. Swapping happens under the
-// TA lock while in-flight batches keep the classifier pointer they read
-// at classify time, so no batch is dropped or torn mid-run.
-func (t *VoiceTA) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
-	if t.cfg.Attestor == nil {
-		return 0, fmt.Errorf("%w: voice ta attestation not provisioned", optee.ErrBadState)
-	}
-	pack, err := attest.DecodePack(packBytes)
-	if err != nil {
-		return 0, fmt.Errorf("%w: voice ta update: %w", optee.ErrBadParam, err)
-	}
-	tok, err := attest.UnmarshalManifestToken(tokenBytes)
-	if err != nil {
-		return 0, fmt.Errorf("%w: voice ta update: %w", optee.ErrBadParam, err)
-	}
-	if err := t.cfg.Attestor.VerifyManifest(tok, pack); err != nil {
-		return 0, fmt.Errorf("%w: voice ta update: %w", optee.ErrBadParam, err)
-	}
-	// With a shared classify stage the device never runs the pack's
-	// weights itself — the scheduler's per-version classifier does — so
-	// the per-device rebuild is skipped. The pack is still verified,
-	// sealed, and version-advanced below.
-	var clf *classify.Classifier
-	if t.cfg.Filter && !t.cfg.sharedClassify {
-		if clf, err = t.buildClassifier(pack.ModelSeed, pack.Text); err != nil {
-			return 0, fmt.Errorf("%w: voice ta update: %w", optee.ErrBadParam, err)
-		}
-	}
-	// Version check and install form one critical section, so two
-	// concurrent updates cannot interleave into a downgrade: the loser
-	// of the race re-checks against the winner's installed version.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if pack.Version == t.modelVersion {
-		return t.modelVersion, nil // idempotent re-delivery
-	}
-	if pack.Version < t.modelVersion {
-		return 0, fmt.Errorf("%w: voice ta update: %w: pack v%d older than installed v%d",
-			optee.ErrBadParam, attest.ErrBadPack, pack.Version, t.modelVersion)
-	}
-	// Persist through sealed storage: the versioned pack for provenance,
-	// and the current-weights object the next unseal picks up.
-	t.cfg.Storage.Put(packObjectID(pack.Version), packBytes)
-	if t.cfg.Filter {
-		t.cfg.Storage.Put(weightsObjectID, pack.Text)
-		if clf != nil {
-			t.classifier = clf
-		}
-	}
-	// Charge the copy+seal of the pack through the TEE.
-	t.cfg.Clock.Advance(tz.Cycles(len(packBytes)) * t.cfg.Cost.CopyPerByte)
-	t.modelVersion = pack.Version
-	t.modelSeed = pack.ModelSeed
-	return pack.Version, nil
 }
 
 // taScratch is the reusable buffer set for one in-flight TA invocation:
@@ -766,45 +539,10 @@ func (t *VoiceTA) transcribeStage(sc *taScratch, pcmBytes []byte) ([]string, err
 	return words, nil
 }
 
-// loadedClassifier returns the live classifier, unsealing it from
-// secure storage on first use (an installed rollout pack takes
-// precedence: updateModel swaps the pointer directly).
-func (t *VoiceTA) loadedClassifier() (*classify.Classifier, error) {
-	t.mu.Lock()
-	clf := t.classifier
-	seed := t.modelSeed
-	t.mu.Unlock()
-	if clf != nil {
-		return clf, nil
-	}
-	if !t.cfg.Filter {
-		return nil, fmt.Errorf("%w: voice ta classifier disabled (no-filter mode)", optee.ErrBadState)
-	}
-	blob, err := t.cfg.Storage.Get(weightsObjectID)
-	if err != nil {
-		return nil, fmt.Errorf("voice ta weights: %w", err)
-	}
-	built, err := t.buildClassifier(seed, blob)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	if t.classifier == nil {
-		t.classifier = built
-	}
-	clf = t.classifier
-	t.mu.Unlock()
-	return clf, nil
-}
-
 // classifyStage is the inline classify step: one forward pass over the
 // device's own queue, charged at 4 MACs/cycle (NEON-class SIMD) per
 // sample and attributed evenly across the records.
-func (t *VoiceTA) classifyStage(recs []ProcessedUtterance) error {
-	clf, err := t.loadedClassifier()
-	if err != nil {
-		return err
-	}
+func (t *VoiceTA) classifyStage(clf *classify.Classifier, recs []ProcessedUtterance) error {
 	batch := make([][]float32, len(recs))
 	for i := range recs {
 		batch[i] = clf.TokensToFeatures(t.cfg.Vocab.Encode(recs[i].Transcript))
@@ -932,14 +670,23 @@ func (t *VoiceTA) relayGroup(recs []ProcessedUtterance) error {
 // one invocation: capture and transcribe each, classify them all in one
 // batched forward pass, then relay the survivors. The caller paid one
 // world-switch round trip for the whole group instead of one per
-// utterance.
+// utterance. The classifier is loaded before capture drains the FIFO,
+// so a TA that cannot classify inline (ErrBadState on a shared-classify
+// TA) rejects the group with its audio still queued.
 func (t *VoiceTA) processBatch(lengths []int) ([]ProcessedUtterance, error) {
+	var clf *classify.Classifier
+	if t.cfg.Filter {
+		var err error
+		if clf, err = t.loadedClassifier(); err != nil {
+			return nil, err
+		}
+	}
 	recs, err := t.captureGroup(lengths)
 	if err != nil {
 		return nil, err
 	}
-	if t.cfg.Filter {
-		if err := t.classifyStage(recs); err != nil {
+	if clf != nil {
+		if err := t.classifyStage(clf, recs); err != nil {
 			return nil, err
 		}
 	}
@@ -1059,29 +806,6 @@ func splitLengthPrefixed(buf []byte) ([][]byte, error) {
 		return nil, errors.New("no blobs")
 	}
 	return out, nil
-}
-
-// heDecryptState unseals the HE secret key and builds the in-TA
-// evaluator. Both are cheap value types; the seal read is the
-// expensive part and happens per handoff, mirroring how the weights
-// object is the unit of sealed-storage traffic.
-func (t *VoiceTA) heDecryptState() (he.SecretKey, *he.Evaluator, error) {
-	if !t.cfg.Hybrid {
-		return he.SecretKey{}, nil, fmt.Errorf("%w: voice ta HE handoff outside hybrid mode", optee.ErrBadState)
-	}
-	blob, err := t.cfg.Storage.Get(heSecretKeyID)
-	if err != nil {
-		return he.SecretKey{}, nil, fmt.Errorf("voice ta he key: %w", err)
-	}
-	sk, err := he.ParseSecretKey(blob)
-	if err != nil {
-		return he.SecretKey{}, nil, fmt.Errorf("voice ta he key: %w", err)
-	}
-	eval, err := he.NewEvaluator(t.cfg.HEParams, t.cfg.Clock, t.cfg.Cost)
-	if err != nil {
-		return he.SecretKey{}, nil, fmt.Errorf("voice ta he eval: %w", err)
-	}
-	return sk, eval, nil
 }
 
 // resumeBatchHE is the HE→TEE handoff: the back half of a staged batch

@@ -213,8 +213,77 @@ func TestOutOfOrderStagedCallsBadState(t *testing.T) {
 	}
 }
 
+// TestSharedClassifyInlineKeepsGroup: a shared-classify speaker runs no
+// per-device classifier, so the inline commands are rejected with
+// ErrBadState before capture drains the FIFO. The group's audio is still
+// queued, and a staged transcribe of the same lengths takes all of it.
+func TestSharedClassifyInlineKeepsGroup(t *testing.T) {
+	utts, err := sensitive.Generate(sensitive.GenConfig{N: 2, SensitiveFraction: 0.5, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(Config{Mode: ModeSecureFilter, Seed: 5, SharedClassify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := openVoiceTA(t, sys)
+	lens, err := sys.queueGroup(new(sessionScratch), 0, utts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := optee.Params{{Type: optee.MemrefIn, Buf: lens}}
+	if err := sess.InvokeCommand(CmdProcessBatch, &p); !errors.Is(err, optee.ErrBadState) {
+		t.Fatalf("inline batch on a shared-classify TA: err = %v, want ErrBadState", err)
+	}
+	p = optee.Params{{Type: optee.ValueIn, A: uint64(binary.LittleEndian.Uint32(lens))}}
+	if err := sess.InvokeCommand(CmdProcessUtterance, &p); !errors.Is(err, optee.ErrBadState) {
+		t.Fatalf("inline utterance on a shared-classify TA: err = %v, want ErrBadState", err)
+	}
+	p = optee.Params{{Type: optee.MemrefIn, Buf: lens}}
+	if err := sess.InvokeCommand(CmdTranscribeBatch, &p); err != nil {
+		t.Fatalf("staged transcribe of the rejected group: %v", err)
+	}
+	if got := sys.VoiceTA.PendingTokens(); len(got) != len(utts) {
+		t.Fatalf("staged %d token sets, want %d", len(got), len(utts))
+	}
+}
+
+// TestCameraClosedPTAKeepsFrame: a frame command on a camera whose
+// capture PTA is not open is rejected with ErrBadState before the sensor
+// is read, so no frame is taken off it; once the PTA opens, the next
+// frame is the first one queued.
+func TestCameraClosedPTAKeepsFrame(t *testing.T) {
+	sys, err := NewCameraSystem(CameraConfig{Mode: ModeSecureFilter, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Camera.Queue(peripheral.ScenePerson, peripheral.SceneEmpty)
+	ctx := teec.InitializeContext(sys.TEE)
+	defer func() { _ = ctx.FinalizeContext() }()
+	sess, err := ctx.OpenSession(UUIDCameraTA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.InvokeCommand(CmdProcessFrame, &optee.Params{}); !errors.Is(err, optee.ErrBadState) {
+		t.Fatalf("frame with the capture PTA closed: err = %v, want ErrBadState", err)
+	}
+	if got := sys.PTA.Truth(); len(got) != 0 {
+		t.Fatalf("rejected frame command took %v off the sensor", got)
+	}
+	if err := sys.PTA.Open(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.InvokeCommand(CmdProcessFrame, &optee.Params{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.PTA.Truth(); len(got) != 1 || got[0] != peripheral.ScenePerson {
+		t.Fatalf("first frame after opening the PTA: %v, want [person]", got)
+	}
+}
+
 // FuzzVoiceTAInvoke drives a short sequence of commands from a hostile
-// normal world into the voice TA of a secure-filter or hybrid-he system
+// normal world into the voice TA of a secure-filter, hybrid-he or
+// shared-classify secure-filter system (mode byte 0, 1, 2, modulo 3)
 // whose FIFO already holds two utterances. Each op is encoded as
 // [cmd][slot-0 type][A: 8 bytes LE][len: 2 bytes LE][len bytes]; slot 1
 // carries A as a ValueIn (the resume wait). Contract: no panic; a
@@ -248,26 +317,31 @@ func FuzzVoiceTAInvoke(f *testing.F) {
 		return out
 	}
 	// The two length-bound inputs.
-	f.Add(false, op(CmdProcessUtterance, optee.ValueIn, 1<<62, nil))
-	f.Add(false, op(CmdProcessBatch, optee.MemrefIn, 0, lengthTable(1<<30)))
-	f.Add(false, op(CmdTranscribeBatch, optee.MemrefIn, 0, lengthTable(1<<30)))
+	f.Add(byte(0), op(CmdProcessUtterance, optee.ValueIn, 1<<62, nil))
+	f.Add(byte(0), op(CmdProcessBatch, optee.MemrefIn, 0, lengthTable(1<<30)))
+	f.Add(byte(0), op(CmdTranscribeBatch, optee.MemrefIn, 0, lengthTable(1<<30)))
 	// Stage the queued group, then a short verdict table and a retry.
 	staged := op(CmdTranscribeBatch, optee.MemrefIn, 0, lens)
-	f.Add(false, cat(staged, op(CmdResumeBatch, optee.MemrefIn, 0, make([]byte, 5)), op(CmdResumeBatch, optee.MemrefIn, 0, make([]byte, 10))))
-	f.Add(true, cat(staged, op(CmdResumeBatchHE, optee.MemrefIn, 0, packLengthPrefixed([][]byte{{1}}))))
-	f.Add(true, cat(staged, op(CmdResumeBatch, optee.MemrefIn, 7, []byte{1, 2, 0, 0, 0, 0, 2, 0, 0, 0})))
-	f.Add(false, cat(op(CmdProcessBatch, optee.MemrefIn, 0, lens), op(0x99, optee.ValueIn, 0, nil)))
+	f.Add(byte(0), cat(staged, op(CmdResumeBatch, optee.MemrefIn, 0, make([]byte, 5)), op(CmdResumeBatch, optee.MemrefIn, 0, make([]byte, 10))))
+	f.Add(byte(1), cat(staged, op(CmdResumeBatchHE, optee.MemrefIn, 0, packLengthPrefixed([][]byte{{1}}))))
+	f.Add(byte(1), cat(staged, op(CmdResumeBatch, optee.MemrefIn, 7, []byte{1, 2, 0, 0, 0, 0, 2, 0, 0, 0})))
+	f.Add(byte(0), cat(op(CmdProcessBatch, optee.MemrefIn, 0, lens), op(0x99, optee.ValueIn, 0, nil)))
 	// An utterance length that splits a wire frame.
-	f.Add(false, op(CmdProcessUtterance, optee.ValueIn, 12337, nil))
+	f.Add(byte(0), op(CmdProcessUtterance, optee.ValueIn, 12337, nil))
 	// More audio declared than the FIFO holds: capture stalls.
-	f.Add(false, op(CmdProcessUtterance, optee.ValueIn, 274480, nil))
+	f.Add(byte(0), op(CmdProcessUtterance, optee.ValueIn, 274480, nil))
+	// An inline group on a shared-classify TA, then the staged retry.
+	f.Add(byte(2), cat(op(CmdProcessBatch, optee.MemrefIn, 0, lens), staged))
 
-	f.Fuzz(func(t *testing.T, hybrid bool, ops []byte) {
-		mode := ModeSecureFilter
-		if hybrid {
-			mode = ModeHybridHE
+	f.Fuzz(func(t *testing.T, mode byte, ops []byte) {
+		cfg := Config{Mode: ModeSecureFilter, Seed: 5}
+		switch mode % 3 {
+		case 1:
+			cfg.Mode = ModeHybridHE
+		case 2:
+			cfg.SharedClassify = true
 		}
-		sys, err := NewSystem(Config{Mode: mode, Seed: 5})
+		sys, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,16 +404,19 @@ func cameraParamsWellShaped(cmd uint32, p *optee.Params) bool {
 }
 
 // newFuzzCamera builds an attested camera whose sensor holds a person
-// frame then an empty one, with the capture PTA and a TA session open.
-func newFuzzCamera(t testing.TB, mode Mode) (*CameraSystem, *teec.Session) {
+// frame then an empty one, with a TA session and (if openPTA) the
+// capture PTA open.
+func newFuzzCamera(t testing.TB, mode Mode, openPTA bool) (*CameraSystem, *teec.Session) {
 	t.Helper()
 	sys, err := NewCameraSystem(CameraConfig{Mode: mode, Seed: 11, DeviceID: "cam-0", AttestKeySeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Camera.Queue(peripheral.ScenePerson, peripheral.SceneEmpty)
-	if err := sys.PTA.Open(0); err != nil {
-		t.Fatal(err)
+	if openPTA {
+		if err := sys.PTA.Open(0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ctx := teec.InitializeContext(sys.TEE)
 	sess, err := ctx.OpenSession(UUIDCameraTA)
@@ -351,8 +428,9 @@ func newFuzzCamera(t testing.TB, mode Mode) (*CameraSystem, *teec.Session) {
 }
 
 // FuzzCameraTAInvoke drives a short sequence of commands from a hostile
-// normal world into a live camera TA (secure-filter, or hybrid-he with
-// the HE handoff armed). Each op is encoded as [cmd][slot-0 type]
+// normal world into a live camera TA: the mode byte's bit 0 selects
+// hybrid-he (the HE handoff armed) over secure-filter, and bit 1 leaves
+// the capture PTA closed until the final frame. Each op is encoded as [cmd][slot-0 type]
 // [slot-1 type][A: 8 bytes LE][len0: 2 bytes LE][len1: 2 bytes LE]
 // [len0 bytes][len1 bytes]; slot 2 carries A as a ValueIn. Contract: no
 // call panics; a rejected call returns an error wrapping ErrBadParam (the
@@ -362,7 +440,7 @@ func newFuzzCamera(t testing.TB, mode Mode) (*CameraSystem, *teec.Session) {
 // fresh TA gives for the same frame.
 func FuzzCameraTAInvoke(f *testing.F) {
 	// Reference verdicts: a fresh TA processing both queued frames.
-	ref, refSess := newFuzzCamera(f, ModeSecureFilter)
+	ref, refSess := newFuzzCamera(f, ModeSecureFilter, true)
 	var verdicts []uint64
 	for i := 0; i < 3; i++ {
 		p := &optee.Params{}
@@ -381,25 +459,27 @@ func FuzzCameraTAInvoke(f *testing.F) {
 		return append(append(out, b0...), b1...)
 	}
 	frame := make([]byte, cameraFrameBytes)
-	f.Add(false, op(CmdProcessFrame, optee.ParamNone, optee.ParamNone, 0, nil, nil))
-	f.Add(false, op(CmdProcessFrame, optee.MemrefIn, optee.MemrefOut, 1, []byte{1}, []byte{2}))
-	f.Add(false, op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1, 2, 3}, frame))
-	f.Add(true, op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1, 2, 3}, frame))
-	f.Add(true, op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1}, frame[:7]))
-	f.Add(false, op(CmdCameraAttest, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 8)))
-	f.Add(false, op(CmdCameraAttest, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 512)))
-	f.Add(false, op(CmdCameraUpdateModel, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2}).Encode(), []byte{9}))
-	f.Add(false, op(CmdCameraUpdateModel, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2, Image: []byte{1}}).Encode(),
+	f.Add(byte(0), op(CmdProcessFrame, optee.ParamNone, optee.ParamNone, 0, nil, nil))
+	f.Add(byte(0), op(CmdProcessFrame, optee.MemrefIn, optee.MemrefOut, 1, []byte{1}, []byte{2}))
+	f.Add(byte(0), op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1, 2, 3}, frame))
+	f.Add(byte(1), op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1, 2, 3}, frame))
+	f.Add(byte(1), op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1}, frame[:7]))
+	f.Add(byte(0), op(CmdCameraAttest, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 8)))
+	f.Add(byte(0), op(CmdCameraAttest, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 512)))
+	f.Add(byte(0), op(CmdCameraUpdateModel, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2}).Encode(), []byte{9}))
+	f.Add(byte(0), op(CmdCameraUpdateModel, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2, Image: []byte{1}}).Encode(),
 		attest.ManifestToken{DeviceID: "cam-0", Version: 2}.Marshal()))
-	f.Add(false, op(CmdCameraRotateKey, optee.MemrefIn, optee.ParamNone, 0, []byte{1, 2}, nil))
-	f.Add(true, op(0x99, optee.ValueIn, optee.ValueOut, 3, nil, nil))
+	f.Add(byte(0), op(CmdCameraRotateKey, optee.MemrefIn, optee.ParamNone, 0, []byte{1, 2}, nil))
+	f.Add(byte(1), op(0x99, optee.ValueIn, optee.ValueOut, 3, nil, nil))
+	// A frame command with the capture PTA closed.
+	f.Add(byte(2), op(CmdProcessFrame, optee.ParamNone, optee.ParamNone, 0, nil, nil))
 
-	f.Fuzz(func(t *testing.T, hybrid bool, ops []byte) {
-		mode := ModeSecureFilter
-		if hybrid {
-			mode = ModeHybridHE
+	f.Fuzz(func(t *testing.T, mode byte, ops []byte) {
+		teeMode, ptaClosed := ModeSecureFilter, mode&2 != 0
+		if mode&1 != 0 {
+			teeMode = ModeHybridHE
 		}
-		sys, sess := newFuzzCamera(t, mode)
+		sys, sess := newFuzzCamera(t, teeMode, !ptaClosed)
 		for n := 0; len(ops) >= 15 && n < 4; n++ {
 			cmd := uint32(ops[0])
 			t0, t1 := optee.ParamType(ops[1]%7), optee.ParamType(ops[2]%7)
@@ -431,6 +511,11 @@ func FuzzCameraTAInvoke(f *testing.F) {
 				t.Fatalf("rejected cmd %#x (%v) changed TA state: %s -> %s", cmd, err, before, after)
 			}
 		}
+		if ptaClosed {
+			if err := sys.PTA.Open(0); err != nil {
+				t.Fatal(err)
+			}
+		}
 		grabbed := len(sys.PTA.Truth())
 		p := &optee.Params{}
 		if err := sess.InvokeCommand(CmdProcessFrame, p); err != nil {
@@ -446,9 +531,14 @@ func FuzzCameraTAInvoke(f *testing.F) {
 // that used to return a bare cause: missing attestation, a mode that does
 // not run the requested stage, malformed lifecycle inputs, and group
 // lengths the FIFO cannot satisfy. Lifecycle rejections keep the attest
-// cause reachable through errors.Is, as the camera twin does.
+// cause reachable through errors.Is. The lifecycle rows run over the
+// camera TA too, which shares the lifecycle.
 func TestVoiceTATypedErrors(t *testing.T) {
 	unattested, err := NewSystem(Config{Mode: ModeSecureFilter, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unattestedCam, err := NewCameraSystem(CameraConfig{Mode: ModeSecureFilter, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,23 +546,6 @@ func TestVoiceTATypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newAttestRig(t, ModeSecureFilter)
-	pack, tok := r.packV2(t)
-	forgedManifest := tok
-	forgedManifest.MAC[0] ^= 0xff
-	stale := attest.Pack{Version: 0, ModelSeed: pack.ModelSeed, Text: pack.Text}
-	staleTok, err := r.verifier.Manifest("dev-under-test", stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rotating moves the verifier's key epoch, so every manifest above is
-	// minted first.
-	rotation, err := r.verifier.Rotate("dev-under-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	forgedRotation := rotation
-	forgedRotation.MAC[0] ^= 0xff
 	utts, err := sensitive.Generate(sensitive.GenConfig{N: 2, SensitiveFraction: 0.5, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
@@ -484,23 +557,78 @@ func TestVoiceTATypedErrors(t *testing.T) {
 		return openVoiceTA(t, sys).InvokeCommand(cmd, &p)
 	}
 	memref := func(b []byte) optee.Param { return optee.Param{Type: optee.MemrefIn, Buf: b} }
-	cases := []struct {
+	type row struct {
 		name  string
 		run   func() error
 		want  error
 		cause error // an attest cause the typed error must still wrap
-	}{
-		{"attest without attestor", func() error {
-			_, err := unattested.Attest(attest.Nonce{})
-			return err
-		}, optee.ErrBadState, nil},
-		{"rotate without attestor", func() error {
-			_, err := unattested.RotateKey(rotation)
-			return err
-		}, optee.ErrBadState, nil},
-		{"update without attestor", func() error {
-			return unattested.UpdateModel(pack, tok)
-		}, optee.ErrBadState, nil},
+	}
+	// lifecycleRows are one TA's lifecycle rejections: a device with no
+	// attestor, and an attested rig whose verifier mints the inputs.
+	lifecycleRows := func(prefix string, unattested *taClient, r *attestRig) []row {
+		pack, tok := r.packV2(t)
+		forgedManifest := tok
+		forgedManifest.MAC[0] ^= 0xff
+		stale := r.withWeights(attest.Pack{Version: 0, ModelSeed: pack.ModelSeed}, r.weights(pack))
+		staleTok, err := r.verifier.Manifest("dev-under-test", stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rotating moves the verifier's key epoch, so every manifest above
+		// is minted first.
+		rotation, err := r.verifier.Rotate("dev-under-test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		forgedRotation := rotation
+		forgedRotation.MAC[0] ^= 0xff
+		invokeRig := func(cmd uint32, p optee.Params) error {
+			ctx := teec.InitializeContext(r.dev.tee)
+			defer func() { _ = ctx.FinalizeContext() }()
+			sess, err := ctx.OpenSession(r.profile.uuid)
+			if err != nil {
+				return err
+			}
+			return sess.InvokeCommand(cmd, &p)
+		}
+		cmds := r.profile.cmds
+		return []row{
+			{prefix + "attest without attestor", func() error {
+				_, err := unattested.Attest(attest.Nonce{})
+				return err
+			}, optee.ErrBadState, nil},
+			{prefix + "rotate without attestor", func() error {
+				_, err := unattested.RotateKey(rotation)
+				return err
+			}, optee.ErrBadState, nil},
+			{prefix + "update without attestor", func() error {
+				return unattested.UpdateModel(pack, tok)
+			}, optee.ErrBadState, nil},
+			{prefix + "malformed rotation token", func() error {
+				return invokeRig(cmds.rotate, optee.Params{memref([]byte{1, 2, 3})})
+			}, optee.ErrBadParam, attest.ErrBadRotation},
+			{prefix + "forged rotation token", func() error {
+				_, err := r.dev.RotateKey(forgedRotation)
+				return err
+			}, optee.ErrBadParam, attest.ErrBadRotation},
+			{prefix + "malformed pack", func() error {
+				return invokeRig(cmds.update, optee.Params{memref([]byte{9}), memref(tok.Marshal())})
+			}, optee.ErrBadParam, attest.ErrBadPack},
+			{prefix + "malformed manifest", func() error {
+				return invokeRig(cmds.update, optee.Params{memref(pack.Encode()), memref([]byte{9})})
+			}, optee.ErrBadParam, attest.ErrBadManifest},
+			{prefix + "forged manifest", func() error {
+				return r.dev.UpdateModel(pack, forgedManifest)
+			}, optee.ErrBadParam, attest.ErrBadManifest},
+			{prefix + "pack older than installed", func() error {
+				return r.dev.UpdateModel(stale, staleTok)
+			}, optee.ErrBadParam, attest.ErrBadPack},
+		}
+	}
+	rigs := lifecycleRigs(t)
+	cases := append(lifecycleRows("", &unattested.taClient, rigs[0]),
+		lifecycleRows("camera ", &unattestedCam.taClient, rigs[1])...)
+	cases = append(cases, []row{
 		{"classifier in no-filter mode", func() error {
 			_, err := noFilter.VoiceTA.loadedClassifier()
 			return err
@@ -525,25 +653,6 @@ func TestVoiceTATypedErrors(t *testing.T) {
 			p = optee.Params{memref(packLengthPrefixed([][]byte{{1}, {2}}))}
 			return sess.InvokeCommand(CmdResumeBatchHE, &p)
 		}, optee.ErrBadState, nil},
-		{"malformed rotation token", func() error {
-			return invoke(r.sys, CmdRotateKey, optee.Params{memref([]byte{1, 2, 3})})
-		}, optee.ErrBadParam, attest.ErrBadRotation},
-		{"forged rotation token", func() error {
-			_, err := r.sys.RotateKey(forgedRotation)
-			return err
-		}, optee.ErrBadParam, attest.ErrBadRotation},
-		{"malformed pack", func() error {
-			return invoke(r.sys, CmdUpdateModel, optee.Params{memref([]byte{9}), memref(tok.Marshal())})
-		}, optee.ErrBadParam, attest.ErrBadPack},
-		{"malformed manifest", func() error {
-			return invoke(r.sys, CmdUpdateModel, optee.Params{memref(pack.Encode()), memref([]byte{9})})
-		}, optee.ErrBadParam, attest.ErrBadManifest},
-		{"forged manifest", func() error {
-			return r.sys.UpdateModel(pack, forgedManifest)
-		}, optee.ErrBadParam, attest.ErrBadManifest},
-		{"pack older than installed", func() error {
-			return r.sys.UpdateModel(stale, staleTok)
-		}, optee.ErrBadParam, attest.ErrBadPack},
 		{"length splits a wire frame", func() error {
 			return invoke(unattested, CmdProcessUtterance, optee.Params{{Type: optee.ValueIn, A: 3201}})
 		}, optee.ErrBadParam, nil},
@@ -553,7 +662,7 @@ func TestVoiceTATypedErrors(t *testing.T) {
 		{"more audio declared than queued", func() error {
 			return invoke(unattested, CmdProcessUtterance, optee.Params{{Type: optee.ValueIn, A: 3200}})
 		}, optee.ErrBadParam, nil},
-	}
+	}...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.run()
@@ -565,10 +674,12 @@ func TestVoiceTATypedErrors(t *testing.T) {
 			}
 		})
 	}
-	if got := r.sys.ModelVersion(); got != 1 {
-		t.Fatalf("rejected updates moved the model version to %d", got)
-	}
-	if got := r.sys.KeyEpoch(); got != 0 {
-		t.Fatalf("rejected rotations moved the key epoch to %d", got)
+	for _, r := range rigs {
+		if got := r.dev.ModelVersion(); got != 1 {
+			t.Fatalf("%s: rejected updates moved the model version to %d", r.kind, got)
+		}
+		if got := r.dev.KeyEpoch(); got != 0 {
+			t.Fatalf("%s: rejected rotations moved the key epoch to %d", r.kind, got)
+		}
 	}
 }
