@@ -1,10 +1,11 @@
 package repro
 
-// Benchmarks regenerate every table and figure of the evaluation (DESIGN.md
-// §5, EXPERIMENTS.md). Each benchmark wraps the corresponding experiment in
-// internal/experiments and reports the *virtual* metric the table/figure
-// plots via b.ReportMetric — wall-clock ns/op measures the simulator, the
-// virtual cycles measure the modelled platform.
+// Benchmarks regenerate every table and figure of the evaluation
+// (docs/ARCHITECTURE.md, "Experiments"). Each benchmark wraps the
+// corresponding experiment in internal/experiments and reports the
+// *virtual* metric the table/figure plots via b.ReportMetric — wall-clock
+// ns/op measures the simulator, the virtual cycles measure the modelled
+// platform.
 //
 // Run all of them with:
 //
@@ -40,7 +41,8 @@ func BenchmarkE1WorldSwitch(b *testing.B) {
 	b.ReportMetric(last.SMCOverSyscall, "smc/syscall-ratio")
 }
 
-// BenchmarkE1WorldSwitchSweep ablates the SMC cost parameter (DESIGN.md §7).
+// BenchmarkE1WorldSwitchSweep ablates the SMC cost parameter
+// (tz.CostModel.WorldSwitch).
 func BenchmarkE1WorldSwitchSweep(b *testing.B) {
 	for _, switchCycles := range []tz.Cycles{3000, 12000, 48000} {
 		b.Run(tz.Cycles(switchCycles).Duration(experiments.FreqHz).String(), func(b *testing.B) {
@@ -229,129 +231,80 @@ func BenchmarkE9Scale(b *testing.B) {
 	}
 }
 
-// --- E10 (Fig-E): fleet throughput -----------------------------------------------
+// --- E10 (Fig-E): fleet overhead probes -------------------------------------
 
-// BenchmarkFleetThroughput sweeps a devices × shards grid. The reported
-// wall-clock items/s is the simulator's fleet throughput (the perf
-// trajectory BENCH_fleet.json snapshots); virtual p99 tracks the modelled
-// per-item latency under TA batching.
-func BenchmarkFleetThroughput(b *testing.B) {
-	for _, devices := range []int{16, 64} {
-		for _, shards := range []int{2, 8} {
-			b.Run(fmt.Sprintf("devices=%d/shards=%d", devices, shards), func(b *testing.B) {
-				var last *fleet.Result
-				for i := 0; i < b.N; i++ {
-					res, err := fleet.Run(fleet.Config{
-						Devices:    devices,
-						Shards:     shards,
-						Utterances: 2,
-						Frames:     2,
-						Seed:       experiments.DefaultSeed,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.LostFrames() != 0 {
-						b.Fatalf("lost %d frames", res.LostFrames())
-					}
-					last = res
+// BenchmarkFleetOverhead prices the control-plane and observability
+// features that no bench/ workload runs. Every leg is the same 64-device,
+// 8-shard fleet; the plain leg is the reference, and each other leg's
+// items/s against it is that feature's wall cost:
+//
+//   - attested: attested handshakes and a staged 10%-canary model
+//     rollout, which must converge (per-device one-offs, not per-item
+//     costs);
+//   - traced: frame telemetry at 1-in-1 sampling, every span exported;
+//   - churn=N%: joins and leaves at N% with a mid-run shard drain and a
+//     weighted shard addition under the shed policy, which must actually
+//     churn.
+//
+// Every leg fails if it loses a frame. Fleet throughput itself is
+// measured by bench/ (bash bench/run.sh), not here.
+func BenchmarkFleetOverhead(b *testing.B) {
+	churn := func(rate float64) func(*fleet.Config) {
+		return func(cfg *fleet.Config) {
+			cfg.Attest = true
+			cfg.Policy = "shed"
+			cfg.Churn = &fleet.ChurnSpec{JoinFraction: rate, LeaveFraction: rate}
+			cfg.Rebalance = &fleet.RebalanceSpec{AtFraction: 0.5, DrainShard: 0, AddShards: 1, AddWeight: 2}
+		}
+	}
+	churned := func(res *fleet.Result) error {
+		if res.Joined == 0 || res.Left == 0 {
+			return fmt.Errorf("churn inactive: joined %d left %d", res.Joined, res.Left)
+		}
+		return nil
+	}
+	legs := []struct {
+		name  string
+		set   func(*fleet.Config)
+		check func(*fleet.Result) error
+	}{
+		{name: "plain"},
+		{
+			name: "attested",
+			set:  func(cfg *fleet.Config) { cfg.Rollout = &fleet.RolloutSpec{CanaryFraction: 0.1} },
+			check: func(res *fleet.Result) error {
+				if res.Rollout == nil || !res.Rollout.Converged {
+					return fmt.Errorf("rollout did not converge: %v", res.ModelVersions)
 				}
-				b.ReportMetric(last.Throughput(), "items/s")
-				b.ReportMetric(last.Latency.Percentile(99)/1e3, "virtual-us-p99/item")
-			})
-		}
+				return nil
+			},
+		},
+		{
+			name: "traced",
+			set:  func(cfg *fleet.Config) { cfg.Trace = &fleet.TraceSpec{SampleEvery: 1} },
+			check: func(res *fleet.Result) error {
+				if res.Telemetry == nil || res.Telemetry.SpanCount() == 0 {
+					return fmt.Errorf("traced run exported no spans")
+				}
+				return nil
+			},
+		},
+		{name: "churn=10%", set: churn(0.1), check: churned},
+		{name: "churn=30%", set: churn(0.3), check: churned},
 	}
-}
-
-// BenchmarkFleetThroughputAttested is the control-plane overhead probe:
-// the same fleet as BenchmarkFleetThroughput's 64/8 point, but with the
-// attested handshake and a staged 10%-canary model rollout live. The
-// items/s it reports must stay within ~10% of the unattested figure —
-// attestation and rollout are per-device one-offs, not per-item costs.
-func BenchmarkFleetThroughputAttested(b *testing.B) {
-	var last *fleet.Result
-	for i := 0; i < b.N; i++ {
-		res, err := fleet.Run(fleet.Config{
-			Devices:    64,
-			Shards:     8,
-			Utterances: 2,
-			Frames:     2,
-			Seed:       experiments.DefaultSeed,
-			Rollout:    &fleet.RolloutSpec{CanaryFraction: 0.1},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.LostFrames() != 0 {
-			b.Fatalf("lost %d frames", res.LostFrames())
-		}
-		if res.Rollout == nil || !res.Rollout.Converged {
-			b.Fatalf("rollout did not converge: %v", res.ModelVersions)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Throughput(), "items/s")
-	b.ReportMetric(last.Latency.Percentile(99)/1e3, "virtual-us-p99/item")
-}
-
-// BenchmarkFleetThroughputTraced is the observability overhead probe:
-// the same fleet as BenchmarkFleetThroughput's 64/8 point with frame
-// telemetry at 1-in-1 sampling — every device traced, every span
-// exported. The items/s it reports must stay within ~3% of the untraced
-// figure (docs/PERFORMANCE.md); the benchgate regression family
-// deliberately excludes it so tracing cost is visible but never gated.
-func BenchmarkFleetThroughputTraced(b *testing.B) {
-	var last *fleet.Result
-	for i := 0; i < b.N; i++ {
-		res, err := fleet.Run(fleet.Config{
-			Devices:    64,
-			Shards:     8,
-			Utterances: 2,
-			Frames:     2,
-			Seed:       experiments.DefaultSeed,
-			Trace:      &fleet.TraceSpec{SampleEvery: 1},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.LostFrames() != 0 {
-			b.Fatalf("lost %d frames", res.LostFrames())
-		}
-		if res.Telemetry == nil || res.Telemetry.SpanCount() == 0 {
-			b.Fatal("traced run exported no spans")
-		}
-		last = res
-	}
-	b.ReportMetric(last.Throughput(), "items/s")
-	b.ReportMetric(float64(last.Telemetry.SpanCount()), "spans")
-	b.ReportMetric(last.Latency.Percentile(99)/1e3, "virtual-us-p99/item")
-}
-
-// BenchmarkFleetChurn measures elasticity overhead: the same 64-device
-// attested fleet at 0%, 10% and 30% churn (joins + leaves at the same
-// rate) with a mid-run shard drain and a weighted shard addition. The
-// items/s deltas against churn=0% are the cost of elastic membership;
-// the run fails if any frame is lost to the rebalance or a priority
-// frame is shed.
-func BenchmarkFleetChurn(b *testing.B) {
-	for _, churn := range []float64{0, 0.1, 0.3} {
-		b.Run(fmt.Sprintf("churn=%d%%", int(churn*100)), func(b *testing.B) {
+	for _, leg := range legs {
+		b.Run(leg.name, func(b *testing.B) {
 			var last *fleet.Result
 			for i := 0; i < b.N; i++ {
 				cfg := fleet.Config{
 					Devices:    64,
-					Shards:     4,
+					Shards:     8,
 					Utterances: 2,
 					Frames:     2,
 					Seed:       experiments.DefaultSeed,
-					Attest:     true,
-					Policy:     "shed",
 				}
-				if churn > 0 {
-					cfg.Churn = &fleet.ChurnSpec{JoinFraction: churn, LeaveFraction: churn}
-					cfg.Rebalance = &fleet.RebalanceSpec{
-						AtFraction: 0.5, DrainShard: 0, AddShards: 1, AddWeight: 2,
-					}
+				if leg.set != nil {
+					leg.set(&cfg)
 				}
 				res, err := fleet.Run(cfg)
 				if err != nil {
@@ -360,69 +313,15 @@ func BenchmarkFleetChurn(b *testing.B) {
 				if res.LostFrames() != 0 {
 					b.Fatalf("lost %d frames", res.LostFrames())
 				}
-				if churn > 0 && (res.Joined == 0 || res.Left == 0) {
-					b.Fatalf("churn inactive: joined %d left %d", res.Joined, res.Left)
-				}
-				last = res
-			}
-			b.ReportMetric(last.Throughput(), "items/s")
-			b.ReportMetric(float64(last.RebalancedFrames()), "rebalanced-frames")
-			b.ReportMetric(float64(last.PriorityFrames()), "priority-frames")
-		})
-	}
-}
-
-// BenchmarkFleetScheduled is the shared-scheduler throughput probe: the
-// CLI-default 1000-device/8-shard fleet with and without the
-// cross-device TEE batch scheduler, same seed, so the two sub-benchmarks'
-// items/s ratio is the scheduler's end-to-end delta at fleet scale
-// (docs/PERFORMANCE.md records the trajectory — on a single-CPU host the
-// legs sit at parity within run noise; the coalescing win needs
-// concurrent producers). The scheduled leg
-// asserts the invariants that make the numbers legitimate — nothing lost,
-// no flush mixing model versions; bit-identical audits are pinned by
-// TestSchedBatchEquivalenceProperty and the CI sched smoke.
-func BenchmarkFleetScheduled(b *testing.B) {
-	for _, scheduled := range []bool{false, true} {
-		name := "sched=off"
-		if scheduled {
-			name = "sched=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last *fleet.Result
-			for i := 0; i < b.N; i++ {
-				cfg := fleet.Config{
-					Devices:    1000,
-					Shards:     8,
-					Utterances: 4,
-					Frames:     6,
-					Seed:       1,
-				}
-				if scheduled {
-					cfg.Sched = &fleet.SchedSpec{}
-				}
-				res, err := fleet.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.LostFrames() != 0 {
-					b.Fatalf("lost %d frames", res.LostFrames())
-				}
-				if scheduled {
-					if res.Sched == nil || res.Sched.Items == 0 {
-						b.Fatal("scheduler classified nothing")
-					}
-					if res.Sched.MixedVersionFlushes != 0 {
-						b.Fatalf("%d flushes mixed model versions", res.Sched.MixedVersionFlushes)
+				if leg.check != nil {
+					if err := leg.check(res); err != nil {
+						b.Fatal(err)
 					}
 				}
 				last = res
 			}
 			b.ReportMetric(last.Throughput(), "items/s")
 			b.ReportMetric(last.Latency.Percentile(99)/1e3, "virtual-us-p99/item")
-			if scheduled {
-				b.ReportMetric(last.Sched.MeanOccupancy, "items/flush")
-			}
 		})
 	}
 }
@@ -473,44 +372,6 @@ func BenchmarkFleetAsync(b *testing.B) {
 			b.ReportMetric(last.Sched.MeanOccupancySteady, "items/flush")
 		})
 	}
-}
-
-// BenchmarkFleetHybridHE prices the hybrid HE+TEE split at fleet scale:
-// the 64-device fleet with every registered mode weighted equally, so a
-// quarter of the speaker cycle (and the doorbell cycle's third slot)
-// runs its first classifier layer homomorphically at the provider. The
-// wall-clock items/s joins the benchgate regression families; the run
-// fails if the handoff loses a frame.
-func BenchmarkFleetHybridHE(b *testing.B) {
-	mix := fleet.MixSpec{}
-	for _, m := range core.Modes() {
-		mix[m] = 1
-	}
-	b.Run("mix=all-modes", func(b *testing.B) {
-		var last *fleet.Result
-		for i := 0; i < b.N; i++ {
-			res, err := fleet.Run(fleet.Config{
-				Devices:    64,
-				Shards:     8,
-				Utterances: 2,
-				Frames:     2,
-				Seed:       experiments.DefaultSeed,
-				Mix:        mix,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.LostFrames() != 0 {
-				b.Fatalf("lost %d frames", res.LostFrames())
-			}
-			if g := res.Groups[fleet.GroupKey{Kind: core.DeviceSpeaker, Mode: core.ModeHybridHE}]; g == nil || g.Devices == 0 {
-				b.Fatal("no hybrid-he speakers in the mixed fleet")
-			}
-			last = res
-		}
-		b.ReportMetric(last.Throughput(), "items/s")
-		b.ReportMetric(last.Latency.Percentile(99)/1e3, "virtual-us-p99/item")
-	})
 }
 
 // BenchmarkE12ElasticFleet wraps the full elastic-churn experiment

@@ -1,6 +1,6 @@
-// Command periguard-bench regenerates every table and figure of the
-// evaluation (DESIGN.md §5 / EXPERIMENTS.md): run it with no arguments for
-// the full suite, or name experiments (e1 e2 ... e18) to run a subset.
+// Command periguard-bench regenerates the evaluation's tables and figures
+// (docs/ARCHITECTURE.md, "Experiments"): no arguments run the full
+// suite; naming experiments (e1 e2 ... e18) runs a subset.
 package main
 
 import (

@@ -2,7 +2,7 @@
 // sharded provider ingest tier and prints per-mode throughput, the
 // batched-inference latency distribution, per-shard counters and the
 // aggregate privacy audit. With -json it also writes a machine-readable
-// snapshot (the BENCH_fleet.json perf trajectory).
+// snapshot (schema in docs/OPERATIONS.md).
 //
 // Example:
 //
@@ -358,11 +358,8 @@ type snapshot struct {
 	// Engine fields (every run).
 	Async asyncJS `json:"async"`
 
-	// Telemetry fields (omitted outside -trace runs). ItemsPerSecTraced
-	// duplicates items_per_sec so the tracing-overhead trajectory is
-	// benchmarkable without perturbing the untraced benchgate family.
-	ItemsPerSecTraced float64      `json:"items_per_sec_traced,omitempty"`
-	Telemetry         *telemetryJS `json:"telemetry,omitempty"`
+	// Telemetry fields (omitted outside -trace runs).
+	Telemetry *telemetryJS `json:"telemetry,omitempty"`
 }
 
 // telemetryJS is the schema-checked telemetry block of a traced run:
@@ -784,7 +781,6 @@ func writeSnapshot(path string, res *fleet.Result) error {
 		}
 	}
 	if tel := res.Telemetry; tel != nil {
-		snap.ItemsPerSecTraced = res.Throughput()
 		snap.Telemetry = telemetryBlock(tel)
 	}
 	blob, err := json.MarshalIndent(snap, "", "  ")

@@ -1,5 +1,5 @@
-// Package experiments implements the evaluation suite E1–E9 defined in
-// DESIGN.md §5 — the concrete instantiation of the evaluation the paper
+// Package experiments implements the evaluation suite E1–E18 listed in
+// docs/ARCHITECTURE.md ("Experiments"): the evaluation the paper
 // promises but does not report (it is a doctoral-forum proposal; §III
 // states experiments are future work). Each experiment returns both
 // structured results and renderable tables/figures; cmd/periguard-bench

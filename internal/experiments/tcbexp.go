@@ -26,7 +26,7 @@ type E6Result struct {
 // E6TCB reproduces the paper's §IV.2 workflow: trace one "record a sound"
 // task, derive the minimal driver function set, and build reduced OP-TEE
 // images under both build policies. The comparison of Exact vs
-// StaticClosure is the ablation DESIGN.md calls out: pure trace-based
+// StaticClosure is the TCB ablation: pure trace-based
 // minimization risks missing un-executed (error) paths; the closure build
 // is the safe superset.
 func E6TCB() (*metrics.Table, *metrics.Table, E6Result, error) {

@@ -1,7 +1,7 @@
 // Package metrics provides the measurement utilities the experiment
 // harness uses: latency recorders with percentile summaries, throughput
 // accounting, and plain-text table/series rendering so every table and
-// figure of EXPERIMENTS.md regenerates as aligned console output.
+// figure of the evaluation regenerates as aligned console output.
 package metrics
 
 import (

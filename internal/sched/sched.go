@@ -22,8 +22,10 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/tz"
@@ -129,6 +131,7 @@ type entry struct {
 
 // queue is the FIFO for one model version.
 type queue struct {
+	version uint64
 	entries []*entry
 	items   int // sum of len(req.Items) over entries
 }
@@ -154,7 +157,7 @@ type Scheduler struct {
 	mu         sync.Mutex
 	cond       *sync.Cond // signals pending flush jobs to workers
 	clock      tz.Cycles  // scheduler virtual clock: max over submit stamps
-	queues     map[uint64]*queue
+	queues     []*queue   // one per model version, ascending by version
 	jobs       []*flushJob
 	inflight   int // flush jobs queued or executing
 	delivering int // executed flushes whose completions are being delivered
@@ -194,7 +197,6 @@ func New(cfg Config, exec Executor) (*Scheduler, error) {
 	s := &Scheduler{
 		cfg:            cfg,
 		exec:           exec,
-		queues:         make(map[uint64]*queue),
 		flushes:        make(map[string]uint64),
 		itemsByVersion: make(map[uint64]uint64),
 		occupancy:      make(map[int]uint64),
@@ -232,11 +234,7 @@ func (s *Scheduler) SubmitAsync(req Request, cb func(Response, error)) error {
 		s.clock = req.Now
 	}
 	e := &entry{req: req, stamp: s.clock, cb: cb}
-	q := s.queues[req.Version]
-	if q == nil {
-		q = &queue{}
-		s.queues[req.Version] = q
-	}
+	q := s.queue(req.Version)
 	q.entries = append(q.entries, e)
 	q.items += len(req.Items)
 	s.maybeFlush()
@@ -263,25 +261,21 @@ func (s *Scheduler) NotifyIdle() bool {
 		return false
 	}
 	maxAge, pressured := s.effectiveMaxAge()
-	var oldestQ *queue
-	var oldestV uint64
-	for version, q := range s.queues {
-		if len(q.entries) == 0 {
-			continue
-		}
-		if oldestQ == nil || q.entries[0].stamp < oldestQ.entries[0].stamp ||
-			(q.entries[0].stamp == oldestQ.entries[0].stamp && version < oldestV) {
-			oldestQ, oldestV = q, version
+	// s.queues ascends by version, so a tie goes to the lower version.
+	var oldest *queue
+	for _, q := range s.queues {
+		if len(q.entries) > 0 && (oldest == nil || q.entries[0].stamp < oldest.entries[0].stamp) {
+			oldest = q
 		}
 	}
-	if oldestQ == nil {
+	if oldest == nil {
 		return false
 	}
-	deadline := oldestQ.entries[0].stamp + maxAge
+	deadline := oldest.entries[0].stamp + maxAge
 	if deadline > s.clock {
 		s.clock = deadline
 	}
-	s.cut(oldestV, oldestQ, ReasonIdle, s.clock)
+	s.cut(oldest, ReasonIdle, s.clock)
 	if pressured {
 		s.pressureCuts++
 	}
@@ -293,9 +287,9 @@ func (s *Scheduler) NotifyIdle() bool {
 // submissions fail with ErrClosed.
 func (s *Scheduler) Drain() {
 	s.mu.Lock()
-	for version, q := range s.queues {
+	for _, q := range s.queues {
 		for len(q.entries) > 0 {
-			s.cut(version, q, ReasonDrain, s.clock)
+			s.cut(q, ReasonDrain, s.clock)
 		}
 	}
 	for s.inflight > 0 {
@@ -364,13 +358,13 @@ func (s *Scheduler) maybeFlush() {
 	maxAge, pressured := s.effectiveMaxAge()
 	for {
 		cutAny := false
-		for version, q := range s.queues {
+		for _, q := range s.queues {
 			for q.items >= s.cfg.Batch {
-				s.cut(version, q, ReasonFull, s.clock)
+				s.cut(q, ReasonFull, s.clock)
 				cutAny = true
 			}
 			if len(q.entries) > 0 && s.clock-q.entries[0].stamp >= maxAge {
-				s.cut(version, q, ReasonAge, s.clock)
+				s.cut(q, ReasonAge, s.clock)
 				if pressured {
 					s.pressureCuts++
 				}
@@ -383,12 +377,22 @@ func (s *Scheduler) maybeFlush() {
 	}
 }
 
+// queue returns the FIFO for version, inserting an empty one in version
+// order if there is none yet. Called with s.mu held.
+func (s *Scheduler) queue(version uint64) *queue {
+	i, ok := slices.BinarySearchFunc(s.queues, version, func(q *queue, v uint64) int { return cmp.Compare(q.version, v) })
+	if !ok {
+		s.queues = slices.Insert(s.queues, i, &queue{version: version})
+	}
+	return s.queues[i]
+}
+
 // cut takes whole entries from the head of q up to the batch size and
 // enqueues the flush job. Entries are never split: a request's items all
 // ride one flush, so its occupancy and wait are well-defined. Called with
 // s.mu held.
-func (s *Scheduler) cut(version uint64, q *queue, reason string, flushClock tz.Cycles) {
-	job := &flushJob{version: version, reason: reason, flushClock: flushClock}
+func (s *Scheduler) cut(q *queue, reason string, flushClock tz.Cycles) {
+	job := &flushJob{version: q.version, reason: reason, flushClock: flushClock}
 	for len(q.entries) > 0 {
 		head := q.entries[0]
 		n := len(head.req.Items)

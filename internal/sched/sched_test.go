@@ -335,6 +335,31 @@ func TestDrainFlushesLeftovers(t *testing.T) {
 	if _, err := p.classify(Request{DeviceID: "d", Version: 1, Items: [][]int{item(1)}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submission after Drain: err = %v, want ErrClosed", err)
 	}
+
+	// Leftovers of several model versions drain in ascending version
+	// order, whatever order the versions arrived in: one flush worker
+	// runs the cuts in the order Drain makes them.
+	for run := 0; run < 20; run++ {
+		x := &testExec{}
+		s, err := New(Config{Batch: 8, MaxAge: 1 << 40, Workers: 1}, x.run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []uint64{3, 1, 2} {
+			req := Request{DeviceID: fmt.Sprintf("v%d", v), Version: v, Items: [][]int{item(int(v))}}
+			if err := s.SubmitAsync(req, func(Response, error) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Drain()
+		var order []uint64
+		for _, c := range x.calls {
+			order = append(order, c.version)
+		}
+		if fmt.Sprint(order) != "[1 2 3]" {
+			t.Fatalf("run %d: drain flushed versions in order %v, want [1 2 3]", run, order)
+		}
+	}
 }
 
 // TestSchedulerHammer drives many submitters over mixed versions and
