@@ -9,14 +9,11 @@ package core
 // (§IV.4): there is no transcription stage.
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
-	"repro/internal/attest"
-	"repro/internal/cloud"
 	"repro/internal/he"
-	"repro/internal/kernel"
 	"repro/internal/memory"
 	"repro/internal/metrics"
 	"repro/internal/ml/classify"
@@ -27,7 +24,6 @@ import (
 	"repro/internal/peripheral"
 	"repro/internal/power"
 	"repro/internal/relay"
-	"repro/internal/supplicant"
 	"repro/internal/teec"
 	"repro/internal/tz"
 )
@@ -64,42 +60,31 @@ const (
 // CameraTADigest is the measured code identity of the camera TA.
 var CameraTADigest = cameraProfile.code
 
-// TrainImageClassifier pre-trains (memoized) the person-detection model.
-// The lock is held across training so concurrent fleet builders sharing a
-// ModelSeed train once; see TrainClassifier.
+// TrainImageClassifier pre-trains (memoized) the person-detection model;
+// see TrainClassifier.
 func TrainImageClassifier(seed uint64) (*classify.Classifier, error) {
-	key := fmt.Sprintf("image/%d", seed)
 	rng := NewRNG(seed, seed^SaltImage)
 	clf, err := classify.NewImage(rng, cameraFrameSide, cameraFrameSide)
 	if err != nil {
 		return nil, err
 	}
-	trainedMu.Lock()
-	defer trainedMu.Unlock()
-	if blob, ok := trainedWeights[key]; ok {
-		if err := clf.LoadWeights(blob); err != nil {
-			return nil, err
+	return trainMemoized(fmt.Sprintf("image/%d", seed), clf, func() error {
+		const n = 160
+		samples := make([]train.Sample, 0, n)
+		for i := 0; i < n; i++ {
+			label := i % 2
+			scene := peripheral.SceneEmpty
+			if label == 1 {
+				scene = peripheral.ScenePerson
+			}
+			im := peripheral.SynthesizeImage(scene, seed*31+uint64(i))
+			samples = append(samples, train.Sample{X: im.Floats(), Y: label})
 		}
-		return clf, nil
-	}
-	const n = 160
-	samples := make([]train.Sample, 0, n)
-	for i := 0; i < n; i++ {
-		label := i % 2
-		scene := peripheral.SceneEmpty
-		if label == 1 {
-			scene = peripheral.ScenePerson
-		}
-		im := peripheral.SynthesizeImage(scene, seed*31+uint64(i))
-		samples = append(samples, train.Sample{X: im.Floats(), Y: label})
-	}
-	if _, err := train.Fit(clf.Model(), train.NewAdam(0.005), samples, train.Config{
-		Epochs: 6, BatchSize: 16, Seed: seed, Shape: clf.InputShape(),
-	}); err != nil {
-		return nil, err
-	}
-	trainedWeights[key] = clf.SerializeWeights()
-	return clf, nil
+		_, err := train.Fit(clf.Model(), train.NewAdam(0.005), samples, train.Config{
+			Epochs: 6, BatchSize: 16, Seed: seed, Shape: clf.InputShape(),
+		})
+		return err
+	})
 }
 
 // CameraPTA exposes the camera to the secure world. It owns a frame
@@ -213,34 +198,25 @@ func (p *CameraPTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) e
 
 // ProcessedFrame is the camera TA's per-frame record.
 type ProcessedFrame struct {
-	Flagged   bool
-	Forwarded bool
-	// Shed marks a forwarded frame the ingest frontend dropped under
-	// queue pressure (cloud.ErrShed); see ProcessedUtterance.Shed.
-	Shed bool
-	// Expired marks a forwarded frame whose delivery retry budget ran out
-	// (cloud.ErrExpired); see ProcessedUtterance.Expired.
-	Expired bool
-	Cycles  tz.Cycles
+	Flagged bool
+	RelayOutcome
+	Cycles tz.Cycles
 	// Stage decomposition of Cycles (the camera path has no transcribe
-	// stage) plus the sealed event size, for telemetry spans.
-	Grab       tz.Cycles
-	Classify   tz.Cycles
-	Relay      tz.Cycles
-	SealedSize int
+	// stage), for telemetry spans.
+	Grab     tz.Cycles
+	Classify tz.Cycles
+	Relay    tz.Cycles
 }
 
 // CameraTA classifies frames in the TEE and relays only benign ones.
-// Attestation, key rotation, model update and the sealed classifier are
-// its embedded taLifecycle.
+// As in the voice TA, attestation, key rotation, model update, the sealed
+// classifier and the HE tail step are its embedded taLifecycle, and the
+// sealed channel and record log its sealedRelay and taRecords.
 type CameraTA struct {
 	taLifecycle
-	cfg     TAConfig
-	channel *relay.Channel
-
-	mu        sync.Mutex
-	processed []ProcessedFrame
-	messageID uint64
+	sealedRelay
+	taRecords[ProcessedFrame]
+	cfg TAConfig
 
 	// Per-TA frame scratch: invocations are serialized per device, so
 	// the grab buffer and feature vector are reused across frames.
@@ -254,21 +230,26 @@ var _ optee.TA = (*CameraTA)(nil)
 // cloudPub. cfg.Hybrid arms the HE→TEE handoff (CmdCameraFinishHE) under
 // cfg.HEParams.
 func NewCameraTA(cfg TAConfig, id *relay.Identity, cloudPub []byte) (*CameraTA, error) {
-	ch, err := relay.NewChannel(id, cloudPub, true)
-	if err != nil {
-		return nil, fmt.Errorf("camera ta channel: %w", err)
+	t := &CameraTA{cfg: cfg}
+	if err := t.initRelay(cameraProfile.name, cfg.TEE, id, cloudPub); err != nil {
+		return nil, err
 	}
-	t := &CameraTA{cfg: cfg, channel: ch}
 	t.initLifecycle(cameraProfile, cfg, t, true)
 	return t, nil
 }
 
-// UUID implements optee.TA.
-func (t *CameraTA) UUID() string { return UUIDCameraTA }
-
 // newClassifier makes the image-classifier skeleton for a model seed.
 func (t *CameraTA) newClassifier(seed uint64) (*classify.Classifier, error) {
 	return classify.NewImage(NewRNG(seed, seed^SaltImage), cameraFrameSide, cameraFrameSide)
+}
+
+// splitTail splits the image classifier's in-TA hybrid tail.
+func (t *CameraTA) splitTail(clf *classify.Classifier) (tailPredictor, *layers.Sequential, error) {
+	split, err := classify.SplitImage(clf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return split, split.Tail, nil
 }
 
 // Open implements optee.TA. The instance keeps its state (classifier,
@@ -364,57 +345,18 @@ func (t *CameraTA) finishFrame(rec *ProcessedFrame, flagged bool, frame []byte, 
 	rec.Classify = t.clock.Now() - classifyStart
 	relayStart := t.clock.Now()
 	if !flagged {
-		if err := t.relayBenign(frame, rec); err != nil {
+		err := t.relayEvent(relay.Event{
+			Namespace: relay.NamespaceSpeech, // same AVS-style envelope
+			Name:      NameFrame,
+			Audio:     frame,
+		}, &rec.RelayOutcome)
+		if err != nil {
 			return err
 		}
 	}
 	rec.Relay = t.clock.Now() - relayStart
 	rec.Cycles = t.clock.Now() - start
-	t.mu.Lock()
-	t.processed = append(t.processed, *rec)
-	t.mu.Unlock()
-	return nil
-}
-
-// relayBenign seals a benign frame and sends it through the supplicant,
-// recording shed/expired admission outcomes.
-func (t *CameraTA) relayBenign(buf []byte, rec *ProcessedFrame) error {
-	t.mu.Lock()
-	t.messageID++
-	mid := t.messageID
-	t.mu.Unlock()
-	payload, err := relay.EncodeEvent(relay.Event{
-		Namespace: relay.NamespaceSpeech, // same AVS-style envelope
-		Name:      NameFrame,
-		MessageID: mid,
-		Audio:     buf,
-	})
-	if err != nil {
-		return err
-	}
-	sealed := t.channel.Seal(payload)
-	rec.SealedSize = len(sealed)
-	resp, err := t.cfg.TEE.RPC(optee.RPCRequest{
-		Kind: optee.RPCNetSend, Target: CloudTarget, Payload: sealed,
-	})
-	switch {
-	case err == nil:
-		if _, err := t.channel.Open(resp.Payload); err != nil {
-			return fmt.Errorf("camera ta directive: %w", err)
-		}
-	case errors.Is(err, cloud.ErrShed):
-		// Frontend shed the frame under pressure: emitted, accounted,
-		// dropped — not a fault. (Doorbell events ride the priority
-		// lane in the fleet, so this is the direct-ingest path only.)
-		rec.Shed = true
-	case errors.Is(err, cloud.ErrExpired):
-		// The uplink retry budget ran out: emitted, retried, given up
-		// explicitly. An accounting outcome, never a silent loss.
-		rec.Expired = true
-	default:
-		return fmt.Errorf("camera ta relay: %w", err)
-	}
-	rec.Forwarded = true
+	t.record(*rec)
 	return nil
 }
 
@@ -426,41 +368,15 @@ func (t *CameraTA) relayBenign(buf []byte, rec *ProcessedFrame) error {
 func (t *CameraTA) finishFrameHE(ctBlob, frame []byte) (ProcessedFrame, error) {
 	var rec ProcessedFrame
 	start := t.clock.Now()
-	sk, eval, err := t.heDecryptState()
+	h, err := t.heHandoff()
 	if err != nil {
 		return rec, err
 	}
-	clf, err := t.loadedClassifier()
+	flagged, err := h.classify(ctBlob)
 	if err != nil {
 		return rec, err
 	}
-	split, err := classify.SplitImage(clf)
-	if err != nil {
-		return rec, fmt.Errorf("camera ta he split: %w", err)
-	}
-	ct, err := eval.Unmarshal(ctBlob)
-	if err != nil {
-		return rec, fmt.Errorf("%w: camera ta he: %w", optee.ErrBadParam, err)
-	}
-	data, shape, err := eval.Decrypt(sk, ct)
-	if err != nil {
-		return rec, fmt.Errorf("%w: camera ta he: %w", optee.ErrBadParam, err)
-	}
-	cls, err := split.TailPredict(data, shape)
-	if err != nil {
-		return rec, fmt.Errorf("%w: camera ta he tail: %w", optee.ErrBadParam, err)
-	}
-	// The tail forward runs at the inline path's 4 MACs/cycle; the
-	// decrypt was charged by the evaluator.
-	t.clock.Advance(tz.Cycles(2 * layers.ParamCount([]layers.Layer{split.Tail}) / 4))
-	return rec, t.finishFrame(&rec, cls == 1, frame, start, start)
-}
-
-// Processed returns the TA-side records.
-func (t *CameraTA) Processed() []ProcessedFrame {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]ProcessedFrame(nil), t.processed...)
+	return rec, t.finishFrame(&rec, flagged, frame, start, start)
 }
 
 // CameraConfig parameterizes a camera pipeline.
@@ -482,211 +398,112 @@ type CameraConfig struct {
 	ModelVersion  uint64
 }
 
-// CameraSystem is the camera pipeline instance.
+// CameraSystem is the camera pipeline instance: the doorbell's camera,
+// capture PTA and TA inside the device shell it shares with System.
 type CameraSystem struct {
 	cfg CameraConfig
+	deviceShell
 
-	Clock    *tz.Clock
-	Cost     tz.CostModel
-	Monitor  *tz.Monitor
-	Platform *memory.Platform
-	Camera   *peripheral.Camera
-	Snooper  *kernel.Snooper
-
+	Camera *peripheral.Camera
 	// Secure-mode parts.
-	TEE        *optee.OS
-	Supplicant *supplicant.Supplicant
-	Storage    *optee.Storage
-	PTA        *CameraPTA
-	TA         *CameraTA
-	Cloud      *cloud.Service
-	// taClient manages the camera TA (attest, update, rotate); a zero
-	// client on a baseline doorbell.
-	taClient
+	PTA *CameraPTA
+	TA  *CameraTA
+	// frameBuf is the normal-world frame buffer baseline and hybrid
+	// capture land in.
+	frameBuf uint64
+}
 
-	// Hybrid HE+TEE split (ModeHybridHE only; nil/zero otherwise); see
-	// the speaker System's fields of the same names.
-	HE      *cloud.HEService
-	HEPub   he.PublicKey
-	HEEval  *he.Evaluator
-	heSplit *classify.ImageSplit
-
-	// trace is the doorbell's sampled telemetry context (nil outside
-	// traced runs); see System.SetTrace.
-	trace *obs.TraceContext
-
-	// Baseline parts.
-	frameBuf   uint64
-	plainSeen  []peripheral.Scene
-	radioBytes uint64
-	mu         sync.Mutex
+func (c *CameraConfig) fillDefaults() error {
+	if !slices.Contains([]Mode{ModeBaseline, ModeSecureFilter, ModeHybridHE}, c.Mode) {
+		return fmt.Errorf("%w: camera supports %s, %s and %s, got %s",
+			ErrBadMode, ModeBaseline, ModeSecureFilter, ModeHybridHE, c.Mode)
+	}
+	if c.FreqHz == 0 {
+		c.FreqHz = 1_000_000_000
+	}
+	if c.ModelSeed == 0 {
+		c.ModelSeed = c.Seed
+	}
+	if c.AttestKeySeed != 0 && c.ModelVersion == 0 {
+		c.ModelVersion = 1
+	}
+	return nil
 }
 
 // NewCameraSystem builds the camera pipeline.
 func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
-	switch cfg.Mode {
-	case ModeBaseline, ModeSecureFilter, ModeHybridHE:
-	default:
-		return nil, fmt.Errorf("%w: camera supports %s, %s and %s, got %s",
-			ErrBadMode, ModeBaseline, ModeSecureFilter, ModeHybridHE, cfg.Mode)
-	}
-	if cfg.FreqHz == 0 {
-		cfg.FreqHz = 1_000_000_000
-	}
-	if cfg.ModelSeed == 0 {
-		cfg.ModelSeed = cfg.Seed
-	}
-	if cfg.AttestKeySeed != 0 && cfg.ModelVersion == 0 {
-		cfg.ModelVersion = 1
-	}
-	plat, err := memory.NewPlatform(memory.DefaultLayout())
-	if err != nil {
+	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	clock := tz.NewClock()
-	cost := tz.DefaultCostModel()
-	sys := &CameraSystem{
-		cfg:      cfg,
-		Clock:    clock,
-		Cost:     cost,
-		Monitor:  tz.NewMonitor(clock, cost),
-		Platform: plat,
-		Camera:   peripheral.NewCamera(cfg.Seed),
-		Snooper:  kernel.NewSnooper(plat.Mem),
+	sys := &CameraSystem{cfg: cfg, Camera: peripheral.NewCamera(cfg.Seed)}
+	if err := sys.initShell(tz.DefaultCostModel()); err != nil {
+		return nil, err
 	}
-	if cfg.Mode == ModeBaseline {
-		addr, err := plat.DMAHeap.Alloc(cameraFrameBytes)
+	if cfg.Mode != ModeSecureFilter {
+		// Baseline and hybrid capture land in normal-world RAM (hybrid
+		// features leave the device encrypted anyway).
+		addr, err := sys.Platform.DMAHeap.Alloc(cameraFrameBytes)
 		if err != nil {
 			return nil, err
 		}
 		sys.frameBuf = addr
+	}
+	if cfg.Mode == ModeBaseline {
 		return sys, nil
 	}
 
-	sys.TEE = optee.New(sys.Monitor, plat.SecureHeap)
-	sys.Supplicant = supplicant.New(clock, cost)
-	sys.TEE.SetRPCHandler(sys.Supplicant)
-	storage, err := optee.NewStorage([]byte(fmt.Sprintf("device-huk-cam-%d", cfg.Seed)))
-	if err != nil {
-		return nil, err
-	}
-	sys.Storage = storage
 	clf, err := TrainImageClassifier(cfg.ModelSeed)
 	if err != nil {
 		return nil, err
 	}
-	storage.Put(cameraProfile.weightsID, clf.SerializeWeights())
-
-	keyRand := NewSeedReader(cfg.Seed^0xcafe, cfg.Seed+3)
-	cloudID, err := relay.NewIdentity(keyRand)
+	taCfg, taID, err := sys.buildSecureWorld(cameraProfile, secureSpec{
+		mode: cfg.Mode, seed: cfg.Seed, modelSeed: cfg.ModelSeed,
+		deviceID: cfg.DeviceID, attestKeySeed: cfg.AttestKeySeed, modelVersion: cfg.ModelVersion,
+		weights: clf.SerializeWeights(),
+	})
 	if err != nil {
 		return nil, err
 	}
-	sys.Cloud = cloud.NewService(cloud.NewIdentity(cloudID))
-	sys.Supplicant.Route(CloudTarget, sys.Cloud)
-	taID, err := relay.NewIdentity(keyRand)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Cloud.Handshake(taID.PublicKey()); err != nil {
-		return nil, err
-	}
-
-	sys.PTA = NewCameraPTA(sys.Camera, plat.Mem, plat.SecureHeap, tz.WorldSecure, clock, cost)
-	sys.TEE.RegisterPTA(sys.PTA)
-	var attestor *attest.Attestor
-	if cfg.AttestKeySeed != 0 {
-		attestor = attest.NewAttestor(cfg.DeviceID, attest.KeyFromSeed(cfg.AttestKeySeed))
-	}
-	heParams := he.DefaultParams()
-	ta, err := NewCameraTA(TAConfig{
-		TEE: sys.TEE, Storage: storage, Clock: clock, Cost: cost,
-		Seed: cfg.ModelSeed, Attestor: attestor, ModelVersion: cfg.ModelVersion,
-		Hybrid: cfg.Mode == ModeHybridHE, HEParams: heParams,
-	}, taID, cloudID.PublicKey())
-	if err != nil {
-		return nil, err
-	}
-	sys.TA = ta
-	sys.taClient = taClient{tee: sys.TEE, profile: cameraProfile, ta: &ta.taLifecycle}
-	sys.TEE.RegisterTA(ta)
-
 	if cfg.Mode == ModeHybridHE {
-		// Hybrid capture lands in normal-world RAM (the features leave the
-		// device encrypted anyway), so the doorbell also needs the baseline
-		// frame buffer.
-		addr, err := plat.DMAHeap.Alloc(cameraFrameBytes)
-		if err != nil {
-			return nil, err
-		}
-		sys.frameBuf = addr
-
-		kp, err := he.KeyGen(heParams, cfg.ModelSeed)
-		if err != nil {
-			return nil, fmt.Errorf("camera he keygen: %w", err)
-		}
-		storage.Put(cameraProfile.heKeyID, kp.Secret.Marshal())
-		sys.HEPub = kp.Public
-		if sys.HEEval, err = he.NewEvaluator(heParams, clock, cost); err != nil {
-			return nil, fmt.Errorf("camera he evaluator: %w", err)
-		}
-		providerEval, err := he.NewEvaluator(heParams, clock, cost)
-		if err != nil {
-			return nil, fmt.Errorf("camera he provider: %w", err)
-		}
-		sys.HE = cloud.NewHEService(providerEval)
+		// The provider's blind-evaluation endpoint gets the classifier's
+		// first conv in the clear.
 		split, err := classify.SplitImage(clf)
 		if err != nil {
 			return nil, fmt.Errorf("camera he split: %w", err)
 		}
-		sys.heSplit = split
 		ps := split.Conv.Params()
 		sys.HE.ProvisionImage(&he.Conv2D{
 			K: split.Conv.K, Cin: split.Conv.Cin, Cout: split.Conv.Cout,
 			W: ps[0].Value.Data, B: ps[1].Value.Data,
 		})
 	}
+	sys.PTA = NewCameraPTA(sys.Camera, sys.Platform.Mem, sys.Platform.SecureHeap, tz.WorldSecure, sys.Clock, sys.Cost)
+	sys.TEE.RegisterPTA(sys.PTA)
+	ta, err := NewCameraTA(taCfg, taID, sys.CloudSealed.PublicKey())
+	if err != nil {
+		return nil, err
+	}
+	sys.TA = ta
+	sys.taClient = taClient{tee: sys.TEE, profile: cameraProfile, ta: &ta.taLifecycle}
+	sys.TEE.RegisterTA(ta)
 	return sys, nil
-}
-
-// SetTrace installs the doorbell's telemetry trace context (nil clears);
-// see System.SetTrace.
-func (s *CameraSystem) SetTrace(tc *obs.TraceContext) { s.trace = tc }
-
-// SetUplink reroutes the doorbell's sealed traffic through sink; see
-// System.SetUplink. Baseline doorbells never uplink (raw frames stay on
-// the device in this model), so the call is a no-op there.
-func (s *CameraSystem) SetUplink(sink supplicant.NetSink) {
-	if s.Supplicant != nil {
-		s.Supplicant.Route(CloudTarget, sink)
-	}
-}
-
-// CloudEndpoint returns the provider-side terminator of the doorbell's
-// traffic (nil for baseline doorbells, which never uplink).
-func (s *CameraSystem) CloudEndpoint() cloud.Provider {
-	if s.Cloud == nil {
-		return nil
-	}
-	return s.Cloud
 }
 
 // CameraSessionResult aggregates one camera run.
 type CameraSessionResult struct {
-	Mode              Mode
-	Frames            int
-	PersonFrames      int // ground truth
-	ForwardedFrames   int
-	ForwardedPersons  int // person frames that reached the cloud (leak)
-	ShedFrames        int // forwarded frames the frontend dropped by admission policy
-	ExpiredFrames     int // forwarded frames whose delivery retry budget ran out
-	BlockedEmpties    int // empty frames wrongly withheld (usability cost)
-	Snoop             SnoopSummary
-	CloudFrames       int
-	Latency           *metrics.Recorder
-	Energy            power.Report
-	TotalCycles       tz.Cycles
-	SupplicantPlainPx bool // did the daemon carry recognizable pixels?
+	Mode             Mode
+	Frames           int
+	PersonFrames     int // ground truth
+	ForwardedFrames  int
+	ForwardedPersons int // person frames that reached the cloud (leak)
+	ShedFrames       int // forwarded frames the frontend dropped by admission policy
+	ExpiredFrames    int // forwarded frames whose delivery retry budget ran out
+	BlockedEmpties   int // empty frames wrongly withheld (usability cost)
+	Snoop            SnoopSummary
+	CloudFrames      int
+	Latency          *metrics.Recorder
+	Energy           power.Report
+	TotalCycles      tz.Cycles
 }
 
 // RunSession captures and processes the queued scenes.
@@ -705,53 +522,45 @@ func (s *CameraSystem) RunSession(scenes []peripheral.Scene) (*CameraSessionResu
 			return nil, err
 		}
 	} else {
-		ctx := teec.InitializeContext(s.TEE)
-		sess, err := ctx.OpenSession(UUIDCameraTA)
-		if err != nil {
-			return nil, err
-		}
 		run := s.runSecure
 		if s.cfg.Mode == ModeHybridHE {
 			run = s.runHybrid
 		}
-		err = run(sess, scenes, res)
-		_ = ctx.FinalizeContext()
-		if err != nil {
+		if err := s.withTA(func(sess *teec.Session) error { return run(sess, scenes, res) }); err != nil {
 			return nil, err
 		}
 	}
 	res.Frames = len(scenes)
 	res.TotalCycles = s.Clock.Now() - startCycles
-	res.Energy = power.DefaultModel().Measure(power.Usage{
-		TotalCycles:  uint64(res.TotalCycles),
-		SecureCycles: uint64(s.Monitor.Stats().SecureCycles),
-		Switches:     s.Monitor.Stats().Switches,
-		RadioBytes:   s.radioBytes,
-		FreqHz:       s.cfg.FreqHz,
-	})
+	res.Energy = s.energy(res.TotalCycles, 0, s.cfg.FreqHz)
 	return res, nil
+}
+
+// grabNormal captures the next frame by sensor DMA into the
+// normal-world frame buffer, where the compromised OS reads it. ok is
+// false when the sensor has no frame queued.
+func (s *CameraSystem) grabNormal(res *CameraSessionResult) (im peripheral.Image, scene peripheral.Scene, ok bool, err error) {
+	if im, scene, ok = s.Camera.Capture(); !ok {
+		return im, scene, false, nil
+	}
+	if err := s.Platform.Mem.WriteAt(tz.WorldNormal, s.frameBuf, im.Pix); err != nil {
+		return im, scene, false, err
+	}
+	s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.DMAPerByte)
+	res.Snoop.add(s.Snooper.Capture(s.frameBuf, 64))
+	return im, scene, true, nil
 }
 
 func (s *CameraSystem) runBaseline(scenes []peripheral.Scene, res *CameraSessionResult) error {
 	for range scenes {
 		start := s.Clock.Now()
-		im, scene, ok := s.Camera.Capture()
+		im, scene, ok, err := s.grabNormal(res)
 		if !ok {
-			break
-		}
-		// Sensor DMA into normal-world RAM.
-		if err := s.Platform.Mem.WriteAt(tz.WorldNormal, s.frameBuf, im.Pix); err != nil {
 			return err
 		}
-		s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.DMAPerByte)
-		// The compromised OS reads the live frame buffer.
-		res.Snoop.add(s.Snooper.Capture(s.frameBuf, 64))
 		// The app uploads every frame.
 		s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.CopyPerByte)
-		s.mu.Lock()
-		s.radioBytes += uint64(len(im.Pix))
-		s.plainSeen = append(s.plainSeen, scene)
-		s.mu.Unlock()
+		s.addRadio(len(im.Pix))
 		res.ForwardedFrames++
 		res.CloudFrames++
 		if scene.Sensitive() {
@@ -814,7 +623,7 @@ func (s *CameraSystem) recordFrames(res *CameraSessionResult, records []Processe
 			}
 			tc.Emit(obs.StageClassify, v, cursor+grab, rec.Classify, 0, 1)
 			if rec.Forwarded {
-				tc.Emit(obs.StageRelay, relayVerdict(rec.Shed, rec.Expired), cursor+grab+rec.Classify, rec.Relay, rec.SealedSize, 0)
+				tc.Emit(obs.StageRelay, rec.verdict(), cursor+grab+rec.Classify, rec.Relay, rec.SealedSize, 0)
 			}
 			cursor += grab + rec.Classify + rec.Relay
 		}
@@ -837,9 +646,7 @@ func (s *CameraSystem) recordFrames(res *CameraSessionResult, records []Processe
 			if truth[i].Sensitive() && !rec.Shed && !rec.Expired {
 				res.ForwardedPersons++
 			}
-			s.mu.Lock()
-			s.radioBytes += cameraFrameBytes
-			s.mu.Unlock()
+			s.addRadio(cameraFrameBytes)
 		} else if !truth[i].Sensitive() {
 			res.BlockedEmpties++
 		}
@@ -861,16 +668,13 @@ func (s *CameraSystem) runHybrid(sess *teec.Session, scenes []peripheral.Scene, 
 	feats := make([]float32, cameraFrameBytes)
 	for range scenes {
 		start := s.Clock.Now()
-		im, scene, ok := s.Camera.Capture()
+		im, scene, ok, err := s.grabNormal(res)
+		if err != nil {
+			return err
+		}
 		if !ok {
 			break
 		}
-		// Sensor DMA into normal-world RAM, snooped like the baseline.
-		if err := s.Platform.Mem.WriteAt(tz.WorldNormal, s.frameBuf, im.Pix); err != nil {
-			return err
-		}
-		s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.DMAPerByte)
-		res.Snoop.add(s.Snooper.Capture(s.frameBuf, 64))
 		truth = append(truth, scene)
 		copy(frame, im.Pix)
 		for i, px := range frame {
@@ -878,18 +682,10 @@ func (s *CameraSystem) runHybrid(sess *teec.Session, scenes []peripheral.Scene, 
 		}
 		grabs = append(grabs, s.Clock.Now()-start)
 
-		ct, err := s.HEEval.Encrypt(s.HEPub, feats, []int{cameraFrameSide, cameraFrameSide, 1})
+		resBlob, err := s.heRoundTrip(feats, []int{cameraFrameSide, cameraFrameSide, 1}, s.HE.EvalImage)
 		if err != nil {
-			return fmt.Errorf("camera hybrid encrypt: %w", err)
+			return fmt.Errorf("camera %w", err)
 		}
-		wire := ct.Marshal(s.HEEval.Params)
-		resBlob, err := s.HE.EvalImage(wire)
-		if err != nil {
-			return fmt.Errorf("camera hybrid eval: %w", err)
-		}
-		s.mu.Lock()
-		s.radioBytes += uint64(len(wire) + len(resBlob))
-		s.mu.Unlock()
 
 		p := &optee.Params{
 			{Type: optee.MemrefIn, Buf: resBlob},

@@ -105,7 +105,7 @@ func TestCameraCloudSeesOnlyCiphertext(t *testing.T) {
 		}
 	}
 	// The legitimate cloud endpoint, as TLS peer, does decrypt frames.
-	audit := sys.Cloud.Audit()
+	audit := sys.CloudSealed.Audit()
 	if audit.Events == 0 {
 		t.Error("cloud received no events")
 	}

@@ -25,11 +25,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/asr"
-	"repro/internal/attest"
 	"repro/internal/audio"
 	"repro/internal/bus"
 	"repro/internal/cloud"
@@ -38,15 +38,11 @@ import (
 	"repro/internal/he"
 	"repro/internal/i2s"
 	"repro/internal/kernel"
-	"repro/internal/memory"
 	"repro/internal/ml/classify"
 	"repro/internal/ml/train"
-	"repro/internal/obs"
-	"repro/internal/optee"
 	"repro/internal/peripheral"
 	"repro/internal/relay"
 	"repro/internal/sensitive"
-	"repro/internal/supplicant"
 	"repro/internal/tz"
 )
 
@@ -159,14 +155,7 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() error {
-	valid := false
-	for _, m := range Modes() {
-		if c.Mode == m {
-			valid = true
-			break
-		}
-	}
-	if !valid {
+	if !slices.Contains(Modes(), c.Mode) {
 		return fmt.Errorf("%w: %v", ErrBadMode, c.Mode)
 	}
 	if c.Arch == 0 {
@@ -207,54 +196,30 @@ const (
 	CloudTarget = "avs.cloud.example"
 )
 
-// System is one fully wired device-plus-cloud instance.
+// System is one fully wired device-plus-cloud instance: the speaker's
+// audio path inside the device shell it shares with CameraSystem.
 type System struct {
 	cfg Config
+	deviceShell
 
-	// Hardware substrate.
-	Clock    *tz.Clock
-	Cost     tz.CostModel
-	Monitor  *tz.Monitor
-	Platform *memory.Platform
-	Bus      *bus.Bus
-	Ctrl     *i2s.Controller
-	DMA      *bus.DMA
-	Mic      *peripheral.Microphone
-	Voice    audio.Voice
+	// Speaker hardware.
+	Bus   *bus.Bus
+	Ctrl  *i2s.Controller
+	DMA   *bus.DMA
+	Mic   *peripheral.Microphone
+	Voice audio.Voice
 
 	// Normal world.
-	Kernel  *kernel.Kernel
-	Snooper *kernel.Snooper
-	Tracer  *ftrace.Tracer
-	Driver  *driver.SoundDriver
+	Kernel *kernel.Kernel
+	Tracer *ftrace.Tracer
+	Driver *driver.SoundDriver
 
 	// Secure world (nil in baseline mode).
-	TEE        *optee.OS
-	Supplicant *supplicant.Supplicant
-	Storage    *optee.Storage
-	VoiceTA    *VoiceTA
-	DriverPTA  *DriverPTA
-	// taClient manages the voice TA (attest, update, rotate); a zero
-	// client in baseline mode.
-	taClient
+	VoiceTA   *VoiceTA
+	DriverPTA *DriverPTA
 
-	// Cloud side.
-	CloudSealed *cloud.Service      // secure modes
-	CloudPlain  *cloud.PlainService // baseline
-	// uplink is where baseline device→cloud traffic leaves the device;
-	// it defaults to CloudPlain and is rerouted by SetUplink when the
-	// device joins a fleet ingest tier. Secure modes route through the
-	// supplicant instead.
-	uplink supplicant.NetSink
-
-	// Hybrid HE+TEE split (ModeHybridHE only; nil/zero otherwise). HE is
-	// the provider's blind-evaluation endpoint, HEPub the provider key
-	// the normal world encrypts features under, HEEval the device-side
-	// evaluator charging encrypt cycles to this device's clock, and
-	// heSplit the three-way model partition.
-	HE      *cloud.HEService
-	HEPub   he.PublicKey
-	HEEval  *he.Evaluator
+	// heSplit is the hybrid split's three-way model partition
+	// (ModeHybridHE only).
 	heSplit *classify.TextSplit
 
 	// Shared models. ASRModel is the immutable trained template pack
@@ -263,13 +228,6 @@ type System struct {
 	Vocab      *sensitive.Vocabulary
 	ASRModel   *asr.Model
 	Recognizer *asr.Session // device-side (TA) recognizer session
-
-	// trace is the device's sampled telemetry context (nil outside traced
-	// runs and for sampled-out devices — the zero-cost path).
-	trace *obs.TraceContext
-
-	radioBytes uint64
-	mu         sync.Mutex
 }
 
 // trainedWeights memoizes classifier pre-training per (arch, seed, epochs):
@@ -279,18 +237,11 @@ var (
 	trainedWeights = make(map[string][]byte)
 )
 
-// TrainClassifier pre-trains (or fetches the memoized) classifier for the
-// architecture on the standard corpus. The lock is held across training —
-// as in trainedRecognizer — so a fleet building thousands of devices with
-// one shared ModelSeed trains the model exactly once.
-func TrainClassifier(arch classify.Arch, vocab *sensitive.Vocabulary, seed uint64, epochs int) (*classify.Classifier, error) {
-	const seqLen = 12
-	key := fmt.Sprintf("%d/%d/%d", arch, seed, epochs)
-	rng := NewRNG(seed, seed^SaltClassifier)
-	clf, err := classify.NewText(arch, rng, vocab.Size(), seqLen)
-	if err != nil {
-		return nil, err
-	}
+// trainMemoized restores the weights memoized under key into clf, or
+// trains clf with fit and memoizes the result. The lock is held across
+// training — as in trainedModel — so a fleet building thousands of
+// devices with one shared ModelSeed trains each model exactly once.
+func trainMemoized(key string, clf *classify.Classifier, fit func() error) (*classify.Classifier, error) {
 	trainedMu.Lock()
 	defer trainedMu.Unlock()
 	if blob, ok := trainedWeights[key]; ok {
@@ -299,28 +250,45 @@ func TrainClassifier(arch classify.Arch, vocab *sensitive.Vocabulary, seed uint6
 		}
 		return clf, nil
 	}
-	corpus, err := sensitive.Generate(sensitive.GenConfig{N: 280, SensitiveFraction: 0.45, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	samples := make([]train.Sample, 0, len(corpus))
-	for _, u := range corpus {
-		samples = append(samples, train.Sample{
-			X: clf.TokensToFeatures(vocab.Encode(u.Words)),
-			Y: u.Label(),
-		})
-	}
-	if _, err := train.Fit(clf.Model(), train.NewAdam(0.01), samples, train.Config{
-		Epochs: epochs, BatchSize: 16, Seed: seed, Shape: clf.InputShape(),
-	}); err != nil {
+	if err := fit(); err != nil {
 		return nil, err
 	}
 	trainedWeights[key] = clf.SerializeWeights()
 	return clf, nil
 }
 
+// TrainClassifier pre-trains (or fetches the memoized) classifier for the
+// architecture on the standard corpus.
+func TrainClassifier(arch classify.Arch, vocab *sensitive.Vocabulary, seed uint64, epochs int) (*classify.Classifier, error) {
+	const seqLen = 12
+	rng := NewRNG(seed, seed^SaltClassifier)
+	clf, err := classify.NewText(arch, rng, vocab.Size(), seqLen)
+	if err != nil {
+		return nil, err
+	}
+	return trainMemoized(fmt.Sprintf("%d/%d/%d", arch, seed, epochs), clf, func() error {
+		corpus, err := sensitive.Generate(sensitive.GenConfig{N: 280, SensitiveFraction: 0.45, Seed: seed})
+		if err != nil {
+			return err
+		}
+		samples := make([]train.Sample, 0, len(corpus))
+		for _, u := range corpus {
+			samples = append(samples, train.Sample{
+				X: clf.TokensToFeatures(vocab.Encode(u.Words)),
+				Y: u.Label(),
+			})
+		}
+		_, err = train.Fit(clf.Model(), train.NewAdam(0.01), samples, train.Config{
+			Epochs: epochs, BatchSize: 16, Seed: seed, Shape: clf.InputShape(),
+		})
+		return err
+	})
+}
+
 // seededReader adapts the deterministic PRNG to io.Reader for key
-// generation, keeping whole experiments reproducible.
+// generation. Each Read fills p from the stream, so a consumer that reads
+// a fixed number of bytes (relay.NewIdentity) derives the same key from
+// the same seed every time.
 type seededReader struct{ rng *rand.Rand }
 
 func (s seededReader) Read(p []byte) (int, error) {
@@ -348,12 +316,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.WorldSwitchCycles > 0 {
 		cost.WorldSwitch = cfg.WorldSwitchCycles
 	}
-	clock := tz.NewClock()
-	plat, err := memory.NewPlatform(memory.DefaultLayout())
-	if err != nil {
-		return nil, fmt.Errorf("core platform: %w", err)
+	sys := &System{cfg: cfg, Vocab: sensitive.NewVocabulary()}
+	if err := sys.initShell(cost); err != nil {
+		return nil, err
 	}
-	monitor := tz.NewMonitor(clock, cost)
+	clock, plat := sys.Clock, sys.Platform
 	b := bus.New(clock, cost)
 	secureDevice := cfg.Mode != ModeBaseline
 	ctrl := i2s.NewController("i2s0", ControllerFIFOBytes)
@@ -394,24 +361,8 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core driver: %w", err)
 	}
 
-	kern := kernel.New(clock, cost, plat.Mem)
-	sys := &System{
-		cfg:      cfg,
-		Clock:    clock,
-		Cost:     cost,
-		Monitor:  monitor,
-		Platform: plat,
-		Bus:      b,
-		Ctrl:     ctrl,
-		DMA:      dmaEngine,
-		Mic:      mic,
-		Voice:    voice,
-		Kernel:   kern,
-		Snooper:  kernel.NewSnooper(plat.Mem),
-		Tracer:   tracer,
-		Driver:   drv,
-		Vocab:    sensitive.NewVocabulary(),
-	}
+	sys.Bus, sys.Ctrl, sys.DMA, sys.Mic, sys.Voice = b, ctrl, dmaEngine, mic, voice
+	sys.Kernel, sys.Tracer, sys.Driver = kernel.New(clock, cost, plat.Mem), tracer, drv
 
 	// Device-side recognizer: the template pack is trained once per
 	// training condition and shared fleet-wide; the session (extractor +
@@ -435,12 +386,6 @@ func NewSystem(cfg Config) (*System, error) {
 // Config returns the system's configuration (defaults filled).
 func (s *System) Config() Config { return s.cfg }
 
-// SetTrace installs the device's telemetry trace context (nil clears).
-// Spans carry stage timings, sealed sizes and admission verdicts only —
-// never transcript tokens. Install before RunSession; the hot path reads
-// the pointer without locking.
-func (s *System) SetTrace(tc *obs.TraceContext) { s.trace = tc }
-
 // buildBaseline registers the normal-world char device and the plain cloud.
 func (s *System) buildBaseline() error {
 	chardev := driver.NewCharDev(s.Driver, i2s.DefaultFormat())
@@ -450,40 +395,13 @@ func (s *System) buildBaseline() error {
 	// providers have better acoustic coverage than any device). The
 	// template pack is shared with the device side; the cloud endpoint
 	// gets its own session.
-	cloudModel, err := trainedModel(s.Vocab, s.Voice)
-	if err != nil {
-		return fmt.Errorf("core cloud asr: %w", err)
-	}
-	cloudSess, err := cloudModel.NewSession()
+	cloudSess, err := s.ASRModel.NewSession()
 	if err != nil {
 		return fmt.Errorf("core cloud asr session: %w", err)
 	}
-	s.CloudPlain = cloud.NewPlainService(cloudSess)
-	s.uplink = s.CloudPlain
+	plain := cloud.NewPlainService(cloudSess)
+	s.endpoint, s.uplink = plain, plain
 	return nil
-}
-
-// SetUplink reroutes the device's cloud-bound traffic through sink (the
-// fleet ingest tier). The device's own cloud endpoint keeps terminating
-// the channel — the sink decides on which shard/worker that happens.
-func (s *System) SetUplink(sink supplicant.NetSink) {
-	if s.cfg.Mode == ModeBaseline {
-		s.mu.Lock()
-		s.uplink = sink
-		s.mu.Unlock()
-		return
-	}
-	s.Supplicant.Route(CloudTarget, sink)
-}
-
-// CloudEndpoint returns the provider-side terminator of this device's
-// traffic: the sealed service in secure modes, the plain service in
-// baseline. Fleet shards host it.
-func (s *System) CloudEndpoint() cloud.Provider {
-	if s.cfg.Mode == ModeBaseline {
-		return s.CloudPlain
-	}
-	return s.CloudSealed
 }
 
 // recognizerCache memoizes template training per (rate, noise, vocab):
@@ -521,56 +439,36 @@ func trainedModel(vocab *sensitive.Vocabulary, voice audio.Voice) (*asr.Model, e
 	return m, nil
 }
 
-// buildSecure wires OP-TEE, the PTA/TA pair, the supplicant and the
-// sealed cloud endpoint.
+// buildSecure wires the secure world, the PTA/TA pair and, on a hybrid
+// speaker, the provider's blind-evaluation layer.
 func (s *System) buildSecure() error {
-	s.TEE = optee.New(s.Monitor, s.Platform.SecureHeap)
-	s.Supplicant = supplicant.New(s.Clock, s.Cost)
-	s.TEE.SetRPCHandler(s.Supplicant)
-
-	storage, err := optee.NewStorage([]byte(fmt.Sprintf("device-huk-%d", s.cfg.Seed)))
-	if err != nil {
-		return fmt.Errorf("core storage: %w", err)
-	}
-	s.Storage = storage
-
-	// Pre-train the classifier offline and seal its weights into secure
-	// storage; the TA unseals them at session open (paper §IV.4:
-	// "pre-trained ML classifier" shipped to the TA).
 	if s.cfg.Mode == ModeHybridHE && s.cfg.SharedClassify {
 		return fmt.Errorf("%w: hybrid-he classify cannot be shared — the HE handoff needs the sealed secret key on-device", ErrBadConfig)
 	}
+	// Pre-train the classifier offline; its weights are sealed into
+	// secure storage and the TA unseals them at first classify (paper
+	// §IV.4: "pre-trained ML classifier" shipped to the TA).
+	filter := s.cfg.Mode == ModeSecureFilter || s.cfg.Mode == ModeHybridHE
 	var clf *classify.Classifier
-	if (s.cfg.Mode == ModeSecureFilter || s.cfg.Mode == ModeHybridHE) && !s.cfg.SharedClassify {
-		clf, err = TrainClassifier(s.cfg.Arch, s.Vocab, s.cfg.ModelSeed, s.cfg.TrainEpochs)
-		if err != nil {
+	var weights []byte
+	if filter && !s.cfg.SharedClassify {
+		var err error
+		if clf, err = TrainClassifier(s.cfg.Arch, s.Vocab, s.cfg.ModelSeed, s.cfg.TrainEpochs); err != nil {
 			return fmt.Errorf("core classifier: %w", err)
 		}
-		storage.Put(voiceProfile.weightsID, clf.SerializeWeights())
+		weights = clf.SerializeWeights()
 	}
-
-	// Hybrid split: generate the HE keypair from the shared model seed
-	// (the provider provisions one parameter set fleet-wide, like the
-	// model pack), seal the secret key next to the weights, and stand up
-	// the provider's blind-evaluation endpoint with the classifier's
-	// first conv provisioned in the clear.
-	var heParams he.Params
+	taCfg, taID, err := s.buildSecureWorld(voiceProfile, secureSpec{
+		mode: s.cfg.Mode, seed: s.cfg.Seed, modelSeed: s.cfg.ModelSeed,
+		deviceID: s.cfg.DeviceID, attestKeySeed: s.cfg.AttestKeySeed, modelVersion: s.cfg.ModelVersion,
+		weights: weights,
+	})
+	if err != nil {
+		return err
+	}
 	if s.cfg.Mode == ModeHybridHE {
-		heParams = he.DefaultParams()
-		kp, err := he.KeyGen(heParams, s.cfg.ModelSeed)
-		if err != nil {
-			return fmt.Errorf("core he keygen: %w", err)
-		}
-		storage.Put(voiceProfile.heKeyID, kp.Secret.Marshal())
-		s.HEPub = kp.Public
-		if s.HEEval, err = he.NewEvaluator(heParams, s.Clock, s.Cost); err != nil {
-			return fmt.Errorf("core he evaluator: %w", err)
-		}
-		providerEval, err := he.NewEvaluator(heParams, s.Clock, s.Cost)
-		if err != nil {
-			return fmt.Errorf("core he provider: %w", err)
-		}
-		s.HE = cloud.NewHEService(providerEval)
+		// The provider's blind-evaluation endpoint gets the classifier's
+		// first conv in the clear.
 		split, err := classify.SplitText(clf)
 		if err != nil {
 			return fmt.Errorf("core he split: %w", err)
@@ -583,53 +481,17 @@ func (s *System) buildSecure() error {
 		})
 	}
 
-	// Cloud endpoint + handshake keys.
-	keyRand := NewSeedReader(s.cfg.Seed^0xc10d, s.cfg.Seed+77)
-	cloudID, err := relay.NewIdentity(keyRand)
-	if err != nil {
-		return fmt.Errorf("core cloud id: %w", err)
-	}
-	s.CloudSealed = cloud.NewService(cloud.NewIdentity(cloudID))
-	s.Supplicant.Route(CloudTarget, s.CloudSealed)
-
-	taID, err := relay.NewIdentity(keyRand)
-	if err != nil {
-		return fmt.Errorf("core ta id: %w", err)
-	}
-	if err := s.CloudSealed.Handshake(taID.PublicKey()); err != nil {
-		return err
-	}
-
 	s.DriverPTA = NewDriverPTA(s.Driver)
 	s.TEE.RegisterPTA(s.DriverPTA)
-
-	// The attestation key lives with the TA: evidence is signed inside
-	// the TEE, never by the normal world.
-	var attestor *attest.Attestor
-	if s.cfg.AttestKeySeed != 0 {
-		attestor = attest.NewAttestor(s.cfg.DeviceID, attest.KeyFromSeed(s.cfg.AttestKeySeed))
-	}
-
 	ta, err := NewVoiceTA(VoiceTAConfig{
-		TAConfig: TAConfig{
-			TEE:          s.TEE,
-			Storage:      storage,
-			Clock:        s.Clock,
-			Cost:         s.Cost,
-			Seed:         s.cfg.ModelSeed,
-			Attestor:     attestor,
-			ModelVersion: s.cfg.ModelVersion,
-			Hybrid:       s.cfg.Mode == ModeHybridHE,
-			HEParams:     heParams,
-		},
+		TAConfig:       taCfg,
 		Identity:       taID,
-		CloudPub:       cloudID.PublicKey(),
+		CloudPub:       s.CloudSealed.PublicKey(),
 		Recognizer:     s.Recognizer,
 		Arch:           s.cfg.Arch,
-		VocabSize:      s.Vocab.Size(),
 		Vocab:          s.Vocab,
 		Policy:         s.cfg.Policy,
-		Filter:         s.cfg.Mode == ModeSecureFilter || s.cfg.Mode == ModeHybridHE,
+		Filter:         filter,
 		sharedClassify: s.cfg.SharedClassify,
 	})
 	if err != nil {

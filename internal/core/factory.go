@@ -84,10 +84,41 @@ type DeviceSpec struct {
 	SharedClassify bool
 }
 
+// speakerConfig is the speaker configuration the spec describes.
+func (spec DeviceSpec) speakerConfig() Config {
+	return Config{
+		Mode:           spec.Mode,
+		Arch:           spec.Arch,
+		Policy:         spec.Policy,
+		BufBytes:       spec.BufBytes,
+		Seed:           spec.Seed,
+		ModelSeed:      spec.ModelSeed,
+		FreqHz:         spec.FreqHz,
+		NoiseAmp:       spec.NoiseAmp,
+		DeviceID:       spec.DeviceID,
+		AttestKeySeed:  spec.AttestKeySeed,
+		ModelVersion:   spec.ModelVersion,
+		SharedClassify: spec.SharedClassify,
+	}
+}
+
+// cameraConfig is the doorbell configuration the spec describes.
+func (spec DeviceSpec) cameraConfig() CameraConfig {
+	return CameraConfig{
+		Mode:          spec.Mode,
+		Seed:          spec.Seed,
+		ModelSeed:     spec.ModelSeed,
+		FreqHz:        spec.FreqHz,
+		DeviceID:      spec.DeviceID,
+		AttestKeySeed: spec.AttestKeySeed,
+		ModelVersion:  spec.ModelVersion,
+	}
+}
+
 // Pretrain warms every shared-model cache the given population needs —
 // the ASR template pack per training condition, the text classifier per
 // (arch, model seed) and the image classifier per model seed — so that
-// lazily constructed devices only ever hit memoized models. It mirrors
+// lazily constructed devices only ever hit memoized models. It applies
 // the defaulting rules the per-device constructors apply.
 func Pretrain(specs []DeviceSpec) error {
 	vocab := sensitive.NewVocabulary()
@@ -95,7 +126,6 @@ func Pretrain(specs []DeviceSpec) error {
 		arch classify.Arch
 		seed uint64
 	}
-	asrDone := make(map[float64]bool)
 	textDone := make(map[textKey]bool)
 	imageDone := make(map[uint64]bool)
 	for _, spec := range specs {
@@ -104,26 +134,14 @@ func Pretrain(specs []DeviceSpec) error {
 			// Run the spec through the same defaulting NewSystem applies,
 			// so the warmed cache keys are exactly the ones lazy
 			// construction will look up.
-			cfg := Config{
-				Mode:      spec.Mode,
-				Arch:      spec.Arch,
-				Policy:    spec.Policy,
-				BufBytes:  spec.BufBytes,
-				Seed:      spec.Seed,
-				ModelSeed: spec.ModelSeed,
-				FreqHz:    spec.FreqHz,
-				NoiseAmp:  spec.NoiseAmp,
-			}
+			cfg := spec.speakerConfig()
 			if err := cfg.fillDefaults(); err != nil {
 				return fmt.Errorf("pretrain: %w", err)
 			}
-			if !asrDone[cfg.NoiseAmp] {
-				voice := audio.DefaultVoice(cfg.Seed)
-				voice.NoiseAmp = cfg.NoiseAmp
-				if _, err := trainedModel(vocab, voice); err != nil {
-					return fmt.Errorf("pretrain asr: %w", err)
-				}
-				asrDone[cfg.NoiseAmp] = true
+			voice := audio.DefaultVoice(cfg.Seed)
+			voice.NoiseAmp = cfg.NoiseAmp
+			if _, err := trainedModel(vocab, voice); err != nil {
+				return fmt.Errorf("pretrain asr: %w", err)
 			}
 			if cfg.Mode == ModeSecureFilter || cfg.Mode == ModeHybridHE {
 				k := textKey{cfg.Arch, cfg.ModelSeed}
@@ -135,15 +153,15 @@ func Pretrain(specs []DeviceSpec) error {
 				}
 			}
 		case DeviceDoorbell:
-			modelSeed := spec.ModelSeed
-			if modelSeed == 0 {
-				modelSeed = spec.Seed // CameraConfig defaulting
+			cfg := spec.cameraConfig()
+			if err := cfg.fillDefaults(); err != nil {
+				return fmt.Errorf("pretrain: %w", err)
 			}
-			if (spec.Mode == ModeSecureFilter || spec.Mode == ModeHybridHE) && !imageDone[modelSeed] {
-				if _, err := TrainImageClassifier(modelSeed); err != nil {
+			if cfg.Mode != ModeBaseline && !imageDone[cfg.ModelSeed] {
+				if _, err := TrainImageClassifier(cfg.ModelSeed); err != nil {
 					return fmt.Errorf("pretrain image classifier: %w", err)
 				}
-				imageDone[modelSeed] = true
+				imageDone[cfg.ModelSeed] = true
 			}
 		}
 	}
@@ -151,11 +169,12 @@ func Pretrain(specs []DeviceSpec) error {
 }
 
 // Device is one constructed fleet member. Exactly one of Speaker and
-// Doorbell is non-nil, matching Spec.Kind.
+// Doorbell is non-nil, matching Spec.Kind; shell is its device shell.
 type Device struct {
 	Spec     DeviceSpec
 	Speaker  *System
 	Doorbell *CameraSystem
+	shell    *deviceShell
 
 	// deviceLifecycle serves the device's Attest, UpdateModel,
 	// ModelVersion, RotateKey and KeyEpoch: the TA's management client on
@@ -179,41 +198,21 @@ func NewDevice(spec DeviceSpec) (*Device, error) {
 	d := &Device{Spec: spec}
 	switch spec.Kind {
 	case DeviceSpeaker:
-		sys, err := NewSystem(Config{
-			Mode:           spec.Mode,
-			Arch:           spec.Arch,
-			Policy:         spec.Policy,
-			BufBytes:       spec.BufBytes,
-			Seed:           spec.Seed,
-			ModelSeed:      spec.ModelSeed,
-			FreqHz:         spec.FreqHz,
-			NoiseAmp:       spec.NoiseAmp,
-			DeviceID:       spec.DeviceID,
-			AttestKeySeed:  spec.AttestKeySeed,
-			ModelVersion:   spec.ModelVersion,
-			SharedClassify: spec.SharedClassify,
-		})
+		sys, err := NewSystem(spec.speakerConfig())
 		if err != nil {
 			return nil, fmt.Errorf("speaker: %w", err)
 		}
-		d.Speaker, d.deviceLifecycle = sys, &sys.taClient
+		d.Speaker, d.shell = sys, &sys.deviceShell
 	case DeviceDoorbell:
-		sys, err := NewCameraSystem(CameraConfig{
-			Mode:          spec.Mode,
-			Seed:          spec.Seed,
-			ModelSeed:     spec.ModelSeed,
-			FreqHz:        spec.FreqHz,
-			DeviceID:      spec.DeviceID,
-			AttestKeySeed: spec.AttestKeySeed,
-			ModelVersion:  spec.ModelVersion,
-		})
+		sys, err := NewCameraSystem(spec.cameraConfig())
 		if err != nil {
 			return nil, fmt.Errorf("doorbell: %w", err)
 		}
-		d.Doorbell, d.deviceLifecycle = sys, &sys.taClient
+		d.Doorbell, d.shell = sys, &sys.deviceShell
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadKind, int(spec.Kind))
 	}
+	d.deviceLifecycle = &d.shell.taClient
 	if spec.Mode == ModeBaseline {
 		d.agent.deviceID = spec.DeviceID
 		if spec.AttestKeySeed != 0 {
@@ -270,41 +269,19 @@ func (a *softAgent) KeyEpoch() uint64 {
 
 // SetTrace installs the device's sampled telemetry trace context (nil
 // for untraced runs and sampled-out devices — the zero-cost path).
-func (d *Device) SetTrace(tc *obs.TraceContext) {
-	if d.Speaker != nil {
-		d.Speaker.SetTrace(tc)
-		return
-	}
-	d.Doorbell.SetTrace(tc)
-}
+func (d *Device) SetTrace(tc *obs.TraceContext) { d.shell.SetTrace(tc) }
 
 // Clock returns the device's virtual clock, so delivery-path wrappers
 // (retry backoff, fault injectors) charge their virtual time to the
 // right device.
-func (d *Device) Clock() *tz.Clock {
-	if d.Speaker != nil {
-		return d.Speaker.Clock
-	}
-	return d.Doorbell.Clock
-}
+func (d *Device) Clock() *tz.Clock { return d.shell.Clock }
 
 // SetUplink reroutes the device's cloud-bound traffic through sink.
-func (d *Device) SetUplink(sink supplicant.NetSink) {
-	if d.Speaker != nil {
-		d.Speaker.SetUplink(sink)
-		return
-	}
-	d.Doorbell.SetUplink(sink)
-}
+func (d *Device) SetUplink(sink supplicant.NetSink) { d.shell.SetUplink(sink) }
 
 // CloudEndpoint returns the provider-side terminator of the device's
 // traffic (nil for devices that never uplink: baseline doorbells).
-func (d *Device) CloudEndpoint() cloud.Provider {
-	if d.Speaker != nil {
-		return d.Speaker.CloudEndpoint()
-	}
-	return d.Doorbell.CloudEndpoint()
-}
+func (d *Device) CloudEndpoint() cloud.Provider { return d.shell.CloudEndpoint() }
 
 // DeviceWorkload is the input stream for one device run; the field
 // matching the device's kind is used.
@@ -335,6 +312,32 @@ func (d *Device) Run(w DeviceWorkload) (*DeviceResult, error) {
 		return nil, err
 	}
 	return &DeviceResult{Spec: d.Spec, Camera: res}, nil
+}
+
+// Items returns how many items the run was given: utterances or frames.
+func (r *DeviceResult) Items() int {
+	if r.Session != nil {
+		return len(r.Session.Utterances)
+	}
+	return r.Camera.Frames
+}
+
+// Expired returns how many emitted items the device's uplink gave up on
+// when their retry budget ran out.
+func (r *DeviceResult) Expired() int {
+	if r.Session != nil {
+		return r.Session.ExpiredEvents
+	}
+	return r.Camera.ExpiredFrames
+}
+
+// Leaked returns what private content reached the provider: sensitive
+// tokens from a speaker, person frames from a doorbell.
+func (r *DeviceResult) Leaked() (sensitiveTokens, personFrames int) {
+	if r.Session != nil {
+		return r.Session.CloudAudit.SensitiveTokens, 0
+	}
+	return 0, r.Camera.ForwardedPersons
 }
 
 // Latency returns the run's per-item virtual-cycle recorder.

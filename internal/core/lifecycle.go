@@ -1,21 +1,27 @@
 package core
 
 // One TA lifecycle for both device TAs. Attestation, key rotation, model
-// update and sealed-weights unsealing are one component (taLifecycle)
-// that the voice and camera TAs embed, and one normal-world management
-// client (taClient) that the speaker and doorbell systems embed. The TAs
-// differ only in their taProfile — names, storage objects and command
-// IDs — and in whether they build a per-device classifier.
+// update, sealed-weights unsealing and the HE tail step are one component
+// (taLifecycle) and the sealed channel to the cloud another (sealedRelay),
+// both embedded by the voice and camera TAs; one normal-world management
+// client (taClient) lives in the device shell. The TAs differ only in
+// their taProfile and in whether they build a per-device classifier.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/attest"
+	"repro/internal/cloud"
 	"repro/internal/he"
 	"repro/internal/ml/classify"
+	"repro/internal/ml/layers"
+	"repro/internal/obs"
 	"repro/internal/optee"
+	"repro/internal/relay"
 	"repro/internal/teec"
 	"repro/internal/tz"
 )
@@ -37,9 +43,14 @@ type taProfile struct {
 	weightsID, keyEpochID, heKeyID, packPrefix string
 	// image marks a TA whose pack weights are Pack.Image (else Pack.Text).
 	image bool
+	// Key derivation: huk formats the device's hardware-unique key from
+	// its seed, and the cloud and TA relay identities are drawn from the
+	// stream NewSeedReader(seed^keySalt, seed+keyStream).
+	huk                string
+	keySalt, keyStream uint64
 }
 
-func newTAProfile(name, prefix, uuid string, cmds lifecycleCmds, image bool) *taProfile {
+func newTAProfile(name, prefix, uuid string, cmds lifecycleCmds, image bool, huk string, keySalt, keyStream uint64) *taProfile {
 	return &taProfile{
 		name: name, uuid: uuid, code: attest.MeasureCode("periguard", uuid), cmds: cmds,
 		weightsID:  prefix + "/classifier-weights",
@@ -47,14 +58,15 @@ func newTAProfile(name, prefix, uuid string, cmds lifecycleCmds, image bool) *ta
 		heKeyID:    prefix + "/he-secret-key",
 		packPrefix: prefix + "/model-pack-v",
 		image:      image,
+		huk:        huk, keySalt: keySalt, keyStream: keyStream,
 	}
 }
 
 var (
 	voiceProfile = newTAProfile("voice ta", "voice-ta", UUIDVoiceTA,
-		lifecycleCmds{CmdAttest, CmdUpdateModel, CmdRotateKey}, false)
+		lifecycleCmds{CmdAttest, CmdUpdateModel, CmdRotateKey}, false, "device-huk-%d", 0xc10d, 77)
 	cameraProfile = newTAProfile("camera ta", "camera-ta", UUIDCameraTA,
-		lifecycleCmds{CmdCameraAttest, CmdCameraUpdateModel, CmdCameraRotateKey}, true)
+		lifecycleCmds{CmdCameraAttest, CmdCameraUpdateModel, CmdCameraRotateKey}, true, "device-huk-cam-%d", 0xcafe, 3)
 )
 
 // packID is the secure-storage id of the provisioned pack of a version.
@@ -85,10 +97,18 @@ type TAConfig struct {
 	HEParams he.Params
 }
 
-// classifierBuilder makes a TA's classifier skeleton for a model seed;
-// the lifecycle restores sealed or delivered weights into it.
+// classifierBuilder makes a TA's classifier skeleton for a model seed
+// (the lifecycle restores sealed or delivered weights into it) and splits
+// off a classifier's in-TA hybrid tail.
 type classifierBuilder interface {
 	newClassifier(seed uint64) (*classify.Classifier, error)
+	splitTail(clf *classify.Classifier) (tailPredictor, *layers.Sequential, error)
+}
+
+// tailPredictor is the in-TA half of a classifier's hybrid split
+// (classify.TextSplit or classify.ImageSplit).
+type tailPredictor interface {
+	TailPredict(data []float32, shape []int) (int, error)
 }
 
 // taLifecycle is the attestation, key-rotation, model-update and
@@ -200,6 +220,9 @@ func (l *taLifecycle) invokeLifecycle(cmd uint32, params *optee.Params) error {
 		return fmt.Errorf("%w: %s cmd %#x", optee.ErrBadParam, name, cmd)
 	}
 }
+
+// UUID implements optee.TA.
+func (l *taLifecycle) UUID() string { return l.profile.uuid }
 
 // ModelVersion returns the version of the model pack the TA holds.
 func (l *taLifecycle) ModelVersion() uint64 {
@@ -373,29 +396,176 @@ func (l *taLifecycle) loadedClassifier() (*classify.Classifier, error) {
 	return l.classifier, nil
 }
 
-// heDecryptState unseals the HE secret key and builds the in-TA
-// evaluator for the HE→TEE handoff. Both are cheap value types, returned
-// by value so a handoff allocates neither; the seal read is the
-// expensive part and happens per handoff, mirroring how the weights
-// object is the unit of sealed-storage traffic.
-func (l *taLifecycle) heDecryptState() (he.SecretKey, he.Evaluator, error) {
-	name := l.profile.name
+// heTail is one HE→TEE handoff's in-TA state: the unsealed secret key,
+// the in-TA evaluator and the live classifier's non-linear tail.
+type heTail struct {
+	name  string
+	clock *tz.Clock
+	sk    he.SecretKey
+	eval  he.Evaluator
+	tail  tailPredictor
+	macs  int
+}
+
+// heHandoff unseals the HE secret key, builds the in-TA evaluator and
+// splits the live classifier's tail for one handoff command. The seal
+// read happens per handoff, as the weights object is the unit of
+// sealed-storage traffic.
+func (l *taLifecycle) heHandoff() (heTail, error) {
+	h := heTail{name: l.profile.name, clock: l.clock}
 	if !l.hybrid {
-		return he.SecretKey{}, he.Evaluator{}, fmt.Errorf("%w: %s HE handoff outside hybrid mode", optee.ErrBadState, name)
+		return h, fmt.Errorf("%w: %s HE handoff outside hybrid mode", optee.ErrBadState, h.name)
 	}
 	blob, err := l.storage.Get(l.profile.heKeyID)
 	if err != nil {
-		return he.SecretKey{}, he.Evaluator{}, fmt.Errorf("%s he key: %w", name, err)
+		return h, fmt.Errorf("%s he key: %w", h.name, err)
 	}
-	sk, err := he.ParseSecretKey(blob)
-	if err != nil {
-		return he.SecretKey{}, he.Evaluator{}, fmt.Errorf("%s he key: %w", name, err)
+	if h.sk, err = he.ParseSecretKey(blob); err != nil {
+		return h, fmt.Errorf("%s he key: %w", h.name, err)
 	}
 	eval, err := he.NewEvaluator(l.heParams, l.clock, l.cost)
 	if err != nil {
-		return he.SecretKey{}, he.Evaluator{}, fmt.Errorf("%s he eval: %w", name, err)
+		return h, fmt.Errorf("%s he eval: %w", h.name, err)
 	}
-	return sk, *eval, nil
+	h.eval = *eval
+	clf, err := l.loadedClassifier()
+	if err != nil {
+		return h, err
+	}
+	tail, seq, err := l.build.splitTail(clf)
+	if err != nil {
+		return h, fmt.Errorf("%s he split: %w", h.name, err)
+	}
+	h.tail, h.macs = tail, 2*layers.ParamCount([]layers.Layer{seq})
+	return h, nil
+}
+
+// classify is the HE tail step for one provider-evaluated ciphertext:
+// decrypt it, run the tail and charge it at the inline path's 4
+// MACs/cycle (the evaluator charged the decrypt). Every rejection of the
+// ciphertext, which came from the normal world, wraps ErrBadParam.
+func (h *heTail) classify(blob []byte) (flagged bool, err error) {
+	ct, err := h.eval.Unmarshal(blob)
+	if err != nil {
+		return false, fmt.Errorf("%w: %s he: %w", optee.ErrBadParam, h.name, err)
+	}
+	data, shape, err := h.eval.Decrypt(h.sk, ct)
+	if err != nil {
+		return false, fmt.Errorf("%w: %s he: %w", optee.ErrBadParam, h.name, err)
+	}
+	cls, err := h.tail.TailPredict(data, shape)
+	if err != nil {
+		return false, fmt.Errorf("%w: %s he tail: %w", optee.ErrBadParam, h.name, err)
+	}
+	h.clock.Advance(tz.Cycles(h.macs / 4))
+	return cls == 1, nil
+}
+
+// RelayOutcome is what became of one item a device relayed.
+type RelayOutcome struct {
+	// Forwarded marks an item the device sent toward the cloud.
+	Forwarded bool
+	// Shed marks a forwarded item the ingest frontend dropped under
+	// queue pressure (the relay saw cloud.ErrShed instead of a sealed
+	// directive). It was emitted and cost-accounted; it simply never
+	// reached the provider.
+	Shed bool
+	// Expired marks a forwarded item whose delivery retry budget ran out
+	// (cloud.ErrExpired): the uplink retried deterministically and gave
+	// up explicitly. Like Shed, it is an accounting outcome, never a
+	// silent loss.
+	Expired bool
+	// SealedSize is the sealed event's size in bytes (0 when nothing was
+	// sealed).
+	SealedSize int
+}
+
+// admit records a delivery's outcome and returns any error other than a
+// shed or an expiry, which are accounting outcomes, not faults.
+func (o *RelayOutcome) admit(err error) error {
+	o.Forwarded = true
+	switch {
+	case errors.Is(err, cloud.ErrShed):
+		o.Shed = true
+	case errors.Is(err, cloud.ErrExpired):
+		o.Expired = true
+	default:
+		return err
+	}
+	return nil
+}
+
+// verdict is the terminal span verdict of a forwarded item.
+func (o *RelayOutcome) verdict() obs.Verdict {
+	switch {
+	case o.Expired:
+		return obs.VerdictExpired
+	case o.Shed:
+		return obs.VerdictShed
+	}
+	return obs.VerdictDelivered
+}
+
+// sealedRelay is a device TA's end of its sealed channel to the cloud
+// (Fig. 1 steps 6–7).
+type sealedRelay struct {
+	name      string
+	tee       *optee.OS
+	channel   *relay.Channel
+	messageID atomic.Uint64
+}
+
+// taRecords is a TA's log of processed items: trusted-side
+// instrumentation the experiments read, never exposed through Invoke.
+type taRecords[T any] struct {
+	mu   sync.Mutex
+	recs []T
+}
+
+func (r *taRecords[T]) record(items ...T) {
+	r.mu.Lock()
+	r.recs = append(r.recs, items...)
+	r.mu.Unlock()
+}
+
+// Processed returns the TA's per-item records.
+func (r *taRecords[T]) Processed() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]T(nil), r.recs...)
+}
+
+// initRelay opens the TA's channel under id to the cloud key cloudPub.
+func (r *sealedRelay) initRelay(name string, tee *optee.OS, id *relay.Identity, cloudPub []byte) error {
+	ch, err := relay.NewChannel(id, cloudPub, true)
+	if err != nil {
+		return fmt.Errorf("%s channel: %w", name, err)
+	}
+	r.name, r.tee, r.channel = name, tee, ch
+	return nil
+}
+
+// relayEvent numbers, seals and sends ev through the supplicant,
+// recording the outcome in out, and verifies the cloud's directive.
+func (r *sealedRelay) relayEvent(ev relay.Event, out *RelayOutcome) error {
+	ev.MessageID = r.messageID.Add(1)
+	payload, err := relay.EncodeEvent(ev)
+	if err != nil {
+		return err
+	}
+	sealed := r.channel.Seal(payload)
+	out.SealedSize = len(sealed)
+	resp, err := r.tee.RPC(optee.RPCRequest{Kind: optee.RPCNetSend, Target: CloudTarget, Payload: sealed})
+	if err := out.admit(err); err != nil {
+		return fmt.Errorf("%s relay: %w", r.name, err)
+	}
+	if out.Shed || out.Expired {
+		return nil // no directive to verify
+	}
+	if _, err := r.channel.Open(resp.Payload); err != nil {
+		return fmt.Errorf("%s directive: %w", r.name, err)
+	}
+	return nil
 }
 
 // taClient is the normal-world management client of one device TA: it
@@ -409,9 +579,9 @@ type taClient struct {
 	ta      *taLifecycle
 }
 
-// withTA runs fn over a short-lived management session to the TA. The
-// TA keeps its state across sessions, so a management session opened
-// while a processing session is live shares the running instance (and a
+// withTA runs fn over a short-lived session to the TA. The TA keeps its
+// state across sessions, so a management session opened while a
+// processing session is live shares the running instance (and a
 // speaker's capture stream keeps going).
 func (c *taClient) withTA(fn func(sess *teec.Session) error) error {
 	if c.ta == nil {
@@ -420,7 +590,7 @@ func (c *taClient) withTA(fn func(sess *teec.Session) error) error {
 	ctx := teec.InitializeContext(c.tee)
 	sess, err := ctx.OpenSession(c.profile.uuid)
 	if err != nil {
-		return fmt.Errorf("%s management session: %w", c.profile.name, err)
+		return fmt.Errorf("%s session: %w", c.profile.name, err)
 	}
 	defer func() { _ = ctx.FinalizeContext() }()
 	return fn(sess)

@@ -3,7 +3,9 @@ package core
 // Deterministic randomness for the whole simulation. Every random stream
 // in core is a PCG derived from an explicit (seed, stream) pair — there is
 // no package-level randomness anywhere in the pipeline — so a fleet of
-// thousands of devices can be reproduced bit-for-bit from one root seed.
+// thousands of devices can be reproduced bit-for-bit from one root seed,
+// down to the relay keys and every sealed byte (relay.NewIdentity reads a
+// fixed 32 bytes of its seeded stream; TestSealedTrafficGolden pins it).
 //
 // Streams are labelled with salts so independent consumers (identity
 // generation, classifier init, per-device seeds, workload synthesis)

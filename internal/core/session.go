@@ -37,22 +37,13 @@ func (ss *SnoopSummary) add(got kernel.SnoopResult) {
 	}
 }
 
-// UtteranceOutcome pairs ground truth with what happened to one utterance.
+// UtteranceOutcome pairs ground truth with what happened to one
+// utterance: the TA's record (the transcript only in secure modes) and
+// the utterance's cycles.
 type UtteranceOutcome struct {
-	Truth      sensitive.Utterance
-	Transcript []string // device transcript (secure modes)
-	Flagged    bool
-	Forwarded  bool
-	// Shed marks an emitted event the ingest frontend dropped under
-	// queue pressure (cloud.ErrShed): the device treats it as a
-	// retriable network drop, not a session fault.
-	Shed bool
-	// Expired marks an emitted event whose uplink retry budget ran out
-	// (cloud.ErrExpired): retried deterministically, given up explicitly.
-	Expired  bool
-	Redacted int
-	Cycles   tz.Cycles
-	Stages   StageCycles
+	Truth sensitive.Utterance
+	ProcessedUtterance
+	Cycles tz.Cycles
 }
 
 // SessionResult aggregates one RunSession.
@@ -197,26 +188,12 @@ func (s *System) sweepSnoop(res *SessionResult) {
 func (s *System) finalizeSession(res *SessionResult, startCycles tz.Cycles) {
 	res.TotalCycles = s.Clock.Now() - startCycles
 	res.MonitorStats = s.Monitor.Stats()
-	s.mu.Lock()
-	res.RadioBytes = s.radioBytes
-	s.mu.Unlock()
-
-	switch s.cfg.Mode {
-	case ModeBaseline:
-		res.CloudAudit = s.CloudPlain.Audit()
-	default:
-		res.CloudAudit = s.CloudSealed.Audit()
+	res.RadioBytes = s.radio()
+	res.CloudAudit = s.endpoint.Audit()
+	if s.Supplicant != nil {
 		res.SupplicantPlaintextTokens = s.auditSupplicant()
 	}
-
-	res.Energy = power.DefaultModel().Measure(power.Usage{
-		TotalCycles:  uint64(res.TotalCycles),
-		SecureCycles: uint64(res.MonitorStats.SecureCycles),
-		Switches:     res.MonitorStats.Switches,
-		DMABytes:     s.DMA.Stats().Bytes,
-		RadioBytes:   res.RadioBytes,
-		FreqHz:       s.cfg.FreqHz,
-	})
+	res.Energy = s.energy(res.TotalCycles, s.DMA.Stats().Bytes, s.cfg.FreqHz)
 }
 
 // emitUtteranceSpans exports one processed utterance's stage timeline to
@@ -248,19 +225,8 @@ func (s *System) emitUtteranceSpans(start tz.Cycles, rec ProcessedUtterance) {
 	}
 	t += rec.Stages.Classify
 	if rec.Forwarded {
-		tc.Emit(obs.StageRelay, relayVerdict(rec.Shed, rec.Expired), t, rec.Stages.Relay, rec.SealedSize, 0)
+		tc.Emit(obs.StageRelay, rec.verdict(), t, rec.Stages.Relay, rec.SealedSize, 0)
 	}
-}
-
-// relayVerdict is the terminal span verdict of a forwarded item.
-func relayVerdict(shed, expired bool) obs.Verdict {
-	switch {
-	case expired:
-		return obs.VerdictExpired
-	case shed:
-		return obs.VerdictShed
-	}
-	return obs.VerdictDelivered
 }
 
 // runBaselineUtterance: mic -> untrusted driver -> user app -> raw audio
@@ -326,30 +292,19 @@ func (s *System) runBaselineUtterance(sc *sessionScratch, fd int, i int, u sensi
 	}
 	s.Clock.Advance(tz.Cycles(len(payload)) * s.Cost.CopyPerByte)
 	relayStart := s.Clock.Now()
+	s.addRadio(len(payload))
 	s.mu.Lock()
-	s.radioBytes += uint64(len(payload))
 	sink := s.uplink
 	s.mu.Unlock()
-	if _, err := sink.Deliver(payload); err != nil {
-		// A shed or expired frame was emitted and paid for; the frontend
-		// dropped it under pressure (shed) or the retry budget ran out
-		// (expired). Both are accounting outcomes, not faults.
-		switch {
-		case errors.Is(err, cloud.ErrShed):
-			out.Shed = true
-		case errors.Is(err, cloud.ErrExpired):
-			out.Expired = true
-		default:
-			return out, fmt.Errorf("baseline deliver: %w", err)
-		}
+	if _, err := sink.Deliver(payload); out.admit(err) != nil {
+		return out, fmt.Errorf("baseline deliver: %w", err)
 	}
-	out.Forwarded = true
 	out.Cycles = s.Clock.Now() - start
 	out.Stages.Capture = out.Cycles // single-stage path
 	if tc := s.trace; tc.Enabled() {
 		tc.NextItem()
 		tc.Emit(obs.StageCapture, obs.VerdictNone, start, relayStart-start, len(payload), 0)
-		tc.Emit(obs.StageRelay, relayVerdict(out.Shed, out.Expired), relayStart, s.Clock.Now()-relayStart, len(payload), 0)
+		tc.Emit(obs.StageRelay, out.verdict(), relayStart, s.Clock.Now()-relayStart, len(payload), 0)
 	}
 	return out, nil
 }
@@ -364,9 +319,7 @@ func (s *System) heClassify(tokens [][]int) ([]byte, error) {
 	blobs := make([][]byte, len(tokens))
 	feats := make([]float32, s.heSplit.SeqLen)
 	for i, ids := range tokens {
-		for j := range feats {
-			feats[j] = 0
-		}
+		clear(feats)
 		for j := 0; j < len(ids) && j < len(feats); j++ {
 			feats[j] = float32(ids[j])
 		}
@@ -374,20 +327,9 @@ func (s *System) heClassify(tokens [][]int) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hybrid embed %d: %w", i, err)
 		}
-		ct, err := s.HEEval.Encrypt(s.HEPub, data, shape)
-		if err != nil {
-			return nil, fmt.Errorf("hybrid encrypt %d: %w", i, err)
+		if blobs[i], err = s.heRoundTrip(data, shape, s.HE.EvalText); err != nil {
+			return nil, fmt.Errorf("item %d: %w", i, err)
 		}
-		wire := ct.Marshal(s.HEEval.Params)
-		res, err := s.HE.EvalText(wire)
-		if err != nil {
-			return nil, fmt.Errorf("hybrid eval %d: %w", i, err)
-		}
-		// Ciphertext traffic rides the radio in both directions.
-		s.mu.Lock()
-		s.radioBytes += uint64(len(wire) + len(res))
-		s.mu.Unlock()
-		blobs[i] = res
 	}
 	return packLengthPrefixed(blobs), nil
 }

@@ -268,25 +268,11 @@ func (st *StagedSession) complete(pg *PendingGroup, records []ProcessedUtterance
 	for i, rec := range records {
 		s.emitUtteranceSpans(cursor, rec)
 		cursor += rec.Stages.Total()
-		out := UtteranceOutcome{
-			Truth:      pg.truths[i],
-			Transcript: rec.Transcript,
-			Flagged:    rec.Flagged,
-			Forwarded:  rec.Forwarded,
-			Shed:       rec.Shed,
-			Expired:    rec.Expired,
-			Redacted:   rec.Redacted,
-			Cycles:     rec.Stages.Total(),
-			Stages:     rec.Stages,
-		}
+		out := UtteranceOutcome{Truth: pg.truths[i], ProcessedUtterance: rec, Cycles: rec.Stages.Total()}
 		if st.single {
 			out.Cycles = s.Clock.Now() - pg.groupStart
 		}
-		if rec.SealedSize > 0 {
-			s.mu.Lock()
-			s.radioBytes += uint64(rec.SealedSize)
-			s.mu.Unlock()
-		}
+		s.addRadio(rec.SealedSize)
 		st.res.add(out)
 	}
 	s.sweepSnoop(st.res)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/asr"
 	"repro/internal/audio"
-	"repro/internal/cloud"
 	"repro/internal/driver"
 	"repro/internal/i2s"
 	"repro/internal/ml/classify"
@@ -199,20 +198,9 @@ func (s StageCycles) Total() tz.Cycles {
 type ProcessedUtterance struct {
 	Transcript []string
 	Flagged    bool
-	Forwarded  bool
-	// Shed marks a forwarded event the ingest frontend dropped under
-	// queue pressure (the relay saw cloud.ErrShed instead of a sealed
-	// directive). The event was emitted and cost-accounted; it simply
-	// never reached the provider.
-	Shed bool
-	// Expired marks a forwarded event whose delivery retry budget ran out
-	// (the relay saw cloud.ErrExpired): the uplink retried deterministically
-	// and gave up explicitly. Like Shed, the event was emitted and
-	// cost-accounted — it is an accounting outcome, never a silent loss.
-	Expired    bool
-	Redacted   int
-	Stages     StageCycles
-	SealedSize int
+	RelayOutcome
+	Redacted int
+	Stages   StageCycles
 	// ClassifyBatch is the occupancy of the forward pass that classified
 	// this utterance: the device's own queue length on the local path, or
 	// the cross-device flush size when a shared scheduler classified it
@@ -228,7 +216,6 @@ type VoiceTAConfig struct {
 	CloudPub   []byte
 	Recognizer *asr.Session
 	Arch       classify.Arch
-	VocabSize  int
 	Vocab      *sensitive.Vocabulary
 	Policy     relay.Policy
 	Filter     bool // false = secure-nofilter mode
@@ -241,16 +228,17 @@ type VoiceTAConfig struct {
 // VoiceTA is the trusted application of Fig. 1: it pulls audio from the
 // PTA, transcribes it, applies the ML filter, and relays sanitized events
 // through the supplicant to the cloud. Attestation, key rotation, model
-// update and the sealed classifier are its embedded taLifecycle.
+// update, the sealed classifier and the HE tail step are its embedded
+// taLifecycle, and the sealed channel and record log its sealedRelay and
+// taRecords, as in the camera TA.
 type VoiceTA struct {
 	taLifecycle
-	cfg     VoiceTAConfig
-	channel *relay.Channel
+	sealedRelay
+	taRecords[ProcessedUtterance]
+	cfg VoiceTAConfig
 
-	mu        sync.Mutex
-	opens     int // open-session refcount; capture runs while > 0
-	processed []ProcessedUtterance
-	messageID uint64
+	mu    sync.Mutex
+	opens int // open-session refcount; capture runs while > 0
 	// Staged-batch state (CmdTranscribeBatch → CmdResumeBatch): records
 	// carrying the capture/transcribe halves and the encoded tokens
 	// awaiting the shared classifier. At most one staged batch is pending
@@ -265,11 +253,10 @@ var _ optee.TA = (*VoiceTA)(nil)
 // no-filter TA seals no weights and builds no classifier; a
 // shared-classify TA seals an update's weights but builds none.
 func NewVoiceTA(cfg VoiceTAConfig) (*VoiceTA, error) {
-	ch, err := relay.NewChannel(cfg.Identity, cfg.CloudPub, true)
-	if err != nil {
-		return nil, fmt.Errorf("voice ta channel: %w", err)
+	t := &VoiceTA{cfg: cfg}
+	if err := t.initRelay(voiceProfile.name, cfg.TEE, cfg.Identity, cfg.CloudPub); err != nil {
+		return nil, err
 	}
-	t := &VoiceTA{cfg: cfg, channel: ch}
 	var build classifierBuilder
 	if cfg.Filter && !cfg.sharedClassify {
 		build = t
@@ -277,9 +264,6 @@ func NewVoiceTA(cfg VoiceTAConfig) (*VoiceTA, error) {
 	t.initLifecycle(voiceProfile, cfg.TAConfig, build, cfg.Filter)
 	return t, nil
 }
-
-// UUID implements optee.TA.
-func (t *VoiceTA) UUID() string { return UUIDVoiceTA }
 
 // Open implements optee.TA. The TA is a single multi-session instance:
 // the first session starts the capture stream through the PTA; further
@@ -308,7 +292,16 @@ func (t *VoiceTA) Open(sessionID uint32) error {
 
 // newClassifier makes the text-classifier skeleton for a model seed.
 func (t *VoiceTA) newClassifier(seed uint64) (*classify.Classifier, error) {
-	return classify.NewText(t.cfg.Arch, NewRNG(seed, seed^SaltClassifier), t.cfg.VocabSize, 12)
+	return classify.NewText(t.cfg.Arch, NewRNG(seed, seed^SaltClassifier), t.cfg.Vocab.Size(), 12)
+}
+
+// splitTail splits the text classifier's in-TA hybrid tail.
+func (t *VoiceTA) splitTail(clf *classify.Classifier) (tailPredictor, *layers.Sequential, error) {
+	split, err := classify.SplitText(clf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return split, split.Tail, nil
 }
 
 // Close implements optee.TA: the last session stops the capture stream.
@@ -561,9 +554,8 @@ func (t *VoiceTA) classifyStage(clf *classify.Classifier, recs []ProcessedUttera
 	return nil
 }
 
-// relayStage applies the filter policy and, when forwarding, seals the
-// event and relays it through the supplicant, verifying the cloud's
-// sealed directive (Fig. 1 steps 6–7).
+// relayStage applies the filter policy and relays a surviving
+// transcript sealed (Fig. 1 steps 6–7).
 func (t *VoiceTA) relayStage(rec *ProcessedUtterance) error {
 	policy := t.cfg.Policy
 	if !t.cfg.Filter {
@@ -573,52 +565,16 @@ func (t *VoiceTA) relayStage(rec *ProcessedUtterance) error {
 	if err != nil {
 		return err
 	}
-	rec.Forwarded = result.Forward
 	rec.Redacted = result.Redacted
 	if !result.Forward {
 		return nil
 	}
-	t.mu.Lock()
-	t.messageID++
-	mid := t.messageID
-	t.mu.Unlock()
-	payload, err := relay.EncodeEvent(relay.Event{
+	return t.relayEvent(relay.Event{
 		Namespace:  relay.NamespaceSpeech,
 		Name:       relay.NameTranscript,
-		MessageID:  mid,
 		Transcript: result.Tokens,
 		Redacted:   result.Redacted,
-	})
-	if err != nil {
-		return err
-	}
-	sealed := t.channel.Seal(payload)
-	rec.SealedSize = len(sealed)
-	resp, err := t.cfg.TEE.RPC(optee.RPCRequest{
-		Kind:    optee.RPCNetSend,
-		Target:  CloudTarget,
-		Payload: sealed,
-	})
-	if err != nil {
-		// The frontend shed the frame under queue pressure: a retriable
-		// network drop, not a session fault. There is no directive to
-		// verify; the TA records the shed and moves on.
-		if errors.Is(err, cloud.ErrShed) {
-			rec.Shed = true
-			return nil
-		}
-		// The retry layer exhausted its budget: the frame expired. Same
-		// contract as a shed — emitted, paid for, explicitly not delivered.
-		if errors.Is(err, cloud.ErrExpired) {
-			rec.Expired = true
-			return nil
-		}
-		return fmt.Errorf("voice ta relay: %w", err)
-	}
-	if _, err := t.channel.Open(resp.Payload); err != nil {
-		return fmt.Errorf("voice ta directive: %w", err)
-	}
-	return nil
+	}, &rec.RelayOutcome)
 }
 
 // captureGroup is the pipeline's first step (Fig. 1 steps 4–5): capture
@@ -660,9 +616,7 @@ func (t *VoiceTA) relayGroup(recs []ProcessedUtterance) error {
 		}
 		recs[i].Stages.Relay = clock.Now() - start
 	}
-	t.mu.Lock()
-	t.processed = append(t.processed, recs...)
-	t.mu.Unlock()
+	t.record(recs...)
 	return nil
 }
 
@@ -724,7 +678,7 @@ func (t *VoiceTA) transcribeBatch(lengths []int) error {
 
 // takePending completes the staged group with n verdicts: classify fills
 // in the records' verdicts, and only once it succeeds is the group
-// released. A resume with the wrong verdict count, or one classify
+// released and relayed. A resume with the wrong verdict count, or one classify
 // rejects, leaves the group staged for a well-formed retry.
 func (t *VoiceTA) takePending(n int, classify func([]ProcessedUtterance) error) ([]ProcessedUtterance, error) {
 	t.mu.Lock()
@@ -743,7 +697,7 @@ func (t *VoiceTA) takePending(n int, classify func([]ProcessedUtterance) error) 
 	t.mu.Lock()
 	t.pendingRecs, t.pendingTokens = nil, nil
 	t.mu.Unlock()
-	return recs, nil
+	return recs, t.relayGroup(recs)
 }
 
 // resumeBatch completes a staged group with the shared classifier's
@@ -753,7 +707,7 @@ func (t *VoiceTA) takePending(n int, classify func([]ProcessedUtterance) error) 
 // The wait is batch-level work, attributed evenly like the inline
 // batched pass.
 func (t *VoiceTA) resumeBatch(verdicts []byte, wait tz.Cycles) ([]ProcessedUtterance, error) {
-	recs, err := t.takePending(len(verdicts)/5, func(recs []ProcessedUtterance) error {
+	return t.takePending(len(verdicts)/5, func(recs []ProcessedUtterance) error {
 		t.cfg.Clock.Advance(wait)
 		for i := range recs {
 			v := verdicts[5*i:]
@@ -763,10 +717,6 @@ func (t *VoiceTA) resumeBatch(verdicts []byte, wait tz.Cycles) ([]ProcessedUtter
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return recs, t.relayGroup(recs)
 }
 
 // packLengthPrefixed concatenates blobs as little-endian uint32 byte
@@ -815,50 +765,26 @@ func splitLengthPrefixed(buf []byte) ([][]byte, error) {
 // dense → argmax) inside the TEE, then relays survivors through the
 // same policy/seal path as every other mode.
 func (t *VoiceTA) resumeBatchHE(blobs [][]byte) ([]ProcessedUtterance, error) {
-	recs, err := t.takePending(len(blobs), func(recs []ProcessedUtterance) error {
+	return t.takePending(len(blobs), func(recs []ProcessedUtterance) error {
 		return t.classifyHE(recs, blobs)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return recs, t.relayGroup(recs)
 }
 
 // classifyHE is the HE classify step: decrypt and tail-classify each
 // record's ciphertext, attributing each item its own decrypt and tail.
 func (t *VoiceTA) classifyHE(recs []ProcessedUtterance, blobs [][]byte) error {
-	sk, eval, err := t.heDecryptState()
+	h, err := t.heHandoff()
 	if err != nil {
 		return err
-	}
-	clf, err := t.loadedClassifier()
-	if err != nil {
-		return err
-	}
-	split, err := classify.SplitText(clf)
-	if err != nil {
-		return fmt.Errorf("voice ta he split: %w", err)
 	}
 	clock := t.cfg.Clock
-	tailMACs := 2 * layers.ParamCount([]layers.Layer{split.Tail})
 	for i := range recs {
 		start := clock.Now()
-		ct, err := eval.Unmarshal(blobs[i])
+		flagged, err := h.classify(blobs[i])
 		if err != nil {
 			return fmt.Errorf("staged utterance %d: %w", i, err)
 		}
-		data, shape, err := eval.Decrypt(sk, ct)
-		if err != nil {
-			return fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		cls, err := split.TailPredict(data, shape)
-		if err != nil {
-			return fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		// The tail forward runs at the same 4 MACs/cycle as the inline
-		// classify path; the decrypt was charged by the evaluator.
-		clock.Advance(tz.Cycles(tailMACs / 4))
-		recs[i].Flagged = cls == 1
+		recs[i].Flagged = flagged
 		recs[i].ClassifyBatch = len(recs)
 		recs[i].Stages.Classify = clock.Now() - start
 	}
@@ -878,19 +804,4 @@ func (t *VoiceTA) PendingTokens() [][]int {
 		out[i] = append([]int(nil), seq...)
 	}
 	return out
-}
-
-// Processed returns the TA's per-utterance records (trusted-side
-// instrumentation for the experiments).
-func (t *VoiceTA) Processed() []ProcessedUtterance {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]ProcessedUtterance(nil), t.processed...)
-}
-
-// ResetProcessed clears the records between runs.
-func (t *VoiceTA) ResetProcessed() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.processed = nil
 }

@@ -324,6 +324,8 @@ func FuzzVoiceTAInvoke(f *testing.F) {
 	staged := op(CmdTranscribeBatch, optee.MemrefIn, 0, lens)
 	f.Add(byte(0), cat(staged, op(CmdResumeBatch, optee.MemrefIn, 0, make([]byte, 5)), op(CmdResumeBatch, optee.MemrefIn, 0, make([]byte, 10))))
 	f.Add(byte(1), cat(staged, op(CmdResumeBatchHE, optee.MemrefIn, 0, packLengthPrefixed([][]byte{{1}}))))
+	// A well-counted batch of corrupt ciphertexts.
+	f.Add(byte(1), cat(staged, op(CmdResumeBatchHE, optee.MemrefIn, 0, packLengthPrefixed([][]byte{{1}, {1}}))))
 	f.Add(byte(1), cat(staged, op(CmdResumeBatch, optee.MemrefIn, 7, []byte{1, 2, 0, 0, 0, 0, 2, 0, 0, 0})))
 	f.Add(byte(0), cat(op(CmdProcessBatch, optee.MemrefIn, 0, lens), op(0x99, optee.ValueIn, 0, nil)))
 	// An utterance length that splits a wire frame.
@@ -376,9 +378,7 @@ func FuzzVoiceTAInvoke(f *testing.F) {
 // untouched.
 func cameraTAState(sys *CameraSystem) string {
 	ta := sys.TA
-	ta.mu.Lock()
-	mid := ta.messageID
-	ta.mu.Unlock()
+	mid := ta.messageID.Load()
 	return fmt.Sprintf("processed=%d version=%d epoch=%d msg=%d grabbed=%d",
 		len(ta.Processed()), ta.ModelVersion(), ta.KeyEpoch(), mid, len(sys.PTA.Truth()))
 }
@@ -653,6 +653,23 @@ func TestVoiceTATypedErrors(t *testing.T) {
 			p = optee.Params{memref(packLengthPrefixed([][]byte{{1}, {2}}))}
 			return sess.InvokeCommand(CmdResumeBatchHE, &p)
 		}, optee.ErrBadState, nil},
+		{"corrupt HE ciphertexts", func() error {
+			sys, err := NewSystem(Config{Mode: ModeHybridHE, Seed: 5})
+			if err != nil {
+				return err
+			}
+			sess := openVoiceTA(t, sys)
+			lens, err := sys.queueGroup(new(sessionScratch), 0, utts)
+			if err != nil {
+				return err
+			}
+			p := optee.Params{memref(lens)}
+			if err := sess.InvokeCommand(CmdTranscribeBatch, &p); err != nil {
+				return err
+			}
+			p = optee.Params{memref(packLengthPrefixed([][]byte{{1}, {1}}))}
+			return sess.InvokeCommand(CmdResumeBatchHE, &p)
+		}, optee.ErrBadParam, nil},
 		{"length splits a wire frame", func() error {
 			return invoke(unattested, CmdProcessUtterance, optee.Params{{Type: optee.ValueIn, A: 3201}})
 		}, optee.ErrBadParam, nil},

@@ -553,10 +553,7 @@ func expiredEvents(r *core.DeviceResult) int {
 	if r == nil {
 		return 0
 	}
-	if r.Session != nil {
-		return r.Session.ExpiredEvents
-	}
-	return r.Camera.ExpiredFrames
+	return r.Expired()
 }
 
 // E15ChaosFleet is the deterministic-chaos experiment. A fault-free

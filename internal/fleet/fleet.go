@@ -576,13 +576,8 @@ func (r *Result) RebalancedFrames() uint64 {
 func (r *Result) ExpiredFrames() int {
 	n := 0
 	for _, res := range r.DeviceResults {
-		if res == nil {
-			continue
-		}
-		if res.Session != nil {
-			n += res.Session.ExpiredEvents
-		} else if res.Camera != nil {
-			n += res.Camera.ExpiredFrames
+		if res != nil {
+			n += res.Expired()
 		}
 	}
 	return n
@@ -1074,16 +1069,11 @@ func aggregate(cfg Config, buildWall, runWall time.Duration, r *runner, router *
 		out.ExpectedCloudEvents += res.CloudEvents()
 		g.Latency.Merge(res.Latency())
 		out.Latency.Merge(res.Latency())
-		items := 0
-		if res.Session != nil {
-			items = len(res.Session.Utterances)
-			g.SensitiveTokens += res.Session.CloudAudit.SensitiveTokens
-		} else {
-			items = res.Camera.Frames
-			g.PersonFrames += res.Camera.ForwardedPersons
-		}
-		g.Items += items
-		out.TotalItems += items
+		tokens, persons := res.Leaked()
+		g.SensitiveTokens += tokens
+		g.PersonFrames += persons
+		g.Items += res.Items()
+		out.TotalItems += res.Items()
 	}
 	out.ShardStats = router.Stats()
 	out.Audit = router.Audit()

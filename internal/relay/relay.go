@@ -39,9 +39,15 @@ type Identity struct {
 	priv *ecdh.PrivateKey
 }
 
-// NewIdentity generates a key pair from the given entropy source.
+// NewIdentity generates a key pair from the given entropy source. It
+// reads exactly 32 bytes, so equal seeded readers give equal keys; the
+// standard library's GenerateKey skips a byte of the stream at random.
 func NewIdentity(rand io.Reader) (*Identity, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand)
+	var key [32]byte
+	if _, err := io.ReadFull(rand, key[:]); err != nil {
+		return nil, fmt.Errorf("relay identity: %w", err)
+	}
+	priv, err := ecdh.X25519().NewPrivateKey(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("relay identity: %w", err)
 	}

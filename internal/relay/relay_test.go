@@ -38,6 +38,24 @@ func channelPair(t *testing.T) (client, server *Channel) {
 	return client, server
 }
 
+// TestNewIdentityDeterministic: equal seeded readers give equal keys, so
+// a device's sealed traffic is fixed by its seed.
+func TestNewIdentityDeterministic(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		a, err := NewIdentity(seededReader{rand.New(rand.NewPCG(seed, 2))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewIdentity(seededReader{rand.New(rand.NewPCG(seed, 2))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.PublicKey(), b.PublicKey()) {
+			t.Fatalf("seed %d: two identities from equal readers differ", seed)
+		}
+	}
+}
+
 func TestChannelRoundTripBothDirections(t *testing.T) {
 	client, server := channelPair(t)
 	msg := []byte("the user said: weather please")
