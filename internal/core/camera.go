@@ -101,7 +101,7 @@ type CameraPTA struct {
 
 	mu      sync.Mutex
 	bufAddr uint64
-	truth   []peripheral.Scene
+	truth   taRecords[peripheral.Scene]
 }
 
 var _ optee.TA = (*CameraPTA)(nil)
@@ -149,11 +149,7 @@ func (p *CameraPTA) BufferAddr() uint64 {
 
 // Truth returns the ground-truth scenes captured so far (experiment-side
 // audit data; never exposed through the TEE interface).
-func (p *CameraPTA) Truth() []peripheral.Scene {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]peripheral.Scene(nil), p.truth...)
-}
+func (p *CameraPTA) Truth() []peripheral.Scene { return p.truth.Processed() }
 
 // Invoke implements optee.TA.
 func (p *CameraPTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) error {
@@ -176,9 +172,7 @@ func (p *CameraPTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) e
 			params[1].A = 0
 			return nil
 		}
-		p.mu.Lock()
-		p.truth = append(p.truth, scene)
-		p.mu.Unlock()
+		p.truth.record(scene)
 		// Sensor DMA into the (secure) frame buffer, then copy to the
 		// caller's buffer.
 		if err := p.mem.WriteAt(p.world, addr, im.Pix); err != nil {
@@ -196,32 +190,28 @@ func (p *CameraPTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) e
 	}
 }
 
-// ProcessedFrame is the camera TA's per-frame record.
+// ProcessedFrame is the camera TA's per-frame record. The frame path has
+// no transcribe stage: a secure grab is the capture stage.
 type ProcessedFrame struct {
-	Flagged bool
-	RelayOutcome
-	Cycles tz.Cycles
-	// Stage decomposition of Cycles (the camera path has no transcribe
-	// stage), for telemetry spans.
-	Grab     tz.Cycles
-	Classify tz.Cycles
-	Relay    tz.Cycles
+	itemRecord
 }
 
 // CameraTA classifies frames in the TEE and relays only benign ones.
 // As in the voice TA, attestation, key rotation, model update, the sealed
 // classifier and the HE tail step are its embedded taLifecycle, and the
-// sealed channel and record log its sealedRelay and taRecords.
+// classify and relay steps, the sealed channel and the record log its
+// taPipeline: each frame command is a group of one through them.
 type CameraTA struct {
 	taLifecycle
-	sealedRelay
-	taRecords[ProcessedFrame]
+	taPipeline[ProcessedFrame, *ProcessedFrame]
 	cfg TAConfig
 
-	// Per-TA frame scratch: invocations are serialized per device, so
-	// the grab buffer and feature vector are reused across frames.
-	frameBuf  []byte
-	frameFeat []float32
+	// Per-TA frame scratch: invocations are serialized per device, so the
+	// grab buffer, the one-sample batch holding its features and the
+	// group's record are reused across frames.
+	frameBuf   []byte
+	frameBatch [][]float32
+	group      [1]ProcessedFrame
 }
 
 var _ optee.TA = (*CameraTA)(nil)
@@ -230,8 +220,9 @@ var _ optee.TA = (*CameraTA)(nil)
 // cloudPub. cfg.Hybrid arms the HE→TEE handoff (CmdCameraFinishHE) under
 // cfg.HEParams.
 func NewCameraTA(cfg TAConfig, id *relay.Identity, cloudPub []byte) (*CameraTA, error) {
-	t := &CameraTA{cfg: cfg}
-	if err := t.initRelay(cameraProfile.name, cfg.TEE, id, cloudPub); err != nil {
+	t := &CameraTA{cfg: cfg, frameBuf: make([]byte, cameraFrameBytes),
+		frameBatch: [][]float32{make([]float32, cameraFrameBytes)}}
+	if err := t.initPipeline(cameraProfile.name, cfg.TEE, cfg.Clock, id, cloudPub); err != nil {
 		return nil, err
 	}
 	t.initLifecycle(cameraProfile, cfg, t, true)
@@ -259,23 +250,27 @@ func (t *CameraTA) Open(sessionID uint32) error { return nil }
 // Close implements optee.TA.
 func (t *CameraTA) Close(sessionID uint32) {}
 
-// Invoke implements optee.TA.
+// Invoke implements optee.TA. CmdProcessFrame loads the classifier before
+// the grab, so a TA that cannot classify leaves the frame on the sensor.
 func (t *CameraTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) error {
 	switch cmd {
 	case CmdProcessFrame:
-		rec, processedOne, err := t.processFrame()
+		clf, err := t.loadedClassifier()
 		if err != nil {
 			return err
 		}
-		params[0].Type = optee.ValueOut
-		if !processedOne {
-			params[0].A = 2 // no more frames
+		recs, err := t.grab()
+		if err != nil {
+			return err
+		}
+		if recs == nil {
+			params[0] = optee.Param{Type: optee.ValueOut, A: 2} // no more frames
 			return nil
 		}
-		if rec.Forwarded {
-			params[0].A = 1
+		if err := t.classifyInline(clf, recs, t.frameBatch); err != nil {
+			return err
 		}
-		return nil
+		return t.relayFrame(recs, t.frameBuf, &params[0])
 	case CmdCameraFinishHE:
 		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
 			return fmt.Errorf("%w: CmdCameraFinishHE needs a MemrefIn ciphertext", optee.ErrBadParam)
@@ -283,100 +278,61 @@ func (t *CameraTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) er
 		if params[1].Type != optee.MemrefIn || len(params[1].Buf) != cameraFrameBytes {
 			return fmt.Errorf("%w: CmdCameraFinishHE needs a %d-byte MemrefIn frame", optee.ErrBadParam, cameraFrameBytes)
 		}
-		rec, err := t.finishFrameHE(params[0].Buf, params[1].Buf)
-		if err != nil {
+		t.group = [1]ProcessedFrame{}
+		recs := t.group[:]
+		if err := t.classifyHE(&t.taLifecycle, recs, [][]byte{params[0].Buf}); err != nil {
 			return err
 		}
-		params[2].Type = optee.ValueOut
-		if rec.Forwarded {
-			params[2].A = 1
-		}
-		return nil
+		return t.relayFrame(recs, params[1].Buf, &params[2])
 	default:
 		return t.invokeLifecycle(cmd, params)
 	}
 }
 
-// processFrame grabs the next frame through the PTA and classifies it
-// inline. The classifier is loaded before the grab, so a TA that cannot
-// classify leaves the frame on the sensor.
-func (t *CameraTA) processFrame() (ProcessedFrame, bool, error) {
-	var rec ProcessedFrame
-	clf, err := t.loadedClassifier()
-	if err != nil {
-		return rec, false, err
-	}
-	start := t.clock.Now()
-	if t.frameBuf == nil {
-		t.frameBuf = make([]byte, cameraFrameBytes)
-		t.frameFeat = make([]float32, cameraFrameBytes)
-	}
-	buf := t.frameBuf
-	p := &optee.Params{{Type: optee.MemrefOut, Buf: buf}, {}}
+// grab is the frame group's capture stage: the next frame through the
+// PTA into the frame scratch, normalized into the feature vector. It
+// returns the group's one record, or nil when the sensor has no frame.
+func (t *CameraTA) grab() ([]ProcessedFrame, error) {
+	start := t.cfg.Clock.Now()
+	p := &optee.Params{{Type: optee.MemrefOut, Buf: t.frameBuf}, {}}
 	if err := t.cfg.TEE.InvokeSecure(UUIDCameraPTA, CmdCameraGrab, p); err != nil {
-		return rec, false, fmt.Errorf("camera ta grab: %w", err)
+		return nil, fmt.Errorf("camera ta grab: %w", err)
 	}
 	if p[1].A == 0 {
-		return rec, false, nil
+		return nil, nil
 	}
-	rec.Grab = t.clock.Now() - start
-	classifyStart := t.clock.Now()
-	feats := t.frameFeat
-	for i, px := range buf {
-		feats[i] = float32(px) / 255
+	for i, px := range t.frameBuf {
+		t.frameBatch[0][i] = float32(px) / 255
 	}
-	cls, err := clf.Predict(feats)
-	if err != nil {
-		return rec, false, fmt.Errorf("camera ta classify: %w", err)
-	}
-	t.clock.Advance(tz.Cycles(clf.EstimateMACs() / 4))
-	if err := t.finishFrame(&rec, cls == 1, buf, start, classifyStart); err != nil {
-		return rec, false, err
-	}
-	return rec, true, nil
+	t.group = [1]ProcessedFrame{}
+	rec := &t.group[0]
+	rec.Stages.Capture = t.cfg.Clock.Now() - start
+	rec.CaptureBytes = int(p[1].A)
+	return t.group[:], nil
 }
 
-// finishFrame is the last step of both frame paths (CmdProcessFrame and
-// CmdCameraFinishHE): take the verdict, relay a benign frame sealed, time
-// the classify stage from classifyStart and the whole frame from start,
-// and record it.
-func (t *CameraTA) finishFrame(rec *ProcessedFrame, flagged bool, frame []byte, start, classifyStart tz.Cycles) error {
-	rec.Flagged = flagged
-	rec.Classify = t.clock.Now() - classifyStart
-	relayStart := t.clock.Now()
-	if !flagged {
-		err := t.relayEvent(relay.Event{
+// relayFrame is the frame group's relay step under the camera's block
+// policy, the inversion of the speaker filter: a benign frame is relayed
+// sealed, a person frame withheld. out returns A=1 if forwarded.
+func (t *CameraTA) relayFrame(recs []ProcessedFrame, frame []byte, out *optee.Param) error {
+	err := t.relayGroup(recs, func(rec *ProcessedFrame) error {
+		if rec.Flagged {
+			return nil
+		}
+		return t.relayEvent(relay.Event{
 			Namespace: relay.NamespaceSpeech, // same AVS-style envelope
 			Name:      NameFrame,
 			Audio:     frame,
 		}, &rec.RelayOutcome)
-		if err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
-	rec.Relay = t.clock.Now() - relayStart
-	rec.Cycles = t.clock.Now() - start
-	t.record(*rec)
+	*out = optee.Param{Type: optee.ValueOut}
+	if recs[0].Forwarded {
+		out.A = 1
+	}
 	return nil
-}
-
-// finishFrameHE completes one hybrid frame: decrypt the provider's
-// first-conv result under the sealed secret key, run the non-linear
-// tail inside the TEE, and relay the raw frame (sealed) only when the
-// verdict is benign — the camera's person-blocking inversion of the
-// speaker filter.
-func (t *CameraTA) finishFrameHE(ctBlob, frame []byte) (ProcessedFrame, error) {
-	var rec ProcessedFrame
-	start := t.clock.Now()
-	h, err := t.heHandoff()
-	if err != nil {
-		return rec, err
-	}
-	flagged, err := h.classify(ctBlob)
-	if err != nil {
-		return rec, err
-	}
-	return rec, t.finishFrame(&rec, flagged, frame, start, start)
 }
 
 // CameraConfig parameterizes a camera pipeline.
@@ -500,10 +456,31 @@ type CameraSessionResult struct {
 	ExpiredFrames    int // forwarded frames whose delivery retry budget ran out
 	BlockedEmpties   int // empty frames wrongly withheld (usability cost)
 	Snoop            SnoopSummary
-	CloudFrames      int
 	Latency          *metrics.Recorder
 	Energy           power.Report
 	TotalCycles      tz.Cycles
+}
+
+// addFrame tallies one frame the TA processed against its ground truth.
+func (r *CameraSessionResult) addFrame(truth peripheral.Scene, rec ProcessedFrame) {
+	if !rec.Forwarded {
+		if !truth.Sensitive() {
+			r.BlockedEmpties++
+		}
+		return
+	}
+	r.ForwardedFrames++
+	if rec.Shed {
+		r.ShedFrames++
+	}
+	if rec.Expired {
+		r.ExpiredFrames++
+	}
+	// A shed or expired frame was emitted but never reached the provider,
+	// so it cannot count toward the leak metric.
+	if truth.Sensitive() && !rec.Shed && !rec.Expired {
+		r.ForwardedPersons++
+	}
 }
 
 // RunSession captures and processes the queued scenes.
@@ -521,14 +498,8 @@ func (s *CameraSystem) RunSession(scenes []peripheral.Scene) (*CameraSessionResu
 		if err := s.runBaseline(scenes, res); err != nil {
 			return nil, err
 		}
-	} else {
-		run := s.runSecure
-		if s.cfg.Mode == ModeHybridHE {
-			run = s.runHybrid
-		}
-		if err := s.withTA(func(sess *teec.Session) error { return run(sess, scenes, res) }); err != nil {
-			return nil, err
-		}
+	} else if err := s.withTA(func(sess *teec.Session) error { return s.runFrames(sess, len(scenes), res) }); err != nil {
+		return nil, err
 	}
 	res.Frames = len(scenes)
 	res.TotalCycles = s.Clock.Now() - startCycles
@@ -539,7 +510,7 @@ func (s *CameraSystem) RunSession(scenes []peripheral.Scene) (*CameraSessionResu
 // grabNormal captures the next frame by sensor DMA into the
 // normal-world frame buffer, where the compromised OS reads it. ok is
 // false when the sensor has no frame queued.
-func (s *CameraSystem) grabNormal(res *CameraSessionResult) (im peripheral.Image, scene peripheral.Scene, ok bool, err error) {
+func (s *CameraSystem) grabNormal() (im peripheral.Image, scene peripheral.Scene, ok bool, err error) {
 	if im, scene, ok = s.Camera.Capture(); !ok {
 		return im, scene, false, nil
 	}
@@ -547,22 +518,21 @@ func (s *CameraSystem) grabNormal(res *CameraSessionResult) (im peripheral.Image
 		return im, scene, false, err
 	}
 	s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.DMAPerByte)
-	res.Snoop.add(s.Snooper.Capture(s.frameBuf, 64))
 	return im, scene, true, nil
 }
 
 func (s *CameraSystem) runBaseline(scenes []peripheral.Scene, res *CameraSessionResult) error {
 	for range scenes {
 		start := s.Clock.Now()
-		im, scene, ok, err := s.grabNormal(res)
+		im, scene, ok, err := s.grabNormal()
 		if !ok {
 			return err
 		}
+		s.sweep(&res.Snoop, s.frameBuf, 64)
 		// The app uploads every frame.
 		s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.CopyPerByte)
 		s.addRadio(len(im.Pix))
 		res.ForwardedFrames++
-		res.CloudFrames++
 		if scene.Sensitive() {
 			res.ForwardedPersons++
 		}
@@ -576,127 +546,84 @@ func (s *CameraSystem) runBaseline(scenes []peripheral.Scene, res *CameraSession
 	return nil
 }
 
-func (s *CameraSystem) runSecure(sess *teec.Session, scenes []peripheral.Scene, res *CameraSessionResult) error {
-	// The camera PTA session is opened by the TEE when the TA first
-	// grabs; open it explicitly for the buffer allocation.
-	if err := s.PTA.Open(0); err != nil {
-		return err
-	}
-	recordsBefore, truthBefore := len(s.TA.Processed()), len(s.PTA.Truth())
-	traceStart := s.Clock.Now()
-	for range scenes {
-		start := s.Clock.Now()
-		p := &optee.Params{{}, {}}
-		if err := sess.InvokeCommand(CmdProcessFrame, p); err != nil {
+// runFrames is the secure frame loop: each frame is one command, a group
+// of one through the camera TA, ended by the completion step the speaker
+// shares. A secure-filter frame is CmdProcessFrame, which grabs through
+// the PTA. A hybrid frame is captured into normal-world RAM first (the
+// compromised OS can snoop raw frames — hybrid trades that local exposure
+// for blinding the provider) and its first conv evaluated blind at the
+// provider (hybridFrame); CmdCameraFinishHE then decrypts, runs the tail
+// and relays in the TA.
+func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionResult) error {
+	hybrid := s.cfg.Mode == ModeHybridHE
+	swept := s.frameBuf
+	if !hybrid {
+		// The camera PTA session is opened by the TEE when the TA first
+		// grabs; open it explicitly for the buffer allocation.
+		if err := s.PTA.Open(0); err != nil {
 			return err
 		}
-		if p[0].A == 2 {
-			break
-		}
-		// Snoop the secure frame buffer after every frame.
-		res.Snoop.add(s.Snooper.Capture(s.PTA.BufferAddr(), 64))
-		res.Latency.Observe(float64(s.Clock.Now() - start))
+		swept = s.PTA.BufferAddr()
 	}
-	// Correlate this session's TA verdicts with PTA ground truth.
-	s.recordFrames(res, s.TA.Processed()[recordsBefore:], s.PTA.Truth()[truthBefore:], nil, traceStart)
+	for range n {
+		anchor := s.Clock.Now()
+		cmd, p := CmdProcessFrame, &optee.Params{{}, {}}
+		var scene peripheral.Scene
+		var grabbed tz.Cycles
+		if hybrid {
+			var err error
+			if p, scene, grabbed, err = s.hybridFrame(); p == nil {
+				return err
+			}
+			cmd = CmdCameraFinishHE
+		}
+		before, truthBefore := s.TA.count(), s.PTA.truth.count()
+		if err := sess.InvokeCommand(cmd, p); err != nil {
+			return err
+		}
+		if !hybrid && p[0].A == 2 {
+			return nil // no more frames
+		}
+		recs := s.TA.since(before)
+		if len(recs) != 1 {
+			return fmt.Errorf("%d records for one frame", len(recs))
+		}
+		if hybrid {
+			// The normal world captured the frame: its copy of the record
+			// carries that capture.
+			rec := recs[0]
+			rec.Stages.Capture, rec.CaptureBytes = grabbed, cameraFrameBytes
+			recs = []ProcessedFrame{rec}
+		} else {
+			scene = s.PTA.truth.since(truthBefore)[0]
+		}
+		completeGroup(&s.deviceShell, anchor, recs, func(_ int, rec ProcessedFrame) {
+			res.addFrame(scene, rec)
+			res.Latency.Observe(float64(s.Clock.Now() - anchor))
+		}, &res.Snoop, swept, 64)
+	}
 	return nil
 }
 
-// recordFrames exports one session's frames to the trace — capture,
-// classify (the terminal stage for flagged frames) and relay laid back to
-// back from traceStart — and tallies the TA's verdicts against ground
-// truth. grabs, when non-nil, holds the normal-world capture time of each
-// frame (the hybrid path grabs outside the TA).
-func (s *CameraSystem) recordFrames(res *CameraSessionResult, records []ProcessedFrame, truth []peripheral.Scene, grabs []tz.Cycles, traceStart tz.Cycles) {
-	if tc := s.trace; tc.Enabled() {
-		cursor := traceStart
-		for i, rec := range records {
-			grab := rec.Grab
-			if i < len(grabs) {
-				grab = grabs[i]
-			}
-			tc.NextItem()
-			tc.Emit(obs.StageCapture, obs.VerdictNone, cursor, grab, cameraFrameBytes, 0)
-			v := obs.VerdictNone
-			if !rec.Forwarded {
-				v = obs.VerdictBlocked
-			}
-			tc.Emit(obs.StageClassify, v, cursor+grab, rec.Classify, 0, 1)
-			if rec.Forwarded {
-				tc.Emit(obs.StageRelay, rec.verdict(), cursor+grab+rec.Classify, rec.Relay, rec.SealedSize, 0)
-			}
-			cursor += grab + rec.Classify + rec.Relay
-		}
+// hybridFrame is the normal world's half of a hybrid frame: grab it into
+// normal-world RAM (taking grabbed cycles), normalize and encrypt the
+// pixels under the provider's HE key and have the provider evaluate the
+// first conv blind. It returns CmdCameraFinishHE's parameters, or nil
+// when the sensor has no frame queued or on err.
+func (s *CameraSystem) hybridFrame() (p *optee.Params, scene peripheral.Scene, grabbed tz.Cycles, err error) {
+	start := s.Clock.Now()
+	im, scene, ok, err := s.grabNormal()
+	if !ok {
+		return nil, scene, 0, err
 	}
-	for i, rec := range records {
-		if i >= len(truth) {
-			break
-		}
-		if rec.Forwarded {
-			res.ForwardedFrames++
-			res.CloudFrames++
-			if rec.Shed {
-				res.ShedFrames++
-			}
-			if rec.Expired {
-				res.ExpiredFrames++
-			}
-			// A shed or expired frame was emitted but never reached the
-			// provider, so it cannot count toward the leak metric.
-			if truth[i].Sensitive() && !rec.Shed && !rec.Expired {
-				res.ForwardedPersons++
-			}
-			s.addRadio(cameraFrameBytes)
-		} else if !truth[i].Sensitive() {
-			res.BlockedEmpties++
-		}
+	grabbed = s.Clock.Now() - start
+	feats := make([]float32, len(im.Pix))
+	for i, px := range im.Pix {
+		feats[i] = float32(px) / 255
 	}
-}
-
-// runHybrid is the ModeHybridHE frame loop: capture into normal-world
-// RAM (the compromised OS can snoop raw frames — hybrid trades that
-// local exposure for blinding the provider), normalize and encrypt the
-// pixels under the provider's HE key, let the provider evaluate the
-// first conv over the ciphertext, and finish in the TA — decrypt, tail,
-// and sealed relay of benign frames only.
-func (s *CameraSystem) runHybrid(sess *teec.Session, scenes []peripheral.Scene, res *CameraSessionResult) error {
-	var truth []peripheral.Scene
-	before := len(s.TA.Processed())
-	traceStart := s.Clock.Now()
-	var grabs []tz.Cycles
-	frame := make([]byte, cameraFrameBytes)
-	feats := make([]float32, cameraFrameBytes)
-	for range scenes {
-		start := s.Clock.Now()
-		im, scene, ok, err := s.grabNormal(res)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		truth = append(truth, scene)
-		copy(frame, im.Pix)
-		for i, px := range frame {
-			feats[i] = float32(px) / 255
-		}
-		grabs = append(grabs, s.Clock.Now()-start)
-
-		resBlob, err := s.heRoundTrip(feats, []int{cameraFrameSide, cameraFrameSide, 1}, s.HE.EvalImage)
-		if err != nil {
-			return fmt.Errorf("camera %w", err)
-		}
-
-		p := &optee.Params{
-			{Type: optee.MemrefIn, Buf: resBlob},
-			{Type: optee.MemrefIn, Buf: frame},
-			{},
-		}
-		if err := sess.InvokeCommand(CmdCameraFinishHE, p); err != nil {
-			return err
-		}
-		res.Latency.Observe(float64(s.Clock.Now() - start))
+	blob, err := s.heRoundTrip(feats, []int{cameraFrameSide, cameraFrameSide, 1}, s.HE.EvalImage)
+	if err != nil {
+		return nil, scene, 0, fmt.Errorf("camera %w", err)
 	}
-	s.recordFrames(res, s.TA.Processed()[before:], truth, grabs, traceStart)
-	return nil
+	return &optee.Params{{Type: optee.MemrefIn, Buf: blob}, {Type: optee.MemrefIn, Buf: im.Pix}, {}}, scene, grabbed, nil
 }

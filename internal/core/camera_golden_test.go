@@ -20,7 +20,7 @@ import (
 )
 
 var cameraAccountingGolden = map[string]string{
-	"baseline": `total=9216 switches=0 switch_cycles=0 radio=4608 snoop=8/0/512 frames=8 persons=4 forwarded=8 forwarded_persons=4 blocked_empties=0 cloud=8
+	"baseline": `total=9216 switches=0 switch_cycles=0 radio=4608 snoop=8/0/512 frames=8 persons=4 forwarded=8 forwarded_persons=4 blocked_empties=0
 span 0 capture - start=0 dur=1152 bytes=576
 span 1 capture - start=1152 dur=1152 bytes=576
 span 2 capture - start=2304 dur=1152 bytes=576
@@ -30,7 +30,7 @@ span 5 capture - start=5760 dur=1152 bytes=576
 span 6 capture - start=6912 dur=1152 bytes=576
 span 7 capture - start=8064 dur=1152 bytes=576
 `,
-	"secure-filter": `total=376140 switches=28 switch_cycles=351000 radio=2304 snoop=8/8/0 frames=8 persons=4 forwarded=4 forwarded_persons=0 blocked_empties=0 cloud=4
+	"secure-filter": `total=376140 switches=28 switch_cycles=351000 radio=3484 snoop=8/8/0 frames=8 persons=4 forwarded=4 forwarded_persons=0 blocked_empties=0
 0: cycles=27928 grab=1852 classify=505 relay=25571 sealed=871 flagged=false forwarded=true
 1: cycles=2357 grab=1852 classify=505 relay=0 sealed=0 flagged=true forwarded=false
 2: cycles=27928 grab=1852 classify=505 relay=25571 sealed=871 flagged=false forwarded=true
@@ -42,25 +42,25 @@ span 7 capture - start=8064 dur=1152 bytes=576
 span 0 capture - start=25500 dur=1852 bytes=576
 span 0 classify - start=27352 dur=505 bytes=0
 span 0 relay delivered start=27857 dur=25571 bytes=871
-span 1 capture - start=53428 dur=1852 bytes=576
-span 1 classify blocked start=55280 dur=505 bytes=0
-span 2 capture - start=55785 dur=1852 bytes=576
-span 2 classify - start=57637 dur=505 bytes=0
-span 2 relay delivered start=58142 dur=25571 bytes=871
-span 3 capture - start=83713 dur=1852 bytes=576
-span 3 classify blocked start=85565 dur=505 bytes=0
-span 4 capture - start=86070 dur=1852 bytes=576
-span 4 classify blocked start=87922 dur=505 bytes=0
-span 5 capture - start=88427 dur=1852 bytes=576
-span 5 classify - start=90279 dur=505 bytes=0
-span 5 relay delivered start=90784 dur=25571 bytes=871
-span 6 capture - start=116355 dur=1852 bytes=576
-span 6 classify - start=118207 dur=505 bytes=0
-span 6 relay delivered start=118712 dur=25571 bytes=871
-span 7 capture - start=144283 dur=1852 bytes=576
-span 7 classify blocked start=146135 dur=505 bytes=0
+span 1 capture - start=78928 dur=1852 bytes=576
+span 1 classify blocked start=80780 dur=505 bytes=0
+span 2 capture - start=106785 dur=1852 bytes=576
+span 2 classify - start=108637 dur=505 bytes=0
+span 2 relay delivered start=109142 dur=25571 bytes=871
+span 3 capture - start=160213 dur=1852 bytes=576
+span 3 classify blocked start=162065 dur=505 bytes=0
+span 4 capture - start=188070 dur=1852 bytes=576
+span 4 classify blocked start=189922 dur=505 bytes=0
+span 5 capture - start=215927 dur=1852 bytes=576
+span 5 classify - start=217779 dur=505 bytes=0
+span 5 relay delivered start=218284 dur=25571 bytes=871
+span 6 capture - start=269355 dur=1852 bytes=576
+span 6 classify - start=271207 dur=505 bytes=0
+span 6 relay delivered start=271712 dur=25571 bytes=871
+span 7 capture - start=322783 dur=1852 bytes=576
+span 7 classify blocked start=324635 dur=505 bytes=0
 `,
-	"hybrid-he": `total=498863372 switches=28 switch_cycles=365400 radio=2575232 snoop=8/0/512 frames=8 persons=4 forwarded=4 forwarded_persons=0 blocked_empties=0 cloud=4
+	"hybrid-he": `total=498863372 switches=28 switch_cycles=365400 radio=2576412 snoop=8/0/512 frames=8 persons=4 forwarded=4 forwarded_persons=0 blocked_empties=0
 0: cycles=7770056 grab=0 classify=7744485 relay=25571 sealed=871 flagged=false forwarded=true
 1: cycles=7744485 grab=0 classify=7744485 relay=0 sealed=0 flagged=true forwarded=false
 2: cycles=7770056 grab=0 classify=7744485 relay=25571 sealed=871 flagged=false forwarded=true
@@ -72,23 +72,23 @@ span 7 classify blocked start=146135 dur=505 bytes=0
 span 0 capture - start=25500 dur=576 bytes=576
 span 0 classify - start=26076 dur=7744485 bytes=0
 span 0 relay delivered start=7770561 dur=25571 bytes=871
-span 1 capture - start=7796132 dur=576 bytes=576
-span 1 classify blocked start=7796708 dur=7744485 bytes=0
-span 2 capture - start=15541193 dur=576 bytes=576
-span 2 classify - start=15541769 dur=7744485 bytes=0
-span 2 relay delivered start=23286254 dur=25571 bytes=871
-span 3 capture - start=23311825 dur=576 bytes=576
-span 3 classify blocked start=23312401 dur=7744485 bytes=0
-span 4 capture - start=31056886 dur=576 bytes=576
-span 4 classify blocked start=31057462 dur=7744485 bytes=0
-span 5 capture - start=38801947 dur=576 bytes=576
-span 5 classify - start=38802523 dur=7744485 bytes=0
-span 5 relay delivered start=46547008 dur=25571 bytes=871
-span 6 capture - start=46572579 dur=576 bytes=576
-span 6 classify - start=46573155 dur=7744485 bytes=0
-span 6 relay delivered start=54317640 dur=25571 bytes=871
-span 7 capture - start=54343211 dur=576 bytes=576
-span 7 classify blocked start=54343787 dur=7744485 bytes=0
+span 1 capture - start=62389832 dur=576 bytes=576
+span 1 classify blocked start=62390408 dur=7744485 bytes=0
+span 2 capture - start=124728593 dur=576 bytes=576
+span 2 classify - start=124729169 dur=7744485 bytes=0
+span 2 relay delivered start=132473654 dur=25571 bytes=871
+span 3 capture - start=187092925 dur=576 bytes=576
+span 3 classify blocked start=187093501 dur=7744485 bytes=0
+span 4 capture - start=249431686 dur=576 bytes=576
+span 4 classify blocked start=249432262 dur=7744485 bytes=0
+span 5 capture - start=311770447 dur=576 bytes=576
+span 5 classify - start=311771023 dur=7744485 bytes=0
+span 5 relay delivered start=319515508 dur=25571 bytes=871
+span 6 capture - start=374134779 dur=576 bytes=576
+span 6 classify - start=374135355 dur=7744485 bytes=0
+span 6 relay delivered start=381879840 dur=25571 bytes=871
+span 7 capture - start=436499111 dur=576 bytes=576
+span 7 classify blocked start=436499687 dur=7744485 bytes=0
 `,
 }
 
@@ -97,14 +97,14 @@ span 7 classify blocked start=54343787 dur=7744485 bytes=0
 func cameraAccountingDump(sys *CameraSystem, res *CameraSessionResult, tc *obs.TraceContext) string {
 	var b strings.Builder
 	st := sys.Monitor.Stats()
-	fmt.Fprintf(&b, "total=%d switches=%d switch_cycles=%d radio=%d snoop=%d/%d/%d frames=%d persons=%d forwarded=%d forwarded_persons=%d blocked_empties=%d cloud=%d\n",
+	fmt.Fprintf(&b, "total=%d switches=%d switch_cycles=%d radio=%d snoop=%d/%d/%d frames=%d persons=%d forwarded=%d forwarded_persons=%d blocked_empties=%d\n",
 		res.TotalCycles, st.Switches, st.SwitchCycles, sys.radioBytes,
 		res.Snoop.Attempts, res.Snoop.Blocked, res.Snoop.BytesRecovered,
-		res.Frames, res.PersonFrames, res.ForwardedFrames, res.ForwardedPersons, res.BlockedEmpties, res.CloudFrames)
+		res.Frames, res.PersonFrames, res.ForwardedFrames, res.ForwardedPersons, res.BlockedEmpties)
 	if sys.TA != nil {
 		for i, rec := range sys.TA.Processed() {
 			fmt.Fprintf(&b, "%d: cycles=%d grab=%d classify=%d relay=%d sealed=%d flagged=%t forwarded=%t\n",
-				i, rec.Cycles, rec.Grab, rec.Classify, rec.Relay, rec.SealedSize, rec.Flagged, rec.Forwarded)
+				i, rec.Stages.Total(), rec.Stages.Capture, rec.Stages.Classify, rec.Stages.Relay, rec.SealedSize, rec.Flagged, rec.Forwarded)
 		}
 	}
 	for _, sp := range tc.Spans() {

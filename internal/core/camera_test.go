@@ -17,6 +17,12 @@ func daySenes() []peripheral.Scene {
 
 func runCamera(t *testing.T, mode Mode) *CameraSessionResult {
 	t.Helper()
+	_, res := runCameraSystem(t, mode)
+	return res
+}
+
+func runCameraSystem(t *testing.T, mode Mode) (*CameraSystem, *CameraSessionResult) {
+	t.Helper()
 	sys, err := NewCameraSystem(CameraConfig{Mode: mode, Seed: 11})
 	if err != nil {
 		t.Fatalf("NewCameraSystem(%v): %v", mode, err)
@@ -25,7 +31,7 @@ func runCamera(t *testing.T, mode Mode) *CameraSessionResult {
 	if err != nil {
 		t.Fatalf("RunSession(%v): %v", mode, err)
 	}
-	return res
+	return sys, res
 }
 
 func TestCameraBaselineLeaksPersonFrames(t *testing.T) {
@@ -44,7 +50,7 @@ func TestCameraBaselineLeaksPersonFrames(t *testing.T) {
 }
 
 func TestCameraSecureFilterBlocksPersonFrames(t *testing.T) {
-	res := runCamera(t, ModeSecureFilter)
+	sys, res := runCameraSystem(t, ModeSecureFilter)
 	if res.ForwardedPersons != 0 {
 		t.Errorf("secure pipeline leaked %d person frames", res.ForwardedPersons)
 	}
@@ -59,9 +65,10 @@ func TestCameraSecureFilterBlocksPersonFrames(t *testing.T) {
 	if res.Snoop.Blocked != res.Snoop.Attempts || res.Snoop.Attempts == 0 {
 		t.Errorf("secure snoop = %+v", res.Snoop)
 	}
-	// The cloud received exactly the forwarded frames.
-	if res.CloudFrames != res.ForwardedFrames {
-		t.Errorf("cloud frames %d vs forwarded %d", res.CloudFrames, res.ForwardedFrames)
+	// The cloud received exactly the forwarded frames it did not shed or
+	// expire.
+	if got, want := sys.CloudSealed.Audit().Events, res.ForwardedFrames-res.ShedFrames-res.ExpiredFrames; got != want {
+		t.Errorf("cloud received %d events, want %d forwarded", got, want)
 	}
 }
 
@@ -136,8 +143,8 @@ func TestCameraDeterminism(t *testing.T) {
 // count from where it started.
 func TestCameraSecondSessionTallies(t *testing.T) {
 	type tallies struct {
-		frames, persons, forwarded, forwardedPersons, shed, expired, blockedEmpties, cloud int
-		radio                                                                              uint64
+		frames, persons, forwarded, forwardedPersons, shed, expired, blockedEmpties int
+		radio                                                                       uint64
 	}
 	for _, mode := range []Mode{ModeSecureFilter, ModeHybridHE} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -153,7 +160,7 @@ func TestCameraSecondSessionTallies(t *testing.T) {
 					t.Fatalf("session %d: %v", i, err)
 				}
 				got[i] = tallies{res.Frames, res.PersonFrames, res.ForwardedFrames, res.ForwardedPersons,
-					res.ShedFrames, res.ExpiredFrames, res.BlockedEmpties, res.CloudFrames, sys.radioBytes - radio}
+					res.ShedFrames, res.ExpiredFrames, res.BlockedEmpties, sys.radioBytes - radio}
 			}
 			if got[0].forwarded == 0 {
 				t.Fatal("first session forwarded nothing (test is vacuous)")
@@ -162,5 +169,28 @@ func TestCameraSecondSessionTallies(t *testing.T) {
 				t.Fatalf("second session tallies %+v, first %+v", got[1], got[0])
 			}
 		})
+	}
+}
+
+// TestCameraRadioCountsSealedEvents: a secure doorbell's radio carries
+// exactly the sealed events its TA relayed, as a speaker's does.
+func TestCameraRadioCountsSealedEvents(t *testing.T) {
+	sys, err := NewCameraSystem(CameraConfig{Mode: ModeSecureFilter, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	radio := sys.radio()
+	if _, err := sys.RunSession(daySenes()); err != nil {
+		t.Fatal(err)
+	}
+	sealed := 0
+	for _, rec := range sys.TA.Processed() {
+		sealed += rec.SealedSize
+	}
+	if sealed == 0 {
+		t.Fatal("no sealed event (test is vacuous)")
+	}
+	if got := sys.radio() - radio; got != uint64(sealed) {
+		t.Fatalf("radio carried %d bytes, the TA sealed %d", got, sealed)
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
-// One TA lifecycle for both device TAs. Attestation, key rotation, model
-// update, sealed-weights unsealing and the HE tail step are one component
-// (taLifecycle) and the sealed channel to the cloud another (sealedRelay),
-// both embedded by the voice and camera TAs; one normal-world management
-// client (taClient) lives in the device shell. The TAs differ only in
-// their taProfile and in whether they build a per-device classifier.
+// One TA lifecycle and one group pipeline for both device TAs.
+// Attestation, key rotation, model update, sealed-weights unsealing and
+// the HE tail step are one component (taLifecycle); the classify and
+// relay steps, the sealed channel to the cloud and the record log another
+// (taPipeline); both are embedded by the voice and camera TAs, and one
+// normal-world management client (taClient) lives in the device shell.
+// The TAs differ in their taProfile, in whether they build a per-device
+// classifier, and in their peripheral's capture and relay policy.
 
 import (
 	"encoding/binary"
@@ -506,17 +508,52 @@ func (o *RelayOutcome) verdict() obs.Verdict {
 	return obs.VerdictDelivered
 }
 
-// sealedRelay is a device TA's end of its sealed channel to the cloud
-// (Fig. 1 steps 6–7).
-type sealedRelay struct {
+// itemRecord is what a device TA records of every item it processed,
+// whatever its peripheral: the verdict, the relay outcome, the stage
+// cycles, the captured bytes and the classify pass's occupancy.
+// ProcessedUtterance and ProcessedFrame embed it; the group steps and the
+// normal world's completion step read and write only this part.
+type itemRecord struct {
+	Flagged bool
+	RelayOutcome
+	Stages StageCycles
+	// CaptureBytes is the payload the capture stage handed on: the frame
+	// a camera grab copied out of its capture buffer. Audio is streamed
+	// through the PTA in chunks and reports none.
+	CaptureBytes int
+	// ClassifyBatch is the occupancy of the forward pass that classified
+	// this item: the group's length on the local path, or the
+	// cross-device flush size when a shared scheduler classified it (0
+	// when the filter did not run).
+	ClassifyBatch int
+}
+
+func (r *itemRecord) item() *itemRecord { return r }
+
+// groupItem is a device TA's record type, *ProcessedUtterance or
+// *ProcessedFrame, as the shared steps reach its itemRecord.
+type groupItem[T any] interface {
+	*T
+	item() *itemRecord
+}
+
+// taPipeline is what both device TAs run a processing command through: a
+// group of records (a frame command is a group of one) goes through the
+// inline or HE classify step and then the relay step, which seals
+// survivors over the TA's channel to the cloud (Fig. 1 steps 6–7) and
+// records the group in the TA's log.
+type taPipeline[T any, P groupItem[T]] struct {
+	taRecords[T]
 	name      string
 	tee       *optee.OS
+	clock     *tz.Clock
 	channel   *relay.Channel
 	messageID atomic.Uint64
 }
 
 // taRecords is a TA's log of processed items: trusted-side
 // instrumentation the experiments read, never exposed through Invoke.
+// Records are never modified once logged.
 type taRecords[T any] struct {
 	mu   sync.Mutex
 	recs []T
@@ -528,42 +565,113 @@ func (r *taRecords[T]) record(items ...T) {
 	r.mu.Unlock()
 }
 
-// Processed returns the TA's per-item records.
+// Processed returns a copy of the TA's per-item records.
 func (r *taRecords[T]) Processed() []T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]T(nil), r.recs...)
 }
 
-// initRelay opens the TA's channel under id to the cloud key cloudPub.
-func (r *sealedRelay) initRelay(name string, tee *optee.OS, id *relay.Identity, cloudPub []byte) error {
+// count returns how many items have been logged.
+func (r *taRecords[T]) count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.recs)
+}
+
+// since returns the items logged after the first n, without copying: the
+// slice is capped, so a later append never writes into it.
+func (r *taRecords[T]) since(n int) []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.recs[n:len(r.recs):len(r.recs)]
+}
+
+// initPipeline opens the TA's channel under id to the cloud key cloudPub.
+func (p *taPipeline[T, P]) initPipeline(name string, tee *optee.OS, clock *tz.Clock, id *relay.Identity, cloudPub []byte) error {
 	ch, err := relay.NewChannel(id, cloudPub, true)
 	if err != nil {
 		return fmt.Errorf("%s channel: %w", name, err)
 	}
-	r.name, r.tee, r.channel = name, tee, ch
+	p.name, p.tee, p.clock, p.channel = name, tee, clock, ch
+	return nil
+}
+
+// classifyInline is the inline classify step: one forward pass over the
+// group's features, charged at 4 MACs/cycle (NEON-class SIMD) per sample
+// and attributed evenly across the records.
+func (p *taPipeline[T, P]) classifyInline(clf *classify.Classifier, recs []T, batch [][]float32) error {
+	classes, err := clf.PredictBatch(batch)
+	if err != nil {
+		return fmt.Errorf("%s classify: %w", p.name, err)
+	}
+	spent := tz.Cycles(clf.EstimateMACs() * len(batch) / 4)
+	p.clock.Advance(spent)
+	for i, cls := range classes {
+		r := P(&recs[i]).item()
+		r.Flagged = cls == 1
+		r.ClassifyBatch = len(batch)
+		r.Stages.Classify = spent / tz.Cycles(len(recs))
+	}
+	return nil
+}
+
+// classifyHE is the HE classify step: decrypt and tail-classify each
+// record's provider-evaluated ciphertext under l's sealed secret key,
+// attributing each item its own decrypt and tail.
+func (p *taPipeline[T, P]) classifyHE(l *taLifecycle, recs []T, blobs [][]byte) error {
+	h, err := l.heHandoff()
+	if err != nil {
+		return err
+	}
+	for i := range recs {
+		start := p.clock.Now()
+		flagged, err := h.classify(blobs[i])
+		if err != nil {
+			return fmt.Errorf("item %d: %w", i, err)
+		}
+		r := P(&recs[i]).item()
+		r.Flagged = flagged
+		r.ClassifyBatch = len(recs)
+		r.Stages.Classify = p.clock.Now() - start
+	}
+	return nil
+}
+
+// relayGroup is the last step: relay applies the TA's policy to each
+// classified record and seals a survivor through relayEvent; the step
+// times each relay and records the group as processed.
+func (p *taPipeline[T, P]) relayGroup(recs []T, relay func(P) error) error {
+	for i := range recs {
+		start := p.clock.Now()
+		if err := relay(P(&recs[i])); err != nil {
+			return fmt.Errorf("item %d: %w", i, err)
+		}
+		P(&recs[i]).item().Stages.Relay = p.clock.Now() - start
+	}
+	p.record(recs...)
 	return nil
 }
 
 // relayEvent numbers, seals and sends ev through the supplicant,
 // recording the outcome in out, and verifies the cloud's directive.
-func (r *sealedRelay) relayEvent(ev relay.Event, out *RelayOutcome) error {
-	ev.MessageID = r.messageID.Add(1)
+func (p *taPipeline[T, P]) relayEvent(ev relay.Event, out *RelayOutcome) error {
+	ev.MessageID = p.messageID.Add(1)
 	payload, err := relay.EncodeEvent(ev)
 	if err != nil {
 		return err
 	}
-	sealed := r.channel.Seal(payload)
+	sealed := p.channel.Seal(payload)
 	out.SealedSize = len(sealed)
-	resp, err := r.tee.RPC(optee.RPCRequest{Kind: optee.RPCNetSend, Target: CloudTarget, Payload: sealed})
+	resp, err := p.tee.RPC(optee.RPCRequest{Kind: optee.RPCNetSend, Target: CloudTarget, Payload: sealed})
 	if err := out.admit(err); err != nil {
-		return fmt.Errorf("%s relay: %w", r.name, err)
+		return fmt.Errorf("%s relay: %w", p.name, err)
 	}
 	if out.Shed || out.Expired {
 		return nil // no directive to verify
 	}
-	if _, err := r.channel.Open(resp.Payload); err != nil {
-		return fmt.Errorf("%s directive: %w", r.name, err)
+	if _, err := p.channel.Open(resp.Payload); err != nil {
+		return fmt.Errorf("%s directive: %w", p.name, err)
 	}
 	return nil
 }

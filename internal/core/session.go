@@ -153,7 +153,7 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 		res.add(outcome)
 		// The compromised OS sweeps the driver's capture buffer after
 		// every utterance.
-		s.sweepSnoop(res)
+		s.sweep(&res.Snoop, s.Driver.BufferAddr(), min(64, s.cfg.BufBytes))
 	}
 
 	s.finalizeSession(res, startCycles)
@@ -172,16 +172,6 @@ func (r *SessionResult) add(out UtteranceOutcome) {
 	r.Latency.Observe(float64(out.Cycles))
 }
 
-// sweepSnoop models the compromised OS reading the driver's live capture
-// buffer (blocked by the TZASC in secure modes).
-func (s *System) sweepSnoop(res *SessionResult) {
-	addr := s.Driver.BufferAddr()
-	if addr == 0 {
-		return
-	}
-	res.Snoop.add(s.Snooper.Capture(addr, min(64, s.cfg.BufBytes)))
-}
-
 // finalizeSession fills the cross-cutting tail of a session result:
 // virtual time, monitor stats, radio bytes, cloud/supplicant audits and
 // the energy model.
@@ -196,37 +186,53 @@ func (s *System) finalizeSession(res *SessionResult, startCycles tz.Cycles) {
 	res.Energy = s.energy(res.TotalCycles, s.DMA.Stats().Bytes, s.cfg.FreqHz)
 }
 
-// emitUtteranceSpans exports one processed utterance's stage timeline to
-// the device's trace context. Stage starts are laid out back to back from
-// start, so the timeline is a pure function of the virtual clock. The
-// terminal span carries the admission verdict: a withheld utterance ends
-// at classify (blocked), a forwarded one at relay (delivered or shed).
-// Only sizes, timings and verdicts are exported — never transcripts. The
-// classify span reports the occupancy of the forward pass that actually
-// served the utterance: with a shared scheduler this is the
-// cross-device flush size, not the device's own queue length.
-func (s *System) emitUtteranceSpans(start tz.Cycles, rec ProcessedUtterance) {
+// completeGroup is the completion step both peripherals' secure sessions
+// end every processed group with. For each of the group's records it
+// exports the stage timeline to the device's trace, counts the sealed
+// event on the radio and hands the record to outcome; then the
+// compromised OS sweeps n bytes of the capture buffer at buf (none when
+// no buffer is live).
+//
+// Spans come from the record's data alone. Stage starts are laid back to
+// back from anchor, the clock reading at which the group's round trip
+// began, so the timeline is a pure function of the virtual clock. A
+// stage's span is emitted only when the stage ran: transcribe when it
+// took cycles, classify when a forward pass served the item (reporting
+// that pass's occupancy — with a shared scheduler the cross-device flush
+// size), relay when the item was forwarded. The terminal span carries
+// the admission verdict: a withheld item ends at classify (blocked), a
+// forwarded one at relay (delivered, shed or expired). Only sizes,
+// timings and verdicts are exported — never transcripts or pixels.
+func completeGroup[T any, P groupItem[T]](s *deviceShell, anchor tz.Cycles, recs []T, outcome func(i int, rec T), snoop *SnoopSummary, buf uint64, n int) {
 	tc := s.trace
-	if !tc.Enabled() {
-		return
-	}
-	tc.NextItem()
-	t := start
-	tc.Emit(obs.StageCapture, obs.VerdictNone, t, rec.Stages.Capture, 0, 0)
-	t += rec.Stages.Capture
-	tc.Emit(obs.StageTranscribe, obs.VerdictNone, t, rec.Stages.Transcribe, 0, 0)
-	t += rec.Stages.Transcribe
-	if s.cfg.Mode == ModeSecureFilter || s.cfg.Mode == ModeHybridHE {
-		v := obs.VerdictNone
-		if !rec.Forwarded {
-			v = obs.VerdictBlocked
+	t := anchor
+	for i := range recs {
+		rec := P(&recs[i]).item()
+		if tc.Enabled() {
+			tc.NextItem()
+			tc.Emit(obs.StageCapture, obs.VerdictNone, t, rec.Stages.Capture, rec.CaptureBytes, 0)
+			at := t + rec.Stages.Capture
+			if rec.Stages.Transcribe > 0 {
+				tc.Emit(obs.StageTranscribe, obs.VerdictNone, at, rec.Stages.Transcribe, 0, 0)
+			}
+			at += rec.Stages.Transcribe
+			if rec.ClassifyBatch > 0 {
+				v := obs.VerdictNone
+				if !rec.Forwarded {
+					v = obs.VerdictBlocked
+				}
+				tc.Emit(obs.StageClassify, v, at, rec.Stages.Classify, 0, rec.ClassifyBatch)
+			}
+			at += rec.Stages.Classify
+			if rec.Forwarded {
+				tc.Emit(obs.StageRelay, rec.verdict(), at, rec.Stages.Relay, rec.SealedSize, 0)
+			}
 		}
-		tc.Emit(obs.StageClassify, v, t, rec.Stages.Classify, 0, rec.ClassifyBatch)
+		t += rec.Stages.Total()
+		s.addRadio(rec.SealedSize)
+		outcome(i, recs[i])
 	}
-	t += rec.Stages.Classify
-	if rec.Forwarded {
-		tc.Emit(obs.StageRelay, rec.verdict(), t, rec.Stages.Relay, rec.SealedSize, 0)
-	}
+	s.sweep(snoop, buf, n)
 }
 
 // runBaselineUtterance: mic -> untrusted driver -> user app -> raw audio

@@ -20,7 +20,8 @@ func (s *shedSink) Deliver([]byte) ([]byte, error) {
 // TestSessionToleratesShedDelivery: a frontend shedding every frame is
 // an admission outcome, not a session fault — the run completes, each
 // emitted event is marked Shed (still Forwarded: it was emitted and
-// paid for), and the session aggregates the count.
+// paid for), and the session aggregates the count. Speakers and secure
+// doorbells take the same path through the completion step.
 func TestSessionToleratesShedDelivery(t *testing.T) {
 	for _, mode := range []Mode{ModeBaseline, ModeSecureNoFilter} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -55,6 +56,38 @@ func TestSessionToleratesShedDelivery(t *testing.T) {
 				if st := sys.Supplicant.Stats(); st.Shed != uint64(len(utts)) || st.Errors != 0 {
 					t.Fatalf("supplicant stats = %+v, want Shed=%d Errors=0", st, len(utts))
 				}
+			}
+		})
+	}
+	for _, mode := range []Mode{ModeSecureFilter, ModeHybridHE} {
+		t.Run("doorbell/"+mode.String(), func(t *testing.T) {
+			sys, err := NewCameraSystem(CameraConfig{Mode: mode, Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := &shedSink{}
+			sys.SetUplink(sink)
+			res, err := sys.RunSession(daySenes())
+			if err != nil {
+				t.Fatalf("shed deliveries failed the session: %v", err)
+			}
+			if res.ForwardedFrames == 0 {
+				t.Fatal("no frame forwarded (test is vacuous)")
+			}
+			for i, rec := range sys.TA.Processed() {
+				if rec.Forwarded && !rec.Shed {
+					t.Fatalf("frame %d: forwarded but not shed", i)
+				}
+			}
+			if res.ShedFrames != res.ForwardedFrames || sink.n != res.ForwardedFrames {
+				t.Fatalf("ShedFrames = %d, sink saw %d, want the %d forwarded",
+					res.ShedFrames, sink.n, res.ForwardedFrames)
+			}
+			if res.ForwardedPersons != 0 {
+				t.Fatalf("ForwardedPersons = %d counts shed frames", res.ForwardedPersons)
+			}
+			if st := sys.Supplicant.Stats(); st.Shed != uint64(res.ForwardedFrames) || st.Errors != 0 {
+				t.Fatalf("supplicant stats = %+v, want Shed=%d Errors=0", st, res.ForwardedFrames)
 			}
 		})
 	}

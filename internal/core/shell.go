@@ -193,6 +193,15 @@ func (s *deviceShell) radio() uint64 {
 	return s.radioBytes
 }
 
+// sweep models the compromised OS reading n bytes of a live capture
+// buffer, which the TZASC blocks when the buffer is secure; buf 0 means
+// no buffer is live.
+func (s *deviceShell) sweep(snoop *SnoopSummary, buf uint64, n int) {
+	if buf != 0 {
+		snoop.add(s.Snooper.Capture(buf, n))
+	}
+}
+
 // heRoundTrip is the normal world's half of the hybrid split for one
 // item: encrypt under the provider's HE key, have the provider evaluate
 // its layer blind, and count the ciphertext both ways on the radio.

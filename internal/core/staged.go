@@ -48,7 +48,7 @@ func (pg *PendingGroup) Size() int { return len(pg.truths) }
 //	}
 //	res, _ := st.Finish()
 //
-// Every entry point shares the per-group bookkeeping (complete), so a
+// Every entry point shares the per-group completion step (invoke), so a
 // staged run's audits are bit-identical to the synchronous path for the
 // same verdicts.
 type StagedSession struct {
@@ -236,7 +236,9 @@ func (st *StagedSession) ResumeGroup(pg *PendingGroup, flags []bool, occs []int,
 }
 
 // invoke issues the command that completes a queued group in the TA and
-// does the group's bookkeeping from the records it produced.
+// runs the completion step over the records it produced: one outcome
+// per utterance, timed by its TA stages, or over its whole round trip in
+// a per-utterance session.
 func (st *StagedSession) invoke(pg *PendingGroup, cmd uint32, p *optee.Params) error {
 	if st.finished {
 		return fmt.Errorf("%w: core staged session already finished", optee.ErrBadState)
@@ -245,37 +247,23 @@ func (st *StagedSession) invoke(pg *PendingGroup, cmd uint32, p *optee.Params) e
 		return fmt.Errorf("%w: core staged session has no group pending", optee.ErrBadState)
 	}
 	s := st.s
-	before := len(s.VoiceTA.Processed())
+	before := s.VoiceTA.count()
 	if err := st.sess.InvokeCommand(cmd, p); err != nil {
 		return err
 	}
-	records := s.VoiceTA.Processed()
-	if len(records) != before+pg.Size() {
-		return fmt.Errorf("%d records for %d utterances", len(records)-before, pg.Size())
+	records := s.VoiceTA.since(before)
+	if len(records) != pg.Size() {
+		return fmt.Errorf("%d records for %d utterances", len(records), pg.Size())
 	}
-	st.complete(pg, records[before:])
-	st.pending = false
-	return nil
-}
-
-// complete is the per-group bookkeeping every entry point shares: trace
-// spans laid back to back from the group's start, one outcome per
-// record, the sealed radio bytes, and the compromised OS's sweep of the
-// capture buffer between groups.
-func (st *StagedSession) complete(pg *PendingGroup, records []ProcessedUtterance) {
-	s := st.s
-	cursor := pg.groupStart
-	for i, rec := range records {
-		s.emitUtteranceSpans(cursor, rec)
-		cursor += rec.Stages.Total()
+	completeGroup(&s.deviceShell, pg.groupStart, records, func(i int, rec ProcessedUtterance) {
 		out := UtteranceOutcome{Truth: pg.truths[i], ProcessedUtterance: rec, Cycles: rec.Stages.Total()}
 		if st.single {
 			out.Cycles = s.Clock.Now() - pg.groupStart
 		}
-		s.addRadio(rec.SealedSize)
 		st.res.add(out)
-	}
-	s.sweepSnoop(st.res)
+	}, &st.res.Snoop, s.Driver.BufferAddr(), min(64, s.cfg.BufBytes))
+	st.pending = false
+	return nil
 }
 
 // Finish finalizes the session result and closes the TEEC session. The

@@ -197,15 +197,8 @@ func (s StageCycles) Total() tz.Cycles {
 // instrumentation.
 type ProcessedUtterance struct {
 	Transcript []string
-	Flagged    bool
-	RelayOutcome
+	itemRecord
 	Redacted int
-	Stages   StageCycles
-	// ClassifyBatch is the occupancy of the forward pass that classified
-	// this utterance: the device's own queue length on the local path, or
-	// the cross-device flush size when a shared scheduler classified it
-	// (0 when the filter did not run).
-	ClassifyBatch int
 }
 
 // VoiceTAConfig wires the TA's dependencies: the lifecycle and relay
@@ -229,12 +222,11 @@ type VoiceTAConfig struct {
 // PTA, transcribes it, applies the ML filter, and relays sanitized events
 // through the supplicant to the cloud. Attestation, key rotation, model
 // update, the sealed classifier and the HE tail step are its embedded
-// taLifecycle, and the sealed channel and record log its sealedRelay and
-// taRecords, as in the camera TA.
+// taLifecycle, and the classify and relay steps, the sealed channel and
+// the record log its taPipeline, as in the camera TA.
 type VoiceTA struct {
 	taLifecycle
-	sealedRelay
-	taRecords[ProcessedUtterance]
+	taPipeline[ProcessedUtterance, *ProcessedUtterance]
 	cfg VoiceTAConfig
 
 	mu    sync.Mutex
@@ -254,7 +246,7 @@ var _ optee.TA = (*VoiceTA)(nil)
 // shared-classify TA seals an update's weights but builds none.
 func NewVoiceTA(cfg VoiceTAConfig) (*VoiceTA, error) {
 	t := &VoiceTA{cfg: cfg}
-	if err := t.initRelay(voiceProfile.name, cfg.TEE, cfg.Identity, cfg.CloudPub); err != nil {
+	if err := t.initPipeline(voiceProfile.name, cfg.TEE, cfg.Clock, cfg.Identity, cfg.CloudPub); err != nil {
 		return nil, err
 	}
 	var build classifierBuilder
@@ -532,28 +524,6 @@ func (t *VoiceTA) transcribeStage(sc *taScratch, pcmBytes []byte) ([]string, err
 	return words, nil
 }
 
-// classifyStage is the inline classify step: one forward pass over the
-// device's own queue, charged at 4 MACs/cycle (NEON-class SIMD) per
-// sample and attributed evenly across the records.
-func (t *VoiceTA) classifyStage(clf *classify.Classifier, recs []ProcessedUtterance) error {
-	batch := make([][]float32, len(recs))
-	for i := range recs {
-		batch[i] = clf.TokensToFeatures(t.cfg.Vocab.Encode(recs[i].Transcript))
-	}
-	classes, err := clf.PredictBatch(batch)
-	if err != nil {
-		return fmt.Errorf("voice ta classify: %w", err)
-	}
-	spent := tz.Cycles(clf.EstimateMACs() * len(batch) / 4)
-	t.cfg.Clock.Advance(spent)
-	for i, cls := range classes {
-		recs[i].Flagged = cls == 1
-		recs[i].ClassifyBatch = len(batch)
-		recs[i].Stages.Classify = spent / tz.Cycles(len(recs))
-	}
-	return nil
-}
-
 // relayStage applies the filter policy and relays a surviving
 // transcript sealed (Fig. 1 steps 6–7).
 func (t *VoiceTA) relayStage(rec *ProcessedUtterance) error {
@@ -604,22 +574,6 @@ func (t *VoiceTA) captureGroup(lengths []int) ([]ProcessedUtterance, error) {
 	return recs, nil
 }
 
-// relayGroup is the pipeline's last step (Fig. 1 steps 6–7): apply the
-// policy to each classified record, seal and relay survivors, and record
-// the group as processed.
-func (t *VoiceTA) relayGroup(recs []ProcessedUtterance) error {
-	clock := t.cfg.Clock
-	for i := range recs {
-		start := clock.Now()
-		if err := t.relayStage(&recs[i]); err != nil {
-			return fmt.Errorf("utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Relay = clock.Now() - start
-	}
-	t.record(recs...)
-	return nil
-}
-
 // processBatch runs a queue of utterances through the whole pipeline in
 // one invocation: capture and transcribe each, classify them all in one
 // batched forward pass, then relay the survivors. The caller paid one
@@ -640,11 +594,15 @@ func (t *VoiceTA) processBatch(lengths []int) ([]ProcessedUtterance, error) {
 		return nil, err
 	}
 	if clf != nil {
-		if err := t.classifyStage(clf, recs); err != nil {
+		batch := make([][]float32, len(recs))
+		for i := range recs {
+			batch[i] = clf.TokensToFeatures(t.cfg.Vocab.Encode(recs[i].Transcript))
+		}
+		if err := t.classifyInline(clf, recs, batch); err != nil {
 			return nil, err
 		}
 	}
-	return recs, t.relayGroup(recs)
+	return recs, t.relayGroup(recs, t.relayStage)
 }
 
 // transcribeBatch captures and transcribes a group and stages it with
@@ -697,7 +655,7 @@ func (t *VoiceTA) takePending(n int, classify func([]ProcessedUtterance) error) 
 	t.mu.Lock()
 	t.pendingRecs, t.pendingTokens = nil, nil
 	t.mu.Unlock()
-	return recs, t.relayGroup(recs)
+	return recs, t.relayGroup(recs, t.relayStage)
 }
 
 // resumeBatch completes a staged group with the shared classifier's
@@ -766,29 +724,8 @@ func splitLengthPrefixed(buf []byte) ([][]byte, error) {
 // same policy/seal path as every other mode.
 func (t *VoiceTA) resumeBatchHE(blobs [][]byte) ([]ProcessedUtterance, error) {
 	return t.takePending(len(blobs), func(recs []ProcessedUtterance) error {
-		return t.classifyHE(recs, blobs)
+		return t.classifyHE(&t.taLifecycle, recs, blobs)
 	})
-}
-
-// classifyHE is the HE classify step: decrypt and tail-classify each
-// record's ciphertext, attributing each item its own decrypt and tail.
-func (t *VoiceTA) classifyHE(recs []ProcessedUtterance, blobs [][]byte) error {
-	h, err := t.heHandoff()
-	if err != nil {
-		return err
-	}
-	clock := t.cfg.Clock
-	for i := range recs {
-		start := clock.Now()
-		flagged, err := h.classify(blobs[i])
-		if err != nil {
-			return fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		recs[i].Flagged = flagged
-		recs[i].ClassifyBatch = len(recs)
-		recs[i].Stages.Classify = clock.Now() - start
-	}
-	return nil
 }
 
 // PendingTokens returns copies of the encoded token sequences staged by
