@@ -42,24 +42,17 @@ func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	B, H, W := x.Dim(0), x.Dim(1), x.Dim(2)
 	Ho, Wo := H-c.K+1, W-c.K+1
 	out := tensor.New(B, Ho, Wo, c.Cout)
-	// Flat row-major indexing: x is [B,H,W,Cin], w is [K,K,Cin,Cout].
-	// Accumulation order matches the historical At/Set loops exactly.
-	xd, wd, bd, od := x.Data, c.w.Value.Data, c.b.Value.Data, out.Data
+	// x is [B,H,W,Cin] and w is [K,K,Cin,Cout], so for a fixed kernel row
+	// ki both the input window (kj, ci) and its weights are contiguous.
+	win := c.K * c.Cin
+	xd, wd, od := x.Data, c.w.Value.Data, out.Data
 	for b := 0; b < B; b++ {
 		for i := 0; i < Ho; i++ {
 			for j := 0; j < Wo; j++ {
-				for co := 0; co < c.Cout; co++ {
-					acc := bd[co]
-					for ki := 0; ki < c.K; ki++ {
-						for kj := 0; kj < c.K; kj++ {
-							xrow := xd[((b*H+i+ki)*W+j+kj)*c.Cin:]
-							wrow := wd[(ki*c.K+kj)*c.Cin*c.Cout+co:]
-							for ci := 0; ci < c.Cin; ci++ {
-								acc += xrow[ci] * wrow[ci*c.Cout]
-							}
-						}
-					}
-					od[((b*Ho+i)*Wo+j)*c.Cout+co] = acc
+				acc := od[((b*Ho+i)*Wo+j)*c.Cout:][:c.Cout]
+				copy(acc, c.b.Value.Data)
+				for ki := 0; ki < c.K; ki++ {
+					macForward(acc, xd[((b*H+i+ki)*W+j)*c.Cin:][:win], wd[ki*win*c.Cout:][:win*c.Cout])
 				}
 			}
 		}
@@ -79,26 +72,17 @@ func (c *Conv2D) Backward(dOut *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("%w: %s backward got %v", ErrShape, c.Name(), dOut.Shape)
 	}
 	dIn := tensor.New(B, H, W, c.Cin)
+	win := c.K * c.Cin
 	for b := 0; b < B; b++ {
 		for i := 0; i < Ho; i++ {
 			for j := 0; j < Wo; j++ {
-				for co := 0; co < c.Cout; co++ {
-					g := dOut.Data[((b*Ho+i)*Wo+j)*c.Cout+co]
-					if g == 0 {
-						continue
-					}
-					c.b.Grad.Data[co] += g
-					for ki := 0; ki < c.K; ki++ {
-						for kj := 0; kj < c.K; kj++ {
-							xrow := x.Data[((b*H+i+ki)*W+j+kj)*c.Cin:]
-							irow := dIn.Data[((b*H+i+ki)*W+j+kj)*c.Cin:]
-							for ci := 0; ci < c.Cin; ci++ {
-								wIdx := ((ki*c.K+kj)*c.Cin+ci)*c.Cout + co
-								c.w.Grad.Data[wIdx] += g * xrow[ci]
-								irow[ci] += g * c.w.Value.Data[wIdx]
-							}
-						}
-					}
+				g := dOut.Data[((b*Ho+i)*Wo+j)*c.Cout:][:c.Cout]
+				addNonZero(c.b.Grad.Data, g)
+				for ki := 0; ki < c.K; ki++ {
+					off := ((b*H+i+ki)*W + j) * c.Cin
+					wOff := ki * win * c.Cout
+					macBackward(g, x.Data[off:][:win], dIn.Data[off:][:win],
+						c.w.Value.Data[wOff:][:win*c.Cout], c.w.Grad.Data[wOff:][:win*c.Cout])
 				}
 			}
 		}
@@ -132,23 +116,28 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	m.dims = [4]int{B, H, W, C}
 	Ho, Wo := H/m.P, W/m.P
 	out := tensor.New(B, Ho, Wo, C)
-	m.arg = make([]int, B*Ho*Wo*C)
+	m.arg = resize(m.arg, B*Ho*Wo*C)
+	// Each output row of C channels takes the strict maximum over its
+	// window in (pi, pj) order; a channel no element beats -Inf (only
+	// NaN or -Inf) keeps -Inf and flat index 0.
+	negInf := float32(math.Inf(-1))
 	for b := 0; b < B; b++ {
 		for i := 0; i < Ho; i++ {
 			for j := 0; j < Wo; j++ {
-				for c := 0; c < C; c++ {
-					best := float32(math.Inf(-1))
-					bestIdx := 0
-					for pi := 0; pi < m.P; pi++ {
-						for pj := 0; pj < m.P; pj++ {
-							idx := ((b*H+i*m.P+pi)*W+j*m.P+pj)*C + c
-							if v := x.Data[idx]; v > best {
-								best, bestIdx = v, idx
+				o := ((b*Ho+i)*Wo + j) * C
+				best, arg := out.Data[o:][:C], m.arg[o:][:C]
+				for c := range best {
+					best[c], arg[c] = negInf, 0
+				}
+				for pi := 0; pi < m.P; pi++ {
+					for pj := 0; pj < m.P; pj++ {
+						idx := ((b*H+i*m.P+pi)*W + j*m.P + pj) * C
+						for c, v := range x.Data[idx:][:C] {
+							if v > best[c] {
+								best[c], arg[c] = v, idx+c
 							}
 						}
 					}
-					out.Set(best, b, i, j, c)
-					m.arg[((b*Ho+i)*Wo+j)*C+c] = bestIdx
 				}
 			}
 		}

@@ -159,11 +159,12 @@ func (r *ReLU) Params() []*Param { return nil }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	out := x.Clone()
-	r.mask = make([]bool, len(out.Data))
+	r.mask = resize(r.mask, len(out.Data))
 	for i, v := range out.Data {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
+		// Every entry is written: a reused mask must not keep a stale
+		// true. NaN fails v > 0, so it maps to 0 like any non-positive.
+		r.mask[i] = v > 0
+		if !r.mask[i] {
 			out.Data[i] = 0
 		}
 	}
@@ -236,6 +237,65 @@ func (g *GELU) Backward(dOut *tensor.Tensor) (*tensor.Tensor, error) {
 	return dIn, nil
 }
 
+// --- Convolution kernels ----------------------------------------------------------------
+
+// The Conv1D and Conv2D passes run on contiguous windows: xwin holds n
+// input values and wwin their n×cout weights, row q being the weights of
+// input q for every output channel. The output channel is the innermost
+// loop, yet each output and gradient element receives its terms in the
+// same order as a one-element-at-a-time loop over the window would, so
+// results are bit-exact with it (golden_test.go keeps that loop).
+
+// macForward adds the window's taps to acc, one output row of len(acc)
+// channels already holding the bias.
+func macForward(acc, xwin, wwin []float32) {
+	cout := len(acc)
+	for q, xv := range xwin {
+		ws := wwin[q*cout:][:cout]
+		for co, wv := range ws {
+			acc[co] += xv * wv
+		}
+	}
+}
+
+// macBackward propagates one output row's gradient g through a window:
+// wgrad gains g⊗xwin and iwin (the input gradient) gains wwin·g. A zero
+// gradient contributes no terms, exactly as it is skipped for the bias.
+func macBackward(g, xwin, iwin, wwin, wgrad []float32) {
+	cout := len(g)
+	for q, xv := range xwin {
+		ws, gs := wwin[q*cout:][:cout], wgrad[q*cout:][:cout]
+		acc := iwin[q]
+		for co, gv := range g {
+			if gv == 0 {
+				continue
+			}
+			gs[co] += gv * xv
+			acc += gv * ws[co]
+		}
+		iwin[q] = acc
+	}
+}
+
+// addNonZero adds the non-zero entries of g to the bias gradient.
+func addNonZero(bgrad, g []float32) {
+	for co, gv := range g {
+		if gv != 0 {
+			bgrad[co] += gv
+		}
+	}
+}
+
+// resize returns s resliced to n elements when its capacity allows, so a
+// layer's backward-pass cache is not reallocated on every forward pass.
+// Callers overwrite every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // --- Conv1D ---------------------------------------------------------------------------
 
 // Conv1D is a 1-D convolution over sequences: input [B, L, Cin] ->
@@ -272,23 +332,14 @@ func (c *Conv1D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	B, L := x.Dim(0), x.Dim(1)
 	Lout := L - c.K + 1
 	out := tensor.New(B, Lout, c.Cout)
-	// Flat row-major indexing: x is [B,L,Cin], w is [K,Cin,Cout]. The
-	// accumulation order matches the historical At/Set loops exactly; only
-	// the index arithmetic is hoisted out of the inner loop.
-	xd, wd, bd, od := x.Data, c.w.Value.Data, c.b.Value.Data, out.Data
+	// x is [B,L,Cin] and w is [K,Cin,Cout]: each output's whole input
+	// window (k, ci) and the weights are contiguous.
+	win := c.K * c.Cin
 	for bi := 0; bi < B; bi++ {
 		for t := 0; t < Lout; t++ {
-			for co := 0; co < c.Cout; co++ {
-				acc := bd[co]
-				for k := 0; k < c.K; k++ {
-					xrow := xd[(bi*L+t+k)*c.Cin:]
-					wrow := wd[k*c.Cin*c.Cout+co:]
-					for ci := 0; ci < c.Cin; ci++ {
-						acc += xrow[ci] * wrow[ci*c.Cout]
-					}
-				}
-				od[(bi*Lout+t)*c.Cout+co] = acc
-			}
+			acc := out.Data[(bi*Lout+t)*c.Cout:][:c.Cout]
+			copy(acc, c.b.Value.Data)
+			macForward(acc, x.Data[(bi*L+t)*c.Cin:][:win], c.w.Value.Data)
 		}
 	}
 	return out, nil
@@ -306,25 +357,13 @@ func (c *Conv1D) Backward(dOut *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("%w: %s backward got %v", ErrShape, c.Name(), dOut.Shape)
 	}
 	dIn := tensor.New(B, L, c.Cin)
-	xd, wd := x.Data, c.w.Value.Data
+	win := c.K * c.Cin
 	for bi := 0; bi < B; bi++ {
 		for t := 0; t < Lout; t++ {
-			for co := 0; co < c.Cout; co++ {
-				g := dOut.Data[(bi*Lout+t)*c.Cout+co]
-				if g == 0 {
-					continue
-				}
-				c.b.Grad.Data[co] += g
-				for k := 0; k < c.K; k++ {
-					xrow := xd[(bi*L+t+k)*c.Cin:]
-					irow := dIn.Data[(bi*L+t+k)*c.Cin:]
-					for ci := 0; ci < c.Cin; ci++ {
-						wIdx := (k*c.Cin+ci)*c.Cout + co
-						c.w.Grad.Data[wIdx] += g * xrow[ci]
-						irow[ci] += g * wd[wIdx]
-					}
-				}
-			}
+			g := dOut.Data[(bi*Lout+t)*c.Cout:][:c.Cout]
+			addNonZero(c.b.Grad.Data, g)
+			off := (bi*L + t) * c.Cin
+			macBackward(g, x.Data[off:][:win], dIn.Data[off:][:win], c.w.Value.Data, c.w.Grad.Data)
 		}
 	}
 	return dIn, nil
