@@ -73,8 +73,21 @@ type Classifier struct {
 	arch    Arch
 	inShape []int // per-sample feature shape
 	model   *layers.Sequential
+	params  int // trainable parameter count, fixed by the architecture
 	seqLen  int // text models: tokens per input
 	isText  bool
+	in      tensor.Tensor // PredictBatch's input, [batch, inShape...]
+}
+
+// newClassifier wraps a built model; text models set seqLen and isText.
+func newClassifier(arch Arch, model *layers.Sequential, inShape ...int) *Classifier {
+	return &Classifier{
+		arch:    arch,
+		inShape: inShape,
+		model:   model,
+		params:  layers.ParamCount([]layers.Layer{model}),
+		in:      tensor.Tensor{Shape: append([]int{0}, inShape...)},
+	}
 }
 
 // NewText builds a text classifier of the given architecture over a
@@ -123,13 +136,9 @@ func NewText(arch Arch, rng *rand.Rand, vocab, seqLen int) (*Classifier, error) 
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadArch, int(arch))
 	}
-	return &Classifier{
-		arch:    arch,
-		inShape: []int{seqLen},
-		model:   model,
-		seqLen:  seqLen,
-		isText:  true,
-	}, nil
+	c := newClassifier(arch, model, seqLen)
+	c.seqLen, c.isText = seqLen, true
+	return c, nil
 }
 
 // NewImage builds the camera-path classifier for h-by-w grayscale frames.
@@ -145,11 +154,7 @@ func NewImage(rng *rand.Rand, h, w int) (*Classifier, error) {
 		layers.NewFlatten(),
 		layers.NewDense(rng, flat, 2),
 	)
-	return &Classifier{
-		arch:    ArchCNN,
-		inShape: []int{h, w, 1},
-		model:   model,
-	}, nil
+	return newClassifier(ArchCNN, model, h, w, 1), nil
 }
 
 // Arch returns the classifier architecture.
@@ -189,13 +194,23 @@ func (c *Classifier) Predict(features []float32) (int, error) {
 	return classes[0], nil
 }
 
-// PredictBatch classifies a batch of samples.
+// PredictBatch classifies a batch of samples. Only the returned class
+// slice is new: the input tensor and every activation are buffers the
+// classifier and its layers keep across calls (the ownership rule of
+// package layers), so after a first call at a batch size a call
+// allocates nothing else. Like Forward, it must not run concurrently on
+// one classifier, nor with a split that aliases its layers.
 func (c *Classifier) PredictBatch(batch [][]float32) ([]int, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
 	featLen := c.FeatureLen()
-	x := tensor.New(append([]int{len(batch)}, c.inShape...)...)
+	x := &c.in
+	n := len(batch) * featLen
+	if cap(x.Data) < n {
+		x.Data = make([]float32, n)
+	}
+	x.Data, x.Shape[0] = x.Data[:n], len(batch)
 	for i, f := range batch {
 		if len(f) != featLen {
 			return nil, fmt.Errorf("%w: sample %d has %d features, want %d", ErrBadWeights, i, len(f), featLen)
@@ -210,9 +225,7 @@ func (c *Classifier) PredictBatch(batch [][]float32) ([]int, error) {
 }
 
 // ParamCount returns the number of trainable parameters.
-func (c *Classifier) ParamCount() int {
-	return layers.ParamCount([]layers.Layer{c.model})
-}
+func (c *Classifier) ParamCount() int { return c.params }
 
 // MemoryBytes estimates the in-TEE resident footprint: float32 weights
 // plus a 25% activation/workspace overhead, the accounting the TEE-fit

@@ -65,7 +65,10 @@ func SplitText(c *Classifier) (*TextSplit, error) {
 // EmbedFeatures runs the normal-world head over one padded token
 // sequence (as produced by TokensToFeatures), returning the flat
 // embedding slots and their [SeqLen, D] shape — the plaintext the
-// device encrypts under the provider's HE key.
+// device encrypts under the provider's HE key. The slots are the
+// embedding layer's own output buffer (the ownership rule of package
+// layers): they stay valid until the next EmbedFeatures or forward pass
+// of the classifier the split came from.
 func (s *TextSplit) EmbedFeatures(features []float32) ([]float32, []int, error) {
 	if len(features) != s.SeqLen {
 		return nil, nil, fmt.Errorf("%w: %d features, head wants %d", ErrBadWeights, len(features), s.SeqLen)

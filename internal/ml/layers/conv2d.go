@@ -14,7 +14,7 @@ import (
 type Conv2D struct {
 	K, Cin, Cout int
 	w, b         *Param
-	x            *tensor.Tensor
+	x, out, dIn  *tensor.Tensor
 }
 
 // NewConv2D creates a 2-D convolution with He-scaled weights.
@@ -41,11 +41,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	c.x = x
 	B, H, W := x.Dim(0), x.Dim(1), x.Dim(2)
 	Ho, Wo := H-c.K+1, W-c.K+1
-	out := tensor.New(B, Ho, Wo, c.Cout)
+	c.out = reuse(c.out, B, Ho, Wo, c.Cout)
 	// x is [B,H,W,Cin] and w is [K,K,Cin,Cout], so for a fixed kernel row
 	// ki both the input window (kj, ci) and its weights are contiguous.
 	win := c.K * c.Cin
-	xd, wd, od := x.Data, c.w.Value.Data, out.Data
+	xd, wd, od := x.Data, c.w.Value.Data, c.out.Data
 	for b := 0; b < B; b++ {
 		for i := 0; i < Ho; i++ {
 			for j := 0; j < Wo; j++ {
@@ -57,7 +57,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			}
 		}
 	}
-	return out, nil
+	return c.out, nil
 }
 
 // Backward implements Layer.
@@ -71,7 +71,8 @@ func (c *Conv2D) Backward(dOut *tensor.Tensor) (*tensor.Tensor, error) {
 	if dOut.Dims() != 4 || dOut.Dim(0) != B || dOut.Dim(1) != Ho || dOut.Dim(2) != Wo || dOut.Dim(3) != c.Cout {
 		return nil, fmt.Errorf("%w: %s backward got %v", ErrShape, c.Name(), dOut.Shape)
 	}
-	dIn := tensor.New(B, H, W, c.Cin)
+	c.dIn = reuse(c.dIn, B, H, W, c.Cin)
+	clear(c.dIn.Data)
 	win := c.K * c.Cin
 	for b := 0; b < B; b++ {
 		for i := 0; i < Ho; i++ {
@@ -81,21 +82,22 @@ func (c *Conv2D) Backward(dOut *tensor.Tensor) (*tensor.Tensor, error) {
 				for ki := 0; ki < c.K; ki++ {
 					off := ((b*H+i+ki)*W + j) * c.Cin
 					wOff := ki * win * c.Cout
-					macBackward(g, x.Data[off:][:win], dIn.Data[off:][:win],
+					macBackward(g, x.Data[off:][:win], c.dIn.Data[off:][:win],
 						c.w.Value.Data[wOff:][:win*c.Cout], c.w.Grad.Data[wOff:][:win*c.Cout])
 				}
 			}
 		}
 	}
-	return dIn, nil
+	return c.dIn, nil
 }
 
 // MaxPool2D is a non-overlapping 2-D max pool with a square window:
 // [B, H, W, C] -> [B, H/P, W/P, C]. H and W must divide by P.
 type MaxPool2D struct {
-	P    int
-	arg  []int
-	dims [4]int
+	P        int
+	arg      []int
+	dims     [4]int
+	out, dIn *tensor.Tensor
 }
 
 // NewMaxPool2D creates a pool with window p.
@@ -115,19 +117,21 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	B, H, W, C := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	m.dims = [4]int{B, H, W, C}
 	Ho, Wo := H/m.P, W/m.P
-	out := tensor.New(B, Ho, Wo, C)
+	m.out = reuse(m.out, B, Ho, Wo, C)
 	m.arg = resize(m.arg, B*Ho*Wo*C)
 	// Each output row of C channels takes the strict maximum over its
 	// window in (pi, pj) order; a channel no element beats -Inf (only
-	// NaN or -Inf) keeps -Inf and flat index 0.
+	// NaN or -Inf) keeps -Inf and its window's first element, so the
+	// gradient stays inside the window.
 	negInf := float32(math.Inf(-1))
 	for b := 0; b < B; b++ {
 		for i := 0; i < Ho; i++ {
 			for j := 0; j < Wo; j++ {
 				o := ((b*Ho+i)*Wo + j) * C
-				best, arg := out.Data[o:][:C], m.arg[o:][:C]
+				first := ((b*H+i*m.P)*W + j*m.P) * C
+				best, arg := m.out.Data[o:][:C], m.arg[o:][:C]
 				for c := range best {
-					best[c], arg[c] = negInf, 0
+					best[c], arg[c] = negInf, first+c
 				}
 				for pi := 0; pi < m.P; pi++ {
 					for pj := 0; pj < m.P; pj++ {
@@ -142,7 +146,7 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			}
 		}
 	}
-	return out, nil
+	return m.out, nil
 }
 
 // Backward implements Layer.
@@ -155,16 +159,18 @@ func (m *MaxPool2D) Backward(dOut *tensor.Tensor) (*tensor.Tensor, error) {
 	if dOut.Dims() != 4 || dOut.Dim(0) != B || dOut.Dim(1) != Ho || dOut.Dim(2) != Wo || dOut.Dim(3) != C {
 		return nil, fmt.Errorf("%w: %s backward got %v", ErrShape, m.Name(), dOut.Shape)
 	}
-	dIn := tensor.New(B, H, W, C)
+	m.dIn = reuse(m.dIn, B, H, W, C)
+	clear(m.dIn.Data)
 	for i, srcIdx := range m.arg {
-		dIn.Data[srcIdx] += dOut.Data[i]
+		m.dIn.Data[srcIdx] += dOut.Data[i]
 	}
-	return dIn, nil
+	return m.dIn, nil
 }
 
 // Flatten reshapes [B, ...] -> [B, prod(rest)].
 type Flatten struct {
 	inShape []int
+	out     tensor.Tensor // view header over the input's data
 }
 
 // NewFlatten creates a flatten layer.
@@ -181,12 +187,14 @@ func (f *Flatten) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Dims() < 2 {
 		return nil, fmt.Errorf("%w: flatten got %v", ErrShape, x.Shape)
 	}
-	f.inShape = append([]int(nil), x.Shape...)
+	f.inShape = append(f.inShape[:0], x.Shape...)
 	rest := 1
 	for _, d := range x.Shape[1:] {
 		rest *= d
 	}
-	return x.Reshape(x.Dim(0), rest)
+	f.out.Shape = append(f.out.Shape[:0], x.Dim(0), rest)
+	f.out.Data = x.Data
+	return &f.out, nil
 }
 
 // Backward implements Layer.

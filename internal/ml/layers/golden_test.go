@@ -129,6 +129,8 @@ func refConv1DBackward(c *Conv1D, x, dOut *tensor.Tensor, wGrad, bGrad []float32
 }
 
 // refMaxPool2DForward returns the pooled output and the flat argmax map.
+// A window no element beats -Inf in (only NaN or -Inf) keeps its first
+// element as the argmax.
 func refMaxPool2DForward(p int, x *tensor.Tensor) (*tensor.Tensor, []int) {
 	B, H, W, C := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	Ho, Wo := H/p, W/p
@@ -139,7 +141,7 @@ func refMaxPool2DForward(p int, x *tensor.Tensor) (*tensor.Tensor, []int) {
 			for j := 0; j < Wo; j++ {
 				for c := 0; c < C; c++ {
 					best := float32(math.Inf(-1))
-					bestIdx := 0
+					bestIdx := ((b*H+i*p)*W+j*p)*C + c
 					for pi := 0; pi < p; pi++ {
 						for pj := 0; pj < p; pj++ {
 							idx := ((b*H+i*p+pi)*W+j*p+pj)*C + c
@@ -312,7 +314,8 @@ func TestMaxPool2DGolden(t *testing.T) {
 				shape := []int{B, 3 * p, 2 * p, C}
 				x := specialTensor(rng, shape...)
 				// One window of NaNs only: no element beats -Inf, so
-				// the output is -Inf and the argmax is flat index 0.
+				// the output is -Inf and the argmax is the window's
+				// first element.
 				for pi := 0; pi < p; pi++ {
 					for pj := 0; pj < p; pj++ {
 						x.Set(float32(math.NaN()), B-1, p+pi, pj, C-1)
@@ -328,6 +331,41 @@ func TestMaxPool2DGolden(t *testing.T) {
 				for i := range arg {
 					if m.arg[i] != arg[i] {
 						t.Fatalf("%s: arg[%d] = %d, want %d", name, i, m.arg[i], arg[i])
+					}
+				}
+				// Each output's gradient must land inside its own
+				// window: pools do not overlap, so every window of
+				// dIn sums to exactly its one output gradient.
+				dOut := goldenTensor(rng, got.Shape...)
+				dIn, err := m.Backward(dOut)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				assertWindowGradients(t, name, p, dIn, dOut)
+			}
+		}
+	}
+}
+
+// assertWindowGradients checks that each pooling window of dIn holds
+// exactly the gradient of its output element and nothing else.
+func assertWindowGradients(t *testing.T, name string, p int, dIn, dOut *tensor.Tensor) {
+	t.Helper()
+	B, Ho, Wo, C := dOut.Dim(0), dOut.Dim(1), dOut.Dim(2), dOut.Dim(3)
+	for b := 0; b < B; b++ {
+		for i := 0; i < Ho; i++ {
+			for j := 0; j < Wo; j++ {
+				for c := 0; c < C; c++ {
+					var sum float32
+					for pi := 0; pi < p; pi++ {
+						for pj := 0; pj < p; pj++ {
+							sum += dIn.At(b, i*p+pi, j*p+pj, c)
+						}
+					}
+					// Compared by value: a cleared +0 plus a -0
+					// gradient reads +0.
+					if want := dOut.At(b, i, j, c); sum != want {
+						t.Fatalf("%s: window (%d,%d,%d,%d) holds gradient %v, want %v", name, b, i, j, c, sum, want)
 					}
 				}
 			}
@@ -383,6 +421,116 @@ func TestPoolReLUReuseGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitsEqual(t, fmt.Sprintf("step %d dIn", step), gotIn.Data, wantIn.Data)
+	}
+}
+
+// reuseCase builds one layer from a seeded generator and draws its
+// inputs for a batch size.
+type reuseCase struct {
+	name string
+	mk   func(rng *rand.Rand) Layer
+	in   func(rng *rand.Rand, b int) *tensor.Tensor
+}
+
+// TestLayerBufferReuseGolden drives one instance of each layer that keeps
+// its output and input-gradient buffers through batch sizes 8, 1, 3, 8
+// (the buffers shrink, grow within their capacity, then return to full
+// size), two forward/backward passes at each. Every output, dIn and parameter
+// gradient must match, bit for bit, a fresh instance holding the same
+// parameters and gradients, so no reused buffer may keep a stale element.
+func TestLayerBufferReuseGolden(t *testing.T) {
+	cases := []reuseCase{
+		{"conv2d", func(rng *rand.Rand) Layer { return NewConv2D(rng, 3, 2, 4) },
+			func(rng *rand.Rand, b int) *tensor.Tensor { return goldenTensor(rng, b, 6, 5, 2) }},
+		{"maxpool2d", func(*rand.Rand) Layer { return NewMaxPool2D(2) },
+			func(rng *rand.Rand, b int) *tensor.Tensor { return specialTensor(rng, b, 4, 6, 3) }},
+		{"flatten", func(*rand.Rand) Layer { return NewFlatten() },
+			func(rng *rand.Rand, b int) *tensor.Tensor { return goldenTensor(rng, b, 3, 2, 2) }},
+		{"relu", func(*rand.Rand) Layer { return NewReLU() },
+			func(rng *rand.Rand, b int) *tensor.Tensor { return specialTensor(rng, b, 5, 3) }},
+		{"conv1d", func(rng *rand.Rand) Layer { return NewConv1D(rng, 3, 4, 5) },
+			func(rng *rand.Rand, b int) *tensor.Tensor { return goldenTensor(rng, b, 7, 4) }},
+		{"gmaxpool1d", func(*rand.Rand) Layer { return NewGlobalMaxPool1D() },
+			func(rng *rand.Rand, b int) *tensor.Tensor { return specialTensor(rng, b, 6, 3) }},
+		{"embedding", func(rng *rand.Rand) Layer { return NewEmbedding(rng, 10, 4) },
+			func(rng *rand.Rand, b int) *tensor.Tensor {
+				// Ids -1 and 10 are out of range and map to row 0.
+				x := tensor.New(b, 5)
+				for i := range x.Data {
+					x.Data[i] = float32(rng.IntN(12) - 1)
+				}
+				return x
+			}},
+		{"dense", func(rng *rand.Rand) Layer { return NewDense(rng, 6, 3) },
+			func(rng *rand.Rand, b int) *tensor.Tensor { return goldenTensor(rng, b, 6) }},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(26, uint64(i)))
+			reused := tc.mk(rng)
+			randomizeParams(rng, reused.Params())
+			for _, b := range []int{8, 1, 3, 8} {
+				for pass := 0; pass < 2; pass++ {
+					name := fmt.Sprintf("batch %d pass %d", b, pass)
+					fresh := tc.mk(rng)
+					copyParamState(t, reused, fresh)
+					x := tc.in(rng, b)
+					sameStep(t, name, rng, reused, fresh, x)
+				}
+			}
+		})
+	}
+}
+
+// sameStep runs one forward/backward pair through reused and fresh on x
+// and requires bit-identical outputs, input gradients and parameter
+// gradients. dOut is drawn from rng.
+func sameStep(t *testing.T, name string, rng *rand.Rand, reused, fresh Layer, x *tensor.Tensor) {
+	t.Helper()
+	got, err := reused.Forward(x)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, err := fresh.Forward(x)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	assertShape(t, name+" forward", got, want)
+	assertBitsEqual(t, name+" forward", got.Data, want.Data)
+	dOut := goldenTensor(rng, want.Shape...)
+	gotIn, err := reused.Backward(dOut)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	wantIn, err := fresh.Backward(dOut)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	assertShape(t, name+" dIn", gotIn, wantIn)
+	assertBitsEqual(t, name+" dIn", gotIn.Data, wantIn.Data)
+	for i, p := range reused.Params() {
+		assertBitsEqual(t, name+" "+p.Name+".Grad", p.Grad.Data, fresh.Params()[i].Grad.Data)
+	}
+}
+
+func assertShape(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v, want %v", what, got.Shape, want.Shape)
+	}
+}
+
+// copyParamState copies the parameter values and gradients of from
+// into to.
+func copyParamState(t *testing.T, from, to Layer) {
+	t.Helper()
+	fp, tp := from.Params(), to.Params()
+	if len(fp) != len(tp) {
+		t.Fatalf("param count mismatch: %d vs %d", len(fp), len(tp))
+	}
+	for i := range fp {
+		copy(tp[i].Value.Data, fp[i].Value.Data)
+		copy(tp[i].Grad.Data, fp[i].Grad.Data)
 	}
 }
 

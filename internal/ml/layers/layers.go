@@ -8,6 +8,12 @@
 // needs, so a Layer instance serves one forward/backward pair at a time
 // (mini-batch training and single-stream inference, which is all the
 // pipeline requires).
+//
+// A layer may keep the tensor it returns and reuse it on its next call:
+// a returned tensor belongs to the layer and stays valid until that
+// layer's next Forward or Backward. A caller that needs a result longer
+// must copy it. The classifiers run one forward pass per batch, so in
+// steady state their activations allocate nothing.
 package layers
 
 import (
@@ -42,10 +48,12 @@ func newParam(name string, v *tensor.Tensor) *Param {
 type Layer interface {
 	// Name identifies the layer in diagnostics.
 	Name() string
-	// Forward computes the output and caches state for Backward.
+	// Forward computes the output and caches state for Backward. The
+	// output may belong to the layer: it stays valid until the layer's
+	// next Forward or Backward, and x must stay unchanged until then.
 	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
 	// Backward consumes dOut and returns dIn, accumulating parameter
-	// gradients.
+	// gradients. dIn follows Forward's ownership rule.
 	Backward(dOut *tensor.Tensor) (*tensor.Tensor, error)
 	// Params returns the trainable parameters (nil for stateless layers).
 	Params() []*Param
@@ -68,7 +76,7 @@ func ParamCount(ls []Layer) int {
 type Dense struct {
 	In, Out int
 	w, b    *Param
-	x       *tensor.Tensor
+	x, out  *tensor.Tensor
 }
 
 // NewDense creates a dense layer with Xavier-scaled weights.
@@ -94,18 +102,18 @@ func (d *Dense) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("%w: %s got %v", ErrShape, d.Name(), x.Shape)
 	}
 	d.x = x
-	out, err := tensor.MatMul(x, d.w.Value)
-	if err != nil {
+	d.out = reuse(d.out, x.Dim(0), d.Out)
+	if err := tensor.MatMulInto(d.out, x, d.w.Value); err != nil {
 		return nil, err
 	}
 	b := d.b.Value.Data
-	for i := 0; i < out.Dim(0); i++ {
-		row := out.Row(i)
+	for i := 0; i < d.out.Dim(0); i++ {
+		row := d.out.Row(i)
 		for j := range row {
 			row[j] += b[j]
 		}
 	}
-	return out, nil
+	return d.out, nil
 }
 
 // Backward implements Layer.
@@ -144,7 +152,8 @@ func (d *Dense) Backward(dOut *tensor.Tensor) (*tensor.Tensor, error) {
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	mask []bool
+	mask     []bool
+	out, dIn *tensor.Tensor
 }
 
 // NewReLU creates a ReLU layer.
@@ -158,17 +167,20 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	out := x.Clone()
-	r.mask = resize(r.mask, len(out.Data))
-	for i, v := range out.Data {
-		// Every entry is written: a reused mask must not keep a stale
-		// true. NaN fails v > 0, so it maps to 0 like any non-positive.
+	r.out = reuse(r.out, x.Shape...)
+	r.mask = resize(r.mask, len(x.Data))
+	for i, v := range x.Data {
+		// Every entry of the reused mask and output is written, so
+		// neither keeps a stale value. NaN fails v > 0, so it maps to 0
+		// like any non-positive.
 		r.mask[i] = v > 0
-		if !r.mask[i] {
-			out.Data[i] = 0
+		if r.mask[i] {
+			r.out.Data[i] = v
+		} else {
+			r.out.Data[i] = 0
 		}
 	}
-	return out, nil
+	return r.out, nil
 }
 
 // Backward implements Layer.
@@ -179,13 +191,15 @@ func (r *ReLU) Backward(dOut *tensor.Tensor) (*tensor.Tensor, error) {
 	if len(dOut.Data) != len(r.mask) {
 		return nil, fmt.Errorf("%w: relu backward", ErrShape)
 	}
-	dIn := dOut.Clone()
-	for i := range dIn.Data {
-		if !r.mask[i] {
-			dIn.Data[i] = 0
+	r.dIn = reuse(r.dIn, dOut.Shape...)
+	for i, g := range dOut.Data {
+		if r.mask[i] {
+			r.dIn.Data[i] = g
+		} else {
+			r.dIn.Data[i] = 0
 		}
 	}
-	return dIn, nil
+	return r.dIn, nil
 }
 
 // GELU is the Gaussian-error linear unit (tanh approximation), the
@@ -296,6 +310,28 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// reuse returns t re-shaped to shape, its header and data resliced when
+// their capacity allows: the buffer a layer returns from Forward or
+// Backward and keeps for its next call. A nil t gets a new tensor.
+// Callers overwrite (or clear) every element. Like tensor.New it panics
+// on a non-positive dimension, but without formatting shape, which would
+// make every caller's variadic shape escape to the heap.
+func reuse(t *tensor.Tensor, shape ...int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		if d <= 0 {
+			panic("layers: invalid dim in shape")
+		}
+		n *= d
+	}
+	if t == nil {
+		t = new(tensor.Tensor)
+	}
+	t.Shape = append(t.Shape[:0], shape...)
+	t.Data = resize(t.Data, n)
+	return t
+}
+
 // --- Conv1D ---------------------------------------------------------------------------
 
 // Conv1D is a 1-D convolution over sequences: input [B, L, Cin] ->
@@ -304,7 +340,7 @@ func resize[T any](s []T, n int) []T {
 type Conv1D struct {
 	K, Cin, Cout int
 	w, b         *Param
-	x            *tensor.Tensor
+	x, out, dIn  *tensor.Tensor
 }
 
 // NewConv1D creates a 1-D convolution with He-scaled weights.
@@ -331,18 +367,18 @@ func (c *Conv1D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	c.x = x
 	B, L := x.Dim(0), x.Dim(1)
 	Lout := L - c.K + 1
-	out := tensor.New(B, Lout, c.Cout)
+	c.out = reuse(c.out, B, Lout, c.Cout)
 	// x is [B,L,Cin] and w is [K,Cin,Cout]: each output's whole input
 	// window (k, ci) and the weights are contiguous.
 	win := c.K * c.Cin
 	for bi := 0; bi < B; bi++ {
 		for t := 0; t < Lout; t++ {
-			acc := out.Data[(bi*Lout+t)*c.Cout:][:c.Cout]
+			acc := c.out.Data[(bi*Lout+t)*c.Cout:][:c.Cout]
 			copy(acc, c.b.Value.Data)
 			macForward(acc, x.Data[(bi*L+t)*c.Cin:][:win], c.w.Value.Data)
 		}
 	}
-	return out, nil
+	return c.out, nil
 }
 
 // Backward implements Layer.
@@ -356,27 +392,29 @@ func (c *Conv1D) Backward(dOut *tensor.Tensor) (*tensor.Tensor, error) {
 	if dOut.Dims() != 3 || dOut.Dim(0) != B || dOut.Dim(1) != Lout || dOut.Dim(2) != c.Cout {
 		return nil, fmt.Errorf("%w: %s backward got %v", ErrShape, c.Name(), dOut.Shape)
 	}
-	dIn := tensor.New(B, L, c.Cin)
+	c.dIn = reuse(c.dIn, B, L, c.Cin)
+	clear(c.dIn.Data)
 	win := c.K * c.Cin
 	for bi := 0; bi < B; bi++ {
 		for t := 0; t < Lout; t++ {
 			g := dOut.Data[(bi*Lout+t)*c.Cout:][:c.Cout]
 			addNonZero(c.b.Grad.Data, g)
 			off := (bi*L + t) * c.Cin
-			macBackward(g, x.Data[off:][:win], dIn.Data[off:][:win], c.w.Value.Data, c.w.Grad.Data)
+			macBackward(g, x.Data[off:][:win], c.dIn.Data[off:][:win], c.w.Value.Data, c.w.Grad.Data)
 		}
 	}
-	return dIn, nil
+	return c.dIn, nil
 }
 
 // --- Pooling -------------------------------------------------------------------------------
 
 // GlobalMaxPool1D reduces [B, L, C] -> [B, C] by max over time.
 type GlobalMaxPool1D struct {
-	arg []int // flat argmax per (b, c)
-	L   int
-	C   int
-	B   int
+	arg      []int // flat argmax per (b, c)
+	L        int
+	C        int
+	B        int
+	out, dIn *tensor.Tensor
 }
 
 // NewGlobalMaxPool1D creates the pool.
@@ -395,8 +433,8 @@ func (p *GlobalMaxPool1D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	B, L, C := x.Dim(0), x.Dim(1), x.Dim(2)
 	p.B, p.L, p.C = B, L, C
-	p.arg = make([]int, B*C)
-	out := tensor.New(B, C)
+	p.arg = resize(p.arg, B*C)
+	p.out = reuse(p.out, B, C)
 	for b := 0; b < B; b++ {
 		for c := 0; c < C; c++ {
 			base := b * L * C
@@ -406,11 +444,11 @@ func (p *GlobalMaxPool1D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 					best, bestT = v, t
 				}
 			}
-			out.Data[b*C+c] = best
+			p.out.Data[b*C+c] = best
 			p.arg[b*C+c] = bestT
 		}
 	}
-	return out, nil
+	return p.out, nil
 }
 
 // Backward implements Layer.
@@ -421,13 +459,14 @@ func (p *GlobalMaxPool1D) Backward(dOut *tensor.Tensor) (*tensor.Tensor, error) 
 	if dOut.Dims() != 2 || dOut.Dim(0) != p.B || dOut.Dim(1) != p.C {
 		return nil, fmt.Errorf("%w: gmaxpool1d backward got %v", ErrShape, dOut.Shape)
 	}
-	dIn := tensor.New(p.B, p.L, p.C)
+	p.dIn = reuse(p.dIn, p.B, p.L, p.C)
+	clear(p.dIn.Data)
 	for b := 0; b < p.B; b++ {
 		for c := 0; c < p.C; c++ {
-			dIn.Set(dOut.At(b, c), b, p.arg[b*p.C+c], c)
+			p.dIn.Set(dOut.At(b, c), b, p.arg[b*p.C+c], c)
 		}
 	}
-	return dIn, nil
+	return p.dIn, nil
 }
 
 // MeanPool1D reduces [B, L, C] -> [B, C] by averaging over time.
@@ -494,6 +533,7 @@ type Embedding struct {
 	table    *Param
 	ids      []int
 	B, L     int
+	out      *tensor.Tensor
 }
 
 // NewEmbedding creates an embedding table.
@@ -516,17 +556,17 @@ func (e *Embedding) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("%w: embedding got %v", ErrShape, x.Shape)
 	}
 	e.B, e.L = x.Dim(0), x.Dim(1)
-	e.ids = make([]int, e.B*e.L)
-	out := tensor.New(e.B, e.L, e.D)
+	e.ids = resize(e.ids, e.B*e.L)
+	e.out = reuse(e.out, e.B, e.L, e.D)
 	for i, v := range x.Data {
 		id := int(v)
 		if id < 0 || id >= e.Vocab {
 			id = 0
 		}
 		e.ids[i] = id
-		copy(out.Data[i*e.D:(i+1)*e.D], e.table.Value.Data[id*e.D:(id+1)*e.D])
+		copy(e.out.Data[i*e.D:(i+1)*e.D], e.table.Value.Data[id*e.D:(id+1)*e.D])
 	}
-	return out, nil
+	return e.out, nil
 }
 
 // Backward implements Layer. Token-id inputs receive no gradient; the

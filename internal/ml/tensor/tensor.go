@@ -181,8 +181,21 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[0] {
 		return nil, fmt.Errorf("%w: matmul %v x %v", ErrShape, a.Shape, b.Shape)
 	}
+	out := New(a.Shape[0], b.Shape[1])
+	return out, MatMulInto(out, a, b)
+}
+
+// MatMulInto writes a x b into out, an [m,n] tensor whose previous
+// contents are cleared first, so a caller can reuse one output buffer.
+func MatMulInto(out, a, b *Tensor) error {
+	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[0] {
+		return fmt.Errorf("%w: matmul %v x %v", ErrShape, a.Shape, b.Shape)
+	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	out := New(m, n)
+	if out.Dims() != 2 || out.Shape[0] != m || out.Shape[1] != n {
+		return fmt.Errorf("%w: matmul %v x %v into %v", ErrShape, a.Shape, b.Shape, out.Shape)
+	}
+	clear(out.Data)
 	for i := 0; i < m; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := out.Data[i*n : (i+1)*n]
@@ -197,7 +210,7 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Transpose returns the transpose of a 2-D tensor.

@@ -76,6 +76,19 @@ func TestMatMulKnown(t *testing.T) {
 	if _, err := MatMul(a, a); !errors.Is(err, ErrShape) {
 		t.Errorf("bad MatMul = %v", err)
 	}
+	// MatMulInto clears a reused output before accumulating into it.
+	c.Fill(100)
+	if err := MatMulInto(c, a, b); err != nil {
+		t.Fatalf("MatMulInto: %v", err)
+	}
+	for i, v := range want {
+		if c.Data[i] != v {
+			t.Errorf("reused c[%d] = %v, want %v", i, c.Data[i], v)
+		}
+	}
+	if err := MatMulInto(New(3, 3), a, b); !errors.Is(err, ErrShape) {
+		t.Errorf("MatMulInto into a wrong shape = %v", err)
+	}
 }
 
 func TestMatMulIdentityProperty(t *testing.T) {
