@@ -9,7 +9,6 @@ import (
 	"repro/internal/attest"
 	"repro/internal/ml/classify"
 	"repro/internal/optee"
-	"repro/internal/relay"
 )
 
 // attestRig is an attested device enrolled with a test verifier: a
@@ -124,26 +123,19 @@ func (r *attestRig) packV2(t *testing.T) (attest.Pack, attest.ManifestToken) {
 // given attestor, as a reboot would, and returns its lifecycle.
 func (r *attestRig) restart(t *testing.T, a *attest.Attestor) *taLifecycle {
 	t.Helper()
+	var ta *DeviceTA
 	if r.cam != nil {
-		id, err := relay.NewIdentity(NewSeedReader(1, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := r.cam.TA.cfg
-		cfg.Attestor = a
-		ta, err := NewCameraTA(cfg, id, id.PublicKey())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &ta.taLifecycle
+		ta = r.cam.TA
+	} else {
+		ta = r.sys.VoiceTA
 	}
-	cfg := r.sys.VoiceTA.cfg
+	cfg := ta.cfg
 	cfg.Attestor = a
-	ta, err := NewVoiceTA(cfg)
+	restarted, err := newDeviceTA(r.profile, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ta.taLifecycle
+	return &restarted.taLifecycle
 }
 
 // runSession runs a session on the rig's device: 12 utterances in

@@ -17,7 +17,6 @@ import (
 	"repro/internal/memory"
 	"repro/internal/metrics"
 	"repro/internal/ml/classify"
-	"repro/internal/ml/layers"
 	"repro/internal/ml/train"
 	"repro/internal/obs"
 	"repro/internal/optee"
@@ -28,28 +27,17 @@ import (
 	"repro/internal/tz"
 )
 
-// Camera component UUIDs and commands.
+// Camera component UUIDs and commands. The doorbell's TA is the device
+// TA under cameraProfile, served through the one command table.
 const (
-	UUIDCameraPTA = "pta.camera.capture"
-	UUIDCameraTA  = "ta.camera.guard"
-	// CmdCameraGrab (PTA): capture the next frame into params[0]
+	UUIDCameraPTA  = "pta.camera.capture"
+	UUIDDoorbellTA = "ta.camera.guard"
+	// CmdPTAGrab (PTA): capture the next frame into params[0]
 	// (MemrefOut); params[1].A returns bytes written (0 = no frame).
-	CmdCameraGrab uint32 = 0x30
-	// CmdProcessFrame (TA): grab, classify and relay-or-block one frame;
-	// params[0].A returns 1 if forwarded.
-	CmdProcessFrame uint32 = 0x31
-	// CmdCameraAttest / CmdCameraUpdateModel / CmdCameraRotateKey: the
-	// camera TA's lifecycle commands, with the parameter layouts of the
-	// voice TA's CmdAttest / CmdUpdateModel / CmdRotateKey.
-	CmdCameraAttest      uint32 = 0x32
-	CmdCameraUpdateModel uint32 = 0x33
-	CmdCameraRotateKey   uint32 = 0x34
-	// CmdCameraFinishHE (TA, ModeHybridHE): complete one frame whose first
-	// conv layer the provider evaluated homomorphically. params[0] is the
-	// provider's result ciphertext (MemrefIn), params[1] the raw frame the
-	// normal world captured (MemrefIn, relayed sealed if the TA's tail
-	// clears it); params[2].A returns 1 if forwarded.
-	CmdCameraFinishHE uint32 = 0x35
+	// params[2].A (ValueIn) is how many frames the caller's group still
+	// needs, this one included: the grab takes none unless that many are
+	// queued, so a group's frames are grabbed whole or not at all.
+	CmdPTAGrab uint32 = 0x30
 
 	cameraFrameSide  = 24
 	cameraFrameBytes = cameraFrameSide * cameraFrameSide
@@ -154,9 +142,9 @@ func (p *CameraPTA) Truth() []peripheral.Scene { return p.truth.Processed() }
 // Invoke implements optee.TA.
 func (p *CameraPTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) error {
 	switch cmd {
-	case CmdCameraGrab:
+	case CmdPTAGrab:
 		if params[0].Type != optee.MemrefOut || len(params[0].Buf) < cameraFrameBytes {
-			return fmt.Errorf("%w: CmdCameraGrab needs %d-byte MemrefOut", optee.ErrBadParam, cameraFrameBytes)
+			return fmt.Errorf("%w: CmdPTAGrab needs %d-byte MemrefOut", optee.ErrBadParam, cameraFrameBytes)
 		}
 		// The frame buffer is checked before the sensor is read, so a
 		// grab on a closed PTA consumes no frame.
@@ -166,8 +154,12 @@ func (p *CameraPTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) e
 		if addr == 0 {
 			return fmt.Errorf("%w: camera pta not opened", optee.ErrBadState)
 		}
-		im, scene, ok := p.cam.Capture()
 		params[1].Type = optee.ValueOut
+		if params[2].Type == optee.ValueIn && uint64(p.cam.Pending()) < params[2].A {
+			params[1].A = 0
+			return nil
+		}
+		im, scene, ok := p.cam.Capture()
 		if !ok {
 			params[1].A = 0
 			return nil
@@ -190,149 +182,90 @@ func (p *CameraPTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) e
 	}
 }
 
-// ProcessedFrame is the camera TA's per-frame record. The frame path has
-// no transcribe stage: a secure grab is the capture stage.
-type ProcessedFrame struct {
-	itemRecord
+// frameStages are a doorbell's: frames grabbed through the camera PTA
+// (or, for an HE handoff, captured by the normal world), normalized
+// pixels, the image classifier, and the camera's block policy.
+var frameStages = taStages{
+	checkItem: func(n uint64) error {
+		if n != cameraFrameBytes {
+			return fmt.Errorf("%w: frame of %d bytes, want %d", optee.ErrBadParam, n, cameraFrameBytes)
+		}
+		return nil
+	},
+	capture:   (*DeviceTA).grabFrames,
+	featurize: (*DeviceTA).pixelFeatures,
+	handIn:    (*DeviceTA).handInFrames,
+	newClassifier: func(_ *TAConfig, seed uint64) (*classify.Classifier, error) {
+		return classify.NewImage(NewRNG(seed, seed^SaltImage), cameraFrameSide, cameraFrameSide)
+	},
+	relay: (*DeviceTA).relayFrame,
 }
 
-// CameraTA classifies frames in the TEE and relays only benign ones.
-// As in the voice TA, attestation, key rotation, model update, the sealed
-// classifier and the HE tail step are its embedded taLifecycle, and the
-// classify and relay steps, the sealed channel and the record log its
-// taPipeline: each frame command is a group of one through them.
-type CameraTA struct {
-	taLifecycle
-	taPipeline[ProcessedFrame, *ProcessedFrame]
-	cfg TAConfig
-
-	// Per-TA frame scratch: invocations are serialized per device, so the
-	// grab buffer, the one-sample batch holding its features and the
-	// group's record are reused across frames.
-	frameBuf   []byte
-	frameBatch [][]float32
-	group      [1]ProcessedFrame
+// frame is item i of the TA's frame scratch.
+func (t *DeviceTA) frame(i int) []byte {
+	return t.frames[i*cameraFrameBytes : (i+1)*cameraFrameBytes]
 }
 
-var _ optee.TA = (*CameraTA)(nil)
-
-// NewCameraTA constructs the TA, relaying under id to the cloud key
-// cloudPub. cfg.Hybrid arms the HE→TEE handoff (CmdCameraFinishHE) under
-// cfg.HEParams.
-func NewCameraTA(cfg TAConfig, id *relay.Identity, cloudPub []byte) (*CameraTA, error) {
-	t := &CameraTA{cfg: cfg, frameBuf: make([]byte, cameraFrameBytes),
-		frameBatch: [][]float32{make([]float32, cameraFrameBytes)}}
-	if err := t.initPipeline(cameraProfile.name, cfg.TEE, cfg.Clock, id, cloudPub); err != nil {
-		return nil, err
+// grabFrames is a doorbell's capture stage: each frame of the group
+// through the PTA into the TA's frame scratch. The classifier is loaded
+// before the grab, so a TA that cannot classify leaves the frame on the
+// sensor; a sensor holding fewer frames than the group is ErrBadParam,
+// as audio that was never pumped is, and gives up none of them.
+func (t *DeviceTA) grabFrames(recs []ItemRecord, _ []int) error {
+	if need := len(recs) * cameraFrameBytes; len(t.frames) < need {
+		t.frames = make([]byte, need)
 	}
-	t.initLifecycle(cameraProfile, cfg, t, true)
-	return t, nil
-}
-
-// newClassifier makes the image-classifier skeleton for a model seed.
-func (t *CameraTA) newClassifier(seed uint64) (*classify.Classifier, error) {
-	return classify.NewImage(NewRNG(seed, seed^SaltImage), cameraFrameSide, cameraFrameSide)
-}
-
-// splitTail splits the image classifier's in-TA hybrid tail.
-func (t *CameraTA) splitTail(clf *classify.Classifier) (tailPredictor, *layers.Sequential, error) {
-	split, err := classify.SplitImage(clf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return split, split.Tail, nil
-}
-
-// Open implements optee.TA. The instance keeps its state (classifier,
-// model version) across sessions; unsealing is deferred to first use.
-func (t *CameraTA) Open(sessionID uint32) error { return nil }
-
-// Close implements optee.TA.
-func (t *CameraTA) Close(sessionID uint32) {}
-
-// Invoke implements optee.TA. CmdProcessFrame loads the classifier before
-// the grab, so a TA that cannot classify leaves the frame on the sensor.
-func (t *CameraTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) error {
-	switch cmd {
-	case CmdProcessFrame:
-		clf, err := t.loadedClassifier()
-		if err != nil {
-			return err
+	for i := range recs {
+		start := t.cfg.Clock.Now()
+		p := &optee.Params{{Type: optee.MemrefOut, Buf: t.frame(i)}, {}, {Type: optee.ValueIn, A: uint64(len(recs) - i)}}
+		if err := t.cfg.TEE.InvokeSecure(UUIDCameraPTA, CmdPTAGrab, p); err != nil {
+			return fmt.Errorf("camera ta grab: %w", err)
 		}
-		recs, err := t.grab()
-		if err != nil {
-			return err
+		if p[1].A == 0 {
+			return fmt.Errorf("%w: camera ta: no frame queued for item %d", optee.ErrBadParam, i)
 		}
-		if recs == nil {
-			params[0] = optee.Param{Type: optee.ValueOut, A: 2} // no more frames
-			return nil
-		}
-		if err := t.classifyInline(clf, recs, t.frameBatch); err != nil {
-			return err
-		}
-		return t.relayFrame(recs, t.frameBuf, &params[0])
-	case CmdCameraFinishHE:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
-			return fmt.Errorf("%w: CmdCameraFinishHE needs a MemrefIn ciphertext", optee.ErrBadParam)
-		}
-		if params[1].Type != optee.MemrefIn || len(params[1].Buf) != cameraFrameBytes {
-			return fmt.Errorf("%w: CmdCameraFinishHE needs a %d-byte MemrefIn frame", optee.ErrBadParam, cameraFrameBytes)
-		}
-		t.group = [1]ProcessedFrame{}
-		recs := t.group[:]
-		if err := t.classifyHE(&t.taLifecycle, recs, [][]byte{params[0].Buf}); err != nil {
-			return err
-		}
-		return t.relayFrame(recs, params[1].Buf, &params[2])
-	default:
-		return t.invokeLifecycle(cmd, params)
-	}
-}
-
-// grab is the frame group's capture stage: the next frame through the
-// PTA into the frame scratch, normalized into the feature vector. It
-// returns the group's one record, or nil when the sensor has no frame.
-func (t *CameraTA) grab() ([]ProcessedFrame, error) {
-	start := t.cfg.Clock.Now()
-	p := &optee.Params{{Type: optee.MemrefOut, Buf: t.frameBuf}, {}}
-	if err := t.cfg.TEE.InvokeSecure(UUIDCameraPTA, CmdCameraGrab, p); err != nil {
-		return nil, fmt.Errorf("camera ta grab: %w", err)
-	}
-	if p[1].A == 0 {
-		return nil, nil
-	}
-	for i, px := range t.frameBuf {
-		t.frameBatch[0][i] = float32(px) / 255
-	}
-	t.group = [1]ProcessedFrame{}
-	rec := &t.group[0]
-	rec.Stages.Capture = t.cfg.Clock.Now() - start
-	rec.CaptureBytes = int(p[1].A)
-	return t.group[:], nil
-}
-
-// relayFrame is the frame group's relay step under the camera's block
-// policy, the inversion of the speaker filter: a benign frame is relayed
-// sealed, a person frame withheld. out returns A=1 if forwarded.
-func (t *CameraTA) relayFrame(recs []ProcessedFrame, frame []byte, out *optee.Param) error {
-	err := t.relayGroup(recs, func(rec *ProcessedFrame) error {
-		if rec.Flagged {
-			return nil
-		}
-		return t.relayEvent(relay.Event{
-			Namespace: relay.NamespaceSpeech, // same AVS-style envelope
-			Name:      NameFrame,
-			Audio:     frame,
-		}, &rec.RelayOutcome)
-	})
-	if err != nil {
-		return err
-	}
-	*out = optee.Param{Type: optee.ValueOut}
-	if recs[0].Forwarded {
-		out.A = 1
+		recs[i].Stages.Capture = t.cfg.Clock.Now() - start
+		recs[i].CaptureBytes = int(p[1].A)
 	}
 	return nil
+}
+
+// pixelFeatures is a doorbell's featurize stage: each grabbed frame's
+// pixels normalized into its classifier input row.
+func (t *DeviceTA) pixelFeatures(_ *classify.Classifier, recs []ItemRecord, batch [][]float32) {
+	for i := range recs {
+		if len(batch[i]) != cameraFrameBytes {
+			batch[i] = make([]float32, cameraFrameBytes)
+		}
+		for j, px := range t.frame(i) {
+			batch[i][j] = float32(px) / 255
+		}
+	}
+}
+
+// handInFrames takes the n frames of a hybrid doorbell's HE handoff,
+// which the normal world captured, into the TA's frame scratch.
+func (t *DeviceTA) handInFrames(n int, items optee.Param) error {
+	if n > MaxBatch || items.Type != optee.MemrefIn || len(items.Buf) != n*cameraFrameBytes {
+		return fmt.Errorf("%w: CmdResumeBatchHE needs a MemrefIn of %d %d-byte frames (at most %d)",
+			optee.ErrBadParam, n, cameraFrameBytes, MaxBatch)
+	}
+	t.frames = append(t.frames[:0], items.Buf...)
+	return nil
+}
+
+// relayFrame is a doorbell's relay step under the camera's block policy,
+// the inversion of the speaker filter: a benign frame is relayed sealed,
+// a person frame withheld.
+func (t *DeviceTA) relayFrame(i int, rec *ItemRecord) error {
+	if rec.Flagged {
+		return nil
+	}
+	return t.relayEvent(relay.Event{
+		Namespace: relay.NamespaceSpeech, // same AVS-style envelope
+		Name:      NameFrame,
+		Audio:     t.frame(i),
+	}, &rec.RelayOutcome)
 }
 
 // CameraConfig parameterizes a camera pipeline.
@@ -363,7 +296,7 @@ type CameraSystem struct {
 	Camera *peripheral.Camera
 	// Secure-mode parts.
 	PTA *CameraPTA
-	TA  *CameraTA
+	TA  *DeviceTA
 	// frameBuf is the normal-world frame buffer baseline and hybrid
 	// capture land in.
 	frameBuf uint64
@@ -412,7 +345,7 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	taCfg, taID, err := sys.buildSecureWorld(cameraProfile, secureSpec{
+	taCfg, err := sys.buildSecureWorld(cameraProfile, secureSpec{
 		mode: cfg.Mode, seed: cfg.Seed, modelSeed: cfg.ModelSeed,
 		deviceID: cfg.DeviceID, attestKeySeed: cfg.AttestKeySeed, modelVersion: cfg.ModelVersion,
 		weights: clf.SerializeWeights(),
@@ -435,12 +368,13 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 	}
 	sys.PTA = NewCameraPTA(sys.Camera, sys.Platform.Mem, sys.Platform.SecureHeap, tz.WorldSecure, sys.Clock, sys.Cost)
 	sys.TEE.RegisterPTA(sys.PTA)
-	ta, err := NewCameraTA(taCfg, taID, sys.CloudSealed.PublicKey())
+	taCfg.Filter = true
+	ta, err := newDeviceTA(cameraProfile, taCfg)
 	if err != nil {
 		return nil, err
 	}
 	sys.TA = ta
-	sys.taClient = taClient{tee: sys.TEE, profile: cameraProfile, ta: &ta.taLifecycle}
+	sys.taClient = taClient{tee: sys.TEE, ta: &ta.taLifecycle}
 	sys.TEE.RegisterTA(ta)
 	return sys, nil
 }
@@ -462,7 +396,7 @@ type CameraSessionResult struct {
 }
 
 // addFrame tallies one frame the TA processed against its ground truth.
-func (r *CameraSessionResult) addFrame(truth peripheral.Scene, rec ProcessedFrame) {
+func (r *CameraSessionResult) addFrame(truth peripheral.Scene, rec ItemRecord) {
 	if !rec.Forwarded {
 		if !truth.Sensitive() {
 			r.BlockedEmpties++
@@ -547,12 +481,12 @@ func (s *CameraSystem) runBaseline(scenes []peripheral.Scene, res *CameraSession
 }
 
 // runFrames is the secure frame loop: each frame is one command, a group
-// of one through the camera TA, ended by the completion step the speaker
-// shares. A secure-filter frame is CmdProcessFrame, which grabs through
+// of one through the device TA, ended by the completion step the speaker
+// shares. A secure-filter frame is CmdProcessItem, which grabs through
 // the PTA. A hybrid frame is captured into normal-world RAM first (the
 // compromised OS can snoop raw frames — hybrid trades that local exposure
 // for blinding the provider) and its first conv evaluated blind at the
-// provider (hybridFrame); CmdCameraFinishHE then decrypts, runs the tail
+// provider (hybridFrame); CmdResumeBatchHE then decrypts, runs the tail
 // and relays in the TA.
 func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionResult) error {
 	hybrid := s.cfg.Mode == ModeHybridHE
@@ -567,7 +501,9 @@ func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionRe
 	}
 	for range n {
 		anchor := s.Clock.Now()
-		cmd, p := CmdProcessFrame, &optee.Params{{}, {}}
+		// A frame passes its byte count by value, which pays no
+		// shared-memory flush.
+		cmd, p := CmdProcessItem, &optee.Params{{Type: optee.ValueIn, A: cameraFrameBytes}, {}}
 		var scene peripheral.Scene
 		var grabbed tz.Cycles
 		if hybrid {
@@ -575,14 +511,11 @@ func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionRe
 			if p, scene, grabbed, err = s.hybridFrame(); p == nil {
 				return err
 			}
-			cmd = CmdCameraFinishHE
+			cmd = CmdResumeBatchHE
 		}
 		before, truthBefore := s.TA.count(), s.PTA.truth.count()
 		if err := sess.InvokeCommand(cmd, p); err != nil {
 			return err
-		}
-		if !hybrid && p[0].A == 2 {
-			return nil // no more frames
 		}
 		recs := s.TA.since(before)
 		if len(recs) != 1 {
@@ -593,11 +526,11 @@ func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionRe
 			// carries that capture.
 			rec := recs[0]
 			rec.Stages.Capture, rec.CaptureBytes = grabbed, cameraFrameBytes
-			recs = []ProcessedFrame{rec}
+			recs = []ItemRecord{rec}
 		} else {
 			scene = s.PTA.truth.since(truthBefore)[0]
 		}
-		completeGroup(&s.deviceShell, anchor, recs, func(_ int, rec ProcessedFrame) {
+		completeGroup(&s.deviceShell, anchor, recs, func(_ int, rec ItemRecord) {
 			res.addFrame(scene, rec)
 			res.Latency.Observe(float64(s.Clock.Now() - anchor))
 		}, &res.Snoop, swept, 64)
@@ -608,7 +541,7 @@ func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionRe
 // hybridFrame is the normal world's half of a hybrid frame: grab it into
 // normal-world RAM (taking grabbed cycles), normalize and encrypt the
 // pixels under the provider's HE key and have the provider evaluate the
-// first conv blind. It returns CmdCameraFinishHE's parameters, or nil
+// first conv blind. It returns CmdResumeBatchHE's parameters, or nil
 // when the sensor has no frame queued or on err.
 func (s *CameraSystem) hybridFrame() (p *optee.Params, scene peripheral.Scene, grabbed tz.Cycles, err error) {
 	start := s.Clock.Now()
@@ -625,5 +558,9 @@ func (s *CameraSystem) hybridFrame() (p *optee.Params, scene peripheral.Scene, g
 	if err != nil {
 		return nil, scene, 0, fmt.Errorf("camera %w", err)
 	}
-	return &optee.Params{{Type: optee.MemrefIn, Buf: blob}, {Type: optee.MemrefIn, Buf: im.Pix}, {}}, scene, grabbed, nil
+	return &optee.Params{
+		{Type: optee.MemrefIn, Buf: packLengthPrefixed([][]byte{blob})},
+		{Type: optee.MemrefIn, Buf: im.Pix},
+		{},
+	}, scene, grabbed, nil
 }

@@ -215,7 +215,7 @@ type System struct {
 	Driver *driver.SoundDriver
 
 	// Secure world (nil in baseline mode).
-	VoiceTA   *VoiceTA
+	VoiceTA   *DeviceTA
 	DriverPTA *DriverPTA
 
 	// heSplit is the hybrid split's three-way model partition
@@ -458,7 +458,7 @@ func (s *System) buildSecure() error {
 		}
 		weights = clf.SerializeWeights()
 	}
-	taCfg, taID, err := s.buildSecureWorld(voiceProfile, secureSpec{
+	taCfg, err := s.buildSecureWorld(voiceProfile, secureSpec{
 		mode: s.cfg.Mode, seed: s.cfg.Seed, modelSeed: s.cfg.ModelSeed,
 		deviceID: s.cfg.DeviceID, attestKeySeed: s.cfg.AttestKeySeed, modelVersion: s.cfg.ModelVersion,
 		weights: weights,
@@ -483,22 +483,14 @@ func (s *System) buildSecure() error {
 
 	s.DriverPTA = NewDriverPTA(s.Driver)
 	s.TEE.RegisterPTA(s.DriverPTA)
-	ta, err := NewVoiceTA(VoiceTAConfig{
-		TAConfig:       taCfg,
-		Identity:       taID,
-		CloudPub:       s.CloudSealed.PublicKey(),
-		Recognizer:     s.Recognizer,
-		Arch:           s.cfg.Arch,
-		Vocab:          s.Vocab,
-		Policy:         s.cfg.Policy,
-		Filter:         filter,
-		sharedClassify: s.cfg.SharedClassify,
-	})
+	taCfg.Filter, taCfg.sharedClassify = filter, s.cfg.SharedClassify
+	taCfg.Recognizer, taCfg.Arch, taCfg.Vocab, taCfg.Policy = s.Recognizer, s.cfg.Arch, s.Vocab, s.cfg.Policy
+	ta, err := newDeviceTA(voiceProfile, taCfg)
 	if err != nil {
 		return fmt.Errorf("core voice ta: %w", err)
 	}
 	s.VoiceTA = ta
-	s.taClient = taClient{tee: s.TEE, profile: voiceProfile, ta: &ta.taLifecycle}
+	s.taClient = taClient{tee: s.TEE, ta: &ta.taLifecycle}
 	s.TEE.RegisterTA(ta)
 	return nil
 }

@@ -1,13 +1,13 @@
 package core
 
-// One TA lifecycle and one group pipeline for both device TAs.
+// One TA lifecycle and one group pipeline for the one device TA.
 // Attestation, key rotation, model update, sealed-weights unsealing and
 // the HE tail step are one component (taLifecycle); the classify and
 // relay steps, the sealed channel to the cloud and the record log another
-// (taPipeline); both are embedded by the voice and camera TAs, and one
-// normal-world management client (taClient) lives in the device shell.
-// The TAs differ in their taProfile, in whether they build a per-device
-// classifier, and in their peripheral's capture and relay policy.
+// (taPipeline); DeviceTA embeds both, and one normal-world management
+// client (taClient) lives in the device shell. A speaker's TA and a
+// doorbell's differ only in their taProfile: identity, sealed storage,
+// key derivation and the peripheral's stages.
 
 import (
 	"encoding/binary"
@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/asr"
 	"repro/internal/attest"
 	"repro/internal/cloud"
 	"repro/internal/he"
@@ -24,21 +25,16 @@ import (
 	"repro/internal/obs"
 	"repro/internal/optee"
 	"repro/internal/relay"
+	"repro/internal/sensitive"
 	"repro/internal/teec"
 	"repro/internal/tz"
 )
 
-// lifecycleCmds are a TA's command IDs for the three lifecycle commands;
-// the parameter layouts are CmdAttest's, CmdUpdateModel's and
-// CmdRotateKey's for every TA.
-type lifecycleCmds struct{ attest, update, rotate uint32 }
-
-// taProfile is what tells the device TAs' lifecycles apart.
+// taProfile is what tells a speaker's device TA from a doorbell's.
 type taProfile struct {
 	name string // error prefix
 	uuid string
 	code attest.Digest // measured code identity
-	cmds lifecycleCmds
 	// Sealed-storage objects: the current classifier weights, the
 	// key-epoch record, the HE secret key (ModeHybridHE), and the prefix
 	// of a provisioned model pack's versioned object.
@@ -50,25 +46,32 @@ type taProfile struct {
 	// stream NewSeedReader(seed^keySalt, seed+keyStream).
 	huk                string
 	keySalt, keyStream uint64
+	// streamPTA is the PTA whose capture stream runs while any session
+	// to the TA is open, started with CmdPTAStart by the first session
+	// and stopped with CmdPTAStop by the last ("" for a peripheral that
+	// captures on demand, whose session opens cost nothing).
+	streamPTA string
+	stages    *taStages
 }
 
-func newTAProfile(name, prefix, uuid string, cmds lifecycleCmds, image bool, huk string, keySalt, keyStream uint64) *taProfile {
+func newTAProfile(name, prefix, uuid string, image bool, huk string, keySalt, keyStream uint64, streamPTA string, stages *taStages) *taProfile {
 	return &taProfile{
-		name: name, uuid: uuid, code: attest.MeasureCode("periguard", uuid), cmds: cmds,
+		name: name, uuid: uuid, code: attest.MeasureCode("periguard", uuid),
 		weightsID:  prefix + "/classifier-weights",
 		keyEpochID: prefix + "/key-epoch",
 		heKeyID:    prefix + "/he-secret-key",
 		packPrefix: prefix + "/model-pack-v",
 		image:      image,
 		huk:        huk, keySalt: keySalt, keyStream: keyStream,
+		streamPTA: streamPTA, stages: stages,
 	}
 }
 
 var (
-	voiceProfile = newTAProfile("voice ta", "voice-ta", UUIDVoiceTA,
-		lifecycleCmds{CmdAttest, CmdUpdateModel, CmdRotateKey}, false, "device-huk-%d", 0xc10d, 77)
-	cameraProfile = newTAProfile("camera ta", "camera-ta", UUIDCameraTA,
-		lifecycleCmds{CmdCameraAttest, CmdCameraUpdateModel, CmdCameraRotateKey}, true, "device-huk-cam-%d", 0xcafe, 3)
+	voiceProfile = newTAProfile("voice ta", "voice-ta", UUIDVoiceTA, false, "device-huk-%d", 0xc10d, 77,
+		UUIDDriverPTA, &voiceStages)
+	cameraProfile = newTAProfile("camera ta", "camera-ta", UUIDDoorbellTA, true, "device-huk-cam-%d", 0xcafe, 3,
+		"", &frameStages)
 )
 
 // packID is the secure-storage id of the provisioned pack of a version.
@@ -76,9 +79,9 @@ func (p *taProfile) packID(version uint64) string {
 	return fmt.Sprintf("%s%d", p.packPrefix, version)
 }
 
-// TAConfig wires what every device TA takes: the TEE it runs in, its
-// sealed storage, the virtual clock and cost model, and the lifecycle's
-// boot state.
+// TAConfig wires the device TA: the TEE it runs in, its sealed storage,
+// the virtual clock and cost model, the lifecycle's boot state, its
+// relay identity and, on a speaker, the speech pipeline.
 type TAConfig struct {
 	TEE     *optee.OS
 	Storage *optee.Storage
@@ -97,20 +100,24 @@ type TAConfig struct {
 	// parameter set the fleet's key pair uses.
 	Hybrid   bool
 	HEParams he.Params
-}
+	// Identity is the TA's relay identity and CloudPub the cloud key its
+	// sealed channel is keyed to.
+	Identity *relay.Identity
+	CloudPub []byte
+	// Filter runs the classify stage (false only on a secure-nofilter
+	// speaker, which seals no weights and builds no classifier).
+	Filter bool
+	// sharedClassify marks a TA whose classify stage runs in a shared
+	// cross-device scheduler (Config.SharedClassify): verdicts arrive
+	// through CmdResumeBatch, and no per-device classifier is built.
+	sharedClassify bool
 
-// classifierBuilder makes a TA's classifier skeleton for a model seed
-// (the lifecycle restores sealed or delivered weights into it) and splits
-// off a classifier's in-TA hybrid tail.
-type classifierBuilder interface {
-	newClassifier(seed uint64) (*classify.Classifier, error)
-	splitTail(clf *classify.Classifier) (tailPredictor, *layers.Sequential, error)
-}
-
-// tailPredictor is the in-TA half of a classifier's hybrid split
-// (classify.TextSplit or classify.ImageSplit).
-type tailPredictor interface {
-	TailPredict(data []float32, shape []int) (int, error)
+	// The speaker's speech stages: the in-TEE recognizer, the text
+	// classifier's architecture and vocabulary, and the relay policy.
+	Recognizer *asr.Session
+	Arch       classify.Arch
+	Vocab      *sensitive.Vocabulary
+	Policy     relay.Policy
 }
 
 // taLifecycle is the attestation, key-rotation, model-update and
@@ -118,18 +125,7 @@ type tailPredictor interface {
 // lifecycle costs a device build no allocation.
 type taLifecycle struct {
 	profile *taProfile
-	storage *optee.Storage
-	clock   *tz.Clock
-	cost    tz.CostModel
-	// build makes the per-device classifier; nil for a TA that runs none
-	// (a no-filter speaker, or one whose classify stage is shared), whose
-	// loadedClassifier is ErrBadState and whose updates rebuild nothing.
-	build classifierBuilder
-	// sealWeights marks a TA whose updates seal the pack's weights as its
-	// current weights (every TA but a no-filter speaker).
-	sealWeights bool
-	hybrid      bool
-	heParams    he.Params
+	cfg     *TAConfig // the embedding TA's
 
 	// mu guards the swappable state below; it is the lifecycle's own
 	// lock, separate from the embedding TA's.
@@ -144,10 +140,8 @@ type taLifecycle struct {
 // key-epoch record left by an earlier instance's rotation is restored,
 // so a TA restart resumes signing at the rotated epoch instead of
 // falling back to the provisioning key.
-func (l *taLifecycle) initLifecycle(p *taProfile, cfg TAConfig, build classifierBuilder, sealWeights bool) {
-	l.profile, l.storage, l.clock, l.cost = p, cfg.Storage, cfg.Clock, cfg.Cost
-	l.build, l.sealWeights = build, sealWeights
-	l.hybrid, l.heParams = cfg.Hybrid, cfg.HEParams
+func (l *taLifecycle) initLifecycle(p *taProfile, cfg *TAConfig) {
+	l.profile, l.cfg = p, cfg
 	l.attestor = cfg.Attestor
 	if l.attestor != nil {
 		if blob, err := cfg.Storage.Get(p.keyEpochID); err == nil && len(blob) >= 8 {
@@ -169,12 +163,12 @@ func (l *taLifecycle) rejected(op string, err error) error {
 	return fmt.Errorf("%w: %s %s: %w", optee.ErrBadParam, l.profile.name, op, err)
 }
 
-// invokeLifecycle serves the three lifecycle commands under the TA's own
-// command IDs; any other command is rejected.
+// invokeLifecycle serves the three lifecycle commands; any other command
+// is rejected.
 func (l *taLifecycle) invokeLifecycle(cmd uint32, params *optee.Params) error {
 	name := l.profile.name
 	switch cmd {
-	case l.profile.cmds.attest:
+	case CmdAttest:
 		if params[0].Type != optee.MemrefIn || len(params[0].Buf) != len(attest.Nonce{}) {
 			return fmt.Errorf("%w: %s attest needs a %d-byte MemrefIn nonce", optee.ErrBadParam, name, len(attest.Nonce{}))
 		}
@@ -193,7 +187,7 @@ func (l *taLifecycle) invokeLifecycle(cmd uint32, params *optee.Params) error {
 		params[2].Type = optee.ValueOut
 		params[2].A = uint64(len(blob))
 		return nil
-	case l.profile.cmds.update:
+	case CmdUpdateModel:
 		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
 			return fmt.Errorf("%w: %s update needs a MemrefIn pack", optee.ErrBadParam, name)
 		}
@@ -207,7 +201,7 @@ func (l *taLifecycle) invokeLifecycle(cmd uint32, params *optee.Params) error {
 		params[2].Type = optee.ValueOut
 		params[2].A = version
 		return nil
-	case l.profile.cmds.rotate:
+	case CmdRotateKey:
 		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
 			return fmt.Errorf("%w: %s rotate needs a MemrefIn token", optee.ErrBadParam, name)
 		}
@@ -257,7 +251,7 @@ func (l *taLifecycle) attestReport(nonce attest.Nonce) (attest.Report, error) {
 	}
 	// HMAC evidence over the measurement (~1k cycles of SHA-256 on a
 	// NEON-class core, rounded up for the report assembly).
-	l.clock.Advance(2000)
+	l.cfg.Clock.Advance(2000)
 	return attestor.Attest(nonce, m), nil
 }
 
@@ -284,9 +278,9 @@ func (l *taLifecycle) rotateKey(tokenBytes []byte) (uint64, error) {
 	}
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], next.Epoch())
-	l.storage.Put(l.profile.keyEpochID, rec[:])
+	l.cfg.Storage.Put(l.profile.keyEpochID, rec[:])
 	// MAC verification plus one HMAC key derivation; see attestReport.
-	l.clock.Advance(4000)
+	l.cfg.Clock.Advance(4000)
 	l.attestor = next
 	return next.Epoch(), nil
 }
@@ -322,7 +316,7 @@ func (l *taLifecycle) updateModel(packBytes, tokenBytes []byte) (uint64, error) 
 	// classify stage runs the pack's weights in the scheduler instead.
 	// The pack is still verified, sealed and version-advanced below.
 	var clf *classify.Classifier
-	if l.build != nil {
+	if l.buildsClassifier() {
 		if clf, err = l.buildClassifier(pack.ModelSeed, weights); err != nil {
 			return 0, l.rejected("update", err)
 		}
@@ -341,24 +335,30 @@ func (l *taLifecycle) updateModel(packBytes, tokenBytes []byte) (uint64, error) 
 	}
 	// Persist through sealed storage: the versioned pack for provenance,
 	// and the current-weights object the next unseal picks up.
-	l.storage.Put(l.profile.packID(pack.Version), packBytes)
-	if l.sealWeights {
-		l.storage.Put(l.profile.weightsID, weights)
+	l.cfg.Storage.Put(l.profile.packID(pack.Version), packBytes)
+	if l.cfg.Filter {
+		l.cfg.Storage.Put(l.profile.weightsID, weights)
 	}
 	if clf != nil {
 		l.classifier = clf
 	}
 	// Charge the copy+seal of the pack through the TEE.
-	l.clock.Advance(tz.Cycles(len(packBytes)) * l.cost.CopyPerByte)
+	l.cfg.Clock.Advance(tz.Cycles(len(packBytes)) * l.cfg.Cost.CopyPerByte)
 	l.modelVersion = pack.Version
 	l.modelSeed = pack.ModelSeed
 	return pack.Version, nil
 }
 
+// buildsClassifier reports whether the TA runs a per-device classifier:
+// a no-filter speaker runs none, nor does one whose classify stage is
+// shared. Such a TA's loadedClassifier is ErrBadState, and its updates
+// rebuild nothing.
+func (l *taLifecycle) buildsClassifier() bool { return l.cfg.Filter && !l.cfg.sharedClassify }
+
 // buildClassifier makes the classifier skeleton for a model seed and
 // restores the given serialized weights into it.
 func (l *taLifecycle) buildClassifier(seed uint64, blob []byte) (*classify.Classifier, error) {
-	clf, err := l.build.newClassifier(seed)
+	clf, err := l.profile.stages.newClassifier(l.cfg, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +373,7 @@ func (l *taLifecycle) buildClassifier(seed uint64, blob []byte) (*classify.Class
 // updateModel swaps the pointer directly). Deferring the unseal to first
 // use keeps management sessions lightweight.
 func (l *taLifecycle) loadedClassifier() (*classify.Classifier, error) {
-	if l.build == nil {
+	if !l.buildsClassifier() {
 		return nil, fmt.Errorf("%w: %s runs no per-device classifier", optee.ErrBadState, l.profile.name)
 	}
 	l.mu.Lock()
@@ -382,7 +382,7 @@ func (l *taLifecycle) loadedClassifier() (*classify.Classifier, error) {
 	if clf != nil {
 		return clf, nil
 	}
-	blob, err := l.storage.Get(l.profile.weightsID)
+	blob, err := l.cfg.Storage.Get(l.profile.weightsID)
 	if err != nil {
 		return nil, fmt.Errorf("%s weights: %w", l.profile.name, err)
 	}
@@ -405,7 +405,7 @@ type heTail struct {
 	clock *tz.Clock
 	sk    he.SecretKey
 	eval  he.Evaluator
-	tail  tailPredictor
+	tail  *layers.Sequential
 	macs  int
 }
 
@@ -414,18 +414,18 @@ type heTail struct {
 // read happens per handoff, as the weights object is the unit of
 // sealed-storage traffic.
 func (l *taLifecycle) heHandoff() (heTail, error) {
-	h := heTail{name: l.profile.name, clock: l.clock}
-	if !l.hybrid {
+	h := heTail{name: l.profile.name, clock: l.cfg.Clock}
+	if !l.cfg.Hybrid {
 		return h, fmt.Errorf("%w: %s HE handoff outside hybrid mode", optee.ErrBadState, h.name)
 	}
-	blob, err := l.storage.Get(l.profile.heKeyID)
+	blob, err := l.cfg.Storage.Get(l.profile.heKeyID)
 	if err != nil {
 		return h, fmt.Errorf("%s he key: %w", h.name, err)
 	}
 	if h.sk, err = he.ParseSecretKey(blob); err != nil {
 		return h, fmt.Errorf("%s he key: %w", h.name, err)
 	}
-	eval, err := he.NewEvaluator(l.heParams, l.clock, l.cost)
+	eval, err := he.NewEvaluator(l.cfg.HEParams, l.cfg.Clock, l.cfg.Cost)
 	if err != nil {
 		return h, fmt.Errorf("%s he eval: %w", h.name, err)
 	}
@@ -434,11 +434,11 @@ func (l *taLifecycle) heHandoff() (heTail, error) {
 	if err != nil {
 		return h, err
 	}
-	tail, seq, err := l.build.splitTail(clf)
+	tail, err := classify.SplitTail(clf)
 	if err != nil {
 		return h, fmt.Errorf("%s he split: %w", h.name, err)
 	}
-	h.tail, h.macs = tail, 2*layers.ParamCount([]layers.Layer{seq})
+	h.tail, h.macs = tail, 2*layers.ParamCount([]layers.Layer{tail})
 	return h, nil
 }
 
@@ -455,7 +455,7 @@ func (h *heTail) classify(blob []byte) (flagged bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("%w: %s he: %w", optee.ErrBadParam, h.name, err)
 	}
-	cls, err := h.tail.TailPredict(data, shape)
+	cls, err := classify.PredictTail(h.tail, data, shape)
 	if err != nil {
 		return false, fmt.Errorf("%w: %s he tail: %w", optee.ErrBadParam, h.name, err)
 	}
@@ -508,12 +508,12 @@ func (o *RelayOutcome) verdict() obs.Verdict {
 	return obs.VerdictDelivered
 }
 
-// itemRecord is what a device TA records of every item it processed,
-// whatever its peripheral: the verdict, the relay outcome, the stage
-// cycles, the captured bytes and the classify pass's occupancy.
-// ProcessedUtterance and ProcessedFrame embed it; the group steps and the
-// normal world's completion step read and write only this part.
-type itemRecord struct {
+// ItemRecord is what the device TA records of every item it processed,
+// utterance or frame: the verdict, the relay outcome, the stage cycles,
+// the captured bytes, the classify pass's occupancy and, for an
+// utterance, what the TA heard. It never leaves the secure world;
+// experiments read it as trusted instrumentation.
+type ItemRecord struct {
 	Flagged bool
 	RelayOutcome
 	Stages StageCycles
@@ -526,27 +526,20 @@ type itemRecord struct {
 	// cross-device flush size when a shared scheduler classified it (0
 	// when the filter did not run).
 	ClassifyBatch int
+	// Transcript is what the speaker's TA transcribed and Redacted the
+	// tokens its policy removed; a frame leaves both empty.
+	Transcript []string
+	Redacted   int
 }
 
-func (r *itemRecord) item() *itemRecord { return r }
-
-// groupItem is a device TA's record type, *ProcessedUtterance or
-// *ProcessedFrame, as the shared steps reach its itemRecord.
-type groupItem[T any] interface {
-	*T
-	item() *itemRecord
-}
-
-// taPipeline is what both device TAs run a processing command through: a
-// group of records (a frame command is a group of one) goes through the
-// inline or HE classify step and then the relay step, which seals
-// survivors over the TA's channel to the cloud (Fig. 1 steps 6–7) and
-// records the group in the TA's log.
-type taPipeline[T any, P groupItem[T]] struct {
-	taRecords[T]
+// taPipeline is what the device TA runs a processing command through: a
+// group of records goes through the inline or HE classify step and then
+// the relay step, which seals survivors over the TA's channel to the
+// cloud (Fig. 1 steps 6–7) and records the group in the TA's log.
+type taPipeline struct {
+	taRecords[ItemRecord]
 	name      string
-	tee       *optee.OS
-	clock     *tz.Clock
+	cfg       *TAConfig // the embedding TA's
 	channel   *relay.Channel
 	messageID atomic.Uint64
 }
@@ -587,28 +580,29 @@ func (r *taRecords[T]) since(n int) []T {
 	return r.recs[n:len(r.recs):len(r.recs)]
 }
 
-// initPipeline opens the TA's channel under id to the cloud key cloudPub.
-func (p *taPipeline[T, P]) initPipeline(name string, tee *optee.OS, clock *tz.Clock, id *relay.Identity, cloudPub []byte) error {
-	ch, err := relay.NewChannel(id, cloudPub, true)
+// initPipeline opens the TA's channel under its relay identity to the
+// cloud key.
+func (p *taPipeline) initPipeline(name string, cfg *TAConfig) error {
+	ch, err := relay.NewChannel(cfg.Identity, cfg.CloudPub, true)
 	if err != nil {
 		return fmt.Errorf("%s channel: %w", name, err)
 	}
-	p.name, p.tee, p.clock, p.channel = name, tee, clock, ch
+	p.name, p.cfg, p.channel = name, cfg, ch
 	return nil
 }
 
 // classifyInline is the inline classify step: one forward pass over the
 // group's features, charged at 4 MACs/cycle (NEON-class SIMD) per sample
 // and attributed evenly across the records.
-func (p *taPipeline[T, P]) classifyInline(clf *classify.Classifier, recs []T, batch [][]float32) error {
+func (p *taPipeline) classifyInline(clf *classify.Classifier, recs []ItemRecord, batch [][]float32) error {
 	classes, err := clf.PredictBatch(batch)
 	if err != nil {
 		return fmt.Errorf("%s classify: %w", p.name, err)
 	}
 	spent := tz.Cycles(clf.EstimateMACs() * len(batch) / 4)
-	p.clock.Advance(spent)
+	p.cfg.Clock.Advance(spent)
 	for i, cls := range classes {
-		r := P(&recs[i]).item()
+		r := &recs[i]
 		r.Flagged = cls == 1
 		r.ClassifyBatch = len(batch)
 		r.Stages.Classify = spent / tz.Cycles(len(recs))
@@ -619,43 +613,28 @@ func (p *taPipeline[T, P]) classifyInline(clf *classify.Classifier, recs []T, ba
 // classifyHE is the HE classify step: decrypt and tail-classify each
 // record's provider-evaluated ciphertext under l's sealed secret key,
 // attributing each item its own decrypt and tail.
-func (p *taPipeline[T, P]) classifyHE(l *taLifecycle, recs []T, blobs [][]byte) error {
+func (p *taPipeline) classifyHE(l *taLifecycle, recs []ItemRecord, blobs [][]byte) error {
 	h, err := l.heHandoff()
 	if err != nil {
 		return err
 	}
 	for i := range recs {
-		start := p.clock.Now()
+		start := p.cfg.Clock.Now()
 		flagged, err := h.classify(blobs[i])
 		if err != nil {
 			return fmt.Errorf("item %d: %w", i, err)
 		}
-		r := P(&recs[i]).item()
+		r := &recs[i]
 		r.Flagged = flagged
 		r.ClassifyBatch = len(recs)
-		r.Stages.Classify = p.clock.Now() - start
+		r.Stages.Classify = p.cfg.Clock.Now() - start
 	}
-	return nil
-}
-
-// relayGroup is the last step: relay applies the TA's policy to each
-// classified record and seals a survivor through relayEvent; the step
-// times each relay and records the group as processed.
-func (p *taPipeline[T, P]) relayGroup(recs []T, relay func(P) error) error {
-	for i := range recs {
-		start := p.clock.Now()
-		if err := relay(P(&recs[i])); err != nil {
-			return fmt.Errorf("item %d: %w", i, err)
-		}
-		P(&recs[i]).item().Stages.Relay = p.clock.Now() - start
-	}
-	p.record(recs...)
 	return nil
 }
 
 // relayEvent numbers, seals and sends ev through the supplicant,
 // recording the outcome in out, and verifies the cloud's directive.
-func (p *taPipeline[T, P]) relayEvent(ev relay.Event, out *RelayOutcome) error {
+func (p *taPipeline) relayEvent(ev relay.Event, out *RelayOutcome) error {
 	ev.MessageID = p.messageID.Add(1)
 	payload, err := relay.EncodeEvent(ev)
 	if err != nil {
@@ -663,7 +642,7 @@ func (p *taPipeline[T, P]) relayEvent(ev relay.Event, out *RelayOutcome) error {
 	}
 	sealed := p.channel.Seal(payload)
 	out.SealedSize = len(sealed)
-	resp, err := p.tee.RPC(optee.RPCRequest{Kind: optee.RPCNetSend, Target: CloudTarget, Payload: sealed})
+	resp, err := p.cfg.TEE.RPC(optee.RPCRequest{Kind: optee.RPCNetSend, Target: CloudTarget, Payload: sealed})
 	if err := out.admit(err); err != nil {
 		return fmt.Errorf("%s relay: %w", p.name, err)
 	}
@@ -678,13 +657,11 @@ func (p *taPipeline[T, P]) relayEvent(ev relay.Event, out *RelayOutcome) error {
 
 // taClient is the normal-world management client of one device TA: it
 // attests, updates the model and rotates the key over short-lived
-// sessions under the TA's UUID and command IDs. A system with no TA
-// (baseline) holds a zero client, which refuses with ErrNoTEE and reads
-// version and epoch 0.
+// sessions under the TA's UUID. A system with no TA (baseline) holds a
+// zero client, which refuses with ErrNoTEE and reads version and epoch 0.
 type taClient struct {
-	tee     *optee.OS
-	profile *taProfile
-	ta      *taLifecycle
+	tee *optee.OS
+	ta  *taLifecycle
 }
 
 // withTA runs fn over a short-lived session to the TA. The TA keeps its
@@ -696,9 +673,9 @@ func (c *taClient) withTA(fn func(sess *teec.Session) error) error {
 		return ErrNoTEE
 	}
 	ctx := teec.InitializeContext(c.tee)
-	sess, err := ctx.OpenSession(c.profile.uuid)
+	sess, err := ctx.OpenSession(c.ta.profile.uuid)
 	if err != nil {
-		return fmt.Errorf("%s session: %w", c.profile.name, err)
+		return fmt.Errorf("%s session: %w", c.ta.profile.name, err)
 	}
 	defer func() { _ = ctx.FinalizeContext() }()
 	return fn(sess)
@@ -716,7 +693,7 @@ func (c *taClient) Attest(nonce attest.Nonce) (attest.Report, error) {
 			{Type: optee.MemrefOut, Buf: buf},
 			{},
 		}
-		if err := sess.InvokeCommand(c.profile.cmds.attest, p); err != nil {
+		if err := sess.InvokeCommand(CmdAttest, p); err != nil {
 			return err
 		}
 		got, err := attest.UnmarshalReport(buf[:p[2].A])
@@ -738,7 +715,7 @@ func (c *taClient) UpdateModel(pack attest.Pack, tok attest.ManifestToken) error
 			{Type: optee.MemrefIn, Buf: tok.Marshal()},
 			{},
 		}
-		return sess.InvokeCommand(c.profile.cmds.update, p)
+		return sess.InvokeCommand(CmdUpdateModel, p)
 	})
 }
 
@@ -749,7 +726,7 @@ func (c *taClient) RotateKey(tok attest.RotationToken) (uint64, error) {
 	var epoch uint64
 	err := c.withTA(func(sess *teec.Session) error {
 		p := &optee.Params{{Type: optee.MemrefIn, Buf: tok.Marshal()}, {}}
-		if err := sess.InvokeCommand(c.profile.cmds.rotate, p); err != nil {
+		if err := sess.InvokeCommand(CmdRotateKey, p); err != nil {
 			return err
 		}
 		epoch = p[1].A

@@ -10,7 +10,7 @@ import (
 )
 
 // TestRotateKeySealsEpochAndReattests: the TA redeems a rotation token
-// (CmdRotateKey, CmdCameraRotateKey), seals the new epoch next to its
+// (CmdRotateKey, under either profile), seals the new epoch next to its
 // model weights, and signs subsequent evidence under the new epoch key —
 // while a handshake minted before the rotation still verifies inside the
 // grace window.

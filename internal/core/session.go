@@ -42,7 +42,7 @@ func (ss *SnoopSummary) add(got kernel.SnoopResult) {
 // the utterance's cycles.
 type UtteranceOutcome struct {
 	Truth sensitive.Utterance
-	ProcessedUtterance
+	ItemRecord
 	Cycles tz.Cycles
 }
 
@@ -203,11 +203,11 @@ func (s *System) finalizeSession(res *SessionResult, startCycles tz.Cycles) {
 // the admission verdict: a withheld item ends at classify (blocked), a
 // forwarded one at relay (delivered, shed or expired). Only sizes,
 // timings and verdicts are exported — never transcripts or pixels.
-func completeGroup[T any, P groupItem[T]](s *deviceShell, anchor tz.Cycles, recs []T, outcome func(i int, rec T), snoop *SnoopSummary, buf uint64, n int) {
+func completeGroup(s *deviceShell, anchor tz.Cycles, recs []ItemRecord, outcome func(i int, rec ItemRecord), snoop *SnoopSummary, buf uint64, n int) {
 	tc := s.trace
 	t := anchor
 	for i := range recs {
-		rec := P(&recs[i]).item()
+		rec := &recs[i]
 		if tc.Enabled() {
 			tc.NextItem()
 			tc.Emit(obs.StageCapture, obs.VerdictNone, t, rec.Stages.Capture, rec.CaptureBytes, 0)

@@ -89,15 +89,15 @@ type secureSpec struct {
 
 // buildSecureWorld wires OP-TEE, the supplicant, sealed storage, the
 // hybrid split's HE keys and provider, the sealed cloud endpoint and its
-// handshake with the TA's relay identity. It returns the TA's config and
-// that identity; the peripheral registers its PTA and TA.
-func (s *deviceShell) buildSecureWorld(p *taProfile, spec secureSpec) (TAConfig, *relay.Identity, error) {
+// handshake with the TA's relay identity. It returns the TA's config;
+// the peripheral fills in its stages' own and registers its PTA and TA.
+func (s *deviceShell) buildSecureWorld(p *taProfile, spec secureSpec) (TAConfig, error) {
 	s.TEE = optee.New(s.Monitor, s.Platform.SecureHeap)
 	s.Supplicant = supplicant.New(s.Clock, s.Cost)
 	s.TEE.SetRPCHandler(s.Supplicant)
 	storage, err := optee.NewStorage([]byte(fmt.Sprintf(p.huk, spec.seed)))
 	if err != nil {
-		return TAConfig{}, nil, fmt.Errorf("core storage: %w", err)
+		return TAConfig{}, fmt.Errorf("core storage: %w", err)
 	}
 	s.Storage = storage
 	if spec.weights != nil {
@@ -116,16 +116,16 @@ func (s *deviceShell) buildSecureWorld(p *taProfile, spec secureSpec) (TAConfig,
 		cfg.HEParams = he.DefaultParams()
 		kp, err := he.KeyGen(cfg.HEParams, spec.modelSeed)
 		if err != nil {
-			return cfg, nil, fmt.Errorf("core he keygen: %w", err)
+			return cfg, fmt.Errorf("core he keygen: %w", err)
 		}
 		storage.Put(p.heKeyID, kp.Secret.Marshal())
 		s.HEPub = kp.Public
 		if s.HEEval, err = he.NewEvaluator(cfg.HEParams, s.Clock, s.Cost); err != nil {
-			return cfg, nil, fmt.Errorf("core he evaluator: %w", err)
+			return cfg, fmt.Errorf("core he evaluator: %w", err)
 		}
 		providerEval, err := he.NewEvaluator(cfg.HEParams, s.Clock, s.Cost)
 		if err != nil {
-			return cfg, nil, fmt.Errorf("core he provider: %w", err)
+			return cfg, fmt.Errorf("core he provider: %w", err)
 		}
 		s.HE = cloud.NewHEService(providerEval)
 	}
@@ -134,25 +134,26 @@ func (s *deviceShell) buildSecureWorld(p *taProfile, spec secureSpec) (TAConfig,
 	keyRand := NewSeedReader(spec.seed^p.keySalt, spec.seed+p.keyStream)
 	cloudID, err := relay.NewIdentity(keyRand)
 	if err != nil {
-		return cfg, nil, fmt.Errorf("core cloud id: %w", err)
+		return cfg, fmt.Errorf("core cloud id: %w", err)
 	}
 	s.CloudSealed = cloud.NewService(cloud.NewIdentity(cloudID))
 	s.endpoint = s.CloudSealed
 	s.Supplicant.Route(CloudTarget, s.CloudSealed)
 	taID, err := relay.NewIdentity(keyRand)
 	if err != nil {
-		return cfg, nil, fmt.Errorf("core ta id: %w", err)
+		return cfg, fmt.Errorf("core ta id: %w", err)
 	}
 	if err := s.CloudSealed.Handshake(taID.PublicKey()); err != nil {
-		return cfg, nil, err
+		return cfg, err
 	}
+	cfg.Identity, cfg.CloudPub = taID, s.CloudSealed.PublicKey()
 
 	// The attestation key lives with the TA: evidence is signed inside
 	// the TEE, never by the normal world.
 	if spec.attestKeySeed != 0 {
 		cfg.Attestor = attest.NewAttestor(spec.deviceID, attest.KeyFromSeed(spec.attestKeySeed))
 	}
-	return cfg, taID, nil
+	return cfg, nil
 }
 
 // SetTrace installs the device's telemetry trace context (nil clears).

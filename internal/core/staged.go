@@ -59,7 +59,7 @@ type StagedSession struct {
 	utterances []sensitive.Utterance
 	batch      int
 	// single marks a per-utterance session (RunSession): each group is
-	// one CmdProcessUtterance, and each outcome is timed over its whole
+	// one CmdProcessItem, and each outcome is timed over its whole
 	// round trip rather than by its TA stages.
 	single   bool
 	start    tz.Cycles
@@ -130,7 +130,7 @@ func (st *StagedSession) runGroup(sc *sessionScratch) error {
 		if err != nil {
 			return err
 		}
-		return st.invoke(pg, CmdResumeBatchHE, &optee.Params{{Type: optee.MemrefIn, Buf: blobs}, {}})
+		return st.invoke(pg, CmdResumeBatchHE, &optee.Params{{Type: optee.MemrefIn, Buf: blobs}, {}, {}})
 	}
 	pg, lens, err := st.queueNext(sc)
 	if err != nil {
@@ -140,7 +140,7 @@ func (st *StagedSession) runGroup(sc *sessionScratch) error {
 	// no shared-memory flush; a batched one passes the length table.
 	cmd, p := CmdProcessBatch, &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}}
 	if st.single {
-		cmd, p = CmdProcessUtterance, &optee.Params{{Type: optee.ValueIn, A: uint64(binary.LittleEndian.Uint32(lens))}, {}}
+		cmd, p = CmdProcessItem, &optee.Params{{Type: optee.ValueIn, A: uint64(binary.LittleEndian.Uint32(lens))}, {}}
 	}
 	return st.invoke(pg, cmd, p)
 }
@@ -255,8 +255,8 @@ func (st *StagedSession) invoke(pg *PendingGroup, cmd uint32, p *optee.Params) e
 	if len(records) != pg.Size() {
 		return fmt.Errorf("%d records for %d utterances", len(records), pg.Size())
 	}
-	completeGroup(&s.deviceShell, pg.groupStart, records, func(i int, rec ProcessedUtterance) {
-		out := UtteranceOutcome{Truth: pg.truths[i], ProcessedUtterance: rec, Cycles: rec.Stages.Total()}
+	completeGroup(&s.deviceShell, pg.groupStart, records, func(i int, rec ItemRecord) {
+		out := UtteranceOutcome{Truth: pg.truths[i], ItemRecord: rec, Cycles: rec.Stages.Total()}
 		if st.single {
 			out.Cycles = s.Clock.Now() - pg.groupStart
 		}

@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/asr"
 	"repro/internal/audio"
 	"repro/internal/driver"
 	"repro/internal/i2s"
 	"repro/internal/ml/classify"
-	"repro/internal/ml/layers"
 	"repro/internal/optee"
 	"repro/internal/relay"
-	"repro/internal/sensitive"
 	"repro/internal/tz"
 )
 
@@ -120,16 +117,21 @@ func (p *DriverPTA) stop() error {
 	return p.drv.Close()
 }
 
-// VoiceTA commands.
+// The device TA's command table, one for every profile. A command the
+// profile's peripheral cannot serve is rejected with ErrBadState, and an
+// ID outside the table with ErrBadParam.
 const (
-	// CmdProcessUtterance captures params[0].A bytes of audio through the
-	// PTA, transcribes, (optionally) classifies and filters, and relays
-	// the result. Outputs: params[1] ValueOut A=forwarded(0/1) B=redacted.
-	CmdProcessUtterance uint32 = 0x20
-	// CmdProcessBatch processes several queued utterances in ONE TA
+	// CmdProcessItem captures one item of params[0].A (ValueIn) wire bytes
+	// through the peripheral's PTA — an utterance, or a frame of exactly
+	// 576 bytes — classifies and filters it, and relays the result.
+	// Outputs: params[1] ValueOut A=forwarded(0/1) B=redacted. An item
+	// the peripheral does not hold (audio never pumped, an empty sensor)
+	// is ErrBadParam.
+	CmdProcessItem uint32 = 0x20
+	// CmdProcessBatch processes several queued items in ONE TA
 	// invocation, amortizing the world-switch round trip and batching the
 	// classifier forward pass across the queue. params[0] is a MemrefIn of
-	// little-endian uint32 utterance byte lengths; outputs: params[1]
+	// little-endian uint32 item byte lengths; outputs: params[1]
 	// ValueOut A=forwarded count, B=total redacted tokens.
 	CmdProcessBatch uint32 = 0x21
 	// CmdAttest produces attestation evidence: params[0] is a MemrefIn
@@ -155,7 +157,7 @@ const (
 	// classification instead of classifying inline, so the calling thread
 	// can yield while the cross-device flush forms. params[0] is a
 	// MemrefIn of little-endian uint32 utterance byte lengths; params[1].A
-	// (ValueOut) returns the pending count.
+	// (ValueOut) returns the pending count. A speaker's command only.
 	CmdTranscribeBatch uint32 = 0x25
 	// CmdResumeBatch completes a staged batch with verdicts from the
 	// shared classifier: params[0] is a MemrefIn of 5 bytes per item
@@ -163,23 +165,27 @@ const (
 	// (ValueIn) the virtual cycles the classification waited. The TA
 	// charges the wait, applies the relay policy and forwards survivors.
 	// Outputs: params[2] ValueOut A=forwarded count, B=redacted tokens.
+	// A speaker's command only.
 	CmdResumeBatch uint32 = 0x26
-	// CmdResumeBatchHE completes a staged batch via the HE→TEE handoff
+	// CmdResumeBatchHE completes a group via the HE→TEE handoff
 	// (ModeHybridHE): params[0] is a MemrefIn of concatenated
 	// length-prefixed ciphertext blobs (little-endian uint32 byte length
-	// followed by the provider-evaluated HE layer output), one per
-	// staged utterance. The TA unseals the HE secret key from secure
-	// storage, decrypts each blob, runs the classifier's non-linear tail
-	// inside the TEE, applies the relay policy and forwards survivors.
-	// Outputs: params[1] ValueOut A=forwarded count, B=redacted tokens.
+	// followed by the provider-evaluated HE layer output), one per item.
+	// A speaker's items are the group CmdTranscribeBatch staged; a
+	// doorbell's are the frames the normal world captured, params[1] a
+	// MemrefIn of 576 bytes per blob. The TA unseals the HE secret key
+	// from secure storage, decrypts each blob, runs the classifier's
+	// non-linear tail inside the TEE, applies the relay policy and
+	// forwards survivors. Outputs: params[2] ValueOut A=forwarded count,
+	// B=redacted tokens.
 	CmdResumeBatchHE uint32 = 0x27
 )
 
-// MaxBatch bounds one CmdProcessBatch invocation; it keeps the batch's
+// MaxBatch bounds one group of items; it keeps a batch of utterances'
 // wire bytes comfortably inside the controller FIFO.
 const MaxBatch = 8
 
-// StageCycles decomposes one utterance's TEE processing time.
+// StageCycles decomposes one item's TEE processing time.
 type StageCycles struct {
 	Capture    tz.Cycles
 	Transcribe tz.Cycles
@@ -192,144 +198,159 @@ func (s StageCycles) Total() tz.Cycles {
 	return s.Capture + s.Transcribe + s.Classify + s.Relay
 }
 
-// ProcessedUtterance is the TA-side record of one handled utterance.
-// It never leaves the secure world; experiments read it as trusted
-// instrumentation.
-type ProcessedUtterance struct {
-	Transcript []string
-	itemRecord
-	Redacted int
+// taStages are the peripheral's own stages, which the device TA runs
+// its groups through: voiceStages for a speaker, frameStages for a
+// doorbell.
+type taStages struct {
+	// checkItem rejects an item byte count the peripheral cannot capture,
+	// before any of it is pulled.
+	checkItem func(n uint64) error
+	// capture pulls the group's items, of the given wire bytes, through
+	// the peripheral's PTA into the TA, filling their records' capture
+	// (and transcribe) stages (Fig. 1 steps 4–5).
+	capture func(t *DeviceTA, recs []ItemRecord, lengths []int) error
+	// featurize fills batch with the classifier input of each captured
+	// item.
+	featurize func(t *DeviceTA, clf *classify.Classifier, recs []ItemRecord, batch [][]float32)
+	// encode is the token sequence a shared classifier takes for a
+	// captured item; nil for a peripheral whose groups are never staged
+	// in the TA (CmdTranscribeBatch and CmdResumeBatch are ErrBadState).
+	encode func(t *DeviceTA, rec *ItemRecord) []int
+	// handIn takes the n items of an HE handoff that the normal world
+	// captured itself (CmdResumeBatchHE's params[1]); nil for a
+	// peripheral whose HE group is the one CmdTranscribeBatch staged.
+	handIn func(t *DeviceTA, n int, items optee.Param) error
+	// newClassifier makes the classifier skeleton for a model seed.
+	newClassifier func(cfg *TAConfig, seed uint64) (*classify.Classifier, error)
+	// relay applies the peripheral's relay policy to item i of a
+	// classified group and seals a survivor through relayEvent.
+	relay func(t *DeviceTA, i int, rec *ItemRecord) error
 }
 
-// VoiceTAConfig wires the TA's dependencies: the lifecycle and relay
-// inputs every device TA takes, plus the speech pipeline's own.
-type VoiceTAConfig struct {
-	TAConfig
-	Identity   *relay.Identity
-	CloudPub   []byte
-	Recognizer *asr.Session
-	Arch       classify.Arch
-	Vocab      *sensitive.Vocabulary
-	Policy     relay.Policy
-	Filter     bool // false = secure-nofilter mode
-	// sharedClassify marks a TA whose classify stage runs in a shared
-	// cross-device scheduler (Config.SharedClassify): verdicts arrive
-	// through CmdResumeBatch, and no per-device classifier is built.
-	sharedClassify bool
-}
-
-// VoiceTA is the trusted application of Fig. 1: it pulls audio from the
-// PTA, transcribes it, applies the ML filter, and relays sanitized events
-// through the supplicant to the cloud. Attestation, key rotation, model
-// update, the sealed classifier and the HE tail step are its embedded
-// taLifecycle, and the classify and relay steps, the sealed channel and
-// the record log its taPipeline, as in the camera TA.
-type VoiceTA struct {
+// DeviceTA is the trusted application of Fig. 1, for either peripheral:
+// it pulls items from its peripheral's PTA, featurizes and classifies
+// them, and relays sanitized events through the supplicant to the cloud.
+// Attestation, key rotation, model update, the sealed classifier and the
+// HE tail step are its embedded taLifecycle, and the classify and relay
+// steps, the sealed channel and the record log its taPipeline. What the
+// peripheral does — capture, featurize, classifier, relay policy — comes
+// from its taProfile's stages.
+type DeviceTA struct {
 	taLifecycle
-	taPipeline[ProcessedUtterance, *ProcessedUtterance]
-	cfg VoiceTAConfig
+	taPipeline
+	cfg TAConfig
 
 	mu    sync.Mutex
-	opens int // open-session refcount; capture runs while > 0
+	opens int // open-session refcount; a profile's stream runs while > 0
 	// Staged-batch state (CmdTranscribeBatch → CmdResumeBatch): records
 	// carrying the capture/transcribe halves and the encoded tokens
 	// awaiting the shared classifier. At most one staged batch is pending
-	// per TA.
-	pendingRecs   []ProcessedUtterance
+	// per TA, and it keeps its own records.
+	pendingRecs   []ItemRecord
 	pendingTokens [][]int
+
+	// Per-TA group scratch, grown lazily to the group size: invocations
+	// are serialized per device, so an inline group's records, its
+	// classifier input rows and a doorbell's frames are reused across
+	// commands. one and oneLen back a group of one without heap slices.
+	one    [1]ItemRecord
+	oneLen [1]int
+	group  []ItemRecord
+	batch  [][]float32
+	frames []byte
 }
 
-var _ optee.TA = (*VoiceTA)(nil)
+var _ optee.TA = (*DeviceTA)(nil)
 
-// NewVoiceTA constructs the TA (registered but not yet opened). A
-// no-filter TA seals no weights and builds no classifier; a
+// newDeviceTA constructs the TA of profile p (registered but not yet
+// opened). A no-filter TA seals no weights and builds no classifier; a
 // shared-classify TA seals an update's weights but builds none.
-func NewVoiceTA(cfg VoiceTAConfig) (*VoiceTA, error) {
-	t := &VoiceTA{cfg: cfg}
-	if err := t.initPipeline(voiceProfile.name, cfg.TEE, cfg.Clock, cfg.Identity, cfg.CloudPub); err != nil {
+func newDeviceTA(p *taProfile, cfg TAConfig) (*DeviceTA, error) {
+	t := &DeviceTA{cfg: cfg}
+	t.group = t.one[:]
+	if err := t.initPipeline(p.name, &t.cfg); err != nil {
 		return nil, err
 	}
-	var build classifierBuilder
-	if cfg.Filter && !cfg.sharedClassify {
-		build = t
-	}
-	t.initLifecycle(voiceProfile, cfg.TAConfig, build, cfg.Filter)
+	t.initLifecycle(p, &t.cfg)
 	return t, nil
 }
 
 // Open implements optee.TA. The TA is a single multi-session instance:
-// the first session starts the capture stream through the PTA; further
-// sessions (a management session attesting or updating the model while
-// a processing session is live) share the running instance, and capture
-// stops only when the last session closes. The refcount slot is
-// reserved before the side effects, so an interleaved Close of another
-// session can never observe a zero count while this one is opening.
-// Classifier unsealing is deferred to first classify
-// (loadedClassifier), keeping management sessions lightweight.
-func (t *VoiceTA) Open(sessionID uint32) error {
+// the first session starts the profile's capture stream (a speaker's,
+// through the driver PTA); further sessions (a management session
+// attesting or updating the model while a processing session is live)
+// share the running instance, and the stream stops only when the last
+// session closes. The refcount slot is reserved before the side effects,
+// so an interleaved Close of another session can never observe a zero
+// count while this one is opening. Classifier unsealing is deferred to
+// first classify (loadedClassifier), keeping management sessions
+// lightweight.
+func (t *DeviceTA) Open(sessionID uint32) error {
 	t.mu.Lock()
 	t.opens++
 	first := t.opens == 1
 	t.mu.Unlock()
-	if first {
-		if err := t.cfg.TEE.InvokeSecure(UUIDDriverPTA, CmdPTAStart, nil); err != nil {
+	if first && t.profile.streamPTA != "" {
+		if err := t.cfg.TEE.InvokeSecure(t.profile.streamPTA, CmdPTAStart, nil); err != nil {
 			t.mu.Lock()
 			t.opens--
 			t.mu.Unlock()
-			return fmt.Errorf("voice ta pta start: %w", err)
+			return fmt.Errorf("%s pta start: %w", t.profile.name, err)
 		}
 	}
 	return nil
 }
 
-// newClassifier makes the text-classifier skeleton for a model seed.
-func (t *VoiceTA) newClassifier(seed uint64) (*classify.Classifier, error) {
-	return classify.NewText(t.cfg.Arch, NewRNG(seed, seed^SaltClassifier), t.cfg.Vocab.Size(), 12)
-}
-
-// splitTail splits the text classifier's in-TA hybrid tail.
-func (t *VoiceTA) splitTail(clf *classify.Classifier) (tailPredictor, *layers.Sequential, error) {
-	split, err := classify.SplitText(clf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return split, split.Tail, nil
-}
-
 // Close implements optee.TA: the last session stops the capture stream.
-func (t *VoiceTA) Close(sessionID uint32) {
+func (t *DeviceTA) Close(sessionID uint32) {
 	t.mu.Lock()
 	if t.opens > 0 {
 		t.opens--
 	}
 	last := t.opens == 0
 	t.mu.Unlock()
-	if last {
-		_ = t.cfg.TEE.InvokeSecure(UUIDDriverPTA, CmdPTAStop, nil)
+	if last && t.profile.streamPTA != "" {
+		_ = t.cfg.TEE.InvokeSecure(t.profile.streamPTA, CmdPTAStop, nil)
 	}
 }
 
+// relayGroup is a group's last step: the profile's relay policy over
+// each classified record, sealing a survivor through relayEvent; each
+// relay is timed, and the group is recorded as processed.
+func (t *DeviceTA) relayGroup(recs []ItemRecord) error {
+	for i := range recs {
+		start := t.cfg.Clock.Now()
+		if err := t.profile.stages.relay(t, i, &recs[i]); err != nil {
+			return fmt.Errorf("item %d: %w", i, err)
+		}
+		recs[i].Stages.Relay = t.cfg.Clock.Now() - start
+	}
+	t.record(recs...)
+	return nil
+}
+
 // Invoke implements optee.TA.
-func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) error {
+func (t *DeviceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) error {
 	switch cmd {
-	case CmdProcessUtterance:
+	case CmdProcessItem:
 		if params[0].Type != optee.ValueIn {
-			return fmt.Errorf("%w: CmdProcessUtterance needs ValueIn bytes", optee.ErrBadParam)
+			return fmt.Errorf("%w: CmdProcessItem needs ValueIn bytes", optee.ErrBadParam)
 		}
 		if err := checkGroupBytes(params[0].A); err != nil {
 			return err
 		}
-		if err := checkUtteranceBytes(params[0].A); err != nil {
+		if err := t.profile.stages.checkItem(params[0].A); err != nil {
 			return err
 		}
-		recs, err := t.processBatch([]int{int(params[0].A)})
+		t.oneLen[0] = int(params[0].A)
+		recs, err := t.processBatch(t.oneLen[:])
 		if err != nil {
 			return err
 		}
 		tally(recs, &params[1])
 		return nil
 	case CmdProcessBatch:
-		lengths, err := decodeLengths(params[0])
+		lengths, err := t.decodeLengths(params[0])
 		if err != nil {
 			return fmt.Errorf("CmdProcessBatch: %w", err)
 		}
@@ -340,7 +361,10 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		tally(recs, &params[1])
 		return nil
 	case CmdTranscribeBatch:
-		lengths, err := decodeLengths(params[0])
+		if t.profile.stages.encode == nil {
+			return t.unstaged()
+		}
+		lengths, err := t.decodeLengths(params[0])
 		if err != nil {
 			return fmt.Errorf("CmdTranscribeBatch: %w", err)
 		}
@@ -351,6 +375,9 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		params[1].A = uint64(len(lengths))
 		return nil
 	case CmdResumeBatch:
+		if t.profile.stages.encode == nil {
+			return t.unstaged()
+		}
 		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 || len(params[0].Buf)%5 != 0 {
 			return fmt.Errorf("%w: CmdResumeBatch needs MemrefIn of 5-byte verdicts", optee.ErrBadParam)
 		}
@@ -371,15 +398,21 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		if err != nil {
 			return fmt.Errorf("%w: CmdResumeBatchHE: %v", optee.ErrBadParam, err)
 		}
-		recs, err := t.resumeBatchHE(blobs)
+		recs, err := t.resumeBatchHE(blobs, params[1])
 		if err != nil {
 			return err
 		}
-		tally(recs, &params[1])
+		tally(recs, &params[2])
 		return nil
 	default:
 		return t.invokeLifecycle(cmd, params)
 	}
+}
+
+// unstaged is the rejection of a staged command on a TA whose
+// peripheral stages no group.
+func (t *DeviceTA) unstaged() error {
+	return fmt.Errorf("%w: %s stages no group", optee.ErrBadState, t.profile.name)
 }
 
 // checkGroupBytes bounds one group's total wire bytes by the controller
@@ -394,20 +427,9 @@ func checkGroupBytes(total uint64) error {
 	return nil
 }
 
-// checkUtteranceBytes rejects an utterance length that is not a whole
-// number of I2S wire frames. Capture would drain the FIFO and only then
-// fail to decode, so the length is checked before any byte is pulled.
-func checkUtteranceBytes(n uint64) error {
-	if frame := uint64(i2s.DefaultFormat().FrameBytes()); n%frame != 0 {
-		return fmt.Errorf("%w: utterance of %d wire bytes is not a whole number of %d-byte frames",
-			optee.ErrBadParam, n, frame)
-	}
-	return nil
-}
-
 // decodeLengths parses a group's MemrefIn table of little-endian uint32
-// utterance byte lengths.
-func decodeLengths(p optee.Param) ([]int, error) {
+// item byte lengths, checking each against the peripheral.
+func (t *DeviceTA) decodeLengths(p optee.Param) ([]int, error) {
 	if p.Type != optee.MemrefIn || len(p.Buf) == 0 || len(p.Buf)%4 != 0 {
 		return nil, fmt.Errorf("%w: needs MemrefIn of uint32 lengths", optee.ErrBadParam)
 	}
@@ -418,7 +440,7 @@ func decodeLengths(p optee.Param) ([]int, error) {
 	var total uint64
 	for i := range lengths {
 		n := binary.LittleEndian.Uint32(p.Buf[4*i:])
-		if err := checkUtteranceBytes(uint64(n)); err != nil {
+		if err := t.profile.stages.checkItem(uint64(n)); err != nil {
 			return nil, err
 		}
 		lengths[i] = int(n)
@@ -432,7 +454,7 @@ func decodeLengths(p optee.Param) ([]int, error) {
 
 // tally writes a processed group's outcome to the caller's ValueOut
 // slot: A = forwarded count, B = total redacted tokens.
-func tally(recs []ProcessedUtterance, out *optee.Param) {
+func tally(recs []ItemRecord, out *optee.Param) {
 	*out = optee.Param{Type: optee.ValueOut}
 	for _, rec := range recs {
 		if rec.Forwarded {
@@ -442,146 +464,25 @@ func tally(recs []ProcessedUtterance, out *optee.Param) {
 	}
 }
 
-// taScratch is the reusable buffer set for one in-flight TA invocation:
-// capture accumulation, the PTA read chunk, and the decode pipeline's
-// sample buffers. Pooled so the batched path (CmdProcessBatch) processes
-// every queued utterance without per-item heap allocation, whichever TA
-// instance (device) is running — the pool is package-level because fleet
-// devices process in bounded worker pools, so a handful of scratch sets
-// serves thousands of devices.
-type taScratch struct {
-	pcmBytes []byte
-	chunk    []byte
-	samples  []int32
-	floats   []float64
+// scratchGroup returns the TA's inline group records for n items,
+// zeroed.
+func (t *DeviceTA) scratchGroup(n int) []ItemRecord {
+	if cap(t.group) < n {
+		t.group = make([]ItemRecord, n)
+	}
+	recs := t.group[:n]
+	clear(recs)
+	return recs
 }
 
-var taScratchPool = sync.Pool{
-	New: func() any { return &taScratch{chunk: make([]byte, 4096)} },
-}
-
-// captureStage pulls wantBytes of wire audio through the PTA into
-// TA-private buffers (Fig. 1 step 4). The returned slice belongs to the
-// scratch set and is valid until the scratch is released.
-func (t *VoiceTA) captureStage(sc *taScratch, wantBytes int) ([]byte, error) {
-	if cap(sc.pcmBytes) < wantBytes {
-		sc.pcmBytes = make([]byte, 0, wantBytes)
-	}
-	pcmBytes := sc.pcmBytes[:0]
-	idle := 0
-	for len(pcmBytes) < wantBytes {
-		p := &optee.Params{
-			{Type: optee.MemrefOut, Buf: sc.chunk[:min(len(sc.chunk), wantBytes-len(pcmBytes))]},
-			{},
-		}
-		if err := t.cfg.TEE.InvokeSecure(UUIDDriverPTA, CmdPTARead, p); err != nil {
-			return nil, fmt.Errorf("voice ta pta read: %w", err)
-		}
-		n := int(p[1].A)
-		if n == 0 {
-			idle++
-			if idle > 1000 {
-				// The normal world declared more audio than it pumped
-				// into the FIFO.
-				return nil, fmt.Errorf("%w: voice ta capture stalled at %d/%d bytes",
-					optee.ErrBadParam, len(pcmBytes), wantBytes)
-			}
-			continue
-		}
-		idle = 0
-		pcmBytes = append(pcmBytes, p[0].Buf[:n]...)
-	}
-	sc.pcmBytes = pcmBytes
-	return pcmBytes, nil
-}
-
-// transcribeStage decodes the wire bytes and runs the in-TEE recognizer
-// (Fig. 1 step 5). The recognizer's arithmetic is charged as the MFCC
-// front end (FFT + filterbank + DCT per 10 ms hop, ~6k cycles/frame on a
-// NEON-class core) plus template matching.
-func (t *VoiceTA) transcribeStage(sc *taScratch, pcmBytes []byte) ([]string, error) {
-	samples, err := i2s.DecodeFramesInto(sc.samples, pcmBytes, i2s.DefaultFormat())
-	if err != nil {
-		return nil, fmt.Errorf("voice ta decode: %w", err)
-	}
-	sc.samples = samples
-	if cap(sc.floats) < len(samples) {
-		sc.floats = make([]float64, len(samples))
-	}
-	floats := sc.floats[:len(samples)]
-	for i, s := range samples {
-		// int16 truncation then the FromInt16 scaling of the historical
-		// decode path, fused into one pass over pooled scratch.
-		floats[i] = float64(int16(s)) / 32768
-	}
-	pcm := audio.PCM{Rate: 16000, Samples: floats}
-	words, err := t.cfg.Recognizer.TranscribeWords(pcm)
-	if err != nil {
-		return nil, fmt.Errorf("voice ta asr: %w", err)
-	}
-	frames := len(pcm.Samples) / 160
-	t.cfg.Clock.Advance(tz.Cycles(frames)*6000 + tz.Cycles(t.cfg.Recognizer.MemoryBytes()/8))
-	return words, nil
-}
-
-// relayStage applies the filter policy and relays a surviving
-// transcript sealed (Fig. 1 steps 6–7).
-func (t *VoiceTA) relayStage(rec *ProcessedUtterance) error {
-	policy := t.cfg.Policy
-	if !t.cfg.Filter {
-		policy = relay.PolicyPassThrough
-	}
-	result, err := relay.ApplyPolicy(policy, rec.Flagged, rec.Transcript)
-	if err != nil {
-		return err
-	}
-	rec.Redacted = result.Redacted
-	if !result.Forward {
-		return nil
-	}
-	return t.relayEvent(relay.Event{
-		Namespace:  relay.NamespaceSpeech,
-		Name:       relay.NameTranscript,
-		Transcript: result.Tokens,
-		Redacted:   result.Redacted,
-	}, &rec.RelayOutcome)
-}
-
-// captureGroup is the pipeline's first step (Fig. 1 steps 4–5): capture
-// and transcribe each utterance of a group over one pooled scratch set,
-// so a group does not allocate capture or decode buffers per item.
-func (t *VoiceTA) captureGroup(lengths []int) ([]ProcessedUtterance, error) {
-	clock := t.cfg.Clock
-	recs := make([]ProcessedUtterance, len(lengths))
-	sc := taScratchPool.Get().(*taScratch)
-	defer taScratchPool.Put(sc)
-	for i, wantBytes := range lengths {
-		start := clock.Now()
-		pcmBytes, err := t.captureStage(sc, wantBytes)
-		if err != nil {
-			return nil, fmt.Errorf("utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Capture = clock.Now() - start
-
-		start = clock.Now()
-		words, err := t.transcribeStage(sc, pcmBytes)
-		if err != nil {
-			return nil, fmt.Errorf("utterance %d: %w", i, err)
-		}
-		recs[i].Transcript = words
-		recs[i].Stages.Transcribe = clock.Now() - start
-	}
-	return recs, nil
-}
-
-// processBatch runs a queue of utterances through the whole pipeline in
-// one invocation: capture and transcribe each, classify them all in one
+// processBatch runs a group of items through the whole pipeline in one
+// invocation: capture and featurize each, classify them all in one
 // batched forward pass, then relay the survivors. The caller paid one
-// world-switch round trip for the whole group instead of one per
-// utterance. The classifier is loaded before capture drains the FIFO,
-// so a TA that cannot classify inline (ErrBadState on a shared-classify
-// TA) rejects the group with its audio still queued.
-func (t *VoiceTA) processBatch(lengths []int) ([]ProcessedUtterance, error) {
+// world-switch round trip for the whole group instead of one per item.
+// The classifier is loaded before capture drains the peripheral, so a
+// TA that cannot classify inline (ErrBadState on a shared-classify TA)
+// rejects the group with its items still queued.
+func (t *DeviceTA) processBatch(lengths []int) ([]ItemRecord, error) {
 	var clf *classify.Classifier
 	if t.cfg.Filter {
 		var err error
@@ -589,20 +490,21 @@ func (t *VoiceTA) processBatch(lengths []int) ([]ProcessedUtterance, error) {
 			return nil, err
 		}
 	}
-	recs, err := t.captureGroup(lengths)
-	if err != nil {
+	recs := t.scratchGroup(len(lengths))
+	if err := t.profile.stages.capture(t, recs, lengths); err != nil {
 		return nil, err
 	}
 	if clf != nil {
-		batch := make([][]float32, len(recs))
-		for i := range recs {
-			batch[i] = clf.TokensToFeatures(t.cfg.Vocab.Encode(recs[i].Transcript))
+		for len(t.batch) < len(recs) {
+			t.batch = append(t.batch, nil)
 		}
+		batch := t.batch[:len(recs)]
+		t.profile.stages.featurize(t, clf, recs, batch)
 		if err := t.classifyInline(clf, recs, batch); err != nil {
 			return nil, err
 		}
 	}
-	return recs, t.relayGroup(recs, t.relayStage)
+	return recs, t.relayGroup(recs)
 }
 
 // transcribeBatch captures and transcribes a group and stages it with
@@ -610,23 +512,23 @@ func (t *VoiceTA) processBatch(lengths []int) ([]ProcessedUtterance, error) {
 // invocation parked instead of running the filter inline. The split is
 // what lets an event-driven caller release its executor while a
 // cross-device flush forms.
-func (t *VoiceTA) transcribeBatch(lengths []int) error {
+func (t *DeviceTA) transcribeBatch(lengths []int) error {
 	if !t.cfg.Filter {
-		return fmt.Errorf("%w: voice ta staged transcribe requires the filter", optee.ErrBadState)
+		return fmt.Errorf("%w: %s staged transcribe requires the filter", optee.ErrBadState, t.profile.name)
 	}
 	t.mu.Lock()
 	busy := len(t.pendingRecs) > 0
 	t.mu.Unlock()
 	if busy {
-		return fmt.Errorf("%w: voice ta staged batch already pending", optee.ErrBadState)
+		return fmt.Errorf("%w: %s staged batch already pending", optee.ErrBadState, t.profile.name)
 	}
-	recs, err := t.captureGroup(lengths)
-	if err != nil {
+	recs := make([]ItemRecord, len(lengths))
+	if err := t.profile.stages.capture(t, recs, lengths); err != nil {
 		return err
 	}
 	tokens := make([][]int, len(recs))
 	for i := range recs {
-		tokens[i] = t.cfg.Vocab.Encode(recs[i].Transcript)
+		tokens[i] = t.profile.stages.encode(t, &recs[i])
 	}
 	t.mu.Lock()
 	t.pendingRecs, t.pendingTokens = recs, tokens
@@ -638,15 +540,15 @@ func (t *VoiceTA) transcribeBatch(lengths []int) error {
 // in the records' verdicts, and only once it succeeds is the group
 // released and relayed. A resume with the wrong verdict count, or one classify
 // rejects, leaves the group staged for a well-formed retry.
-func (t *VoiceTA) takePending(n int, classify func([]ProcessedUtterance) error) ([]ProcessedUtterance, error) {
+func (t *DeviceTA) takePending(n int, classify func([]ItemRecord) error) ([]ItemRecord, error) {
 	t.mu.Lock()
 	recs := t.pendingRecs
 	t.mu.Unlock()
 	if len(recs) == 0 {
-		return nil, fmt.Errorf("%w: voice ta has no staged batch pending", optee.ErrBadState)
+		return nil, fmt.Errorf("%w: %s has no staged batch pending", optee.ErrBadState, t.profile.name)
 	}
 	if n != len(recs) {
-		return nil, fmt.Errorf("%w: resume carries %d verdicts for %d staged utterances",
+		return nil, fmt.Errorf("%w: resume carries %d verdicts for %d staged items",
 			optee.ErrBadParam, n, len(recs))
 	}
 	if err := classify(recs); err != nil {
@@ -655,7 +557,7 @@ func (t *VoiceTA) takePending(n int, classify func([]ProcessedUtterance) error) 
 	t.mu.Lock()
 	t.pendingRecs, t.pendingTokens = nil, nil
 	t.mu.Unlock()
-	return recs, t.relayGroup(recs, t.relayStage)
+	return recs, t.relayGroup(recs)
 }
 
 // resumeBatch completes a staged group with the shared classifier's
@@ -664,8 +566,8 @@ func (t *VoiceTA) takePending(n int, classify func([]ProcessedUtterance) error) 
 // shared passes overlapped — the wait is when the last one returned).
 // The wait is batch-level work, attributed evenly like the inline
 // batched pass.
-func (t *VoiceTA) resumeBatch(verdicts []byte, wait tz.Cycles) ([]ProcessedUtterance, error) {
-	return t.takePending(len(verdicts)/5, func(recs []ProcessedUtterance) error {
+func (t *DeviceTA) resumeBatch(verdicts []byte, wait tz.Cycles) ([]ItemRecord, error) {
+	return t.takePending(len(verdicts)/5, func(recs []ItemRecord) error {
 		t.cfg.Clock.Advance(wait)
 		for i := range recs {
 			v := verdicts[5*i:]
@@ -675,6 +577,30 @@ func (t *VoiceTA) resumeBatch(verdicts []byte, wait tz.Cycles) ([]ProcessedUtter
 		}
 		return nil
 	})
+}
+
+// resumeBatchHE is the HE→TEE handoff: the back half of a group whose
+// classifier's first linear layer already ran homomorphically at the
+// provider. The group is the one the TA staged, or, for a peripheral
+// the normal world captures for the handoff, the items handed in with
+// it. The TA decrypts each provider-evaluated ciphertext under the
+// sealed secret key, runs the non-linear tail (ReLU → pool → dense →
+// argmax) inside the TEE, then relays survivors through the same
+// policy/seal path as every other mode.
+func (t *DeviceTA) resumeBatchHE(blobs [][]byte, items optee.Param) ([]ItemRecord, error) {
+	if t.profile.stages.handIn == nil {
+		return t.takePending(len(blobs), func(recs []ItemRecord) error {
+			return t.classifyHE(&t.taLifecycle, recs, blobs)
+		})
+	}
+	if err := t.profile.stages.handIn(t, len(blobs), items); err != nil {
+		return nil, err
+	}
+	recs := t.scratchGroup(len(blobs))
+	if err := t.classifyHE(&t.taLifecycle, recs, blobs); err != nil {
+		return nil, err
+	}
+	return recs, t.relayGroup(recs)
 }
 
 // packLengthPrefixed concatenates blobs as little-endian uint32 byte
@@ -716,24 +642,12 @@ func splitLengthPrefixed(buf []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// resumeBatchHE is the HE→TEE handoff: the back half of a staged batch
-// where the classifier's first linear layer already ran homomorphically
-// at the provider. The TA decrypts each provider-evaluated ciphertext
-// under the sealed secret key, runs the non-linear tail (ReLU → pool →
-// dense → argmax) inside the TEE, then relays survivors through the
-// same policy/seal path as every other mode.
-func (t *VoiceTA) resumeBatchHE(blobs [][]byte) ([]ProcessedUtterance, error) {
-	return t.takePending(len(blobs), func(recs []ProcessedUtterance) error {
-		return t.classifyHE(&t.taLifecycle, recs, blobs)
-	})
-}
-
 // PendingTokens returns copies of the encoded token sequences staged by
 // CmdTranscribeBatch and awaiting classification (empty when nothing is
 // pending). Token IDs are vocabulary-clamped in the TA, never transcript
 // words, so handing them to the shared scheduler keeps the trust
 // boundary.
-func (t *VoiceTA) PendingTokens() [][]int {
+func (t *DeviceTA) PendingTokens() [][]int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([][]int, len(t.pendingTokens))
@@ -741,4 +655,174 @@ func (t *VoiceTA) PendingTokens() [][]int {
 		out[i] = append([]int(nil), seq...)
 	}
 	return out
+}
+
+// voiceStages are a speaker's: audio read through the driver PTA,
+// in-TEE MFCC and ASR, the token-sequence text classifier, and the
+// speaker's filter policy over the transcript.
+var voiceStages = taStages{
+	checkItem: checkUtteranceBytes,
+	capture:   (*DeviceTA).captureUtterances,
+	featurize: (*DeviceTA).tokenFeatures,
+	encode:    (*DeviceTA).encodeTranscript,
+	newClassifier: func(cfg *TAConfig, seed uint64) (*classify.Classifier, error) {
+		return classify.NewText(cfg.Arch, NewRNG(seed, seed^SaltClassifier), cfg.Vocab.Size(), 12)
+	},
+	relay: (*DeviceTA).relayTranscript,
+}
+
+// checkUtteranceBytes rejects an utterance length that is not a whole
+// number of I2S wire frames. Capture would drain the FIFO and only then
+// fail to decode, so the length is checked before any byte is pulled.
+func checkUtteranceBytes(n uint64) error {
+	if frame := uint64(i2s.DefaultFormat().FrameBytes()); n%frame != 0 {
+		return fmt.Errorf("%w: utterance of %d wire bytes is not a whole number of %d-byte frames",
+			optee.ErrBadParam, n, frame)
+	}
+	return nil
+}
+
+// taScratch is the reusable buffer set for one in-flight speaker
+// invocation: capture accumulation, the PTA read chunk, and the decode
+// pipeline's sample buffers. Pooled so the batched path
+// (CmdProcessBatch) processes every queued utterance without per-item
+// heap allocation, whichever TA instance (device) is running — the pool
+// is package-level because fleet devices process in bounded worker
+// pools, so a handful of scratch sets serves thousands of devices.
+type taScratch struct {
+	pcmBytes []byte
+	chunk    []byte
+	samples  []int32
+	floats   []float64
+}
+
+var taScratchPool = sync.Pool{
+	New: func() any { return &taScratch{chunk: make([]byte, 4096)} },
+}
+
+// captureUtterances is a speaker's capture stage: capture and transcribe
+// each utterance of a group over one pooled scratch set, so a group does
+// not allocate capture or decode buffers per item.
+func (t *DeviceTA) captureUtterances(recs []ItemRecord, lengths []int) error {
+	clock := t.cfg.Clock
+	sc := taScratchPool.Get().(*taScratch)
+	defer taScratchPool.Put(sc)
+	for i, wantBytes := range lengths {
+		start := clock.Now()
+		pcmBytes, err := t.captureStage(sc, wantBytes)
+		if err != nil {
+			return fmt.Errorf("utterance %d: %w", i, err)
+		}
+		recs[i].Stages.Capture = clock.Now() - start
+
+		start = clock.Now()
+		words, err := t.transcribeStage(sc, pcmBytes)
+		if err != nil {
+			return fmt.Errorf("utterance %d: %w", i, err)
+		}
+		recs[i].Transcript = words
+		recs[i].Stages.Transcribe = clock.Now() - start
+	}
+	return nil
+}
+
+// captureStage pulls wantBytes of wire audio through the PTA into
+// TA-private buffers (Fig. 1 step 4). The returned slice belongs to the
+// scratch set and is valid until the scratch is released.
+func (t *DeviceTA) captureStage(sc *taScratch, wantBytes int) ([]byte, error) {
+	if cap(sc.pcmBytes) < wantBytes {
+		sc.pcmBytes = make([]byte, 0, wantBytes)
+	}
+	pcmBytes := sc.pcmBytes[:0]
+	idle := 0
+	for len(pcmBytes) < wantBytes {
+		p := &optee.Params{
+			{Type: optee.MemrefOut, Buf: sc.chunk[:min(len(sc.chunk), wantBytes-len(pcmBytes))]},
+			{},
+		}
+		if err := t.cfg.TEE.InvokeSecure(UUIDDriverPTA, CmdPTARead, p); err != nil {
+			return nil, fmt.Errorf("voice ta pta read: %w", err)
+		}
+		n := int(p[1].A)
+		if n == 0 {
+			idle++
+			if idle > 1000 {
+				// The normal world declared more audio than it pumped
+				// into the FIFO.
+				return nil, fmt.Errorf("%w: voice ta capture stalled at %d/%d bytes",
+					optee.ErrBadParam, len(pcmBytes), wantBytes)
+			}
+			continue
+		}
+		idle = 0
+		pcmBytes = append(pcmBytes, p[0].Buf[:n]...)
+	}
+	sc.pcmBytes = pcmBytes
+	return pcmBytes, nil
+}
+
+// transcribeStage decodes the wire bytes and runs the in-TEE recognizer
+// (Fig. 1 step 5). The recognizer's arithmetic is charged as the MFCC
+// front end (FFT + filterbank + DCT per 10 ms hop, ~6k cycles/frame on a
+// NEON-class core) plus template matching.
+func (t *DeviceTA) transcribeStage(sc *taScratch, pcmBytes []byte) ([]string, error) {
+	samples, err := i2s.DecodeFramesInto(sc.samples, pcmBytes, i2s.DefaultFormat())
+	if err != nil {
+		return nil, fmt.Errorf("voice ta decode: %w", err)
+	}
+	sc.samples = samples
+	if cap(sc.floats) < len(samples) {
+		sc.floats = make([]float64, len(samples))
+	}
+	floats := sc.floats[:len(samples)]
+	for i, s := range samples {
+		// int16 truncation then the FromInt16 scaling of the historical
+		// decode path, fused into one pass over pooled scratch.
+		floats[i] = float64(int16(s)) / 32768
+	}
+	pcm := audio.PCM{Rate: 16000, Samples: floats}
+	words, err := t.cfg.Recognizer.TranscribeWords(pcm)
+	if err != nil {
+		return nil, fmt.Errorf("voice ta asr: %w", err)
+	}
+	frames := len(pcm.Samples) / 160
+	t.cfg.Clock.Advance(tz.Cycles(frames)*6000 + tz.Cycles(t.cfg.Recognizer.MemoryBytes()/8))
+	return words, nil
+}
+
+// encodeTranscript is the vocabulary-clamped token sequence of an
+// utterance's transcript.
+func (t *DeviceTA) encodeTranscript(rec *ItemRecord) []int {
+	return t.cfg.Vocab.Encode(rec.Transcript)
+}
+
+// tokenFeatures is a speaker's featurize stage: each transcript's
+// encoded tokens as the text classifier's input.
+func (t *DeviceTA) tokenFeatures(clf *classify.Classifier, recs []ItemRecord, batch [][]float32) {
+	for i := range recs {
+		batch[i] = clf.TokensToFeatures(t.encodeTranscript(&recs[i]))
+	}
+}
+
+// relayTranscript applies the speaker's filter policy and relays a
+// surviving transcript sealed (Fig. 1 steps 6–7).
+func (t *DeviceTA) relayTranscript(_ int, rec *ItemRecord) error {
+	policy := t.cfg.Policy
+	if !t.cfg.Filter {
+		policy = relay.PolicyPassThrough
+	}
+	result, err := relay.ApplyPolicy(policy, rec.Flagged, rec.Transcript)
+	if err != nil {
+		return err
+	}
+	rec.Redacted = result.Redacted
+	if !result.Forward {
+		return nil
+	}
+	return t.relayEvent(relay.Event{
+		Namespace:  relay.NamespaceSpeech,
+		Name:       relay.NameTranscript,
+		Transcript: result.Tokens,
+		Redacted:   result.Redacted,
+	}, &rec.RelayOutcome)
 }

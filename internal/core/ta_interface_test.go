@@ -53,8 +53,8 @@ func TestOversizedGroupRejected(t *testing.T) {
 		cmd  uint32
 		p    optee.Params
 	}{
-		{"utterance 1<<62", CmdProcessUtterance, optee.Params{{Type: optee.ValueIn, A: 1 << 62}}},
-		{"utterance 1<<30", CmdProcessUtterance, optee.Params{{Type: optee.ValueIn, A: 1 << 30}}},
+		{"utterance 1<<62", CmdProcessItem, optee.Params{{Type: optee.ValueIn, A: 1 << 62}}},
+		{"utterance 1<<30", CmdProcessItem, optee.Params{{Type: optee.ValueIn, A: 1 << 30}}},
 		{"batch 1<<30", CmdProcessBatch, optee.Params{{Type: optee.MemrefIn, Buf: lengthTable(3200, 1<<30)}}},
 		{"batch sum over FIFO", CmdProcessBatch, optee.Params{{Type: optee.MemrefIn, Buf: lengthTable(ControllerFIFOBytes/2, ControllerFIFOBytes/2+2)}}},
 		{"transcribe 1<<30", CmdTranscribeBatch, optee.Params{{Type: optee.MemrefIn, Buf: lengthTable(1 << 30)}}},
@@ -236,7 +236,7 @@ func TestSharedClassifyInlineKeepsGroup(t *testing.T) {
 		t.Fatalf("inline batch on a shared-classify TA: err = %v, want ErrBadState", err)
 	}
 	p = optee.Params{{Type: optee.ValueIn, A: uint64(binary.LittleEndian.Uint32(lens))}}
-	if err := sess.InvokeCommand(CmdProcessUtterance, &p); !errors.Is(err, optee.ErrBadState) {
+	if err := sess.InvokeCommand(CmdProcessItem, &p); !errors.Is(err, optee.ErrBadState) {
 		t.Fatalf("inline utterance on a shared-classify TA: err = %v, want ErrBadState", err)
 	}
 	p = optee.Params{{Type: optee.MemrefIn, Buf: lens}}
@@ -246,6 +246,12 @@ func TestSharedClassifyInlineKeepsGroup(t *testing.T) {
 	if got := sys.VoiceTA.PendingTokens(); len(got) != len(utts) {
 		t.Fatalf("staged %d token sets, want %d", len(got), len(utts))
 	}
+}
+
+// frameItem is a doorbell's CmdProcessItem parameters: one frame, passed
+// by value.
+func frameItem() *optee.Params {
+	return &optee.Params{{Type: optee.ValueIn, A: cameraFrameBytes}, {}}
 }
 
 // TestCameraClosedPTAKeepsFrame: a frame command on a camera whose
@@ -260,11 +266,11 @@ func TestCameraClosedPTAKeepsFrame(t *testing.T) {
 	sys.Camera.Queue(peripheral.ScenePerson, peripheral.SceneEmpty)
 	ctx := teec.InitializeContext(sys.TEE)
 	defer func() { _ = ctx.FinalizeContext() }()
-	sess, err := ctx.OpenSession(UUIDCameraTA)
+	sess, err := ctx.OpenSession(UUIDDoorbellTA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.InvokeCommand(CmdProcessFrame, &optee.Params{}); !errors.Is(err, optee.ErrBadState) {
+	if err := sess.InvokeCommand(CmdProcessItem, frameItem()); !errors.Is(err, optee.ErrBadState) {
 		t.Fatalf("frame with the capture PTA closed: err = %v, want ErrBadState", err)
 	}
 	if got := sys.PTA.Truth(); len(got) != 0 {
@@ -273,7 +279,7 @@ func TestCameraClosedPTAKeepsFrame(t *testing.T) {
 	if err := sys.PTA.Open(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.InvokeCommand(CmdProcessFrame, &optee.Params{}); err != nil {
+	if err := sess.InvokeCommand(CmdProcessItem, frameItem()); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.PTA.Truth(); len(got) != 1 || got[0] != peripheral.ScenePerson {
@@ -317,7 +323,7 @@ func FuzzVoiceTAInvoke(f *testing.F) {
 		return out
 	}
 	// The two length-bound inputs.
-	f.Add(byte(0), op(CmdProcessUtterance, optee.ValueIn, 1<<62, nil))
+	f.Add(byte(0), op(CmdProcessItem, optee.ValueIn, 1<<62, nil))
 	f.Add(byte(0), op(CmdProcessBatch, optee.MemrefIn, 0, lengthTable(1<<30)))
 	f.Add(byte(0), op(CmdTranscribeBatch, optee.MemrefIn, 0, lengthTable(1<<30)))
 	// Stage the queued group, then a short verdict table and a retry.
@@ -329,9 +335,9 @@ func FuzzVoiceTAInvoke(f *testing.F) {
 	f.Add(byte(1), cat(staged, op(CmdResumeBatch, optee.MemrefIn, 7, []byte{1, 2, 0, 0, 0, 0, 2, 0, 0, 0})))
 	f.Add(byte(0), cat(op(CmdProcessBatch, optee.MemrefIn, 0, lens), op(0x99, optee.ValueIn, 0, nil)))
 	// An utterance length that splits a wire frame.
-	f.Add(byte(0), op(CmdProcessUtterance, optee.ValueIn, 12337, nil))
+	f.Add(byte(0), op(CmdProcessItem, optee.ValueIn, 12337, nil))
 	// More audio declared than the FIFO holds: capture stalls.
-	f.Add(byte(0), op(CmdProcessUtterance, optee.ValueIn, 274480, nil))
+	f.Add(byte(0), op(CmdProcessItem, optee.ValueIn, 274480, nil))
 	// An inline group on a shared-classify TA, then the staged retry.
 	f.Add(byte(2), cat(op(CmdProcessBatch, optee.MemrefIn, 0, lens), staged))
 
@@ -384,20 +390,34 @@ func cameraTAState(sys *CameraSystem) string {
 }
 
 // cameraParamsWellShaped reports whether p has the slot types and buffer
-// lengths cmd's documented layout requires; a call that fails it must be
-// rejected with ErrBadParam.
+// lengths cmd's documented layout requires of a doorbell; a call that
+// fails it must be rejected with ErrBadParam.
 func cameraParamsWellShaped(cmd uint32, p *optee.Params) bool {
 	in := func(i int) bool { return p[i].Type == optee.MemrefIn && len(p[i].Buf) > 0 }
 	switch cmd {
-	case CmdProcessFrame:
+	case CmdProcessItem:
+		return p[0].Type == optee.ValueIn && p[0].A == cameraFrameBytes
+	case CmdProcessBatch:
+		if !in(0) || len(p[0].Buf)%4 != 0 || len(p[0].Buf)/4 > MaxBatch {
+			return false
+		}
+		for i := 0; i < len(p[0].Buf); i += 4 {
+			if binary.LittleEndian.Uint32(p[0].Buf[i:]) != cameraFrameBytes {
+				return false
+			}
+		}
 		return true
-	case CmdCameraFinishHE:
-		return in(0) && in(1) && len(p[1].Buf) == cameraFrameBytes
-	case CmdCameraAttest:
+	case CmdResumeBatchHE:
+		if !in(0) || p[1].Type != optee.MemrefIn {
+			return false
+		}
+		blobs, err := splitLengthPrefixed(p[0].Buf)
+		return err == nil && len(blobs) <= MaxBatch && len(p[1].Buf) == len(blobs)*cameraFrameBytes
+	case CmdAttest:
 		return in(0) && len(p[0].Buf) == len(attest.Nonce{}) && p[1].Type == optee.MemrefOut && p[1].Buf != nil
-	case CmdCameraUpdateModel:
+	case CmdUpdateModel:
 		return in(0) && in(1)
-	case CmdCameraRotateKey:
+	case CmdRotateKey:
 		return in(0)
 	}
 	return false
@@ -419,7 +439,7 @@ func newFuzzCamera(t testing.TB, mode Mode, openPTA bool) (*CameraSystem, *teec.
 		}
 	}
 	ctx := teec.InitializeContext(sys.TEE)
-	sess, err := ctx.OpenSession(UUIDCameraTA)
+	sess, err := ctx.OpenSession(UUIDDoorbellTA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,28 +448,32 @@ func newFuzzCamera(t testing.TB, mode Mode, openPTA bool) (*CameraSystem, *teec.
 }
 
 // FuzzCameraTAInvoke drives a short sequence of commands from a hostile
-// normal world into a live camera TA: the mode byte's bit 0 selects
+// normal world into a live doorbell TA: the mode byte's bit 0 selects
 // hybrid-he (the HE handoff armed) over secure-filter, and bit 1 leaves
 // the capture PTA closed until the final frame. Each op is encoded as [cmd][slot-0 type]
 // [slot-1 type][A: 8 bytes LE][len0: 2 bytes LE][len1: 2 bytes LE]
 // [len0 bytes][len1 bytes]; slot 2 carries A as a ValueIn. Contract: no
 // call panics; a rejected call returns an error wrapping ErrBadParam (the
 // input) or ErrBadState (the TA's state) — ErrBadParam whenever the slot
-// types or buffer lengths break the command's layout — and changes no TA
-// state; and a well-formed CmdProcessFrame afterwards gives the verdict a
-// fresh TA gives for the same frame.
+// types or buffer lengths break the command's layout, ErrBadState for
+// the staged commands a doorbell does not serve — and changes no TA
+// state; and a well-formed CmdProcessItem afterwards gives the verdict a
+// fresh TA gives for the same frame, or ErrBadParam once the sensor is
+// empty.
 func FuzzCameraTAInvoke(f *testing.F) {
 	// Reference verdicts: a fresh TA processing both queued frames.
-	ref, refSess := newFuzzCamera(f, ModeSecureFilter, true)
+	_, refSess := newFuzzCamera(f, ModeSecureFilter, true)
 	var verdicts []uint64
-	for i := 0; i < 3; i++ {
-		p := &optee.Params{}
-		if err := refSess.InvokeCommand(CmdProcessFrame, p); err != nil {
+	for i := 0; i < 2; i++ {
+		p := frameItem()
+		if err := refSess.InvokeCommand(CmdProcessItem, p); err != nil {
 			f.Fatal(err)
 		}
-		verdicts = append(verdicts, p[0].A)
+		verdicts = append(verdicts, p[1].A)
 	}
-	_ = ref
+	if err := refSess.InvokeCommand(CmdProcessItem, frameItem()); !errors.Is(err, optee.ErrBadParam) {
+		f.Fatalf("frame from an empty sensor: err = %v, want ErrBadParam", err)
+	}
 
 	op := func(cmd uint32, t0, t1 optee.ParamType, a uint64, b0, b1 []byte) []byte {
 		out := []byte{byte(cmd), byte(t0), byte(t1)}
@@ -459,20 +483,35 @@ func FuzzCameraTAInvoke(f *testing.F) {
 		return append(append(out, b0...), b1...)
 	}
 	frame := make([]byte, cameraFrameBytes)
-	f.Add(byte(0), op(CmdProcessFrame, optee.ParamNone, optee.ParamNone, 0, nil, nil))
-	f.Add(byte(0), op(CmdProcessFrame, optee.MemrefIn, optee.MemrefOut, 1, []byte{1}, []byte{2}))
-	f.Add(byte(0), op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1, 2, 3}, frame))
-	f.Add(byte(1), op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1, 2, 3}, frame))
-	f.Add(byte(1), op(CmdCameraFinishHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1}, frame[:7]))
-	f.Add(byte(0), op(CmdCameraAttest, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 8)))
-	f.Add(byte(0), op(CmdCameraAttest, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 512)))
-	f.Add(byte(0), op(CmdCameraUpdateModel, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2}).Encode(), []byte{9}))
-	f.Add(byte(0), op(CmdCameraUpdateModel, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2, Image: []byte{1}}).Encode(),
+	blob := packLengthPrefixed([][]byte{{1, 2, 3}})
+	f.Add(byte(0), op(CmdProcessItem, optee.ValueIn, optee.ParamNone, cameraFrameBytes, nil, nil))
+	f.Add(byte(0), op(CmdProcessItem, optee.ValueIn, optee.ParamNone, 1, nil, nil))
+	f.Add(byte(0), op(CmdProcessItem, optee.MemrefIn, optee.MemrefOut, 1, []byte{1}, []byte{2}))
+	f.Add(byte(0), op(CmdProcessBatch, optee.MemrefIn, optee.ParamNone, 0, lengthTable(cameraFrameBytes, cameraFrameBytes), nil))
+	// More frames than the sensor holds: none is grabbed.
+	f.Add(byte(0), op(CmdProcessBatch, optee.MemrefIn, optee.ParamNone, 0, lengthTable(cameraFrameBytes, cameraFrameBytes, cameraFrameBytes), nil))
+	f.Add(byte(0), op(CmdProcessBatch, optee.MemrefIn, optee.ParamNone, 0, lengthTable(cameraFrameBytes, 3200), nil))
+	f.Add(byte(0), op(CmdTranscribeBatch, optee.MemrefIn, optee.ParamNone, 0, lengthTable(cameraFrameBytes), nil))
+	f.Add(byte(0), op(CmdResumeBatch, optee.MemrefIn, optee.ValueIn, 0, make([]byte, 5), nil))
+	f.Add(byte(0), op(CmdResumeBatchHE, optee.MemrefIn, optee.MemrefIn, 0, blob, frame))
+	f.Add(byte(1), op(CmdResumeBatchHE, optee.MemrefIn, optee.MemrefIn, 0, blob, frame))
+	f.Add(byte(1), op(CmdResumeBatchHE, optee.MemrefIn, optee.MemrefIn, 0, blob, frame[:7]))
+	f.Add(byte(1), op(CmdResumeBatchHE, optee.MemrefIn, optee.MemrefIn, 0, []byte{1, 2, 3}, frame))
+	f.Add(byte(0), op(CmdAttest, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 8)))
+	f.Add(byte(0), op(CmdAttest, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 512)))
+	f.Add(byte(0), op(CmdUpdateModel, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2}).Encode(), []byte{9}))
+	f.Add(byte(0), op(CmdUpdateModel, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2, Image: []byte{1}}).Encode(),
 		attest.ManifestToken{DeviceID: "cam-0", Version: 2}.Marshal()))
-	f.Add(byte(0), op(CmdCameraRotateKey, optee.MemrefIn, optee.ParamNone, 0, []byte{1, 2}, nil))
+	f.Add(byte(0), op(CmdRotateKey, optee.MemrefIn, optee.ParamNone, 0, []byte{1, 2}, nil))
 	f.Add(byte(1), op(0x99, optee.ValueIn, optee.ValueOut, 3, nil, nil))
+	// The doorbell's former command IDs are unknown commands.
+	f.Add(byte(0), op(0x31, optee.ParamNone, optee.ParamNone, 0, nil, nil))
+	f.Add(byte(0), op(0x32, optee.MemrefIn, optee.MemrefOut, 0, make([]byte, 32), make([]byte, 512)))
+	f.Add(byte(0), op(0x33, optee.MemrefIn, optee.MemrefIn, 0, (attest.Pack{Version: 2}).Encode(), []byte{9}))
+	f.Add(byte(0), op(0x34, optee.MemrefIn, optee.ParamNone, 0, []byte{1, 2}, nil))
+	f.Add(byte(1), op(0x35, optee.MemrefIn, optee.MemrefIn, 0, []byte{1, 2, 3}, frame))
 	// A frame command with the capture PTA closed.
-	f.Add(byte(2), op(CmdProcessFrame, optee.ParamNone, optee.ParamNone, 0, nil, nil))
+	f.Add(byte(2), op(CmdProcessItem, optee.ValueIn, optee.ParamNone, cameraFrameBytes, nil, nil))
 
 	f.Fuzz(func(t *testing.T, mode byte, ops []byte) {
 		teeMode, ptaClosed := ModeSecureFilter, mode&2 != 0
@@ -496,15 +535,19 @@ func FuzzCameraTAInvoke(f *testing.F) {
 				p[1].Buf = b1
 			}
 			shaped := cameraParamsWellShaped(cmd, &p)
+			staged := cmd == CmdTranscribeBatch || cmd == CmdResumeBatch
 			before := cameraTAState(sys)
 			err := sess.InvokeCommand(cmd, &p)
+			if staged && !errors.Is(err, optee.ErrBadState) {
+				t.Fatalf("staged cmd %#x on a doorbell: err = %v, want ErrBadState", cmd, err)
+			}
 			if err == nil {
 				continue
 			}
 			if !errors.Is(err, optee.ErrBadParam) && !errors.Is(err, optee.ErrBadState) {
 				t.Fatalf("cmd %#x rejected with an untyped error: %v", cmd, err)
 			}
-			if !shaped && !errors.Is(err, optee.ErrBadParam) {
+			if !staged && !shaped && !errors.Is(err, optee.ErrBadParam) {
 				t.Fatalf("cmd %#x with a malformed layout: err = %v, want ErrBadParam", cmd, err)
 			}
 			if after := cameraTAState(sys); after != before {
@@ -517,12 +560,19 @@ func FuzzCameraTAInvoke(f *testing.F) {
 			}
 		}
 		grabbed := len(sys.PTA.Truth())
-		p := &optee.Params{}
-		if err := sess.InvokeCommand(CmdProcessFrame, p); err != nil {
-			t.Fatalf("well-formed CmdProcessFrame after the sequence: %v", err)
+		p := frameItem()
+		err := sess.InvokeCommand(CmdProcessItem, p)
+		if grabbed >= len(verdicts) {
+			if !errors.Is(err, optee.ErrBadParam) {
+				t.Fatalf("frame from an empty sensor after the sequence: err = %v, want ErrBadParam", err)
+			}
+			return
 		}
-		if want := verdicts[min(grabbed, len(verdicts)-1)]; p[0].A != want {
-			t.Fatalf("frame %d verdict %d, a fresh TA gives %d", grabbed, p[0].A, want)
+		if err != nil {
+			t.Fatalf("well-formed CmdProcessItem after the sequence: %v", err)
+		}
+		if want := verdicts[grabbed]; p[1].A != want {
+			t.Fatalf("frame %d verdict %d, a fresh TA gives %d", grabbed, p[1].A, want)
 		}
 	})
 }
@@ -591,7 +641,6 @@ func TestVoiceTATypedErrors(t *testing.T) {
 			}
 			return sess.InvokeCommand(cmd, &p)
 		}
-		cmds := r.profile.cmds
 		return []row{
 			{prefix + "attest without attestor", func() error {
 				_, err := unattested.Attest(attest.Nonce{})
@@ -605,17 +654,17 @@ func TestVoiceTATypedErrors(t *testing.T) {
 				return unattested.UpdateModel(pack, tok)
 			}, optee.ErrBadState, nil},
 			{prefix + "malformed rotation token", func() error {
-				return invokeRig(cmds.rotate, optee.Params{memref([]byte{1, 2, 3})})
+				return invokeRig(CmdRotateKey, optee.Params{memref([]byte{1, 2, 3})})
 			}, optee.ErrBadParam, attest.ErrBadRotation},
 			{prefix + "forged rotation token", func() error {
 				_, err := r.dev.RotateKey(forgedRotation)
 				return err
 			}, optee.ErrBadParam, attest.ErrBadRotation},
 			{prefix + "malformed pack", func() error {
-				return invokeRig(cmds.update, optee.Params{memref([]byte{9}), memref(tok.Marshal())})
+				return invokeRig(CmdUpdateModel, optee.Params{memref([]byte{9}), memref(tok.Marshal())})
 			}, optee.ErrBadParam, attest.ErrBadPack},
 			{prefix + "malformed manifest", func() error {
-				return invokeRig(cmds.update, optee.Params{memref(pack.Encode()), memref([]byte{9})})
+				return invokeRig(CmdUpdateModel, optee.Params{memref(pack.Encode()), memref([]byte{9})})
 			}, optee.ErrBadParam, attest.ErrBadManifest},
 			{prefix + "forged manifest", func() error {
 				return r.dev.UpdateModel(pack, forgedManifest)
@@ -671,13 +720,13 @@ func TestVoiceTATypedErrors(t *testing.T) {
 			return sess.InvokeCommand(CmdResumeBatchHE, &p)
 		}, optee.ErrBadParam, nil},
 		{"length splits a wire frame", func() error {
-			return invoke(unattested, CmdProcessUtterance, optee.Params{{Type: optee.ValueIn, A: 3201}})
+			return invoke(unattested, CmdProcessItem, optee.Params{{Type: optee.ValueIn, A: 3201}})
 		}, optee.ErrBadParam, nil},
 		{"batch length splits a wire frame", func() error {
 			return invoke(unattested, CmdTranscribeBatch, optee.Params{memref(lengthTable(3200, 7))})
 		}, optee.ErrBadParam, nil},
 		{"more audio declared than queued", func() error {
-			return invoke(unattested, CmdProcessUtterance, optee.Params{{Type: optee.ValueIn, A: 3200}})
+			return invoke(unattested, CmdProcessItem, optee.Params{{Type: optee.ValueIn, A: 3200}})
 		}, optee.ErrBadParam, nil},
 	}...)
 	for _, tc := range cases {

@@ -31,20 +31,10 @@ type E6Result struct {
 // is the safe superset.
 func E6TCB() (*metrics.Table, *metrics.Table, E6Result, error) {
 	var res E6Result
-	rig, err := newDriverRig(tz.WorldNormal, 4096)
+	traced, err := TraceCapture()
 	if err != nil {
 		return nil, nil, res, err
 	}
-	rig.loadSignal(32 << 10)
-	rig.Tracer.Start("record-a-sound")
-	_, err = rig.Drv.CaptureTask(i2s.DefaultFormat(), 32<<10, func(need int) {
-		_, _ = rig.Mic.PumpBytes(minInt(need, 4096))
-	})
-	trace := rig.Tracer.Stop()
-	if err != nil {
-		return nil, nil, res, fmt.Errorf("e6 capture: %w", err)
-	}
-	traced := ftrace.MinimalSet(trace)
 	res.TracedFuncs = len(traced)
 
 	table, err := driver.BuildTable()
@@ -89,6 +79,26 @@ func E6TCB() (*metrics.Table, *metrics.Table, E6Result, error) {
 		byModule.AddRow(m.Module, m.Funcs, m.LoC, mm.Funcs, mm.LoC)
 	}
 	return tbl, byModule, res, nil
+}
+
+// TraceCapture runs the paper's canonical traced task — record a sound:
+// 32 KiB of tone captured through a normal-world driver under the kernel
+// tracer — and returns the minimal function set it executed.
+func TraceCapture() (map[string]bool, error) {
+	rig, err := newDriverRig(tz.WorldNormal, 4096)
+	if err != nil {
+		return nil, err
+	}
+	rig.loadSignal(32 << 10)
+	rig.Tracer.Start("record-a-sound")
+	_, err = rig.Drv.CaptureTask(i2s.DefaultFormat(), 32<<10, func(need int) {
+		_, _ = rig.Mic.PumpBytes(minInt(need, 4096))
+	})
+	trace := rig.Tracer.Stop()
+	if err != nil {
+		return nil, fmt.Errorf("e6 capture: %w", err)
+	}
+	return ftrace.MinimalSet(trace), nil
 }
 
 func minInt(a, b int) int {

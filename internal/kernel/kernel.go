@@ -269,12 +269,16 @@ func NewSnooper(mem *memory.PhysMem) *Snooper {
 	return &Snooper{mem: mem}
 }
 
-// Capture attempts to read n bytes at addr.
+// Capture attempts to read n bytes at addr. The access is checked before
+// the read buffer is allocated, so a denied snoop allocates nothing.
 func (s *Snooper) Capture(addr uint64, n int) SnoopResult {
+	blocked := SnoopResult{Addr: addr, Want: n, Blocked: true}
+	if s.mem.Check(tz.WorldNormal, addr, n) != nil {
+		return blocked
+	}
 	buf := make([]byte, n)
-	err := s.mem.ReadAt(tz.WorldNormal, addr, buf)
-	if err != nil {
-		return SnoopResult{Addr: addr, Want: n, Blocked: true}
+	if s.mem.ReadAt(tz.WorldNormal, addr, buf) != nil {
+		return blocked
 	}
 	return SnoopResult{Addr: addr, Want: n, Got: buf}
 }

@@ -228,3 +228,32 @@ func TestSnooperCaptureAll(t *testing.T) {
 		t.Errorf("blocked flags = %v,%v, want false,true", results[0].Blocked, results[1].Blocked)
 	}
 }
+
+// TestDeniedSnoopAllocatesNothing: the compromised OS sweeps a device's
+// capture buffer once per group, so a denied snoop must cost no
+// allocation. The denial still counts as a TZASC violation, and the
+// access checker's error still wraps ErrSecurityViolation.
+func TestDeniedSnoopAllocatesNothing(t *testing.T) {
+	p, err := memory.NewPlatform(memory.DefaultLayout())
+	if err != nil {
+		t.Fatalf("NewPlatform: %v", err)
+	}
+	s := NewSnooper(p.Mem)
+	addr := p.Layout.SecureBase + 0x5000
+	before := p.ASC.Violations()
+	allocs := testing.AllocsPerRun(100, func() {
+		if !s.Capture(addr, 64).Blocked {
+			t.Fatal("snooper NOT blocked on secure carve-out")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("denied snoop allocates %v times, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call besides its 100 runs.
+	if got := p.ASC.Violations() - before; got != 101 {
+		t.Errorf("%d violations for 101 denied snoops", got)
+	}
+	if err := p.Mem.Check(tz.WorldNormal, addr, 64); !errors.Is(err, tz.ErrSecurityViolation) {
+		t.Errorf("Check = %v, want ErrSecurityViolation", err)
+	}
+}

@@ -104,12 +104,19 @@ func (p *PhysMem) forEachPage(addr uint64, n int, fn func(page uint64, off, leng
 	}
 }
 
-// ReadAt copies len(buf) bytes at addr into buf on behalf of world w.
-func (p *PhysMem) ReadAt(w tz.World, addr uint64, buf []byte) error {
-	if err := p.bounds(addr, len(buf)); err != nil {
+// Check validates an access of n bytes at addr on behalf of world w —
+// the bounds and the access checker's verdict every load and store
+// applies — without touching memory.
+func (p *PhysMem) Check(w tz.World, addr uint64, n int) error {
+	if err := p.bounds(addr, n); err != nil {
 		return err
 	}
-	if err := p.checker.Check(w, addr, uint64(len(buf))); err != nil {
+	return p.checker.Check(w, addr, uint64(n))
+}
+
+// ReadAt copies len(buf) bytes at addr into buf on behalf of world w.
+func (p *PhysMem) ReadAt(w tz.World, addr uint64, buf []byte) error {
+	if err := p.Check(w, addr, len(buf)); err != nil {
 		return err
 	}
 	p.mu.RLock()
@@ -128,10 +135,7 @@ func (p *PhysMem) ReadAt(w tz.World, addr uint64, buf []byte) error {
 
 // WriteAt copies buf into memory at addr on behalf of world w.
 func (p *PhysMem) WriteAt(w tz.World, addr uint64, buf []byte) error {
-	if err := p.bounds(addr, len(buf)); err != nil {
-		return err
-	}
-	if err := p.checker.Check(w, addr, uint64(len(buf))); err != nil {
+	if err := p.Check(w, addr, len(buf)); err != nil {
 		return err
 	}
 	p.mu.Lock()
@@ -152,10 +156,7 @@ func (p *PhysMem) WriteAt(w tz.World, addr uint64, buf []byte) error {
 // Zero clears n bytes at addr on behalf of world w. OP-TEE zeroes secure
 // buffers before releasing them; the kernel does the same for page reuse.
 func (p *PhysMem) Zero(w tz.World, addr uint64, n int) error {
-	if err := p.bounds(addr, n); err != nil {
-		return err
-	}
-	if err := p.checker.Check(w, addr, uint64(n)); err != nil {
+	if err := p.Check(w, addr, n); err != nil {
 		return err
 	}
 	p.mu.Lock()

@@ -85,7 +85,7 @@ func (s *TextSplit) EmbedFeatures(features []float32) ([]float32, []int, error) 
 // TailPredict runs the in-TA tail over one decrypted HE-layer output
 // (flat slots plus per-sample shape); class 1 means "sensitive".
 func (s *TextSplit) TailPredict(data []float32, shape []int) (int, error) {
-	return tailPredict(s.Tail, data, shape)
+	return PredictTail(s.Tail, data, shape)
 }
 
 // ImageSplit is the hybrid partition of the camera classifier.
@@ -120,10 +120,29 @@ func SplitImage(c *Classifier) (*ImageSplit, error) {
 // TailPredict runs the in-TA tail over one decrypted HE-layer output;
 // class 1 means "person present".
 func (s *ImageSplit) TailPredict(data []float32, shape []int) (int, error) {
-	return tailPredict(s.Tail, data, shape)
+	return PredictTail(s.Tail, data, shape)
 }
 
-func tailPredict(tail *layers.Sequential, data []float32, shape []int) (int, error) {
+// SplitTail returns the in-TA tail of the classifier's hybrid split: the
+// TextSplit's for a text classifier, the ImageSplit's for an image one.
+func SplitTail(c *Classifier) (*layers.Sequential, error) {
+	if c.isText {
+		s, err := SplitText(c)
+		if err != nil {
+			return nil, err
+		}
+		return s.Tail, nil
+	}
+	s, err := SplitImage(c)
+	if err != nil {
+		return nil, err
+	}
+	return s.Tail, nil
+}
+
+// PredictTail runs a split's in-TA tail over one decrypted HE-layer
+// output of the given shape.
+func PredictTail(tail *layers.Sequential, data []float32, shape []int) (int, error) {
 	n := 1
 	for _, d := range shape {
 		n *= d

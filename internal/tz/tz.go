@@ -213,11 +213,29 @@ func (r Region) Overlaps(o Region) bool {
 // TZASC is the TrustZone address space controller. Regions are fixed at
 // construction, mirroring boot-time carve-out on real platforms.
 type TZASC struct {
-	regions []Region
+	regions []ascRegion
 
 	mu         sync.Mutex
 	violations uint64
 }
+
+// ascRegion is an installed region with the error a denied access to it
+// returns, kept next to the region so a denial costs no formatting or
+// allocation.
+type ascRegion struct {
+	Region
+	denied violation
+}
+
+// violation is a denied non-secure access to a secure-only region. It
+// wraps ErrSecurityViolation and is formatted only when printed.
+type violation struct{ region string }
+
+func (v *violation) Error() string {
+	return fmt.Sprintf("%v: non-secure world access to %q", ErrSecurityViolation, v.region)
+}
+
+func (v *violation) Unwrap() error { return ErrSecurityViolation }
 
 // NewTZASC validates and installs the region set. Regions must be non-empty,
 // non-overlapping, and have valid attributes.
@@ -241,15 +259,19 @@ func NewTZASC(regions []Region) (*TZASC, error) {
 			}
 		}
 	}
-	rs := make([]Region, len(regions))
-	copy(rs, regions)
+	rs := make([]ascRegion, len(regions))
+	for i, r := range regions {
+		rs[i] = ascRegion{Region: r, denied: violation{region: r.Name}}
+	}
 	return &TZASC{regions: rs}, nil
 }
 
 // Regions returns a copy of the configured regions.
 func (t *TZASC) Regions() []Region {
 	rs := make([]Region, len(t.regions))
-	copy(rs, t.regions)
+	for i := range t.regions {
+		rs[i] = t.regions[i].Region
+	}
 	return rs
 }
 
@@ -260,7 +282,8 @@ func (t *TZASC) Check(w World, addr, n uint64) error {
 	if n == 0 {
 		return nil
 	}
-	for _, r := range t.regions {
+	for i := range t.regions {
+		r := &t.regions[i]
 		if !r.Contains(addr, n) {
 			continue
 		}
@@ -268,8 +291,7 @@ func (t *TZASC) Check(w World, addr, n uint64) error {
 			t.mu.Lock()
 			t.violations++
 			t.mu.Unlock()
-			return fmt.Errorf("%w: %s world access to %q [%#x,+%d)",
-				ErrSecurityViolation, w, r.Name, addr, n)
+			return &r.denied
 		}
 		return nil
 	}
@@ -287,7 +309,7 @@ func (t *TZASC) Violations() uint64 {
 func (t *TZASC) FindRegion(addr uint64) (Region, bool) {
 	for _, r := range t.regions {
 		if r.Contains(addr, 1) {
-			return r, true
+			return r.Region, true
 		}
 	}
 	return Region{}, false

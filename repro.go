@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/experiments"
 	"repro/internal/ftrace"
 	"repro/internal/ml/classify"
 	"repro/internal/ml/train"
@@ -354,15 +355,11 @@ type TCBReport struct {
 }
 
 // MinimizeTCB runs the paper's tracing workflow: execute one capture task
-// under the kernel tracer, compute the minimal function set, and build the
-// reduced OP-TEE driver image (static-closure policy, so the image is
-// link-complete).
+// under the kernel tracer (the traced capture of experiment E6), compute
+// the minimal function set, and build the reduced OP-TEE driver image
+// (static-closure policy, so the image is link-complete).
 func MinimizeTCB() (*TCBReport, error) {
-	rig, err := newTCBRig()
-	if err != nil {
-		return nil, err
-	}
-	traced, err := rig.traceCaptureTask()
+	traced, err := experiments.TraceCapture()
 	if err != nil {
 		return nil, err
 	}
