@@ -125,6 +125,25 @@ func TestRouterDrainHandsOffOwnership(t *testing.T) {
 // be delivered exactly once — a frame that raced the ring change is
 // redirected, never dropped — and the audit must balance to the frame
 // count.
+// TestRouterDrainKeepsCallerShards: the router owns its shard list, so
+// draining a shard leaves the slice the router was built from as it was.
+func TestRouterDrainKeepsCallerShards(t *testing.T) {
+	shards := []*Shard{NewShard("s0", 1, 2), NewShard("s1", 1, 2), NewShard("s2", 1, 2)}
+	r, err := NewRouter(shards, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Drain("s0"); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range shards {
+		if want := fmt.Sprintf("s%d", i); s.Name() != want {
+			t.Fatalf("caller's shard %d is %s after Drain, want %s", i, s.Name(), want)
+		}
+	}
+}
+
 func TestRebalanceUnderLoadRace(t *testing.T) {
 	shards := []*Shard{NewShard("s0", 2, 4), NewShard("s1", 2, 4), NewShard("s2", 2, 4)}
 	r, err := NewRouter(shards, 32)

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -672,7 +673,9 @@ func NewRouter(shards []*Shard, replicas int) (*Router, error) {
 	if replicas < 1 {
 		replicas = 1
 	}
-	r := &Router{replicas: replicas, shards: shards, weights: make(map[string]int, len(shards))}
+	// The ring owns its shard list: Drain removes in place, which must
+	// not rewrite the caller's slice.
+	r := &Router{replicas: replicas, shards: slices.Clone(shards), weights: make(map[string]int, len(shards))}
 	for _, s := range shards {
 		r.weights[s.Name()] = 1
 	}
@@ -964,6 +967,19 @@ func (r *Router) Audit() Audit {
 		a = a.Merge(s.Audit())
 	}
 	return a
+}
+
+// Utilization returns the worst bulk-lane utilization (Shard.Utilization)
+// across the active shards: shards added since the router was built
+// count, drained ones do not.
+func (r *Router) Utilization() float64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	worst := 0.0
+	for _, s := range r.shards {
+		worst = max(worst, s.Utilization())
+	}
+	return worst
 }
 
 // Stats snapshots every active shard (with its ring weight) followed by

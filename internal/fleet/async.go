@@ -12,7 +12,10 @@ package fleet
 //     scheduler enqueue, and parks; the last completion callback
 //     re-enqueues the task and a (possibly different) executor resumes
 //     the group — charging the wait, relaying survivors — and captures
-//     the next one.
+//     the next one. The scheduler owns no goroutines: the executor whose
+//     submission fills a batch, or whose NotifyIdle probe makes the idle
+//     cut, runs that flush and delivers its callbacks, then goes back to
+//     nextTask and probes again before it sleeps.
 //   - A secure-filter device still on the base pack when its workload
 //     ends (the rollout's stable cohort) reports its rollout outcome and
 //     parks on the rollout's one-shot verdict notification; resumed, it
@@ -27,17 +30,16 @@ package fleet
 // plan, and the stable cohort bounds the pipelines parked on it.
 //
 // Two properties fall out. Scale: a 10⁴–10⁵-device population costs the
-// pool's goroutines plus the scheduler's workers, not one goroutine per
-// device, and at most ~pool size + a flush worth of device pipelines are
-// constructed at once. Coalescing: classify submissions are true
-// concurrent single-item enqueues, so scheduler occupancy comes from
-// cross-device batching rather than one device's whole queue entering as
-// a multi-item request. The engine moves only where waiting happens,
-// never what is computed.
+// pool's goroutines, not one goroutine per device, and at most ~pool size
+// + a flush worth of device pipelines are constructed at once.
+// Coalescing: classify submissions are true concurrent single-item
+// enqueues, so scheduler occupancy comes from cross-device batching
+// rather than one device's whole queue entering as a multi-item request.
+// The engine moves only where waiting happens, never what is computed.
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -157,14 +159,18 @@ func (e *asyncEngine) run() error {
 // else a fresh admission (held at the verdict point until the rollout
 // verdict) — or nil when the run is over. With nothing runnable it drives
 // the scheduler's idle rule (NotifyIdle) before sleeping: the executors
-// collectively assert nothing new can arrive.
+// collectively assert nothing new can arrive. An executor that ran a
+// flush always comes back here, so it probes again after every flush.
 func (e *asyncEngine) nextTask() *devTask {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for {
 		if len(e.ready) > 0 {
 			t := e.ready[0]
-			e.ready = e.ready[1:]
+			// Shift rather than reslice, so the queue keeps one backing
+			// array: a flush readies its tasks in a burst, which would
+			// otherwise regrow a fresh one.
+			e.ready = slices.Delete(e.ready, 0, 1)
 			e.steps++
 			return t
 		}
@@ -183,34 +189,17 @@ func (e *asyncEngine) nextTask() *devTask {
 		}
 		if e.r.sched != nil {
 			// Outstanding tasks are parked. NotifyIdle cuts the oldest
-			// queue's deadline flush if nothing is in flight; either way a
-			// completion will enqueue work and broadcast. Probe off the
-			// engine lock, then re-check state before sleeping so the
-			// wakeup cannot be lost.
+			// queue's deadline flush and runs it here, unless another
+			// executor has a flush in flight: that executor probes again
+			// once its flush is delivered, so this one may sleep. Probe off
+			// the engine lock (the callbacks take it), then re-check state
+			// before sleeping so the wakeup cannot be lost.
 			e.mu.Unlock()
 			cut := e.r.sched.scheduler.NotifyIdle()
-			pending := e.r.sched.scheduler.Pending() > 0
 			e.mu.Lock()
 			if len(e.ready) > 0 || e.canAdmit() || e.active == 0 || cut {
 				continue
 			}
-			if pending {
-				// Entries are queued but could not be cut: a flush is in
-				// flight or its completions are still being delivered. A
-				// "full" flush cut mid-interleave can carry only partial
-				// groups (e.g. A0,B0,A1,B1 with A2,B2 left queued), whose
-				// callbacks drain no task — so no broadcast is guaranteed
-				// to follow. Sleeping here could be forever; keep
-				// re-probing until the leftovers are cut or a callback
-				// lands. The spin is bounded by the in-flight flush.
-				e.mu.Unlock()
-				runtime.Gosched()
-				e.mu.Lock()
-				continue
-			}
-			// Pending was zero: every outstanding entry rides an in-flight
-			// flush, or a task or the admission waits for the rollout
-			// verdict, which a running canary will deliver; either wakes us.
 		}
 		e.cond.Wait()
 	}
@@ -386,18 +375,17 @@ func (e *asyncEngine) park(t *devTask, holds int) {
 	e.mu.Unlock()
 }
 
-// release drops k completion holds from a parked task and re-enqueues it
-// when the count drains. Called with the engine mutex held. It broadcasts
-// on every call, not only when a task drains: a flush completion that
-// delivers only partial groups readies no task, but sleeping executors
-// must still wake to re-probe NotifyIdle for the leftover entries the cut
-// stranded below the batch size.
+// release drops k completion holds from a parked task and re-enqueues it,
+// waking the executors, when the count drains. Called with the engine
+// mutex held. A flush that delivers only partial groups readies no task
+// and wakes no one: the executor that ran it probes NotifyIdle for the
+// leftovers itself.
 func (e *asyncEngine) release(t *devTask, k int) {
 	t.remaining -= k
 	if t.remaining == 0 {
 		e.ready = append(e.ready, t)
+		e.cond.Broadcast()
 	}
-	e.cond.Broadcast()
 }
 
 // finish retires a task: settle its accounting, abort a staged rollout

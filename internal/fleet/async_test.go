@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"strconv"
 	"sync"
@@ -235,24 +236,26 @@ func TestAsyncSchedOccupancy(t *testing.T) {
 }
 
 // TestAsyncEngineWakeOnPartialGroupFlush is the deterministic lost-wakeup
-// regression, reproducing the reviewer scenario exactly at the engine
-// level: devices A and B interleave single-item submissions, the full
-// flush cuts A0,B0,A1,B1 leaving A2,B2 queued, and both executors probe
-// NotifyIdle while that flush is in flight (false) and go to sleep. The
-// flush's four callbacks drain neither task, so under the old wake
-// protocol — broadcast only when a group's count drained — no wakeup ever
-// followed, the A2,B2 leftovers sat below the batch size forever, and
-// run() hung. The fixed protocol broadcasts on every release and refuses
-// to sleep while the scheduler still holds queued entries, so both tasks
-// must resume.
+// regression at the engine level: devices A and B interleave single-item
+// submissions, and the full flush cuts A0,B0,A1,B1 leaving A2,B2 queued.
+// The flush runs on the executor whose submission filled the batch,
+// while the other executor probes NotifyIdle (false — the flush is in
+// flight) and goes to sleep. The flush's four callbacks drain neither
+// task, so they wake no one: the A2,B2 leftovers sit below the batch
+// size, and only the executor that ran the flush, back in nextTask,
+// probes NotifyIdle again and cuts them. Both tasks must resume.
 func TestAsyncEngineWakeOnPartialGroupFlush(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	first := true
-	s, err := sched.New(sched.Config{Batch: 4, MaxAge: 1 << 40, Workers: 1},
+	var flushes [][]int // each flush's item tokens, in order
+	s, err := sched.New(sched.Config{Batch: 4, MaxAge: 1 << 40},
 		func(version uint64, items [][]int) ([]bool, tz.Cycles, error) {
-			if first { // pin the first flush in flight until the test releases it
-				first = false
+			var toks []int
+			for _, it := range items {
+				toks = append(toks, it[0])
+			}
+			flushes = append(flushes, toks)
+			if len(flushes) == 1 { // pin the first flush in flight until the test releases it
 				close(started)
 				<-gate
 			}
@@ -266,14 +269,14 @@ func TestAsyncEngineWakeOnPartialGroupFlush(t *testing.T) {
 
 	// Two parked tasks, each a group of three single-item submissions:
 	// remaining = 3 callbacks + 1 submitter hold, as captureOrFinish sets.
+	// Item j of device d carries token 10*d+j (A is 0, B is 1).
 	mk := func() *devTask {
 		return &devTask{flags: make([]bool, 3), occs: make([]int, 3),
 			waits: make([]tz.Cycles, 3), remaining: 4}
 	}
 	A, B := mk(), mk()
-	submit := func(id string, dt *devTask, j int) {
-		t.Helper()
-		err := s.SubmitAsync(sched.Request{DeviceID: id, Items: [][]int{{j}}},
+	submit := func(d int, dt *devTask, j int) error {
+		return s.SubmitAsync(sched.Request{DeviceID: string(rune('A' + d)), Items: [][]int{{10*d + j}}},
 			func(resp sched.Response, err error) {
 				e.mu.Lock()
 				if err != nil {
@@ -286,45 +289,52 @@ func TestAsyncEngineWakeOnPartialGroupFlush(t *testing.T) {
 				e.release(dt, 1)
 				e.mu.Unlock()
 			})
+	}
+	// executor runs the production scheduling loop, reporting each task
+	// it resumes and retiring it.
+	resumed := make(chan *devTask, 2)
+	executor := func() {
+		for {
+			dt := e.nextTask()
+			if dt == nil {
+				return
+			}
+			resumed <- dt
+			e.finish(dt, nil)
+		}
+	}
+	for _, err := range []error{submit(0, A, 0), submit(1, B, 0), submit(0, A, 1)} {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The mid-interleave cut: the fourth submission fills the batch, so
-	// the flush carries A0,B0,A1,B1 and blocks inside the classifier.
-	submit("A", A, 0)
-	submit("B", B, 0)
-	submit("A", A, 1)
-	submit("B", B, 1)
+	// the first executor runs the flush of A0,B0,A1,B1, which blocks
+	// inside the classifier, and then goes back to nextTask.
+	filled := make(chan error, 1)
+	go func() {
+		filled <- submit(1, B, 1)
+		executor()
+	}()
 	select {
 	case <-started:
 	case <-time.After(5 * time.Second):
 		t.Fatal("full flush never started executing")
 	}
-	submit("A", A, 2) // the stranded leftovers: 2 items, below the batch of 4
-	submit("B", B, 2)
+	for _, err := range []error{submit(0, A, 2), submit(1, B, 2)} { // the stranded leftovers
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	e.mu.Lock()
 	e.release(A, 1) // submitter holds, as captureOrFinish's tail drops them
 	e.release(B, 1)
 	e.mu.Unlock()
 
-	// Both executors run the production scheduling loop: with no ready
-	// task and no admissions they probe NotifyIdle (false — the flush is
-	// in flight) and park in cond.Wait.
-	resumed := make(chan *devTask, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			for {
-				dt := e.nextTask()
-				if dt == nil {
-					return
-				}
-				resumed <- dt
-				e.finish(dt, nil)
-			}
-		}()
-	}
-	time.Sleep(50 * time.Millisecond) // let both executors park behind the flush
+	// The second executor finds no ready task and no admission, probes
+	// NotifyIdle (false — the flush is in flight) and parks in cond.Wait.
+	go executor()
+	time.Sleep(50 * time.Millisecond) // let it park behind the flush
 	close(gate)                       // flush completes; its callbacks drain neither task
 
 	for i := 0; i < 2; i++ {
@@ -343,9 +353,15 @@ func TestAsyncEngineWakeOnPartialGroupFlush(t *testing.T) {
 			t.Fatal("executors slept through the partial-group flush: A2,B2 stranded (lost wakeup)")
 		}
 	}
+	if err := <-filled; err != nil {
+		t.Fatal(err)
+	}
 	s.Drain()
-	if st := s.Stats(); st.Items != 6 || st.Flushes[sched.ReasonIdle] == 0 {
-		t.Fatalf("expected all 6 items classified with an idle rescue cut: %+v", st)
+	if got := fmt.Sprint(flushes); got != "[[0 10 1 11] [2 12]]" {
+		t.Fatalf("flushes %s, want the full cut of A0,B0,A1,B1 then the idle cut of A2,B2", got)
+	}
+	if st := s.Stats(); st.Items != 6 || st.Flushes[sched.ReasonFull] != 1 || st.Flushes[sched.ReasonIdle] != 1 {
+		t.Fatalf("expected all 6 items classified, one full cut and one idle rescue cut: %+v", st)
 	}
 }
 
@@ -364,9 +380,10 @@ func TestAsyncPartialGroupCutLiveness(t *testing.T) {
 		// An all-secure-filter population whose admissions exhaust
 		// immediately, so the executors race to interleave their groups'
 		// single-item submissions and then have nothing left but the
-		// NotifyIdle probe; Workers:1 keeps exactly one flush in flight
-		// for them to sleep behind, and the effectively infinite deadline
-		// means only an idle cut can ever rescue stranded leftovers.
+		// NotifyIdle probe; only the executor running a flush holds one
+		// in flight for the other to sleep behind, and the effectively
+		// infinite deadline means only an idle cut can ever rescue
+		// stranded leftovers.
 		cfg := Config{
 			Devices:          4,
 			DoorbellFraction: -1,                                // speakers only
@@ -383,7 +400,7 @@ func TestAsyncPartialGroupCutLiveness(t *testing.T) {
 			t.Fatalf("seed %d unscheduled: %v", cfg.Seed, err)
 		}
 		acfg := cfg
-		acfg.Sched = &SchedSpec{Batch: 4, MaxAge: 1 << 40, Workers: 1}
+		acfg.Sched = &SchedSpec{Batch: 4, MaxAge: 1 << 40}
 		type outcome struct {
 			res *Result
 			err error
@@ -487,14 +504,19 @@ func TestRolloutComposesWithSched(t *testing.T) {
 	}
 	// Peak live pipelines are bounded by the plan, not the population:
 	// the executors' devices plus the stable cohort parked on the
-	// verdict, and under the scheduler the devices with an entry queued
-	// (under a batch per version queue) or riding a flush (a batch per
-	// scheduler worker).
+	// verdict. Under the scheduler, add the devices parked on a classify
+	// group. The peak is taken when a device is admitted, and the lone
+	// executor admits only from nextTask with no ready task. A flush is
+	// in flight only on an executor, inside its step or its NotifyIdle
+	// probe, so at that moment none is: every parked device still has an
+	// entry queued. Each submission is one item and a queue holding a
+	// batch is cut at once, so each version queue (base and target)
+	// holds at most Batch-1 entries, one device each.
 	stable := min(res.Rollout.Canary, maxStableCohort)
 	if bound := plain.Async.Executors + stable; plain.Async.PeakLive > bound {
 		t.Fatalf("unscheduled peak live %d, want <= %d executors + stable cohort", plain.Async.PeakLive, bound)
 	}
-	if bound := res.Async.Executors + stable + (2+sched.DefaultWorkers)*cfg.Sched.Batch; res.Async.PeakLive > bound {
+	if bound := res.Async.Executors + stable + 2*(cfg.Sched.Batch-1); res.Async.PeakLive > bound {
 		t.Fatalf("scheduled peak live %d, want <= %d", res.Async.PeakLive, bound)
 	}
 	a, b := res.Audit, plain.Audit
@@ -516,8 +538,9 @@ func TestRolloutComposesWithSched(t *testing.T) {
 // One full flush of 4 plus a drain flush of 1 must report raw 2.5 and
 // steady 4.0 — and the raw figure alone would undersell the scheduler.
 func TestSchedReportSteadyOccupancy(t *testing.T) {
-	spec := &SchedSpec{Batch: 4, MaxAge: 1 << 40, Workers: 1}
-	sc, err := newSchedControl(Config{Seed: 5, Sched: spec}, nil, nil)
+	spec := &SchedSpec{Batch: 4, MaxAge: 1 << 40}
+	router := testRouter(t)
+	sc, err := newSchedControl(Config{Seed: 5, Sched: spec}, nil, router)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +587,7 @@ func TestSchedReportSteadyOccupancy(t *testing.T) {
 
 	// All-drain degenerate run: the steady figure falls back to the raw
 	// mean instead of dividing by zero.
-	sc2, err := newSchedControl(Config{Seed: 5, Sched: spec}, nil, nil)
+	sc2, err := newSchedControl(Config{Seed: 5, Sched: spec}, nil, router)
 	if err != nil {
 		t.Fatal(err)
 	}

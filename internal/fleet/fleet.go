@@ -713,7 +713,7 @@ func Run(cfg Config) (*Result, error) {
 
 	var sc *schedControl
 	if cfg.Sched != nil {
-		if sc, err = newSchedControl(cfg, st, shards); err != nil {
+		if sc, err = newSchedControl(cfg, st, router); err != nil {
 			return nil, err
 		}
 	}
@@ -756,8 +756,8 @@ func Run(cfg Config) (*Result, error) {
 	eng := newAsyncEngine(r, all, order)
 	runErr := eng.run()
 	if sc != nil {
-		// Drain on both outcomes: an errored run must not strand
-		// scheduler workers.
+		// Drain on both outcomes: an errored run must not strand a
+		// queued entry.
 		sc.scheduler.Drain()
 	}
 	if runErr != nil {

@@ -32,9 +32,6 @@ type SchedSpec struct {
 	// wait before its queue flushes regardless of occupancy; default
 	// sched.DefaultMaxAge.
 	MaxAge tz.Cycles
-	// Workers bounds concurrent shared forward passes; default
-	// sched.DefaultWorkers.
-	Workers int
 }
 
 func (s *SchedSpec) fillDefaults(deviceBatch int) error {
@@ -54,12 +51,6 @@ func (s *SchedSpec) fillDefaults(deviceBatch int) error {
 	}
 	if s.MaxAge == 0 {
 		s.MaxAge = sched.DefaultMaxAge
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("%w: %d scheduler workers", ErrBadConfig, s.Workers)
-	}
-	if s.Workers == 0 {
-		s.Workers = sched.DefaultWorkers
 	}
 	return nil
 }
@@ -97,9 +88,9 @@ type SchedReport struct {
 }
 
 // versionClassifier is one shared per-version classifier. PredictBatch
-// mutates layer activation state, so concurrent flushes of the same
-// version serialize on the slot lock (flushes of different versions run
-// in parallel).
+// mutates layer activation state, so flushes of the same version that
+// executors run at once serialize on the slot lock (flushes of different
+// versions run in parallel).
 type versionClassifier struct {
 	mu  sync.Mutex
 	clf *classify.Classifier
@@ -122,7 +113,7 @@ type schedControl struct {
 // root seed (versions 0 and 1), and a staged rollout's target pack
 // registers its own seed — TrainClassifier memoizes, so these are the
 // same weights the attestState packs carry.
-func newSchedControl(cfg Config, st *attestState, shards []*cloud.Shard) (*schedControl, error) {
+func newSchedControl(cfg Config, st *attestState, router *cloud.Router) (*schedControl, error) {
 	sc := &schedControl{
 		vocab: sensitive.NewVocabulary(),
 		seeds: map[uint64]uint64{0: cfg.Seed, 1: cfg.Seed},
@@ -132,21 +123,13 @@ func newSchedControl(cfg Config, st *attestState, shards []*cloud.Shard) (*sched
 		sc.seeds[st.next.Version] = st.next.ModelSeed
 	}
 	// Backpressure gauge: the worst bulk-lane queue utilization across
-	// the ingest tier, the same signal the admission policy sheds on.
-	pressure := func() float64 {
-		worst := 0.0
-		for _, s := range shards {
-			if u := s.Utilization(); u > worst {
-				worst = u
-			}
-		}
-		return worst
-	}
+	// the ring's live shards, the same signal the admission policy sheds
+	// on. A shard a rebalance adds counts from then on; a drained one no
+	// longer does.
 	s, err := sched.New(sched.Config{
 		Batch:     cfg.Sched.Batch,
 		MaxAge:    cfg.Sched.MaxAge,
-		Workers:   cfg.Sched.Workers,
-		Pressure:  pressure,
+		Pressure:  router.Utilization,
 		HighWater: cloud.DefaultHighWater,
 	}, sc.execute)
 	if err != nil {

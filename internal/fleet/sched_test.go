@@ -2,9 +2,14 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/tz"
@@ -261,3 +266,153 @@ func TestBatchClampSurfaced(t *testing.T) {
 		t.Fatalf("device batch > scheduler batch: got %v, want ErrBadConfig", err)
 	}
 }
+
+// TestSchedSingleExecutorDeterminism: the scheduler owns no goroutines,
+// so on one executor every flush runs on that executor in an order fixed
+// by the run's config. Three runs under GOMAXPROCS 1 and three under 4
+// must agree exactly on the flush tallies, the engine's steps, parks and
+// peak live pipelines, and every device's virtual latencies.
+func TestSchedSingleExecutorDeterminism(t *testing.T) {
+	cfg := Config{
+		Devices:          48,
+		DoorbellFraction: -1,
+		Mix:              MixSpec{core.ModeSecureFilter: 2, core.ModeBaseline: 1},
+		Shards:           2,
+		Utterances:       3,
+		Batch:            2,
+		Seed:             21,
+		DeviceWorkers:    1,
+		Sched:            &SchedSpec{Batch: 4, MaxAge: 200_000},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first string
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 3; run++ {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := scheduledRunDigest(res)
+			if first == "" {
+				first = got
+				t.Logf("flushes %v, %d batches, peak live %d", res.Sched.Flushes, res.Sched.Batches, res.Async.PeakLive)
+				continue
+			}
+			if got != first {
+				t.Fatalf("GOMAXPROCS %d run %d diverged:\n got: %s\nwant: %s", procs, run, got, first)
+			}
+		}
+	}
+}
+
+// scheduledRunDigest renders what a scheduled run decided: the
+// scheduler's flushes, the engine's counters and each device's virtual
+// cycles per utterance.
+func scheduledRunDigest(res *Result) string {
+	rep, eng := res.Sched, res.Async
+	out := fmt.Sprintf("flushes=%v batches=%d items=%d max=%d pressure=%d steps=%d parks=%d peak_live=%d",
+		rep.Flushes, rep.Batches, rep.Items, rep.MaxOccupancy, rep.PressureFlushes, eng.Steps, eng.Parks, eng.PeakLive)
+	for i, r := range res.DeviceResults {
+		cycles := make([]tz.Cycles, len(r.Session.Utterances))
+		for j, u := range r.Session.Utterances {
+			cycles[j] = u.Cycles
+		}
+		out += fmt.Sprintf(" d%d=%v/%d", i, cycles, r.Session.TotalCycles)
+	}
+	return out
+}
+
+// TestSchedPressureReadsLiveRing: the scheduler's backpressure gauge reads
+// the router's live shards. A saturated shard that joins the ring through
+// AddShard after the scheduler is built must halve the deadline of the
+// next idle cut.
+func TestSchedPressureReadsLiveRing(t *testing.T) {
+	const maxAge = tz.Cycles(40_000)
+	spec := &SchedSpec{Batch: 4, MaxAge: maxAge}
+	router := testRouter(t)
+	sc, err := newSchedControl(Config{Seed: 5, Sched: spec}, nil, router)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// idleWait submits one item, makes the idle cut and returns the
+	// item's charged wait less its share of the forward pass.
+	idleWait := func() tz.Cycles {
+		t.Helper()
+		var resp sched.Response
+		if err := sc.scheduler.SubmitAsync(sched.Request{DeviceID: "d", Items: [][]int{{1, 2, 3}}},
+			func(r sched.Response, err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				resp = r
+			}); err != nil {
+			t.Fatal(err)
+		}
+		if !sc.scheduler.NotifyIdle() {
+			t.Fatal("NotifyIdle found nothing to cut")
+		}
+		_, pass, err := sc.execute(0, [][]int{{1, 2, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Wait - pass
+	}
+	if got := idleWait(); got != maxAge {
+		t.Fatalf("idle ring: wait %d, want the full deadline %d", got, maxAge)
+	}
+
+	// A shard with one worker and a one-frame queue: the worker blocks
+	// serving the first frame, the second waits in the full queue.
+	hot := cloud.NewShard("shard-hot", 1, 1)
+	router.AddShard(hot, 1)
+	unblock := make(chan struct{})
+	hot.Register("sensor", blockingProvider{unblock})
+	var wg sync.WaitGroup
+	defer func() {
+		close(unblock)
+		wg.Wait()
+	}()
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// The frames only fill the queue; how they are served is
+			// not under test.
+			_, _ = hot.Ingest("sensor", []byte{1})
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); hot.Utilization() < 1; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the added shard never saturated")
+		}
+	}
+	if got := idleWait(); got != maxAge/2 {
+		t.Fatalf("saturated shard added to the ring: wait %d, want the halved deadline %d", got, maxAge/2)
+	}
+	if st := sc.scheduler.Stats(); st.PressureFlushes != 1 {
+		t.Fatalf("pressure flushes %d, want 1: %+v", st.PressureFlushes, st)
+	}
+}
+
+// testRouter is a one-shard ring with no admission policy, closed when
+// the test ends.
+func testRouter(t *testing.T) *cloud.Router {
+	t.Helper()
+	router, err := cloud.NewRouter([]*cloud.Shard{cloud.NewShard("shard-00", 1, 4)}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(router.Close)
+	return router
+}
+
+// blockingProvider serves a frame once its channel is closed.
+type blockingProvider struct{ unblock chan struct{} }
+
+func (p blockingProvider) Deliver([]byte) ([]byte, error) {
+	<-p.unblock
+	return nil, nil
+}
+func (blockingProvider) Audit() cloud.Audit { return cloud.Audit{} }
+func (blockingProvider) Reset()             {}

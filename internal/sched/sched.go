@@ -15,6 +15,13 @@
 // and batch occupancy differ — that is the invariant the fleet-level
 // batch-equivalence property suite pins.
 //
+// The scheduler owns no goroutines. Whoever cuts a flush runs it: a
+// SubmitAsync that fills a batch, a NotifyIdle that makes the idle cut,
+// or Drain. The cutter runs the shared forward pass and delivers the
+// flush's callbacks on its own goroutine, outside the scheduler's lock,
+// and only then releases the flush's in-flight slot and cuts whatever
+// the clock now allows.
+//
 // Trust boundary: the scheduler runs in the shared service enclave. It
 // sees encoded token IDs (already vocabulary-clamped inside the device
 // TA) and cleartext queue metadata (device ID, model version, virtual
@@ -41,9 +48,6 @@ var ErrClosed = errors.New("sched: scheduler closed")
 // milliseconds at the 1 GHz cycle model — about the cost of one batched
 // forward pass, so deadline flushes do not dominate under light load.
 const DefaultMaxAge tz.Cycles = 2_000_000
-
-// DefaultWorkers bounds concurrent flush executions when unset.
-const DefaultWorkers = 2
 
 // Request is one device's pending classification work: the encoded token
 // sequences of its queued utterances plus the device's virtual clock at
@@ -77,8 +81,6 @@ type Config struct {
 	// entry has waited this long flushes regardless of occupancy.
 	// Default DefaultMaxAge.
 	MaxAge tz.Cycles
-	// Workers bounds concurrent flush executions. Default DefaultWorkers.
-	Workers int
 	// Pressure, when set, reports downstream uplink utilization in
 	// [0,1] (the cloud admission policy's occupancy signal). At or above
 	// HighWater the scheduler halves its effective max age: it flushes
@@ -136,7 +138,7 @@ type queue struct {
 	items   int // sum of len(req.Items) over entries
 }
 
-// flushJob is one cut batch handed to the worker pool.
+// flushJob is one cut batch, run by the goroutine that cut it.
 type flushJob struct {
 	version    uint64
 	entries    []*entry
@@ -146,22 +148,20 @@ type flushJob struct {
 }
 
 // Scheduler coalesces classification requests across devices. Submitters
-// enqueue with SubmitAsync and get a callback once their flush executes;
-// a bounded worker pool runs the shared forward passes. A queue flushes
-// when full, when its head passes the deadline, when the caller reports
-// that nothing new can arrive (NotifyIdle), or at Drain.
+// enqueue with SubmitAsync and get a callback once their flush executes.
+// A queue flushes when full, when its head passes the deadline, when the
+// caller reports that nothing new can arrive (NotifyIdle), or at Drain;
+// the caller that cuts a flush runs it.
 type Scheduler struct {
 	cfg  Config
 	exec Executor
 
-	mu         sync.Mutex
-	cond       *sync.Cond // signals pending flush jobs to workers
-	clock      tz.Cycles  // scheduler virtual clock: max over submit stamps
-	queues     []*queue   // one per model version, ascending by version
-	jobs       []*flushJob
-	inflight   int // flush jobs queued or executing
-	delivering int // executed flushes whose completions are being delivered
-	closed     bool
+	mu       sync.Mutex
+	cond     *sync.Cond // signals Drain that a flush was delivered
+	clock    tz.Cycles  // scheduler virtual clock: max over submit stamps
+	queues   []*queue   // one per model version, ascending by version
+	inflight int        // flushes cut and not yet delivered
+	closed   bool
 
 	flushes        map[string]uint64
 	itemsByVersion map[uint64]uint64
@@ -173,11 +173,9 @@ type Scheduler struct {
 	pressureCuts   uint64
 	drainBatches   uint64
 	drainItems     uint64
-
-	wg sync.WaitGroup
 }
 
-// New validates the config and starts the flush worker pool.
+// New validates the config.
 func New(cfg Config, exec Executor) (*Scheduler, error) {
 	if exec == nil {
 		return nil, fmt.Errorf("%w: nil executor", ErrBadConfig)
@@ -187,9 +185,6 @@ func New(cfg Config, exec Executor) (*Scheduler, error) {
 	}
 	if cfg.MaxAge <= 0 {
 		cfg.MaxAge = DefaultMaxAge
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = DefaultWorkers
 	}
 	if cfg.HighWater <= 0 || cfg.HighWater > 1 {
 		cfg.HighWater = 0.75
@@ -202,18 +197,15 @@ func New(cfg Config, exec Executor) (*Scheduler, error) {
 		occupancy:      make(map[int]uint64),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
 	return s, nil
 }
 
-// SubmitAsync enqueues a request without blocking: cb fires exactly once
-// with the response once the flush carrying the request has executed.
-// Callbacks run on scheduler worker goroutines, never synchronously on
-// the submit path, and always after the flush's inflight slot has been
-// released — so a callback may safely re-submit or probe NotifyIdle.
+// SubmitAsync enqueues a request: cb fires exactly once with the response
+// once the flush carrying the request has executed. No callback runs
+// before its flush is cut. A submission that fills a batch cuts the flush
+// and runs it on the calling goroutine, so that flush's callbacks have
+// all run when SubmitAsync returns. Callbacks run outside the
+// scheduler's lock, before the flush's in-flight slot is released.
 func (s *Scheduler) SubmitAsync(req Request, cb func(Response, error)) error {
 	if cb == nil {
 		return fmt.Errorf("%w: nil callback", ErrBadConfig)
@@ -237,27 +229,28 @@ func (s *Scheduler) SubmitAsync(req Request, cb func(Response, error)) error {
 	q := s.queue(req.Version)
 	q.entries = append(q.entries, e)
 	q.items += len(req.Items)
-	s.maybeFlush()
+	jobs := s.maybeFlush(nil)
 	s.mu.Unlock()
+	s.run(jobs)
 	return nil
 }
 
 // NotifyIdle is the scheduler's idle rule, driven by the caller: an
 // executor pool with no runnable work asserts that nothing new can
 // arrive until a pending flush completes, which models the oldest
-// queue's deadline timer firing. If no flush is
-// in flight and entries are queued, the scheduler advances its clock to
-// the oldest queue's deadline and cuts it (reason "idle"), returning
-// true. Returns false when there was nothing to cut — closed, a flush
-// already in flight (its completion will re-evaluate the queues),
-// completions still being delivered (the continuations they fire may
-// submit the work that fills a batch, so cutting now would be premature
-// and would advance the clock on a false idle premise), or no queued
-// entries.
+// queue's deadline timer firing. If no flush is in flight and entries
+// are queued, the scheduler advances its clock to the oldest queue's
+// deadline and cuts it (reason "idle"), runs the flush on the calling
+// goroutine, and returns true once its callbacks have run. Returns false
+// when there was nothing to cut: closed, no queued entries, or a flush
+// in flight. A flush stays in flight until its callbacks have run, and
+// the continuations they fire may submit the work that fills a batch, so
+// an idle cut before then would advance the clock on a false premise.
+// The caller running that flush probes again once it is delivered.
 func (s *Scheduler) NotifyIdle() bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.inflight > 0 || s.delivering > 0 {
+	if s.closed || s.inflight > 0 {
+		s.mu.Unlock()
 		return false
 	}
 	maxAge, pressured := s.effectiveMaxAge()
@@ -269,49 +262,42 @@ func (s *Scheduler) NotifyIdle() bool {
 		}
 	}
 	if oldest == nil {
+		s.mu.Unlock()
 		return false
 	}
 	deadline := oldest.entries[0].stamp + maxAge
 	if deadline > s.clock {
 		s.clock = deadline
 	}
-	s.cut(oldest, ReasonIdle, s.clock)
+	job := s.cut(oldest, ReasonIdle, s.clock)
 	if pressured {
 		s.pressureCuts++
 	}
+	s.mu.Unlock()
+	s.run([]*flushJob{job})
 	return true
 }
 
-// Drain flushes every remaining queue and waits for all in-flight work,
-// then stops the worker pool. Call after all submitters are done; further
-// submissions fail with ErrClosed.
+// Drain runs every remaining queue's flushes on the calling goroutine,
+// waits for the flushes other goroutines are running, and closes the
+// scheduler. Call after all submitters are done; further submissions
+// fail with ErrClosed.
 func (s *Scheduler) Drain() {
 	s.mu.Lock()
+	var jobs []*flushJob
 	for _, q := range s.queues {
 		for len(q.entries) > 0 {
-			s.cut(q, ReasonDrain, s.clock)
+			jobs = append(jobs, s.cut(q, ReasonDrain, s.clock))
 		}
 	}
+	s.mu.Unlock()
+	s.run(jobs)
+	s.mu.Lock()
 	for s.inflight > 0 {
-		// Workers broadcast on completion; wait for the tail.
 		s.cond.Wait()
 	}
 	s.closed = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-// Pending returns the number of items currently queued (not yet cut
-// into a flush) across all version queues.
-func (s *Scheduler) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, q := range s.queues {
-		n += q.items
-	}
-	return n
 }
 
 // Stats returns a copy of the scheduler's counters.
@@ -352,19 +338,19 @@ func (s *Scheduler) effectiveMaxAge() (tz.Cycles, bool) {
 	return s.cfg.MaxAge, false
 }
 
-// maybeFlush cuts every batch the admission rules currently allow.
-// Called with s.mu held.
-func (s *Scheduler) maybeFlush() {
+// maybeFlush cuts every batch the admission rules currently allow and
+// appends the flushes to jobs. Called with s.mu held.
+func (s *Scheduler) maybeFlush(jobs []*flushJob) []*flushJob {
 	maxAge, pressured := s.effectiveMaxAge()
 	for {
 		cutAny := false
 		for _, q := range s.queues {
 			for q.items >= s.cfg.Batch {
-				s.cut(q, ReasonFull, s.clock)
+				jobs = append(jobs, s.cut(q, ReasonFull, s.clock))
 				cutAny = true
 			}
 			if len(q.entries) > 0 && s.clock-q.entries[0].stamp >= maxAge {
-				s.cut(q, ReasonAge, s.clock)
+				jobs = append(jobs, s.cut(q, ReasonAge, s.clock))
 				if pressured {
 					s.pressureCuts++
 				}
@@ -372,7 +358,7 @@ func (s *Scheduler) maybeFlush() {
 			}
 		}
 		if !cutAny {
-			return
+			return jobs
 		}
 	}
 }
@@ -387,12 +373,13 @@ func (s *Scheduler) queue(version uint64) *queue {
 	return s.queues[i]
 }
 
-// cut takes whole entries from the head of q up to the batch size and
-// enqueues the flush job. Entries are never split: a request's items all
-// ride one flush, so its occupancy and wait are well-defined. Called with
-// s.mu held.
-func (s *Scheduler) cut(q *queue, reason string, flushClock tz.Cycles) {
+// cut takes whole entries from the head of q (never empty) up to the
+// batch size, tallies the flush and takes its in-flight slot. Entries
+// are never split: a request's items all ride one flush, so its
+// occupancy and wait are well-defined. Called with s.mu held.
+func (s *Scheduler) cut(q *queue, reason string, flushClock tz.Cycles) *flushJob {
 	job := &flushJob{version: q.version, reason: reason, flushClock: flushClock}
+	mixed := false
 	for len(q.entries) > 0 {
 		head := q.entries[0]
 		n := len(head.req.Items)
@@ -403,59 +390,41 @@ func (s *Scheduler) cut(q *queue, reason string, flushClock tz.Cycles) {
 		job.items += n
 		q.entries = q.entries[1:]
 		q.items -= n
+		mixed = mixed || head.req.Version != job.version
 	}
-	if len(job.entries) == 0 {
-		return
+	if mixed {
+		s.mixed++
 	}
 	s.inflight++
-	s.jobs = append(s.jobs, job)
-	// Broadcast, not Signal: Drain waits on the same cond for the
-	// in-flight count, and a lone Signal could wake it instead of a
-	// worker, stalling the job.
-	s.cond.Broadcast()
+	s.batches++
+	s.flushes[reason]++
+	s.totalItems += uint64(job.items)
+	s.itemsByVersion[job.version] += uint64(job.items)
+	s.occupancy[job.items]++
+	s.maxOccupancy = max(s.maxOccupancy, job.items)
+	if reason == ReasonDrain {
+		s.drainBatches++
+		s.drainItems += uint64(job.items)
+	}
+	return job
 }
 
-// worker executes flush jobs until the scheduler closes.
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for len(s.jobs) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.jobs) == 0 && s.closed {
-			s.mu.Unlock()
-			return
-		}
-		job := s.jobs[0]
-		s.jobs = s.jobs[1:]
-		s.mu.Unlock()
-
+// run executes cut flushes on the calling goroutine, outside s.mu: each
+// flush's shared forward pass, then its callbacks, then the release of
+// its in-flight slot, which cuts whatever the clock now allows (run here
+// too). A callback may re-submit; it sees its own flush still in flight.
+func (s *Scheduler) run(jobs []*flushJob) {
+	for len(jobs) > 0 {
+		job := jobs[0]
+		jobs = jobs[1:]
 		s.execute(job)
-
-		s.mu.Lock()
-		s.inflight--
-		// The delivering count keeps the idle rule honest between the
-		// slot release and the completions below: an idle probe in that
-		// window would see inflight==0 while continuations that may
-		// immediately resubmit are still pending, and cut a spurious
-		// "idle" flush on a false premise.
-		s.delivering++
-		s.maybeFlush()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-
-		// Deliver completions only after the inflight slot is released:
-		// an async continuation that re-submits (or checks NotifyIdle)
-		// must not observe this flush as still in flight, or an executor
-		// pool could park forever waiting for a completion that already
-		// happened.
 		for _, e := range job.entries {
 			e.cb(e.resp, e.err)
 		}
-
 		s.mu.Lock()
-		s.delivering--
+		s.inflight--
+		jobs = s.maybeFlush(jobs)
+		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
 }
@@ -468,29 +437,6 @@ func (s *Scheduler) execute(job *flushJob) {
 		items = append(items, e.req.Items...)
 	}
 	flagged, passCycles, err := s.exec(job.version, items)
-
-	s.mu.Lock()
-	s.batches++
-	s.flushes[job.reason]++
-	s.totalItems += uint64(job.items)
-	s.itemsByVersion[job.version] += uint64(job.items)
-	s.occupancy[job.items]++
-	if job.items > s.maxOccupancy {
-		s.maxOccupancy = job.items
-	}
-	if job.reason == ReasonDrain {
-		s.drainBatches++
-		s.drainItems += uint64(job.items)
-	}
-	versions := make(map[uint64]bool)
-	for _, e := range job.entries {
-		versions[e.req.Version] = true
-	}
-	if len(versions) > 1 {
-		s.mixed++
-	}
-	s.mu.Unlock()
-
 	if err == nil && len(flagged) != job.items {
 		err = fmt.Errorf("sched: executor returned %d flags for %d items", len(flagged), job.items)
 	}
@@ -522,6 +468,4 @@ func (s *Scheduler) execute(job *flushJob) {
 		}
 		off += n
 	}
-	// Completion delivery is the worker's job, after it releases the
-	// inflight slot.
 }

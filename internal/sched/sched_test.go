@@ -337,11 +337,11 @@ func TestDrainFlushesLeftovers(t *testing.T) {
 	}
 
 	// Leftovers of several model versions drain in ascending version
-	// order, whatever order the versions arrived in: one flush worker
-	// runs the cuts in the order Drain makes them.
+	// order, whatever order the versions arrived in: Drain runs its cuts
+	// in the order it makes them.
 	for run := 0; run < 20; run++ {
 		x := &testExec{}
-		s, err := New(Config{Batch: 8, MaxAge: 1 << 40, Workers: 1}, x.run)
+		s, err := New(Config{Batch: 8, MaxAge: 1 << 40}, x.run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestDrainFlushesLeftovers(t *testing.T) {
 // and no flush may mix versions.
 func TestSchedulerHammer(t *testing.T) {
 	x := &testExec{}
-	s, err := New(Config{Batch: 8, MaxAge: 5_000, Workers: 4}, x.run)
+	s, err := New(Config{Batch: 8, MaxAge: 5_000}, x.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,8 +433,10 @@ func TestSchedulerHammer(t *testing.T) {
 }
 
 // TestSubmitAsyncCoalesces: single-item asynchronous enqueues from one
-// logical caller coalesce into a full flush, the callbacks see the flush occupancy, and no callback runs
-// on the submit path.
+// logical caller coalesce into a full flush and the callbacks see the
+// flush occupancy. No callback runs before its flush is cut, and the
+// submission that fills the batch runs the flush: every callback has
+// fired by the time that SubmitAsync returns.
 func TestSubmitAsyncCoalesces(t *testing.T) {
 	x := &testExec{}
 	s, err := New(Config{Batch: 4, MaxAge: 1 << 40}, x.run)
@@ -442,42 +444,34 @@ func TestSubmitAsyncCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 4
-	var mu sync.Mutex
 	resps := make([]Response, n)
-	fired := make(chan int, n)
+	fired, submitting := 0, 0
 	for i := 0; i < n; i++ {
 		i := i
-		submitting := true
+		submitting = i
 		err := s.SubmitAsync(Request{
 			DeviceID: fmt.Sprintf("d%d", i), Version: 1, Items: [][]int{item(i)},
 		}, func(r Response, err error) {
 			if err != nil {
 				t.Error(err)
 			}
-			mu.Lock()
-			if submitting {
-				t.Error("callback fired synchronously on the submit path")
+			if submitting != n-1 {
+				t.Errorf("callback %d fired during submission %d, before the batch filled", i, submitting)
 			}
 			resps[i] = r
-			mu.Unlock()
-			fired <- i
+			fired++
 		})
-		mu.Lock()
-		submitting = false
-		mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for k := 0; k < n; k++ {
-		select {
-		case <-fired:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("callback %d of %d never fired", k+1, n)
+		want := 0
+		if i == n-1 {
+			want = n
+		}
+		if fired != want {
+			t.Fatalf("after submission %d: %d callbacks fired, want %d", i, fired, want)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	for i, r := range resps {
 		if len(r.Flagged) != 1 || r.Flagged[0] != (i%2 == 1) {
 			t.Errorf("submission %d: flags %v", i, r.Flagged)
@@ -598,15 +592,16 @@ func TestDrainStatsSeparated(t *testing.T) {
 }
 
 // TestNotifyIdleDefersToPendingDelivery is the idle-probe regression: an
-// executor pool probing between a flush's inflight release and its
-// completion delivery must not cut queued entries as "idle" — the
-// continuations being delivered may submit the work that fills the
-// batch, so the premature cut would advance the virtual clock and record
-// a spurious idle flush. NotifyIdle returns false while completions are
-// pending and the deferred cut fires once delivery has finished.
+// executor pool probing while a flush's completions are still being
+// delivered must not cut queued entries as "idle" — the continuations
+// being delivered may submit the work that fills the batch, so the
+// premature cut would advance the virtual clock and record a spurious
+// idle flush. A flush stays in flight until its callbacks have run, so
+// NotifyIdle returns false during delivery and the deferred cut fires
+// once delivery has finished.
 func TestNotifyIdleDefersToPendingDelivery(t *testing.T) {
 	x := &testExec{}
-	s, err := New(Config{Batch: 2, MaxAge: 50_000, Workers: 1}, x.run)
+	s, err := New(Config{Batch: 2, MaxAge: 50_000}, x.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +609,7 @@ func TestNotifyIdleDefersToPendingDelivery(t *testing.T) {
 	gate := make(chan struct{})
 	done := make(chan int, 3)
 	// A full flush of two whose first completion parks mid-delivery,
-	// pinning the lone worker inside the delivery loop.
+	// pinning the goroutine that cut the flush inside its delivery loop.
 	if err := s.SubmitAsync(Request{DeviceID: "a", Version: 1, Items: [][]int{item(2)}},
 		func(Response, error) {
 			close(entered)
@@ -623,12 +618,13 @@ func TestNotifyIdleDefersToPendingDelivery(t *testing.T) {
 		}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SubmitAsync(Request{DeviceID: "b", Version: 1, Items: [][]int{item(4)}},
-		func(Response, error) { done <- 2 }); err != nil {
-		t.Fatal(err)
-	}
+	submitted := make(chan error, 1)
+	go func() { // fills the batch, so this goroutine runs the flush
+		submitted <- s.SubmitAsync(Request{DeviceID: "b", Version: 1, Items: [][]int{item(4)}},
+			func(Response, error) { done <- 2 })
+	}()
 	select {
-	case <-entered: // the worker has released the inflight slot and is delivering
+	case <-entered: // the cutter is delivering the full flush's completions
 	case <-time.After(5 * time.Second):
 		t.Fatal("full flush never started delivering")
 	}
@@ -653,22 +649,21 @@ func TestNotifyIdleDefersToPendingDelivery(t *testing.T) {
 			t.Fatal("full-flush completions missing")
 		}
 	}
-	// The callbacks have run; once the worker retires its delivering
-	// count the deferred idle cut is allowed through.
-	deadline := time.Now().Add(5 * time.Second)
-	for !s.NotifyIdle() {
-		if time.Now().After(deadline) {
-			t.Fatal("NotifyIdle never cut the starved queue after delivery finished")
-		}
-		time.Sleep(100 * time.Microsecond)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	// The filling submission has returned, so its flush released the
+	// in-flight slot: the deferred idle cut runs now, on this goroutine.
+	if !s.NotifyIdle() {
+		t.Fatal("NotifyIdle never cut the starved queue after delivery finished")
 	}
 	select {
 	case got := <-done:
 		if got != 3 {
 			t.Fatalf("idle cut delivered completion %d, want 3", got)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("idle cut never delivered the queued entry")
+	default:
+		t.Fatal("idle cut returned before delivering the queued entry")
 	}
 	st := s.Stats()
 	if st.Flushes[ReasonFull] != 1 || st.Flushes[ReasonIdle] != 1 {
@@ -683,7 +678,13 @@ func waitPending(t *testing.T, s *Scheduler, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Pending() == n {
+		s.mu.Lock()
+		queued := 0
+		for _, q := range s.queues {
+			queued += q.items
+		}
+		s.mu.Unlock()
+		if queued == n {
 			return
 		}
 		time.Sleep(100 * time.Microsecond)
