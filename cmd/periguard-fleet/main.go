@@ -37,7 +37,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("periguard-fleet", flag.ContinueOnError)
 	devices := fs.Int("devices", 1000, "population size")
 	shards := fs.Int("shards", 8, "ingest shards")
-	shardWorkers := fs.Int("shard-workers", 4, "workers per shard")
+	shardWorkers := fs.Int("shard-workers", 4, "frames a shard serves at once")
 	deviceWorkers := fs.Int("workers", 0, "executor pool size driving device tasks (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 4, "TA utterance batch size for secure speakers")
 	utterances := fs.Int("utterances", 4, "utterances per speaker")

@@ -14,13 +14,13 @@
 //
 // At fleet scale (shard.go) the provider runs many per-device channel
 // terminators behind consistent-hash shards: Router places device IDs on
-// Shards, each Shard serializes its devices' frames through a bounded
-// worker pool with queue backpressure, and per-shard/per-fleet Audits
-// aggregate what the provider learned. In attested deployments every
-// frame additionally passes an AdmissionGate before reaching a worker,
-// so unattested or stale-model devices are rejected at the frontend —
-// the cloud half of the remote-attestation handshake implemented in
-// internal/attest.
+// Shards, each Shard serves its devices' frames a bounded number at a
+// time on the goroutines that ingest them, with queue backpressure, and
+// per-shard/per-fleet Audits aggregate what the provider learned. In
+// attested deployments every frame additionally passes an AdmissionGate
+// before it is served, so unattested or stale-model devices are rejected
+// at the frontend — the cloud half of the remote-attestation handshake
+// implemented in internal/attest.
 package cloud
 
 import (

@@ -44,7 +44,7 @@ func TestShardCrashReplay(t *testing.T) {
 	}
 
 	s.SetServeDelay(0)
-	s.Restart(2)
+	s.Restart()
 	wg.Wait()
 
 	st := s.Stats()
@@ -134,7 +134,7 @@ func TestCrashRecoveryUnderLoadRace(t *testing.T) {
 	}
 	defer r.Close()
 	var crashEvents, restartEvents atomic.Int64
-	sup := r.Supervise(2, func(e SupervisorEvent) {
+	sup := r.Supervise(func(e SupervisorEvent) {
 		switch e.Kind {
 		case "shard-crash":
 			crashEvents.Add(1)
@@ -228,5 +228,79 @@ func TestCrashRecoveryUnderLoadRace(t *testing.T) {
 	if crashEvents.Load() != 2 || restartEvents.Load() != 2 {
 		t.Fatalf("supervisor events: %d crashes / %d restarts, want 2/2",
 			crashEvents.Load(), restartEvents.Load())
+	}
+}
+
+// TestCloseCrashedShardThenRestart: Close of a crashed shard waits for
+// the queue the crash stranded, and a Restart that arrives while Close
+// waits still serves it — a closing shard owes its queue, so the restart
+// must not be skipped. This is the Router.Drain path racing a supervised
+// crash of the shard it drains.
+func TestCloseCrashedShardThenRestart(t *testing.T) {
+	s := NewShard("s0", 1, 4)
+	p := newSlowProvider()
+	s.Register("dev", p)
+
+	const frames = 4
+	var wg sync.WaitGroup
+	for i := 0; i < frames; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := s.IngestMeta("dev", []byte("x"), FrameMeta{Seq: uint64(i + 1)}); err != nil {
+				t.Errorf("frame %d: %v", i, err)
+			}
+		}(i)
+	}
+	<-p.started // one frame holds the slot
+	waitForPending(t, s, frames-1)
+	// Crash waits for the frame in service, so release it once the
+	// crash has withheld the slots.
+	crashed := make(chan int)
+	go func() { crashed <- s.Crash() }()
+	waitFor(t, s, func() bool { return s.crashed })
+	close(p.gate)
+	if queued := <-crashed; queued != frames-1 {
+		t.Fatalf("crash stranded %d frames, want %d", queued, frames-1)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitFor(t, s, func() bool { return s.closed })
+	s.Restart()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close of a crashed shard did not return after Restart")
+	}
+	wg.Wait()
+
+	st := s.Stats()
+	if p.Audit().Events != frames || st.Frames != frames {
+		t.Fatalf("delivered %d frames (shard counted %d), want %d", p.Audit().Events, st.Frames, frames)
+	}
+	if st.Restarts != 1 || st.Recovered != frames-1 {
+		t.Fatalf("restarts %d recovered %d, want 1 and %d", st.Restarts, st.Recovered, frames-1)
+	}
+}
+
+// waitFor polls cond under the shard lock until it holds.
+func waitFor(t *testing.T, s *Shard, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		ok := cond()
+		s.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }

@@ -58,8 +58,7 @@ type AdmissionPolicy interface {
 	ShouldShed(f FrameMeta, pending, capacity int) bool
 	// Admitted notes a frame (any class) entering the shard queue.
 	Admitted(f FrameMeta)
-	// Served notes a previously Admitted frame being picked up by a
-	// worker.
+	// Served notes a previously Admitted frame taking a service slot.
 	Served(f FrameMeta)
 }
 
@@ -86,7 +85,7 @@ const DefaultHighWater = 0.75
 
 // LoadShedPolicy sheds bulk telemetry once the queue passes a high-water
 // fraction of its capacity, trading completeness for tail latency: a
-// burst beyond what the workers absorb drops cheap frames at the
+// burst beyond what the service slots absorb drops cheap frames at the
 // frontend instead of stalling every device behind the full queue.
 type LoadShedPolicy struct {
 	// HighWater is the occupancy fraction (of queue capacity) at which

@@ -240,6 +240,54 @@ func TestShedOnlyEverDropsBulkFrames(t *testing.T) {
 	}
 }
 
+// orderProvider is a slowProvider that records the order frames are
+// served in.
+type orderProvider struct {
+	*slowProvider
+	omu   sync.Mutex
+	order []string
+}
+
+func (p *orderProvider) Deliver(frame []byte) ([]byte, error) {
+	ack, err := p.slowProvider.Deliver(frame)
+	p.omu.Lock()
+	p.order = append(p.order, string(frame))
+	p.omu.Unlock()
+	return ack, err
+}
+
+// TestPriorityFrameTakesNextSlot: when the one slot frees, a waiting
+// priority frame is served before a bulk frame that has waited longer.
+func TestPriorityFrameTakesNextSlot(t *testing.T) {
+	s := NewShard("s0", 1, 4)
+	defer s.Close()
+	p := &orderProvider{slowProvider: newSlowProvider()}
+	s.Register("dev", p)
+
+	var wg sync.WaitGroup
+	send := func(frame string, meta FrameMeta) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.IngestMeta("dev", []byte(frame), meta); err != nil {
+				t.Errorf("%s: %v", frame, err)
+			}
+		}()
+	}
+	send("hold", FrameMeta{})
+	<-p.started // "hold" has the slot
+	send("bulk", FrameMeta{})
+	waitForPending(t, s, 1)
+	send("prio", FrameMeta{Priority: true})
+	waitForPending(t, s, 2)
+	close(p.gate)
+	wg.Wait()
+
+	if got := fmt.Sprint(p.order); got != "[hold prio bulk]" {
+		t.Fatalf("served %s, want [hold prio bulk]", got)
+	}
+}
+
 // waitForPending blocks until the shard has n admitted-but-unserved
 // frames (the test's pressure precondition).
 func waitForPending(t *testing.T, s *Shard, n int) {

@@ -1,9 +1,11 @@
 // Fleet-scale ingest. A single Service terminates one device's channel;
 // a provider serving millions of devices runs many such terminators
 // behind a sharded frontend. Shard hosts the per-device endpoints hashed
-// to it and serializes their ingest through a bounded worker pool with
-// two lanes: a bulk lane whose fullness pushes back on the radio, and a
-// priority lane for flagged/security events that workers drain first.
+// to it and serves their frames on the goroutines that ingest them, a
+// bounded number at a time: an admitted frame waits for a service slot
+// (the wait pushes back on the radio), and a waiting priority frame —
+// a flagged/security event — takes the next free slot before any bulk
+// frame.
 // Router places devices on shards with a weighted consistent-hash ring
 // (virtual nodes per shard × shard weight) so membership changes move
 // only neighbouring devices — and the membership *can* change at
@@ -12,7 +14,7 @@
 // flush the queue, hand the ownership ranges and their endpoints to the
 // ring successors, retire the audit counters into the router's history).
 //
-// Two pluggable checks run per frame before it reaches a worker, in
+// Two pluggable checks run per frame before it is served, in
 // order: the AdmissionGate (the attestation verifier in attested fleets
 // — an identity decision: may this device ingest at all?) and the
 // AdmissionPolicy (a capacity decision: does this frame fit right now,
@@ -24,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -117,21 +120,6 @@ var (
 	ErrLastShard = errors.New("cloud: cannot drain the last shard")
 )
 
-// ingestJob carries one frame through a shard worker and its reply back
-// to the delivering goroutine.
-type ingestJob struct {
-	device   string
-	endpoint Provider
-	frame    []byte
-	meta     FrameMeta
-	reply    chan ingestReply
-}
-
-type ingestReply struct {
-	directive []byte
-	err       error
-}
-
 // ShardStats is a snapshot of one shard's ingest counters.
 type ShardStats struct {
 	Name        string
@@ -147,7 +135,7 @@ type ShardStats struct {
 	Drained     bool   // shard was drained out of the ring
 
 	// Crash/recovery counters (zero outside fault runs).
-	Restarts          uint64 // worker-pool restarts after a crash
+	Restarts          uint64 // supervised restarts after a crash
 	Recovered         uint64 // in-queue frames replayed to completion after a restart
 	DuplicatesDropped uint64 // frames deduplicated by (device, seq)
 
@@ -176,19 +164,19 @@ func RejectVerdict(gateErr error) obs.Verdict {
 	}
 }
 
-// Shard is one ingest partition: a set of device endpoints plus a bounded
-// worker pool that processes their frames. Bulk frames queue on the
-// fixed-depth lane (fullness blocks the sender — backpressure); priority
-// frames queue on a lane workers always drain first.
+// Shard is one ingest partition: a set of device endpoints served a
+// bounded number of frames at a time. A Shard owns no goroutines: each
+// frame is served on the goroutine that ingests it, once it holds one of
+// the shard's service slots. Admitted frames wait for a slot (the wait is
+// the backpressure on the radio); a waiting priority frame takes the next
+// free slot before any bulk frame.
 type Shard struct {
-	name     string
-	jobs     chan ingestJob // bulk lane
-	prio     chan ingestJob // priority lane
-	depth    int            // bulk-lane capacity, the policy's reference
-	wg       sync.WaitGroup
-	inflight sync.WaitGroup // Ingests between admission and reply
+	name  string
+	slots int // frames served at once
+	depth int // bulk-queue depth the admission policy judges occupancy against
 
 	mu          sync.Mutex
+	cond        sync.Cond // on mu: a slot freed, a crash healed or a frame finished
 	gate        AdmissionGate
 	tenantGate  TenantAdmissionGate // gate, when it routes by tenant (cached assertion)
 	policy      AdmissionPolicy
@@ -196,8 +184,7 @@ type Shard struct {
 	sup         *Supervisor         // notified on Crash (nil unsupervised)
 	endpoints   map[string]Provider
 	closed      bool
-	crashed     bool          // worker pool down, awaiting Restart
-	quit        chan struct{} // closed to kill the current worker generation
+	crashed     bool // slots withheld, awaiting Restart
 	frames      uint64
 	errs        uint64
 	rejected    uint64
@@ -212,9 +199,10 @@ type Shard struct {
 	recovered   uint64
 	dupDropped  uint64
 	slowServe   time.Duration // fault-injected wall latency per served frame
-	replaying   int           // queued-at-crash frames the restarted generation still owes
-	pending     int           // admitted frames (both lanes) not yet picked up by a worker
-	bulkPending int           // bulk-lane share of pending: the policy's occupancy signal
+	replaying   int           // queued-at-crash frames the restart still owes
+	busy        int           // frames holding a slot
+	pending     int           // admitted frames waiting for a slot
+	bulkPending int           // bulk share of pending: the policy's occupancy signal
 	queuePeak   int
 	// maxServed records the highest frame seq served per device, so a
 	// duplicate of an already-served frame is dropped at admission (a
@@ -222,117 +210,24 @@ type Shard struct {
 	maxServed map[string]uint64
 }
 
-// NewShard starts a shard with the given worker count and admission-queue
-// depth (both floored at 1).
+// NewShard builds a shard serving `workers` frames at once with the given
+// bulk-queue depth (both floored at 1).
 func NewShard(name string, workers, queueDepth int) *Shard {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
 	s := &Shard{
 		name:      name,
-		jobs:      make(chan ingestJob, queueDepth),
-		prio:      make(chan ingestJob, queueDepth),
-		depth:     queueDepth,
-		quit:      make(chan struct{}),
+		slots:     max(workers, 1),
+		depth:     max(queueDepth, 1),
 		endpoints: make(map[string]Provider),
 		maxServed: make(map[string]uint64),
 	}
-	s.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go s.worker(s.quit)
-	}
+	s.cond.L = &s.mu
 	return s
-}
-
-// worker drains the two lanes, always preferring the priority lane when
-// it has a frame ready. A closed lane is parked (nil channel) so the
-// loop exits only once both lanes are closed and empty; a closed quit
-// channel kills this worker generation immediately (Crash), leaving
-// queued jobs in the lanes for the restarted generation to replay.
-func (s *Shard) worker(quit chan struct{}) {
-	defer s.wg.Done()
-	prio, bulk := s.prio, s.jobs
-	for prio != nil || bulk != nil {
-		select {
-		case <-quit:
-			return
-		default:
-		}
-		if prio != nil {
-			select {
-			case job, ok := <-prio:
-				if !ok {
-					prio = nil
-					continue
-				}
-				s.serve(job)
-				continue
-			default:
-			}
-		}
-		select {
-		case <-quit:
-			return
-		case job, ok := <-prio:
-			if !ok {
-				prio = nil
-				continue
-			}
-			s.serve(job)
-		case job, ok := <-bulk:
-			if !ok {
-				bulk = nil
-				continue
-			}
-			s.serve(job)
-		}
-	}
-}
-
-func (s *Shard) serve(job ingestJob) {
-	s.mu.Lock()
-	s.pending--
-	if !job.meta.Priority {
-		s.bulkPending--
-	}
-	if s.policy != nil {
-		s.policy.Served(job.meta)
-	}
-	if s.replaying > 0 {
-		// A frame that sat in the queue when the shard crashed: the
-		// restarted worker generation is replaying it now.
-		s.replaying--
-		s.recovered++
-	}
-	slow := s.slowServe
-	s.mu.Unlock()
-	if slow > 0 {
-		// Fault-injected straggler: the shard serves every frame late. Wall
-		// latency only — the device's virtual clock and the audit counters
-		// are untouched, so a slow shard degrades throughput, not accounting.
-		time.Sleep(slow)
-	}
-	directive, err := job.endpoint.Deliver(job.frame)
-	s.mu.Lock()
-	if err != nil {
-		s.errs++
-	} else {
-		s.frames++
-		if job.meta.Seq != 0 && job.meta.Seq > s.maxServed[job.device] {
-			s.maxServed[job.device] = job.meta.Seq
-		}
-	}
-	s.mu.Unlock()
-	job.reply <- ingestReply{directive: directive, err: err}
 }
 
 // Name returns the shard's ring label.
 func (s *Shard) Name() string { return s.name }
 
-// Utilization reports the bulk-lane admission-queue occupancy in [0,1] —
+// Utilization reports the bulk admission-queue occupancy in [0,1] —
 // the same pending/capacity signal the admission policy sheds on
 // (AdmissionPolicy.ShouldShed). Upstream batch schedulers consult it as
 // a backpressure gauge: above the policy's high-water mark they flush
@@ -419,15 +314,15 @@ func (s *Shard) setSupervisor(sup *Supervisor) {
 	s.mu.Unlock()
 }
 
-// Crash kills the shard's worker pool mid-run, simulating a worker-tier
-// failure. Frames already admitted stay queued in the lanes (their
-// senders keep blocking on the reply — the queue survives the crash, the
-// workers do not) and are replayed by the restarted generation, counted
-// in ShardStats.Recovered. New ingest attempts while crashed fail with
+// Crash takes the shard's service slots away mid-run, simulating a
+// serving-tier failure. Frames already in service finish; frames already
+// admitted keep waiting (the queue survives the crash, the service does
+// not) and are served after the restart, counted in
+// ShardStats.Recovered. New ingest attempts while crashed fail with
 // ErrShardCrashed, a transient error senders retry with backoff. Returns
 // the number of queued frames owed to the restart; 0 if the shard was
-// already crashed or closed. A crashed shard must be Restarted before
-// Close — the Supervisor does this automatically.
+// already crashed or closed. Close of a crashed shard waits for its
+// Restart — the Supervisor does this automatically.
 func (s *Shard) Crash() int {
 	s.mu.Lock()
 	if s.closed || s.crashed {
@@ -437,37 +332,30 @@ func (s *Shard) Crash() int {
 	s.crashed = true
 	queued := s.pending
 	s.replaying += queued
-	close(s.quit)
 	sup := s.sup
+	for s.busy > 0 {
+		s.cond.Wait()
+	}
 	s.mu.Unlock()
-	s.wg.Wait() // the dying generation finishes in-service frames, then exits
 	if sup != nil {
 		sup.notifyCrash(s, queued)
 	}
 	return queued
 }
 
-// Restart brings a crashed shard back: a fresh worker generation (floored
-// at 1) drains the surviving queue — replaying the frames the crash
-// stranded — and new ingest is admitted again. No-op unless crashed.
-func (s *Shard) Restart(workers int) {
-	if workers < 1 {
-		workers = 1
-	}
+// Restart brings a crashed shard back: its slots serve the surviving
+// queue — replaying the frames the crash stranded — and new ingest is
+// admitted again. No-op unless crashed. A closing shard is restarted too,
+// since its Close waits for the queue the restart serves.
+func (s *Shard) Restart() {
 	s.mu.Lock()
-	if s.closed || !s.crashed {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if !s.crashed {
 		return
 	}
 	s.crashed = false
-	s.quit = make(chan struct{})
 	s.restarts++
-	quit := s.quit
-	s.wg.Add(workers)
-	s.mu.Unlock()
-	for i := 0; i < workers; i++ {
-		go s.worker(quit)
-	}
+	s.cond.Broadcast()
 }
 
 // SetServeDelay installs (or clears, with 0) a fault-injected wall-clock
@@ -483,12 +371,12 @@ func (s *Shard) Ingest(deviceID string, frame []byte) ([]byte, error) {
 	return s.IngestMeta(deviceID, frame, FrameMeta{})
 }
 
-// IngestMeta processes one frame through the worker pool. The admission
+// IngestMeta processes one frame on the calling goroutine. The admission
 // gate runs first (identity), then — for bulk frames only — the
 // admission policy (capacity): a shed frame returns ErrShed without ever
-// queueing. Admitted frames block while their lane is full
-// (backpressure) and until the frame's directive is ready; priority
-// frames are served before queued bulk frames.
+// queueing. An admitted frame waits for a free slot (backpressure), then
+// is delivered and its directive returned; a waiting priority frame takes
+// the next free slot before any bulk frame.
 func (s *Shard) IngestMeta(deviceID string, frame []byte, meta FrameMeta) ([]byte, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -540,10 +428,10 @@ func (s *Shard) IngestMeta(deviceID string, frame []byte, meta FrameMeta) ([]byt
 	}
 	// The priority lane is enforced here, not in the policy: ShouldShed
 	// is never consulted for a priority frame, so no policy — however
-	// buggy — can shed one. The occupancy it sees is the bulk lane's
-	// alone, judged against the bulk lane's capacity: a burst of
-	// priority traffic must not make the policy shed bulk frames out of
-	// an empty bulk queue.
+	// buggy — can shed one. The occupancy it sees is the bulk frames'
+	// alone, judged against the bulk-queue depth: a burst of priority
+	// traffic must not make the policy shed bulk frames out of an empty
+	// bulk queue.
 	if s.policy != nil && !meta.Priority && s.policy.ShouldShed(meta, s.bulkPending, s.depth) {
 		s.shed++
 		flight, depth := s.flight, s.bulkPending
@@ -559,29 +447,63 @@ func (s *Shard) IngestMeta(deviceID string, frame []byte, meta FrameMeta) ([]byt
 	if s.policy != nil {
 		s.policy.Admitted(meta)
 	}
-	// Admitted while holding the lock, so Close cannot tear the queue
-	// down under an in-flight frame; pending tracks admitted frames no
-	// worker has picked up yet — its high-water mark is the real
-	// backpressure signal.
+	// Admitted while holding the lock, so Close cannot finish under an
+	// in-flight frame; pending counts admitted frames waiting for a slot —
+	// its high-water mark is the real backpressure signal. The frame takes
+	// a free slot in the same lock hold (the note is taken under it too),
+	// so a frame that need not wait never meets another in the queue and
+	// the peak stays 1. A bulk frame also yields to every waiting
+	// priority frame (pending > bulkPending).
 	s.pending++
-	if s.pending > s.queuePeak {
-		s.queuePeak = s.pending
+	s.queuePeak = max(s.queuePeak, s.pending)
+	s.flight.Note(deviceID, meta.Tenant, obs.VerdictDelivered, s.pending)
+	for s.crashed || s.busy >= s.slots || (!meta.Priority && s.pending > s.bulkPending) {
+		s.cond.Wait()
 	}
-	s.inflight.Add(1)
-	flight, depth := s.flight, s.pending
+	s.pending--
+	if !meta.Priority {
+		s.bulkPending--
+	}
+	s.busy++
+	if s.policy != nil {
+		s.policy.Served(meta)
+	}
+	if s.replaying > 0 {
+		// A frame that sat in the queue when the shard crashed: the
+		// restarted shard is replaying it now.
+		s.replaying--
+		s.recovered++
+	}
+	slow := s.slowServe
 	s.mu.Unlock()
-	defer s.inflight.Done()
-	flight.Note(deviceID, meta.Tenant, obs.VerdictDelivered, depth)
-
-	reply := make(chan ingestReply, 1)
-	job := ingestJob{device: deviceID, endpoint: endpoint, frame: frame, meta: meta, reply: reply}
-	if meta.Priority {
-		s.prio <- job
-	} else {
-		s.jobs <- job
+	if slow > 0 {
+		// Fault-injected straggler: the shard serves every frame late. Wall
+		// latency only — the device's virtual clock and the audit counters
+		// are untouched, so a slow shard degrades throughput, not accounting.
+		time.Sleep(slow)
 	}
-	r := <-reply
-	return r.directive, r.err
+	directive, err := endpoint.Deliver(frame)
+	s.mu.Lock()
+	if err != nil {
+		s.errs++
+	} else {
+		s.frames++
+		if meta.Seq != 0 && meta.Seq > s.maxServed[deviceID] {
+			s.maxServed[deviceID] = meta.Seq
+		}
+	}
+	s.busy--
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	// Yield before the caller goes back to its own work. A frame served
+	// on its caller no longer passes through two goroutine switches, and
+	// those were the scheduling points the GC's mark worker ran at: at
+	// GOMAXPROCS 2 that worker is a fractional one a P runs only when it
+	// schedules, so executors that never yield stretch a collection's
+	// mark phase and the heap grows behind it (docs/PERFORMANCE.md,
+	// "Ingest on the executors").
+	runtime.Gosched()
+	return directive, err
 }
 
 // Audit merges the audits of every endpoint hosted on the shard.
@@ -623,20 +545,15 @@ func (s *Shard) Stats() ShardStats {
 	}
 }
 
-// Close waits for admitted frames, then drains the workers. Ingest after
-// Close fails with ErrShardClosed.
+// Close stops admission and waits until every admitted frame has been
+// served. Ingest after Close fails with ErrShardClosed.
 func (s *Shard) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
+	defer s.mu.Unlock()
 	s.closed = true
-	s.mu.Unlock()
-	s.inflight.Wait()
-	close(s.jobs)
-	close(s.prio)
-	s.wg.Wait()
+	for s.pending+s.busy > 0 {
+		s.cond.Wait()
+	}
 }
 
 // Router maps device IDs onto shards with a weighted consistent-hash

@@ -3,6 +3,7 @@ package cloud
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -255,5 +256,81 @@ func TestUplinkRoutesDeviceTraffic(t *testing.T) {
 	}
 	if p.Audit().Events != 1 {
 		t.Fatal("uplink did not reach the endpoint")
+	}
+}
+
+// TestIngestStartsNoGoroutine: the ingest tier serves every frame on the
+// goroutine that ingests it, so building shards and a router and
+// ingesting through them leaves the goroutine count where it was.
+func TestIngestStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	shards := make([]*Shard, 8)
+	for i := range shards {
+		shards[i] = NewShard(fmt.Sprintf("s%d", i), 4, 8)
+	}
+	r, err := NewRouter(shards, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < 64; i++ {
+		id := fmt.Sprintf("device-%d", i)
+		r.Register(id, &countingProvider{})
+		if _, err := r.Ingest(id, []byte("frame")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("ingest tier started %d goroutines", after-before)
+	}
+}
+
+// utilizationProvider records the highest Utilization its shard reports
+// while a frame is being served.
+type utilizationProvider struct {
+	countingProvider
+	shard   *Shard
+	umu     sync.Mutex
+	maxUtil float64
+}
+
+func (p *utilizationProvider) Deliver(frame []byte) ([]byte, error) {
+	u := p.shard.Utilization()
+	p.umu.Lock()
+	p.maxUtil = max(p.maxUtil, u)
+	p.umu.Unlock()
+	return p.countingProvider.Deliver(frame)
+}
+
+// TestQueuePeakWithinSlots: while no more frames arrive at once than the
+// shard has slots, every admitted frame takes a slot at once, so the
+// queue never holds more than the frame being admitted (QueuePeak 1) and
+// the bulk queue the scheduler's gauge reads stays empty. Both follow
+// from the senders alone, not from how their goroutines interleave.
+func TestQueuePeakWithinSlots(t *testing.T) {
+	const slots, frames = 4, 200
+	s := NewShard("s0", slots, 2*slots)
+	defer s.Close()
+	p := &utilizationProvider{shard: s}
+	s.Register("dev", p)
+	var wg sync.WaitGroup
+	for g := 0; g < slots; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < frames; i++ {
+				if _, err := s.Ingest("dev", []byte("f")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.QueuePeak != 1 || st.Frames != slots*frames {
+		t.Fatalf("queue peak %d over %d frames, want 1 over %d", st.QueuePeak, st.Frames, slots*frames)
+	}
+	if p.maxUtil != 0 || s.Utilization() != 0 {
+		t.Fatalf("utilization read %v during the run and %v after, want 0", p.maxUtil, s.Utilization())
 	}
 }

@@ -2,12 +2,11 @@
 // shards never fail — it stays up because something notices when one
 // does and brings it back without losing the frames it was holding. The
 // Supervisor is that something: every Shard.Crash notifies it, and its
-// loop restarts the crashed shard's worker pool so the queue that
-// survived the crash is replayed to completion (ShardStats.Recovered).
-// Recovery preserves the trust invariants: the admission gate, policy
-// and endpoints are untouched by a restart — only the worker generation
-// is replaced — so a replayed frame is judged exactly as it was when
-// first admitted.
+// loop restarts the crashed shard, handing back its service slots so
+// the queue that survived the crash is replayed to completion
+// (ShardStats.Recovered). Recovery preserves the trust invariants: the
+// admission gate, policy and endpoints are untouched by a restart, so a
+// replayed frame is judged exactly as it was when first admitted.
 package cloud
 
 import (
@@ -37,7 +36,6 @@ type crashNotice struct {
 // supervisor still restarts inline, so a late crash cannot wedge the
 // tier).
 type Supervisor struct {
-	workers int
 	onEvent func(SupervisorEvent) // nil drops events
 	notify  chan crashNotice
 	wg      sync.WaitGroup
@@ -50,14 +48,10 @@ type Supervisor struct {
 
 // Supervise attaches a supervisor to every shard on the ring (including
 // shards added later): a crash is detected via the shard's notification
-// and healed by restarting its worker pool with `workers` workers
-// (floored at 1). onEvent, if non-nil, observes every crash and restart.
-func (r *Router) Supervise(workers int, onEvent func(SupervisorEvent)) *Supervisor {
-	if workers < 1 {
-		workers = 1
-	}
+// and healed by restarting the shard. onEvent, if non-nil, observes every
+// crash and restart.
+func (r *Router) Supervise(onEvent func(SupervisorEvent)) *Supervisor {
 	sup := &Supervisor{
-		workers: workers,
 		onEvent: onEvent,
 		notify:  make(chan crashNotice, 64),
 	}
@@ -88,8 +82,8 @@ func (r *Router) CrashShard(name string) (queued int, ok bool) {
 	if victim == nil {
 		return 0, false
 	}
-	// Crash blocks until the dying worker generation exits; never under
-	// the router lock, so routing stays live for the other shards.
+	// Crash blocks until the frames in service finish; never under the
+	// router lock, so routing stays live for the other shards.
 	return victim.Crash(), true
 }
 
@@ -111,7 +105,7 @@ func (sup *Supervisor) loop() {
 	defer sup.wg.Done()
 	for n := range sup.notify {
 		sup.event(SupervisorEvent{Kind: "shard-crash", Shard: n.shard.Name(), Queued: n.queued})
-		n.shard.Restart(sup.workers)
+		n.shard.Restart()
 		sup.mu.Lock()
 		sup.restarts++
 		sup.queued += n.queued
@@ -133,7 +127,7 @@ func (sup *Supervisor) notifyCrash(s *Shard, queued int) {
 	sup.mu.Lock()
 	if sup.closed {
 		sup.mu.Unlock()
-		s.Restart(sup.workers)
+		s.Restart()
 		return
 	}
 	sup.notify <- crashNotice{shard: s, queued: queued}

@@ -130,7 +130,7 @@ type FaultReport struct {
 	// TEEFaults is devices that hit the transient TEE provisioning error.
 	TEEFaults int
 	// Restarts/Recovered/DuplicatesDropped are the shard-side totals:
-	// worker-pool restarts, stranded frames replayed to completion, and
+	// supervised shard restarts, stranded frames replayed to completion, and
 	// injected duplicates dropped by (device, seq) dedup.
 	Restarts          uint64
 	Recovered         uint64
@@ -206,8 +206,8 @@ func newFaultDriver(cfg Config, router *cloud.Router, totalDevices int) (*faultD
 // supervise attaches the shard supervisor; crash and restart events land
 // in the tracer's anomaly log (first of each kind, with a flight-recorder
 // snapshot). The caller closes the returned supervisor after the run.
-func (fd *faultDriver) supervise(workers int, tracer *obs.Tracer) *cloud.Supervisor {
-	fd.sup = fd.router.Supervise(workers, func(e cloud.SupervisorEvent) {
+func (fd *faultDriver) supervise(tracer *obs.Tracer) *cloud.Supervisor {
+	fd.sup = fd.router.Supervise(func(e cloud.SupervisorEvent) {
 		tracer.Anomaly(e.Kind, fmt.Sprintf("%s: %d queued frames to replay", e.Shard, e.Queued))
 	})
 	return fd.sup

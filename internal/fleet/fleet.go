@@ -59,9 +59,11 @@ type Config struct {
 
 	// Shards is the number of ingest partitions; default 4.
 	Shards int
-	// ShardWorkers is the worker-pool size per shard; default 4.
+	// ShardWorkers is the number of frames a shard serves at once, each
+	// on the executor that ingests it; default 4.
 	ShardWorkers int
-	// ShardQueue is the per-shard admission-queue depth (backpressure);
+	// ShardQueue is the per-shard bulk-queue depth the admission policy
+	// and the scheduler's pressure gauge judge occupancy against;
 	// default 2×ShardWorkers.
 	ShardQueue int
 	// HashReplicas is the consistent-hash ring points per shard;
@@ -727,7 +729,7 @@ func Run(cfg Config) (*Result, error) {
 		// deferred *after* router.Close so it winds down first (LIFO), and
 		// a closed supervisor still restarts inline — a late crash can
 		// never strand a queue.
-		defer fd.supervise(cfg.ShardWorkers, tracer).Close()
+		defer fd.supervise(tracer).Close()
 	}
 
 	// Run phase: construct each device on first workload item, register

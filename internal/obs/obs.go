@@ -75,7 +75,7 @@ const (
 	VerdictNone Verdict = iota
 	// VerdictBlocked: the in-TEE filter withheld the frame on-device.
 	VerdictBlocked
-	// VerdictDelivered: the frame was served by a shard worker.
+	// VerdictDelivered: the frame was admitted to be served by its shard.
 	VerdictDelivered
 	// VerdictShed: the admission policy dropped the frame under pressure.
 	VerdictShed
