@@ -72,46 +72,56 @@ func (s *HEService) ProvisionImage(op *he.Conv2D) {
 
 // EvalText evaluates the provisioned text conv over one ciphertext
 // blob, returning the result blob.
-func (s *HEService) EvalText(wire []byte) ([]byte, error) {
+func (s *HEService) EvalText(wire []byte) ([]byte, error) { return s.AppendEvalText(nil, wire) }
+
+// AppendEvalText is EvalText appending the result blob to dst; on error
+// it returns dst unchanged.
+func (s *HEService) AppendEvalText(dst, wire []byte) ([]byte, error) {
 	s.mu.Lock()
 	op := s.text
 	s.mu.Unlock()
 	if op == nil {
-		return nil, fmt.Errorf("%w: text", ErrNoModel)
+		return dst, fmt.Errorf("%w: text", ErrNoModel)
 	}
-	return s.evalBlob(wire, func(ct *he.Ciphertext) (*he.Ciphertext, error) {
+	return s.evalBlob(dst, wire, func(ct *he.Ciphertext) (*he.Ciphertext, error) {
 		return s.eval.Conv1D(op, ct)
 	})
 }
 
 // EvalImage evaluates the provisioned image conv over one ciphertext
 // blob, returning the result blob.
-func (s *HEService) EvalImage(wire []byte) ([]byte, error) {
+func (s *HEService) EvalImage(wire []byte) ([]byte, error) { return s.AppendEvalImage(nil, wire) }
+
+// AppendEvalImage is EvalImage appending the result blob to dst; on
+// error it returns dst unchanged.
+func (s *HEService) AppendEvalImage(dst, wire []byte) ([]byte, error) {
 	s.mu.Lock()
 	op := s.image
 	s.mu.Unlock()
 	if op == nil {
-		return nil, fmt.Errorf("%w: image", ErrNoModel)
+		return dst, fmt.Errorf("%w: image", ErrNoModel)
 	}
-	return s.evalBlob(wire, func(ct *he.Ciphertext) (*he.Ciphertext, error) {
+	return s.evalBlob(dst, wire, func(ct *he.Ciphertext) (*he.Ciphertext, error) {
 		return s.eval.Conv2D(op, ct)
 	})
 }
 
-func (s *HEService) evalBlob(wire []byte, f func(*he.Ciphertext) (*he.Ciphertext, error)) ([]byte, error) {
+// evalBlob decodes wire, evaluates f over it and appends the marshalled
+// result to dst. The audit counts the appended bytes only.
+func (s *HEService) evalBlob(dst, wire []byte, f func(*he.Ciphertext) (*he.Ciphertext, error)) ([]byte, error) {
 	ct, err := s.eval.Unmarshal(wire)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	out, err := f(ct)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	res := out.Marshal(s.eval.Params)
+	res := out.AppendMarshal(dst, s.eval.Params)
 	s.mu.Lock()
 	s.audit.Evals++
 	s.audit.CiphertextBytesIn += uint64(len(wire))
-	s.audit.CiphertextBytesOut += uint64(len(res))
+	s.audit.CiphertextBytesOut += uint64(len(res) - len(dst))
 	s.mu.Unlock()
 	return res, nil
 }

@@ -491,7 +491,11 @@ func (s *CameraSystem) runBaseline(scenes []peripheral.Scene, res *CameraSession
 func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionResult) error {
 	hybrid := s.cfg.Mode == ModeHybridHE
 	swept := s.frameBuf
-	if !hybrid {
+	var sc *sessionScratch
+	if hybrid {
+		sc = sessionScratchPool.Get().(*sessionScratch)
+		defer sessionScratchPool.Put(sc)
+	} else {
 		// The camera PTA session is opened by the TEE when the TA first
 		// grabs; open it explicitly for the buffer allocation.
 		if err := s.PTA.Open(0); err != nil {
@@ -508,7 +512,7 @@ func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionRe
 		var grabbed tz.Cycles
 		if hybrid {
 			var err error
-			if p, scene, grabbed, err = s.hybridFrame(); p == nil {
+			if p, scene, grabbed, err = s.hybridFrame(sc); p == nil {
 				return err
 			}
 			cmd = CmdResumeBatchHE
@@ -541,9 +545,9 @@ func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionRe
 // hybridFrame is the normal world's half of a hybrid frame: grab it into
 // normal-world RAM (taking grabbed cycles), normalize and encrypt the
 // pixels under the provider's HE key and have the provider evaluate the
-// first conv blind. It returns CmdResumeBatchHE's parameters, or nil
-// when the sensor has no frame queued or on err.
-func (s *CameraSystem) hybridFrame() (p *optee.Params, scene peripheral.Scene, grabbed tz.Cycles, err error) {
+// first conv blind, into sc's HE buffers. It returns CmdResumeBatchHE's
+// parameters, or nil when the sensor has no frame queued or on err.
+func (s *CameraSystem) hybridFrame(sc *sessionScratch) (p *optee.Params, scene peripheral.Scene, grabbed tz.Cycles, err error) {
 	start := s.Clock.Now()
 	im, scene, ok, err := s.grabNormal()
 	if !ok {
@@ -554,12 +558,12 @@ func (s *CameraSystem) hybridFrame() (p *optee.Params, scene peripheral.Scene, g
 	for i, px := range im.Pix {
 		feats[i] = float32(px) / 255
 	}
-	blob, err := s.heRoundTrip(feats, []int{cameraFrameSide, cameraFrameSide, 1}, s.HE.EvalImage)
-	if err != nil {
+	sc.hePacked = sc.hePacked[:0]
+	if err := s.heAppend(sc, feats, []int{cameraFrameSide, cameraFrameSide, 1}, s.HE.AppendEvalImage); err != nil {
 		return nil, scene, 0, fmt.Errorf("camera %w", err)
 	}
 	return &optee.Params{
-		{Type: optee.MemrefIn, Buf: packLengthPrefixed([][]byte{blob})},
+		{Type: optee.MemrefIn, Buf: sc.hePacked},
 		{Type: optee.MemrefIn, Buf: im.Pix},
 		{},
 	}, scene, grabbed, nil

@@ -106,19 +106,23 @@ func (r *SessionResult) FalseBlockRate() float64 {
 	return float64(blocked) / float64(benign)
 }
 
-// sessionScratch is one session's normal-world capture scratch: the
-// synthesized utterance and the baseline app's read, capture, decode and
-// payload buffers. A session leases a set from sessionScratchPool and
+// sessionScratch is one session's normal-world scratch: the synthesized
+// utterance, the baseline app's read, capture, decode and payload
+// buffers, and the hybrid split's device wire and packed provider
+// results (heAppend). A session leases a set from sessionScratchPool and
 // returns it on every exit, so a fleet that builds, runs and drops one
 // System per device reuses a handful of sets instead of growing one per
-// device. Each buffer is rewritten before it is read within an
-// utterance, and the microphone and the uplink copy what they consume.
+// device. Each buffer is rewritten before it is read within an item or
+// group, and the microphone, the uplink and the TA copy what they
+// consume.
 type sessionScratch struct {
 	synth    []float64
 	read     []byte
 	captured []byte
 	samples  []int32
 	payload  []byte
+	heWire   []byte
+	hePacked []byte
 }
 
 var sessionScratchPool = sync.Pool{New: func() any { return new(sessionScratch) }}
@@ -319,10 +323,11 @@ func (s *System) runBaselineUtterance(sc *sessionScratch, fd int, i int, u sensi
 // one staged group: it runs the embedding head over the TA's staged
 // tokens, encrypts the features under the provider's HE public key, and
 // has the provider evaluate the classifier's first conv layer blind. It
-// returns the provider's results in CmdResumeBatchHE's wire form. The
+// returns the provider's results in CmdResumeBatchHE's wire form, in
+// sc's packed buffer: valid until the next heClassify on sc. The
 // provider observes ciphertext bytes only — never a cleartext feature.
-func (s *System) heClassify(tokens [][]int) ([]byte, error) {
-	blobs := make([][]byte, len(tokens))
+func (s *System) heClassify(sc *sessionScratch, tokens [][]int) ([]byte, error) {
+	sc.hePacked = sc.hePacked[:0]
 	feats := make([]float32, s.heSplit.SeqLen)
 	for i, ids := range tokens {
 		clear(feats)
@@ -333,11 +338,11 @@ func (s *System) heClassify(tokens [][]int) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hybrid embed %d: %w", i, err)
 		}
-		if blobs[i], err = s.heRoundTrip(data, shape, s.HE.EvalText); err != nil {
+		if err := s.heAppend(sc, data, shape, s.HE.AppendEvalText); err != nil {
 			return nil, fmt.Errorf("item %d: %w", i, err)
 		}
 	}
-	return packLengthPrefixed(blobs), nil
+	return sc.hePacked, nil
 }
 
 // RunSessionBatched is RunSession for the secure modes with TA-side

@@ -7,6 +7,7 @@ package core
 // taProfile, so both peripherals derive every key the same way.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -203,21 +204,30 @@ func (s *deviceShell) sweep(snoop *SnoopSummary, buf uint64, n int) {
 	}
 }
 
-// heRoundTrip is the normal world's half of the hybrid split for one
-// item: encrypt under the provider's HE key, have the provider evaluate
-// its layer blind, and count the ciphertext both ways on the radio.
-func (s *deviceShell) heRoundTrip(data []float32, shape []int, eval func([]byte) ([]byte, error)) ([]byte, error) {
+// heAppend is the normal world's half of the hybrid split for one
+// item: encrypt under the provider's HE key into sc's wire buffer, have
+// the provider evaluate its layer blind, and append the result to sc's
+// packed buffer in CmdResumeBatchHE's form (a little-endian uint32 byte
+// length, then the bytes). It counts the ciphertext both ways on the
+// radio. The wire buffer is reused for the next item, and the packed
+// one for the next group once its Invoke returns: the TA copies what it
+// keeps of a memref before it returns.
+func (s *deviceShell) heAppend(sc *sessionScratch, data []float32, shape []int, eval func(dst, wire []byte) ([]byte, error)) error {
 	ct, err := s.HEEval.Encrypt(s.HEPub, data, shape)
 	if err != nil {
-		return nil, fmt.Errorf("hybrid encrypt: %w", err)
+		return fmt.Errorf("hybrid encrypt: %w", err)
 	}
-	wire := ct.Marshal(s.HEEval.Params)
-	res, err := eval(wire)
+	sc.heWire = ct.AppendMarshal(sc.heWire[:0], s.HEEval.Params)
+	at := len(sc.hePacked)
+	packed, err := eval(append(sc.hePacked, 0, 0, 0, 0), sc.heWire)
 	if err != nil {
-		return nil, fmt.Errorf("hybrid eval: %w", err)
+		return fmt.Errorf("hybrid eval: %w", err)
 	}
-	s.addRadio(len(wire) + len(res))
-	return res, nil
+	n := len(packed) - at - 4
+	binary.LittleEndian.PutUint32(packed[at:], uint32(n))
+	sc.hePacked = packed
+	s.addRadio(len(sc.heWire) + n)
+	return nil
 }
 
 // energy models a session's energy.

@@ -126,7 +126,7 @@ func (st *StagedSession) runGroup(sc *sessionScratch) error {
 		if err != nil {
 			return err
 		}
-		blobs, err := st.s.heClassify(pg.Tokens)
+		blobs, err := st.s.heClassify(sc, pg.Tokens)
 		if err != nil {
 			return err
 		}

@@ -176,8 +176,9 @@ const (
 	// MemrefIn of 576 bytes per blob. The TA unseals the HE secret key
 	// from secure storage, decrypts each blob, runs the classifier's
 	// non-linear tail inside the TEE, applies the relay policy and
-	// forwards survivors. Outputs: params[2] ValueOut A=forwarded count,
-	// B=redacted tokens.
+	// forwards survivors. Both memrefs are borrowed for the call only:
+	// the TA copies what it keeps before it returns. Outputs: params[2]
+	// ValueOut A=forwarded count, B=redacted tokens.
 	CmdResumeBatchHE uint32 = 0x27
 )
 
@@ -603,25 +604,9 @@ func (t *DeviceTA) resumeBatchHE(blobs [][]byte, items optee.Param) ([]ItemRecor
 	return recs, t.relayGroup(recs)
 }
 
-// packLengthPrefixed concatenates blobs as little-endian uint32 byte
-// lengths followed by the bytes — the MemrefIn wire form of the HE
-// handoff commands.
-func packLengthPrefixed(blobs [][]byte) []byte {
-	size := 0
-	for _, b := range blobs {
-		size += 4 + len(b)
-	}
-	out := make([]byte, 0, size)
-	var hdr [4]byte
-	for _, b := range blobs {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-		out = append(out, hdr[:]...)
-		out = append(out, b...)
-	}
-	return out
-}
-
-// splitLengthPrefixed is the inverse of packLengthPrefixed.
+// splitLengthPrefixed splits the MemrefIn wire form of the HE handoff
+// commands, little-endian uint32 byte lengths each followed by that many
+// bytes, into its blobs. The blobs alias buf.
 func splitLengthPrefixed(buf []byte) ([][]byte, error) {
 	var out [][]byte
 	for len(buf) > 0 {

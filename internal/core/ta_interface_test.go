@@ -82,7 +82,7 @@ func TestMalformedResumeKeepsGroupStaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	garbageBlob := packLengthPrefixed([][]byte{{1, 2, 3}, {4, 5, 6}})
+	garbageBlob := lengthPrefixed([]byte{1, 2, 3}, []byte{4, 5, 6})
 	cases := []struct {
 		mode      Mode
 		malformed []optee.Params // each sent directly through VoiceTA.Invoke
@@ -93,7 +93,7 @@ func TestMalformedResumeKeepsGroupStaged(t *testing.T) {
 			{{Type: optee.MemrefIn, Buf: make([]byte, 15)}, {Type: optee.ValueIn}},
 		}, CmdResumeBatch},
 		{ModeHybridHE, []optee.Params{
-			{{Type: optee.MemrefIn, Buf: packLengthPrefixed([][]byte{{1}})}},
+			{{Type: optee.MemrefIn, Buf: lengthPrefixed([]byte{1})}},
 			{{Type: optee.MemrefIn, Buf: garbageBlob}},
 		}, CmdResumeBatchHE},
 	}
@@ -132,7 +132,7 @@ func TestMalformedResumeKeepsGroupStaged(t *testing.T) {
 				err = st.ResumeGroup(pg, make([]bool, 2), []int{2, 2}, 0)
 			} else {
 				var blobs []byte
-				if blobs, err = sys.heClassify(pg.Tokens); err == nil {
+				if blobs, err = sys.heClassify(new(sessionScratch), pg.Tokens); err == nil {
 					err = st.invoke(pg, CmdResumeBatchHE, &optee.Params{{Type: optee.MemrefIn, Buf: blobs}})
 				}
 			}
@@ -329,9 +329,9 @@ func FuzzVoiceTAInvoke(f *testing.F) {
 	// Stage the queued group, then a short verdict table and a retry.
 	staged := op(CmdTranscribeBatch, optee.MemrefIn, 0, lens)
 	f.Add(byte(0), cat(staged, op(CmdResumeBatch, optee.MemrefIn, 0, make([]byte, 5)), op(CmdResumeBatch, optee.MemrefIn, 0, make([]byte, 10))))
-	f.Add(byte(1), cat(staged, op(CmdResumeBatchHE, optee.MemrefIn, 0, packLengthPrefixed([][]byte{{1}}))))
+	f.Add(byte(1), cat(staged, op(CmdResumeBatchHE, optee.MemrefIn, 0, lengthPrefixed([]byte{1}))))
 	// A well-counted batch of corrupt ciphertexts.
-	f.Add(byte(1), cat(staged, op(CmdResumeBatchHE, optee.MemrefIn, 0, packLengthPrefixed([][]byte{{1}, {1}}))))
+	f.Add(byte(1), cat(staged, op(CmdResumeBatchHE, optee.MemrefIn, 0, lengthPrefixed([]byte{1}, []byte{1}))))
 	f.Add(byte(1), cat(staged, op(CmdResumeBatch, optee.MemrefIn, 7, []byte{1, 2, 0, 0, 0, 0, 2, 0, 0, 0})))
 	f.Add(byte(0), cat(op(CmdProcessBatch, optee.MemrefIn, 0, lens), op(0x99, optee.ValueIn, 0, nil)))
 	// An utterance length that splits a wire frame.
@@ -483,7 +483,7 @@ func FuzzCameraTAInvoke(f *testing.F) {
 		return append(append(out, b0...), b1...)
 	}
 	frame := make([]byte, cameraFrameBytes)
-	blob := packLengthPrefixed([][]byte{{1, 2, 3}})
+	blob := lengthPrefixed([]byte{1, 2, 3})
 	f.Add(byte(0), op(CmdProcessItem, optee.ValueIn, optee.ParamNone, cameraFrameBytes, nil, nil))
 	f.Add(byte(0), op(CmdProcessItem, optee.ValueIn, optee.ParamNone, 1, nil, nil))
 	f.Add(byte(0), op(CmdProcessItem, optee.MemrefIn, optee.MemrefOut, 1, []byte{1}, []byte{2}))
@@ -699,7 +699,7 @@ func TestVoiceTATypedErrors(t *testing.T) {
 			if err := sess.InvokeCommand(CmdTranscribeBatch, &p); err != nil {
 				return err
 			}
-			p = optee.Params{memref(packLengthPrefixed([][]byte{{1}, {2}}))}
+			p = optee.Params{memref(lengthPrefixed([]byte{1}, []byte{2}))}
 			return sess.InvokeCommand(CmdResumeBatchHE, &p)
 		}, optee.ErrBadState, nil},
 		{"corrupt HE ciphertexts", func() error {
@@ -716,7 +716,7 @@ func TestVoiceTATypedErrors(t *testing.T) {
 			if err := sess.InvokeCommand(CmdTranscribeBatch, &p); err != nil {
 				return err
 			}
-			p = optee.Params{memref(packLengthPrefixed([][]byte{{1}, {1}}))}
+			p = optee.Params{memref(lengthPrefixed([]byte{1}, []byte{1}))}
 			return sess.InvokeCommand(CmdResumeBatchHE, &p)
 		}, optee.ErrBadParam, nil},
 		{"length splits a wire frame", func() error {

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tz"
 )
@@ -420,9 +421,13 @@ func (c *Ciphertext) Size(p Params) int {
 // expansion factor with deterministic filler: the encoding is
 // reproducible, Expansion× the plaintext size, and never contains the
 // raw feature bytes.
-func (c *Ciphertext) Marshal(p Params) []byte {
+func (c *Ciphertext) Marshal(p Params) []byte { return c.AppendMarshal(nil, p) }
+
+// AppendMarshal appends the bytes Marshal encodes to dst, growing it at
+// most once, and returns the extended slice.
+func (c *Ciphertext) AppendMarshal(dst []byte, p Params) []byte {
 	size := c.Size(p)
-	buf := make([]byte, 0, size)
+	buf := slices.Grow(dst, size)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[:4], ciphertextMagic)
 	buf = append(buf, hdr[:4]...)
@@ -441,7 +446,7 @@ func (c *Ciphertext) Marshal(p Params) []byte {
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(c.data)))
 	buf = append(buf, hdr[:4]...)
 	off := len(buf)
-	buf = buf[:size]
+	buf = buf[:len(dst)+size]
 	for i, v := range c.data {
 		block := buf[off : off+4*p.Expansion]
 		keystreamInto(block, c.keyID, uint64(i))

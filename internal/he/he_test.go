@@ -314,3 +314,47 @@ func TestMarshalGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendMarshalKeepsPrefix: AppendMarshal onto a non-empty prefix,
+// with and without spare capacity, keeps the prefix and appends exactly
+// the bytes TestMarshalGolden pins.
+func TestAppendMarshalKeepsPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		expansion int
+		want      string
+	}{
+		{32, "dd78405f0f64249f7fb4459a367f9ddf940a2c77d079985a9ca8611ef6762b66"},
+		{3, "b2cfee800b5f3925c6495d625916cbd5b380eca79e005006d3fbd37f76f24a4c"},
+	} {
+		p := DefaultParams()
+		p.Expansion = tc.expansion
+		kp, err := KeyGen(p, 4242)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]float32, 12)
+		for i := range data {
+			data[i] = float32(i)*0.37 - 1
+		}
+		ct, err := testEvaluator(t, p).Encrypt(kp.Public, data, []int{4, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("prefix")
+		// A dirty buffer with room to spare must not leak its old bytes.
+		roomy := bytes.Repeat([]byte{0xff}, len(prefix)+ct.Size(p)+64)
+		copy(roomy, prefix)
+		for _, dst := range [][]byte{append([]byte(nil), prefix...), roomy[:len(prefix)]} {
+			out := ct.AppendMarshal(dst, p)
+			if !bytes.Equal(out[:len(prefix)], prefix) {
+				t.Fatalf("expansion %d: prefix overwritten: %q", tc.expansion, out[:len(prefix)])
+			}
+			if len(out)-len(prefix) != ct.Size(p) {
+				t.Fatalf("expansion %d: appended %d bytes, want Size %d", tc.expansion, len(out)-len(prefix), ct.Size(p))
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(out[len(prefix):])); got != tc.want {
+				t.Errorf("expansion %d (cap %d): appended sha256 = %s, want %s", tc.expansion, cap(dst), got, tc.want)
+			}
+		}
+	}
+}
