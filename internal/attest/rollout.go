@@ -16,8 +16,9 @@ import (
 type Pack struct {
 	// Version is the monotonically increasing pack version.
 	Version uint64
-	// ModelSeed is the training seed the weights were produced with;
-	// devices rebuild their classifier skeleton from it before loading.
+	// ModelSeed is the training seed the weights were produced with. It
+	// is provenance only: a device builds its classifier from the
+	// weights alone, and nothing reads the seed back.
 	ModelSeed uint64
 	// Text and Image are the serialized classifier weights per device
 	// class (either may be empty for a single-class fleet).

@@ -48,15 +48,14 @@ const (
 // CameraTADigest is the measured code identity of the camera TA.
 var CameraTADigest = cameraProfile.code
 
-// TrainImageClassifier pre-trains (memoized) the person-detection model;
-// see TrainClassifier.
-func TrainImageClassifier(seed uint64) (*classify.Classifier, error) {
-	rng := NewRNG(seed, seed^SaltImage)
-	clf, err := classify.NewImage(rng, cameraFrameSide, cameraFrameSide)
-	if err != nil {
-		return nil, err
-	}
-	return trainMemoized(fmt.Sprintf("image/%d", seed), clf, func() error {
+// ImageWeights returns the pre-trained (memoized) weights blob of the
+// person-detection model; see TextWeights.
+func ImageWeights(seed uint64) ([]byte, error) {
+	return trainMemoized(weightsKey{image: true, seed: seed}, func() (*classify.Classifier, error) {
+		clf, err := classify.NewImage(NewRNG(seed, seed^SaltImage), cameraFrameSide, cameraFrameSide)
+		if err != nil {
+			return nil, err
+		}
 		const n = 160
 		samples := make([]train.Sample, 0, n)
 		for i := 0; i < n; i++ {
@@ -68,11 +67,20 @@ func TrainImageClassifier(seed uint64) (*classify.Classifier, error) {
 			im := peripheral.SynthesizeImage(scene, seed*31+uint64(i))
 			samples = append(samples, train.Sample{X: im.Floats(), Y: label})
 		}
-		_, err := train.Fit(clf.Model(), train.NewAdam(0.005), samples, train.Config{
+		_, err = train.Fit(clf.Model(), train.NewAdam(0.005), samples, train.Config{
 			Epochs: 6, BatchSize: 16, Seed: seed, Shape: clf.InputShape(),
 		})
-		return err
+		return clf, err
 	})
+}
+
+// TrainImageClassifier returns a classifier built from ImageWeights.
+func TrainImageClassifier(seed uint64) (*classify.Classifier, error) {
+	blob, err := ImageWeights(seed)
+	if err != nil {
+		return nil, err
+	}
+	return classify.LoadImage(blob, cameraFrameSide, cameraFrameSide)
 }
 
 // CameraPTA exposes the camera to the secure world. It owns a frame
@@ -195,8 +203,8 @@ var frameStages = taStages{
 	capture:   (*DeviceTA).grabFrames,
 	featurize: (*DeviceTA).pixelFeatures,
 	handIn:    (*DeviceTA).handInFrames,
-	newClassifier: func(_ *TAConfig, seed uint64) (*classify.Classifier, error) {
-		return classify.NewImage(NewRNG(seed, seed^SaltImage), cameraFrameSide, cameraFrameSide)
+	loadClassifier: func(_ *TAConfig, blob []byte) (*classify.Classifier, error) {
+		return classify.LoadImage(blob, cameraFrameSide, cameraFrameSide)
 	},
 	relay: (*DeviceTA).relayFrame,
 }
@@ -341,14 +349,14 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 		return sys, nil
 	}
 
-	clf, err := TrainImageClassifier(cfg.ModelSeed)
+	weights, err := ImageWeights(cfg.ModelSeed)
 	if err != nil {
 		return nil, err
 	}
 	taCfg, err := sys.buildSecureWorld(cameraProfile, secureSpec{
 		mode: cfg.Mode, seed: cfg.Seed, modelSeed: cfg.ModelSeed,
 		deviceID: cfg.DeviceID, attestKeySeed: cfg.AttestKeySeed, modelVersion: cfg.ModelVersion,
-		weights: clf.SerializeWeights(),
+		weights: weights,
 	})
 	if err != nil {
 		return nil, err
@@ -356,7 +364,11 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 	if cfg.Mode == ModeHybridHE {
 		// The provider's blind-evaluation endpoint gets the classifier's
 		// first conv in the clear.
-		split, err := classify.SplitImage(clf)
+		clf, err := classify.LoadImage(weights, cameraFrameSide, cameraFrameSide)
+		var split *classify.ImageSplit
+		if err == nil {
+			split, err = classify.SplitImage(clf)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("camera he split: %w", err)
 		}

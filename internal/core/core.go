@@ -230,46 +230,53 @@ type System struct {
 	Recognizer *asr.Session // device-side (TA) recognizer session
 }
 
-// trainedWeights memoizes classifier pre-training per (arch, seed, epochs):
-// training is deterministic, and experiments build many Systems.
+// TextSeqLen is the text classifier's padded token-sequence length.
+const TextSeqLen = 12
+
+// trainedWeights memoizes deterministic pre-training as weights blobs; a
+// lookup allocates nothing, so Pretrain may ask once per device.
 var (
 	trainedMu      sync.Mutex
-	trainedWeights = make(map[string][]byte)
+	trainedWeights = make(map[weightsKey][]byte)
 )
 
-// trainMemoized restores the weights memoized under key into clf, or
-// trains clf with fit and memoizes the result. The lock is held across
+// weightsKey names one pre-training; an image key has no arch or epochs.
+type weightsKey struct {
+	image  bool
+	arch   classify.Arch
+	seed   uint64
+	epochs int
+}
+
+// trainMemoized returns the read-only blob memoized under key, or trains
+// a classifier with fit and memoizes its weights. The lock is held across
 // training — as in trainedModel — so a fleet building thousands of
 // devices with one shared ModelSeed trains each model exactly once.
-func trainMemoized(key string, clf *classify.Classifier, fit func() error) (*classify.Classifier, error) {
+func trainMemoized(key weightsKey, fit func() (*classify.Classifier, error)) ([]byte, error) {
 	trainedMu.Lock()
 	defer trainedMu.Unlock()
 	if blob, ok := trainedWeights[key]; ok {
-		if err := clf.LoadWeights(blob); err != nil {
-			return nil, err
-		}
-		return clf, nil
+		return blob, nil
 	}
-	if err := fit(); err != nil {
-		return nil, err
-	}
-	trainedWeights[key] = clf.SerializeWeights()
-	return clf, nil
-}
-
-// TrainClassifier pre-trains (or fetches the memoized) classifier for the
-// architecture on the standard corpus.
-func TrainClassifier(arch classify.Arch, vocab *sensitive.Vocabulary, seed uint64, epochs int) (*classify.Classifier, error) {
-	const seqLen = 12
-	rng := NewRNG(seed, seed^SaltClassifier)
-	clf, err := classify.NewText(arch, rng, vocab.Size(), seqLen)
+	clf, err := fit()
 	if err != nil {
 		return nil, err
 	}
-	return trainMemoized(fmt.Sprintf("%d/%d/%d", arch, seed, epochs), clf, func() error {
+	trainedWeights[key] = clf.SerializeWeights()
+	return trainedWeights[key], nil
+}
+
+// TextWeights returns the shared, read-only weights blob of the text
+// classifier pre-trained (memoized) on the standard corpus.
+func TextWeights(arch classify.Arch, vocab *sensitive.Vocabulary, seed uint64, epochs int) ([]byte, error) {
+	return trainMemoized(weightsKey{arch: arch, seed: seed, epochs: epochs}, func() (*classify.Classifier, error) {
+		clf, err := classify.NewText(arch, NewRNG(seed, seed^SaltClassifier), vocab.Size(), TextSeqLen)
+		if err != nil {
+			return nil, err
+		}
 		corpus, err := sensitive.Generate(sensitive.GenConfig{N: 280, SensitiveFraction: 0.45, Seed: seed})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		samples := make([]train.Sample, 0, len(corpus))
 		for _, u := range corpus {
@@ -281,8 +288,17 @@ func TrainClassifier(arch classify.Arch, vocab *sensitive.Vocabulary, seed uint6
 		_, err = train.Fit(clf.Model(), train.NewAdam(0.01), samples, train.Config{
 			Epochs: epochs, BatchSize: 16, Seed: seed, Shape: clf.InputShape(),
 		})
-		return err
+		return clf, err
 	})
+}
+
+// TrainClassifier returns a classifier built from TextWeights.
+func TrainClassifier(arch classify.Arch, vocab *sensitive.Vocabulary, seed uint64, epochs int) (*classify.Classifier, error) {
+	blob, err := TextWeights(arch, vocab, seed, epochs)
+	if err != nil {
+		return nil, err
+	}
+	return classify.LoadText(blob, vocab.Size(), TextSeqLen)
 }
 
 // seededReader adapts the deterministic PRNG to io.Reader for key
@@ -449,14 +465,12 @@ func (s *System) buildSecure() error {
 	// secure storage and the TA unseals them at first classify (paper
 	// §IV.4: "pre-trained ML classifier" shipped to the TA).
 	filter := s.cfg.Mode == ModeSecureFilter || s.cfg.Mode == ModeHybridHE
-	var clf *classify.Classifier
 	var weights []byte
 	if filter && !s.cfg.SharedClassify {
 		var err error
-		if clf, err = TrainClassifier(s.cfg.Arch, s.Vocab, s.cfg.ModelSeed, s.cfg.TrainEpochs); err != nil {
+		if weights, err = TextWeights(s.cfg.Arch, s.Vocab, s.cfg.ModelSeed, s.cfg.TrainEpochs); err != nil {
 			return fmt.Errorf("core classifier: %w", err)
 		}
-		weights = clf.SerializeWeights()
 	}
 	taCfg, err := s.buildSecureWorld(voiceProfile, secureSpec{
 		mode: s.cfg.Mode, seed: s.cfg.Seed, modelSeed: s.cfg.ModelSeed,
@@ -467,16 +481,19 @@ func (s *System) buildSecure() error {
 		return err
 	}
 	if s.cfg.Mode == ModeHybridHE {
-		// The provider's blind-evaluation endpoint gets the classifier's
-		// first conv in the clear.
-		split, err := classify.SplitText(clf)
+		// The device runs the split's head and the provider's
+		// blind-evaluation endpoint gets its first conv in the clear.
+		clf, err := classify.LoadText(weights, s.Vocab.Size(), TextSeqLen)
+		if err == nil {
+			s.heSplit, err = classify.SplitText(clf)
+		}
 		if err != nil {
 			return fmt.Errorf("core he split: %w", err)
 		}
-		s.heSplit = split
-		ps := split.Conv.Params()
+		conv := s.heSplit.Conv
+		ps := conv.Params()
 		s.HE.ProvisionText(&he.Conv1D{
-			K: split.Conv.K, Cin: split.Conv.Cin, Cout: split.Conv.Cout,
+			K: conv.K, Cin: conv.Cin, Cout: conv.Cout,
 			W: ps[0].Value.Data, B: ps[1].Value.Data,
 		})
 	}
@@ -484,7 +501,7 @@ func (s *System) buildSecure() error {
 	s.DriverPTA = NewDriverPTA(s.Driver)
 	s.TEE.RegisterPTA(s.DriverPTA)
 	taCfg.Filter, taCfg.sharedClassify = filter, s.cfg.SharedClassify
-	taCfg.Recognizer, taCfg.Arch, taCfg.Vocab, taCfg.Policy = s.Recognizer, s.cfg.Arch, s.Vocab, s.cfg.Policy
+	taCfg.Recognizer, taCfg.Vocab, taCfg.Policy = s.Recognizer, s.Vocab, s.cfg.Policy
 	ta, err := newDeviceTA(voiceProfile, taCfg)
 	if err != nil {
 		return fmt.Errorf("core voice ta: %w", err)

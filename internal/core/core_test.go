@@ -282,6 +282,14 @@ func TestClassifierArchSelection(t *testing.T) {
 		if len(res.Utterances) != 3 {
 			t.Errorf("%v processed %d utterances", arch, len(res.Utterances))
 		}
+		// The TA takes the architecture from the sealed weights blob.
+		clf, err := sys.VoiceTA.loadedClassifier()
+		if err != nil {
+			t.Fatalf("%v: %v", arch, err)
+		}
+		if clf.Arch() != arch {
+			t.Errorf("TA runs a %v classifier, want %v", clf.Arch(), arch)
+		}
 	}
 }
 

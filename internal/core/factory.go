@@ -116,18 +116,12 @@ func (spec DeviceSpec) cameraConfig() CameraConfig {
 }
 
 // Pretrain warms every shared-model cache the given population needs —
-// the ASR template pack per training condition, the text classifier per
-// (arch, model seed) and the image classifier per model seed — so that
-// lazily constructed devices only ever hit memoized models. It applies
-// the defaulting rules the per-device constructors apply.
+// the ASR template pack per training condition and the text and image
+// classifier weights per model seed — so that lazily constructed devices
+// only ever hit memoized models. It applies the defaulting rules the
+// per-device constructors apply.
 func Pretrain(specs []DeviceSpec) error {
 	vocab := sensitive.NewVocabulary()
-	type textKey struct {
-		arch classify.Arch
-		seed uint64
-	}
-	textDone := make(map[textKey]bool)
-	imageDone := make(map[uint64]bool)
 	for _, spec := range specs {
 		switch spec.Kind {
 		case DeviceSpeaker:
@@ -144,12 +138,8 @@ func Pretrain(specs []DeviceSpec) error {
 				return fmt.Errorf("pretrain asr: %w", err)
 			}
 			if cfg.Mode == ModeSecureFilter || cfg.Mode == ModeHybridHE {
-				k := textKey{cfg.Arch, cfg.ModelSeed}
-				if !textDone[k] {
-					if _, err := TrainClassifier(cfg.Arch, vocab, cfg.ModelSeed, cfg.TrainEpochs); err != nil {
-						return fmt.Errorf("pretrain classifier: %w", err)
-					}
-					textDone[k] = true
+				if _, err := TextWeights(cfg.Arch, vocab, cfg.ModelSeed, cfg.TrainEpochs); err != nil {
+					return fmt.Errorf("pretrain classifier: %w", err)
 				}
 			}
 		case DeviceDoorbell:
@@ -157,11 +147,10 @@ func Pretrain(specs []DeviceSpec) error {
 			if err := cfg.fillDefaults(); err != nil {
 				return fmt.Errorf("pretrain: %w", err)
 			}
-			if cfg.Mode != ModeBaseline && !imageDone[cfg.ModelSeed] {
-				if _, err := TrainImageClassifier(cfg.ModelSeed); err != nil {
+			if cfg.Mode != ModeBaseline {
+				if _, err := ImageWeights(cfg.ModelSeed); err != nil {
 					return fmt.Errorf("pretrain image classifier: %w", err)
 				}
-				imageDone[cfg.ModelSeed] = true
 			}
 		}
 	}

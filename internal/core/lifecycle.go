@@ -87,8 +87,6 @@ type TAConfig struct {
 	Storage *optee.Storage
 	Clock   *tz.Clock
 	Cost    tz.CostModel
-	// Seed is the provisioned model's seed.
-	Seed uint64
 	// Attestor signs measurement reports with the device's attestation
 	// key (nil outside attested fleets); ModelVersion is the provisioned
 	// model-pack version the TA boots with.
@@ -113,9 +111,8 @@ type TAConfig struct {
 	sharedClassify bool
 
 	// The speaker's speech stages: the in-TEE recognizer, the text
-	// classifier's architecture and vocabulary, and the relay policy.
+	// classifier's vocabulary and the relay policy.
 	Recognizer *asr.Session
-	Arch       classify.Arch
 	Vocab      *sensitive.Vocabulary
 	Policy     relay.Policy
 }
@@ -133,7 +130,6 @@ type taLifecycle struct {
 	attestor     *attest.Attestor
 	classifier   *classify.Classifier // nil until first unseal or update
 	modelVersion uint64
-	modelSeed    uint64
 }
 
 // initLifecycle fills the lifecycle from the TA's config. A sealed
@@ -148,7 +144,7 @@ func (l *taLifecycle) initLifecycle(p *taProfile, cfg *TAConfig) {
 			l.attestor = l.attestor.AtEpoch(binary.LittleEndian.Uint64(blob))
 		}
 	}
-	l.modelVersion, l.modelSeed = cfg.ModelVersion, cfg.Seed
+	l.modelVersion = cfg.ModelVersion
 }
 
 // unprovisioned is the rejection of a lifecycle command on a TA with no
@@ -317,7 +313,7 @@ func (l *taLifecycle) updateModel(packBytes, tokenBytes []byte) (uint64, error) 
 	// The pack is still verified, sealed and version-advanced below.
 	var clf *classify.Classifier
 	if l.buildsClassifier() {
-		if clf, err = l.buildClassifier(pack.ModelSeed, weights); err != nil {
+		if clf, err = l.profile.stages.loadClassifier(l.cfg, weights); err != nil {
 			return 0, l.rejected("update", err)
 		}
 	}
@@ -345,7 +341,6 @@ func (l *taLifecycle) updateModel(packBytes, tokenBytes []byte) (uint64, error) 
 	// Charge the copy+seal of the pack through the TEE.
 	l.cfg.Clock.Advance(tz.Cycles(len(packBytes)) * l.cfg.Cost.CopyPerByte)
 	l.modelVersion = pack.Version
-	l.modelSeed = pack.ModelSeed
 	return pack.Version, nil
 }
 
@@ -354,19 +349,6 @@ func (l *taLifecycle) updateModel(packBytes, tokenBytes []byte) (uint64, error) 
 // shared. Such a TA's loadedClassifier is ErrBadState, and its updates
 // rebuild nothing.
 func (l *taLifecycle) buildsClassifier() bool { return l.cfg.Filter && !l.cfg.sharedClassify }
-
-// buildClassifier makes the classifier skeleton for a model seed and
-// restores the given serialized weights into it.
-func (l *taLifecycle) buildClassifier(seed uint64, blob []byte) (*classify.Classifier, error) {
-	clf, err := l.profile.stages.newClassifier(l.cfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := clf.LoadWeights(blob); err != nil {
-		return nil, fmt.Errorf("%s weights: %w", l.profile.name, err)
-	}
-	return clf, nil
-}
 
 // loadedClassifier returns the live classifier, unsealing it from secure
 // storage on first use (an installed rollout pack takes precedence:
@@ -377,23 +359,15 @@ func (l *taLifecycle) loadedClassifier() (*classify.Classifier, error) {
 		return nil, fmt.Errorf("%w: %s runs no per-device classifier", optee.ErrBadState, l.profile.name)
 	}
 	l.mu.Lock()
-	clf, seed := l.classifier, l.modelSeed
-	l.mu.Unlock()
-	if clf != nil {
-		return clf, nil
-	}
-	blob, err := l.cfg.Storage.Get(l.profile.weightsID)
-	if err != nil {
-		return nil, fmt.Errorf("%s weights: %w", l.profile.name, err)
-	}
-	built, err := l.buildClassifier(seed, blob)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.classifier == nil {
-		l.classifier = built
+		blob, err := l.cfg.Storage.Get(l.profile.weightsID)
+		if err == nil {
+			l.classifier, err = l.profile.stages.loadClassifier(l.cfg, blob)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s weights: %w", l.profile.name, err)
+		}
 	}
 	return l.classifier, nil
 }

@@ -106,8 +106,8 @@ func (s *deviceShell) buildSecureWorld(p *taProfile, spec secureSpec) (TAConfig,
 	}
 	cfg := TAConfig{
 		TEE: s.TEE, Storage: storage, Clock: s.Clock, Cost: s.Cost,
-		Seed: spec.modelSeed, ModelVersion: spec.modelVersion,
-		Hybrid: spec.mode == ModeHybridHE,
+		ModelVersion: spec.modelVersion,
+		Hybrid:       spec.mode == ModeHybridHE,
 	}
 
 	// Hybrid split: the HE keypair comes from the shared model seed (the

@@ -221,8 +221,8 @@ type taStages struct {
 	// captured itself (CmdResumeBatchHE's params[1]); nil for a
 	// peripheral whose HE group is the one CmdTranscribeBatch staged.
 	handIn func(t *DeviceTA, n int, items optee.Param) error
-	// newClassifier makes the classifier skeleton for a model seed.
-	newClassifier func(cfg *TAConfig, seed uint64) (*classify.Classifier, error)
+	// loadClassifier builds the classifier from a sealed weights blob.
+	loadClassifier func(cfg *TAConfig, blob []byte) (*classify.Classifier, error)
 	// relay applies the peripheral's relay policy to item i of a
 	// classified group and seals a survivor through relayEvent.
 	relay func(t *DeviceTA, i int, rec *ItemRecord) error
@@ -650,8 +650,8 @@ var voiceStages = taStages{
 	capture:   (*DeviceTA).captureUtterances,
 	featurize: (*DeviceTA).tokenFeatures,
 	encode:    (*DeviceTA).encodeTranscript,
-	newClassifier: func(cfg *TAConfig, seed uint64) (*classify.Classifier, error) {
-		return classify.NewText(cfg.Arch, NewRNG(seed, seed^SaltClassifier), cfg.Vocab.Size(), 12)
+	loadClassifier: func(cfg *TAConfig, blob []byte) (*classify.Classifier, error) {
+		return classify.LoadText(blob, cfg.Vocab.Size(), TextSeqLen)
 	},
 	relay: (*DeviceTA).relayTranscript,
 }

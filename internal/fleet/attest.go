@@ -250,26 +250,23 @@ func newAttestState(cfg Config, specs []core.DeviceSpec) (*attestState, error) {
 	return st, nil
 }
 
-// buildPack trains (or fetches from the shared caches) the classifier
+// buildPack fetches (training on first use) the memoized classifier
 // weights for a pack version; payload classes the population does not
 // run stay empty. The fleet population runs the CNN text classifier and
 // the standard image classifier, both at the default epoch budget — the
-// same models Pretrain warms.
+// same blobs Pretrain warms and devices seal.
 func buildPack(version, modelSeed uint64, needText, needImage bool) (attest.Pack, error) {
 	pack := attest.Pack{Version: version, ModelSeed: modelSeed}
+	var err error
 	if needText {
-		text, err := core.TrainClassifier(classify.ArchCNN, sensitive.NewVocabulary(), modelSeed, 8)
-		if err != nil {
+		if pack.Text, err = core.TextWeights(classify.ArchCNN, sensitive.NewVocabulary(), modelSeed, 8); err != nil {
 			return attest.Pack{}, err
 		}
-		pack.Text = text.SerializeWeights()
 	}
 	if needImage {
-		image, err := core.TrainImageClassifier(modelSeed)
-		if err != nil {
+		if pack.Image, err = core.ImageWeights(modelSeed); err != nil {
 			return attest.Pack{}, err
 		}
-		pack.Image = image.SerializeWeights()
 	}
 	return pack, nil
 }

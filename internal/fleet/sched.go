@@ -3,11 +3,11 @@ package fleet
 // Cross-device scheduler wiring: SchedSpec turns the per-device classify
 // stage of every secure-filter speaker into a submission to one shared
 // internal/sched scheduler. The fleet owns the per-model-version shared
-// classifiers (bit-identical to the ones each device would have built:
-// same memoized TrainClassifier weights, same architecture and vocabulary),
-// wires the ingest tier's queue utilization in as the scheduler's
-// backpressure gauge, and folds the scheduler's flush statistics into the
-// run result.
+// classifiers, each built by classify.LoadText from the weights blob that
+// version provisions (the bytes a device would have sealed, so its
+// verdicts are bit-identical), wires the ingest tier's queue utilization
+// in as the scheduler's backpressure gauge, and folds the scheduler's
+// flush statistics into the run result.
 
 import (
 	"fmt"
@@ -102,25 +102,27 @@ type versionClassifier struct {
 type schedControl struct {
 	scheduler *sched.Scheduler
 	vocab     *sensitive.Vocabulary
+	rootSeed  uint64 // versions 0 and 1 run this seed's memoized blob
 
-	mu    sync.Mutex
-	seeds map[uint64]uint64 // model version -> model seed
-	clfs  map[uint64]*versionClassifier
+	mu      sync.Mutex
+	weights map[uint64][]byte // model version -> weights blob
+	clfs    map[uint64]*versionClassifier
 }
 
-// newSchedControl builds the scheduler for one run. Version seeds mirror
-// provisioning exactly: the base population's classifier comes from the
-// root seed (versions 0 and 1), and a staged rollout's target pack
-// registers its own seed — TrainClassifier memoizes, so these are the
-// same weights the attestState packs carry.
+// newSchedControl builds the scheduler for one run. Version weights
+// mirror provisioning exactly: the base population runs the root seed's
+// memoized blob (versions 0 and 1, the blob Pretrain warmed and every
+// device seals), and a staged rollout's target version runs its pack's
+// text weights.
 func newSchedControl(cfg Config, st *attestState, router *cloud.Router) (*schedControl, error) {
 	sc := &schedControl{
-		vocab: sensitive.NewVocabulary(),
-		seeds: map[uint64]uint64{0: cfg.Seed, 1: cfg.Seed},
-		clfs:  make(map[uint64]*versionClassifier),
+		vocab:    sensitive.NewVocabulary(),
+		rootSeed: cfg.Seed,
+		weights:  make(map[uint64][]byte),
+		clfs:     make(map[uint64]*versionClassifier),
 	}
 	if st != nil && st.rollout != nil {
-		sc.seeds[st.next.Version] = st.next.ModelSeed
+		sc.weights[st.next.Version] = st.next.Text
 	}
 	// Backpressure gauge: the worst bulk-lane queue utilization across
 	// the ring's live shards, the same signal the admission policy sheds
@@ -140,19 +142,28 @@ func newSchedControl(cfg Config, st *attestState, router *cloud.Router) (*schedC
 }
 
 // classifierFor returns (building on first use) the shared classifier
-// for a model version. The build hits the memoized TrainClassifier
-// cache Pretrain warmed.
+// for a model version, loaded from that version's weights blob.
 func (sc *schedControl) classifierFor(version uint64) (*versionClassifier, error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if vc, ok := sc.clfs[version]; ok {
 		return vc, nil
 	}
-	seed, ok := sc.seeds[version]
+	blob, ok := sc.weights[version]
+	if !ok && version <= 1 {
+		// Fetched on first use, so a population with no secure-filter
+		// speaker trains no text model.
+		var err error
+		if blob, err = core.TextWeights(classify.ArchCNN, sc.vocab, sc.rootSeed, 8); err != nil {
+			return nil, fmt.Errorf("fleet sched: base weights: %w", err)
+		}
+		sc.weights[0], sc.weights[1] = blob, blob
+		ok = true
+	}
 	if !ok {
 		return nil, fmt.Errorf("fleet sched: no model provisioned for version %d", version)
 	}
-	clf, err := core.TrainClassifier(classify.ArchCNN, sc.vocab, seed, 8)
+	clf, err := classify.LoadText(blob, sc.vocab.Size(), core.TextSeqLen)
 	if err != nil {
 		return nil, fmt.Errorf("fleet sched: version %d classifier: %w", version, err)
 	}

@@ -252,69 +252,69 @@ func (c *Classifier) FitsIn(budgetBytes int) bool {
 
 const weightsMagic = 0x54454557 // "WEET"
 
-// SerializeWeights flattens all parameters into a portable blob that the
-// TA seals into OP-TEE secure storage.
+// SerializeWeights flattens all parameters into the portable blob that
+// the TA seals into OP-TEE secure storage and LoadText or LoadImage load.
 func (c *Classifier) SerializeWeights() []byte {
 	params := c.model.Params()
 	size := 12
 	for _, p := range params {
 		size += 4 + p.Value.Len()*4
 	}
-	out := make([]byte, 0, size)
-	var scratch [4]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:], v)
-		out = append(out, scratch[:]...)
-	}
-	put32(weightsMagic)
-	put32(uint32(c.arch))
-	put32(uint32(len(params)))
+	le := binary.LittleEndian
+	out := le.AppendUint32(make([]byte, 0, size), weightsMagic)
+	out = le.AppendUint32(out, uint32(c.arch))
+	out = le.AppendUint32(out, uint32(len(params)))
 	for _, p := range params {
-		put32(uint32(p.Value.Len()))
+		out = le.AppendUint32(out, uint32(p.Value.Len()))
 		for _, v := range p.Value.Data {
-			put32(math.Float32bits(v))
+			out = le.AppendUint32(out, math.Float32bits(v))
 		}
 	}
 	return out
 }
 
-// LoadWeights restores parameters serialized by SerializeWeights into a
-// classifier of identical architecture.
-func (c *Classifier) LoadWeights(blob []byte) error {
-	if len(blob) < 12 {
-		return fmt.Errorf("%w: truncated header", ErrBadWeights)
-	}
+// LoadText builds NewText's graph for a weights blob's architecture with
+// a nil rng (zero weights, nothing drawn) and fills every parameter from
+// the blob. A blob that does not fit that graph is ErrBadWeights.
+func LoadText(blob []byte, vocab, seqLen int) (*Classifier, error) {
+	return load(blob, func(arch Arch) (*Classifier, error) { return NewText(arch, nil, vocab, seqLen) })
+}
+
+// LoadImage is LoadText for the camera classifier over h-by-w frames.
+func LoadImage(blob []byte, h, w int) (*Classifier, error) {
+	return load(blob, func(Arch) (*Classifier, error) { return NewImage(nil, h, w) })
+}
+
+// load builds the graph for the blob's architecture and fills it.
+func load(blob []byte, build func(Arch) (*Classifier, error)) (*Classifier, error) {
 	get32 := func(off int) uint32 { return binary.LittleEndian.Uint32(blob[off:]) }
-	if get32(0) != weightsMagic {
-		return fmt.Errorf("%w: bad magic", ErrBadWeights)
+	if len(blob) < 12 || get32(0) != weightsMagic {
+		return nil, fmt.Errorf("%w: bad header", ErrBadWeights)
 	}
-	if Arch(get32(4)) != c.arch {
-		return fmt.Errorf("%w: arch %v blob for %v model", ErrBadWeights, Arch(get32(4)), c.arch)
+	arch := Arch(get32(4))
+	c, err := build(arch)
+	if err == nil && c.arch != arch {
+		err = fmt.Errorf("%v blob for a %v model", arch, c.arch)
 	}
-	params := c.model.Params()
-	if int(get32(8)) != len(params) {
-		return fmt.Errorf("%w: %d params in blob, model has %d", ErrBadWeights, get32(8), len(params))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadWeights, err)
 	}
-	off := 12
+	params, size := c.model.Params(), 12
 	for _, p := range params {
-		if off+4 > len(blob) {
-			return fmt.Errorf("%w: truncated at param %s", ErrBadWeights, p.Name)
-		}
-		n := int(get32(off))
-		off += 4
-		if n != p.Value.Len() {
-			return fmt.Errorf("%w: param %s has %d elements, blob %d", ErrBadWeights, p.Name, p.Value.Len(), n)
-		}
-		if off+n*4 > len(blob) {
-			return fmt.Errorf("%w: truncated data for %s", ErrBadWeights, p.Name)
-		}
-		for i := 0; i < n; i++ {
-			p.Value.Data[i] = math.Float32frombits(get32(off))
-			off += 4
-		}
+		size += 4 + p.Value.Len()*4
 	}
-	if off != len(blob) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadWeights, len(blob)-off)
+	if int(get32(8)) != len(params) || len(blob) != size {
+		return nil, fmt.Errorf("%w: %d bytes for %d params, model has %d", ErrBadWeights, len(blob), get32(8), len(params))
 	}
-	return nil
+	off := 12 // every param's length matches below, so no read passes the end
+	for _, p := range params {
+		if int(get32(off)) != p.Value.Len() {
+			return nil, fmt.Errorf("%w: param %s has %d elements, blob %d", ErrBadWeights, p.Name, p.Value.Len(), get32(off))
+		}
+		for i := range p.Value.Data {
+			p.Value.Data[i] = math.Float32frombits(get32(off + 4 + 4*i))
+		}
+		off += 4 + 4*p.Value.Len()
+	}
+	return c, nil
 }

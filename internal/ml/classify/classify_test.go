@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"bytes"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -164,50 +165,101 @@ func TestWeightsSerializationRoundTrip(t *testing.T) {
 	_, clf, vocab := trainText(t, ArchCNN, 15)
 	blob := clf.SerializeWeights()
 
-	rng := rand.New(rand.NewPCG(99, 99))
-	fresh, err := NewText(ArchCNN, rng, vocab.Size(), 12)
+	loaded, err := LoadText(blob, vocab.Size(), 12)
 	if err != nil {
-		t.Fatalf("NewText: %v", err)
+		t.Fatalf("LoadText: %v", err)
+	}
+	if !bytes.Equal(loaded.SerializeWeights(), blob) {
+		t.Error("loaded classifier serializes to other bytes")
 	}
 	feats := clf.TokensToFeatures(vocab.Encode([]string{"my", "password", "is", "tango"}))
-	before, err := fresh.Predict(feats)
-	if err != nil {
-		t.Fatalf("Predict: %v", err)
-	}
-	_ = before // untrained prediction may be anything
-	if err := fresh.LoadWeights(blob); err != nil {
-		t.Fatalf("LoadWeights: %v", err)
-	}
 	orig, err := clf.Predict(feats)
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
-	loaded, err := fresh.Predict(feats)
+	got, err := loaded.Predict(feats)
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
-	if orig != loaded {
-		t.Errorf("loaded model predicts %d, original %d", loaded, orig)
+	if orig != got {
+		t.Errorf("loaded model predicts %d, original %d", got, orig)
 	}
 }
 
 func TestLoadWeightsErrors(t *testing.T) {
+	for _, blob := range loadErrorBlobs() {
+		if _, err := LoadText(blob, 20, 8); !errors.Is(err, ErrBadWeights) {
+			t.Errorf("LoadText of a %d-byte bad blob = %v", len(blob), err)
+		}
+	}
 	rng := rand.New(rand.NewPCG(3, 3))
 	cnn, _ := NewText(ArchCNN, rng, 20, 8)
-	tr, _ := NewText(ArchTransformer, rng, 20, 8)
-	if err := cnn.LoadWeights([]byte{1, 2}); !errors.Is(err, ErrBadWeights) {
-		t.Errorf("truncated blob = %v", err)
+	if _, err := LoadText(cnn.SerializeWeights(), 21, 8); !errors.Is(err, ErrBadWeights) {
+		t.Errorf("load over another vocabulary = %v", err)
 	}
-	if err := tr.LoadWeights(cnn.SerializeWeights()); !errors.Is(err, ErrBadWeights) {
-		t.Errorf("cross-arch load = %v", err)
+	if _, err := LoadImage(cnn.SerializeWeights(), 24, 24); !errors.Is(err, ErrBadWeights) {
+		t.Errorf("text blob as image = %v", err)
 	}
+	img, _ := NewImage(rng, 24, 24)
+	if _, err := LoadText(img.SerializeWeights(), 20, 8); !errors.Is(err, ErrBadWeights) {
+		t.Errorf("image blob as text = %v", err)
+	}
+}
+
+// loadErrorBlobs are malformed weights blobs: truncated, cut short,
+// overlong, and with a bad magic or an unknown architecture.
+func loadErrorBlobs() [][]byte {
+	rng := rand.New(rand.NewPCG(3, 3))
+	cnn, _ := NewText(ArchCNN, rng, 20, 8)
 	blob := cnn.SerializeWeights()
-	if err := cnn.LoadWeights(blob[:len(blob)-2]); !errors.Is(err, ErrBadWeights) {
-		t.Errorf("truncated data = %v", err)
+	badMagic := append([]byte(nil), blob...)
+	badMagic[0] ^= 1
+	badArch := append([]byte(nil), blob...)
+	badArch[4] = 9
+	return [][]byte{{1, 2}, blob[:len(blob)-2], append(blob[:len(blob):len(blob)], 0), badMagic, badArch}
+}
+
+// FuzzLoadWeights: a weights blob reaches a TA from a normal-world
+// delivered model pack and from sealed storage, so for any input
+// LoadText and LoadImage either reject it with ErrBadWeights or build a
+// classifier that serializes back to exactly the input. Neither panics.
+// The corpus holds blobs of every architecture at the shapes devices
+// run (the corpus vocabulary, 12 tokens, 24×24 frames).
+func FuzzLoadWeights(f *testing.F) {
+	vocab, seqLen, side := sensitive.NewVocabulary().Size(), 12, 24
+	rng := rand.New(rand.NewPCG(31, 31))
+	for _, arch := range []Arch{ArchCNN, ArchTransformer, ArchHybrid} {
+		c, err := NewText(arch, rng, vocab, seqLen)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(c.SerializeWeights())
 	}
-	if err := cnn.LoadWeights(append(blob, 0)); !errors.Is(err, ErrBadWeights) {
-		t.Errorf("trailing bytes = %v", err)
+	img, err := NewImage(rng, side, side)
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(img.SerializeWeights())
+	for _, blob := range loadErrorBlobs() {
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		check := func(what string, c *Classifier, err error) {
+			if err != nil {
+				if !errors.Is(err, ErrBadWeights) {
+					t.Fatalf("%s: error %v is not ErrBadWeights", what, err)
+				}
+				return
+			}
+			if !bytes.Equal(c.SerializeWeights(), blob) {
+				t.Fatalf("%s: accepted blob does not serialize back to itself", what)
+			}
+		}
+		c, err := LoadText(blob, vocab, seqLen)
+		check("LoadText", c, err)
+		c, err = LoadImage(blob, side, side)
+		check("LoadImage", c, err)
+	})
 }
 
 func TestImageClassifierLearnsPersonDetection(t *testing.T) {

@@ -57,6 +57,7 @@ func TestLayerBufferReuseGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			layers.EnableGrad(reused.Model())
 			// Non-zero biases and prior gradients, as after training.
 			for _, p := range reused.Model().Params() {
 				for j := range p.Value.Data {
@@ -99,8 +100,9 @@ func TestLayerBufferReuseGolden(t *testing.T) {
 }
 
 // copyClassifierState copies the parameter values and gradients of from
-// into to.
+// into to, giving to's parameters gradients first.
 func copyClassifierState(from, to *Classifier) {
+	layers.EnableGrad(to.Model())
 	tp := to.Model().Params()
 	for i, p := range from.Model().Params() {
 		copy(tp[i].Value.Data, p.Value.Data)

@@ -16,9 +16,8 @@ package classify
 //                          head, argmax), run inside the TA after the
 //                          sealed HE secret key decrypts the handoff.
 //
-// The split aliases the classifier's own layers — no copies — so a
-// weight load into the classifier is immediately visible to all three
-// stages.
+// The split aliases the classifier's own layers — no copies — so the
+// three stages run exactly the weights the classifier was loaded with.
 
 import (
 	"fmt"

@@ -30,10 +30,10 @@ func NewMultiHeadSelfAttention(rng *rand.Rand, d, heads int) (*MultiHeadSelfAtte
 	std := math.Sqrt(2.0 / float64(2*d))
 	return &MultiHeadSelfAttention{
 		D: d, Heads: heads, dk: d / heads,
-		wq: newParam("mhsa.wq", tensor.Randn(rng, std, d, d)),
-		wk: newParam("mhsa.wk", tensor.Randn(rng, std, d, d)),
-		wv: newParam("mhsa.wv", tensor.Randn(rng, std, d, d)),
-		wo: newParam("mhsa.wo", tensor.Randn(rng, std, d, d)),
+		wq: &Param{Name: "mhsa.wq", Value: tensor.Randn(rng, std, d, d)},
+		wk: &Param{Name: "mhsa.wk", Value: tensor.Randn(rng, std, d, d)},
+		wv: &Param{Name: "mhsa.wv", Value: tensor.Randn(rng, std, d, d)},
+		wo: &Param{Name: "mhsa.wo", Value: tensor.Randn(rng, std, d, d)},
 	}, nil
 }
 

@@ -22,8 +22,8 @@ func NewConv2D(rng *rand.Rand, k, cin, cout int) *Conv2D {
 	std := math.Sqrt(2.0 / float64(k*k*cin))
 	return &Conv2D{
 		K: k, Cin: cin, Cout: cout,
-		w: newParam("conv2d.w", tensor.Randn(rng, std, k, k, cin, cout)),
-		b: newParam("conv2d.b", tensor.New(cout)),
+		w: &Param{Name: "conv2d.w", Value: tensor.Randn(rng, std, k, k, cin, cout)},
+		b: &Param{Name: "conv2d.b", Value: tensor.New(cout)},
 	}
 }
 

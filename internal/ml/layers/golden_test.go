@@ -191,11 +191,12 @@ func goldenTensor(rng *rand.Rand, shape ...int) *tensor.Tensor {
 	return t
 }
 
-// randomizeParams gives a layer's values and gradient accumulators
-// random contents, so biases are non-zero and gradients accumulate onto
-// prior values as they do across mini-batches.
-func randomizeParams(rng *rand.Rand, ps []*Param) {
-	for _, p := range ps {
+// randomizeParams gives a layer gradient accumulators and gives them and
+// its values random contents, so biases are non-zero and gradients
+// accumulate onto prior values as they do across mini-batches.
+func randomizeParams(rng *rand.Rand, l Layer) {
+	EnableGrad(l)
+	for _, p := range l.Params() {
 		copy(p.Value.Data, goldenTensor(rng, p.Value.Shape...).Data)
 		copy(p.Grad.Data, goldenTensor(rng, p.Grad.Shape...).Data)
 	}
@@ -229,7 +230,7 @@ func TestConv2DGolden(t *testing.T) {
 					H, W := k+4, k+2
 					name := fmt.Sprintf("B%d_%dx%d_k%d_%d->%d", B, H, W, k, cin, cout)
 					c := NewConv2D(rng, k, cin, cout)
-					randomizeParams(rng, c.Params())
+					randomizeParams(rng, c)
 					wGrad := append([]float32(nil), c.w.Grad.Data...)
 					bGrad := append([]float32(nil), c.b.Grad.Data...)
 					// Two passes: the second accumulates onto the first's
@@ -266,7 +267,7 @@ func TestConv1DGolden(t *testing.T) {
 					L := k + 6
 					name := fmt.Sprintf("B%d_L%d_k%d_%d->%d", B, L, k, cin, cout)
 					c := NewConv1D(rng, k, cin, cout)
-					randomizeParams(rng, c.Params())
+					randomizeParams(rng, c)
 					wGrad := append([]float32(nil), c.w.Grad.Data...)
 					bGrad := append([]float32(nil), c.b.Grad.Data...)
 					for pass := 0; pass < 2; pass++ {
@@ -468,7 +469,7 @@ func TestLayerBufferReuseGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(26, uint64(i)))
 			reused := tc.mk(rng)
-			randomizeParams(rng, reused.Params())
+			randomizeParams(rng, reused)
 			for _, b := range []int{8, 1, 3, 8} {
 				for pass := 0; pass < 2; pass++ {
 					name := fmt.Sprintf("batch %d pass %d", b, pass)
@@ -521,9 +522,10 @@ func assertShape(t *testing.T, what string, got, want *tensor.Tensor) {
 }
 
 // copyParamState copies the parameter values and gradients of from
-// into to.
+// into to, giving to's parameters gradients first.
 func copyParamState(t *testing.T, from, to Layer) {
 	t.Helper()
+	EnableGrad(to)
 	fp, tp := from.Params(), to.Params()
 	if len(fp) != len(tp) {
 		t.Fatalf("param count mismatch: %d vs %d", len(fp), len(tp))

@@ -33,15 +33,21 @@ var (
 	ErrNoForward = errors.New("layers: backward before forward")
 )
 
-// Param is one trainable parameter with its gradient accumulator.
+// Param is one trainable parameter; its gradient Grad is nil until EnableGrad.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
 }
 
-func newParam(name string, v *tensor.Tensor) *Param {
-	return &Param{Name: name, Value: v, Grad: tensor.New(v.Shape...)}
+// EnableGrad gives every parameter of l that has none a zeroed gradient
+// accumulator, as training must before its first Backward.
+func EnableGrad(l Layer) {
+	for _, p := range l.Params() {
+		if p.Grad == nil {
+			p.Grad = tensor.New(p.Value.Shape...)
+		}
+	}
 }
 
 // Layer is one differentiable block.
@@ -53,7 +59,7 @@ type Layer interface {
 	// next Forward or Backward, and x must stay unchanged until then.
 	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
 	// Backward consumes dOut and returns dIn, accumulating parameter
-	// gradients. dIn follows Forward's ownership rule.
+	// gradients (see EnableGrad). dIn follows Forward's ownership rule.
 	Backward(dOut *tensor.Tensor) (*tensor.Tensor, error)
 	// Params returns the trainable parameters (nil for stateless layers).
 	Params() []*Param
@@ -85,8 +91,8 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 	return &Dense{
 		In:  in,
 		Out: out,
-		w:   newParam("dense.w", tensor.Randn(rng, std, in, out)),
-		b:   newParam("dense.b", tensor.New(out)),
+		w:   &Param{Name: "dense.w", Value: tensor.Randn(rng, std, in, out)},
+		b:   &Param{Name: "dense.b", Value: tensor.New(out)},
 	}
 }
 
@@ -348,8 +354,8 @@ func NewConv1D(rng *rand.Rand, k, cin, cout int) *Conv1D {
 	std := math.Sqrt(2.0 / float64(k*cin))
 	return &Conv1D{
 		K: k, Cin: cin, Cout: cout,
-		w: newParam("conv1d.w", tensor.Randn(rng, std, k, cin, cout)),
-		b: newParam("conv1d.b", tensor.New(cout)),
+		w: &Param{Name: "conv1d.w", Value: tensor.Randn(rng, std, k, cin, cout)},
+		b: &Param{Name: "conv1d.b", Value: tensor.New(cout)},
 	}
 }
 
@@ -540,7 +546,7 @@ type Embedding struct {
 func NewEmbedding(rng *rand.Rand, vocab, d int) *Embedding {
 	return &Embedding{
 		Vocab: vocab, D: d,
-		table: newParam("embedding", tensor.Randn(rng, 0.1, vocab, d)),
+		table: &Param{Name: "embedding", Value: tensor.Randn(rng, 0.1, vocab, d)},
 	}
 }
 
@@ -660,8 +666,8 @@ func NewLayerNorm(d int) *LayerNorm {
 	gamma.Fill(1)
 	return &LayerNorm{
 		D:     d,
-		gamma: newParam("ln.gamma", gamma),
-		beta:  newParam("ln.beta", tensor.New(d)),
+		gamma: &Param{Name: "ln.gamma", Value: gamma},
+		beta:  &Param{Name: "ln.beta", Value: tensor.New(d)},
 		eps:   1e-5,
 	}
 }

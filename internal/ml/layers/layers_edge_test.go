@@ -194,6 +194,7 @@ func TestOptimizersHandleFreshParams(t *testing.T) {
 	// Both optimizers must lazily initialize state for unseen params.
 	rng := rand.New(rand.NewPCG(7, 7))
 	d := NewDense(rng, 2, 2)
+	EnableGrad(d)
 	for _, p := range d.Params() {
 		p.Grad.Fill(1)
 	}
@@ -219,5 +220,31 @@ func sgdStep(l Layer) {
 			p.Value.Data[i] -= 0.1 * p.Grad.Data[i]
 		}
 		p.Grad.Zero()
+	}
+}
+
+// TestEnableGradOnlyForTraining: a built layer's parameters carry no
+// gradient, and a nil rng draws nothing (the weights stay zero).
+// EnableGrad gives each a zeroed accumulator of its shape, once.
+func TestEnableGradOnlyForTraining(t *testing.T) {
+	d := NewDense(nil, 3, 2)
+	for _, p := range d.Params() {
+		if p.Grad != nil {
+			t.Fatalf("fresh %s carries a gradient", p.Name)
+		}
+		for _, v := range p.Value.Data {
+			if v != 0 {
+				t.Fatalf("nil-rng %s holds %v, want zero", p.Name, v)
+			}
+		}
+	}
+	EnableGrad(d)
+	g := d.Params()[0].Grad
+	if g == nil || !g.SameShape(d.Params()[0].Value) {
+		t.Fatalf("EnableGrad gave %v", g)
+	}
+	EnableGrad(d)
+	if d.Params()[0].Grad != g {
+		t.Fatal("a second EnableGrad replaced the accumulator")
 	}
 }

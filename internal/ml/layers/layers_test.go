@@ -37,9 +37,7 @@ func gradCheck(t *testing.T, mk func() Layer, inShape []int) {
 	}
 
 	// Analytic gradients.
-	for _, p := range layer.Params() {
-		p.Grad.Zero()
-	}
+	EnableGrad(layer)
 	dIn, err := layer.Backward(r.Clone())
 	if err != nil {
 		t.Fatalf("backward: %v", err)
@@ -182,6 +180,7 @@ func TestEmbeddingForwardBackward(t *testing.T) {
 	// Backward accumulates per row; token 2 used twice gets double grad.
 	g := tensor.New(2, 3, 4)
 	g.Fill(1)
+	EnableGrad(emb)
 	if _, err := emb.Backward(g); err != nil {
 		t.Fatalf("Backward: %v", err)
 	}

@@ -47,10 +47,10 @@ func FromSlice(data []float32, shape ...int) (*Tensor, error) {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: data}, nil
 }
 
-// Randn fills a new tensor with N(0, std) Gaussian values from rng.
+// Randn fills a new tensor with N(0, std) values from rng (nil: zeros).
 func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	t := New(shape...)
-	for i := range t.Data {
+	for i := 0; rng != nil && i < len(t.Data); i++ {
 		t.Data[i] = float32(rng.NormFloat64() * std)
 	}
 	return t

@@ -164,7 +164,7 @@ type Result struct {
 	FinalLoss float64
 }
 
-// Fit trains model on samples with the optimizer.
+// Fit enables model's gradients and trains it on samples with opt.
 func Fit(model layers.Layer, opt Optimizer, samples []Sample, cfg Config) (Result, error) {
 	if len(samples) == 0 {
 		return Result{}, ErrNoData
@@ -181,6 +181,7 @@ func Fit(model layers.Layer, opt Optimizer, samples []Sample, cfg Config) (Resul
 			return Result{}, fmt.Errorf("%w: sample %d has %d features, want %d", ErrBadLabels, i, len(s.X), featLen)
 		}
 	}
+	layers.EnableGrad(model)
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xfeed))
 	order := make([]int, len(samples))
 	for i := range order {
