@@ -254,22 +254,31 @@ func wordEnvelope(n int) []float64 {
 	return v.([]float64)
 }
 
+// unitFloat is math/rand/v2's (*Rand).Float64 drawn straight from src:
+// the same value from the same stream position, with no Rand (and no
+// heap-allocated source behind one) made per word, frame or noise pass.
+func unitFloat(src *rand.PCG) float64 {
+	return float64(src.Uint64()<<11>>11) / (1 << 53)
+}
+
 // renderWordInto synthesizes one word into dst (the word's sample span),
 // including the per-word noise mix and clamp. It draws from the same RNG
 // streams in the same order as the historical SynthesizeWord, producing
 // bit-identical samples while touching each sample O(1) times with no
-// intermediate buffers.
+// intermediate buffers. The one PCG it draws from is held by value and
+// reseeded in place for the noise pass, so a word allocates nothing.
 func (v Voice) renderWordInto(dst []float64, word string) {
 	f := WordFormants(word)
-	rng := rand.New(rand.NewPCG(v.Seed, fnvMix(word, v.Seed)))
+	var rng rand.PCG
+	rng.Seed(v.Seed, fnvMix(word, v.Seed))
 	n := len(dst)
 	if n == 0 {
 		return
 	}
 	// Small random detune (±1.5%) models speaker variability.
-	detune := 1 + (rng.Float64()-0.5)*0.03
+	detune := 1 + (unitFloat(&rng)-0.5)*0.03
 	amps := [3]float64{0.5, 0.3, 0.2}
-	phases := [3]float64{rng.Float64() * 2 * math.Pi, rng.Float64() * 2 * math.Pi, rng.Float64() * 2 * math.Pi}
+	phases := [3]float64{unitFloat(&rng) * 2 * math.Pi, unitFloat(&rng) * 2 * math.Pi, unitFloat(&rng) * 2 * math.Pi}
 	w := [3]float64{2 * math.Pi * f[0] * detune, 2 * math.Pi * f[1] * detune, 2 * math.Pi * f[2] * detune}
 	env := wordEnvelope(n)
 	// The formant arguments w[k]*t + phase form arithmetic progressions,
@@ -301,9 +310,9 @@ func (v Voice) renderWordInto(dst []float64, word string) {
 	}
 	if v.NoiseAmp > 0 {
 		seed := rng.Uint64()
-		nr := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+		rng.Seed(seed, seed^0x9e3779b97f4a7c15)
 		for i := 0; i < n; i++ {
-			dst[i] += v.NoiseAmp * (2*nr.Float64() - 1)
+			dst[i] += v.NoiseAmp * (2*unitFloat(&rng) - 1)
 		}
 	}
 	if !clampNeverFires(v.NoiseAmp) {
@@ -380,14 +389,15 @@ func (v Voice) SynthesizeInto(buf []float64, words []string) PCM {
 		// 0 then a whole-signal clamp. The noise length is re-derived the
 		// same way (duration round trip), as it can differ from len(out).
 		seed := v.Seed ^ 0xabcdef
-		nr := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+		var nr rand.PCG
+		nr.Seed(seed, seed^0x9e3779b97f4a7c15)
 		amp := v.NoiseAmp / 2
 		nn := int(float64(v.Rate) * out.Duration().Seconds())
 		if nn > len(out.Samples) {
 			nn = len(out.Samples)
 		}
 		for i := 0; i < nn; i++ {
-			out.Samples[i] += amp * (2*nr.Float64() - 1)
+			out.Samples[i] += amp * (2*unitFloat(&nr) - 1)
 		}
 		// Word samples are bounded by 0.61 + NoiseAmp, the utterance
 		// noise adds NoiseAmp/2 more; when that total cannot reach ±1 the

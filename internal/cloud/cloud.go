@@ -63,6 +63,11 @@ type Service struct {
 	channel      *relay.Channel
 	observed     []Observation
 	directiveSeq uint64
+
+	// deliverMu serializes Deliver over directive, the sealed ack a
+	// Deliver returns.
+	deliverMu sync.Mutex
+	directive []byte
 }
 
 // Identity wraps the service's key pair so callers cannot touch the
@@ -99,6 +104,10 @@ var _ supplicant.NetSink = (*Service)(nil)
 
 // Deliver implements supplicant.NetSink: the cloud terminates the secure
 // channel, records the decrypted event, and returns a sealed directive.
+// The event is opened, decoded and the ack encoded in a leased
+// deliverScratch, and the ack is sealed into the service's directive
+// buffer: the returned directive is valid until the next Deliver, and a
+// device reads it before it relays again.
 func (s *Service) Deliver(frame []byte) ([]byte, error) {
 	s.mu.Lock()
 	ch := s.channel
@@ -106,31 +115,33 @@ func (s *Service) Deliver(frame []byte) ([]byte, error) {
 	if ch == nil {
 		return nil, ErrNoChannel
 	}
-	plain, err := ch.Open(frame)
+	sc := deliverPool.Get().(*deliverScratch)
+	defer deliverPool.Put(sc)
+	plain, err := ch.OpenAppend(sc.plain[:0], frame)
 	if err != nil {
 		return nil, fmt.Errorf("cloud open: %w", err)
 	}
-	event, err := relay.DecodeEvent(plain)
-	if err != nil {
+	sc.plain = plain
+	if err := relay.DecodeEventInto(&sc.event, plain); err != nil {
 		return nil, fmt.Errorf("cloud decode: %w", err)
 	}
-	s.record(event)
+	s.record(&sc.event)
 	s.mu.Lock()
 	s.directiveSeq++
 	seq := s.directiveSeq
 	s.mu.Unlock()
-	ack, err := relay.EncodeEvent(relay.Event{
+	sc.plain = relay.AppendEvent(sc.plain[:0], relay.Event{
 		Namespace: relay.NamespaceSystem,
 		Name:      relay.NameAckDirective,
 		MessageID: seq,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return ch.Seal(ack), nil
+	s.deliverMu.Lock()
+	defer s.deliverMu.Unlock()
+	s.directive = ch.SealAppend(s.directive[:0], sc.plain)
+	return s.directive, nil
 }
 
-func (s *Service) record(e relay.Event) {
+func (s *Service) record(e *relay.Event) {
 	obs := Observation{}
 	switch e.Name {
 	case relay.NameTranscript:
@@ -196,11 +207,20 @@ type PlainService struct {
 	observed   []Observation
 }
 
-// decodePool recycles the decoded-audio buffers of PlainService.Deliver
-// across endpoints, so a registered endpoint holds no audio-sized
-// scratch between frames. A buffer is decoded into and transcribed
-// within one Deliver; the recognizer keeps no reference to it.
-var decodePool = sync.Pool{New: func() any { return new([]float64) }}
+// deliverScratch is one Deliver's provider-side scratch: a
+// PlainService's decoded audio, or a Service's opened event, its decoded
+// form and the ack it encodes. deliverPool recycles sets across
+// endpoints, so a registered endpoint holds no per-frame scratch between
+// frames. Each field is rewritten before it is read within one Deliver,
+// and nothing keeps a reference to it past the call: the recognizer
+// keeps no reference to the audio, and the audit copies the tokens.
+type deliverScratch struct {
+	samples []float64
+	plain   []byte
+	event   relay.Event
+}
+
+var deliverPool = sync.Pool{New: func() any { return new(deliverScratch) }}
 
 // NewPlainService creates the baseline backend. The recognizer stands in
 // for the provider's server-side ASR; callers train it on the experiment
@@ -216,13 +236,13 @@ var _ supplicant.NetSink = (*PlainService)(nil)
 // carry scratch state, and the lock serializes them even if a shard
 // pool ever delivers two of a device's frames concurrently.
 func (p *PlainService) Deliver(payload []byte) ([]byte, error) {
-	buf := decodePool.Get().(*[]float64)
-	defer decodePool.Put(buf)
-	floats, err := audio.DecodePCM16Into(*buf, payload)
+	sc := deliverPool.Get().(*deliverScratch)
+	defer deliverPool.Put(sc)
+	floats, err := audio.DecodePCM16Into(sc.samples, payload)
 	if err != nil {
 		return nil, err
 	}
-	*buf = floats
+	sc.samples = floats
 	pcm := audio.PCM{Rate: 16000, Samples: floats}
 	p.mu.Lock()
 	tokens, err := p.recognizer.TranscribeWords(pcm)

@@ -225,7 +225,8 @@ func (t *DeviceTA) grabFrames(recs []ItemRecord, _ []int) error {
 	}
 	for i := range recs {
 		start := t.cfg.Clock.Now()
-		p := &optee.Params{{Type: optee.MemrefOut, Buf: t.frame(i)}, {}, {Type: optee.ValueIn, A: uint64(len(recs) - i)}}
+		p := &t.grab
+		*p = optee.Params{{Type: optee.MemrefOut, Buf: t.frame(i)}, {}, {Type: optee.ValueIn, A: uint64(len(recs) - i)}}
 		if err := t.cfg.TEE.InvokeSecure(UUIDCameraPTA, CmdPTAGrab, p); err != nil {
 			return fmt.Errorf("camera ta grab: %w", err)
 		}
@@ -503,11 +504,9 @@ func (s *CameraSystem) runBaseline(scenes []peripheral.Scene, res *CameraSession
 func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionResult) error {
 	hybrid := s.cfg.Mode == ModeHybridHE
 	swept := s.frameBuf
-	var sc *sessionScratch
-	if hybrid {
-		sc = sessionScratchPool.Get().(*sessionScratch)
-		defer sessionScratchPool.Put(sc)
-	} else {
+	sc := sessionScratchPool.Get().(*sessionScratch)
+	defer sessionScratchPool.Put(sc)
+	if !hybrid {
 		// The camera PTA session is opened by the TEE when the TA first
 		// grabs; open it explicitly for the buffer allocation.
 		if err := s.PTA.Open(0); err != nil {
@@ -519,7 +518,8 @@ func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionRe
 		anchor := s.Clock.Now()
 		// A frame passes its byte count by value, which pays no
 		// shared-memory flush.
-		cmd, p := CmdProcessItem, &optee.Params{{Type: optee.ValueIn, A: cameraFrameBytes}, {}}
+		cmd, p := CmdProcessItem, &sc.params
+		*p = optee.Params{{Type: optee.ValueIn, A: cameraFrameBytes}, {}}
 		var scene peripheral.Scene
 		var grabbed tz.Cycles
 		if hybrid {
@@ -558,7 +558,8 @@ func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionRe
 // normal-world RAM (taking grabbed cycles), normalize and encrypt the
 // pixels under the provider's HE key and have the provider evaluate the
 // first conv blind, into sc's HE buffers. It returns CmdResumeBatchHE's
-// parameters, or nil when the sensor has no frame queued or on err.
+// parameters, written into sc.params, or nil when the sensor has no
+// frame queued or on err.
 func (s *CameraSystem) hybridFrame(sc *sessionScratch) (p *optee.Params, scene peripheral.Scene, grabbed tz.Cycles, err error) {
 	start := s.Clock.Now()
 	im, scene, ok, err := s.grabNormal()
@@ -574,9 +575,10 @@ func (s *CameraSystem) hybridFrame(sc *sessionScratch) (p *optee.Params, scene p
 	if err := s.heAppend(sc, feats, []int{cameraFrameSide, cameraFrameSide, 1}, s.HE.AppendEvalImage); err != nil {
 		return nil, scene, 0, fmt.Errorf("camera %w", err)
 	}
-	return &optee.Params{
+	sc.params = optee.Params{
 		{Type: optee.MemrefIn, Buf: sc.hePacked},
 		{Type: optee.MemrefIn, Buf: im.Pix},
 		{},
-	}, scene, grabbed, nil
+	}
+	return &sc.params, scene, grabbed, nil
 }

@@ -607,25 +607,30 @@ func (p *taPipeline) classifyHE(l *taLifecycle, recs []ItemRecord, blobs [][]byt
 }
 
 // relayEvent numbers, seals and sends ev through the supplicant,
-// recording the outcome in out, and verifies the cloud's directive.
+// recording the outcome in out, and verifies the cloud's directive. The
+// event is encoded, sealed and its directive opened into a leased
+// taScratch, which goes back to the pool when relayEvent returns: the
+// supplicant and the provider borrow the sealed frame for the RPC only
+// and copy what they keep.
 func (p *taPipeline) relayEvent(ev relay.Event, out *RelayOutcome) error {
+	sc := taScratchPool.Get().(*taScratch)
+	defer taScratchPool.Put(sc)
 	ev.MessageID = p.messageID.Add(1)
-	payload, err := relay.EncodeEvent(ev)
-	if err != nil {
-		return err
-	}
-	sealed := p.channel.Seal(payload)
-	out.SealedSize = len(sealed)
-	resp, err := p.cfg.TEE.RPC(optee.RPCRequest{Kind: optee.RPCNetSend, Target: CloudTarget, Payload: sealed})
+	sc.event = relay.AppendEvent(sc.event[:0], ev)
+	sc.sealed = p.channel.SealAppend(sc.sealed[:0], sc.event)
+	out.SealedSize = len(sc.sealed)
+	resp, err := p.cfg.TEE.RPC(optee.RPCRequest{Kind: optee.RPCNetSend, Target: CloudTarget, Payload: sc.sealed})
 	if err := out.admit(err); err != nil {
 		return fmt.Errorf("%s relay: %w", p.name, err)
 	}
 	if out.Shed || out.Expired {
 		return nil // no directive to verify
 	}
-	if _, err := p.channel.Open(resp.Payload); err != nil {
+	directive, err := p.channel.OpenAppend(sc.directive[:0], resp.Payload)
+	if err != nil {
 		return fmt.Errorf("%s directive: %w", p.name, err)
 	}
+	sc.directive = directive
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/optee"
 	"repro/internal/power"
 	"repro/internal/sensitive"
 	"repro/internal/tz"
@@ -108,13 +109,13 @@ func (r *SessionResult) FalseBlockRate() float64 {
 
 // sessionScratch is one session's normal-world scratch: the synthesized
 // utterance, the baseline app's read, capture, decode and payload
-// buffers, and the hybrid split's device wire and packed provider
-// results (heAppend). A session leases a set from sessionScratchPool and
-// returns it on every exit, so a fleet that builds, runs and drops one
-// System per device reuses a handful of sets instead of growing one per
-// device. Each buffer is rewritten before it is read within an item or
-// group, and the microphone, the uplink and the TA copy what they
-// consume.
+// buffers, the hybrid split's device wire and packed provider results
+// (heAppend), and a doorbell frame command's parameters. A session
+// leases a set from sessionScratchPool and returns it on every exit, so
+// a fleet that builds, runs and drops one System per device reuses a
+// handful of sets instead of growing one per device. Each buffer is
+// rewritten before it is read within an item or group, and the
+// microphone, the uplink and the TA copy what they consume.
 type sessionScratch struct {
 	synth    []float64
 	read     []byte
@@ -123,6 +124,7 @@ type sessionScratch struct {
 	payload  []byte
 	heWire   []byte
 	hePacked []byte
+	params   optee.Params
 }
 
 var sessionScratchPool = sync.Pool{New: func() any { return new(sessionScratch) }}
@@ -398,7 +400,7 @@ func (s *System) utteranceAudio(sc *sessionScratch, i int, u sensitive.Utterance
 // test that the supplicant learned nothing.
 func (s *System) auditSupplicant() int {
 	count := 0
-	for _, payload := range s.Supplicant.Observed() {
+	s.Supplicant.ScanObserved(func(payload []byte) {
 		// A hostile supplicant would scan forwarded bytes for words it
 		// knows. Count lexicon words appearing verbatim.
 		for id := sensitive.UNK + 1; id < s.Vocab.Size(); id++ {
@@ -406,7 +408,7 @@ func (s *System) auditSupplicant() int {
 				count++
 			}
 		}
-	}
+	})
 	return count
 }
 

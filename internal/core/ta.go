@@ -253,12 +253,14 @@ type DeviceTA struct {
 	// Per-TA group scratch, grown lazily to the group size: invocations
 	// are serialized per device, so an inline group's records, its
 	// classifier input rows and a doorbell's frames are reused across
-	// commands. one and oneLen back a group of one without heap slices.
+	// commands. one and oneLen back a group of one without heap slices,
+	// and grab is a doorbell's camera PTA parameters.
 	one    [1]ItemRecord
 	oneLen [1]int
 	group  []ItemRecord
 	batch  [][]float32
 	frames []byte
+	grab   optee.Params
 }
 
 var _ optee.TA = (*DeviceTA)(nil)
@@ -667,18 +669,25 @@ func checkUtteranceBytes(n uint64) error {
 	return nil
 }
 
-// taScratch is the reusable buffer set for one in-flight speaker
-// invocation: capture accumulation, the PTA read chunk, and the decode
-// pipeline's sample buffers. Pooled so the batched path
-// (CmdProcessBatch) processes every queued utterance without per-item
-// heap allocation, whichever TA instance (device) is running — the pool
-// is package-level because fleet devices process in bounded worker
-// pools, so a handful of scratch sets serves thousands of devices.
+// taScratch is the reusable buffer set for one in-flight TA
+// invocation: capture accumulation, the PTA read chunk and its
+// parameters, the decode pipeline's sample buffers, and the relay's
+// encoded event, sealed frame and opened directive. Pooled so the
+// batched path (CmdProcessBatch) processes every queued utterance, and
+// the relay seals every event, without per-item heap allocation,
+// whichever TA instance (device) is running — the pool is package-level
+// because fleet devices process in bounded worker pools, so a handful
+// of scratch sets serves thousands of devices.
 type taScratch struct {
 	pcmBytes []byte
 	chunk    []byte
+	read     optee.Params
 	samples  []int32
 	floats   []float64
+
+	event     []byte
+	sealed    []byte
+	directive []byte
 }
 
 var taScratchPool = sync.Pool{
@@ -721,7 +730,8 @@ func (t *DeviceTA) captureStage(sc *taScratch, wantBytes int) ([]byte, error) {
 	pcmBytes := sc.pcmBytes[:0]
 	idle := 0
 	for len(pcmBytes) < wantBytes {
-		p := &optee.Params{
+		p := &sc.read
+		*p = optee.Params{
 			{Type: optee.MemrefOut, Buf: sc.chunk[:min(len(sc.chunk), wantBytes-len(pcmBytes))]},
 			{},
 		}

@@ -2,6 +2,10 @@ package optee
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -482,5 +486,54 @@ func TestStorageDistinctKeysPerDevice(t *testing.T) {
 	b.mu.Unlock()
 	if _, err := b.Get("m"); !errors.Is(err, ErrCorruptObject) {
 		t.Errorf("cross-device unseal = %v, want ErrCorruptObject", err)
+	}
+}
+
+// TestStoragePutLayoutIdentity: the stored blob is the layout sealed
+// storage has always had, rebuilt here independently: a 12-byte nonce
+// holding the put counter little-endian in its first 8 bytes, then
+// AES-256-GCM of the data under the id, with the key derived from the
+// device secret. Put seals straight into the blob and allocates little
+// more than the blob itself.
+func TestStoragePutLayoutIdentity(t *testing.T) {
+	secret := []byte("device-unique-key")
+	st, err := NewStorage(secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sha256.Sum256(append([]byte("optee-storage-v1:"), secret...))
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := []struct {
+		id   string
+		data []byte
+	}{
+		{"voice-ta/weights", bytes.Repeat([]byte{0x5a}, 11<<10)},
+		{"voice-ta/he-key", []byte("key material")},
+		{"empty", nil},
+		{"voice-ta/weights", []byte("overwritten")},
+	}
+	for i, o := range objects {
+		st.Put(o.id, o.data)
+		nonce := make([]byte, 12)
+		binary.LittleEndian.PutUint64(nonce, uint64(i+1))
+		want := append(nonce, aead.Seal(nil, nonce, o.data, []byte(o.id))...)
+		got, ok := st.SealedBytes(o.id)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("object %d (%q): stored blob differs from nonce || Seal(data)", i, o.id)
+		}
+		if plain, err := st.Get(o.id); err != nil || !bytes.Equal(plain, o.data) {
+			t.Fatalf("object %d (%q): Get = %q, %v", i, o.id, plain, err)
+		}
+	}
+	data := bytes.Repeat([]byte{1}, 4096)
+	if allocs := testing.AllocsPerRun(50, func() { st.Put("voice-ta/weights", data) }); allocs > 2 {
+		t.Errorf("Put allocates %v times, want at most 2 (the blob and the id's bytes)", allocs)
 	}
 }

@@ -63,18 +63,17 @@ func NewStorage(deviceSecret []byte) (*Storage, error) {
 	return &Storage{aead: aead, objects: make(map[string][]byte)}, nil
 }
 
-// Put seals and stores an object under id.
+// Put seals and stores an object under id. The stored blob is the
+// nonce (a little-endian counter in its first 8 bytes) followed by the
+// ciphertext, sealed straight into the blob after its nonce prefix.
 func (s *Storage) Put(id string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	nonce := make([]byte, s.aead.NonceSize())
+	ns := s.aead.NonceSize()
+	blob := make([]byte, ns, ns+len(data)+s.aead.Overhead())
 	s.nonce++
-	putUint64(nonce, s.nonce)
-	sealed := s.aead.Seal(nil, nonce, data, []byte(id))
-	blob := make([]byte, 0, len(nonce)+len(sealed))
-	blob = append(blob, nonce...)
-	blob = append(blob, sealed...)
-	s.objects[id] = blob
+	putUint64(blob, s.nonce)
+	s.objects[id] = s.aead.Seal(blob, blob[:ns], data, []byte(id))
 }
 
 // Get unseals the object stored under id.

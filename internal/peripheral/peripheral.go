@@ -249,8 +249,16 @@ func (s Scene) Sensitive() bool { return s == ScenePerson }
 
 // SynthesizeImage renders a deterministic 24x24 frame of the scene.
 func SynthesizeImage(s Scene, seed uint64) Image {
+	return synthesizeImage(rand.New(rand.NewPCG(seed, sceneStream(s))), s)
+}
+
+// sceneStream is the PCG stream a frame of scene s draws from.
+func sceneStream(s Scene) uint64 { return uint64(s)*0x9e3779b97f4a7c15 + 1 }
+
+// synthesizeImage renders a frame of s from rng, which SynthesizeImage
+// seeds with the frame's seed and sceneStream(s).
+func synthesizeImage(rng *rand.Rand, s Scene) Image {
 	const size = 24
-	rng := rand.New(rand.NewPCG(seed, uint64(s)*0x9e3779b97f4a7c15+1))
 	im, _ := NewImage(size, size)
 	// Base: sensor noise over a soft vertical illumination gradient.
 	for y := 0; y < size; y++ {
@@ -291,16 +299,25 @@ func clampPix(v float64) uint8 {
 	return uint8(v)
 }
 
-// Camera produces frames of queued scenes.
+// Camera produces frames of queued scenes. It renders every frame from
+// one PCG it holds, reseeded in place per frame to the seed and stream
+// SynthesizeImage would use, so a frame draws the same values without
+// a new generator.
 type Camera struct {
 	mu     sync.Mutex
 	queue  []Scene
 	seed   uint64
 	frames uint64
+	src    rand.PCG
+	rng    *rand.Rand // draws from src
 }
 
 // NewCamera creates a camera with a deterministic seed.
-func NewCamera(seed uint64) *Camera { return &Camera{seed: seed} }
+func NewCamera(seed uint64) *Camera {
+	c := &Camera{seed: seed}
+	c.rng = rand.New(&c.src)
+	return c
+}
 
 // Queue appends scenes to capture.
 func (c *Camera) Queue(scenes ...Scene) {
@@ -327,5 +344,6 @@ func (c *Camera) Capture() (Image, Scene, bool) {
 	s := c.queue[0]
 	c.queue = c.queue[1:]
 	c.frames++
-	return SynthesizeImage(s, c.seed+c.frames), s, true
+	c.src.Seed(c.seed+c.frames, sceneStream(s))
+	return synthesizeImage(c.rng, s), s, true
 }

@@ -243,3 +243,36 @@ func TestCameraFramesVaryBetweenCaptures(t *testing.T) {
 		t.Error("consecutive person frames identical; jitter missing")
 	}
 }
+
+// TestCameraCaptureIdentity: a captured frame is, pixel for pixel, the
+// SynthesizeImage of its scene at the camera's seed plus the frame
+// count, across interleaved scenes, although the camera draws from one
+// PCG it reseeds per frame; and a capture allocates only its image.
+func TestCameraCaptureIdentity(t *testing.T) {
+	c := NewCamera(77)
+	scenes := []Scene{ScenePerson, SceneEmpty, ScenePerson, ScenePerson, SceneEmpty, SceneEmpty, ScenePerson}
+	for round := range 20 {
+		c.Queue(scenes...)
+		for i, s := range scenes {
+			im, got, ok := c.Capture()
+			n := uint64(round*len(scenes) + i + 1)
+			if !ok || got != s {
+				t.Fatalf("frame %d: scene %v ok %t, want %v", n, got, ok, s)
+			}
+			if want := SynthesizeImage(s, 77+n); !bytes.Equal(im.Pix, want.Pix) {
+				t.Fatalf("frame %d (%v): captured pixels differ from SynthesizeImage", n, s)
+			}
+		}
+	}
+	for range 51 {
+		c.Queue(ScenePerson)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, ok := c.Capture(); !ok {
+			t.Fatal("no frame")
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a capture allocates %v times, want at most 1 (its image)", allocs)
+	}
+}

@@ -69,10 +69,18 @@ type Supplicant struct {
 	clock *tz.Clock
 	cost  tz.CostModel
 
-	mu       sync.Mutex
-	routes   map[string]NetSink
-	log      []string
-	observed [][]byte // every network payload the daemon could inspect
+	mu     sync.Mutex
+	routes map[string]NetSink
+	log    []string
+	// observed is every network payload the daemon could inspect, in
+	// order, each a slice of a shared chunk rather than a heap copy of
+	// its own. A new chunk holds at least as many bytes as all before
+	// it, so n payloads take O(log n) chunks and at most twice their
+	// bytes, and a chunk is never reallocated, so recording copies each
+	// byte once.
+	observed [][]byte
+	chunk    []byte // the newest chunk; its spare capacity takes the next payloads
+	recorded int    // bytes in all chunks
 	stats    Stats
 }
 
@@ -129,7 +137,7 @@ func (s *Supplicant) netSend(req optee.RPCRequest) (optee.RPCResponse, error) {
 		s.stats.NetSends++
 		// The daemon sees every byte it forwards; remember them so the
 		// experiment can measure what a hostile supplicant learns.
-		s.observed = append(s.observed, append([]byte(nil), req.Payload...))
+		s.record(req.Payload)
 	} else {
 		s.stats.Errors++
 	}
@@ -165,6 +173,28 @@ func (s *Supplicant) Observed() [][]byte {
 		out[i] = append([]byte(nil), p...)
 	}
 	return out
+}
+
+// ScanObserved calls fn on every network payload the daemon forwarded,
+// in order, without copying. fn runs under the daemon's lock: it must
+// not keep or modify the payload, nor call back into the daemon.
+func (s *Supplicant) ScanObserved(fn func(payload []byte)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.observed {
+		fn(p)
+	}
+}
+
+// record appends a copy of payload to the observed record; s.mu is held.
+func (s *Supplicant) record(payload []byte) {
+	if cap(s.chunk)-len(s.chunk) < len(payload) {
+		s.chunk = make([]byte, 0, max(len(payload), s.recorded))
+	}
+	start := len(s.chunk)
+	s.chunk = append(s.chunk, payload...)
+	s.recorded += len(payload)
+	s.observed = append(s.observed, s.chunk[start:len(s.chunk):len(s.chunk)])
 }
 
 // Log returns the diagnostic lines TAs asked the daemon to record.

@@ -140,3 +140,62 @@ func TestHandleRPCAdvancesClock(t *testing.T) {
 		t.Errorf("RPC cost %d cycles, want >= %d", got, want)
 	}
 }
+
+// TestObservedRecordIdentity: the daemon keeps every forwarded payload
+// in one record, not a heap copy each. Observed returns copies equal to
+// what was sent, ScanObserved visits the same bytes in order, and
+// neither aliases the sender's buffer, which the sender reuses.
+func TestObservedRecordIdentity(t *testing.T) {
+	s := newSupplicant()
+	s.Route("cloud", &fakeSink{reply: []byte("ok")})
+	var want [][]byte
+	buf := make([]byte, 0, 64)
+	for i := range 50 {
+		buf = buf[:0]
+		for j := range i % 7 {
+			buf = append(buf, byte(i*j+1))
+		}
+		want = append(want, append([]byte{}, buf...))
+		if _, err := s.HandleRPC(optee.RPCRequest{Kind: optee.RPCNetSend, Target: "cloud", Payload: buf}); err != nil {
+			t.Fatal(err)
+		}
+		clear(buf[:cap(buf)]) // the sender rewrites its buffer
+	}
+	got := s.Observed()
+	if len(got) != len(want) {
+		t.Fatalf("observed %d payloads, sent %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("payload %d: observed %v, sent %v", i, got[i], want[i])
+		}
+	}
+	i := 0
+	s.ScanObserved(func(p []byte) {
+		if !bytes.Equal(p, want[i]) {
+			t.Errorf("scan payload %d: %v, sent %v", i, p, want[i])
+		}
+		i++
+	})
+	if i != len(want) {
+		t.Errorf("scan visited %d payloads, sent %d", i, len(want))
+	}
+	got[3][0] ^= 0xff
+	if again := s.Observed(); !bytes.Equal(again[3], want[3]) {
+		t.Error("Observed handed out the daemon's own record")
+	}
+}
+
+// TestObservedRecordAllocs: recording payloads copies them into shared
+// chunks, so a long run of them allocates well under once per payload
+// (the chunks and the slice of payload headers grow geometrically).
+func TestObservedRecordAllocs(t *testing.T) {
+	s := newSupplicant()
+	payload := bytes.Repeat([]byte{0xab}, 140)
+	if allocs := testing.AllocsPerRun(500, func() { s.record(payload) }); allocs != 0 {
+		t.Errorf("recording a payload allocates %v times on average, want under 1", allocs)
+	}
+	if got := s.Observed(); len(got) != 501 || !bytes.Equal(got[500], payload) {
+		t.Fatalf("recorded %d payloads, want 501 equal to the sent one", len(got))
+	}
+}
