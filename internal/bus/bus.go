@@ -10,6 +10,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/lease"
 	"repro/internal/memory"
 	"repro/internal/tz"
 )
@@ -182,10 +183,10 @@ func NewDMA(clock *tz.Clock, cost tz.CostModel, mem *memory.PhysMem) *DMA {
 	return &DMA{clock: clock, cost: cost, mem: mem}
 }
 
-// bouncePool recycles the engine's bounce buffers across transfers and
+// bounceFree recycles the engine's bounce buffers across transfers and
 // devices. A bounce buffer carries bytes from the device FIFO to RAM
 // within one transfer and is never read outside it.
-var bouncePool = sync.Pool{New: func() any { return new([]byte) }}
+var bounceFree lease.FreeList[[]byte]
 
 // FromDevice drains up to n bytes from src into RAM at dst on behalf of
 // world w. It returns the number of bytes actually transferred.
@@ -193,12 +194,12 @@ func (d *DMA) FromDevice(w tz.World, src FIFOSource, dst uint64, n int) (int, er
 	if n <= 0 {
 		return 0, nil
 	}
-	h := bouncePool.Get().(*[]byte)
-	defer bouncePool.Put(h)
-	if cap(*h) < n {
-		*h = make([]byte, n)
+	buf := bounceFree.Get()
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	data := (*h)[:src.PopInto((*h)[:n])]
+	defer bounceFree.Put(buf)
+	data := buf[:src.PopInto(buf[:n])]
 	if len(data) == 0 {
 		return 0, nil
 	}
@@ -214,28 +215,6 @@ func (d *DMA) FromDevice(w tz.World, src FIFOSource, dst uint64, n int) (int, er
 	d.stats.Bytes += uint64(len(data))
 	d.mu.Unlock()
 	return len(data), nil
-}
-
-// ToDevice would feed a playback FIFO; provided for API symmetry with real
-// sound DMA controllers, used by the driver's (unported) playback path.
-func (d *DMA) ToDevice(w tz.World, src uint64, sink func([]byte) int, n int) (int, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	buf := make([]byte, n)
-	if err := d.mem.ReadAt(w, src, buf); err != nil {
-		d.mu.Lock()
-		d.stats.Faults++
-		d.mu.Unlock()
-		return 0, fmt.Errorf("dma read: %w", err)
-	}
-	written := sink(buf)
-	d.clock.Advance(tz.Cycles(written) * d.cost.DMAPerByte)
-	d.mu.Lock()
-	d.stats.Transfers++
-	d.stats.Bytes += uint64(written)
-	d.mu.Unlock()
-	return written, nil
 }
 
 // Stats returns a snapshot of DMA activity.

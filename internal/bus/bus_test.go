@@ -210,26 +210,3 @@ func TestDMANormalWorldCannotTargetSecureRAM(t *testing.T) {
 		t.Errorf("secure-world DMA into secure RAM failed: %v", err)
 	}
 }
-
-func TestDMAToDevice(t *testing.T) {
-	d, p, _ := dmaFixture(t)
-	src := p.Layout.DRAMBase + 0x3000
-	if err := p.Mem.WriteAt(tz.WorldNormal, src, []byte{5, 6, 7}); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
-	var sunk []byte
-	n, err := d.ToDevice(tz.WorldNormal, src, func(b []byte) int {
-		sunk = append(sunk, b...)
-		return len(b)
-	}, 3)
-	if err != nil || n != 3 {
-		t.Fatalf("ToDevice = (%d,%v), want (3,nil)", n, err)
-	}
-	if len(sunk) != 3 || sunk[0] != 5 {
-		t.Errorf("sunk = %v", sunk)
-	}
-	// Reading playback data from secure RAM as normal world must fault.
-	if _, err := d.ToDevice(tz.WorldNormal, p.Layout.SecureBase, func(b []byte) int { return len(b) }, 4); !errors.Is(err, tz.ErrSecurityViolation) {
-		t.Errorf("ToDevice from secure RAM = %v, want violation", err)
-	}
-}

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/asr"
 	"repro/internal/audio"
+	"repro/internal/lease"
 	"repro/internal/relay"
 	"repro/internal/sensitive"
 	"repro/internal/supplicant"
@@ -115,8 +116,8 @@ func (s *Service) Deliver(frame []byte) ([]byte, error) {
 	if ch == nil {
 		return nil, ErrNoChannel
 	}
-	sc := deliverPool.Get().(*deliverScratch)
-	defer deliverPool.Put(sc)
+	sc := deliverFree.Get()
+	defer deliverFree.Put(sc)
 	plain, err := ch.OpenAppend(sc.plain[:0], frame)
 	if err != nil {
 		return nil, fmt.Errorf("cloud open: %w", err)
@@ -209,7 +210,7 @@ type PlainService struct {
 
 // deliverScratch is one Deliver's provider-side scratch: a
 // PlainService's decoded audio, or a Service's opened event, its decoded
-// form and the ack it encodes. deliverPool recycles sets across
+// form and the ack it encodes. deliverFree recycles sets across
 // endpoints, so a registered endpoint holds no per-frame scratch between
 // frames. Each field is rewritten before it is read within one Deliver,
 // and nothing keeps a reference to it past the call: the recognizer
@@ -220,7 +221,7 @@ type deliverScratch struct {
 	event   relay.Event
 }
 
-var deliverPool = sync.Pool{New: func() any { return new(deliverScratch) }}
+var deliverFree = lease.FreeList[*deliverScratch]{New: func() *deliverScratch { return new(deliverScratch) }}
 
 // NewPlainService creates the baseline backend. The recognizer stands in
 // for the provider's server-side ASR; callers train it on the experiment
@@ -236,8 +237,8 @@ var _ supplicant.NetSink = (*PlainService)(nil)
 // carry scratch state, and the lock serializes them even if a shard
 // pool ever delivers two of a device's frames concurrently.
 func (p *PlainService) Deliver(payload []byte) ([]byte, error) {
-	sc := deliverPool.Get().(*deliverScratch)
-	defer deliverPool.Put(sc)
+	sc := deliverFree.Get()
+	defer deliverFree.Put(sc)
 	floats, err := audio.DecodePCM16Into(sc.samples, payload)
 	if err != nil {
 		return nil, err
@@ -269,14 +270,6 @@ func (p *PlainService) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.observed = nil
-}
-
-func decodePCM16(payload []byte) (audio.PCM, error) {
-	samples, err := audio.DecodePCM16Into(nil, payload)
-	if err != nil {
-		return audio.PCM{}, fmt.Errorf("cloud: %w", err)
-	}
-	return audio.PCM{Rate: 16000, Samples: samples}, nil
 }
 
 // EncodePCM16 is the inverse wire helper used by device-side senders.

@@ -167,14 +167,14 @@ func TestPlainServiceOddPayload(t *testing.T) {
 func TestPCM16WireRoundTrip(t *testing.T) {
 	pcm := audio.Sine(16000, 440, 0.5, 20*time.Millisecond)
 	wire := EncodePCM16(pcm)
-	back, err := decodePCM16(wire)
+	samples, err := audio.DecodePCM16Into(nil, wire)
 	if err != nil {
-		t.Fatalf("decodePCM16: %v", err)
+		t.Fatalf("DecodePCM16Into: %v", err)
 	}
-	if len(back.Samples) != len(pcm.Samples) {
+	if len(samples) != len(pcm.Samples) {
 		t.Fatalf("lengths differ")
 	}
-	wire2 := EncodePCM16(back)
+	wire2 := EncodePCM16(audio.PCM{Rate: pcm.Rate, Samples: samples})
 	if !bytes.Equal(wire, wire2) {
 		t.Error("wire form not stable")
 	}

@@ -14,21 +14,25 @@ import (
 // TestShardCrashReplay: a crash strands the admitted queue, the senders
 // keep blocking on their replies, and a restart replays every stranded
 // frame to completion — counted in Restarts/Recovered, delivered exactly
-// once.
+// once. Each sender is its own device: the senders race to admission, and
+// one device's frames served out of order would trip the shard's
+// per-device dedup (TestShardDedup covers that).
 func TestShardCrashReplay(t *testing.T) {
 	s := NewShard("s0", 1, 8)
 	defer s.Close()
 	p := &countingProvider{}
-	s.Register("dev", p)
+	const frames = 6
+	for i := 0; i < frames; i++ {
+		s.Register(fmt.Sprintf("dev%d", i), p)
+	}
 	s.SetServeDelay(2 * time.Millisecond) // keep frames queued at crash time
 
-	const frames = 6
 	var wg sync.WaitGroup
 	for i := 0; i < frames; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.IngestMeta("dev", []byte("x"), FrameMeta{Seq: uint64(i + 1)}); err != nil {
+			if _, err := s.IngestMeta(fmt.Sprintf("dev%d", i), []byte("x"), FrameMeta{Seq: uint64(i + 1)}); err != nil {
 				t.Errorf("frame %d: %v", i, err)
 			}
 		}(i)
@@ -38,7 +42,7 @@ func TestShardCrashReplay(t *testing.T) {
 	queued := s.Crash()
 
 	// While crashed, new ingest fails transiently — retriable, never lost.
-	if _, err := s.IngestMeta("dev", []byte("x"), FrameMeta{Seq: 99}); !errors.Is(err, ErrShardCrashed) ||
+	if _, err := s.IngestMeta("dev0", []byte("x"), FrameMeta{Seq: 99}); !errors.Is(err, ErrShardCrashed) ||
 		!errors.Is(err, supplicant.ErrTransient) {
 		t.Fatalf("ingest while crashed misclassified: %v", err)
 	}

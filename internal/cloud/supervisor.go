@@ -43,7 +43,6 @@ type Supervisor struct {
 	mu       sync.Mutex
 	closed   bool
 	restarts int
-	queued   int
 }
 
 // Supervise attaches a supervisor to every shard on the ring (including
@@ -108,7 +107,6 @@ func (sup *Supervisor) loop() {
 		n.shard.Restart()
 		sup.mu.Lock()
 		sup.restarts++
-		sup.queued += n.queued
 		sup.mu.Unlock()
 		sup.event(SupervisorEvent{Kind: "shard-restart", Shard: n.shard.Name(), Queued: n.queued})
 	}
@@ -139,14 +137,6 @@ func (sup *Supervisor) Restarts() int {
 	sup.mu.Lock()
 	defer sup.mu.Unlock()
 	return sup.restarts
-}
-
-// QueuedReplayed reports the total frames that were stranded in crashed
-// shards' queues and handed to restarts for replay.
-func (sup *Supervisor) QueuedReplayed() int {
-	sup.mu.Lock()
-	defer sup.mu.Unlock()
-	return sup.queued
 }
 
 // Close drains pending supervision work and stops the loop. Crashes

@@ -504,8 +504,8 @@ func (s *CameraSystem) runBaseline(scenes []peripheral.Scene, res *CameraSession
 func (s *CameraSystem) runFrames(sess *teec.Session, n int, res *CameraSessionResult) error {
 	hybrid := s.cfg.Mode == ModeHybridHE
 	swept := s.frameBuf
-	sc := sessionScratchPool.Get().(*sessionScratch)
-	defer sessionScratchPool.Put(sc)
+	sc := sessionScratchFree.Get()
+	defer sessionScratchFree.Put(sc)
 	if !hybrid {
 		// The camera PTA session is opened by the TEE when the TA first
 		// grabs; open it explicitly for the buffer allocation.

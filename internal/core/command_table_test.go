@@ -153,9 +153,6 @@ func TestDoorbellBatchMatchesItems(t *testing.T) {
 // grab, classify, seal and relay — to the 27 allocations it made before
 // the doorbell moved onto the device TA's command table.
 func TestFrameCommandAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
 	sys, sess := newFuzzCamera(t, ModeSecureFilter, true)
 	empty := make([]peripheral.Scene, 200)
 	for i := range empty {
@@ -168,7 +165,7 @@ func TestFrameCommandAllocs(t *testing.T) {
 		}
 	}
 	before := sys.TA.messageID.Load()
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := collectedAllocsPerRun(100, func() {
 		if err := sess.InvokeCommand(CmdProcessItem, frameItem()); err != nil {
 			t.Fatal(err)
 		}

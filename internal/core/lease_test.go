@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/cloud"
@@ -13,20 +12,27 @@ import (
 	"repro/internal/supplicant"
 )
 
+// collectedAllocsPerRun is testing.AllocsPerRun with two forced
+// collections before every run. Two collections empty a sync.Pool,
+// victim cache included, so a guard measured here cannot lean on
+// anything a collection would drop.
+func collectedAllocsPerRun(runs int, f func()) float64 {
+	return testing.AllocsPerRun(runs, func() {
+		runtime.GC()
+		runtime.GC()
+		f()
+	})
+}
+
 // warmAllocsPerItem is the allocations per item of a warm session: run
-// once to warm the scratch pools, then average testing.AllocsPerRun
-// over runs of the session. The collector is paused so no pool is
-// emptied between runs.
+// once to warm the free lists, then average collectedAllocsPerRun over
+// runs of the session.
 func warmAllocsPerItem(t *testing.T, items int, session func() error) float64 {
 	t.Helper()
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if err := session(); err != nil {
 		t.Fatal(err)
 	}
-	return testing.AllocsPerRun(20, func() {
+	return collectedAllocsPerRun(20, func() {
 		if err := session(); err != nil {
 			t.Fatal(err)
 		}
@@ -110,14 +116,14 @@ func TestForwardedFrameAllocsOverWithheld(t *testing.T) {
 }
 
 // scribbleRelayLease takes the taScratch the last relayEvent returned to
-// the pool and overwrites the whole of its encoded event, sealed frame
-// and opened directive buffers. With one P and the collector paused, the
-// pool hands back the set it was last given. It reports whether that
-// set's sealed frame was the last payload the supplicant forwarded (so
-// the scribble hit the lease the relay used).
+// its free list (which hands back the set it was last given) and
+// overwrites the whole of its encoded event, sealed frame and opened
+// directive buffers. It reports whether that set's sealed frame was the
+// last payload the supplicant forwarded (so the scribble hit the lease
+// the relay used).
 func scribbleRelayLease(sup *supplicant.Supplicant) bool {
-	sc := taScratchPool.Get().(*taScratch)
-	defer taScratchPool.Put(sc)
+	sc := taScratchFree.Get()
+	defer taScratchFree.Put(sc)
 	var last []byte
 	sup.ScanObserved(func(p []byte) { last = p })
 	hit := len(last) > 0 && bytes.Equal(sc.sealed, last)
@@ -131,18 +137,13 @@ func scribbleRelayLease(sup *supplicant.Supplicant) bool {
 }
 
 // TestRelayLeaseBorrowedForCallOnly: the relay encodes, seals and opens
-// into a leased taScratch that goes back to the pool when relayEvent
+// into a leased taScratch that goes back to its free list when relayEvent
 // returns, so nothing may keep its event or sealed buffer past the call:
 // not the supplicant's record, the provider, nor the TA's records.
 // Scribbling over the leased buffers after every speaker group and every
 // doorbell frame changes no TA record, forwarded payload, provider audit
 // or session result.
 func TestRelayLeaseBorrowedForCallOnly(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	utts, err := sensitive.Generate(sensitive.GenConfig{N: 10, SensitiveFraction: 0.5, Seed: 12})
 	if err != nil {
 		t.Fatal(err)

@@ -609,12 +609,12 @@ func (p *taPipeline) classifyHE(l *taLifecycle, recs []ItemRecord, blobs [][]byt
 // relayEvent numbers, seals and sends ev through the supplicant,
 // recording the outcome in out, and verifies the cloud's directive. The
 // event is encoded, sealed and its directive opened into a leased
-// taScratch, which goes back to the pool when relayEvent returns: the
+// taScratch, which goes back to its free list when relayEvent returns: the
 // supplicant and the provider borrow the sealed frame for the RPC only
 // and copy what they keep.
 func (p *taPipeline) relayEvent(ev relay.Event, out *RelayOutcome) error {
-	sc := taScratchPool.Get().(*taScratch)
-	defer taScratchPool.Put(sc)
+	sc := taScratchFree.Get()
+	defer taScratchFree.Put(sc)
 	ev.MessageID = p.messageID.Add(1)
 	sc.event = relay.AppendEvent(sc.event[:0], ev)
 	sc.sealed = p.channel.SealAppend(sc.sealed[:0], sc.event)

@@ -2,23 +2,19 @@ package core
 
 // Capture-path buffers (synth, microphone signal, I2S FIFO ring, DMA
 // bounce, provider decode) are recycled across devices through
-// package-level pools. These tests pin that recycling is invisible: a
+// package-level free lists. These tests pin that recycling is invisible: a
 // device's results do not depend on which device ran before it, and a
 // warm process runs a device without growing that scratch again.
 
 import (
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/ml/classify"
 	"repro/internal/relay"
 	"repro/internal/sensitive"
 )
-
-// raceEnabled is set by race_test.go in -race builds.
-var raceEnabled bool
 
 func recycleWorkload(t *testing.T, n int, seed uint64) DeviceWorkload {
 	t.Helper()
@@ -79,19 +75,12 @@ func TestRecycledScratchIsolation(t *testing.T) {
 }
 
 // captureAllocBoundKB bounds what a second secure-filter speaker's Run
-// allocates once the capture pools are warm: ~190 KiB on go1.24
+// allocates once the capture free lists are warm: ~190 KiB on go1.24
 // linux/amd64, against ~6.3 MiB when every device grew its own capture
 // scratch.
 const captureAllocBoundKB = 320
 
 func TestWarmDeviceRunAllocationBound(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
-	// Paused GC keeps the pools from being emptied between the runs, and
-	// one P keeps both runs on the same per-P pool caches.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	spec := DeviceSpec{
 		Kind: DeviceSpeaker, Mode: ModeSecureFilter, Arch: classify.ArchCNN,
 		Policy: relay.PolicyBlock, Seed: 21, ModelSeed: 99, Batch: 4,
@@ -104,6 +93,10 @@ func TestWarmDeviceRunAllocationBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two collections would empty a sync.Pool, victim cache included;
+	// the free lists keep what the first run left.
+	runtime.GC()
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := d.Run(w); err != nil {

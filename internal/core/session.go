@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/audio"
 	"repro/internal/cloud"
 	"repro/internal/i2s"
 	"repro/internal/kernel"
+	"repro/internal/lease"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/optee"
@@ -111,7 +111,7 @@ func (r *SessionResult) FalseBlockRate() float64 {
 // utterance, the baseline app's read, capture, decode and payload
 // buffers, the hybrid split's device wire and packed provider results
 // (heAppend), and a doorbell frame command's parameters. A session
-// leases a set from sessionScratchPool and returns it on every exit, so
+// leases a set from sessionScratchFree and returns it on every exit, so
 // a fleet that builds, runs and drops one System per device reuses a
 // handful of sets instead of growing one per device. Each buffer is
 // rewritten before it is read within an item or group, and the
@@ -127,7 +127,7 @@ type sessionScratch struct {
 	params   optee.Params
 }
 
-var sessionScratchPool = sync.Pool{New: func() any { return new(sessionScratch) }}
+var sessionScratchFree = lease.FreeList[*sessionScratch]{New: func() *sessionScratch { return new(sessionScratch) }}
 
 // RunSession synthesizes and processes each utterance end to end and
 // returns the aggregated result.
@@ -135,8 +135,8 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 	if s.cfg.Mode != ModeBaseline {
 		return s.runSecure(utterances, 1, true)
 	}
-	sc := sessionScratchPool.Get().(*sessionScratch)
-	defer sessionScratchPool.Put(sc)
+	sc := sessionScratchFree.Get()
+	defer sessionScratchFree.Put(sc)
 	res := &SessionResult{Mode: s.cfg.Mode, Latency: metrics.NewRecorder()}
 	startCycles := s.Clock.Now()
 	s.Monitor.ResetStats()

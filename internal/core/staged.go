@@ -105,8 +105,8 @@ func (s *System) runSecure(utterances []sensitive.Utterance, batch int, single b
 		return nil, err
 	}
 	defer st.Abort()
-	sc := sessionScratchPool.Get().(*sessionScratch)
-	defer sessionScratchPool.Put(sc)
+	sc := sessionScratchFree.Get()
+	defer sessionScratchFree.Put(sc)
 	for st.lo < len(utterances) {
 		lo := st.lo
 		if err := st.runGroup(sc); err != nil {
@@ -197,8 +197,8 @@ func (st *StagedSession) stage(sc *sessionScratch) (*PendingGroup, error) {
 func (st *StagedSession) CaptureGroup() (*PendingGroup, error) {
 	// The scratch lease covers the capture only, so a group parked on
 	// the shared classifier holds no capture scratch.
-	sc := sessionScratchPool.Get().(*sessionScratch)
-	defer sessionScratchPool.Put(sc)
+	sc := sessionScratchFree.Get()
+	defer sessionScratchFree.Put(sc)
 	lo := st.lo
 	pg, err := st.stage(sc)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/audio"
 	"repro/internal/driver"
 	"repro/internal/i2s"
+	"repro/internal/lease"
 	"repro/internal/ml/classify"
 	"repro/internal/optee"
 	"repro/internal/relay"
@@ -672,10 +673,10 @@ func checkUtteranceBytes(n uint64) error {
 // taScratch is the reusable buffer set for one in-flight TA
 // invocation: capture accumulation, the PTA read chunk and its
 // parameters, the decode pipeline's sample buffers, and the relay's
-// encoded event, sealed frame and opened directive. Pooled so the
+// encoded event, sealed frame and opened directive. Leased so the
 // batched path (CmdProcessBatch) processes every queued utterance, and
 // the relay seals every event, without per-item heap allocation,
-// whichever TA instance (device) is running — the pool is package-level
+// whichever TA instance (device) is running — the list is package-level
 // because fleet devices process in bounded worker pools, so a handful
 // of scratch sets serves thousands of devices.
 type taScratch struct {
@@ -690,17 +691,17 @@ type taScratch struct {
 	directive []byte
 }
 
-var taScratchPool = sync.Pool{
-	New: func() any { return &taScratch{chunk: make([]byte, 4096)} },
+var taScratchFree = lease.FreeList[*taScratch]{
+	New: func() *taScratch { return &taScratch{chunk: make([]byte, 4096)} },
 }
 
 // captureUtterances is a speaker's capture stage: capture and transcribe
-// each utterance of a group over one pooled scratch set, so a group does
+// each utterance of a group over one leased scratch set, so a group does
 // not allocate capture or decode buffers per item.
 func (t *DeviceTA) captureUtterances(recs []ItemRecord, lengths []int) error {
 	clock := t.cfg.Clock
-	sc := taScratchPool.Get().(*taScratch)
-	defer taScratchPool.Put(sc)
+	sc := taScratchFree.Get()
+	defer taScratchFree.Put(sc)
 	for i, wantBytes := range lengths {
 		start := clock.Now()
 		pcmBytes, err := t.captureStage(sc, wantBytes)
@@ -772,7 +773,7 @@ func (t *DeviceTA) transcribeStage(sc *taScratch, pcmBytes []byte) ([]string, er
 	floats := sc.floats[:len(samples)]
 	for i, s := range samples {
 		// int16 truncation then the FromInt16 scaling of the historical
-		// decode path, fused into one pass over pooled scratch.
+		// decode path, fused into one pass over leased scratch.
 		floats[i] = float64(int16(s)) / 32768
 	}
 	pcm := audio.PCM{Rate: 16000, Samples: floats}

@@ -13,6 +13,8 @@ import (
 	"math"
 	"math/cmplx"
 	"sync"
+
+	"repro/internal/lease"
 )
 
 // Errors returned by the package.
@@ -272,29 +274,17 @@ type frameScratch struct {
 	energies []float64    // log mel energies, NumFilters
 }
 
-// scratchFreeCap bounds each configuration's free list: room for every
-// goroutine extracting at once on a large host, while an idle list of
-// default-configuration scratch stays under 1 MiB.
-const scratchFreeCap = 64
-
 // extractorPlans bundles the immutable precomputed state for one MFCC
 // configuration (window, FFT plan, flattened filterbank and DCT table)
 // with that configuration's free list of frame scratch. Plans carry no
 // mutable state, so one set is shared by every extractor with the same
 // configuration (a fleet creates thousands).
-//
-// The free list is a bounded buffered channel rather than a sync.Pool: a
-// sync.Pool may drop any item at any time (under -race it does so at
-// random), which would break the zero-allocation guarantee of Frame and
-// Signal.
 type extractorPlans struct {
 	window []float64
 	fft    *FFTPlan
 	mel    *melPlan
 	dct    *dctPlan
-
-	fftSize, filters int
-	free             chan *frameScratch
+	free   lease.FreeList[*frameScratch]
 }
 
 var planCache sync.Map // MFCCConfig -> *extractorPlans
@@ -312,43 +302,20 @@ func plansFor(cfg MFCCConfig) (*extractorPlans, error) {
 		return nil, err
 	}
 	plans := &extractorPlans{
-		window:  Hann(cfg.FrameLen),
-		fft:     fft,
-		mel:     newMelPlan(banks),
-		dct:     newDCTPlan(cfg.NumFilters, cfg.NumCoeffs),
-		fftSize: cfg.FFTSize,
-		filters: cfg.NumFilters,
-		free:    make(chan *frameScratch, scratchFreeCap),
+		window: Hann(cfg.FrameLen),
+		fft:    fft,
+		mel:    newMelPlan(banks),
+		dct:    newDCTPlan(cfg.NumFilters, cfg.NumCoeffs),
+	}
+	plans.free.New = func() *frameScratch {
+		return &frameScratch{
+			buf:      make([]complex128, cfg.FFTSize),
+			ps:       make([]float64, cfg.FFTSize/2+1),
+			energies: make([]float64, cfg.NumFilters),
+		}
 	}
 	p, _ := planCache.LoadOrStore(cfg, plans)
 	return p.(*extractorPlans), nil
-}
-
-// lease takes a frame scratch off the free list, or allocates one when
-// the list is empty. Its contents are arbitrary (see the lease rule).
-func (p *extractorPlans) lease() *frameScratch {
-	select {
-	case s := <-p.free:
-		return s
-	default:
-		return p.newScratch()
-	}
-}
-
-func (p *extractorPlans) newScratch() *frameScratch {
-	return &frameScratch{
-		buf:      make([]complex128, p.fftSize),
-		ps:       make([]float64, p.fftSize/2+1),
-		energies: make([]float64, p.filters),
-	}
-}
-
-// release returns a leased scratch; a full list drops it for the GC.
-func (p *extractorPlans) release(s *frameScratch) {
-	select {
-	case p.free <- s:
-	default:
-	}
 }
 
 // NewExtractor builds an extractor for the configuration.
@@ -374,8 +341,8 @@ func (e *Extractor) Config() MFCCConfig { return e.cfg }
 // The returned slice aliases the extractor's storage: it is valid until
 // the next Frame or Signal call.
 func (e *Extractor) Frame(frame []float64) ([]float64, error) {
-	s := e.plans.lease()
-	defer e.plans.release(s)
+	s := e.plans.free.Get()
+	defer e.plans.free.Put(s)
 	if err := e.frameInto(s, e.out, frame); err != nil {
 		return nil, err
 	}
@@ -425,8 +392,8 @@ func (e *Extractor) Signal(samples []float64) ([][]float64, error) {
 	}
 	e.feats = e.feats[:nFrames*nc]
 	e.frames = e.frames[:nFrames]
-	s := e.plans.lease()
-	defer e.plans.release(s)
+	s := e.plans.free.Get()
+	defer e.plans.free.Put(s)
 	for f := 0; f < nFrames; f++ {
 		i := f * e.cfg.Hop
 		dst := e.feats[f*nc : (f+1)*nc]

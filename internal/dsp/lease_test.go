@@ -12,19 +12,18 @@ import (
 	"testing"
 
 	"repro/internal/audio"
+	"repro/internal/lease"
 )
 
-// poisonFreeList empties the configuration's free list and refills it to
-// capacity with scratch holding NaN, infinities and random garbage, so the
-// next leases all start from poisoned buffers.
+// poisonFreeList leases lease.Bound frame scratch sets (the whole free
+// list, then fresh ones), fills them with NaN, infinities and random
+// garbage and hands them back, so the list is full and the next leases
+// all start from poisoned buffers.
 func poisonFreeList(t *testing.T, cfg MFCCConfig) {
 	t.Helper()
 	p, err := plansFor(cfg)
 	if err != nil {
 		t.Fatalf("plansFor: %v", err)
-	}
-	for len(p.free) > 0 {
-		<-p.free
 	}
 	rng := rand.New(rand.NewPCG(3, 5))
 	junk := func(i int) float64 {
@@ -37,8 +36,9 @@ func poisonFreeList(t *testing.T, cfg MFCCConfig) {
 			return (rng.Float64()*2 - 1) * 1e300
 		}
 	}
-	for len(p.free) < cap(p.free) {
-		s := p.newScratch()
+	leased := make([]*frameScratch, lease.Bound)
+	for k := range leased {
+		s := p.free.Get()
 		for i := range s.buf {
 			s.buf[i] = complex(junk(i), junk(i+1))
 		}
@@ -48,7 +48,10 @@ func poisonFreeList(t *testing.T, cfg MFCCConfig) {
 		for i := range s.energies {
 			s.energies[i] = junk(i)
 		}
-		p.free <- s
+		leased[k] = s
+	}
+	for _, s := range leased {
+		p.free.Put(s)
 	}
 }
 

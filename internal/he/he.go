@@ -179,9 +179,6 @@ type Ciphertext struct {
 // Shape returns a copy of the encrypted tensor's shape.
 func (c *Ciphertext) Shape() []int { return append([]int(nil), c.shape...) }
 
-// Slots returns the packed plaintext slot count.
-func (c *Ciphertext) Slots() int { return len(c.data) }
-
 // Level returns the multiplicative depth consumed so far.
 func (c *Ciphertext) Level() int { return c.level }
 

@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/lease"
 )
 
 // Errors returned by the package.
@@ -171,21 +173,20 @@ func DecodeFramesInto(dst []int32, wire []byte, f Format) ([]int32, error) {
 // a generous FIFO (the simulator uses 1 MiB to stand in for real-time
 // pacing) only pays for the bytes actually buffered.
 //
-// An empty FIFO holds no ring: the first push leases one from ringPool
+// An empty FIFO holds no ring: the first push leases one from ringFree
 // and the pop that drains the FIFO returns it. A fleet builds a fresh
 // controller per device, so recycled rings spare every device after the
 // first the 256 B → 1 MiB doubling chain. Only bytes pushed during the
 // current lease are ever read back (start and n bound every read).
 type fifo struct {
 	buf      []byte
-	hold     *[]byte // ring holder, recycled with buf so Put never boxes
 	start    int
 	n        int
 	capacity int
 }
 
-// ringPool recycles FIFO rings across controllers.
-var ringPool sync.Pool
+// ringFree recycles FIFO rings across controllers.
+var ringFree lease.FreeList[[]byte]
 
 func newFIFO(capacity int) *fifo { return &fifo{capacity: capacity} }
 
@@ -193,12 +194,12 @@ func newFIFO(capacity int) *fifo { return &fifo{capacity: capacity} }
 // first tries a recycled ring.
 func (q *fifo) grow(need int) {
 	if q.buf == nil {
-		if h, ok := ringPool.Get().(*[]byte); ok {
-			if len(*h) >= need && len(*h) <= q.capacity {
-				q.buf, q.hold, q.start = *h, h, 0
+		if ring := ringFree.Get(); ring != nil {
+			if len(ring) >= need && len(ring) <= q.capacity {
+				q.buf, q.start = ring, 0
 				return
 			}
-			ringPool.Put(h)
+			ringFree.Put(ring)
 		}
 	}
 	size := len(q.buf) * 2
@@ -225,16 +226,12 @@ func (q *fifo) grow(need int) {
 	q.start = 0
 }
 
-// release returns the ring to ringPool and empties the FIFO.
+// release returns the ring to ringFree and empties the FIFO.
 func (q *fifo) release() {
 	if q.buf != nil {
-		if q.hold == nil {
-			q.hold = new([]byte)
-		}
-		*q.hold = q.buf
-		ringPool.Put(q.hold)
+		ringFree.Put(q.buf)
 	}
-	q.buf, q.hold, q.start, q.n = nil, nil, 0, 0
+	q.buf, q.start, q.n = nil, 0, 0
 }
 
 // push appends b, returning the number of bytes that did NOT fit (overrun).

@@ -71,9 +71,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the running sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Bounds returns the bucket upper bounds (shared backing; do not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // Buckets returns the per-bucket counts, overflow last (shared backing;
 // do not mutate).
 func (h *Histogram) Buckets() []uint64 { return h.counts }

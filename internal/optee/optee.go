@@ -190,8 +190,10 @@ type OS struct {
 	// pending carries the rich argument payload across the SMC register
 	// interface (real OP-TEE passes a physical pointer to a message
 	// structure in shared memory; the cost of that indirection is charged
-	// via the cache-flush penalty on memref parameters).
+	// via the cache-flush penalty on memref parameters). It points at
+	// entry, the one message buffer: entryMu admits one entry at a time.
 	pending *message
+	entry   message
 }
 
 type message struct {
@@ -262,11 +264,7 @@ func (o *OS) Stats() Stats {
 // monitor. Sessions to PTAs are denied, as in real OP-TEE for PTAs that
 // serve kernel/driver purposes.
 func (o *OS) OpenSession(uuid string) (uint32, error) {
-	msg := &message{uuid: uuid}
-	if err := o.smc(smcOpenSession, msg); err != nil {
-		return 0, err
-	}
-	return msg.newSession, nil
+	return o.smc(smcOpenSession, message{uuid: uuid})
 }
 
 // Invoke executes a command on an open session from the normal world.
@@ -283,26 +281,34 @@ func (o *OS) Invoke(sessionID uint32, cmd uint32, p *Params) error {
 			o.monitor.FlushSharedRange()
 		}
 	}
-	msg := &message{session: sessionID, cmd: cmd, params: p}
-	return o.smc(smcInvoke, msg)
+	_, err := o.smc(smcInvoke, message{session: sessionID, cmd: cmd, params: p})
+	return err
 }
 
 // CloseSession closes a session from the normal world.
 func (o *OS) CloseSession(sessionID uint32) error {
-	msg := &message{session: sessionID}
-	return o.smc(smcCloseSession, msg)
+	_, err := o.smc(smcCloseSession, message{session: sessionID})
+	return err
 }
 
-func (o *OS) smc(fn tz.SMCFunc, msg *message) error {
+// smc enters the secure world with msg in the OS's message buffer and
+// returns the new session ID and the handler's error. It reads both out
+// before releasing entryMu, after which the next entry may overwrite the
+// buffer.
+func (o *OS) smc(fn tz.SMCFunc, msg message) (uint32, error) {
 	o.entryMu.Lock()
 	defer o.entryMu.Unlock()
+	o.entry = msg
 	o.mu.Lock()
-	o.pending = msg
+	o.pending = &o.entry
 	o.mu.Unlock()
-	if _, err := o.monitor.SMC(fn, [4]uint64{}); err != nil {
-		return err
+	_, err := o.monitor.SMC(fn, [4]uint64{})
+	id, msgErr := o.entry.newSession, o.entry.err
+	o.entry = message{} // drop the caller's params
+	if err != nil {
+		return 0, err
 	}
-	return msg.err
+	return id, msgErr
 }
 
 func (o *OS) takePending() *message {

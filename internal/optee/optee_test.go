@@ -537,3 +537,32 @@ func TestStoragePutLayoutIdentity(t *testing.T) {
 		t.Errorf("Put allocates %v times, want at most 2 (the blob and the id's bytes)", allocs)
 	}
 }
+
+// nopTA accepts every session and command and does nothing.
+type nopTA struct{}
+
+func (nopTA) UUID() string                         { return "nop" }
+func (nopTA) Open(uint32) error                    { return nil }
+func (nopTA) Invoke(uint32, uint32, *Params) error { return nil }
+func (nopTA) Close(uint32)                         {}
+
+// TestInvokeAllocs: a world switch into a TA that does nothing
+// allocates nothing. Entries are serialized, so the OS carries every
+// entry's arguments and results in its one message buffer.
+func TestInvokeAllocs(t *testing.T) {
+	os, _, _ := newTEE(t)
+	os.RegisterTA(nopTA{})
+	id, err := os.OpenSession("nop")
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	p := &Params{{Type: ValueIn, A: 1}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := os.Invoke(id, 1, p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("Invoke of a no-op TA allocates %v times, want 0", allocs)
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/audio"
 	"repro/internal/i2s"
+	"repro/internal/lease"
 )
 
 // Errors returned by the package.
@@ -36,25 +37,24 @@ type Microphone struct {
 	mu     sync.Mutex
 	format i2s.Format
 	signal audio.PCM
-	hold   *[]float64 // signal buffer holder, recycled with the buffer
 	pos    int
 	pushed uint64
 }
 
-// signalPool recycles microphone signal buffers across microphones. A
+// signalFree recycles microphone signal buffers across microphones. A
 // buffer is leased by the Load that queues into an empty microphone and
 // returned by the pump whose push drains it; only samples loaded during
 // the current lease are ever read.
-var signalPool sync.Pool
+var signalFree lease.FreeList[[]float64]
 
 // pumpScratch is one PumpBytes call's quantized samples and their wire
-// encoding, pooled across calls and microphones.
+// encoding, recycled across calls and microphones.
 type pumpScratch struct {
 	samples []int32
 	wire    []byte
 }
 
-var pumpPool = sync.Pool{New: func() any { return new(pumpScratch) }}
+var pumpFree = lease.FreeList[*pumpScratch]{New: func() *pumpScratch { return new(pumpScratch) }}
 
 // NewMicrophone wires a microphone to the controller with the format.
 func NewMicrophone(ctrl *i2s.Controller, f i2s.Format) (*Microphone, error) {
@@ -77,10 +77,8 @@ func (m *Microphone) Load(p audio.PCM) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.pos >= len(m.signal.Samples) {
-		if m.hold == nil {
-			if h, ok := signalPool.Get().(*[]float64); ok {
-				m.hold, m.signal.Samples = h, *h
-			}
+		if m.signal.Samples == nil {
+			m.signal.Samples = signalFree.Get()
 		}
 		m.signal.Rate = p.Rate
 		m.signal.Samples = append(m.signal.Samples[:0], p.Samples...)
@@ -99,15 +97,11 @@ func (m *Microphone) Load(p audio.PCM) error {
 	return nil
 }
 
-// releaseSignal returns the drained signal buffer to signalPool.
+// releaseSignal returns the drained signal buffer to signalFree.
 // Requires m.mu.
 func (m *Microphone) releaseSignal() {
-	if m.hold == nil {
-		m.hold = new([]float64)
-	}
-	*m.hold = m.signal.Samples[:0]
-	signalPool.Put(m.hold)
-	m.hold, m.signal.Samples, m.pos = nil, nil, 0
+	signalFree.Put(m.signal.Samples[:0])
+	m.signal.Samples, m.pos = nil, 0
 }
 
 // Remaining returns the number of unplayed samples.
@@ -141,8 +135,8 @@ func (m *Microphone) PumpBytes(n int) (int, error) {
 	f := m.format
 	// Quantize under the lock: chunk aliases the signal buffer, which a
 	// concurrent Load may compact in place.
-	sc := pumpPool.Get().(*pumpScratch)
-	defer pumpPool.Put(sc)
+	sc := pumpFree.Get()
+	defer pumpFree.Put(sc)
 	if cap(sc.samples) < len(chunk) {
 		sc.samples = make([]int32, len(chunk))
 	}

@@ -65,15 +65,6 @@ func (t *Table) Add(m FuncMeta, callees ...string) error {
 	return nil
 }
 
-// MustAdd is Add for static table construction; it panics on programmer
-// error (duplicate registration), which is a startup-time bug, not a
-// runtime condition.
-func (t *Table) MustAdd(m FuncMeta, callees ...string) {
-	if err := t.Add(m, callees...); err != nil {
-		panic(err)
-	}
-}
-
 // Validate checks that every call-graph edge targets a registered function.
 func (t *Table) Validate() error {
 	for fn, callees := range t.graph {
