@@ -129,7 +129,7 @@ func benchPipeline(b *testing.B, mode core.Mode) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
 		sys, err := core.NewSystem(core.Config{
-			Mode: mode, Seed: experiments.DefaultSeed, FreqHz: experiments.FreqHz,
+			Mode: mode, Seed: experiments.DefaultSeed,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -338,7 +338,7 @@ type snapshot struct {
 
 	// Attested-run fields (omitted on plain runs).
 	AttestedDevices    int            `json:"attested_devices,omitempty"`
-	ModelVersions      map[string]int `json:"model_versions,omitempty"`
+	ModelVersions      map[uint64]int `json:"model_versions,omitempty"`
 	Rollout            *rolloutJS     `json:"rollout,omitempty"`
 	RogueAttempts      int            `json:"rogue_attempts,omitempty"`
 	RogueRejected      int            `json:"rogue_rejected,omitempty"`
@@ -402,7 +402,7 @@ type anomalyJS struct {
 // rejects all of them).
 type lifecycleJS struct {
 	Rotated       int            `json:"rotated"`
-	KeyEpochs     map[string]int `json:"key_epochs"`
+	KeyEpochs     map[uint64]int `json:"key_epochs"`
 	Revoked       int            `json:"revoked"`
 	ProbeAttempts int            `json:"probe_attempts"`
 	ProbeRejected int            `json:"probe_rejected"`
@@ -439,7 +439,7 @@ type shardJS struct {
 	Rebalanced      uint64         `json:"rebalanced"`
 	QueuePeak       int            `json:"queue_peak"`
 	Drained         bool           `json:"drained"`
-	ModelVersions   map[string]int `json:"model_versions,omitempty"`
+	ModelVersions   map[uint64]int `json:"model_versions,omitempty"`
 	// Chaos counters (omitted when the shard saw no crash or duplicate).
 	Restarts          uint64 `json:"restarts,omitempty"`
 	Recovered         uint64 `json:"recovered,omitempty"`
@@ -478,7 +478,7 @@ type schedJS struct {
 	DrainItems          uint64            `json:"drain_items"`
 	MaxOccupancy        int               `json:"max_occupancy"`
 	Flushes             map[string]uint64 `json:"flushes"`
-	ItemsByVersion      map[string]uint64 `json:"items_by_version"`
+	ItemsByVersion      map[uint64]uint64 `json:"items_by_version"`
 	MixedVersionFlushes uint64            `json:"mixed_version_flushes"`
 	PressureFlushes     uint64            `json:"pressure_flushes"`
 }
@@ -524,29 +524,6 @@ type rollbackJS struct {
 	FromVersion uint64 `json:"from_version"`
 	ToVersion   uint64 `json:"to_version"`
 	Reason      string `json:"reason"`
-}
-
-// versionKeys renders a version tally with string keys (JSON objects
-// cannot have integer keys).
-func versionKeys(in map[uint64]int) map[string]int {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make(map[string]int, len(in))
-	for v, n := range in {
-		out[fmt.Sprintf("%d", v)] = n
-	}
-	return out
-}
-
-// versionKeys64 is versionKeys for uint64-valued tallies (the
-// scheduler's per-version item counts).
-func versionKeys64(in map[uint64]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(in))
-	for v, n := range in {
-		out[fmt.Sprintf("%d", v)] = n
-	}
-	return out
 }
 
 // versionCounts narrows a uint64-valued version tally for the int-based
@@ -667,7 +644,7 @@ func writeSnapshot(path string, res *fleet.Result) error {
 		PriorityFrames:     res.PriorityFrames(),
 		RebalancedFrames:   res.RebalancedFrames(),
 		AttestedDevices:    res.AttestedDevices,
-		ModelVersions:      versionKeys(res.ModelVersions),
+		ModelVersions:      res.ModelVersions,
 		RogueAttempts:      res.RogueAttempts,
 		RogueRejected:      res.RogueRejected,
 		UnattestedIngested: res.UnattestedIngested,
@@ -678,10 +655,12 @@ func writeSnapshot(path string, res *fleet.Result) error {
 	if res.Rotated > 0 || res.Revoked > 0 {
 		snap.Lifecycle = &lifecycleJS{
 			Rotated:       res.Rotated,
-			KeyEpochs:     versionKeys(res.KeyEpochs),
 			Revoked:       res.Revoked,
 			ProbeAttempts: res.RevokeProbes,
 			ProbeRejected: res.RevokeRejected,
+		}
+		if len(res.KeyEpochs) > 0 {
+			snap.Lifecycle.KeyEpochs = res.KeyEpochs // an empty tally reads null
 		}
 	}
 	if len(res.TenantAttested) > 0 {
@@ -699,7 +678,7 @@ func writeSnapshot(path string, res *fleet.Result) error {
 			DrainItems:          sr.DrainItems,
 			MaxOccupancy:        sr.MaxOccupancy,
 			Flushes:             sr.Flushes,
-			ItemsByVersion:      versionKeys64(sr.ItemsByVersion),
+			ItemsByVersion:      sr.ItemsByVersion,
 			MixedVersionFlushes: sr.MixedVersionFlushes,
 			PressureFlushes:     sr.PressureFlushes,
 		}
@@ -755,7 +734,7 @@ func writeSnapshot(path string, res *fleet.Result) error {
 			Rebalanced:        s.Rebalanced,
 			QueuePeak:         s.QueuePeak,
 			Drained:           s.Drained,
-			ModelVersions:     versionKeys(res.ShardModelVersions[s.Name]),
+			ModelVersions:     res.ShardModelVersions[s.Name],
 			Restarts:          s.Restarts,
 			Recovered:         s.Recovered,
 			DuplicatesDropped: s.DuplicatesDropped,

@@ -257,6 +257,19 @@ func TestMixFlagUnknownMode(t *testing.T) {
 	}
 }
 
+// TestNaNFlagsRejected: a NaN fraction on the command line is a bad
+// config, not a run.
+func TestNaNFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-devices", "8", "-doorbells", "NaN"},
+		{"-devices", "16", "-rollout", "-canary", "NaN"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run(%q) accepted a NaN fraction", args)
+		}
+	}
+}
+
 // TestSnapshotSmokeAsync drives the engine through the CLI on a single
 // executor with the shared scheduler, a staged rollout, churn and key
 // rotation — the rollout composing with the scheduler on the one engine

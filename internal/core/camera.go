@@ -289,7 +289,6 @@ type CameraConfig struct {
 	// ModelSeed fixes image-classifier pre-training (0 = Seed); see
 	// Config.ModelSeed.
 	ModelSeed uint64
-	FreqHz    uint64
 	// DeviceID / AttestKeySeed / ModelVersion: see Config.
 	DeviceID      string
 	AttestKeySeed uint64
@@ -315,9 +314,6 @@ func (c *CameraConfig) fillDefaults() error {
 	if !slices.Contains([]Mode{ModeBaseline, ModeSecureFilter, ModeHybridHE}, c.Mode) {
 		return fmt.Errorf("%w: camera supports %s, %s and %s, got %s",
 			ErrBadMode, ModeBaseline, ModeSecureFilter, ModeHybridHE, c.Mode)
-	}
-	if c.FreqHz == 0 {
-		c.FreqHz = 1_000_000_000
 	}
 	if c.ModelSeed == 0 {
 		c.ModelSeed = c.Seed
@@ -450,7 +446,7 @@ func (s *CameraSystem) RunSession(scenes []peripheral.Scene) (*CameraSessionResu
 	}
 	res.Frames = len(scenes)
 	res.TotalCycles = s.Clock.Now() - startCycles
-	res.Energy = s.energy(res.TotalCycles, 0, s.cfg.FreqHz)
+	res.Energy = s.energy(res.TotalCycles, 0)
 	return res, nil
 }
 

@@ -119,8 +119,6 @@ type Config struct {
 	Policy relay.Policy
 	// BufBytes is the driver DMA buffer size; default 4096.
 	BufBytes int
-	// WorldSwitchCycles overrides the SMC one-way switch cost (0 = default).
-	WorldSwitchCycles tz.Cycles
 	// Seed fixes all randomness.
 	Seed uint64
 	// ModelSeed fixes classifier pre-training independently of Seed
@@ -129,8 +127,6 @@ type Config struct {
 	// pre-trained model to the whole population (and letting the trainer
 	// memoize one model instead of one per device).
 	ModelSeed uint64
-	// FreqHz is the modelled core frequency; default 1 GHz.
-	FreqHz uint64
 	// NoiseAmp is the synthetic speaker's background noise level.
 	NoiseAmp float64
 	// TrainEpochs controls classifier pre-training; default 8.
@@ -159,7 +155,7 @@ func (c *Config) fillDefaults() error {
 		return fmt.Errorf("%w: %v", ErrBadMode, c.Mode)
 	}
 	if c.Arch == 0 {
-		c.Arch = classify.ArchCNN
+		c.Arch = defaultArch
 	}
 	if c.Policy == 0 {
 		c.Policy = relay.PolicyBlock
@@ -167,14 +163,11 @@ func (c *Config) fillDefaults() error {
 	if c.BufBytes <= 0 {
 		c.BufBytes = 4096
 	}
-	if c.FreqHz == 0 {
-		c.FreqHz = 1_000_000_000
-	}
 	if c.NoiseAmp == 0 {
 		c.NoiseAmp = 0.01
 	}
 	if c.TrainEpochs <= 0 {
-		c.TrainEpochs = 8
+		c.TrainEpochs = defaultTrainEpochs
 	}
 	if c.ModelSeed == 0 {
 		c.ModelSeed = c.Seed
@@ -292,6 +285,19 @@ func TextWeights(arch classify.Arch, vocab *sensitive.Vocabulary, seed uint64, e
 	})
 }
 
+// The text classifier a Config defaults to, and the only one a fleet
+// device (DeviceSpec) runs.
+const (
+	defaultArch        = classify.ArchCNN
+	defaultTrainEpochs = 8
+)
+
+// DefaultTextWeights is TextWeights for the default classifier: the blob
+// every fleet speaker seals and every model pack carries.
+func DefaultTextWeights(vocab *sensitive.Vocabulary, seed uint64) ([]byte, error) {
+	return TextWeights(defaultArch, vocab, seed, defaultTrainEpochs)
+}
+
 // TrainClassifier returns a classifier built from TextWeights.
 func TrainClassifier(arch classify.Arch, vocab *sensitive.Vocabulary, seed uint64, epochs int) (*classify.Classifier, error) {
 	blob, err := TextWeights(arch, vocab, seed, epochs)
@@ -329,9 +335,6 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	cost := tz.DefaultCostModel()
-	if cfg.WorldSwitchCycles > 0 {
-		cost.WorldSwitch = cfg.WorldSwitchCycles
-	}
 	sys := &System{cfg: cfg, Vocab: sensitive.NewVocabulary()}
 	if err := sys.initShell(cost); err != nil {
 		return nil, err

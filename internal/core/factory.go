@@ -12,10 +12,8 @@ import (
 	"repro/internal/audio"
 	"repro/internal/cloud"
 	"repro/internal/metrics"
-	"repro/internal/ml/classify"
 	"repro/internal/obs"
 	"repro/internal/peripheral"
-	"repro/internal/relay"
 	"repro/internal/sensitive"
 	"repro/internal/supplicant"
 	"repro/internal/tz"
@@ -58,16 +56,13 @@ var ErrBadKind = fmt.Errorf("%w: unknown device kind", ErrBadConfig)
 type DeviceSpec struct {
 	Kind DeviceKind
 	Mode Mode
-	// Arch and Policy apply to secure-filter speakers.
-	Arch   classify.Arch
-	Policy relay.Policy
 	// Seed is the device's own randomness; ModelSeed the provisioned
 	// model's (0 = Seed). Fleets share one ModelSeed across members.
+	// Everything else a speaker's Config or a doorbell's CameraConfig
+	// sets takes its default: a fleet device runs the default classifier
+	// (DefaultTextWeights) and filter policy.
 	Seed      uint64
 	ModelSeed uint64
-	FreqHz    uint64
-	NoiseAmp  float64
-	BufBytes  int
 	// Batch > 1 enables TA-side batched processing on secure speakers
 	// (capped at MaxBatch).
 	Batch int
@@ -88,13 +83,8 @@ type DeviceSpec struct {
 func (spec DeviceSpec) speakerConfig() Config {
 	return Config{
 		Mode:           spec.Mode,
-		Arch:           spec.Arch,
-		Policy:         spec.Policy,
-		BufBytes:       spec.BufBytes,
 		Seed:           spec.Seed,
 		ModelSeed:      spec.ModelSeed,
-		FreqHz:         spec.FreqHz,
-		NoiseAmp:       spec.NoiseAmp,
 		DeviceID:       spec.DeviceID,
 		AttestKeySeed:  spec.AttestKeySeed,
 		ModelVersion:   spec.ModelVersion,
@@ -108,7 +98,6 @@ func (spec DeviceSpec) cameraConfig() CameraConfig {
 		Mode:          spec.Mode,
 		Seed:          spec.Seed,
 		ModelSeed:     spec.ModelSeed,
-		FreqHz:        spec.FreqHz,
 		DeviceID:      spec.DeviceID,
 		AttestKeySeed: spec.AttestKeySeed,
 		ModelVersion:  spec.ModelVersion,

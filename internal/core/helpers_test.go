@@ -99,7 +99,7 @@ func TestConfigDefaultsFilled(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	cfg := sys.Config()
-	if cfg.Arch != classify.ArchCNN || cfg.BufBytes != 4096 || cfg.FreqHz == 0 || cfg.TrainEpochs == 0 {
+	if cfg.Arch != classify.ArchCNN || cfg.BufBytes != 4096 || cfg.TrainEpochs == 0 {
 		t.Errorf("defaults not filled: %+v", cfg)
 	}
 }

@@ -11,8 +11,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/ml/classify"
-	"repro/internal/relay"
 	"repro/internal/sensitive"
 )
 
@@ -41,8 +39,8 @@ func runDevice(t *testing.T, spec DeviceSpec, w DeviceWorkload) *SessionResult {
 func TestRecycledScratchIsolation(t *testing.T) {
 	speaker := func(mode Mode, seed uint64, batch int) DeviceSpec {
 		return DeviceSpec{
-			Kind: DeviceSpeaker, Mode: mode, Arch: classify.ArchCNN,
-			Policy: relay.PolicyBlock, Seed: seed, ModelSeed: 99, Batch: batch,
+			Kind: DeviceSpeaker, Mode: mode,
+			Seed: seed, ModelSeed: 99, Batch: batch,
 		}
 	}
 	// X leaves large, dirty buffers behind: long sessions, a full TA
@@ -82,8 +80,8 @@ const captureAllocBoundKB = 320
 
 func TestWarmDeviceRunAllocationBound(t *testing.T) {
 	spec := DeviceSpec{
-		Kind: DeviceSpeaker, Mode: ModeSecureFilter, Arch: classify.ArchCNN,
-		Policy: relay.PolicyBlock, Seed: 21, ModelSeed: 99, Batch: 4,
+		Kind: DeviceSpeaker, Mode: ModeSecureFilter,
+		Seed: 21, ModelSeed: 99, Batch: 4,
 	}
 	w := recycleWorkload(t, 8, 21)
 	runDevice(t, spec, w)

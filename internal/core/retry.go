@@ -29,10 +29,16 @@ import (
 	"repro/internal/tz"
 )
 
+// RetryAttempts is the default bound on delivery attempts per frame. A
+// chaos plan's expiry blackhole (internal/fault) swallows this many
+// deliveries so that its frame deterministically exhausts them.
+const RetryAttempts = 8
+
 // RetryConfig bounds the uplink retry loop.
 type RetryConfig struct {
-	// Attempts is the maximum delivery attempts per frame (default 8;
-	// the first attempt counts, so Attempts=1 disables retry).
+	// Attempts is the maximum delivery attempts per frame (default
+	// RetryAttempts; the first attempt counts, so Attempts=1 disables
+	// retry).
 	Attempts int
 	// BaseBackoff is the first retry's backoff in virtual cycles
 	// (default 10_000); each further retry doubles it up to MaxBackoff
@@ -49,7 +55,7 @@ type RetryConfig struct {
 
 func (c *RetryConfig) fillDefaults() {
 	if c.Attempts <= 0 {
-		c.Attempts = 8
+		c.Attempts = RetryAttempts
 	}
 	if c.BaseBackoff == 0 {
 		c.BaseBackoff = 10_000

@@ -189,7 +189,7 @@ func (s *System) finalizeSession(res *SessionResult, startCycles tz.Cycles) {
 	if s.Supplicant != nil {
 		res.SupplicantPlaintextTokens = s.auditSupplicant()
 	}
-	res.Energy = s.energy(res.TotalCycles, s.DMA.Stats().Bytes, s.cfg.FreqHz)
+	res.Energy = s.energy(res.TotalCycles, s.DMA.Stats().Bytes)
 }
 
 // completeGroup is the completion step both peripherals' secure sessions

@@ -230,8 +230,8 @@ func (s *deviceShell) heAppend(sc *sessionScratch, data []float32, shape []int, 
 	return nil
 }
 
-// energy models a session's energy.
-func (s *deviceShell) energy(total tz.Cycles, dmaBytes, freqHz uint64) power.Report {
+// energy models a session's energy at the modelled core frequency.
+func (s *deviceShell) energy(total tz.Cycles, dmaBytes uint64) power.Report {
 	st := s.Monitor.Stats()
 	return power.DefaultModel().Measure(power.Usage{
 		TotalCycles:  uint64(total),
@@ -239,6 +239,6 @@ func (s *deviceShell) energy(total tz.Cycles, dmaBytes, freqHz uint64) power.Rep
 		Switches:     st.Switches,
 		DMABytes:     dmaBytes,
 		RadioBytes:   s.radio(),
-		FreqHz:       freqHz,
+		FreqHz:       tz.FreqHz,
 	})
 }

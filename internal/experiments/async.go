@@ -50,7 +50,6 @@ func E17AsyncPipeline(seed uint64) (*metrics.Table, E17Result, error) {
 		Utterances: 3,
 		Frames:     2,
 		Seed:       seed,
-		FreqHz:     FreqHz,
 		Churn:      &fleet.ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25},
 		Lifecycle:  &fleet.LifecycleSpec{RotateFraction: 0.25},
 	}

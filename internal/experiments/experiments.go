@@ -30,8 +30,8 @@ import (
 // DefaultSeed fixes the whole suite.
 const DefaultSeed uint64 = 42
 
-// FreqHz is the modelled core frequency (1 GHz: cycles ≈ ns).
-const FreqHz = 1_000_000_000
+// FreqHz is the modelled core frequency, tz.FreqHz.
+const FreqHz = tz.FreqHz
 
 // cyclesToUs converts virtual cycles to microseconds at FreqHz.
 func cyclesToUs(c float64) float64 { return c / (FreqHz / 1e6) }
@@ -132,7 +132,6 @@ func modeSession(mode core.Mode, opts sessionOpts, n int, seed uint64) (*core.Se
 		Policy: opts.policy,
 		Arch:   opts.arch,
 		Seed:   seed,
-		FreqHz: FreqHz,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%v system: %w", mode, err)

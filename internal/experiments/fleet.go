@@ -45,7 +45,6 @@ func E10FleetScale(seed uint64) (*metrics.Table, []E10Point, error) {
 			Utterances: 2,
 			Frames:     2,
 			Seed:       seed,
-			FreqHz:     FreqHz,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("fleet of %d: %w", devices, err)
@@ -128,7 +127,6 @@ func E12ElasticFleet(seed uint64) (*metrics.Table, E12Result, error) {
 		Utterances: 2,
 		Frames:     2,
 		Seed:       seed,
-		FreqHz:     FreqHz,
 		Attest:     true,
 	}
 	static, err := fleet.Run(base)
@@ -246,7 +244,6 @@ func E13AttestationLifecycle(seed uint64) (*metrics.Table, E13Result, error) {
 		Utterances: 2,
 		Frames:     2,
 		Seed:       seed,
-		FreqHz:     FreqHz,
 		Attest:     true,
 	}
 	static, err := fleet.Run(base)
@@ -368,7 +365,6 @@ func E14FrameTelemetry(seed uint64) (*metrics.Table, E14Result, error) {
 		Utterances:   2,
 		Frames:       2,
 		Seed:         seed,
-		FreqHz:       FreqHz,
 		Policy:       "shed",
 		Lifecycle:    &fleet.LifecycleSpec{RotateFraction: 0.2, RevokeFraction: 0.1},
 		Rogues:       4,
@@ -486,7 +482,6 @@ func E11AttestedRollout(seed uint64) (*metrics.Table, E11Result, error) {
 		Utterances: 2,
 		Frames:     2,
 		Seed:       seed,
-		FreqHz:     FreqHz,
 		Rollout:    &fleet.RolloutSpec{CanaryFraction: 0.1},
 		Rogues:     4,
 	})
@@ -577,7 +572,6 @@ func E15ChaosFleet(seed uint64) (*metrics.Table, E15Result, error) {
 		Utterances: 3,
 		Frames:     3,
 		Seed:       seed,
-		FreqHz:     FreqHz,
 		Attest:     true,
 	}
 	calm, err := fleet.Run(base)
@@ -768,7 +762,6 @@ func E16BatchScheduler(seed uint64) (*metrics.Table, E16Result, error) {
 		Utterances: 3,
 		Frames:     2,
 		Seed:       seed,
-		FreqHz:     FreqHz,
 		Rollout:    &fleet.RolloutSpec{CanaryFraction: 0.2},
 		Churn:      &fleet.ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25},
 		Lifecycle:  &fleet.LifecycleSpec{RotateFraction: 0.25},

@@ -80,7 +80,6 @@ func E18HybridHE(seed uint64) (*metrics.Table, E18Result, error) {
 			Policy: c.opts.policy,
 			Arch:   c.opts.arch,
 			Seed:   seed,
-			FreqHz: FreqHz,
 		})
 		if err != nil {
 			return fail("%v system: %v", c.mode, err)
@@ -160,7 +159,6 @@ func E18HybridHE(seed uint64) (*metrics.Table, E18Result, error) {
 		Utterances: 2,
 		Frames:     2,
 		Seed:       seed,
-		FreqHz:     FreqHz,
 		Mix:        mix,
 	})
 	if err != nil {

@@ -8,7 +8,7 @@
 // against, not chaos you chase.
 //
 // Trust model: a plan is *cleartext operational metadata* — device
-// indices, rates, cycle counts. It never sees, holds or alters sealed
+// indices, rates, a seed. It never sees, holds or alters sealed
 // frame content; an injector drops, delays or re-sends opaque sealed
 // bytes exactly as an unreliable network or a crashing frontend would.
 // The security argument of the relay is therefore untouched by chaos:
@@ -35,6 +35,18 @@ var ErrInjectedDrop = fmt.Errorf("fault: injected uplink drop (%w)", supplicant.
 // ErrBadPlan is returned for invalid plan configurations.
 var ErrBadPlan = errors.New("fault: invalid plan")
 
+// The virtual time a plan charges on touched devices.
+const (
+	// DelayCycles is the virtual delay charged per delayed delivery.
+	DelayCycles tz.Cycles = 50_000
+	// SlowCycles is the extra virtual latency a straggler pays per
+	// delivery.
+	SlowCycles tz.Cycles = 200_000
+	// TEEPenalty is the retried sealed-storage work a transient TEE
+	// error at provisioning costs before the handshake proceeds.
+	TEEPenalty tz.Cycles = 1_000_000
+)
+
 // PlanConfig parameterizes a chaos plan. All zero values are safe: a
 // zero config touches a quarter of the fleet and injects nothing.
 type PlanConfig struct {
@@ -50,26 +62,18 @@ type PlanConfig struct {
 	DropRate      float64 // delivery swallowed (retriable)
 	DuplicateRate float64 // delivery duplicated after success (dedup target)
 	DelayRate     float64 // delivery delayed by DelayCycles, then sent
-	ExpireRate    float64 // blackhole window: this delivery and every retry dropped
+	// ExpireRate opens a blackhole window: this delivery and every retry
+	// the device's retry layer makes (core.RetryAttempts in all) are
+	// dropped, so the frame deterministically expires.
+	ExpireRate float64
 
-	// DelayCycles is the virtual delay charged per delayed delivery
-	// (default 50_000).
-	DelayCycles tz.Cycles
-	// Attempts is the device retry layer's attempt bound, used to size
-	// an expiry blackhole so the frame deterministically exhausts its
-	// retries (default 8 — keep in sync with core.RetryConfig.Attempts).
-	Attempts int
-
-	// SlowFraction of the touched devices pay SlowCycles (default
-	// 200_000) of extra virtual latency per delivery — the straggler set.
+	// SlowFraction of the touched devices pay SlowCycles of extra
+	// virtual latency per delivery — the straggler set.
 	SlowFraction float64
-	SlowCycles   tz.Cycles
 
 	// TEEFraction of the touched devices hit a transient TEE error at
-	// provisioning time, charged as TEEPenalty cycles (default 1_000_000)
-	// of retried sealed-storage work before the handshake proceeds.
+	// provisioning time, charged as TEEPenalty cycles.
 	TEEFraction float64
-	TEEPenalty  tz.Cycles
 
 	// Crashes is the number of shard crashes scheduled across the run
 	// (see CrashPoints).
@@ -79,12 +83,13 @@ type PlanConfig struct {
 	Seed uint64
 }
 
-func (c *PlanConfig) fillDefaults() error {
+// Validate returns an ErrBadPlan error for a configuration that
+// describes no plan: a fleet size that is not positive, a fraction or
+// rate outside [0,1] (NaN included), injection rates summing past 1, or
+// a negative crash count. NewPlan applies it before filling defaults.
+func (c PlanConfig) Validate() error {
 	if c.Devices <= 0 {
 		return fmt.Errorf("%w: Devices must be > 0", ErrBadPlan)
-	}
-	if c.TouchFraction == 0 {
-		c.TouchFraction = 0.25
 	}
 	for _, f := range []struct {
 		name string
@@ -107,27 +112,15 @@ func (c *PlanConfig) fillDefaults() error {
 	if c.Crashes < 0 {
 		return fmt.Errorf("%w: Crashes must be >= 0", ErrBadPlan)
 	}
-	// Negative cycle counts would run injected delays backwards in
-	// virtual time; negative attempt bounds would size a blackhole that
-	// never closes.
-	if c.DelayCycles < 0 || c.SlowCycles < 0 || c.TEEPenalty < 0 {
-		return fmt.Errorf("%w: negative cycle counts %d/%d/%d",
-			ErrBadPlan, c.DelayCycles, c.SlowCycles, c.TEEPenalty)
+	return nil
+}
+
+func (c *PlanConfig) fillDefaults() error {
+	if err := c.Validate(); err != nil {
+		return err
 	}
-	if c.Attempts < 0 {
-		return fmt.Errorf("%w: Attempts must be >= 0", ErrBadPlan)
-	}
-	if c.DelayCycles == 0 {
-		c.DelayCycles = 50_000
-	}
-	if c.Attempts <= 0 {
-		c.Attempts = 8
-	}
-	if c.SlowCycles == 0 {
-		c.SlowCycles = 200_000
-	}
-	if c.TEEPenalty == 0 {
-		c.TEEPenalty = 1_000_000
+	if c.TouchFraction == 0 {
+		c.TouchFraction = 0.25
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -296,7 +289,7 @@ func (inj *Injector) IngestMeta(deviceID string, frame []byte, meta cloud.FrameM
 	cfg := inj.plan.cfg
 	if inj.slow {
 		// Straggler: every delivery pays extra virtual latency.
-		inj.clock.Advance(cfg.SlowCycles)
+		inj.clock.Advance(SlowCycles)
 	}
 	inj.mu.Lock()
 	if inj.blackhole > 0 {
@@ -312,8 +305,9 @@ func (inj *Injector) IngestMeta(deviceID string, frame []byte, meta cloud.FrameM
 	switch {
 	case roll < cfg.ExpireRate:
 		// Blackhole the frame: swallow this delivery and the next
-		// Attempts-1 (its retries — the device pipeline is sequential).
-		inj.blackhole = cfg.Attempts - 1
+		// RetryAttempts-1 (its retries — the device pipeline is
+		// sequential).
+		inj.blackhole = core.RetryAttempts - 1
 		inj.stats.Blackholes++
 		inj.stats.Drops++
 		verdict = 1
@@ -325,7 +319,7 @@ func (inj *Injector) IngestMeta(deviceID string, frame []byte, meta cloud.FrameM
 		verdict = 2
 	case roll < cfg.ExpireRate+cfg.DropRate+cfg.DuplicateRate+cfg.DelayRate:
 		inj.stats.Delays++
-		inj.stats.DelayCharged += cfg.DelayCycles
+		inj.stats.DelayCharged += DelayCycles
 		verdict = 3
 	}
 	if verdict != 1 {
@@ -337,7 +331,7 @@ func (inj *Injector) IngestMeta(deviceID string, frame []byte, meta cloud.FrameM
 	case 1: // drop
 		return nil, fmt.Errorf("%w: %q seq %d", ErrInjectedDrop, deviceID, meta.Seq)
 	case 3: // delay, then deliver
-		inj.clock.Advance(cfg.DelayCycles)
+		inj.clock.Advance(DelayCycles)
 	}
 	directive, err := inj.next.IngestMeta(deviceID, frame, meta)
 	if verdict == 2 && err == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/core"
 	"repro/internal/supplicant"
 	"repro/internal/tz"
 )
@@ -112,16 +113,16 @@ func TestPlanDeterminism(t *testing.T) {
 }
 
 // TestInjectorBlackhole: an expiry verdict swallows the delivery and the
-// next Attempts-1 calls — the whole retry schedule of one frame — then
-// the stream resumes.
+// next core.RetryAttempts-1 calls — the whole retry schedule of one
+// frame — then the stream resumes.
 func TestInjectorBlackhole(t *testing.T) {
-	p, err := NewPlan(PlanConfig{Devices: 1, TouchFraction: 1, ExpireRate: 1, Attempts: 4})
+	p, err := NewPlan(PlanConfig{Devices: 1, TouchFraction: 1, ExpireRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	next := &countIngestor{}
 	inj := p.Injector(0, next, tz.NewClock())
-	for k := 0; k < 8; k++ {
+	for k := 0; k < 2*core.RetryAttempts; k++ {
 		_, err := inj.IngestMeta("device", nil, cloud.FrameMeta{Seq: uint64(k + 1)})
 		if !errors.Is(err, ErrInjectedDrop) || !errors.Is(err, supplicant.ErrTransient) {
 			t.Fatalf("call %d: blackholed delivery misclassified: %v", k, err)
@@ -131,8 +132,9 @@ func TestInjectorBlackhole(t *testing.T) {
 		t.Fatalf("blackhole leaked %d deliveries downstream", next.calls)
 	}
 	st := p.Stats()
-	if st.Blackholes != 2 || st.Drops != 8 {
-		t.Fatalf("8 calls at ExpireRate 1 with Attempts 4: %+v (want 2 blackholes, 8 drops)", st)
+	if st.Blackholes != 2 || st.Drops != 2*core.RetryAttempts {
+		t.Fatalf("%d calls at ExpireRate 1: %+v (want 2 blackholes, %d drops)",
+			2*core.RetryAttempts, st, 2*core.RetryAttempts)
 	}
 }
 

@@ -26,16 +26,14 @@ import (
 	"repro/internal/attest"
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/ml/classify"
 	"repro/internal/obs"
 	"repro/internal/sensitive"
 )
 
-// RolloutSpec stages an online model rollout during the run.
+// RolloutSpec stages an online model rollout during the run. The
+// published version-2 pack is trained on a seed derived from the root
+// seed via core.SaltModelRollout.
 type RolloutSpec struct {
-	// ToModelSeed is the training seed of the published version-2 pack
-	// (0 = derived from the root seed via SaltModelRollout).
-	ToModelSeed uint64
 	// CanaryFraction of the secure (model-bearing) population updates
 	// first; default 0.1, clamped to (0, 1].
 	CanaryFraction float64
@@ -226,11 +224,7 @@ func newAttestState(cfg Config, specs []core.DeviceSpec) (*attestState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet rollout: base pack: %w", err)
 	}
-	nextSeed := cfg.Rollout.ToModelSeed
-	if nextSeed == 0 {
-		nextSeed = core.DeriveSeed(cfg.Seed, core.SaltModelRollout, 2)
-	}
-	next, err := buildPack(2, nextSeed, needText, needImage)
+	next, err := buildPack(2, core.DeriveSeed(cfg.Seed, core.SaltModelRollout, 2), needText, needImage)
 	if err != nil {
 		return nil, fmt.Errorf("fleet rollout: next pack: %w", err)
 	}
@@ -252,14 +246,14 @@ func newAttestState(cfg Config, specs []core.DeviceSpec) (*attestState, error) {
 
 // buildPack fetches (training on first use) the memoized classifier
 // weights for a pack version; payload classes the population does not
-// run stay empty. The fleet population runs the CNN text classifier and
-// the standard image classifier, both at the default epoch budget — the
-// same blobs Pretrain warms and devices seal.
+// run stay empty. The fleet population runs the default text classifier
+// and the standard image classifier: the same blobs Pretrain warms and
+// devices seal.
 func buildPack(version, modelSeed uint64, needText, needImage bool) (attest.Pack, error) {
 	pack := attest.Pack{Version: version, ModelSeed: modelSeed}
 	var err error
 	if needText {
-		if pack.Text, err = core.TextWeights(classify.ArchCNN, sensitive.NewVocabulary(), modelSeed, 8); err != nil {
+		if pack.Text, err = core.DefaultTextWeights(sensitive.NewVocabulary(), modelSeed); err != nil {
 			return attest.Pack{}, err
 		}
 	}

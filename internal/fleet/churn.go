@@ -40,30 +40,18 @@ type ChurnSpec struct {
 	// the full provision/attest/handshake flow on arrival.
 	JoinFraction float64
 	// LeaveFraction picks ceil(LeaveFraction × Devices) base devices to
-	// depart early: each processes LeaveAfter of its workload, then
+	// depart early: each processes leaveAfter of its workload, then
 	// deregisters from the ring and releases its attested session.
 	LeaveFraction float64
-	// LeaveAfter is the fraction of a leaver's workload processed before
-	// departure (default 0.5; at least one item is always processed).
-	LeaveAfter float64
-	// ArrivalSeed seeds joiner arrival placement and leaver selection
-	// (0 = derived from the root seed via core.SaltChurn).
-	ArrivalSeed uint64
 }
 
-func (c *ChurnSpec) fillDefaults(root uint64) error {
-	if c.JoinFraction < 0 || c.JoinFraction > 1 ||
-		c.LeaveFraction < 0 || c.LeaveFraction > 1 {
+// leaveAfter is the fraction of a leaver's workload processed before
+// departure (at least one item is always processed).
+const leaveAfter = 0.5
+
+func (c *ChurnSpec) validate() error {
+	if !unitFraction(c.JoinFraction) || !unitFraction(c.LeaveFraction) {
 		return fmt.Errorf("%w: churn fractions %g/%g", ErrBadConfig, c.JoinFraction, c.LeaveFraction)
-	}
-	if c.LeaveAfter < 0 || c.LeaveAfter > 1 {
-		return fmt.Errorf("%w: leave-after %g", ErrBadConfig, c.LeaveAfter)
-	}
-	if c.LeaveAfter == 0 {
-		c.LeaveAfter = 0.5
-	}
-	if c.ArrivalSeed == 0 {
-		c.ArrivalSeed = core.DeriveSeed(root, core.SaltChurn, 0)
 	}
 	return nil
 }
@@ -83,7 +71,7 @@ type RebalanceSpec struct {
 }
 
 func (r *RebalanceSpec) fillDefaults(shards int) error {
-	if r.AtFraction < 0 || r.AtFraction > 1 {
+	if !unitFraction(r.AtFraction) {
 		return fmt.Errorf("%w: rebalance fraction %g", ErrBadConfig, r.AtFraction)
 	}
 	if r.AtFraction == 0 {
@@ -121,59 +109,11 @@ func (c *ChurnSpec) leaveCount(devices int) int {
 	return n
 }
 
-// planJoiners extends the population plan past the base population.
-// Identity fields come from the same memberSpec derivation Plan uses,
-// keyed on the joiner's global index, so base specs are untouched by
-// the extension and every joiner's seed is a function of its index
-// alone. Kind and mode continue Plan's interleave cadence (doorbell
-// every `stride` indices, speaker modes cycling, counters carried over
-// from the base population) with one deliberate difference: Plan caps
-// doorbells at the base quota, while joiners have no quota — the
-// fraction extends with the population.
-func planJoiners(cfg Config, base []core.DeviceSpec) []core.DeviceSpec {
-	join := cfg.Churn.joinCount(cfg.Devices)
-	if join == 0 {
-		return nil
-	}
-	doorbells := int(float64(cfg.Devices) * cfg.DoorbellFraction)
-	stride := cfg.Devices
-	if doorbells > 0 {
-		stride = cfg.Devices / doorbells
-	}
-	nSpeaker, nDoorbell := 0, 0
-	for i := range base {
-		if base[i].Kind == core.DeviceDoorbell {
-			nDoorbell++
-		} else {
-			nSpeaker++
-		}
-	}
-	speakerModes := weightedModes(cfg.Mix)
-	dbModes := doorbellModes(cfg.Mix)
-	specs := make([]core.DeviceSpec, join)
-	for j := range specs {
-		i := cfg.Devices + j
-		spec := memberSpec(cfg, i)
-		if doorbells > 0 && i%stride == 0 {
-			spec.Kind = core.DeviceDoorbell
-			spec.Mode = dbModes[nDoorbell%len(dbModes)]
-			nDoorbell++
-		} else {
-			spec.Kind = core.DeviceSpeaker
-			spec.Mode = speakerModes[nSpeaker%len(speakerModes)]
-			nSpeaker++
-		}
-		specs[j] = spec
-	}
-	return specs
-}
-
 // churnPlan is the run-time churn state: who leaves, when joiners
 // arrive, and the accounting for departed endpoints.
 type churnPlan struct {
-	leaver     map[int]bool
-	leaveAfter float64
-	arrival    []int // device indices in worker-feed order
+	leaver  map[int]bool
+	arrival []int // device indices in worker-feed order
 
 	mu       sync.Mutex
 	departed cloud.Audit
@@ -188,11 +128,10 @@ type churnPlan struct {
 // with real traffic.
 func newChurnPlan(cfg Config, base, join int) *churnPlan {
 	p := &churnPlan{
-		leaver:     make(map[int]bool),
-		leaveAfter: cfg.Churn.LeaveAfter,
-		arrival:    make([]int, 0, base+join),
+		leaver:  make(map[int]bool),
+		arrival: make([]int, 0, base+join),
 	}
-	rng := core.NewRNG(cfg.Churn.ArrivalSeed, core.SaltChurn)
+	rng := core.NewRNG(core.DeriveSeed(cfg.Seed, core.SaltChurn, 0), core.SaltChurn)
 	perm := rng.Perm(base)
 	for _, i := range perm[:cfg.Churn.leaveCount(base)] {
 		p.leaver[i] = true
@@ -216,7 +155,7 @@ func newChurnPlan(cfg Config, base, join int) *churnPlan {
 // (at least one item: a device that joined processed something).
 func (p *churnPlan) truncateWorkload(w core.DeviceWorkload) core.DeviceWorkload {
 	clip := func(n int) int {
-		k := int(p.leaveAfter*float64(n) + 0.5)
+		k := int(leaveAfter*float64(n) + 0.5)
 		if k < 1 {
 			k = 1
 		}

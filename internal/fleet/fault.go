@@ -26,14 +26,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/tz"
 )
 
 // FaultSpec drives a deterministic chaos plan against the run. Zero
 // rates inject nothing; Crashes schedules shard crash/restart cycles at
 // evenly spaced completion points; SlowShard inflates one shard's
 // wall-clock serve latency for the whole run (latency only — virtual
-// time and accounting are untouched).
+// time and accounting are untouched). Touched devices retry under the
+// default core.RetryConfig, and the plan charges fault.DelayCycles,
+// fault.SlowCycles and fault.TEEPenalty.
 type FaultSpec struct {
 	// TouchFraction of the population is subject to uplink injection
 	// (default 0.25); see fault.PlanConfig.
@@ -43,72 +44,54 @@ type FaultSpec struct {
 	DuplicateRate float64
 	DelayRate     float64
 	ExpireRate    float64
-	// DelayCycles is the virtual delay per delayed delivery (default
-	// 50_000); SlowFraction of touched devices pay SlowCycles (default
-	// 200_000) extra per delivery; TEEFraction hit a transient TEE error
-	// at provisioning, charged as TEEPenalty cycles (default 1_000_000).
-	DelayCycles  tz.Cycles
+	// SlowFraction of touched devices are stragglers; TEEFraction hit a
+	// transient TEE error at provisioning.
 	SlowFraction float64
-	SlowCycles   tz.Cycles
 	TEEFraction  float64
-	TEEPenalty   tz.Cycles
 	// Crashes is the number of shard crash/restart cycles to fire,
 	// rotating over the founding shards.
 	Crashes int
-	// SlowShard is the 1-based index of a founding shard to slow for the
-	// whole run (0 = none); SlowServe is the injected wall-clock serve
-	// delay per frame (default 200µs).
+	// SlowShard is the 1-based index of a founding shard to slow by
+	// slowServe for the whole run (0 = none).
 	SlowShard int
-	SlowServe time.Duration
-	// Retry overrides the device-side retry layer; zero fields take
-	// core.RetryConfig defaults. The per-device jitter seed is always
-	// derived from Seed, never taken from here.
-	Retry core.RetryConfig
 	// Seed roots the plan's streams (0 = derived from the root seed via
 	// core.SaltFault).
 	Seed uint64
 }
 
-func (f *FaultSpec) fillDefaults(root uint64, shards int) error {
-	if f.Crashes < 0 {
-		return fmt.Errorf("%w: %d fault crashes", ErrBadConfig, f.Crashes)
-	}
+// slowServe is the wall-clock serve delay per frame on the slow shard.
+const slowServe = 200 * time.Microsecond
+
+// fillDefaults runs fault's own plan validation over the spec, so a bad
+// config fails before the build phase trains any model, and derives the
+// plan seed.
+func (f *FaultSpec) fillDefaults(root uint64, devices, shards int) error {
 	if f.SlowShard < 0 || f.SlowShard > shards {
 		return fmt.Errorf("%w: fault slow-shard %d of %d", ErrBadConfig, f.SlowShard, shards)
 	}
-	if f.SlowServe == 0 {
-		f.SlowServe = 200 * time.Microsecond
+	if err := f.planConfig(devices).Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	if f.Seed == 0 {
 		f.Seed = core.DeriveSeed(root, core.SaltFault, 0)
 	}
-	// Mirror fault.NewPlan's rate bounds here so a bad config fails
-	// before the build phase trains any model.
-	for _, v := range []float64{f.TouchFraction, f.DropRate, f.DuplicateRate,
-		f.DelayRate, f.ExpireRate, f.SlowFraction, f.TEEFraction} {
-		// NaN compares false against both bounds — match fault.NewPlan's
-		// explicit rejection.
-		if !(v >= 0 && v <= 1) {
-			return fmt.Errorf("%w: fault rate %v outside [0,1]", ErrBadConfig, v)
-		}
-	}
-	if sum := f.DropRate + f.DuplicateRate + f.DelayRate + f.ExpireRate; sum > 1 {
-		return fmt.Errorf("%w: fault injection rates sum to %v > 1", ErrBadConfig, sum)
-	}
-	if f.DelayCycles < 0 || f.SlowCycles < 0 || f.TEEPenalty < 0 {
-		return fmt.Errorf("%w: negative fault cycle counts %d/%d/%d",
-			ErrBadConfig, f.DelayCycles, f.SlowCycles, f.TEEPenalty)
-	}
 	return nil
 }
 
-// attempts is the effective retry-attempt bound, which also sizes the
-// plan's expiry blackholes.
-func (f *FaultSpec) attempts() int {
-	if f.Retry.Attempts > 0 {
-		return f.Retry.Attempts
+// planConfig is the chaos plan the spec describes over devices members.
+func (f *FaultSpec) planConfig(devices int) fault.PlanConfig {
+	return fault.PlanConfig{
+		Devices:       devices,
+		TouchFraction: f.TouchFraction,
+		DropRate:      f.DropRate,
+		DuplicateRate: f.DuplicateRate,
+		DelayRate:     f.DelayRate,
+		ExpireRate:    f.ExpireRate,
+		SlowFraction:  f.SlowFraction,
+		TEEFraction:   f.TEEFraction,
+		Crashes:       f.Crashes,
+		Seed:          f.Seed,
 	}
-	return 8
 }
 
 // FaultReport summarizes what the chaos plan did and what the system
@@ -171,22 +154,7 @@ type faultDriver struct {
 // (base + joiners) and installs the run-long slow shard, if any.
 func newFaultDriver(cfg Config, router *cloud.Router, totalDevices int) (*faultDriver, error) {
 	spec := cfg.Faults
-	plan, err := fault.NewPlan(fault.PlanConfig{
-		Devices:       totalDevices,
-		TouchFraction: spec.TouchFraction,
-		DropRate:      spec.DropRate,
-		DuplicateRate: spec.DuplicateRate,
-		DelayRate:     spec.DelayRate,
-		ExpireRate:    spec.ExpireRate,
-		DelayCycles:   spec.DelayCycles,
-		Attempts:      spec.attempts(),
-		SlowFraction:  spec.SlowFraction,
-		SlowCycles:    spec.SlowCycles,
-		TEEFraction:   spec.TEEFraction,
-		TEEPenalty:    spec.TEEPenalty,
-		Crashes:       spec.Crashes,
-		Seed:          spec.Seed,
-	})
+	plan, err := fault.NewPlan(spec.planConfig(totalDevices))
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +166,7 @@ func newFaultDriver(cfg Config, router *cloud.Router, totalDevices int) (*faultD
 		points: plan.CrashPoints(),
 	}
 	if spec.SlowShard > 0 {
-		router.SlowShard(fmt.Sprintf("shard-%02d", spec.SlowShard-1), spec.SlowServe)
+		router.SlowShard(fmt.Sprintf("shard-%02d", spec.SlowShard-1), slowServe)
 	}
 	return fd, nil
 }

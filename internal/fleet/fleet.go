@@ -25,6 +25,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/attest"
 	"repro/internal/cloud"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/peripheral"
@@ -41,6 +43,13 @@ import (
 
 // ErrBadConfig is returned for invalid fleet configurations.
 var ErrBadConfig = errors.New("fleet: invalid config")
+
+// hashReplicas is the consistent-hash ring points per shard.
+const hashReplicas = 64
+
+// unitFraction reports whether v lies in [0, 1]. NaN compares false
+// against both bounds, so it fails here too.
+func unitFraction(v float64) bool { return v >= 0 && v <= 1 }
 
 // Config parameterizes one fleet run.
 type Config struct {
@@ -66,9 +75,6 @@ type Config struct {
 	// and the scheduler's pressure gauge judge occupancy against;
 	// default 2×ShardWorkers.
 	ShardQueue int
-	// HashReplicas is the consistent-hash ring points per shard;
-	// default 64.
-	HashReplicas int
 
 	// DeviceWorkers sizes the executor pool that drives device tasks;
 	// default GOMAXPROCS. A device waiting on a shared classify flush or
@@ -106,8 +112,6 @@ type Config struct {
 	// Seed is the root seed: device seeds, workloads and the shared
 	// provisioned model all derive from it. Default 1.
 	Seed uint64
-	// FreqHz is the modelled core frequency; default 1 GHz.
-	FreqHz uint64
 
 	// Churn drives mid-run population churn: joiners that arrive while
 	// the base population is processing (full provision → attest →
@@ -200,16 +204,14 @@ func own[T any](p **T) {
 
 func (c *Config) fillDefaults() error {
 	own(&c.Sched)
-	own(&c.Churn)
 	own(&c.Rebalance)
 	own(&c.Rollout)
-	own(&c.Lifecycle)
 	own(&c.Trace)
 	own(&c.Faults)
 	if c.Devices <= 0 {
 		c.Devices = 16
 	}
-	if c.DoorbellFraction > 1 {
+	if c.DoorbellFraction > 1 || math.IsNaN(c.DoorbellFraction) {
 		return fmt.Errorf("%w: doorbell fraction %g", ErrBadConfig, c.DoorbellFraction)
 	}
 	switch {
@@ -232,9 +234,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.ShardQueue <= 0 {
 		c.ShardQueue = 2 * c.ShardWorkers
-	}
-	if c.HashReplicas <= 0 {
-		c.HashReplicas = 64
 	}
 	if c.DeviceWorkers <= 0 {
 		c.DeviceWorkers = runtime.GOMAXPROCS(0)
@@ -259,7 +258,7 @@ func (c *Config) fillDefaults() error {
 	if c.Frames <= 0 {
 		c.Frames = 6
 	}
-	if c.SensitiveFraction > 1 {
+	if c.SensitiveFraction > 1 || math.IsNaN(c.SensitiveFraction) {
 		return fmt.Errorf("%w: sensitive fraction %g", ErrBadConfig, c.SensitiveFraction)
 	}
 	switch {
@@ -271,9 +270,6 @@ func (c *Config) fillDefaults() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.FreqHz == 0 {
-		c.FreqHz = 1_000_000_000
-	}
 	if c.Tenants <= 0 {
 		c.Tenants = 4
 	}
@@ -281,7 +277,7 @@ func (c *Config) fillDefaults() error {
 		return fmt.Errorf("%w: admission policy %q", ErrBadConfig, c.Policy)
 	}
 	if c.Churn != nil {
-		if err := c.Churn.fillDefaults(c.Seed); err != nil {
+		if err := c.Churn.validate(); err != nil {
 			return err
 		}
 	}
@@ -292,11 +288,11 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Rollout != nil {
 		c.Attest = true
+		if c.Rollout.CanaryFraction > 1 || math.IsNaN(c.Rollout.CanaryFraction) {
+			return fmt.Errorf("%w: canary fraction %g", ErrBadConfig, c.Rollout.CanaryFraction)
+		}
 		if c.Rollout.CanaryFraction <= 0 {
 			c.Rollout.CanaryFraction = 0.1
-		}
-		if c.Rollout.CanaryFraction > 1 {
-			return fmt.Errorf("%w: canary fraction %g", ErrBadConfig, c.Rollout.CanaryFraction)
 		}
 	}
 	if c.Rogues < 0 {
@@ -308,7 +304,7 @@ func (c *Config) fillDefaults() error {
 		c.Attest = true
 	}
 	if c.Lifecycle != nil {
-		if err := c.Lifecycle.fillDefaults(c.Seed); err != nil {
+		if err := c.Lifecycle.validate(); err != nil {
 			return err
 		}
 		c.Attest = true
@@ -322,7 +318,7 @@ func (c *Config) fillDefaults() error {
 		}
 	}
 	if c.Faults != nil {
-		if err := c.Faults.fillDefaults(c.Seed, c.Shards); err != nil {
+		if err := c.Faults.fillDefaults(c.Seed, c.Devices, c.Shards); err != nil {
 			return err
 		}
 	}
@@ -340,7 +336,6 @@ func memberSpec(cfg Config, i int) core.DeviceSpec {
 	spec := core.DeviceSpec{
 		Seed:      core.DeriveSeed(cfg.Seed, core.SaltDeviceSeed, i),
 		ModelSeed: cfg.Seed,
-		FreqHz:    cfg.FreqHz,
 		Batch:     cfg.Batch,
 		DeviceID:  DeviceID(i),
 	}
@@ -362,12 +357,18 @@ func Plan(cfg Config) ([]core.DeviceSpec, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	return plan(cfg), nil
+	return plan(cfg, 0), nil
 }
 
-// plan is Plan over a config whose defaults are already filled.
-func plan(cfg Config) []core.DeviceSpec {
-	specs := make([]core.DeviceSpec, cfg.Devices)
+// plan is Plan over a config whose defaults are already filled: the base
+// population, then the given number of churn joiners. Every member's
+// identity comes from memberSpec on its global index, so the base specs
+// do not depend on the joiners. Joiners continue the base interleave
+// (a doorbell every stride indices, speaker modes cycling) with one
+// difference: the base population caps doorbells at its quota, while
+// joiners have no quota, so the fraction extends with the population.
+func plan(cfg Config, joiners int) []core.DeviceSpec {
+	specs := make([]core.DeviceSpec, cfg.Devices+joiners)
 	doorbells := int(float64(cfg.Devices) * cfg.DoorbellFraction)
 	stride := cfg.Devices
 	if doorbells > 0 {
@@ -379,7 +380,7 @@ func plan(cfg Config) []core.DeviceSpec {
 	for i := range specs {
 		spec := memberSpec(cfg, i)
 		// Interleave doorbells evenly through the population.
-		if doorbells > 0 && i%stride == 0 && nDoorbell < doorbells {
+		if doorbells > 0 && i%stride == 0 && (nDoorbell < doorbells || i >= cfg.Devices) {
 			spec.Kind = core.DeviceDoorbell
 			spec.Mode = dbModes[nDoorbell%len(dbModes)]
 			nDoorbell++
@@ -653,16 +654,12 @@ func Run(cfg Config) (*Result, error) {
 	if requestedBatch <= 0 {
 		requestedBatch = cfg.Batch // defaulted, not clamped
 	}
-	specs := plan(cfg)
-
-	var joiners []core.DeviceSpec
+	joiners := 0
 	if cfg.Churn != nil {
-		joiners = planJoiners(cfg, specs)
+		joiners = cfg.Churn.joinCount(cfg.Devices)
 	}
-	all := specs
-	if len(joiners) > 0 {
-		all = append(append(make([]core.DeviceSpec, 0, len(specs)+len(joiners)), specs...), joiners...)
-	}
+	all := plan(cfg, joiners)
+	specs := all[:cfg.Devices]
 
 	// Build phase: train the shared model pack once up front. Every
 	// lazily constructed device below hits these caches. Rollout packs
@@ -685,7 +682,7 @@ func Run(cfg Config) (*Result, error) {
 	for i := range shards {
 		shards[i] = cloud.NewShard(fmt.Sprintf("shard-%02d", i), cfg.ShardWorkers, cfg.ShardQueue)
 	}
-	router, err := cloud.NewRouter(shards, cfg.HashReplicas)
+	router, err := cloud.NewRouter(shards, hashReplicas)
 	if err != nil {
 		return nil, err
 	}
@@ -748,7 +745,7 @@ func Run(cfg Config) (*Result, error) {
 		order[i] = i
 	}
 	if cfg.Churn != nil {
-		r.churn = newChurnPlan(cfg, len(specs), len(joiners))
+		r.churn = newChurnPlan(cfg, len(specs), joiners)
 		order = r.churn.arrival
 	}
 	if cfg.Rebalance != nil {
@@ -810,7 +807,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.Telemetry = tel
 	}
-	res.Joined = len(joiners)
+	res.Joined = joiners
 	if st != nil {
 		res.RogueAttempts, res.RogueRejected, res.UnattestedIngested = rogueAttempts, rogueRejected, unattestedIngested
 		fillAttestResult(res, cfg, all, st, router)
@@ -910,7 +907,7 @@ func (r *runner) setupOne(spec core.DeviceSpec, i int) (*devCtx, error) {
 		// access times out and is retried, so the device pays the penalty
 		// in virtual time before its handshake proceeds. Transient means
 		// transient — nothing else about the device's run changes.
-		d.Clock().Advance(r.fd.plan.Config().TEEPenalty)
+		d.Clock().Advance(fault.TEEPenalty)
 		r.fd.noteTEE()
 		r.tracer.Anomaly("tee-transient", fmt.Sprintf("%s: transient TEE error at provisioning, retried", id))
 	}
@@ -957,8 +954,7 @@ func (r *runner) setupOne(spec core.DeviceSpec, i int) (*devCtx, error) {
 			// the retry layer wraps the whole delivery so transient faults
 			// back off in virtual cycles on this device's own clock.
 			up.Ingest = r.fd.plan.Injector(i, r.router, d.Clock())
-			rcfg := r.fd.spec.Retry
-			rcfg.Seed = core.DeriveSeed(r.fd.spec.Seed, core.SaltFault, i)
+			rcfg := core.RetryConfig{Seed: core.DeriveSeed(r.fd.spec.Seed, core.SaltFault, i)}
 			sink := core.NewRetrySink(up, d.Clock(), rcfg)
 			dc.sink = sink
 			d.SetUplink(sink)

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -190,6 +192,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Devices: 4, Mix: MixSpec{core.ModeBaseline: -1, core.ModeSecureNoFilter: 1, core.ModeSecureFilter: 1}}); err == nil {
 		t.Fatal("accepted negative mix weight")
+	}
+}
+
+// TestNaNFractionsRejected: NaN compares false against every bound, so
+// each fraction must reject it explicitly, before any model trains
+// (Plan trains nothing).
+func TestNaNFractionsRejected(t *testing.T) {
+	nan := math.NaN()
+	for name, cfg := range map[string]Config{
+		"doorbells": {DoorbellFraction: nan},
+		"sensitive": {SensitiveFraction: nan},
+		"canary":    {Rollout: &RolloutSpec{CanaryFraction: nan}},
+		"join":      {Churn: &ChurnSpec{JoinFraction: nan}},
+		"leave":     {Churn: &ChurnSpec{LeaveFraction: nan}},
+		"rotate":    {Lifecycle: &LifecycleSpec{RotateFraction: nan}},
+		"revoke":    {Lifecycle: &LifecycleSpec{RevokeFraction: nan}},
+		"rebalance": {Rebalance: &RebalanceSpec{AtFraction: nan}},
+		"touch":     {Faults: &FaultSpec{TouchFraction: nan}},
+	} {
+		cfg.Devices = 8
+		if _, err := Plan(cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s NaN: want ErrBadConfig, got %v", name, err)
+		}
 	}
 }
 

@@ -52,27 +52,18 @@ type LifecycleSpec struct {
 	// after completing its workload, while the rest of the fleet is
 	// still processing.
 	RevokeFraction float64
-	// RevokeProbes frames are fired under each revoked identity; every
-	// one must be rejected at the frontend. Default 2.
-	RevokeProbes int
-	// SelectSeed seeds rotation/revocation target selection (0 = derived
-	// from the root seed via core.SaltLifecycle).
-	SelectSeed uint64
 }
 
-func (l *LifecycleSpec) fillDefaults(root uint64) error {
-	if l.RotateFraction < 0 || l.RotateFraction > 1 ||
-		l.RevokeFraction < 0 || l.RevokeFraction > 1 {
+// revokeProbes frames are fired under each revoked identity; every one
+// must be rejected at the frontend.
+const revokeProbes = 2
+
+func (l *LifecycleSpec) validate() error {
+	if !unitFraction(l.RotateFraction) || !unitFraction(l.RevokeFraction) {
 		return fmt.Errorf("%w: lifecycle fractions %g/%g", ErrBadConfig, l.RotateFraction, l.RevokeFraction)
 	}
 	if l.RotateFraction+l.RevokeFraction > 1 {
 		return fmt.Errorf("%w: lifecycle fractions sum to %g", ErrBadConfig, l.RotateFraction+l.RevokeFraction)
-	}
-	if l.RevokeProbes <= 0 {
-		l.RevokeProbes = 2
-	}
-	if l.SelectSeed == 0 {
-		l.SelectSeed = core.DeriveSeed(root, core.SaltLifecycle, 0)
 	}
 	return nil
 }
@@ -82,7 +73,6 @@ func (l *LifecycleSpec) fillDefaults(root uint64) error {
 type lifecyclePlan struct {
 	rotate map[int]bool
 	revoke map[int]bool
-	probes int
 
 	mu             sync.Mutex
 	rotated        int
@@ -101,7 +91,6 @@ func newLifecyclePlan(cfg Config, specs []core.DeviceSpec) *lifecyclePlan {
 	p := &lifecyclePlan{
 		rotate: make(map[int]bool),
 		revoke: make(map[int]bool),
-		probes: cfg.Lifecycle.RevokeProbes,
 	}
 	eligible := make([]int, 0, len(specs))
 	for i := range specs {
@@ -110,7 +99,7 @@ func newLifecyclePlan(cfg Config, specs []core.DeviceSpec) *lifecyclePlan {
 		}
 		eligible = append(eligible, i)
 	}
-	rng := core.NewRNG(cfg.Lifecycle.SelectSeed, core.SaltLifecycle)
+	rng := core.NewRNG(core.DeriveSeed(cfg.Seed, core.SaltLifecycle, 0), core.SaltLifecycle)
 	perm := rng.Perm(len(eligible))
 	nRotate := int(cfg.Lifecycle.RotateFraction*float64(len(eligible)) + 0.5)
 	nRevoke := int(cfg.Lifecycle.RevokeFraction*float64(len(eligible)) + 0.5)
@@ -146,7 +135,7 @@ func (p *lifecyclePlan) probeRevoked(r *runner, id, tenant string, meta cloud.Fr
 	p.mu.Lock()
 	p.revoked++
 	p.mu.Unlock()
-	for j := 0; j < p.probes; j++ {
+	for j := 0; j < revokeProbes; j++ {
 		_, err := r.router.IngestMeta(id, []byte("post-revocation probe"), meta)
 		// Probes are observed off-device, so their spans carry no device
 		// virtual time — StageAdmit with zero start and duration, one

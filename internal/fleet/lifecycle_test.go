@@ -61,7 +61,7 @@ func TestLifecycleRevocationRejectsProbes(t *testing.T) {
 		Utterances: 2,
 		Frames:     2,
 		Seed:       11,
-		Lifecycle:  &LifecycleSpec{RevokeFraction: 0.25, RevokeProbes: 3},
+		Lifecycle:  &LifecycleSpec{RevokeFraction: 0.25},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestLifecycleRevocationRejectsProbes(t *testing.T) {
 	if res.Revoked == 0 {
 		t.Fatal("no device revoked")
 	}
-	if res.RevokeProbes != res.Revoked*3 {
+	if res.RevokeProbes != res.Revoked*revokeProbes {
 		t.Fatalf("probes %d for %d revoked devices", res.RevokeProbes, res.Revoked)
 	}
 	if res.RevokeRejected != res.RevokeProbes {

@@ -129,10 +129,11 @@ func newSchedControl(cfg Config, st *attestState, router *cloud.Router) (*schedC
 	// on. A shard a rebalance adds counts from then on; a drained one no
 	// longer does.
 	s, err := sched.New(sched.Config{
-		Batch:     cfg.Sched.Batch,
-		MaxAge:    cfg.Sched.MaxAge,
-		Pressure:  router.Utilization,
-		HighWater: cloud.DefaultHighWater,
+		Batch:  cfg.Sched.Batch,
+		MaxAge: cfg.Sched.MaxAge,
+		Pressured: func() bool {
+			return router.Utilization() >= cloud.DefaultHighWater
+		},
 	}, sc.execute)
 	if err != nil {
 		return nil, err
@@ -154,7 +155,7 @@ func (sc *schedControl) classifierFor(version uint64) (*versionClassifier, error
 		// Fetched on first use, so a population with no secure-filter
 		// speaker trains no text model.
 		var err error
-		if blob, err = core.TextWeights(classify.ArchCNN, sc.vocab, sc.rootSeed, 8); err != nil {
+		if blob, err = core.DefaultTextWeights(sc.vocab, sc.rootSeed); err != nil {
 			return nil, fmt.Errorf("fleet sched: base weights: %w", err)
 		}
 		sc.weights[0], sc.weights[1] = blob, blob

@@ -81,15 +81,13 @@ type Config struct {
 	// entry has waited this long flushes regardless of occupancy.
 	// Default DefaultMaxAge.
 	MaxAge tz.Cycles
-	// Pressure, when set, reports downstream uplink utilization in
-	// [0,1] (the cloud admission policy's occupancy signal). At or above
-	// HighWater the scheduler halves its effective max age: it flushes
-	// smaller batches sooner, smoothing arrivals into a loaded uplink
-	// instead of bursting into queues the admission policy would shed.
-	Pressure func() float64
-	// HighWater is the pressure threshold; default 0.75, matching
-	// cloud.DefaultHighWater.
-	HighWater float64
+	// Pressured, when set, reports whether the downstream uplink is at
+	// or above its high-water mark (the cloud admission policy's
+	// occupancy signal). While it is, the scheduler halves its effective
+	// max age: it flushes smaller batches sooner, smoothing arrivals into
+	// a loaded uplink instead of bursting into queues the admission
+	// policy would shed.
+	Pressured func() bool
 }
 
 // Flush reasons, tallied in Stats.Flushes.
@@ -185,9 +183,6 @@ func New(cfg Config, exec Executor) (*Scheduler, error) {
 	}
 	if cfg.MaxAge <= 0 {
 		cfg.MaxAge = DefaultMaxAge
-	}
-	if cfg.HighWater <= 0 || cfg.HighWater > 1 {
-		cfg.HighWater = 0.75
 	}
 	s := &Scheduler{
 		cfg:            cfg,
@@ -332,7 +327,7 @@ func (s *Scheduler) Stats() Stats {
 // high-water mark the deadline halves, trading batch occupancy for
 // smoother arrival at the loaded uplink.
 func (s *Scheduler) effectiveMaxAge() (tz.Cycles, bool) {
-	if s.cfg.Pressure != nil && s.cfg.Pressure() >= s.cfg.HighWater {
+	if s.cfg.Pressured != nil && s.cfg.Pressured() {
 		return s.cfg.MaxAge / 2, true
 	}
 	return s.cfg.MaxAge, false

@@ -282,7 +282,7 @@ func TestPressureHalvesDeadline(t *testing.T) {
 	const maxAge = tz.Cycles(40_000)
 	s, err := New(Config{
 		Batch: 8, MaxAge: maxAge,
-		Pressure: func() float64 { return 0.9 },
+		Pressured: func() bool { return true },
 	}, x.run)
 	if err != nil {
 		t.Fatal(err)

@@ -48,6 +48,10 @@ func (w World) Valid() bool {
 // Cycles counts virtual CPU cycles.
 type Cycles uint64
 
+// FreqHz is the modelled core frequency every device runs at: 1 GHz, so
+// one cycle is one nanosecond.
+const FreqHz = 1_000_000_000
+
 // Duration converts a cycle count to wall time at the given core frequency.
 func (c Cycles) Duration(freqHz uint64) time.Duration {
 	if freqHz == 0 {
